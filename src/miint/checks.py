@@ -25,12 +25,11 @@ from .group import (
 )
 from .raseries import TruncationParams
 
-DELTA_N = 120
 SEED = 20260810
 
 
 def _delta() -> qforms.QExpansion:
-    return qforms.delta_q(DELTA_N)
+    return qforms.delta_q()
 
 
 @dataclass

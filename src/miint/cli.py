@@ -97,7 +97,7 @@ def resolve_form(name: str, N: int) -> qforms.QExpansion:
 
 
 def _trunc(cfg: RunConfig) -> TruncationParams:
-    return TruncationParams(cfg.C, cfg.D, cfg.N, cfg.M, cfg.fd_h, cfg.tol)
+    return TruncationParams(cfg.C, cfg.D)
 
 
 def _emit(payload: dict, cfg: RunConfig) -> None:
@@ -118,16 +118,8 @@ def build_parser() -> _Parser:
     # SUPPRESS keeps subparser re-parsing from clobbering pre-command flags
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--config", help="path to a KEY=VALUE config file")
-    for name, typ in (
-        ("C", int),
-        ("D", int),
-        ("N", int),
-        ("M", int),
-        ("threads", int),
-    ):
-        common.add_argument(f"--{name}", type=typ)
-    common.add_argument("--fd-h", dest="fd_h", type=float)
-    common.add_argument("--tol", type=float)
+    for name in ("C", "D", "N", "M"):
+        common.add_argument(f"--{name}", type=int)
     common.add_argument("--format", choices=("json", "csv"))
 
     parser = _Parser(prog="miint", description=__doc__, parents=[common])
@@ -278,7 +270,7 @@ def _cmd_lvalue(ns, cfg: RunConfig) -> int:
 def _cmd_eisenstein(ns, cfg: RunConfig) -> int:
     w = BiWeight(ns.r if ns.r is not None else cfg.r, ns.s if ns.s is not None else cfg.s)
     z = complex(*ns.z) if ns.z else cfg.z
-    sv = raseries.eisenstein_rs(w, z, _trunc(cfg), threads=cfg.threads)
+    sv = raseries.eisenstein_rs(w, z, _trunc(cfg))
     _emit(
         {
             "weights": [w.r, w.s],
@@ -295,8 +287,9 @@ def _cmd_phi(ns, cfg: RunConfig) -> int:
     f = resolve_form(ns.form or cfg.form, cfg.N)
     w = BiWeight(ns.r if ns.r is not None else cfg.r, ns.s if ns.s is not None else cfg.s)
     z = complex(*ns.z) if ns.z else cfg.z
-    t = _trunc(cfg)
-    sv = raseries.phi(f, w, ns.sign, z, t, threads=cfg.threads)
+    if ns.j is not None and not 0 <= ns.j <= f.k - 2:
+        raise _UsageError(f"--j must lie in 0..{f.k - 2}")
+    sv = raseries.phi(f, w, ns.sign, z, _trunc(cfg))
     payload = {
         "weights": [w.r, w.s],
         "sign": ns.sign,
@@ -435,12 +428,13 @@ def main(argv: list[str] | None = None) -> int:
         ns = parser.parse_args(argv)
         cfg = load_config(getattr(ns, "config", None), ns)
         return _DISPATCH[ns.cmd](ns, cfg)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (PrecisionError, ConvergenceError) as exc:
+        # caught before ValueError, which ConvergenceError subclasses
         print(f"precision/convergence failure: {exc}", file=sys.stderr)
         return EXIT_PRECISION
+    except (_UsageError, ValueError, KeyError) as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -1,8 +1,11 @@
 """Run configuration: defaults, key-value config files, CLI override order.
 
-A config file is plain KEY=VALUE lines ('#' comments allowed).  Values given
-on the command line always win.  The effective configuration is embedded in
-every output object so a run can be reproduced exactly.
+A config file is plain KEY=VALUE lines ('#' comments allowed); its keys are
+the upper-cased field names of `RunConfig`.  Values given on the command line
+always win.  The effective configuration is embedded in every output object
+so a run can be reproduced exactly.  The numerical defaults are not repeated
+here: C and D come from `TruncationParams`, N from `qforms.DEFAULT_N` and M
+from `raseries.DEFAULT_M`.
 """
 
 from __future__ import annotations
@@ -10,59 +13,24 @@ from __future__ import annotations
 import os
 from dataclasses import asdict, dataclass, fields
 
+from .qforms import DEFAULT_N
+from .raseries import DEFAULT_M, TruncationParams
+
 ENV_CONFIG = "MIINT_CONFIG"
-
-_KEYS = {
-    "C": int,
-    "D": int,
-    "N": int,
-    "M": int,
-    "FD_H": float,
-    "TOL": float,
-    "FD_TOL": float,
-    "FORM": str,
-    "R": int,
-    "S": int,
-    "Z_RE": float,
-    "Z_IM": float,
-    "FORMAT": str,
-    "THREADS": int,
-}
-
-_ATTRS = {
-    "C": "C",
-    "D": "D",
-    "N": "N",
-    "M": "M",
-    "FD_H": "fd_h",
-    "TOL": "tol",
-    "FD_TOL": "fd_tol",
-    "FORM": "form",
-    "R": "r",
-    "S": "s",
-    "Z_RE": "z_re",
-    "Z_IM": "z_im",
-    "FORMAT": "format",
-    "THREADS": "threads",
-}
 
 
 @dataclass
 class RunConfig:
-    C: int = 40
-    D: int = 400
-    N: int = 120
-    M: int = 128
-    fd_h: float = 1e-3
-    tol: float = 1e-6
-    fd_tol: float = 1e-4
+    C: int = TruncationParams.C
+    D: int = TruncationParams.D
+    N: int = DEFAULT_N
+    M: int = DEFAULT_M
     form: str = "delta"
     r: int = 10
     s: int = 10
     z_re: float = 0.0
     z_im: float = 2.0
     format: str = "json"
-    threads: int = 1
 
     @property
     def z(self) -> complex:
@@ -83,7 +51,8 @@ class RunConfig:
                 key = key.upper()
                 if key not in _KEYS:
                     raise ValueError(f"{path}:{lineno}: unknown key {key}")
-                setattr(self, _ATTRS[key], _KEYS[key](val))
+                name, typ = _KEYS[key]
+                setattr(self, name, typ(val))
 
     def apply_overrides(self, ns) -> None:
         """Copy explicitly-set CLI attributes (flags win over file values)."""
@@ -91,6 +60,10 @@ class RunConfig:
             cli_val = getattr(ns, f.name, None)
             if cli_val is not None:
                 setattr(self, f.name, cli_val)
+
+
+#: config-file key -> (RunConfig attribute, value type)
+_KEYS = {f.name.upper(): (f.name, type(f.default)) for f in fields(RunConfig)}
 
 
 def load_config(path: str | None, ns=None) -> RunConfig:

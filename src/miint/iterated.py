@@ -40,10 +40,9 @@ from .raseries import (
 
 @dataclass(frozen=True)
 class IteratedIntegrand:
-    """Ordered cusp-form data (f_1, ..., f_{n-1}) plus the outer weight."""
+    """Ordered cusp-form data (f_1, ..., f_{n-1}); the outer weight is 2."""
 
     forms: tuple[QExpansion, ...]
-    k0: int = 2
 
     def __post_init__(self):
         if len(self.forms) > 2:
@@ -58,7 +57,7 @@ class IteratedIntegrand:
 
     @property
     def weights(self) -> tuple[int, ...]:
-        return (self.k0,) + tuple(f.k for f in self.forms)
+        return (2,) + tuple(f.k for f in self.forms)
 
 
 class Poly2:

@@ -32,12 +32,6 @@ class FDScheme:
     h: float = 1e-3
     mode: str = "central-4th"
 
-    def error_model(self, eps_eval: float, scale: float = 1.0) -> float:
-        """Predicted derivative error: evaluation noise over h plus the
-        truncation order of the stencil."""
-        order = 4 if self.mode == "central-4th" else 2
-        return eps_eval / self.h + scale * self.h**order
-
     def stencil(self) -> tuple[list[float], list[float], float]:
         """Offsets (in units of h), weights and denominator (in units of h)."""
         if self.mode == "central-4th":

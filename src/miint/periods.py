@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -86,7 +87,7 @@ def integral_f_wpoly(f: QExpansion, wcoeffs, z: complex) -> complex:
     return total
 
 
-def eichler_F(f: QExpansion, z: complex, sign: str = "+", tol: float | None = None) -> PolyC:
+def eichler_F(f: QExpansion, z: complex, sign: str = "+") -> PolyC:
     """Eichler integral from i*infinity to z of f(w)(w - X)^(k-2) dw as a
     polynomial in X; the minus version conjugates the coefficients."""
     if not f.is_cusp:
@@ -94,8 +95,6 @@ def eichler_F(f: QExpansion, z: complex, sign: str = "+", tol: float | None = No
     z = complex(z)
     if z.imag < Y_MIN:
         raise PrecisionError(f"Im z = {z.imag} below evaluation floor {Y_MIN}")
-    if tol is not None and eval_tail_bound(f, z.imag) / (2 * math.pi) > tol:
-        raise PrecisionError("q-series tail at z exceeds the requested tolerance")
     k = f.k
     m = k - 2
     # (w - X)^m = sum_j binom(m, j) (-X)^(m-j) w^j
@@ -162,6 +161,43 @@ def period_poly(f: QExpansion, g: GroupElement, sign: str = "+") -> PolyC:
     return _cocycle_for(f, sign).of_gamma(g)
 
 
+@dataclass(frozen=True)
+class ReducedPeriods:
+    """Plus-sign period polynomials on the reduced classes (c, d0 mod c),
+    1 <= c <= C, gcd(c, d0) = 1, in ascending (c, d0) order.
+
+    `periods[i]` holds the coefficients of r(g; X) for the i-th row of `rows`;
+    `lut[c, d0]` is that position (-1 where gcd(c, d0) != 1).
+    """
+
+    rows: tuple[tuple[int, int], ...]
+    periods: np.ndarray  # (n_classes, k-1)
+    lut: np.ndarray  # (C+1, C)
+
+    def index(self, cs: np.ndarray, ds: np.ndarray) -> np.ndarray:
+        """Class position of every bottom row (c, d), 1 <= c <= C."""
+        return self.lut[cs, ds % cs]
+
+
+@lru_cache(maxsize=8)
+def reduced_periods(f: QExpansion, C: int) -> ReducedPeriods:
+    """The one cocycle walk over the reduced classes; the coset-series table
+    and the Lambda table are both derived from it."""
+    cocycle = _cocycle_for(f, "+")
+    rows = tuple(
+        (c, d0) for c in range(1, C + 1) for d0 in range(c) if math.gcd(c, d0) == 1
+    )
+    periods = np.array(
+        [cocycle.of_gamma(S if row == (1, 0) else complete_row(*row)).coeffs for row in rows]
+    )
+    lut = np.full((C + 1, C), -1, dtype=np.int64)
+    for i, (c, d0) in enumerate(rows):
+        lut[c, d0] = i
+    periods.setflags(write=False)  # cached and shared by every caller
+    lut.setflags(write=False)
+    return ReducedPeriods(rows, periods, lut)
+
+
 def period_error_estimate(f: QExpansion, g: GroupElement, sign: str = "+") -> float:
     """Rough forward-error estimate for the cocycle route: roundoff at the
     anchor propagated through the word, plus the anchor's own q-tail."""
@@ -205,7 +241,6 @@ def twisted_L(
     p: int,
     q: int = 1,
     method: str = "auto",
-    tol: float | None = None,
 ) -> complex:
     """Completed additively twisted L-value
     Lambda_f(s, p/q) = Gamma(s) (2 pi)^(-s) sum_n a(n) e^(2 pi i n p/q) / n^s.
@@ -233,10 +268,10 @@ def twisted_L(
         raise ConvergenceError(
             f"series method needs s > (k+1)/2 = {(f.k + 1) / 2}, got s = {s}"
         )
-    return _lambda_by_integral(f, s, p, q, tol=tol)
+    return _lambda_by_integral(f, s, p, q)
 
 
-def _lambda_by_integral(f: QExpansion, s: int, p: int, q: int, tol=None) -> complex:
+def _lambda_by_integral(f: QExpansion, s: int, p: int, q: int) -> complex:
     x0 = p / q
     # tail over [1, inf): termwise incomplete gamma against the q-expansion
     tail = 0j
@@ -258,74 +293,59 @@ def _lambda_by_integral(f: QExpansion, s: int, p: int, q: int, tol=None) -> comp
             x = mid + half * xi
             total += wi * half * eval_form_anywhere(f, complex(x0, x)) * x ** (s - 1)
         lo = hi
-    # neglected [0, x_lo]: cusp decay (q x)^(-k) e^(-2 pi/(q^2 x)) collapses it
-    neglect = (q * x_lo) ** (-f.k) * math.exp(-TWO_PI / (q * q * x_lo)) * x_lo**s
-    if tol is not None and neglect > tol:
-        raise PrecisionError("neglected near-cusp piece exceeds tolerance")
+    # [0, x_lo] is neglected: cusp decay (q x)^(-k) e^(-2 pi/(q^2 x)) collapses it
     return total + tail
 
 
-def _lambda_by_extraction(f: QExpansion, s: int, p: int, q: int) -> complex:
-    """Lambda_f(s, p/q) from the Taylor expansion of a period polynomial.
-
-    With bottom row (c, d) = (q, -p) the matrix sends the cusp p/q to
-    i*infinity and r(g; X) = sum_j (-1)^j binom(k-2, j) i^(j+1)
-    Lambda_f(j+1, p/q) (X - p/q)^(k-2-j).
+def _lambdas_from_period(rpoly: PolyC, a: float, k: int) -> np.ndarray:
+    """Lambda_f(j+1, a) for j = 0..k-2 from the Taylor expansion at X = a of
+    the period polynomial of a matrix sending the cusp a to i*infinity:
+    r(g; X) = sum_j (-1)^j binom(k-2, j) i^(j+1) Lambda_f(j+1, a) (X - a)^(k-2-j).
     """
-    k = f.k
-    j = s - 1
+    taylor = rpoly.shift(a)  # coefficients of (X - a)^t: shift X -> X + a
+    out = np.empty(k - 1, dtype=np.complex128)
+    for j in range(k - 1):
+        out[j] = taylor.coeffs[k - 2 - j] * (-1) ** j / (math.comb(k - 2, j) * i_power(j + 1))
+    return out
+
+
+def _lambda_by_extraction(f: QExpansion, s: int, p: int, q: int) -> complex:
+    """Lambda_f(s, p/q) read off the period polynomial of the matrix with
+    bottom row (c, d) = (q, -p), which sends the cusp p/q to i*infinity."""
     if q == 1:
         g = S if p == 0 else complete_row(1, -p)
     else:
         g = complete_row(q, -p)
-    rpoly = period_poly(f, g, "+")
-    a = p / q
-    taylor = rpoly.shift(a)  # coefficients of (X - a)^t ... shift X -> X + a
-    coeff = taylor.coeffs[k - 2 - j]
-    return coeff * (-1) ** j / (math.comb(k - 2, j) * i_power(j + 1))
+    return _lambdas_from_period(period_poly(f, g, "+"), p / q, f.k)[s - 1]
 
 
 class LambdaTable:
     """Immutable cache of Lambda_f(s, -d/c) for all c <= C, d mod c coprime,
-    s = 1..k-1, built by period-polynomial extraction in a single pass."""
+    s = 1..k-1, extracted from the shared reduced-class period table.
 
-    def __init__(self, f: QExpansion, C: int, sign: str = "+"):
+    `values[s - 1, i]` belongs to the i-th reduced class of `classes`.
+    """
+
+    def __init__(self, f: QExpansion, C: int):
         self.f = f
         self.C = C
         self.k = f.k
-        cocycle = _cocycle_for(f, "+")
-        tab: dict[tuple[int, int], np.ndarray] = {}
-        for c in range(1, C + 1):
-            for d in range(c):
-                if math.gcd(c, d) != 1:
-                    continue
-                g = S if (c, d) == (1, 0) else complete_row(c, d)
-                taylor = cocycle.of_gamma(g).shift(-d / c)
-                vals = np.empty(self.k - 1, dtype=np.complex128)
-                for j in range(self.k - 1):
-                    vals[j] = (
-                        taylor.coeffs[self.k - 2 - j]
-                        * (-1) ** j
-                        / (math.comb(self.k - 2, j) * i_power(j + 1))
-                    )
-                tab[(c, d)] = vals
-        self._tab = tab
+        self.classes = reduced_periods(f, C)
+        self.values = np.array(
+            [
+                _lambdas_from_period(PolyC(r), -d0 / c, self.k)
+                for (c, d0), r in zip(self.classes.rows, self.classes.periods)
+            ]
+        ).T
 
     def value(self, s: int, c: int, d: int) -> complex:
         """Lambda_f(s, -d/c); the twist is looked up modulo c."""
         if not 1 <= s <= self.k - 1:
             raise KeyError(f"s = {s} outside 1..{self.k - 1}")
-        key = (c, d % c)
-        if key not in self._tab:
+        i = self.classes.lut[c, d % c] if 1 <= c <= self.C else -1
+        if i < 0:
             raise KeyError(f"Lambda table does not cover (c, d) = ({c}, {d})")
-        return complex(self._tab[key][s - 1])
-
-    def row(self, s: int, cs: np.ndarray, ds: np.ndarray) -> np.ndarray:
-        """Vectorised lookup of Lambda_f(s, -d/c) over coset arrays."""
-        out = np.empty(cs.size, dtype=np.complex128)
-        for i, (c, d) in enumerate(zip(cs, ds)):
-            out[i] = self._tab[(int(c), int(d) % int(c))][s - 1]
-        return out
+        return complex(self.values[s - 1, i])
 
 
 @lru_cache(maxsize=4)
@@ -349,15 +369,13 @@ def period_from_Lvalues(f: QExpansion, g: GroupElement, table: LambdaTable) -> P
     return PolyC(taylor, k - 2).shift(-a)  # (X - a)-basis back to monomials
 
 
-def convexity_spotcheck(f: QExpansion, jrange=None, qmax: int = 10) -> dict:
+def convexity_spotcheck(f: QExpansion, qmax: int = 10) -> dict:
     """Soft growth check of q^(j+1) |Lambda_f(j+1, p/q)| against q^(k-1+0.1).
 
     Reports the max ratio per q; flags (never fails) if the ratio table stops
     being bounded by a fixed multiple of its small-q values.
     """
     k = f.k
-    if jrange is None:
-        jrange = range(k - 1)
     table = lambda_table(f, qmax)
     ratios = {}
     for q in range(1, qmax + 1):
@@ -365,7 +383,7 @@ def convexity_spotcheck(f: QExpansion, jrange=None, qmax: int = 10) -> dict:
         for p in range(q):
             if math.gcd(p, q) != 1:
                 continue
-            for j in jrange:
+            for j in range(k - 1):
                 lam = table.value(j + 1, q, -p)  # -d/c = p/q
                 worst = max(worst, q ** (j + 1) * abs(lam) / q ** (k - 1 + 0.1))
         ratios[q] = worst

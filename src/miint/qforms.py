@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import PrecisionError
+from .vvdim import dim_cusp
 
 DEFAULT_N = 120
 Y_MIN = 0.05
@@ -170,22 +171,12 @@ def cusp_basis(k: int, N: int = DEFAULT_N) -> list[QExpansion]:
                     prev[j] -= fac * row[j]
         basis_rows.append(row)
         col += 1
-    dim = dim_cusp_classical(k)
+    dim = dim_cusp(k)
     basis_rows = basis_rows[:dim]
     out = []
     for row in basis_rows:
         out.append(QExpansion(k, tuple(int(c) if c.denominator == 1 else c for c in row)))
     return out
-
-
-def dim_modular_classical(k: int) -> int:
-    if k < 0 or k % 2 != 0:
-        return 0
-    return k // 12 if k % 12 == 2 else k // 12 + 1
-
-
-def dim_cusp_classical(k: int) -> int:
-    return 0 if k < 12 else dim_modular_classical(k) - 1
 
 
 def eval_tail_bound(f: QExpansion, y: float) -> float:

@@ -5,7 +5,7 @@ Kloosterman-type sums, Poincare series and the second-order G series.
 
 Summation order is fixed (ascending c, ascending |d|, positive d first) and
 reductions are exactly rounded, so identical inputs give bitwise-identical
-results regardless of chunking.
+results.
 
 Every series value carries a tail estimate: an integral-comparison bound on
 the truncated part, with its constant read off the outermost computed shells
@@ -28,7 +28,6 @@ from .errors import ConvergenceError, PrecisionError
 from .group import (
     BiWeight,
     PolyC,
-    S,
     act_poly,
     complete_row,
     enumerate_coset_rows,
@@ -38,44 +37,50 @@ from .group import (
 )
 from .periods import (
     LambdaTable,
-    _cocycle_for,
     eichler_F,
     i_power,
     integral_f_wpoly,
     lambda_table,
+    reduced_periods,
 )
 from .qforms import QExpansion, Y_MIN, eval_tail_bound
-from .summation import fsum_complex, fsum_complex_chunked
+from .summation import fsum_complex
 
 _EPS = float(np.finfo(np.float64).eps)
+
+#: default number of trapezoidal nodes in `fourier_coefficient`
+DEFAULT_M = 128
+#: relative mismatch between fn(iy) and fn(1 + iy) that rejects an integrand
+_PERIODICITY_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
 class TruncationParams:
-    """Deterministic truncation of coset sums and discretisations."""
+    """Deterministic truncation of coset sums: 0 < c <= C, |d| <= D."""
 
     C: int = 40
     D: int = 400
-    N: int = 120
-    M: int = 128
-    h: float = 1e-3
-    tol: float = 1e-6
 
     def __post_init__(self):
         if self.C < 1 or self.D < 1:
             raise ValueError("C and D must be >= 1")
 
     def validate_at(self, z: complex) -> None:
-        need = 4 * self.C * (abs(complex(z).real) + 1.0)
+        """Every coset series is evaluated at a finite z in the upper
+        half-plane, inside a rectangle wide enough for its real part."""
+        z = complex(z)
+        if not cmath.isfinite(z):
+            raise ValueError(f"z must be finite, got {z}")
+        if z.imag <= 0:
+            raise ValueError("z must lie in the upper half-plane")
+        need = 4 * self.C * (abs(z.real) + 1.0)
         if self.D < need:
             raise ValueError(
-                f"d-cutoff too small at x = {complex(z).real}: need D >= {need}, got {self.D}"
+                f"d-cutoff too small at x = {z.real}: need D >= {need}, got {self.D}"
             )
 
     def scaled(self, factor: int) -> "TruncationParams":
-        return TruncationParams(
-            self.C * factor, self.D * factor, self.N, self.M, self.h, self.tol
-        )
+        return TruncationParams(self.C * factor, self.D * factor)
 
 
 @dataclass
@@ -113,37 +118,32 @@ def _period_table(f: QExpansion, C: int, D: int) -> np.ndarray:
     """Plus-sign period polynomials r(gamma; X) for every coset in the fixed
     order, shape (n_cosets, k-1).
 
-    Reduced representatives (c, d0 mod c) go through the cocycle; the rest of
-    each congruence class is filled by the exact translation action
-    r(gamma T^n) = r(gamma)|T^n, vectorised as a Vandermonde product.
+    Reduced representatives (c, d0 mod c) come from the shared cocycle table
+    `reduced_periods`; the rest of each congruence class is filled by the
+    exact translation action r(gamma T^n) = r(gamma)|T^n, vectorised as a
+    Vandermonde product.
     """
     data = _coset_data(C, D)
-    cocycle = _cocycle_for(f, "+")
+    classes = reduced_periods(f, C)
     K = f.k - 1
-    pos: dict[tuple[int, int], int] = {
-        (int(c), int(d)): i for i, (c, d) in enumerate(zip(data.cs, data.ds))
-    }
+    cls = classes.index(data.cs, data.ds)
+    # cosets grouped by class, each class in ascending d, i.e. ascending n
+    order = np.lexsort((data.ds, cls))
+    starts = np.searchsorted(cls[order], np.arange(len(classes.rows)))
     R = np.empty((data.cs.size, K), dtype=np.complex128)
     comb = np.zeros((K, K))
     for t in range(K):
         for u in range(t, K):
             comb[u - t, t] = math.comb(u, t)
-    for c in range(1, C + 1):
-        for d0 in range(c):
-            if math.gcd(c, d0) != 1:
-                continue
-            g = S if (c, d0) == (1, 0) else complete_row(c, d0)
-            base = cocycle.of_gamma(g).coeffs  # length K
-            B = np.zeros((K, K), dtype=np.complex128)
-            for e in range(K):
-                B[e, : K - e] = comb[e, : K - e] * base[e:]
-            n_lo = math.ceil((-D - d0) / c)
-            n_hi = (D - d0) // c
-            ns = np.arange(n_lo, n_hi + 1, dtype=np.float64)
-            npows = np.vander(ns, K, increasing=True)
-            shifted = npows.astype(np.complex128) @ B
-            for n, row in zip(range(n_lo, n_hi + 1), shifted):
-                R[pos[(c, d0 + n * c)]] = row
+    for (c, d0), base, start in zip(classes.rows, classes.periods, starts):
+        B = np.zeros((K, K), dtype=np.complex128)
+        for e in range(K):
+            B[e, : K - e] = comb[e, : K - e] * base[e:]
+        n_lo = math.ceil((-D - d0) / c)
+        n_hi = (D - d0) // c
+        ns = np.arange(n_lo, n_hi + 1, dtype=np.float64)
+        npows = np.vander(ns, K, increasing=True)
+        R[order[start : start + ns.size]] = npows.astype(np.complex128) @ B
     return R
 
 
@@ -191,20 +191,18 @@ def _jarrays(data: _CosetData, z: complex) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eisenstein_rs(
-    w: BiWeight, z: complex, t: TruncationParams = TruncationParams(), threads: int = 1
+    w: BiWeight, z: complex, t: TruncationParams = TruncationParams()
 ) -> SeriesValue:
     """Real-analytic Eisenstein series sum over B\\Gamma of
     j(g,z)^(-r) j(g, conj z)^(-s), identity coset contributing 1."""
     if w.r + w.s <= 2:
         raise ConvergenceError(f"weights ({w.r},{w.s}) diverge: r + s must exceed 2")
     z = complex(z)
-    if z.imag <= 0:
-        raise ValueError("z must lie in the upper half-plane")
     t.validate_at(z)
     data = _coset_data(t.C, t.D)
     j, jb = _jarrays(data, z)
     terms = j ** (-w.r) * jb ** (-w.s)
-    total = 1.0 + fsum_complex_chunked(terms, threads)
+    total = 1.0 + fsum_complex(terms)
     tail = _series_tail(np.abs(terms), data, w.r + w.s, z, t.C, t.D, extra_abs=1.0)
     return SeriesValue(total, w, "", t, tail)
 
@@ -215,7 +213,6 @@ def psi_series(
     sign: str,
     z: complex,
     t: TruncationParams = TruncationParams(),
-    threads: int = 1,
 ) -> SeriesValue:
     """Second-order series sum over B\\Gamma of r(gamma; X) j^(-r) jbar^(-s);
     the identity coset contributes nothing."""
@@ -238,7 +235,7 @@ def psi_series(
     mat = R * wts[:, None]
     coeffs = np.empty(R.shape[1], dtype=np.complex128)
     for col in range(R.shape[1]):
-        coeffs[col] = fsum_complex_chunked(mat[:, col], threads)
+        coeffs[col] = fsum_complex(mat[:, col])
     tail = _series_tail(np.abs(mat), data, w.r + w.s - hform.k + 2, z, t.C, t.D)
     return SeriesValue(PolyC(coeffs, hform.k - 2), w, sign, t, tail)
 
@@ -250,7 +247,6 @@ def phi(
     z: complex,
     t: TruncationParams = TruncationParams(),
     route: str = "decomp",
-    threads: int = 1,
 ) -> SeriesValue:
     """Invariant series sum over B\\Gamma of the slashed Eichler integral.
 
@@ -260,8 +256,8 @@ def phi(
     """
     z = complex(z)
     if route == "decomp":
-        psiv = psi_series(hform, w, sign, z, t, threads)
-        ev = eisenstein_rs(w, z, t, threads)
+        psiv = psi_series(hform, w, sign, z, t)
+        ev = eisenstein_rs(w, z, t)
         F = eichler_F(hform, z, sign)
         value = psiv.value + F * ev.value
         ftail = eval_tail_bound(hform, z.imag) / (2 * math.pi)
@@ -344,10 +340,7 @@ def _lambda_rows(f: QExpansion, C: int, D: int) -> np.ndarray:
     row index is s - 1."""
     data = _coset_data(C, D)
     table = lambda_table(f, C)
-    out = np.empty((f.k - 1, data.cs.size), dtype=np.complex128)
-    for s in range(1, f.k):
-        out[s - 1] = table.row(s, data.cs, data.ds)
-    return out
+    return np.take(table.values, table.classes.index(data.cs, data.ds), axis=1)
 
 
 def closed_form_phi_j(
@@ -423,7 +416,7 @@ def closed_form_phi_j(
     return complex(total)
 
 
-def fourier_coefficient(fn, l: int, y: float, M: int = 128, check_tol: float = 1e-6) -> complex:
+def fourier_coefficient(fn, l: int, y: float, M: int = DEFAULT_M) -> complex:
     """Trapezoidal Fourier mode int_0^1 fn(x + iy) e^(-2 pi i l x) dx.
 
     Spectrally accurate for smooth 1-periodic integrands; raises if the
@@ -434,7 +427,7 @@ def fourier_coefficient(fn, l: int, y: float, M: int = 128, check_tol: float = 1
     left = fn(complex(0.0, y))
     right = fn(complex(1.0, y))
     scale = max(1.0, abs(left))
-    if abs(left - right) > check_tol * scale:
+    if abs(left - right) > _PERIODICITY_RTOL * scale:
         raise ValueError("integrand is not 1-periodic in x")
     xs = np.arange(M) / M
     vals = np.array([fn(complex(x, y)) for x in xs], dtype=np.complex128)
@@ -462,7 +455,7 @@ def kloosterman_twisted(
 
 
 def poincare(
-    n: int, k: int, z: complex, t: TruncationParams = TruncationParams(), threads: int = 1
+    n: int, k: int, z: complex, t: TruncationParams = TruncationParams()
 ) -> SeriesValue:
     """Holomorphic Poincare series sum over B\\Gamma of e^(2 pi i n gz) j^(-k);
     n = 0 is the weight-k Eisenstein series."""
@@ -476,7 +469,7 @@ def poincare(
     j, _ = _jarrays(data, z)
     gz = (data.as_ * z + data.bs) / j
     terms = np.exp(2j * np.pi * n * gz) * j ** (-k)
-    total = cmath.exp(2j * math.pi * n * z) + fsum_complex_chunked(terms, threads)
+    total = cmath.exp(2j * math.pi * n * z) + fsum_complex(terms)
     tail = _series_tail(np.abs(terms), data, k, z, t.C, t.D, extra_abs=1.0)
     return SeriesValue(total, BiWeight(k, 0), "", t, tail)
 
@@ -488,7 +481,6 @@ def second_order_G(
     z: complex,
     t: TruncationParams = TruncationParams(),
     sign: str = "+",
-    threads: int = 1,
 ) -> SeriesValue:
     """Second-order Poincare-type series sum over B\\Gamma of
     r(gamma; X) e^(2 pi i n gz) j^(-k); requires k > weight of the form."""
@@ -511,6 +503,6 @@ def second_order_G(
     mat = R * wts[:, None]
     coeffs = np.empty(R.shape[1], dtype=np.complex128)
     for col in range(R.shape[1]):
-        coeffs[col] = fsum_complex_chunked(mat[:, col], threads)
+        coeffs[col] = fsum_complex(mat[:, col])
     tail = _series_tail(np.abs(mat), data, k - k1 + 2, z, t.C, t.D)
     return SeriesValue(PolyC(coeffs, k1 - 2), BiWeight(k, 0), sign, t, tail)

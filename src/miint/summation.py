@@ -2,10 +2,7 @@
 
 All coset sums in this package reduce term arrays in a fixed order
 (ascending c, then ascending |d|, then sign) through `math.fsum`, which is
-exactly rounded and therefore reproducible across runs, platforms and chunk
-partitions.  The chunked variant exists so that term construction may be
-partitioned; it must agree with the sequential reduction to 1e-12 relative,
-otherwise the sequential result is used.
+exactly rounded and therefore reproducible across runs and platforms.
 """
 
 from __future__ import annotations
@@ -13,9 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-#: relative agreement required between chunked and sequential reductions
-_CHUNK_RTOL = 1e-12
 
 
 def fsum_real(values) -> float:
@@ -28,24 +22,3 @@ def fsum_complex(values: np.ndarray) -> complex:
     """Exactly-rounded sum of a complex array (real and imaginary parts)."""
     arr = np.asarray(values, dtype=np.complex128)
     return complex(fsum_real(arr.real), fsum_real(arr.imag))
-
-
-def fsum_complex_chunked(values: np.ndarray, nchunks: int) -> complex:
-    """Partitioned reduction: fsum per chunk, then fsum of the partials.
-
-    Falls back to the sequential result if the partitioned one drifts beyond
-    the reproducibility contract (it cannot, in practice: each chunk sum is
-    exactly rounded, so the recombination differs by at most a few ulps).
-    """
-    arr = np.asarray(values, dtype=np.complex128)
-    if nchunks <= 1 or arr.size <= nchunks:
-        return fsum_complex(arr)
-    partials = [fsum_complex(chunk) for chunk in np.array_split(arr, nchunks)]
-    chunked = complex(
-        math.fsum(p.real for p in partials), math.fsum(p.imag for p in partials)
-    )
-    sequential = fsum_complex(arr)
-    scale = max(1.0, abs(sequential))
-    if abs(chunked - sequential) > _CHUNK_RTOL * scale:
-        return sequential
-    return chunked

@@ -134,8 +134,8 @@ def dim_modular(k: int) -> int:
 
 
 def dim_cusp(k: int) -> int:
-    """dim S_k for level one."""
-    if k < 12:
+    """dim S_k for level one (0 for odd weight)."""
+    if k < 12 or k % 2 != 0:
         return 0
     return dim_modular(k) - 1
 

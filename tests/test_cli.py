@@ -161,3 +161,60 @@ def test_fourier_subcommand(capsys):
     import math
 
     assert abs(complex(*payload["value"]) - math.exp(-2 * math.pi)) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["phi", "--z", "0", "-1"],
+        ["lvalue", "--s", "20"],
+        ["lvalue", "--s", "0"],
+        ["phi", "--j", "11"],
+        ["phi", "--j", "-1"],
+        ["eisenstein", "--z", "nan", "2"],
+    ],
+    ids=" ".join,
+)
+def test_invalid_input_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def _payload(capsys, *args):
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    return json.loads(out)
+
+
+def test_every_global_flag_changes_output(capsys):
+    eis = ("eisenstein", "--z", "0.5", "2")
+    base = _payload(capsys, *eis)["value"]
+    assert _payload(capsys, *eis, "--C", "20")["value"] != base
+    assert _payload(capsys, *eis, "--D", "300")["value"] != base
+    assert len(_payload(capsys, "forms", "--N", "8")["forms"]["delta"]["coeffs"]) == 9
+    fourier = ("fourier", "--form", "delta", "--l", "1")
+    default_m = _payload(capsys, *fourier)
+    coarse_m = _payload(capsys, *fourier, "--M", "64")
+    assert (coarse_m["value"], coarse_m["error_estimate"]) != (
+        default_m["value"],
+        default_m["error_estimate"],
+    )
+
+
+@pytest.mark.parametrize("flag", [["--threads", "2"], ["--tol", "1e-300"], ["--fd-h", "1e-3"]])
+def test_removed_flags_are_rejected(capsys, flag):
+    code, _, err = run_cli(capsys, "eisenstein", *flag)
+    assert code == 1
+    assert "usage error" in err
+
+
+@pytest.mark.parametrize("key", ["THREADS", "TOL", "FD_H", "FD_TOL"])
+def test_config_rejects_removed_keys(tmp_path, key):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"{key}=1\n")
+    from miint.config import RunConfig
+
+    with pytest.raises(ValueError, match=f"unknown key {key}"):
+        RunConfig().apply_file(str(cfg))

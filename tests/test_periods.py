@@ -87,6 +87,17 @@ def test_period_relations():
     assert per.period_poly(DELTA, S * S).norm_inf() / scale <= 1e-9
 
 
+def test_delta_period_rational_structure():
+    # Kohnen-Zagier: the even and odd parts of r_Delta(S) are constant multiples
+    # of (36/691)(X^10 - 1) - X^2 (X^2 - 1)^3 and 4X^9 - 25X^7 + 42X^5 - 25X^3 + 4X
+    r = per.period_poly(qf.delta_q(), S).coeffs
+    even = np.array([-36 / 691, 1, -3, 3, -1, 36 / 691])  # X^0, X^2, ..., X^10
+    odd = np.array([4, -25, 42, -25, 4])  # X^1, X^3, ..., X^9
+    assert np.all(r[0::2].real == 0) and np.all(r[1::2].imag == 0)
+    for ratios in (r[0::2].imag / even, r[1::2].real / odd):
+        assert np.ptp(ratios) <= 1e-12 * abs(ratios.mean())
+
+
 def test_period_cocycle_random_words():
     rng = random.Random(11)
     worst = 0.0

@@ -5,6 +5,7 @@ import pytest
 
 from miint.errors import PrecisionError
 from miint import qforms as qf
+from miint import vvdim
 
 
 def test_bernoulli_values():
@@ -58,7 +59,7 @@ def test_delta_hecke_multiplicativity():
 def test_cusp_basis_dimensions():
     for k, dim in ((12, 1), (14, 0), (16, 1), (24, 2), (28, 2)):
         basis = qf.cusp_basis(k, 40)
-        assert len(basis) == dim == qf.dim_cusp_classical(k)
+        assert len(basis) == dim == vvdim.dim_cusp(k)
     # echelon leading structure
     b24 = qf.cusp_basis(24, 40)
     assert b24[0].coeffs[1] == 1 and b24[0].coeffs[2] == 0

@@ -9,7 +9,7 @@ from miint import periods as per
 from miint import qforms as qf
 from miint import raseries as ra
 from miint.group import BiWeight, PolyC, S, T, act_tensor
-from miint.summation import fsum_complex, fsum_complex_chunked
+from miint.summation import fsum_complex
 
 DELTA = qf.delta_q(120)
 T40 = ra.TruncationParams()
@@ -118,7 +118,7 @@ def test_phi_invariance_generators_sample_points():
 
 
 def test_phi_routes_agree_on_shared_rectangle():
-    t_small = ra.TruncationParams(C=1, D=4, N=250)
+    t_small = ra.TruncationParams(C=1, D=4)
     a = ra.phi(DELTA, W, "+", 4j, t_small, route="direct")
     b = ra.phi(DELTA, W, "+", 4j, t_small, route="decomp")
     assert (a.value - b.value).norm_inf() <= a.tail_estimate + b.tail_estimate + 1e-15
@@ -311,19 +311,53 @@ def test_poincare_and_G_self_convergence():
     assert (ga.value - gb.value).norm_inf() <= ga.tail_estimate
 
 
-def test_series_determinism_and_chunked_reduction():
+def test_series_determinism():
     a = ra.psi_series(DELTA, W, "+", 2j, T40)
     b = ra.psi_series(DELTA, W, "+", 2j, T40)
     assert np.array_equal(a.value.coeffs, b.value.coeffs)
-    rng = np.random.default_rng(0)
-    terms = (rng.normal(size=4001) + 1j * rng.normal(size=4001)) * rng.exponential(
-        size=4001
-    )
-    seq = fsum_complex(terms)
-    for nchunks in (2, 3, 8):
-        chunked = fsum_complex_chunked(terms, nchunks)
-        assert abs(chunked - seq) <= 1e-12 * max(1.0, abs(seq))
-    c = ra.psi_series(DELTA, W, "+", 2j, T40, threads=4)
-    assert float(np.max(np.abs(c.value.coeffs - a.value.coeffs))) <= 1e-12 * max(
-        1.0, a.value.norm_inf()
-    )
+
+
+_ENTRY_POINTS = {
+    "eisenstein_rs": lambda z: ra.eisenstein_rs(W, z, T40),
+    "psi_series": lambda z: ra.psi_series(DELTA, W, "+", z, T40),
+    "phi": lambda z: ra.phi(DELTA, W, "+", z, T40),
+    "closed_form_phi_j": lambda z: ra.closed_form_phi_j(DELTA, W, "-", 3, z, T40),
+    "poincare": lambda z: ra.poincare(1, 12, z, T40),
+    "second_order_G": lambda z: ra.second_order_G(1, DELTA, 16, z, T40),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("z", [-1j, 0.5 + 0j, complex(math.nan, 2.0)], ids=["lower", "real", "nan"])
+def test_series_reject_z_outside_upper_half_plane(name, z):
+    with pytest.raises(ValueError, match="upper half-plane|finite"):
+        _ENTRY_POINTS[name](z)
+
+
+def test_period_and_lambda_tables_share_one_cocycle_pass(monkeypatch):
+    # a truncation length no other test uses, so neither table is cached yet
+    f = qf.delta_q(37)
+    calls = []
+    of_gamma = per.PeriodCocycle.of_gamma
+
+    def counted(self, g):
+        calls.append(g)
+        return of_gamma(self, g)
+
+    monkeypatch.setattr(per.PeriodCocycle, "of_gamma", counted)
+    ra._period_table(f, 10, 100)
+    ra._lambda_rows(f, 10, 100)
+    n_classes = sum(1 for c in range(1, 11) for d in range(c) if math.gcd(c, d) == 1)
+    assert len(calls) == n_classes
+
+
+def test_coset_tables_match_per_coset_lookups():
+    C, D = 5, 25
+    data = ra._coset_data(C, D)
+    R = ra._period_table(DELTA, C, D)
+    table = per.lambda_table(DELTA, C)
+    lam = ra._lambda_rows(DELTA, C, D)
+    for i, (c, d) in enumerate(zip(data.cs.tolist(), data.ds.tolist())):
+        direct = per.period_poly(DELTA, per.complete_row(c, d))
+        assert np.max(np.abs(R[i] - direct.coeffs)) <= 1e-10 * max(1.0, direct.norm_inf())
+        assert lam[:, i].tolist() == [table.value(s, c, d) for s in range(1, DELTA.k)]

@@ -61,6 +61,7 @@ def test_classical_dimension_oracle():
     assert vvdim.dim_cusp(12) == 1
     assert vvdim.dim_cusp(14) == 0
     assert vvdim.dim_cusp(26) == 1
+    assert vvdim.dim_cusp(13) == 0
 
 
 def test_dimension_formula_values():
