@@ -143,7 +143,8 @@ def build_parser() -> _Parser:
 
     p = add_parser("lvalue", help="twisted completed L-value")
     p.add_argument("--form", default=None)
-    p.add_argument("--s", type=int, required=True)
+    # its own dest: S in the config is the Eisenstein weight, not this point
+    p.add_argument("--s", type=int, required=True, dest="lvalue_s", metavar="S")
     p.add_argument("--p", type=int, default=0)
     p.add_argument("--q", type=int, default=1)
     p.add_argument("--method", choices=("auto", "series", "extract"), default="auto")
@@ -213,8 +214,8 @@ def _cmd_forms(ns, cfg: RunConfig) -> int:
 
 
 def _cmd_eval(ns, cfg: RunConfig) -> int:
-    f = resolve_form(ns.form or cfg.form, cfg.N)
-    z = complex(*ns.z) if ns.z else cfg.z
+    f = resolve_form(cfg.form, cfg.N)
+    z = cfg.z
     val = qforms.eval_form(f, z)
     _emit(
         {
@@ -228,7 +229,7 @@ def _cmd_eval(ns, cfg: RunConfig) -> int:
 
 
 def _cmd_period(ns, cfg: RunConfig) -> int:
-    f = resolve_form(ns.form or cfg.form, cfg.N)
+    f = resolve_form(cfg.form, cfg.N)
     g = parse_gamma(ns.gamma)
     poly = periods.period_poly(f, g, ns.sign)
     _emit(
@@ -244,20 +245,20 @@ def _cmd_period(ns, cfg: RunConfig) -> int:
 
 
 def _cmd_lvalue(ns, cfg: RunConfig) -> int:
-    f = resolve_form(ns.form or cfg.form, cfg.N)
+    f = resolve_form(cfg.form, cfg.N)
     method = ns.method
     if method == "auto":
-        method = "series" if periods.series_convergent(f, ns.s) else "extract"
-    val = periods.twisted_L(f, ns.s, ns.p, ns.q, method=method)
+        method = "series" if periods.series_convergent(f, ns.lvalue_s) else "extract"
+    val = periods.twisted_L(f, ns.lvalue_s, ns.p, ns.q, method=method)
     if method == "series":
-        err = abs(val - periods.twisted_L(f, ns.s, ns.p, ns.q, method="extract"))
+        err = abs(val - periods.twisted_L(f, ns.lvalue_s, ns.p, ns.q, method="extract"))
     else:
         g = periods.complete_row(ns.q, -(ns.p % ns.q)) if ns.q > 1 else periods.S
         err = periods.period_error_estimate(f, g)
     _emit(
         {
             "value": _cnum(val),
-            "s": ns.s,
+            "s": ns.lvalue_s,
             "twist": [ns.p, ns.q],
             "method": method,
             "error_estimate": err,
@@ -268,9 +269,8 @@ def _cmd_lvalue(ns, cfg: RunConfig) -> int:
 
 
 def _cmd_eisenstein(ns, cfg: RunConfig) -> int:
-    w = BiWeight(ns.r if ns.r is not None else cfg.r, ns.s if ns.s is not None else cfg.s)
-    z = complex(*ns.z) if ns.z else cfg.z
-    sv = raseries.eisenstein_rs(w, z, _trunc(cfg))
+    w = BiWeight(cfg.r, cfg.s)
+    sv = raseries.eisenstein_rs(w, cfg.z, _trunc(cfg))
     _emit(
         {
             "weights": [w.r, w.s],
@@ -284,9 +284,9 @@ def _cmd_eisenstein(ns, cfg: RunConfig) -> int:
 
 
 def _cmd_phi(ns, cfg: RunConfig) -> int:
-    f = resolve_form(ns.form or cfg.form, cfg.N)
-    w = BiWeight(ns.r if ns.r is not None else cfg.r, ns.s if ns.s is not None else cfg.s)
-    z = complex(*ns.z) if ns.z else cfg.z
+    f = resolve_form(cfg.form, cfg.N)
+    w = BiWeight(cfg.r, cfg.s)
+    z = cfg.z
     if ns.j is not None and not 0 <= ns.j <= f.k - 2:
         raise _UsageError(f"--j must lie in 0..{f.k - 2}")
     sv = raseries.phi(f, w, ns.sign, z, _trunc(cfg))
@@ -308,17 +308,16 @@ def _cmd_phi(ns, cfg: RunConfig) -> int:
 
 def _cmd_fourier(ns, cfg: RunConfig) -> int:
     t = _trunc(cfg)
+    f = resolve_form(cfg.form, cfg.N)
     if ns.psi:
-        f = resolve_form(ns.form or cfg.form, cfg.N)
-        w = BiWeight(ns.r if ns.r is not None else cfg.r, ns.s if ns.s is not None else cfg.s)
+        w = BiWeight(cfg.r, cfg.s)
 
         def fn(z: complex) -> complex:
             val = raseries.psi_series(f, w, "+", z, t).value
             return complex(raseries.coeff_decompose(val, z, f.k)[ns.i])
 
     else:
-        form = resolve_form(ns.form or cfg.form, cfg.N)
-        fn = lambda z: qforms.eval_form(form, z)
+        fn = lambda z: qforms.eval_form(f, z)
     val = raseries.fourier_coefficient(fn, ns.l, ns.y, cfg.M)
     coarse = raseries.fourier_coefficient(fn, ns.l, ns.y, max(64, cfg.M // 2))
     _emit(
@@ -338,7 +337,7 @@ def _cmd_iterated(ns, cfg: RunConfig) -> int:
     names = (ns.forms or "delta,delta").split(",")[: ns.depth - 1]
     forms = tuple(resolve_form(n, cfg.N) for n in names)
     data = iterated.IteratedIntegrand(forms)
-    z = complex(*ns.z) if ns.z else cfg.z
+    z = cfg.z
     val = iterated.iterated_F(data, z)
     if ns.depth == 1:
         coeffs = [_cnum(complex(val))]

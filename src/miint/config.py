@@ -55,11 +55,14 @@ class RunConfig:
                 setattr(self, name, typ(val))
 
     def apply_overrides(self, ns) -> None:
-        """Copy explicitly-set CLI attributes (flags win over file values)."""
+        """Copy explicitly-set CLI attributes (flags win over file values);
+        `--z RE IM` sets z_re and z_im."""
         for f in fields(self):
             cli_val = getattr(ns, f.name, None)
             if cli_val is not None:
                 setattr(self, f.name, cli_val)
+        if getattr(ns, "z", None) is not None:
+            self.z_re, self.z_im = ns.z
 
 
 #: config-file key -> (RunConfig attribute, value type)

@@ -58,59 +58,39 @@ def power_linear(a: complex, e: int, bound: int | None = None) -> PolyC:
     return PolyC(coeffs, bound)
 
 
-def wirtinger_dz(fn, z: complex, scheme: FDScheme = FDScheme()) -> complex:
-    """d/dz = (d/dx - i d/dy)/2 by finite differences."""
+def _wirtinger(fn, z: complex, scheme: FDScheme) -> tuple:
+    """(d/dz, d/dzbar) = ((d/dx - i d/dy)/2, (d/dx + i d/dy)/2) of a scalar-
+    or array-valued function, from one stencil along each axis."""
     z = complex(z)
     _check_stencil(z, scheme)
     dx = scheme.derivative(lambda u: fn(complex(u, z.imag)), z.real)
     dy = scheme.derivative(lambda v: fn(complex(z.real, v)), z.imag)
-    return 0.5 * (dx - 1j * dy)
-
-
-def wirtinger_dzbar(fn, z: complex, scheme: FDScheme = FDScheme()) -> complex:
-    """d/dzbar = (d/dx + i d/dy)/2 by finite differences."""
-    z = complex(z)
-    _check_stencil(z, scheme)
-    dx = scheme.derivative(lambda u: fn(complex(u, z.imag)), z.real)
-    dy = scheme.derivative(lambda v: fn(complex(z.real, v)), z.imag)
-    return 0.5 * (dx + 1j * dy)
+    return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
 
 
 def maass_d(fn, r: int, z: complex, scheme: FDScheme = FDScheme()) -> complex:
     """Raising operator 2iy d/dz + r."""
     z = complex(z)
-    return 2j * z.imag * wirtinger_dz(fn, z, scheme) + r * fn(z)
+    return 2j * z.imag * _wirtinger(fn, z, scheme)[0] + r * fn(z)
 
 
 def maass_dbar(fn, s: int, z: complex, scheme: FDScheme = FDScheme()) -> complex:
     """Lowering operator -2iy d/dzbar + s."""
     z = complex(z)
-    return -2j * z.imag * wirtinger_dzbar(fn, z, scheme) + s * fn(z)
-
-
-def _poly_wirtinger(fnP, z: complex, scheme: FDScheme) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient arrays of d/dz and d/dzbar of a PolyC-valued function,
-    evaluating the function once per stencil node."""
-    z = complex(z)
-    _check_stencil(z, scheme)
-    offs, wts, den = scheme.stencil()
-    h = scheme.h
-    dx = sum(w * fnP(z + o * h).coeffs for o, w in zip(offs, wts)) / (den * h)
-    dy = sum(w * fnP(z + 1j * o * h).coeffs for o, w in zip(offs, wts)) / (den * h)
-    return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
+    return -2j * z.imag * _wirtinger(fn, z, scheme)[1] + s * fn(z)
 
 
 def maass_d_poly(fnP, r: int, z: complex, scheme: FDScheme = FDScheme()) -> PolyC:
     """Raising operator applied coefficient-wise to a PolyC-valued function."""
     z = complex(z)
-    dz, _ = _poly_wirtinger(fnP, z, scheme)
+    dz, _ = _wirtinger(lambda u: fnP(u).coeffs, z, scheme)
     return PolyC(2j * z.imag * dz + r * fnP(z).coeffs)
 
 
 def maass_dbar_poly(fnP, s: int, z: complex, scheme: FDScheme = FDScheme()) -> PolyC:
     """Lowering operator applied coefficient-wise."""
     z = complex(z)
-    _, dzb = _poly_wirtinger(fnP, z, scheme)
+    _, dzb = _wirtinger(lambda u: fnP(u).coeffs, z, scheme)
     return PolyC(-2j * z.imag * dzb + s * fnP(z).coeffs)
 
 

@@ -3,9 +3,12 @@ second-order series psi/phi attached to a cusp form, their coefficient
 decompositions and closed-form cross-checks, Fourier extraction, twisted
 Kloosterman-type sums, Poincare series and the second-order G series.
 
-Summation order is fixed (ascending c, ascending |d|, positive d first) and
-reductions are exactly rounded, so identical inputs give bitwise-identical
-results.
+Each truncated coset series (E_{r,s}, psi, the Poincare series and G) is
+one call of the kernel `_coset_sum`: a weight per non-trivial coset (times
+that coset's row of the period table, for the second-order series), summed
+in the fixed order (ascending c, ascending |d|, positive d first) with each
+column reduced exactly rounded, plus the identity-coset term; phi combines
+psi and E_{r,s}.  Identical inputs therefore give bitwise-identical results.
 
 Every series value carries a tail estimate: an integral-comparison bound on
 the truncated part, with its constant read off the outermost computed shells
@@ -20,7 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -44,7 +47,6 @@ from .periods import (
     reduced_periods,
 )
 from .qforms import QExpansion, Y_MIN, eval_tail_bound
-from .summation import fsum_complex
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -96,21 +98,27 @@ class SeriesValue:
 
 @dataclass(frozen=True)
 class _CosetData:
+    """Bottom rows (c, d) of the non-trivial cosets, in the fixed order."""
+
     cs: np.ndarray
     ds: np.ndarray
-    as_: np.ndarray
-    bs: np.ndarray
+
+    @cached_property
+    def tops(self) -> tuple[np.ndarray, np.ndarray]:
+        """Top rows (a, b) completing each bottom row to a matrix in SL2(Z);
+        only the holomorphic weights e(n gz) read them, so they are built on
+        first use."""
+        as_ = np.empty(self.cs.size, dtype=np.int64)
+        bs = np.empty(self.cs.size, dtype=np.int64)
+        for i, (c, d) in enumerate(zip(self.cs, self.ds)):
+            g = complete_row(int(c), int(d))
+            as_[i], bs[i] = g.a, g.b
+        return as_, bs
 
 
 @lru_cache(maxsize=8)
 def _coset_data(C: int, D: int) -> _CosetData:
-    cs, ds = enumerate_coset_rows(C, D)
-    as_ = np.empty(cs.size, dtype=np.int64)
-    bs = np.empty(cs.size, dtype=np.int64)
-    for i, (c, d) in enumerate(zip(cs, ds)):
-        g = complete_row(int(c), int(d))
-        as_[i], bs[i] = g.a, g.b
-    return _CosetData(cs, ds, as_, bs)
+    return _CosetData(*enumerate_coset_rows(C, D))
 
 
 @lru_cache(maxsize=6)
@@ -147,47 +155,76 @@ def _period_table(f: QExpansion, C: int, D: int) -> np.ndarray:
     return R
 
 
-def _fp_floor(sum_abs: float) -> float:
-    return 16.0 * _EPS * sum_abs
+def _signed_periods(hform: QExpansion, sign: str, t: TruncationParams) -> np.ndarray:
+    """The period table for sign '+', its complex conjugate for '-'."""
+    R = _period_table(hform, t.C, t.D)
+    if sign == "-":
+        return np.conj(R)
+    if sign != "+":
+        raise ValueError("sign must be '+' or '-'")
+    return R
 
 
-def _series_tail(
-    abs_terms: np.ndarray,
-    data: _CosetData,
-    w0: float,
-    z: complex,
-    C: int,
-    D: int,
-    extra_abs: float = 0.0,
-) -> float:
-    """Truncation estimate from the outermost computed shells.
+def _jarrays(t: TruncationParams, z: complex) -> tuple[np.ndarray, np.ndarray]:
+    """j(gamma, z) and j(gamma, conj z) over the cosets, after validating z."""
+    t.validate_at(z)
+    z = complex(z)
+    data = _coset_data(t.C, t.D)
+    return data.cs * z + data.ds, data.cs * z.conjugate() + data.ds
 
-    The c-tail extrapolates the average of the last few c-shells with the
+
+def _rs_weights(t: TruncationParams, z: complex, w: BiWeight) -> np.ndarray:
+    j, jb = _jarrays(t, z)
+    return j ** (-w.r) * jb ** (-w.s)
+
+
+def _holo_weights(t: TruncationParams, z: complex, n: int, k: int) -> np.ndarray:
+    j, _ = _jarrays(t, z)
+    a, b = _coset_data(t.C, t.D).tops
+    return np.exp(2j * np.pi * n * ((a * complex(z) + b) / j)) * j ** (-k)
+
+
+def _exact_sum(terms: np.ndarray) -> complex | np.ndarray:
+    """Exactly-rounded sum over axis 0 (`math.fsum` of the real and the
+    imaginary parts): a complex for a 1-D array, an array with one complex
+    per column for a 2-D one.  Columns are reduced one at a time, so only
+    one column is ever held as Python floats."""
+    if terms.ndim == 2:
+        return np.array([_exact_sum(col) for col in terms.T])
+    return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
+
+
+def _coset_sum(
+    t: TruncationParams, z: complex, terms: np.ndarray, w0: float, identity=None
+) -> tuple[object, float]:
+    """The one truncated coset series: `terms` (one row per non-trivial
+    coset, one column per coefficient when 2-D) summed in coset order with
+    each column reduced exactly rounded, plus the identity-coset term.
+
+    Returns (value, tail).  The tail extrapolates the outermost computed
+    shells: the c-tail scales the average of the last few c-shells by the
     integral comparison sum_{c > C} (c/C)^(1-w0) ~ C/(w0-2); the d-tail
-    extrapolates the outer |d| band with decay exponent w0.  A factor 2 pads
-    shell roughness; a floating-point floor covers roundoff in the terms.
+    scales the outer |d| band with decay exponent w0.  A factor 2 pads shell
+    roughness; a floor of 16 eps times the absolute sum (plus 1 for an
+    identity term) covers roundoff in the terms.
     """
-    col = abs_terms if abs_terms.ndim == 2 else abs_terms[:, None]
+    value = _exact_sum(terms)
+    if identity is not None:
+        value = identity + value
     if w0 <= 2:
-        return math.inf
-    x = complex(z).real
+        return value, math.inf
+    data = _coset_data(t.C, t.D)
+    C, D, x = t.C, t.D, complex(z).real
+    col = np.abs(terms) if terms.ndim == 2 else np.abs(terms)[:, None]
     band_c = max(1, min(8, C))
-    mask_c = data.cs > C - band_c
-    shell_avg = col[mask_c].sum(axis=0) / band_c
+    shell_avg = col[data.cs > C - band_c].sum(axis=0) / band_c
     ctail = 2.0 * shell_avg * C / (w0 - 2.0)
     bw = min(max(2 * C, 8), D)
-    mask_d = np.abs(data.ds) > D - bw
-    band_sum = col[mask_d].sum(axis=0)
+    band_sum = col[np.abs(data.ds) > D - bw].sum(axis=0)
     dtail = 2.0 * band_sum * max(D - C * abs(x), 1.0) / (bw * (w0 - 1.0))
-    floor = _fp_floor(float(col.sum(axis=0).max()) + extra_abs)
-    return float((ctail + dtail).max()) + floor
-
-
-def _jarrays(data: _CosetData, z: complex) -> tuple[np.ndarray, np.ndarray]:
-    z = complex(z)
-    j = data.cs * z + data.ds
-    jb = data.cs * z.conjugate() + data.ds
-    return j, jb
+    extra = 1.0 if identity is not None else 0.0
+    floor = 16.0 * _EPS * (float(col.sum(axis=0).max()) + extra)
+    return value, float((ctail + dtail).max()) + floor
 
 
 def eisenstein_rs(
@@ -197,14 +234,8 @@ def eisenstein_rs(
     j(g,z)^(-r) j(g, conj z)^(-s), identity coset contributing 1."""
     if w.r + w.s <= 2:
         raise ConvergenceError(f"weights ({w.r},{w.s}) diverge: r + s must exceed 2")
-    z = complex(z)
-    t.validate_at(z)
-    data = _coset_data(t.C, t.D)
-    j, jb = _jarrays(data, z)
-    terms = j ** (-w.r) * jb ** (-w.s)
-    total = 1.0 + fsum_complex(terms)
-    tail = _series_tail(np.abs(terms), data, w.r + w.s, z, t.C, t.D, extra_abs=1.0)
-    return SeriesValue(total, w, "", t, tail)
+    value, tail = _coset_sum(t, z, _rs_weights(t, z, w), w.r + w.s, identity=1.0)
+    return SeriesValue(value, w, "", t, tail)
 
 
 def psi_series(
@@ -222,22 +253,9 @@ def psi_series(
         raise ConvergenceError(
             f"psi needs r + s > k = {hform.k}, got r + s = {w.r + w.s}"
         )
-    z = complex(z)
-    t.validate_at(z)
-    data = _coset_data(t.C, t.D)
-    R = _period_table(hform, t.C, t.D)
-    if sign == "-":
-        R = np.conj(R)
-    elif sign != "+":
-        raise ValueError("sign must be '+' or '-'")
-    j, jb = _jarrays(data, z)
-    wts = j ** (-w.r) * jb ** (-w.s)
-    mat = R * wts[:, None]
-    coeffs = np.empty(R.shape[1], dtype=np.complex128)
-    for col in range(R.shape[1]):
-        coeffs[col] = fsum_complex(mat[:, col])
-    tail = _series_tail(np.abs(mat), data, w.r + w.s - hform.k + 2, z, t.C, t.D)
-    return SeriesValue(PolyC(coeffs, hform.k - 2), w, sign, t, tail)
+    terms = _signed_periods(hform, sign, t) * _rs_weights(t, z, w)[:, None]
+    value, tail = _coset_sum(t, z, terms, w.r + w.s - hform.k + 2)
+    return SeriesValue(PolyC(value, hform.k - 2), w, sign, t, tail)
 
 
 def phi(
@@ -246,50 +264,51 @@ def phi(
     sign: str,
     z: complex,
     t: TruncationParams = TruncationParams(),
-    route: str = "decomp",
 ) -> SeriesValue:
-    """Invariant series sum over B\\Gamma of the slashed Eichler integral.
-
-    The default route assembles psi + F * E; the direct route slashes the
-    Eichler integral across coset representatives (small rectangles only:
-    every image point must stay above the evaluation floor).
-    """
+    """Invariant series sum over B\\Gamma of the slashed Eichler integral,
+    assembled as psi + F * E (`_phi_direct` is the reference route)."""
     z = complex(z)
-    if route == "decomp":
-        psiv = psi_series(hform, w, sign, z, t)
-        ev = eisenstein_rs(w, z, t)
-        F = eichler_F(hform, z, sign)
-        value = psiv.value + F * ev.value
-        ftail = eval_tail_bound(hform, z.imag) / (2 * math.pi)
-        tail = psiv.tail_estimate + F.norm_inf() * ev.tail_estimate
-        tail += abs(ev.value) * ftail
-        return SeriesValue(value, w, sign, t, tail)
-    if route != "direct":
-        raise ValueError(f"unknown route {route!r}")
-    if w.r + w.s <= hform.k:
-        raise ConvergenceError(f"phi needs r + s > k = {hform.k}")
-    t.validate_at(z)
+    psiv = psi_series(hform, w, sign, z, t)
+    ev = eisenstein_rs(w, z, t)
+    F = eichler_F(hform, z, sign)
+    value = psiv.value + F * ev.value
+    ftail = eval_tail_bound(hform, z.imag) / (2 * math.pi)
+    tail = psiv.tail_estimate + F.norm_inf() * ev.tail_estimate
+    tail += abs(ev.value) * ftail
+    return SeriesValue(value, w, sign, t, tail)
+
+
+def _phi_direct(
+    hform: QExpansion,
+    w: BiWeight,
+    sign: str,
+    z: complex,
+    t: TruncationParams = TruncationParams(),
+) -> SeriesValue:
+    """Reference route for `phi`: the Eichler integral slashed across the
+    coset representatives.  Small rectangles only: every image point must
+    stay above the evaluation floor.
+
+    It shares only the tail estimate with the series it checks: the weights
+    come from per-coset automorphy factors, and the identity coset is
+    reduced together with the others.
+    """
     k = hform.k
-    data = _coset_data(t.C, t.D)
-    jarr, _ = _jarrays(data, z)
-    min_height = z.imag / float(np.max(np.abs(jarr))) ** 2
-    if min_height < Y_MIN:
+    if w.r + w.s <= k:
+        raise ConvergenceError(f"phi needs r + s > k = {k}")
+    j, _ = _jarrays(t, z)
+    z = complex(z)
+    if z.imag / float(np.max(np.abs(j))) ** 2 < Y_MIN:
         raise PrecisionError(
             "direct route would evaluate below the floor; shrink the rectangle"
         )
-    rows = [eichler_F(hform, z, sign).coeffs]  # identity coset
-    for g in enumerate_cosets(t.C, t.D)[1:]:
-        gz = mobius(g, z)
-        val = act_poly(eichler_F(hform, gz, sign), g, k)
-        j = jfactor(g, z)
-        jb = jfactor(g, z.conjugate())
-        rows.append(val.coeffs * (j ** (-w.r) * jb ** (-w.s)))
-    mat = np.array(rows)
-    coeffs = np.empty(mat.shape[1], dtype=np.complex128)
-    for col in range(mat.shape[1]):
-        coeffs[col] = fsum_complex(mat[:, col])
-    tail = _series_tail(np.abs(mat[1:]), data, w.r + w.s - k + 2, z, t.C, t.D)
-    return SeriesValue(PolyC(coeffs, k - 2), w, sign, t, tail)
+    cosets = enumerate_cosets(t.C, t.D)[1:]
+    rows = np.array([act_poly(eichler_F(hform, mobius(g, z), sign), g, k).coeffs for g in cosets])
+    wts = np.array([jfactor(g, z) ** (-w.r) * jfactor(g, z.conjugate()) ** (-w.s) for g in cosets])
+    terms = rows * wts[:, None]
+    _, tail = _coset_sum(t, z, terms, w.r + w.s - k + 2)
+    value = _exact_sum(np.vstack([eichler_F(hform, z, sign).coeffs, terms]))
+    return SeriesValue(PolyC(value, k - 2), w, sign, t, tail)
 
 
 def coeff_decompose(P: PolyC, z: complex, k: int) -> np.ndarray:
@@ -369,8 +388,8 @@ def closed_form_phi_j(
         raise ValueError("sign must be '+' or '-'")
     if w.r + w.s <= k:
         raise ConvergenceError(f"needs r + s > k = {k}")
+    jarr, jbarr = _jarrays(t, z)  # validates z before any arithmetic on it
     z = complex(z)
-    t.validate_at(z)
     r, s = w.r, w.s
     # prefactor from w - X = ((w-z)(X-cz) + (cz-w)(X-z)) / (z - cz)
     pref = (z - z.conjugate()) ** (2 - k)
@@ -386,18 +405,10 @@ def closed_form_phi_j(
     ev = eisenstein_rs(w, z, t)
     total = (-1) ** j * math.comb(k - 2, j) * pref * bnd_int * ev.value
     # twisted double sum over the non-trivial cosets
-    data = _coset_data(t.C, t.D)
     lam = _lambda_rows(hform, t.C, t.D)
-    jarr, jbarr = _jarrays(data, z)
-    cfl = data.cs.astype(np.float64)
-    jpow: dict[int, np.ndarray] = {}
-    jbpow: dict[int, np.ndarray] = {}
-
-    def _pow(cache, base, e):
-        if e not in cache:
-            cache[e] = base ** (-e)
-        return cache[e]
-
+    cfl = _coset_data(t.C, t.D).cs.astype(np.float64)
+    jpow = [jarr ** (-(r + j + n + 2 - k)) for n in range(k - 1 - j)]
+    jbpow = [jbarr ** (-(s + m - j)) for m in range(j + 1)]
     for m in range(j + 1):
         for n in range(k - 1 - j):
             alpha = (
@@ -409,10 +420,10 @@ def closed_form_phi_j(
             terms = (
                 lam[m + n]
                 * cfl ** (m + n - k + 2)
-                * _pow(jpow, jarr, r + j + n + 2 - k)
-                * _pow(jbpow, jbarr, s + m - j)
+                * jpow[n]
+                * jbpow[m]
             )
-            total += alpha * pref * fsum_complex(terms)
+            total += alpha * pref * _exact_sum(terms)
     return complex(total)
 
 
@@ -420,7 +431,8 @@ def fourier_coefficient(fn, l: int, y: float, M: int = DEFAULT_M) -> complex:
     """Trapezoidal Fourier mode int_0^1 fn(x + iy) e^(-2 pi i l x) dx.
 
     Spectrally accurate for smooth 1-periodic integrands; raises if the
-    integrand visibly fails periodicity across one period.
+    integrand visibly fails periodicity across one period.  Makes M + 1
+    evaluations: the probe at x = 0 is also the first node.
     """
     if M < 64:
         raise ValueError("M must be >= 64")
@@ -430,9 +442,9 @@ def fourier_coefficient(fn, l: int, y: float, M: int = DEFAULT_M) -> complex:
     if abs(left - right) > _PERIODICITY_RTOL * scale:
         raise ValueError("integrand is not 1-periodic in x")
     xs = np.arange(M) / M
-    vals = np.array([fn(complex(x, y)) for x in xs], dtype=np.complex128)
+    vals = np.array([left] + [fn(complex(x, y)) for x in xs[1:]], dtype=np.complex128)
     phase = np.exp(-2j * np.pi * l * xs)
-    return fsum_complex(vals * phase) / M
+    return _exact_sum(vals * phase) / M
 
 
 def kloosterman_twisted(
@@ -451,7 +463,7 @@ def kloosterman_twisted(
         for d in range(c)
         if math.gcd(d, c) == 1
     ]
-    return fsum_complex(np.array(terms, dtype=np.complex128))
+    return _exact_sum(np.array(terms, dtype=np.complex128))
 
 
 def poincare(
@@ -463,15 +475,10 @@ def poincare(
         raise ConvergenceError("Poincare series needs even k >= 4")
     if n < 0:
         raise ValueError("n must be >= 0")
-    z = complex(z)
-    t.validate_at(z)
-    data = _coset_data(t.C, t.D)
-    j, _ = _jarrays(data, z)
-    gz = (data.as_ * z + data.bs) / j
-    terms = np.exp(2j * np.pi * n * gz) * j ** (-k)
-    total = cmath.exp(2j * math.pi * n * z) + fsum_complex(terms)
-    tail = _series_tail(np.abs(terms), data, k, z, t.C, t.D, extra_abs=1.0)
-    return SeriesValue(total, BiWeight(k, 0), "", t, tail)
+    value, tail = _coset_sum(
+        t, z, _holo_weights(t, z, n, k), k, identity=cmath.exp(2j * math.pi * n * complex(z))
+    )
+    return SeriesValue(value, BiWeight(k, 0), "", t, tail)
 
 
 def second_order_G(
@@ -489,20 +496,6 @@ def second_order_G(
         raise ConvergenceError(f"need even k > k1 = {k1} > 2, got k = {k}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    z = complex(z)
-    t.validate_at(z)
-    data = _coset_data(t.C, t.D)
-    R = _period_table(hform, t.C, t.D)
-    if sign == "-":
-        R = np.conj(R)
-    elif sign != "+":
-        raise ValueError("sign must be '+' or '-'")
-    j, _ = _jarrays(data, z)
-    gz = (data.as_ * z + data.bs) / j
-    wts = np.exp(2j * np.pi * n * gz) * j ** (-k)
-    mat = R * wts[:, None]
-    coeffs = np.empty(R.shape[1], dtype=np.complex128)
-    for col in range(R.shape[1]):
-        coeffs[col] = fsum_complex(mat[:, col])
-    tail = _series_tail(np.abs(mat), data, k - k1 + 2, z, t.C, t.D)
-    return SeriesValue(PolyC(coeffs, k1 - 2), BiWeight(k, 0), sign, t, tail)
+    terms = _signed_periods(hform, sign, t) * _holo_weights(t, z, n, k)[:, None]
+    value, tail = _coset_sum(t, z, terms, k - k1 + 2)
+    return SeriesValue(PolyC(value, k1 - 2), BiWeight(k, 0), sign, t, tail)

@@ -218,3 +218,33 @@ def test_config_rejects_removed_keys(tmp_path, key):
 
     with pytest.raises(ValueError, match=f"unknown key {key}"):
         RunConfig().apply_file(str(cfg))
+
+
+def test_config_echo_describes_the_run(capsys):
+    # lvalue's --s is the L-value point, not the Eisenstein weight S
+    payload = _payload(capsys, "lvalue", "--s", "7")
+    assert payload["s"] == 7
+    assert payload["config"]["s"] == 10
+    # --z reaches the echoed z_re/z_im, and a config file's Z_RE is what runs
+    payload = _payload(capsys, "phi", "--z", "0.5", "2")
+    assert (payload["config"]["z_re"], payload["config"]["z_im"]) == (0.5, 2.0)
+
+
+def test_config_file_point_is_used(tmp_path, capsys):
+    cfg = tmp_path / "z.cfg"
+    cfg.write_text("Z_RE=0.5\nZ_IM=2\n")
+    from_file = _payload(capsys, "--config", str(cfg), "eisenstein")
+    from_flag = _payload(capsys, "eisenstein", "--z", "0.5", "2")
+    assert from_file == from_flag
+
+
+def test_readme_cli_examples_parse():
+    import pathlib
+    import shlex
+
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    examples = [shlex.split(line.split("#", 1)[0])[1:] for line in lines if line.startswith("miint ")]
+    assert len(examples) >= 20
+    for argv in examples:
+        cli.build_parser().parse_args(argv)

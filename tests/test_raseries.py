@@ -9,7 +9,6 @@ from miint import periods as per
 from miint import qforms as qf
 from miint import raseries as ra
 from miint.group import BiWeight, PolyC, S, T, act_tensor
-from miint.summation import fsum_complex
 
 DELTA = qf.delta_q(120)
 T40 = ra.TruncationParams()
@@ -119,14 +118,14 @@ def test_phi_invariance_generators_sample_points():
 
 def test_phi_routes_agree_on_shared_rectangle():
     t_small = ra.TruncationParams(C=1, D=4)
-    a = ra.phi(DELTA, W, "+", 4j, t_small, route="direct")
-    b = ra.phi(DELTA, W, "+", 4j, t_small, route="decomp")
+    a = ra._phi_direct(DELTA, W, "+", 4j, t_small)
+    b = ra.phi(DELTA, W, "+", 4j, t_small)
     assert (a.value - b.value).norm_inf() <= a.tail_estimate + b.tail_estimate + 1e-15
 
 
 def test_phi_direct_route_floor_guard():
     with pytest.raises(PrecisionError):
-        ra.phi(DELTA, W, "+", 2j, ra.TruncationParams(C=2, D=8), route="direct")
+        ra._phi_direct(DELTA, W, "+", 2j, ra.TruncationParams(C=2, D=8))
 
 
 def test_phi_conjugate_swap_symmetry():
@@ -221,10 +220,28 @@ def test_fourier_delta_modes():
 
 
 def test_fourier_rejects_nonperiodic():
+    calls = []
+
+    def drifting(z):
+        calls.append(z)
+        return z
+
     with pytest.raises(ValueError):
-        ra.fourier_coefficient(lambda z: z, 1, 1.0, 64)
+        ra.fourier_coefficient(drifting, 1, 1.0, 64)
+    assert len(calls) <= 2
     with pytest.raises(ValueError):
         ra.fourier_coefficient(lambda z: 1.0, 1, 1.0, 32)
+
+
+def test_fourier_evaluates_each_node_once():
+    calls = []
+
+    def fn(z):
+        calls.append(z)
+        return qf.eval_form(DELTA, z)
+
+    ra.fourier_coefficient(fn, 1, 1.0, 64)
+    assert len(calls) == 64 + 1  # the x = 0 probe is the first node
 
 
 def test_kloosterman_small_moduli():
@@ -291,6 +308,16 @@ def test_second_order_G_translation_invariance():
 def test_second_order_G_weight_precondition():
     with pytest.raises(ConvergenceError):
         ra.second_order_G(1, DELTA, 12, 2j, T40)
+
+
+def test_poincare_zeroth_is_holomorphic_eisenstein_bitwise():
+    # the two weight builders of the coset-sum kernel agree exactly at n = 0
+    for k in (4, 12):
+        for z in (2j, 0.3 + 1.2j):
+            p = ra.poincare(0, k, z, T40)
+            e = ra.eisenstein_rs(BiWeight(k, 0), z, T40)
+            assert p.value == e.value
+            assert p.tail_estimate == e.tail_estimate
 
 
 def test_second_order_G_reduces_to_psi():
@@ -361,3 +388,21 @@ def test_coset_tables_match_per_coset_lookups():
         direct = per.period_poly(DELTA, per.complete_row(c, d))
         assert np.max(np.abs(R[i] - direct.coeffs)) <= 1e-10 * max(1.0, direct.norm_inf())
         assert lam[:, i].tolist() == [table.value(s, c, d) for s in range(1, DELTA.k)]
+
+
+def test_phi_builds_no_top_rows(monkeypatch):
+    # a rectangle no other test uses, so its coset data is built here
+    C, D = 6, 61
+    calls = []
+    complete_row = ra.complete_row
+
+    def counted(c, d):
+        calls.append((c, d))
+        return complete_row(c, d)
+
+    monkeypatch.setattr(ra, "complete_row", counted)
+    ra.phi(DELTA, W, "+", 2j, ra.TruncationParams(C, D))
+    assert calls == []
+    ra.poincare(1, 12, 2j, ra.TruncationParams(C, D))
+    data = ra._coset_data(C, D)
+    assert calls == list(zip(data.cs.tolist(), data.ds.tolist()))
