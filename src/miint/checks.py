@@ -7,9 +7,12 @@ the CLI `check` subcommand and the acceptance test module.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import iterated as it
 from . import maass, periods, qforms, raseries, vvdim
@@ -274,19 +277,16 @@ def suite_coeffs_identity() -> list[CheckResult]:
     fz = qforms.eval_form(f, z)
     vec_up = raseries.coeff_decompose(raseries.phi(f, w.raised(), "+", z, t).value, z, k)
 
-    def coeff(j):
-        return lambda u: complex(
-            raseries.coeff_decompose(raseries.phi(f, w, "+", u, t).value, u, k)[j]
-        )
+    def coeffs(u: complex):
+        return raseries.coeff_decompose(raseries.phi(f, w, "+", u, t).value, u, k)
 
-    worst = 0.0
-    for j in range(k - 1):
-        lhs = maass.maass_d(coeff(j), w.r + j, z)
-        lhs -= (j + 1) * (coeff(j + 1)(z) if j + 1 <= k - 2 else 0.0)
-        rhs = w.r * vec_up[j]
-        if j == k - 2:
-            rhs = rhs + 2j * z.imag * fz * ev
-        worst = max(worst, abs(lhs - rhs))
+    # d_{r+j} phi(j) - (j+1) phi(j+1) for every j from one stencil pass
+    vec = coeffs(z)
+    lhs = maass.maass_d(coeffs, w.r + np.arange(k - 1), z)
+    lhs -= np.arange(1, k) * np.append(vec[1:], 0.0)
+    rhs = w.r * vec_up
+    rhs[k - 2] += 2j * z.imag * fz * ev
+    worst = float(np.max(np.abs(lhs - rhs)))
     out.append(
         _result(
             "derivative of each coefficient recombines as predicted", worst, 1e-3
@@ -311,7 +311,7 @@ def suite_equivariance() -> list[CheckResult]:
         )
     )
     fd = lambda z: qforms.eval_form(f, z)
-    _, res_comm = maass.check_equivariance(fd, T, BiWeight(12, 0), 2j, k_commute=2)
+    _, res_comm = maass.check_equivariance(fd, T, BiWeight(12, 0), 2j)
     out.append(_result("y^k commutation on Delta, k = 2", res_comm, 1e-7))
     return out
 
@@ -429,19 +429,19 @@ def suite_fourier() -> list[CheckResult]:
     B = 12.0
     M = 96
 
-    def coeff_fn(i: int, second_order: bool):
-        def fn(z: complex) -> complex:
-            if second_order:
-                val = raseries.psi_series(f, w, "+", z, t).value
-            else:
-                val = raseries.phi(f, w, "+", z, t).value
-            return complex(raseries.coeff_decompose(val, z, f.k)[i])
+    # memoised by z: the l = 1 and l = 2 modes share their samples
+    @functools.cache
+    def phi_fn(z: complex) -> complex:
+        val = raseries.phi(f, w, "+", z, t).value
+        return complex(raseries.coeff_decompose(val, z, f.k)[f.k - 2])
 
-        return fn
+    @functools.cache
+    def psi_fn(z: complex) -> complex:
+        val = raseries.psi_series(f, w, "+", z, t).value
+        return complex(raseries.coeff_decompose(val, z, f.k)[0])
 
     for l in (1, 2):
         decay = math.exp(-2 * math.pi * l * 0.5)
-        phi_fn = coeff_fn(f.k - 2, second_order=False)
         ratio = abs(raseries.fourier_coefficient(phi_fn, l, 1.5, M)) / abs(
             raseries.fourier_coefficient(phi_fn, l, 1.0, M)
         )
@@ -455,7 +455,6 @@ def suite_fourier() -> list[CheckResult]:
                 window=(decay * 1.5**-B, decay * 1.5**B),
             )
         )
-        psi_fn = coeff_fn(0, second_order=True)
         ratio = abs(raseries.fourier_coefficient(psi_fn, l, 1.5, M)) / abs(
             raseries.fourier_coefficient(psi_fn, l, 1.0, M)
         )

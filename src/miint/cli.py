@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -318,6 +319,8 @@ def _cmd_fourier(ns, cfg: RunConfig) -> int:
 
     else:
         fn = lambda z: qforms.eval_form(f, z)
+    # memoised by z: the coarse pass's nodes are every other node of the fine one
+    fn = functools.cache(fn)
     val = raseries.fourier_coefficient(fn, ns.l, ns.y, cfg.M)
     coarse = raseries.fourier_coefficient(fn, ns.l, ns.y, max(64, cfg.M // 2))
     _emit(

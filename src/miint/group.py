@@ -276,12 +276,7 @@ def act_tensor(F, g: GroupElement, w: BiWeight, k: int):
     """
 
     def acted(z: complex) -> PolyC:
-        z = complex(z)
-        val = F(mobius(g, z))
-        pol = act_poly(val, g, k)
-        j = jfactor(g, z)
-        jb = jfactor(g, z.conjugate())
-        return pol * (j ** (-w.r) * jb ** (-w.s))
+        return act_rs(act_poly(F(mobius(g, complex(z))), g, k), g, z, w)
 
     return acted
 

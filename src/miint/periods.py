@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -49,14 +49,7 @@ def exp_poly_primitive(n: int, m: int, z: complex) -> complex:
     z = complex(z)
     if z.imag <= 0:
         raise ValueError("z must lie in the upper half-plane")
-    c = 1.0 / (2j * math.pi * n)
-    e = cmath.exp(2j * math.pi * n * z)
-    acc = e * c  # I_0
-    zp = 1.0 + 0j
-    for t in range(1, m + 1):
-        zp *= z
-        acc = e * zp * c - t * c * acc
-    return acc if m > 0 else e * c
+    return complex(_exp_poly_primitive_row(n, m, z)[m])
 
 
 def _exp_poly_primitive_row(n: int, mmax: int, z: complex) -> np.ndarray:
@@ -72,19 +65,14 @@ def _exp_poly_primitive_row(n: int, mmax: int, z: complex) -> np.ndarray:
     return out
 
 
-def integral_f_wpoly(f: QExpansion, wcoeffs, z: complex) -> complex:
-    """Integral from i*infinity to z of f(w) * P(w) dw for a polynomial P
-    given by ascending coefficients, termwise over the q-expansion."""
-    wcoeffs = np.asarray(wcoeffs, dtype=np.complex128)
-    mmax = wcoeffs.size - 1
-    total = 0j
+def eichler_moments(f: QExpansion, z: complex, m: int) -> np.ndarray:
+    """Integrals from i*infinity to z of f(w) w^j dw for j = 0..m, termwise
+    over the q-expansion."""
+    rows = np.zeros((f.N + 1, m + 1), dtype=np.complex128)
     for n in range(1, f.N + 1):
-        an = f.coeffs[n]
-        if an == 0:
-            continue
-        row = _exp_poly_primitive_row(n, mmax, z)
-        total += complex(an) * complex(row @ wcoeffs)
-    return total
+        if f.coeffs[n] != 0:
+            rows[n] = _exp_poly_primitive_row(n, m, z) * complex(f.coeffs[n])
+    return rows.sum(axis=0)
 
 
 def eichler_F(f: QExpansion, z: complex, sign: str = "+") -> PolyC:
@@ -95,15 +83,10 @@ def eichler_F(f: QExpansion, z: complex, sign: str = "+") -> PolyC:
     z = complex(z)
     if z.imag < Y_MIN:
         raise PrecisionError(f"Im z = {z.imag} below evaluation floor {Y_MIN}")
-    k = f.k
-    m = k - 2
+    m = f.k - 2
     # (w - X)^m = sum_j binom(m, j) (-X)^(m-j) w^j
     mono = np.zeros(m + 1, dtype=np.complex128)
-    rows = np.zeros((f.N + 1, m + 1), dtype=np.complex128)
-    for n in range(1, f.N + 1):
-        if f.coeffs[n] != 0:
-            rows[n] = _exp_poly_primitive_row(n, m, z) * complex(f.coeffs[n])
-    wints = rows.sum(axis=0)  # integral of f(w) w^j dw, j = 0..m
+    wints = eichler_moments(f, z, m)
     for j in range(m + 1):
         mono[m - j] += math.comb(m, j) * (-1) ** (m - j) * wints[j]
     P = PolyC(mono, m)
@@ -163,8 +146,9 @@ def period_poly(f: QExpansion, g: GroupElement, sign: str = "+") -> PolyC:
 
 @dataclass(frozen=True)
 class ReducedPeriods:
-    """Plus-sign period polynomials on the reduced classes (c, d0 mod c),
-    1 <= c <= C, gcd(c, d0) = 1, in ascending (c, d0) order.
+    """The one reduced-class table of a cusp form: plus-sign period
+    polynomials on the classes (c, d0 mod c), 1 <= c <= C, gcd(c, d0) = 1, in
+    ascending (c, d0) order, and the twisted L-values read off them.
 
     `periods[i]` holds the coefficients of r(g; X) for the i-th row of `rows`;
     `lut[c, d0]` is that position (-1 where gcd(c, d0) != 1).
@@ -174,15 +158,42 @@ class ReducedPeriods:
     periods: np.ndarray  # (n_classes, k-1)
     lut: np.ndarray  # (C+1, C)
 
+    @property
+    def C(self) -> int:
+        return self.lut.shape[0] - 1
+
     def index(self, cs: np.ndarray, ds: np.ndarray) -> np.ndarray:
         """Class position of every bottom row (c, d), 1 <= c <= C."""
         return self.lut[cs, ds % cs]
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Lambda_f(s, -d0/c) at `values[s - 1, i]` for the i-th row of `rows`,
+        extracted on first use."""
+        k = self.periods.shape[1] + 1
+        vals = np.array(
+            [
+                _lambdas_from_period(PolyC(r), -d0 / c, k)
+                for (c, d0), r in zip(self.rows, self.periods)
+            ]
+        ).T
+        vals.setflags(write=False)  # cached and shared by every caller
+        return vals
+
+    def value(self, s: int, c: int, d: int) -> complex:
+        """Lambda_f(s, -d/c); the twist is looked up modulo c."""
+        if not 1 <= s <= self.periods.shape[1]:
+            raise KeyError(f"s = {s} outside 1..{self.periods.shape[1]}")
+        i = self.lut[c, d % c] if 1 <= c <= self.C else -1
+        if i < 0:
+            raise KeyError(f"Lambda table does not cover (c, d) = ({c}, {d})")
+        return complex(self.values[s - 1, i])
 
 
 @lru_cache(maxsize=8)
 def reduced_periods(f: QExpansion, C: int) -> ReducedPeriods:
     """The one cocycle walk over the reduced classes; the coset-series table
-    and the Lambda table are both derived from it."""
+    and the Lambda values are both derived from it."""
     cocycle = _cocycle_for(f, "+")
     rows = tuple(
         (c, d0) for c in range(1, C + 1) for d0 in range(c) if math.gcd(c, d0) == 1
@@ -196,6 +207,10 @@ def reduced_periods(f: QExpansion, C: int) -> ReducedPeriods:
     periods.setflags(write=False)  # cached and shared by every caller
     lut.setflags(write=False)
     return ReducedPeriods(rows, periods, lut)
+
+
+#: Lambda_f(s, -d/c) for c <= C: the same cached table as the periods
+lambda_table = reduced_periods
 
 
 def period_error_estimate(f: QExpansion, g: GroupElement, sign: str = "+") -> float:
@@ -319,41 +334,7 @@ def _lambda_by_extraction(f: QExpansion, s: int, p: int, q: int) -> complex:
     return _lambdas_from_period(period_poly(f, g, "+"), p / q, f.k)[s - 1]
 
 
-class LambdaTable:
-    """Immutable cache of Lambda_f(s, -d/c) for all c <= C, d mod c coprime,
-    s = 1..k-1, extracted from the shared reduced-class period table.
-
-    `values[s - 1, i]` belongs to the i-th reduced class of `classes`.
-    """
-
-    def __init__(self, f: QExpansion, C: int):
-        self.f = f
-        self.C = C
-        self.k = f.k
-        self.classes = reduced_periods(f, C)
-        self.values = np.array(
-            [
-                _lambdas_from_period(PolyC(r), -d0 / c, self.k)
-                for (c, d0), r in zip(self.classes.rows, self.classes.periods)
-            ]
-        ).T
-
-    def value(self, s: int, c: int, d: int) -> complex:
-        """Lambda_f(s, -d/c); the twist is looked up modulo c."""
-        if not 1 <= s <= self.k - 1:
-            raise KeyError(f"s = {s} outside 1..{self.k - 1}")
-        i = self.classes.lut[c, d % c] if 1 <= c <= self.C else -1
-        if i < 0:
-            raise KeyError(f"Lambda table does not cover (c, d) = ({c}, {d})")
-        return complex(self.values[s - 1, i])
-
-
-@lru_cache(maxsize=4)
-def lambda_table(f: QExpansion, C: int) -> LambdaTable:
-    return LambdaTable(f, C)
-
-
-def period_from_Lvalues(f: QExpansion, g: GroupElement, table: LambdaTable) -> PolyC:
+def period_from_Lvalues(f: QExpansion, g: GroupElement, table: ReducedPeriods) -> PolyC:
     """Reassemble r(g; X) from twisted L-values:
     sum_j (-1)^j binom(k-2,j) i^(j+1) Lambda_f(j+1, g^(-1) inf) (X - a)^(k-2-j).
     """

@@ -39,11 +39,10 @@ from .group import (
     mobius,
 )
 from .periods import (
-    LambdaTable,
+    ReducedPeriods,
     eichler_F,
+    eichler_moments,
     i_power,
-    integral_f_wpoly,
-    lambda_table,
     reduced_periods,
 )
 from .qforms import QExpansion, Y_MIN, eval_tail_bound
@@ -311,6 +310,20 @@ def _phi_direct(
     return SeriesValue(PolyC(value, k - 2), w, sign, t, tail)
 
 
+def coeff_basis(z: complex, m: int) -> np.ndarray:
+    """The basis of the coefficients phi(i): column i holds the ascending
+    monomial coefficients of (X-z)^i (X-conj z)^(m-i)."""
+    z = complex(z)
+    lo = np.array([-z, 1.0], dtype=np.complex128)
+    hi = np.array([-z.conjugate(), 1.0], dtype=np.complex128)
+    lo_pows = [np.array([1.0 + 0j])]
+    hi_pows = [np.array([1.0 + 0j])]
+    for _ in range(m):
+        lo_pows.append(np.convolve(lo_pows[-1], lo))
+        hi_pows.append(np.convolve(hi_pows[-1], hi))
+    return np.column_stack([np.convolve(lo_pows[i], hi_pows[m - i]) for i in range(m + 1)])
+
+
 def coeff_decompose(P: PolyC, z: complex, k: int) -> np.ndarray:
     """Coefficients phi(i) with P(X) = sum_i phi(i) (X-z)^i (X-conj z)^(k-2-i),
     by solving the monomial-basis linear system."""
@@ -320,19 +333,8 @@ def coeff_decompose(P: PolyC, z: complex, k: int) -> np.ndarray:
     m = k - 2
     if P.bound > m:
         raise ValueError("polynomial degree exceeds k - 2")
-    A = np.empty((m + 1, m + 1), dtype=np.complex128)
-    lo = np.array([-z, 1.0], dtype=np.complex128)
-    hi = np.array([-z.conjugate(), 1.0], dtype=np.complex128)
-    lo_pows = [np.array([1.0 + 0j])]
-    hi_pows = [np.array([1.0 + 0j])]
-    for _ in range(m):
-        lo_pows.append(np.convolve(lo_pows[-1], lo))
-        hi_pows.append(np.convolve(hi_pows[-1], hi))
-    for i in range(m + 1):
-        col = np.convolve(lo_pows[i], hi_pows[m - i])
-        A[:, i] = col
     try:
-        sol = np.linalg.solve(A, PolyC(P.coeffs, m).coeffs)
+        sol = np.linalg.solve(coeff_basis(z, m), PolyC(P.coeffs, m).coeffs)
     except np.linalg.LinAlgError as exc:  # unreachable for z in H
         raise ArithmeticError("singular decomposition system") from exc
     return sol
@@ -358,8 +360,8 @@ def _lambda_rows(f: QExpansion, C: int, D: int) -> np.ndarray:
     """Lambda_f(s, -d/c) aligned with the coset order, shape (k-1, n_cosets);
     row index is s - 1."""
     data = _coset_data(C, D)
-    table = lambda_table(f, C)
-    return np.take(table.values, table.classes.index(data.cs, data.ds), axis=1)
+    table = reduced_periods(f, C)
+    return np.take(table.values, table.index(data.cs, data.ds), axis=1)
 
 
 def closed_form_phi_j(
@@ -393,22 +395,16 @@ def closed_form_phi_j(
     r, s = w.r, w.s
     # prefactor from w - X = ((w-z)(X-cz) + (cz-w)(X-z)) / (z - cz)
     pref = (z - z.conjugate()) ** (2 - k)
-    # boundary term
-    lo = np.array([-z.conjugate(), 1.0], dtype=np.complex128)
-    hi = np.array([-z, 1.0], dtype=np.complex128)
-    wpoly = np.array([1.0 + 0j])
-    for _ in range(j):
-        wpoly = np.convolve(wpoly, lo)
-    for _ in range(k - 2 - j):
-        wpoly = np.convolve(wpoly, hi)
-    bnd_int = integral_f_wpoly(hform, wpoly, z)
+    # boundary term: the Eichler moments against the basis polynomial of phi(j)
+    bnd_int = eichler_moments(hform, z, k - 2) @ coeff_basis(z, k - 2)[:, k - 2 - j]
     ev = eisenstein_rs(w, z, t)
     total = (-1) ** j * math.comb(k - 2, j) * pref * bnd_int * ev.value
-    # twisted double sum over the non-trivial cosets
+    # twisted double sum over the non-trivial cosets, reduced once
     lam = _lambda_rows(hform, t.C, t.D)
     cfl = _coset_data(t.C, t.D).cs.astype(np.float64)
     jpow = [jarr ** (-(r + j + n + 2 - k)) for n in range(k - 1 - j)]
     jbpow = [jbarr ** (-(s + m - j)) for m in range(j + 1)]
+    terms = np.zeros(cfl.size, dtype=np.complex128)
     for m in range(j + 1):
         for n in range(k - 1 - j):
             alpha = (
@@ -417,13 +413,8 @@ def closed_form_phi_j(
                 * math.comb(j, m)
                 * math.comb(k - 2 - j, n)
             )
-            terms = (
-                lam[m + n]
-                * cfl ** (m + n - k + 2)
-                * jpow[n]
-                * jbpow[m]
-            )
-            total += alpha * pref * _exact_sum(terms)
+            terms += alpha * (lam[m + n] * cfl ** (m + n - k + 2) * jpow[n] * jbpow[m])
+    total += pref * _exact_sum(terms)
     return complex(total)
 
 
@@ -448,14 +439,14 @@ def fourier_coefficient(fn, l: int, y: float, M: int = DEFAULT_M) -> complex:
 
 
 def kloosterman_twisted(
-    f: QExpansion, c: int, l: int, m: int, table: LambdaTable | None = None
+    f: QExpansion, c: int, l: int, m: int, table: ReducedPeriods | None = None
 ) -> complex:
     """Finite twisted sum over d mod c, gcd(d, c) = 1, of
     Lambda_f(m, -d/c) e^(2 pi i l d / c)."""
     if c < 1:
         raise ValueError("c must be >= 1")
     if table is None:
-        table = lambda_table(f, c)
+        table = reduced_periods(f, c)
     if table.C < c:
         raise KeyError(f"Lambda table covers c <= {table.C} < {c}")
     terms = [

@@ -163,6 +163,21 @@ def test_fourier_subcommand(capsys):
     assert abs(complex(*payload["value"]) - math.exp(-2 * math.pi)) <= 1e-10
 
 
+def test_fourier_samples_each_point_once(capsys, monkeypatch):
+    # the M/2 error-estimate pass reuses the even nodes of the M pass
+    calls = []
+    eval_form = qf.eval_form
+
+    def counted(f, z):
+        calls.append(z)
+        return eval_form(f, z)
+
+    monkeypatch.setattr(qf, "eval_form", counted)
+    code, _, _ = run_cli(capsys, "fourier", "--form", "delta", "--l", "1", "--M", "128")
+    assert code == 0
+    assert len(calls) == 129 == len(set(calls))
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -78,6 +78,20 @@ def test_order3_membership():
     assert max(rep["residuals"].values()) <= 1e-6
 
 
+def test_order3_checks_every_slot_in_one_pass(monkeypatch):
+    calls = []
+    iterated_F = it.iterated_F
+
+    def counted(data, z):
+        calls.append(z)
+        return iterated_F(data, z)
+
+    monkeypatch.setattr(it, "iterated_F", counted)
+    rep = it.order_check(DATA3, 3, [(S, S * T)], (1j, 1 + 2j))
+    assert max(rep["residuals"].values()) <= 1e-6
+    assert len(calls) <= 10
+
+
 def test_order_filtration_depth2_inside_depth3():
     # a depth-2 object seen through the depth-3 recursion: the image
     # F2.(g-1) = r(g; X1) already has z-independent slot coefficients

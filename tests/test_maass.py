@@ -56,12 +56,6 @@ def test_stencil_domain_guard():
         ma.maass_d(lambda u: 1.0, 2, 0.001j, ma.FDScheme(h=1e-3))
 
 
-def test_second_order_scheme():
-    fn = lambda u: complex(u).imag ** 2
-    v = ma.maass_d(fn, 1, Z, ma.FDScheme(h=1e-4, mode="central-2nd"))
-    assert abs(v - 3 * Z.imag**2) <= 1e-5
-
-
 def test_equivariance_T_exact():
     ers = lambda u: ra.eisenstein_rs(BiWeight(7, 7), u, T40).value
     res1, _ = ma.check_equivariance(ers, T, BiWeight(7, 7), Z)
@@ -77,7 +71,7 @@ def test_equivariance_S_eisenstein():
 
 def test_y_power_commutation_on_delta():
     fn = lambda u: qf.eval_form(DELTA, u)
-    _, res2 = ma.check_equivariance(fn, T, BiWeight(12, 0), Z, k_commute=2)
+    _, res2 = ma.check_equivariance(fn, T, BiWeight(12, 0), Z)
     assert res2 <= 1e-7
 
 
@@ -117,31 +111,45 @@ def test_coeffs_identity_monomial_data():
 
 def test_coeffs_identity_composite_with_phi_coefficients():
     # per basis slot: d_{r+j} phi(j) - (j+1) phi(j+1)
-    #   = r phi'(j) + 2i y f E [j = k-2], combining the two identities
+    #   = r phi'(j) + 2i y f E [j = k-2], combining the two identities;
+    # one stencil pass over the whole coefficient vector
     k = 12
-    vec_fns = []
-    for j in range(k - 1):
-        vec_fns.append(
-            (lambda jj: (lambda u: complex(
-                ra.coeff_decompose(ra.phi(DELTA, W, "+", u, T40).value, u, k)[jj]
-            )))(j)
-        )
-    up = W.raised()
+    coeffs = lambda u: ra.coeff_decompose(ra.phi(DELTA, W, "+", u, T40).value, u, k)
     ev = ra.eisenstein_rs(W, Z, T40).value
     fz = qf.eval_form(DELTA, Z)
-    vec_up = ra.coeff_decompose(ra.phi(DELTA, up, "+", Z, T40).value, Z, k)
-    worst = 0.0
-    for j in range(k - 1):
-        lhs = ma.maass_d(vec_fns[j], W.r + j, Z)
-        nxt = vec_fns[j + 1](Z) if j + 1 <= k - 2 else 0.0
-        lhs = lhs - (j + 1) * nxt
-        rhs = W.r * vec_up[j]
-        if j == k - 2:
-            rhs = rhs + 2j * Z.imag * fz * ev
-        worst = max(worst, abs(lhs - rhs))
+    vec_up = ra.coeff_decompose(ra.phi(DELTA, W.raised(), "+", Z, T40).value, Z, k)
+    vec = coeffs(Z)
+    lhs = ma.maass_d(coeffs, W.r + np.arange(k - 1), Z)
+    lhs = lhs - np.arange(1, k) * np.append(vec[1:], 0.0)
+    rhs = W.r * vec_up
+    rhs[k - 2] += 2j * Z.imag * fz * ev
+    worst = float(np.max(np.abs(lhs - rhs)))
     assert worst <= 1e-3
 
 
-def test_fd_scheme_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        ma.FDScheme(mode="forward").derivative(lambda x: x, 0.0)
+def _count_phi_calls(monkeypatch, module):
+    calls = []
+    phi = ra.phi
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return phi(*args, **kwargs)
+
+    monkeypatch.setattr(module, "phi", counted)
+    return calls
+
+
+def test_phi_identities_share_one_stencil_pass(monkeypatch):
+    calls = _count_phi_calls(monkeypatch, ma)
+    ma.check_phi_identities(DELTA, W, "+", Z, T40)
+    # 8 stencil nodes, z itself, and the raised and lowered weights
+    assert len(calls) <= 11
+
+
+def test_coeffs_suite_shares_one_stencil_pass(monkeypatch):
+    from miint import checks
+
+    calls = _count_phi_calls(monkeypatch, ra)
+    results = checks.suite_coeffs_identity()
+    assert all(r.passed for r in results)
+    assert len(calls) <= 11

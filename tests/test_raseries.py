@@ -390,6 +390,27 @@ def test_coset_tables_match_per_coset_lookups():
         assert lam[:, i].tolist() == [table.value(s, c, d) for s in range(1, DELTA.k)]
 
 
+def test_coeff_basis_columns_are_basis_products():
+    m = 10
+    for z in (2j, 0.5 + 2j, -0.3 + 1.2j):
+        A = ra.coeff_basis(z, m)
+        for i in range(m + 1):
+            P = PolyC.one(0)
+            for _ in range(i):
+                P = P * PolyC([-z, 1.0])
+            for _ in range(m - i):
+                P = P * PolyC([-z.conjugate(), 1.0])
+            assert np.allclose(A[:, i], P.coeffs, rtol=1e-14, atol=1e-14)
+
+
+def test_lambda_table_is_the_period_table():
+    table = per.lambda_table(DELTA, 7)
+    assert table.periods is per.reduced_periods(DELTA, 7).periods
+    assert not table.values.flags.writeable
+    with pytest.raises(ValueError):
+        table.values[0, 0] = 0.0
+
+
 def test_phi_builds_no_top_rows(monkeypatch):
     # a rectangle no other test uses, so its coset data is built here
     C, D = 6, 61
