@@ -27,7 +27,7 @@ from .group import (
     mobius,
 )
 from .periods import _exp_poly_primitive_row, eichler_F, period_poly
-from .qforms import QExpansion, Y_MIN
+from .qforms import QExpansion, admissible_z
 from .raseries import (
     TruncationParams,
     coeff_decompose,
@@ -148,9 +148,7 @@ def iterated_F(data: IteratedIntegrand, z: complex):
     variables shifted back (exact, by parabolic invariance); this keeps the
     exponential-primitive sums well conditioned at every x.
     """
-    z = complex(z)
-    if z.imag < Y_MIN:
-        raise ValueError(f"Im z = {z.imag} below evaluation floor {Y_MIN}")
+    z = admissible_z(z, q_series=True)
     n = data.depth
     if n == 1:
         return 1.0 + 0j

@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, PrecisionError
+from .errors import ConvergenceError
 from .group import (
     IDENTITY,
     GroupElement,
@@ -27,7 +27,7 @@ from .group import (
     mobius,
     word_decompose,
 )
-from .qforms import QExpansion, Y_MIN, eval_form_anywhere, eval_tail_bound
+from .qforms import QExpansion, admissible_z, eval_form_anywhere, eval_tail_bound
 
 TWO_PI = 2.0 * math.pi
 
@@ -46,9 +46,7 @@ def exp_poly_primitive(n: int, m: int, z: complex) -> complex:
     """
     if n < 1 or m < 0:
         raise ValueError("need n >= 1, m >= 0")
-    z = complex(z)
-    if z.imag <= 0:
-        raise ValueError("z must lie in the upper half-plane")
+    z = admissible_z(z)
     return complex(_exp_poly_primitive_row(n, m, z)[m])
 
 
@@ -75,14 +73,20 @@ def eichler_moments(f: QExpansion, z: complex, m: int) -> np.ndarray:
     return rows.sum(axis=0)
 
 
+def _minus(sign: str) -> bool:
+    """Whether `sign` is '-' rather than '+'; any other sign is an error."""
+    if sign not in ("+", "-"):
+        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    return sign == "-"
+
+
 def eichler_F(f: QExpansion, z: complex, sign: str = "+") -> PolyC:
     """Eichler integral from i*infinity to z of f(w)(w - X)^(k-2) dw as a
     polynomial in X; the minus version conjugates the coefficients."""
     if not f.is_cusp:
         raise ValueError("Eichler integrals require a cusp form")
-    z = complex(z)
-    if z.imag < Y_MIN:
-        raise PrecisionError(f"Im z = {z.imag} below evaluation floor {Y_MIN}")
+    minus = _minus(sign)
+    z = admissible_z(z, q_series=True)
     m = f.k - 2
     # (w - X)^m = sum_j binom(m, j) (-X)^(m-j) w^j
     mono = np.zeros(m + 1, dtype=np.complex128)
@@ -90,23 +94,17 @@ def eichler_F(f: QExpansion, z: complex, sign: str = "+") -> PolyC:
     for j in range(m + 1):
         mono[m - j] += math.comb(m, j) * (-1) ** (m - j) * wints[j]
     P = PolyC(mono, m)
-    if sign == "-":
-        return P.conjugate()
-    if sign != "+":
-        raise ValueError("sign must be '+' or '-'")
-    return P
+    return P.conjugate() if minus else P
 
 
 def period_poly_base(f: QExpansion, g: GroupElement, sign: str = "+", z0: complex = 1j) -> PolyC:
     """Period polynomial via the base-point formula
-    r(g; X) = F(g z0, g X) j(g, X)^(k-2) - F(z0, X), independent of z0."""
-    z0 = complex(z0)
-    gz0 = mobius(g, z0)
-    if z0.imag < Y_MIN or gz0.imag < Y_MIN:
-        raise PrecisionError("base point or its image lies below the evaluation floor")
-    F_at_gz0 = eichler_F(f, gz0, "+")
+    r(g; X) = F(g z0, g X) j(g, X)^(k-2) - F(z0, X), independent of z0;
+    `eichler_F` rejects a base point or image below the evaluation floor."""
+    minus = _minus(sign)
+    F_at_gz0 = eichler_F(f, mobius(g, complex(z0)), "+")
     val = act_poly(F_at_gz0, g, f.k) - eichler_F(f, z0, "+")
-    return val.conjugate() if sign == "-" else val
+    return val.conjugate() if minus else val
 
 
 class PeriodCocycle:
@@ -135,13 +133,16 @@ class PeriodCocycle:
 
 
 @lru_cache(maxsize=8)
-def _cocycle_for(f: QExpansion, sign: str) -> PeriodCocycle:
-    return PeriodCocycle(f, sign)
+def _cocycle_for(f: QExpansion) -> PeriodCocycle:
+    return PeriodCocycle(f, "+")
 
 
 def period_poly(f: QExpansion, g: GroupElement, sign: str = "+") -> PolyC:
-    """Period polynomial for arbitrary g via the cocycle route."""
-    return _cocycle_for(f, sign).of_gamma(g)
+    """Period polynomial for arbitrary g via the cocycle route; the minus one
+    is the conjugate of the plus one."""
+    minus = _minus(sign)
+    P = _cocycle_for(f).of_gamma(g)
+    return P.conjugate() if minus else P
 
 
 @dataclass(frozen=True)
@@ -194,7 +195,7 @@ class ReducedPeriods:
 def reduced_periods(f: QExpansion, C: int) -> ReducedPeriods:
     """The one cocycle walk over the reduced classes; the coset-series table
     and the Lambda values are both derived from it."""
-    cocycle = _cocycle_for(f, "+")
+    cocycle = _cocycle_for(f)
     rows = tuple(
         (c, d0) for c in range(1, C + 1) for d0 in range(c) if math.gcd(c, d0) == 1
     )

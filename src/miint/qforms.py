@@ -200,15 +200,27 @@ def eval_tail_bound(f: QExpansion, y: float) -> float:
     return t_next / (1 - rho)
 
 
+def admissible_z(z: complex, q_series: bool = False) -> complex:
+    """z as a complex, once it is a finite point of the upper half-plane
+    (ValueError otherwise); with `q_series`, also at or above the evaluation
+    floor Y_MIN of a truncated q-series (PrecisionError otherwise)."""
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"z must be finite, got {z}")
+    if z.imag <= 0:
+        raise ValueError("z must lie in the upper half-plane")
+    if q_series and z.imag < Y_MIN:
+        raise PrecisionError(f"Im z = {z.imag} below evaluation floor {Y_MIN}")
+    return z
+
+
 def eval_form(f: QExpansion, z: complex, tol: float | None = None) -> complex:
     """Truncated q-series value sum_{n <= N} a(n) e^(2 pi i n z).
 
     Raises PrecisionError when a tolerance is requested and the tail estimate
     exceeds it.
     """
-    z = complex(z)
-    if z.imag < Y_MIN:
-        raise PrecisionError(f"Im z = {z.imag} below evaluation floor {Y_MIN}")
+    z = admissible_z(z, q_series=True)
     if tol is not None and eval_tail_bound(f, z.imag) > tol:
         raise PrecisionError("q-series tail exceeds requested tolerance")
     # IEEE remainder is exact: periodicity in x holds bitwise for exact shifts
@@ -226,9 +238,7 @@ def eval_form_anywhere(f: QExpansion, z: complex) -> complex:
     weight-k automorphy factor, then sums the q-series high up.  This keeps
     vertical-line quadratures accurate arbitrarily close to the real axis.
     """
-    z = complex(z)
-    if z.imag <= 0:
-        raise ValueError("z must lie in the upper half-plane")
+    z = admissible_z(z)
     factor = 1.0 + 0j
     for _ in range(10_000):
         n = round(z.real)

@@ -5,10 +5,14 @@ Kloosterman-type sums, Poincare series and the second-order G series.
 
 Each truncated coset series (E_{r,s}, psi, the Poincare series and G) is
 one call of the kernel `_coset_sum`: a weight per non-trivial coset (times
-that coset's row of the period table, for the second-order series), summed
-in the fixed order (ascending c, ascending |d|, positive d first) with each
-column reduced exactly rounded, plus the identity-coset term; phi combines
-psi and E_{r,s}.  Identical inputs therefore give bitwise-identical results.
+that coset's column of the coefficient-major period table, for the
+second-order series), reduced by numpy's pairwise sum along each
+coefficient's contiguous row of cosets in the fixed order (ascending c,
+ascending |d|, positive d first), plus the identity-coset term; phi combines
+psi and E_{r,s}.  The same inputs on the same Python, numpy and CPU give
+bitwise-identical results; the reduction error stays below the tail's
+16-eps floor.  The weights of (s, r) are the exact conjugates of those of
+(r, s), so E_{s,r} = conj E_{r,s} exactly.
 
 Every series value carries a tail estimate: an integral-comparison bound on
 the truncated part, with its constant read off the outermost computed shells
@@ -27,7 +31,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, PrecisionError
+from .errors import ConvergenceError
 from .group import (
     BiWeight,
     PolyC,
@@ -40,12 +44,13 @@ from .group import (
 )
 from .periods import (
     ReducedPeriods,
+    _minus,
     eichler_F,
     eichler_moments,
     i_power,
     reduced_periods,
 )
-from .qforms import QExpansion, Y_MIN, eval_tail_bound
+from .qforms import QExpansion, admissible_z, eval_tail_bound
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -69,11 +74,7 @@ class TruncationParams:
     def validate_at(self, z: complex) -> None:
         """Every coset series is evaluated at a finite z in the upper
         half-plane, inside a rectangle wide enough for its real part."""
-        z = complex(z)
-        if not cmath.isfinite(z):
-            raise ValueError(f"z must be finite, got {z}")
-        if z.imag <= 0:
-            raise ValueError("z must lie in the upper half-plane")
+        z = admissible_z(z)
         need = 4 * self.C * (abs(z.real) + 1.0)
         if self.D < need:
             raise ValueError(
@@ -123,7 +124,8 @@ def _coset_data(C: int, D: int) -> _CosetData:
 @lru_cache(maxsize=6)
 def _period_table(f: QExpansion, C: int, D: int) -> np.ndarray:
     """Plus-sign period polynomials r(gamma; X) for every coset in the fixed
-    order, shape (n_cosets, k-1).
+    order, coefficient-major like `_lambda_rows`: shape (k-1, n_cosets), so
+    each coefficient's row is contiguous for the reduction.
 
     Reduced representatives (c, d0 mod c) come from the shared cocycle table
     `reduced_periods`; the rest of each congruence class is filled by the
@@ -137,7 +139,7 @@ def _period_table(f: QExpansion, C: int, D: int) -> np.ndarray:
     # cosets grouped by class, each class in ascending d, i.e. ascending n
     order = np.lexsort((data.ds, cls))
     starts = np.searchsorted(cls[order], np.arange(len(classes.rows)))
-    R = np.empty((data.cs.size, K), dtype=np.complex128)
+    R = np.empty((K, data.cs.size), dtype=np.complex128)
     comb = np.zeros((K, K))
     for t in range(K):
         for u in range(t, K):
@@ -150,17 +152,7 @@ def _period_table(f: QExpansion, C: int, D: int) -> np.ndarray:
         n_hi = (D - d0) // c
         ns = np.arange(n_lo, n_hi + 1, dtype=np.float64)
         npows = np.vander(ns, K, increasing=True)
-        R[order[start : start + ns.size]] = npows.astype(np.complex128) @ B
-    return R
-
-
-def _signed_periods(hform: QExpansion, sign: str, t: TruncationParams) -> np.ndarray:
-    """The period table for sign '+', its complex conjugate for '-'."""
-    R = _period_table(hform, t.C, t.D)
-    if sign == "-":
-        return np.conj(R)
-    if sign != "+":
-        raise ValueError("sign must be '+' or '-'")
+        R[:, order[start : start + ns.size]] = (npows.astype(np.complex128) @ B).T
     return R
 
 
@@ -173,8 +165,12 @@ def _jarrays(t: TruncationParams, z: complex) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rs_weights(t: TruncationParams, z: complex, w: BiWeight) -> np.ndarray:
+    """j^(-r) jbar^(-s) as the real |j|^(-2m), m = min(r, s), times one complex
+    power, so the weights of (s, r) are the exact conjugates of these."""
     j, jb = _jarrays(t, z)
-    return j ** (-w.r) * jb ** (-w.s)
+    m = min(w.r, w.s)
+    power = j ** (m - w.r) if w.r >= w.s else jb ** (m - w.s)
+    return (j.real**2 + j.imag**2) ** -m * power
 
 
 def _holo_weights(t: TruncationParams, z: complex, n: int, k: int) -> np.ndarray:
@@ -183,22 +179,13 @@ def _holo_weights(t: TruncationParams, z: complex, n: int, k: int) -> np.ndarray
     return np.exp(2j * np.pi * n * ((a * complex(z) + b) / j)) * j ** (-k)
 
 
-def _exact_sum(terms: np.ndarray) -> complex | np.ndarray:
-    """Exactly-rounded sum over axis 0 (`math.fsum` of the real and the
-    imaginary parts): a complex for a 1-D array, an array with one complex
-    per column for a 2-D one.  Columns are reduced one at a time, so only
-    one column is ever held as Python floats."""
-    if terms.ndim == 2:
-        return np.array([_exact_sum(col) for col in terms.T])
-    return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
-
-
 def _coset_sum(
     t: TruncationParams, z: complex, terms: np.ndarray, w0: float, identity=None
 ) -> tuple[object, float]:
-    """The one truncated coset series: `terms` (one row per non-trivial
-    coset, one column per coefficient when 2-D) summed in coset order with
-    each column reduced exactly rounded, plus the identity-coset term.
+    """The one truncated coset series: `terms` (the non-trivial cosets along
+    the last, contiguous axis; one row per coefficient when 2-D) reduced by
+    numpy's pairwise sum along that axis, plus the identity-coset term.  The
+    reduction errs like eps log(n_cosets), inside the tail's 16-eps floor.
 
     Returns (value, tail).  The tail extrapolates the outermost computed
     shells: the c-tail scales the average of the last few c-shells by the
@@ -207,23 +194,35 @@ def _coset_sum(
     roughness; a floor of 16 eps times the absolute sum (plus 1 for an
     identity term) covers roundoff in the terms.
     """
-    value = _exact_sum(terms)
+    value = terms.sum(axis=-1)
     if identity is not None:
         value = identity + value
     if w0 <= 2:
         return value, math.inf
     data = _coset_data(t.C, t.D)
     C, D, x = t.C, t.D, complex(z).real
-    col = np.abs(terms) if terms.ndim == 2 else np.abs(terms)[:, None]
+    mags = np.abs(terms)
     band_c = max(1, min(8, C))
-    shell_avg = col[data.cs > C - band_c].sum(axis=0) / band_c
+    shell_avg = mags[..., data.cs > C - band_c].sum(axis=-1) / band_c
     ctail = 2.0 * shell_avg * C / (w0 - 2.0)
     bw = min(max(2 * C, 8), D)
-    band_sum = col[np.abs(data.ds) > D - bw].sum(axis=0)
+    band_sum = mags[..., np.abs(data.ds) > D - bw].sum(axis=-1)
     dtail = 2.0 * band_sum * max(D - C * abs(x), 1.0) / (bw * (w0 - 1.0))
     extra = 1.0 if identity is not None else 0.0
-    floor = 16.0 * _EPS * (float(col.sum(axis=0).max()) + extra)
-    return value, float((ctail + dtail).max()) + floor
+    floor = 16.0 * _EPS * (float(np.max(mags.sum(axis=-1))) + extra)
+    return value, float(np.max(ctail + dtail)) + floor
+
+
+def _period_sum(
+    hform: QExpansion, sign: str, t: TruncationParams, z: complex, wts: np.ndarray, w0: float
+) -> tuple[PolyC, float]:
+    """The second-order coset sum of the sign's period table against `wts`.
+    The '-' table is the conjugate of the '+' one, and sum conj(r) w =
+    conj(sum r conj(w)) conjugates only the weights and the result."""
+    minus = _minus(sign)
+    R = _period_table(hform, t.C, t.D)
+    value, tail = _coset_sum(t, z, R * (wts.conj() if minus else wts), w0)
+    return PolyC(value.conj() if minus else value, hform.k - 2), tail
 
 
 def eisenstein_rs(
@@ -252,9 +251,8 @@ def psi_series(
         raise ConvergenceError(
             f"psi needs r + s > k = {hform.k}, got r + s = {w.r + w.s}"
         )
-    terms = _signed_periods(hform, sign, t) * _rs_weights(t, z, w)[:, None]
-    value, tail = _coset_sum(t, z, terms, w.r + w.s - hform.k + 2)
-    return SeriesValue(PolyC(value, hform.k - 2), w, sign, t, tail)
+    value, tail = _period_sum(hform, sign, t, z, _rs_weights(t, z, w), w.r + w.s - hform.k + 2)
+    return SeriesValue(value, w, sign, t, tail)
 
 
 def phi(
@@ -285,8 +283,8 @@ def _phi_direct(
     t: TruncationParams = TruncationParams(),
 ) -> SeriesValue:
     """Reference route for `phi`: the Eichler integral slashed across the
-    coset representatives.  Small rectangles only: every image point must
-    stay above the evaluation floor.
+    coset representatives.  Small rectangles only: `eichler_F` raises
+    PrecisionError at an image point below the evaluation floor.
 
     It shares only the tail estimate with the series it checks: the weights
     come from per-coset automorphy factors, and the identity coset is
@@ -295,19 +293,15 @@ def _phi_direct(
     k = hform.k
     if w.r + w.s <= k:
         raise ConvergenceError(f"phi needs r + s > k = {k}")
-    j, _ = _jarrays(t, z)
+    t.validate_at(z)
     z = complex(z)
-    if z.imag / float(np.max(np.abs(j))) ** 2 < Y_MIN:
-        raise PrecisionError(
-            "direct route would evaluate below the floor; shrink the rectangle"
-        )
-    cosets = enumerate_cosets(t.C, t.D)[1:]
-    rows = np.array([act_poly(eichler_F(hform, mobius(g, z), sign), g, k).coeffs for g in cosets])
-    wts = np.array([jfactor(g, z) ** (-w.r) * jfactor(g, z.conjugate()) ** (-w.s) for g in cosets])
-    terms = rows * wts[:, None]
-    _, tail = _coset_sum(t, z, terms, w.r + w.s - k + 2)
-    value = _exact_sum(np.vstack([eichler_F(hform, z, sign).coeffs, terms]))
-    return SeriesValue(PolyC(value, k - 2), w, sign, t, tail)
+    rows = [eichler_F(hform, z, sign).coeffs]
+    for g in enumerate_cosets(t.C, t.D)[1:]:
+        wt = jfactor(g, z) ** (-w.r) * jfactor(g, z.conjugate()) ** (-w.s)
+        rows.append(act_poly(eichler_F(hform, mobius(g, z), sign), g, k).coeffs * wt)
+    terms = np.ascontiguousarray(np.array(rows).T)  # identity coset first
+    _, tail = _coset_sum(t, z, terms[:, 1:], w.r + w.s - k + 2)
+    return SeriesValue(PolyC(terms.sum(axis=-1), k - 2), w, sign, t, tail)
 
 
 def coeff_basis(z: complex, m: int) -> np.ndarray:
@@ -327,9 +321,7 @@ def coeff_basis(z: complex, m: int) -> np.ndarray:
 def coeff_decompose(P: PolyC, z: complex, k: int) -> np.ndarray:
     """Coefficients phi(i) with P(X) = sum_i phi(i) (X-z)^i (X-conj z)^(k-2-i),
     by solving the monomial-basis linear system."""
-    z = complex(z)
-    if z.imag <= 0:
-        raise ValueError("z must lie in the upper half-plane")
+    z = admissible_z(z)
     m = k - 2
     if P.bound > m:
         raise ValueError("polynomial degree exceeds k - 2")
@@ -382,12 +374,8 @@ def closed_form_phi_j(
     k = hform.k
     if not 0 <= j <= k - 2:
         raise ValueError(f"j must lie in 0..{k - 2}")
-    if sign == "-":
-        return complex(
-            np.conj(closed_form_phi_j(hform, w.swapped(), "+", k - 2 - j, z, t))
-        )
-    if sign != "+":
-        raise ValueError("sign must be '+' or '-'")
+    if _minus(sign):
+        return closed_form_phi_j(hform, w.swapped(), "+", k - 2 - j, z, t).conjugate()
     if w.r + w.s <= k:
         raise ConvergenceError(f"needs r + s > k = {k}")
     jarr, jbarr = _jarrays(t, z)  # validates z before any arithmetic on it
@@ -414,7 +402,7 @@ def closed_form_phi_j(
                 * math.comb(k - 2 - j, n)
             )
             terms += alpha * (lam[m + n] * cfl ** (m + n - k + 2) * jpow[n] * jbpow[m])
-    total += pref * _exact_sum(terms)
+    total += pref * terms.sum()
     return complex(total)
 
 
@@ -435,7 +423,7 @@ def fourier_coefficient(fn, l: int, y: float, M: int = DEFAULT_M) -> complex:
     xs = np.arange(M) / M
     vals = np.array([left] + [fn(complex(x, y)) for x in xs[1:]], dtype=np.complex128)
     phase = np.exp(-2j * np.pi * l * xs)
-    return _exact_sum(vals * phase) / M
+    return complex((vals * phase).sum()) / M
 
 
 def kloosterman_twisted(
@@ -454,7 +442,7 @@ def kloosterman_twisted(
         for d in range(c)
         if math.gcd(d, c) == 1
     ]
-    return _exact_sum(np.array(terms, dtype=np.complex128))
+    return complex(np.array(terms).sum())
 
 
 def poincare(
@@ -487,6 +475,5 @@ def second_order_G(
         raise ConvergenceError(f"need even k > k1 = {k1} > 2, got k = {k}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    terms = _signed_periods(hform, sign, t) * _holo_weights(t, z, n, k)[:, None]
-    value, tail = _coset_sum(t, z, terms, k - k1 + 2)
-    return SeriesValue(PolyC(value, k1 - 2), BiWeight(k, 0), sign, t, tail)
+    value, tail = _period_sum(hform, sign, t, z, _holo_weights(t, z, n, k), k - k1 + 2)
+    return SeriesValue(value, BiWeight(k, 0), sign, t, tail)

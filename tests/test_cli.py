@@ -187,12 +187,26 @@ def test_fourier_samples_each_point_once(capsys, monkeypatch):
         ["phi", "--j", "11"],
         ["phi", "--j", "-1"],
         ["eisenstein", "--z", "nan", "2"],
+        ["eval", "--z", "nan", "2"],
+        ["eval", "--z", "0", "inf"],
+        ["fourier", "--l", "1", "--y", "nan"],
+        ["fourier", "--l", "1", "--y", "-1"],
     ],
     ids=" ".join,
 )
 def test_invalid_input_is_a_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
+    assert out == ""
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["eval", "--z", "0", "0.01"], ["iterated", "--depth", "2", "--z", "0", "0.01"]], ids=" ".join
+)
+def test_below_the_evaluation_floor_is_a_precision_failure(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
     assert out == ""
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
@@ -204,7 +218,7 @@ def _payload(capsys, *args):
 
 
 def test_every_global_flag_changes_output(capsys):
-    eis = ("eisenstein", "--z", "0.5", "2")
+    eis = ("eisenstein", "--r", "2", "--s", "2", "--z", "0.5", "2")
     base = _payload(capsys, *eis)["value"]
     assert _payload(capsys, *eis, "--C", "20")["value"] != base
     assert _payload(capsys, *eis, "--D", "300")["value"] != base

@@ -218,3 +218,34 @@ def test_completed_L_reflection_symmetry():
 def test_i_power_exact():
     assert [per.i_power(m) for m in range(4)] == [1, 1j, -1, -1j]
     assert per.i_power(-3) == 1j
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: per.period_poly(DELTA, S, "x"),
+        lambda: per.period_poly_base(DELTA, S, "?"),
+        lambda: per.period_error_estimate(DELTA, S, "bogus"),
+    ],
+    ids=["period_poly", "period_poly_base", "period_error_estimate"],
+)
+def test_unknown_sign_is_rejected(call):
+    with pytest.raises(ValueError, match="sign"):
+        call()
+
+
+def test_both_signs_share_one_cocycle(monkeypatch):
+    f = qf.delta_q(43)  # a truncation length no other test uses: nothing cached
+    built = []
+    init = per.PeriodCocycle.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(per.PeriodCocycle, "__init__", counted)
+    g = complete_row(5, 3)
+    plus = per.period_poly(f, g, "+")
+    minus = per.period_poly(f, g, "-")
+    assert np.array_equal(minus.coeffs, np.conj(plus.coeffs))
+    assert len(built) == 1

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from miint.errors import PrecisionError
+from miint import iterated as it
+from miint import periods as per
 from miint import qforms as qf
 from miint import vvdim
 
@@ -114,6 +116,14 @@ def test_eval_floor_and_tolerance():
         qf.eval_form(d, 0.01j)
     with pytest.raises(PrecisionError):
         qf.eval_form(qf.delta_q(5), 0.06j, tol=1e-12)
+
+
+def test_q_series_entry_points_reject_points_below_the_floor():
+    d = qf.delta_q(120)
+    with pytest.raises(PrecisionError):
+        per.eichler_F(d, 0.01j)
+    with pytest.raises(PrecisionError):
+        it.iterated_F(it.IteratedIntegrand((d,)), 0.01j)
 
 
 def test_eval_anywhere_matches_direct():

@@ -9,6 +9,7 @@ from miint import periods as per
 from miint import qforms as qf
 from miint import raseries as ra
 from miint.group import BiWeight, PolyC, S, T, act_tensor
+from miint.iterated import IteratedIntegrand, iterated_F
 
 DELTA = qf.delta_q(120)
 T40 = ra.TruncationParams()
@@ -351,11 +352,21 @@ _ENTRY_POINTS = {
     "closed_form_phi_j": lambda z: ra.closed_form_phi_j(DELTA, W, "-", 3, z, T40),
     "poincare": lambda z: ra.poincare(1, 12, z, T40),
     "second_order_G": lambda z: ra.second_order_G(1, DELTA, 16, z, T40),
+    "coeff_decompose": lambda z: ra.coeff_decompose(PolyC([1.0]), z, 12),
+    "eval_form": lambda z: qf.eval_form(DELTA, z),
+    "eval_form_anywhere": lambda z: qf.eval_form_anywhere(DELTA, z),
+    "eichler_F": lambda z: per.eichler_F(DELTA, z),
+    "exp_poly_primitive": lambda z: per.exp_poly_primitive(1, 3, z),
+    "iterated_F": lambda z: iterated_F(IteratedIntegrand((DELTA,)), z),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
-@pytest.mark.parametrize("z", [-1j, 0.5 + 0j, complex(math.nan, 2.0)], ids=["lower", "real", "nan"])
+@pytest.mark.parametrize(
+    "z",
+    [-1j, 0.5 + 0j, complex(math.nan, 2.0), complex(0.0, math.inf)],
+    ids=["lower", "real", "nan", "inf"],
+)
 def test_series_reject_z_outside_upper_half_plane(name, z):
     with pytest.raises(ValueError, match="upper half-plane|finite"):
         _ENTRY_POINTS[name](z)
@@ -386,7 +397,7 @@ def test_coset_tables_match_per_coset_lookups():
     lam = ra._lambda_rows(DELTA, C, D)
     for i, (c, d) in enumerate(zip(data.cs.tolist(), data.ds.tolist())):
         direct = per.period_poly(DELTA, per.complete_row(c, d))
-        assert np.max(np.abs(R[i] - direct.coeffs)) <= 1e-10 * max(1.0, direct.norm_inf())
+        assert np.max(np.abs(R[:, i] - direct.coeffs)) <= 1e-10 * max(1.0, direct.norm_inf())
         assert lam[:, i].tolist() == [table.value(s, c, d) for s in range(1, DELTA.k)]
 
 
@@ -427,3 +438,29 @@ def test_phi_builds_no_top_rows(monkeypatch):
     ra.poincare(1, 12, 2j, ra.TruncationParams(C, D))
     data = ra._coset_data(C, D)
     assert calls == list(zip(data.cs.tolist(), data.ds.tolist()))
+
+
+def test_coset_sum_reduction_within_floor():
+    # every coefficient of psi lies within the tail's 16-eps floor of the
+    # exactly rounded sum of the same terms
+    t = ra.TruncationParams(40, 400)
+    w = BiWeight(7, 7)
+    sv = ra.psi_series(DELTA, w, "+", 2j, t)
+    terms = ra._period_table(DELTA, t.C, t.D) * ra._rs_weights(t, 2j, w)
+    for row, got in zip(terms, sv.value.coeffs):
+        exact = complex(math.fsum(row.real.tolist()), math.fsum(row.imag.tolist()))
+        assert abs(got - exact) <= 16 * np.finfo(float).eps * np.abs(row).sum()
+
+
+def test_swapped_weights_are_exact_conjugates():
+    for r, s in [(10, 10), (11, 9), (8, 6)]:
+        for z in (1j, 2j, 0.5 + 2j, 0.3 + 1.2j):
+            a = ra.eisenstein_rs(BiWeight(r, s), z, T40)
+            b = ra.eisenstein_rs(BiWeight(s, r), z, T40)
+            assert b.value == a.value.conjugate()
+            assert b.tail_estimate == a.tail_estimate
+            p = ra.psi_series(DELTA, BiWeight(r, s), "+", z, T40)
+            m = ra.psi_series(DELTA, BiWeight(s, r), "-", z, T40)
+            assert np.array_equal(m.value.coeffs, np.conj(p.value.coeffs))
+            assert m.tail_estimate == p.tail_estimate
+    assert ra.eisenstein_rs(BiWeight(7, 7), 0.3 + 1.2j, T40).value.imag == 0
