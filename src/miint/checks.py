@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -487,12 +488,19 @@ SUITES = {
 }
 
 
+def _run(name: str) -> list[CheckResult]:
+    """One suite's results; a suite that raises has failed, and reports one
+    FAIL that carries the exception's type and message, and its traceback."""
+    try:
+        return SUITES[name]()
+    except Exception as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        return [_result(f"{name} raised {error}", math.inf, 0.0, traceback=traceback.format_exc())]
+
+
 def run_suite(name: str) -> list[CheckResult]:
     if name == "all":
-        results = []
-        for fn in SUITES.values():
-            results.extend(fn())
-        return results
+        return [res for each in SUITES for res in _run(each)]
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name]()
+    return _run(name)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -167,18 +168,7 @@ class PolyC:
 
     def shift(self, a: complex) -> "PolyC":
         """Taylor shift X -> X + a."""
-        n = self.coeffs.size
-        out = np.zeros(n, dtype=np.complex128)
-        apow = np.ones(n, dtype=np.complex128)
-        for e in range(n):
-            if e:
-                apow[e] = apow[e - 1] * a
-        for t in range(n):
-            acc = 0j
-            for u in range(t, n):
-                acc += math.comb(u, t) * apow[u - t] * self.coeffs[u]
-            out[t] = acc
-        return PolyC(out)
+        return PolyC(binomial_matrix(1, a, 0, 1, self.bound) @ self.coeffs)
 
     def norm_inf(self) -> float:
         return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
@@ -228,6 +218,46 @@ def act_rs_fn(fn, g: GroupElement, w: BiWeight):
     return acted
 
 
+@lru_cache(maxsize=None)
+def binomials(m: int) -> np.ndarray:
+    """Read-only table of the binomial coefficients C(n, t) at [n, t],
+    0 <= n, t <= m (zero for t > n)."""
+    table = np.array([[math.comb(n, t) for t in range(m + 1)] for n in range(m + 1)], float)
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _binomial_terms(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The l-sum of `binomial_matrix` at [i, j, l]: the coefficient
+    C(j, l) C(m-j, i-l), zero out of range, and where a^l, b^(j-l), c^(i-l),
+    d^(m-j-i+l) sit in the power table (the 0th power where it is zero)."""
+    i, j, l = np.ogrid[: m + 1, : m + 1, : m + 1]
+    live = (l <= j) & (l <= i) & (i - l <= m - j)
+    exps = np.stack(np.broadcast_arrays(l, j - l, i - l, m - j - i + l))
+    table = binomials(m)
+    coef = np.where(live, table[j, l] * table[m - j, np.clip(i - l, 0, m)], 0.0)
+    pos = np.where(live, exps, 0) + (m + 1) * np.arange(4).reshape(4, 1, 1, 1)
+    return coef, pos
+
+
+def binomial_matrix(a, b, c, d, m: int) -> np.ndarray:
+    """Matrix whose entry [i, j] is the coefficient of X^i in
+    (aX + b)^j (cX + d)^(m-j): the closed sum over l of
+    C(j, l) a^l b^(j-l) C(m-j, i-l) c^(i-l) d^(m-j-i+l), in complex128.
+
+    Every polynomial action is one such matrix: the slash by (a b; c d), the
+    Taylor shift (1, a, 0, 1) and the basis (X - z)^j (X - conj z)^(m-j)."""
+    coef, pos = _binomial_terms(m)
+    pows = np.vander(np.array([a, b, c, d], dtype=np.complex128), m + 1, increasing=True)
+    return (coef * pows.ravel()[pos].prod(axis=0)).sum(axis=-1)
+
+
+def act_poly_matrix(g: GroupElement, k: int) -> np.ndarray:
+    """Matrix of `act_poly(., g, k)` on ascending monomial coefficients."""
+    return binomial_matrix(*g.entries, k - 2)
+
+
 def act_poly(P: PolyC, g: GroupElement, k: int) -> PolyC:
     """Polynomial action: X -> P(gX) * j(g, X)^(k-2), re-expanded.
 
@@ -235,38 +265,7 @@ def act_poly(P: PolyC, g: GroupElement, k: int) -> PolyC:
     """
     if P.bound > k - 2:
         raise ValueError(f"degree {P.bound} exceeds bound {k - 2}")
-    a, b, c, d = g.entries
-    m = k - 2
-    if c == 0 and a == d:
-        # +-T^n: pure shift by n = a*b, factor (+-1)^(k-2) = 1 for even k
-        return PolyC(P.shift(a * b).coeffs, m)
-    out = np.zeros(m + 1, dtype=np.complex128)
-    num = np.array([b, a], dtype=np.complex128)  # a*X + b, ascending
-    den = np.array([d, c], dtype=np.complex128)  # c*X + d
-    # p_j * (aX+b)^j (cX+d)^(m-j): build power tables once
-    num_pows = [np.array([1.0 + 0j])]
-    den_pows = [np.array([1.0 + 0j])]
-    for _ in range(m):
-        num_pows.append(np.convolve(num_pows[-1], num))
-        den_pows.append(np.convolve(den_pows[-1], den))
-    for j in range(min(P.coeffs.size, m + 1)):
-        pj = P.coeffs[j]
-        if pj == 0:
-            continue
-        term = np.convolve(num_pows[j], den_pows[m - j])
-        out[: term.size] += pj * term
-    return PolyC(out, m)
-
-
-def act_poly_matrix(g: GroupElement, k: int) -> np.ndarray:
-    """Matrix of `act_poly(., g, k)` on ascending monomial coefficients."""
-    m = k - 2
-    mat = np.zeros((m + 1, m + 1), dtype=np.complex128)
-    for j in range(m + 1):
-        e = np.zeros(m + 1)
-        e[j] = 1.0
-        mat[:, j] = act_poly(PolyC(e), g, k).coeffs
-    return mat
+    return PolyC(act_poly_matrix(g, k) @ PolyC(P.coeffs, k - 2).coeffs)
 
 
 def act_tensor(F, g: GroupElement, w: BiWeight, k: int):

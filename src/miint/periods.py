@@ -313,16 +313,22 @@ def _lambda_by_integral(f: QExpansion, s: int, p: int, q: int) -> complex:
     return total + tail
 
 
+@lru_cache(maxsize=None)
+def _lambda_scale(k: int) -> np.ndarray:
+    """(-1)^j binom(k-2, j) i^(j+1) for j = 0..k-2: the factor between
+    Lambda_f(j+1, a) and the (X - a)^(k-2-j) coefficient of a period
+    polynomial, in both directions."""
+    scale = np.array([(-1) ** j * math.comb(k - 2, j) * i_power(j + 1) for j in range(k - 1)])
+    scale.setflags(write=False)
+    return scale
+
+
 def _lambdas_from_period(rpoly: PolyC, a: float, k: int) -> np.ndarray:
     """Lambda_f(j+1, a) for j = 0..k-2 from the Taylor expansion at X = a of
     the period polynomial of a matrix sending the cusp a to i*infinity:
     r(g; X) = sum_j (-1)^j binom(k-2, j) i^(j+1) Lambda_f(j+1, a) (X - a)^(k-2-j).
     """
-    taylor = rpoly.shift(a)  # coefficients of (X - a)^t: shift X -> X + a
-    out = np.empty(k - 1, dtype=np.complex128)
-    for j in range(k - 1):
-        out[j] = taylor.coeffs[k - 2 - j] * (-1) ** j / (math.comb(k - 2, j) * i_power(j + 1))
-    return out
+    return rpoly.shift(a).coeffs[::-1] / _lambda_scale(k)  # (X - a)^t coefficients
 
 
 def _lambda_by_extraction(f: QExpansion, s: int, p: int, q: int) -> complex:
@@ -344,10 +350,8 @@ def period_from_Lvalues(f: QExpansion, g: GroupElement, table: ReducedPeriods) -
         return PolyC.zero(k - 2)  # cusp fixed, empty integral
     c, d = (g.c, g.d) if g.c > 0 else (-g.c, -g.d)
     a = -d / c
-    taylor = np.zeros(k - 1, dtype=np.complex128)
-    for j in range(k - 1):
-        lam = table.value(j + 1, c, d)
-        taylor[k - 2 - j] = (-1) ** j * math.comb(k - 2, j) * i_power(j + 1) * lam
+    lams = np.array([table.value(s, c, d) for s in range(1, k)])
+    taylor = (_lambda_scale(k) * lams)[::-1]
     return PolyC(taylor, k - 2).shift(-a)  # (X - a)-basis back to monomials
 
 

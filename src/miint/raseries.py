@@ -36,6 +36,8 @@ from .group import (
     BiWeight,
     PolyC,
     act_poly,
+    binomial_matrix,
+    binomials,
     complete_row,
     enumerate_coset_rows,
     enumerate_cosets,
@@ -140,14 +142,12 @@ def _period_table(f: QExpansion, C: int, D: int) -> np.ndarray:
     order = np.lexsort((data.ds, cls))
     starts = np.searchsorted(cls[order], np.arange(len(classes.rows)))
     R = np.empty((K, data.cs.size), dtype=np.complex128)
-    comb = np.zeros((K, K))
-    for t in range(K):
-        for u in range(t, K):
-            comb[u - t, t] = math.comb(u, t)
+    # X^t coefficient of r(X + n) is sum_e n^e C(e+t, t) r[e+t]
+    e, t = np.ogrid[:K, :K]
+    u = np.minimum(e + t, K - 1)
+    skew = np.where(e + t < K, binomials(K - 1)[u, t], 0.0)
     for (c, d0), base, start in zip(classes.rows, classes.periods, starts):
-        B = np.zeros((K, K), dtype=np.complex128)
-        for e in range(K):
-            B[e, : K - e] = comb[e, : K - e] * base[e:]
+        B = skew * base[u]
         n_lo = math.ceil((-D - d0) / c)
         n_hi = (D - d0) // c
         ns = np.arange(n_lo, n_hi + 1, dtype=np.float64)
@@ -307,15 +307,7 @@ def _phi_direct(
 def coeff_basis(z: complex, m: int) -> np.ndarray:
     """The basis of the coefficients phi(i): column i holds the ascending
     monomial coefficients of (X-z)^i (X-conj z)^(m-i)."""
-    z = complex(z)
-    lo = np.array([-z, 1.0], dtype=np.complex128)
-    hi = np.array([-z.conjugate(), 1.0], dtype=np.complex128)
-    lo_pows = [np.array([1.0 + 0j])]
-    hi_pows = [np.array([1.0 + 0j])]
-    for _ in range(m):
-        lo_pows.append(np.convolve(lo_pows[-1], lo))
-        hi_pows.append(np.convolve(hi_pows[-1], hi))
-    return np.column_stack([np.convolve(lo_pows[i], hi_pows[m - i]) for i in range(m + 1)])
+    return binomial_matrix(1, -z, 1, -z.conjugate(), m)
 
 
 def coeff_decompose(P: PolyC, z: complex, k: int) -> np.ndarray:
@@ -426,15 +418,11 @@ def fourier_coefficient(fn, l: int, y: float, M: int = DEFAULT_M) -> complex:
     return complex((vals * phase).sum()) / M
 
 
-def kloosterman_twisted(
-    f: QExpansion, c: int, l: int, m: int, table: ReducedPeriods | None = None
-) -> complex:
+def kloosterman_twisted(f: QExpansion, c: int, l: int, m: int, table: ReducedPeriods) -> complex:
     """Finite twisted sum over d mod c, gcd(d, c) = 1, of
-    Lambda_f(m, -d/c) e^(2 pi i l d / c)."""
+    Lambda_f(m, -d/c) e^(2 pi i l d / c), read from a table covering c."""
     if c < 1:
         raise ValueError("c must be >= 1")
-    if table is None:
-        table = reduced_periods(f, c)
     if table.C < c:
         raise KeyError(f"Lambda table covers c <= {table.C} < {c}")
     terms = [

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from miint import cli
+from miint import checks, cli
 from miint import periods as per
 from miint import qforms as qf
 from miint.group import S, T
@@ -103,6 +103,19 @@ def test_check_vvdim_exit_zero(capsys):
     payload = json.loads(out)
     assert payload["passed"] is True
     assert "[PASS]" in err
+
+
+def test_raising_suite_is_a_check_failure(capsys, monkeypatch):
+    def seeded():
+        raise ValueError("seeded defect")
+
+    monkeypatch.setitem(checks.SUITES, "vvdim", seeded)
+    code, out, err = run_cli(capsys, "check", "vvdim")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert "ValueError: seeded defect" in payload["results"][0]["name"]
+    assert "[FAIL]" in err
 
 
 def test_deterministic_output(capsys):

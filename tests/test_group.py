@@ -1,9 +1,12 @@
+import functools
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from miint.group import (
     BiWeight,
@@ -18,6 +21,7 @@ from miint.group import (
     act_poly_matrix,
     act_rs,
     act_tensor,
+    binomial_matrix,
     complete_row,
     enumerate_coset_rows,
     enumerate_cosets,
@@ -116,21 +120,55 @@ def test_act_poly_constant_weight_two():
         assert abs(out.coeffs[0] - 1.0) < 1e-15
 
 
-def test_act_poly_right_action_composition():
+def _expand_exact(a, b, c, d, m):
+    """Columns j = 0..m: ascending integer coefficients of (aX+b)^j (cX+d)^(m-j)."""
+
+    def mul(p, q):
+        out = [0] * (len(p) + len(q) - 1)
+        for i, x in enumerate(p):
+            for j, y in enumerate(q):
+                out[i + j] += x * y
+        return out
+
+    cols = []
+    for j in range(m + 1):
+        col = [1]
+        for factor in [[b, a]] * j + [[d, c]] * (m - j):
+            col = mul(col, factor)
+        cols.append(col)
+    return cols
+
+
+entry = st.integers(-100, 100)
+# words in S and T-powers; the empty word is the identity
+words = st.lists(st.one_of(st.just(S), st.integers(-50, 50).map(T_pow)), max_size=12).map(
+    lambda letters: functools.reduce(GroupElement.__mul__, letters, IDENTITY)
+)
+properties = settings(derandomize=True, database=None, deadline=None)
+
+
+@properties
+@given(entry, entry, entry, entry, st.sampled_from((2, 10, 14)))
+def test_binomial_matrix_matches_exact_expansion(a, b, c, d, m):
+    # any integer entries, not only determinant 1
+    M = binomial_matrix(a, b, c, d, m)
+    for j, col in enumerate(_expand_exact(a, b, c, d, m)):
+        err = max(abs(complex(M[i, j]) - col[i]) for i in range(m + 1))
+        assert err <= 1e-13 * max(abs(x) for x in col)
+
+
+@properties
+@given(words, words, st.sampled_from((4, 12, 16)), st.integers(0, 2**32 - 1))
+def test_act_poly_right_action_composition(g, h, k, seed):
     # residual relative to the intermediate scale amplified by the action
-    rng = random.Random(5)
-    k = 12
-    worst = 0.0
-    for _ in range(50):
-        g, d = random_word(rng), random_word(rng)
-        P = PolyC([rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1) for _ in range(k - 1)])
-        mid = act_poly(P, g, k)
-        lhs = act_poly(mid, d, k)
-        rhs = act_poly(P, g * d, k)
-        dmax = max(abs(e) for e in d.entries)
-        scale = max(1.0, rhs.norm_inf(), mid.norm_inf() * float(dmax) ** (k - 2))
-        worst = max(worst, (lhs - rhs).norm_inf() / scale)
-    assert worst <= 1e-10
+    rng = np.random.default_rng(seed)
+    P = PolyC(rng.uniform(-1, 1, k - 1) + 1j * rng.uniform(-1, 1, k - 1))
+    mid = act_poly(P, g, k)
+    lhs = act_poly(mid, h, k)
+    rhs = act_poly(P, g * h, k)
+    hmax = max(abs(e) for e in h.entries)
+    scale = max(1.0, rhs.norm_inf(), mid.norm_inf() * float(hmax) ** (k - 2))
+    assert (lhs - rhs).norm_inf() <= 1e-12 * scale
 
 
 def test_act_poly_pointwise_oracle():
@@ -216,12 +254,11 @@ def test_word_decompose_trivials():
     assert word_decompose(T_pow(5)) == [("T", 5)]
 
 
-def test_word_decompose_reassembly():
-    rng = random.Random(8)
-    pool = enumerate_cosets(10, 10)[1:]
-    for g in rng.sample(pool, 20):
-        m = word_to_matrix(word_decompose(g))
-        assert m.entries == g.entries or m.entries == g.neg_entries()
+@properties
+@given(words)
+def test_word_decompose_reassembly(g):
+    m = word_to_matrix(word_decompose(g))
+    assert m.entries == g.entries or m.entries == g.neg_entries()
 
 
 def test_polyc_conjugation_and_eval():

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -96,6 +97,58 @@ def test_delta_period_rational_structure():
     assert np.all(r[0::2].real == 0) and np.all(r[1::2].imag == 0)
     for ratios in (r[0::2].imag / even, r[1::2].real / odd):
         assert np.ptp(ratios) <= 1e-12 * abs(ratios.mean())
+
+
+def _slash_exact(P, g):
+    """Exact P(gX)(cX+d)^m for rational coefficients P (ascending, degree m)."""
+
+    def mul(p, q):
+        out = [0] * (len(p) + len(q) - 1)
+        for i, x in enumerate(p):
+            for j, y in enumerate(q):
+                out[i + j] += x * y
+        return out
+
+    a, b, c, d = g
+    m = len(P) - 1
+    out = [Fraction(0)] * (m + 1)
+    for j, pj in enumerate(P):
+        term = [pj]
+        for factor in [[b, a]] * j + [[d, c]] * (m - j):
+            term = mul(term, factor)
+        out = [x + y for x, y in zip(out, term)]
+    return out
+
+
+def _cocycle_exact(P, c, d):
+    """r(g) for the class of bottom row (c, d) from r(S) = P and r(T) = 0, by
+    r(T^q S g') = r(S)|g' + r(g'), with g' = (c d; -(a - qc) -(b - qd))."""
+    a = pow(d, -1, c) if c > 1 else 0
+    b = (a * d - 1) // c
+    acc = [Fraction(0)] * len(P)
+    while c != 0:
+        q = a // c
+        a, b, c, d = c, d, -(a - q * c), -(b - q * d)
+        acc = [x + y for x, y in zip(acc, _slash_exact(P, (a, b, c, d)))]
+    return acc
+
+
+def test_period_table_matches_exact_rational_cocycle():
+    # the Kohnen-Zagier shapes of r_Delta(S) pushed through the cocycle in
+    # exact arithmetic, scaled by the two anchor constants of period_poly
+    even = [Fraction(-36, 691), 0, 1, 0, -3, 0, 3, 0, -1, 0, Fraction(36, 691)]
+    odd = [0, 4, 0, -25, 0, 42, 0, -25, 0, 4, 0]
+    rS = per.period_poly(DELTA, S).coeffs
+    w_even = float(np.mean(rS[2::2].imag / np.array(even[2::2], dtype=float)))
+    w_odd = float(np.mean(rS[1::2].real / np.array(odd[1::2], dtype=float)))
+    table = per.reduced_periods(DELTA, 20)
+    worst = 0.0
+    for (c, d), r in zip(table.rows, table.periods):
+        E = np.array(_cocycle_exact(even, c, d), dtype=float)
+        O = np.array(_cocycle_exact(odd, c, d), dtype=float)
+        exact = 1j * w_even * E + w_odd * O
+        worst = max(worst, np.abs(r - exact).max() / np.abs(exact).max())
+    assert worst <= 1e-12
 
 
 def test_period_cocycle_random_words():
