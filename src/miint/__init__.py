@@ -30,7 +30,6 @@ from .group import (
 )
 from .qforms import QExpansion, cusp_basis, delta_q, eisenstein_q, eval_form
 from .periods import (
-    PeriodCocycle,
     eichler_F,
     exp_poly_primitive,
     lambda_table,

@@ -93,6 +93,8 @@ def resolve_form(name: str, N: int) -> qforms.QExpansion:
         basis = qforms.cusp_basis(int(body), N)
         if not basis:
             raise _UsageError(f"no cusp forms of weight {body}")
+        if not 0 <= idx < len(basis):
+            raise _UsageError(f"cusp form index {idx} outside 0..{len(basis) - 1} for weight {body}")
         return basis[idx]
     raise _UsageError(f"unknown form {name!r}")
 
@@ -311,6 +313,8 @@ def _cmd_fourier(ns, cfg: RunConfig) -> int:
     t = _trunc(cfg)
     f = resolve_form(cfg.form, cfg.N)
     if ns.psi:
+        if not 0 <= ns.i <= f.k - 2:
+            raise _UsageError(f"--i must lie in 0..{f.k - 2}")
         w = BiWeight(cfg.r, cfg.s)
 
         def fn(z: complex) -> complex:
@@ -338,6 +342,8 @@ def _cmd_fourier(ns, cfg: RunConfig) -> int:
 
 def _cmd_iterated(ns, cfg: RunConfig) -> int:
     names = (ns.forms or "delta,delta").split(",")[: ns.depth - 1]
+    if len(names) < ns.depth - 1:
+        raise _UsageError(f"--depth {ns.depth} needs {ns.depth - 1} comma-separated --forms")
     forms = tuple(resolve_form(n, cfg.N) for n in names)
     data = iterated.IteratedIntegrand(forms)
     z = cfg.z

@@ -314,6 +314,17 @@ def enumerate_cosets(C: int, D: int) -> list[GroupElement]:
     return [IDENTITY] + [complete_row(int(c), int(d)) for c, d in zip(cs, ds)]
 
 
+def euclid_chain(g: GroupElement):
+    """The continued-fraction reduction of g: yields q and the entries of g'
+    for each step g = +-T^q S g' (g' = S^-1 T^-q g, S^-1 ~ -S, sign dropped),
+    each g' with a smaller bottom row, down to +-T^n."""
+    a, b, c, d = g.entries
+    while c != 0:
+        q = a // c
+        a, b, c, d = c, d, -(a - q * c), -(b - q * d)
+        yield q, (a, b, c, d)
+
+
 def word_decompose(g: GroupElement) -> list[tuple[str, int]]:
     """Write g, up to sign, as a word in S and T-powers.
 
@@ -322,15 +333,10 @@ def word_decompose(g: GroupElement) -> list[tuple[str, int]]:
     so the sign ambiguity is harmless.
     """
     word: list[tuple[str, int]] = []
-    a, b, c, d = g.entries
-    while c != 0:
-        q = a // c
-        word.append(("T", q))
-        word.append(("S", 1))
-        # g = T^q S g' with g' = S^{-1} T^{-q} g (S^{-1} ~ -S, sign dropped)
-        a, b, c, d = c, d, -(a - q * c), -(b - q * d)
-    n = a * b  # matrix is +-T^n here
-    word.append(("T", n))
+    a, b = g.a, g.b
+    for q, (a, b, _, _) in euclid_chain(g):
+        word += [("T", q), ("S", 1)]
+    word.append(("T", a * b))  # the chain ends at +-T^n
     return [(kind, n) for kind, n in word if not (kind == "T" and n == 0)]
 
 

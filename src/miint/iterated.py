@@ -24,6 +24,7 @@ from .group import (
     act_poly,
     act_poly_matrix,
     act_tensor,
+    binomials,
     mobius,
 )
 from .periods import _exp_poly_primitive_row, eichler_F, period_poly
@@ -113,7 +114,10 @@ def _depth3_value(f1: QExpansion, f2: QExpansion, z: complex) -> Poly2:
     J = np.zeros((tau_max + 1, N2 + 1), dtype=np.complex128)
     for n in range(1, N2 + 1):
         J[:, n] = a1[1:] @ I_arr[n + 1 : n + N1 + 1, :]
-    # Q_n[t, u]: w^t X2^u coefficients of the inner polynomial part
+    # Q_n[t, u]: w^t X2^u coefficients of the inner polynomial part;
+    # (w - X1)^m1 and (w - X2)^m2 expand with binomial rows
+    w2 = binomials(m2)[m2] * (-1.0) ** (m2 - np.arange(m2 + 1))
+    w1 = binomials(m1)[m1] * (-1.0) ** np.arange(m1 + 1)
     Q = np.zeros((N2 + 1, m2 + 1, m2 + 1), dtype=np.complex128)
     for n in range(1, N2 + 1):
         if a2[n] == 0:
@@ -127,16 +131,13 @@ def _depth3_value(f1: QExpansion, f2: QExpansion, z: complex) -> Poly2:
             cur[: prev.size] -= mdeg * cinv * prev
             pis.append(cur)
         for ju in range(m2 + 1):
-            coef = math.comb(m2, ju) * (-1) ** (m2 - ju)
-            Q[n, : ju + 1, m2 - ju] += coef * pis[ju]
+            Q[n, : ju + 1, m2 - ju] += w2[ju] * pis[ju]
         Q[n] *= a2[n]
     out = np.zeros((m1 + 1, m2 + 1), dtype=np.complex128)
     for v in range(m1 + 1):
         e = m1 - v
         # sum_n sum_t Q[n, t, u] J[e + t, n]
-        out[v] = math.comb(m1, v) * (-1) ** v * np.einsum(
-            "ntu,tn->u", Q[1:], J[e : e + m2 + 1, 1:]
-        )
+        out[v] = w1[v] * np.einsum("ntu,tn->u", Q[1:], J[e : e + m2 + 1, 1:])
     return Poly2(out)
 
 

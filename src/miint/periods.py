@@ -2,8 +2,10 @@
 
 The period cocycle is anchored at a single high-accuracy value r(S) computed
 from the Eichler integral at the fixed point i of S; every other period
-polynomial flows through the cocycle relation over a word decomposition in
-S and T-powers, so no evaluation ever happens at small imaginary part.
+polynomial is a sum of actions of r(S) down the Euclid chain of g (Manin's
+continued-fraction reduction), r(T^q S g') = r(S)|g' + r(g'), so no
+evaluation ever happens at small imaginary part.  The reduced-class table
+builds each class from its Euclid parent: one action of r(S) per class.
 """
 
 from __future__ import annotations
@@ -17,13 +19,14 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .group import (
-    IDENTITY,
     GroupElement,
     PolyC,
     S,
-    T_pow,
     act_poly,
+    binomial_matrix,
+    binomials,
     complete_row,
+    euclid_chain,
     mobius,
     word_decompose,
 )
@@ -90,10 +93,8 @@ def eichler_F(f: QExpansion, z: complex, sign: str = "+") -> PolyC:
     m = f.k - 2
     # (w - X)^m = sum_j binom(m, j) (-X)^(m-j) w^j
     mono = np.zeros(m + 1, dtype=np.complex128)
-    wints = eichler_moments(f, z, m)
-    for j in range(m + 1):
-        mono[m - j] += math.comb(m, j) * (-1) ** (m - j) * wints[j]
-    P = PolyC(mono, m)
+    mono[::-1] += binomials(m)[m] * (-1.0) ** (m - np.arange(m + 1)) * eichler_moments(f, z, m)
+    P = PolyC(mono)
     return P.conjugate() if minus else P
 
 
@@ -107,41 +108,24 @@ def period_poly_base(f: QExpansion, g: GroupElement, sign: str = "+", z0: comple
     return val.conjugate() if minus else val
 
 
-class PeriodCocycle:
-    """Period cocycle of a cusp form: r(T) = 0, r(S) anchored numerically,
-    everything else assembled through r(gd) = r(g)|d + r(d)."""
-
-    def __init__(self, f: QExpansion, sign: str = "+"):
-        self.f = f
-        self.k = f.k
-        self.sign = sign
-        self.r_S = period_poly_base(f, S, sign, 1j)
-
-    def of_word(self, word: list[tuple[str, int]]) -> PolyC:
-        acc = PolyC.zero(self.k - 2)
-        suffix = IDENTITY
-        for kind, n in reversed(word):
-            if kind == "S":
-                acc = acc + act_poly(self.r_S, suffix, self.k)
-                suffix = S * suffix
-            else:
-                suffix = T_pow(n) * suffix
-        return acc
-
-    def of_gamma(self, g: GroupElement) -> PolyC:
-        return self.of_word(word_decompose(g))
-
-
 @lru_cache(maxsize=8)
-def _cocycle_for(f: QExpansion) -> PeriodCocycle:
-    return PeriodCocycle(f, "+")
+def _anchor(f: QExpansion) -> np.ndarray:
+    """Read-only coefficients of r(S), the one anchored period of a cusp form."""
+    r_S = period_poly_base(f, S, "+", 1j).coeffs
+    r_S.setflags(write=False)  # cached and shared by every period
+    return r_S
 
 
 def period_poly(f: QExpansion, g: GroupElement, sign: str = "+") -> PolyC:
-    """Period polynomial for arbitrary g via the cocycle route; the minus one
-    is the conjugate of the plus one."""
+    """Period polynomial for arbitrary g: peel g = T^q S g' down its Euclid
+    chain, r(g) = r(S)|g' + r(g') with r(T) = 0, and sum the actions of r(S)
+    innermost first; the minus one is the conjugate of the plus one."""
     minus = _minus(sign)
-    P = _cocycle_for(f).of_gamma(g)
+    r_S = _anchor(f)
+    acc = np.zeros_like(r_S)
+    for _, h in reversed(list(euclid_chain(g))):
+        acc = acc + binomial_matrix(*h, f.k - 2) @ r_S
+    P = PolyC(acc)
     return P.conjugate() if minus else P
 
 
@@ -193,18 +177,24 @@ class ReducedPeriods:
 
 @lru_cache(maxsize=8)
 def reduced_periods(f: QExpansion, C: int) -> ReducedPeriods:
-    """The one cocycle walk over the reduced classes; the coset-series table
-    and the Lambda values are both derived from it."""
-    cocycle = _cocycle_for(f)
+    """The period table over the reduced classes, each class built from its
+    Euclid parent: (1, 0) is r(S), and a class (c, d0), 1 <= d0 < c, peels to
+    g' = (c d0; -a' -b') with a' = d0^-1 mod c, so its row is r(S)|g' plus the
+    row of the class (a', b').  The coset-series table and the Lambda values
+    are both derived from it."""
+    r_S = _anchor(f)
     rows = tuple(
         (c, d0) for c in range(1, C + 1) for d0 in range(c) if math.gcd(c, d0) == 1
     )
-    periods = np.array(
-        [cocycle.of_gamma(S if row == (1, 0) else complete_row(*row)).coeffs for row in rows]
-    )
     lut = np.full((C + 1, C), -1, dtype=np.int64)
-    for i, (c, d0) in enumerate(rows):
-        lut[c, d0] = i
+    lut[tuple(zip(*rows))] = np.arange(len(rows))
+    periods = np.empty((len(rows), r_S.size), dtype=np.complex128)
+    periods[0] = r_S
+    for i, (c, d0) in enumerate(rows[1:], 1):
+        a = pow(d0, -1, c)
+        b = (a * d0 - 1) // c
+        # a d0 - b c = 1 with 1 <= d0 < c, c >= 2 gives 0 <= b < a < c: a stored class
+        periods[i] = binomial_matrix(c, d0, -a, -b, f.k - 2) @ r_S + periods[lut[a, b]]
     periods.setflags(write=False)  # cached and shared by every caller
     lut.setflags(write=False)
     return ReducedPeriods(rows, periods, lut)
@@ -334,10 +324,7 @@ def _lambdas_from_period(rpoly: PolyC, a: float, k: int) -> np.ndarray:
 def _lambda_by_extraction(f: QExpansion, s: int, p: int, q: int) -> complex:
     """Lambda_f(s, p/q) read off the period polynomial of the matrix with
     bottom row (c, d) = (q, -p), which sends the cusp p/q to i*infinity."""
-    if q == 1:
-        g = S if p == 0 else complete_row(1, -p)
-    else:
-        g = complete_row(q, -p)
+    g = S if q == 1 else complete_row(q, -p)  # q = 1 comes with p = 0
     return _lambdas_from_period(period_poly(f, g, "+"), p / q, f.k)[s - 1]
 
 

@@ -3,11 +3,13 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from miint import checks, cli
 from miint import periods as per
 from miint import qforms as qf
-from miint.group import S, T
+from miint.group import S, T, word_to_matrix
 
 
 def run_cli(capsys, *args):
@@ -51,6 +53,23 @@ def test_gamma_parsing(capsys):
     assert payload["gamma"] == list(st.entries)
     code, out, _ = run_cli(capsys, "period", "--gamma", "0,-1,1,2")
     assert code == 0
+
+
+# nonempty words over S and T-powers, in word_decompose's letter format
+letters = st.lists(
+    st.one_of(st.just(("S", 1)), st.tuples(st.just("T"), st.integers(-50, 50))),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(letters)
+def test_parse_gamma_round_trip(word):
+    # the word written as S*T^n*..., and its matrix written as a,b,c,d
+    g = word_to_matrix(word)
+    assert cli.parse_gamma("*".join("S" if kind == "S" else f"T^{n}" for kind, n in word)) == g
+    assert cli.parse_gamma(",".join(str(e) for e in g.entries)) == g
 
 
 def test_lvalue_method_tag(capsys):
@@ -204,6 +223,10 @@ def test_fourier_samples_each_point_once(capsys, monkeypatch):
         ["eval", "--z", "0", "inf"],
         ["fourier", "--l", "1", "--y", "nan"],
         ["fourier", "--l", "1", "--y", "-1"],
+        ["phi", "--form", "s12.5"],
+        ["phi", "--form", "s16.-1"],
+        ["iterated", "--depth", "3", "--forms", "delta"],
+        ["fourier", "--psi", "--i", "20", "--l", "1"],
     ],
     ids=" ".join,
 )

@@ -142,8 +142,11 @@ def test_period_table_matches_exact_rational_cocycle():
     w_even = float(np.mean(rS[2::2].imag / np.array(even[2::2], dtype=float)))
     w_odd = float(np.mean(rS[1::2].real / np.array(odd[1::2], dtype=float)))
     table = per.reduced_periods(DELTA, 20)
+    deep = per.reduced_periods(DELTA, 80)
+    top = [(row, r) for row, r in zip(deep.rows, deep.periods) if row[0] == 80]
+    assert len(top) == 32
     worst = 0.0
-    for (c, d), r in zip(table.rows, table.periods):
+    for (c, d), r in list(zip(table.rows, table.periods)) + top:
         E = np.array(_cocycle_exact(even, c, d), dtype=float)
         O = np.array(_cocycle_exact(odd, c, d), dtype=float)
         exact = 1j * w_even * E + w_odd * O
@@ -290,15 +293,27 @@ def test_unknown_sign_is_rejected(call):
 def test_both_signs_share_one_cocycle(monkeypatch):
     f = qf.delta_q(43)  # a truncation length no other test uses: nothing cached
     built = []
-    init = per.PeriodCocycle.__init__
+    base = per.period_poly_base
 
-    def counted(self, *args):
+    def counted(*args):
         built.append(args)
-        init(self, *args)
+        return base(*args)
 
-    monkeypatch.setattr(per.PeriodCocycle, "__init__", counted)
+    monkeypatch.setattr(per, "period_poly_base", counted)
     g = complete_row(5, 3)
     plus = per.period_poly(f, g, "+")
     minus = per.period_poly(f, g, "-")
     assert np.array_equal(minus.coeffs, np.conj(plus.coeffs))
+    table = per.reduced_periods(f, 5)
+    assert np.array_equal(table.periods[table.lut[5, 3]], plus.coeffs)
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("f", [DELTA, qf.cusp_basis(16, 120)[0]], ids=["delta", "s16"])
+def test_table_rows_equal_their_euclid_chains(f):
+    # each class built from its parent row is bitwise the full chain of its
+    # representative, at every level up to c = 80
+    table = per.reduced_periods(f, 80)
+    for (c, d), r in zip(table.rows, table.periods):
+        g = S if (c, d) == (1, 0) else complete_row(c, d)
+        assert np.array_equal(r, per.period_poly(f, g).coeffs)

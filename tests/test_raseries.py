@@ -372,21 +372,13 @@ def test_series_reject_z_outside_upper_half_plane(name, z):
         _ENTRY_POINTS[name](z)
 
 
-def test_period_and_lambda_tables_share_one_cocycle_pass(monkeypatch):
+def test_period_and_lambda_tables_share_one_cocycle_pass():
     # a truncation length no other test uses, so neither table is cached yet
     f = qf.delta_q(37)
-    calls = []
-    of_gamma = per.PeriodCocycle.of_gamma
-
-    def counted(self, g):
-        calls.append(g)
-        return of_gamma(self, g)
-
-    monkeypatch.setattr(per.PeriodCocycle, "of_gamma", counted)
+    misses = per.reduced_periods.cache_info().misses
     ra._period_table(f, 10, 100)
     ra._lambda_rows(f, 10, 100)
-    n_classes = sum(1 for c in range(1, 11) for d in range(c) if math.gcd(c, d) == 1)
-    assert len(calls) == n_classes
+    assert per.reduced_periods.cache_info().misses == misses + 1
 
 
 def test_coset_tables_match_per_coset_lookups():
