@@ -42,6 +42,7 @@ from .raseries import (
     SeriesValue,
     TruncationParams,
     coeff_decompose,
+    closed_form_phi,
     closed_form_phi_j,
     eisenstein_rs,
     fourier_coefficient,

@@ -184,8 +184,7 @@ def suite_coeff_closed_form() -> list[CheckResult]:
     tails = max(phiv.tail_estimate, 1e-5)
     worst = 0.0
     per_j = {}
-    for j in range(f.k - 1):
-        closed = raseries.closed_form_phi_j(f, w, "+", j, z, t)
+    for j, closed in enumerate(raseries.closed_form_phi(f, w, "+", z, t)):
         res = abs(vec[j] - closed) / max(1.0, abs(closed))
         per_j[j] = res
         worst = max(worst, res)

@@ -168,7 +168,7 @@ def build_parser() -> _Parser:
     p = add_parser("fourier", help="Fourier mode of a form or psi coefficient")
     p.add_argument("--form", default=None)
     p.add_argument("--psi", action="store_true", help="use a psi basis coefficient")
-    p.add_argument("--i", type=int, default=0)
+    p.add_argument("--i", type=int, default=None, help="psi basis index (with --psi)")
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--l", type=int, required=True)
@@ -312,14 +312,17 @@ def _cmd_phi(ns, cfg: RunConfig) -> int:
 def _cmd_fourier(ns, cfg: RunConfig) -> int:
     t = _trunc(cfg)
     f = resolve_form(cfg.form, cfg.N)
+    if ns.i is not None and not ns.psi:
+        raise _UsageError("--i selects a psi basis coefficient and needs --psi")
     if ns.psi:
-        if not 0 <= ns.i <= f.k - 2:
+        i = 0 if ns.i is None else ns.i
+        if not 0 <= i <= f.k - 2:
             raise _UsageError(f"--i must lie in 0..{f.k - 2}")
         w = BiWeight(cfg.r, cfg.s)
 
         def fn(z: complex) -> complex:
             val = raseries.psi_series(f, w, "+", z, t).value
-            return complex(raseries.coeff_decompose(val, z, f.k)[ns.i])
+            return complex(raseries.coeff_decompose(val, z, f.k)[i])
 
     else:
         fn = lambda z: qforms.eval_form(f, z)
@@ -341,9 +344,12 @@ def _cmd_fourier(ns, cfg: RunConfig) -> int:
 
 
 def _cmd_iterated(ns, cfg: RunConfig) -> int:
-    names = (ns.forms or "delta,delta").split(",")[: ns.depth - 1]
-    if len(names) < ns.depth - 1:
-        raise _UsageError(f"--depth {ns.depth} needs {ns.depth - 1} comma-separated --forms")
+    names = ["delta"] * (ns.depth - 1) if ns.forms is None else ns.forms.split(",")
+    if len(names) != ns.depth - 1:
+        raise _UsageError(
+            f"--depth {ns.depth} needs exactly {ns.depth - 1} comma-separated --forms, "
+            f"got {len(names)}"
+        )
     forms = tuple(resolve_form(n, cfg.N) for n in names)
     data = iterated.IteratedIntegrand(forms)
     z = cfg.z

@@ -68,12 +68,20 @@ def _exp_poly_primitive_row(n: int, mmax: int, z: complex) -> np.ndarray:
 
 def eichler_moments(f: QExpansion, z: complex, m: int) -> np.ndarray:
     """Integrals from i*infinity to z of f(w) w^j dw for j = 0..m, termwise
-    over the q-expansion."""
-    rows = np.zeros((f.N + 1, m + 1), dtype=np.complex128)
-    for n in range(1, f.N + 1):
-        if f.coeffs[n] != 0:
-            rows[n] = _exp_poly_primitive_row(n, m, z) * complex(f.coeffs[n])
-    return rows.sum(axis=0)
+    over the q-expansion: the recurrence of `exp_poly_primitive` run for every
+    frequency n = 1..N at once."""
+    z = complex(z)
+    n = np.arange(1, f.N + 1)
+    c = 1.0 / (2j * math.pi * n)
+    e = np.exp(2j * math.pi * n * z)
+    rows = np.empty((f.N, m + 1), dtype=np.complex128)
+    rows[:, 0] = e * c
+    zp = 1.0 + 0j
+    for t in range(1, m + 1):
+        zp *= z
+        rows[:, t] = e * zp * c - t * c * rows[:, t - 1]
+    a = np.array([complex(x) for x in f.coeffs[1:]], dtype=np.complex128)
+    return (rows * a[:, None]).sum(axis=0)
 
 
 def _minus(sign: str) -> bool:

@@ -225,6 +225,12 @@ def _period_sum(
     return PolyC(value.conj() if minus else value, hform.k - 2), tail
 
 
+def _eisenstein(w: BiWeight, t: TruncationParams, z: complex, wts: np.ndarray) -> SeriesValue:
+    """E_{r,s} from its coset weights `_rs_weights(t, z, w)`."""
+    value, tail = _coset_sum(t, z, wts, w.r + w.s, identity=1.0)
+    return SeriesValue(value, w, "", t, tail)
+
+
 def eisenstein_rs(
     w: BiWeight, z: complex, t: TruncationParams = TruncationParams()
 ) -> SeriesValue:
@@ -232,8 +238,24 @@ def eisenstein_rs(
     j(g,z)^(-r) j(g, conj z)^(-s), identity coset contributing 1."""
     if w.r + w.s <= 2:
         raise ConvergenceError(f"weights ({w.r},{w.s}) diverge: r + s must exceed 2")
-    value, tail = _coset_sum(t, z, _rs_weights(t, z, w), w.r + w.s, identity=1.0)
-    return SeriesValue(value, w, "", t, tail)
+    return _eisenstein(w, t, z, _rs_weights(t, z, w))
+
+
+def _check_psi(hform: QExpansion, w: BiWeight) -> None:
+    if not hform.is_cusp:
+        raise ValueError("psi requires a cusp form")
+    if w.r + w.s <= hform.k:
+        raise ConvergenceError(
+            f"psi needs r + s > k = {hform.k}, got r + s = {w.r + w.s}"
+        )
+
+
+def _psi(
+    hform: QExpansion, w: BiWeight, sign: str, t: TruncationParams, z: complex, wts: np.ndarray
+) -> SeriesValue:
+    """psi from its coset weights `_rs_weights(t, z, w)`."""
+    value, tail = _period_sum(hform, sign, t, z, wts, w.r + w.s - hform.k + 2)
+    return SeriesValue(value, w, sign, t, tail)
 
 
 def psi_series(
@@ -245,14 +267,8 @@ def psi_series(
 ) -> SeriesValue:
     """Second-order series sum over B\\Gamma of r(gamma; X) j^(-r) jbar^(-s);
     the identity coset contributes nothing."""
-    if not hform.is_cusp:
-        raise ValueError("psi requires a cusp form")
-    if w.r + w.s <= hform.k:
-        raise ConvergenceError(
-            f"psi needs r + s > k = {hform.k}, got r + s = {w.r + w.s}"
-        )
-    value, tail = _period_sum(hform, sign, t, z, _rs_weights(t, z, w), w.r + w.s - hform.k + 2)
-    return SeriesValue(value, w, sign, t, tail)
+    _check_psi(hform, w)
+    return _psi(hform, w, sign, t, z, _rs_weights(t, z, w))
 
 
 def phi(
@@ -263,10 +279,13 @@ def phi(
     t: TruncationParams = TruncationParams(),
 ) -> SeriesValue:
     """Invariant series sum over B\\Gamma of the slashed Eichler integral,
-    assembled as psi + F * E (`_phi_direct` is the reference route)."""
+    assembled as psi + F * E (`_phi_direct` is the reference route); psi and
+    E share one set of coset weights."""
     z = complex(z)
-    psiv = psi_series(hform, w, sign, z, t)
-    ev = eisenstein_rs(w, z, t)
+    _check_psi(hform, w)
+    wts = _rs_weights(t, z, w)
+    psiv = _psi(hform, w, sign, t, z, wts)
+    ev = _eisenstein(w, t, z, wts)
     F = eichler_F(hform, z, sign)
     value = psiv.value + F * ev.value
     ftail = eval_tail_bound(hform, z.imag) / (2 * math.pi)
@@ -348,6 +367,108 @@ def _lambda_rows(f: QExpansion, C: int, D: int) -> np.ndarray:
     return np.take(table.values, table.index(data.cs, data.ds), axis=1)
 
 
+#: cosets per block of the closed form's coset pass, which bounds its
+#: working memory to a few (k-1) x _CF_CHUNK arrays
+_CF_CHUNK = 4096
+
+
+@lru_cache(maxsize=None)
+def _closed_form_alpha(k: int) -> np.ndarray:
+    """alpha[j, q, p] = i^(1-2j-m-n) binom(k-2, j) binom(j, m) binom(k-2-j, n)
+    with m = j - q, n = p - j, zero outside q <= j <= p: the weight of the
+    coset sum v[q, p] in phi(j)."""
+    K = k - 1
+    alpha = np.zeros((K, K, K), dtype=np.complex128)
+    for j in range(K):
+        for q in range(j + 1):
+            for p in range(j, K):
+                m, n = j - q, p - j
+                alpha[j, q, p] = (
+                    i_power(1 - 2 * j - m - n)
+                    * math.comb(k - 2, j)
+                    * math.comb(j, m)
+                    * math.comb(k - 2 - j, n)
+                )
+    alpha.setflags(write=False)
+    return alpha
+
+
+def _closed_form_sums(
+    hform: QExpansion, w: BiWeight, t: TruncationParams, jarr: np.ndarray, jbarr: np.ndarray
+) -> np.ndarray:
+    """v[q, p] = sum over the non-trivial cosets of
+    Lambda_f(p-q+1, -d/c) c^(p-q-k+2) j^-(r+2-k+p) jbar^-(s-q), 0 <= q <= p <= k-2,
+    taken in blocks of cosets.  Each block builds its power rows from one
+    complex power each, by repeated multiplication with 1/j and 1/jbar."""
+    k, K = hform.k, hform.k - 1
+    lam = _lambda_rows(hform, t.C, t.D)
+    cfl = _coset_data(t.C, t.D).cs.astype(np.float64)
+    cexp = np.arange(K)[:, None] - (k - 2)
+    v = np.zeros((K, K), dtype=np.complex128)
+    for lo in range(0, cfl.size, _CF_CHUNK):
+        blk = slice(lo, lo + _CF_CHUNK)
+        lamc = lam[:, blk] * cfl[blk] ** cexp  # Lambda(d+1) c^(d-k+2), d = p - q
+        jpow = np.empty((K, lamc.shape[1]), dtype=np.complex128)
+        jbpow = np.empty_like(jpow)
+        jpow[0] = jarr[blk] ** (k - 2 - w.r)  # j^-(r+2-k+p) at p = 0
+        jbpow[K - 1] = jbarr[blk] ** (k - 2 - w.s)  # jbar^-(s-q) at q = k-2
+        jinv, jbinv = 1.0 / jarr[blk], 1.0 / jbarr[blk]
+        for p in range(1, K):
+            jpow[p] = jpow[p - 1] * jinv
+            jbpow[K - 1 - p] = jbpow[K - p] * jbinv
+        for q in range(K):
+            v[q, q:] += (lamc[: K - q] * jpow[q:] * jbpow[q]).sum(axis=-1)
+    return v
+
+
+def closed_form_phi(
+    hform: QExpansion,
+    w: BiWeight,
+    sign: str,
+    z: complex,
+    t: TruncationParams = TruncationParams(),
+) -> np.ndarray:
+    """Two-term closed formula for every basis coefficient phi(j; z),
+    j = 0..k-2, as one read-only array.
+
+    Plus case: boundary Eichler-type integral times the Eisenstein series,
+    plus the double binomial sum over twisted L-values against automorphy
+    factors.  With q = j - m and p = j + n the double sum regroups into the
+    coset sums v[q, p] of `_closed_form_sums`, shared by every j.  The minus
+    case is evaluated through the exact conjugation symmetry
+    phi^-_{r,s}(j) = conj(phi^+_{s,r}(k-2-j)).  The last few results are
+    cached.
+    """
+    _minus(sign)
+    if w.r + w.s <= hform.k:
+        raise ConvergenceError(f"needs r + s > k = {hform.k}")
+    t.validate_at(z)
+    return _closed_form_phi(hform, w, sign, complex(z), t)
+
+
+@lru_cache(maxsize=8)
+def _closed_form_phi(
+    hform: QExpansion, w: BiWeight, sign: str, z: complex, t: TruncationParams
+) -> np.ndarray:
+    if sign == "-":
+        out = _closed_form_phi(hform, w.swapped(), "+", z, t)[::-1].conj()
+        out.setflags(write=False)
+        return out
+    k = hform.k
+    jarr, jbarr = _jarrays(t, z)
+    # prefactor from w - X = ((w-z)(X-cz) + (cz-w)(X-z)) / (z - cz)
+    pref = (z - z.conjugate()) ** (2 - k)
+    # boundary term: the Eichler moments against the basis polynomial of phi(j)
+    bnd_int = (eichler_moments(hform, z, k - 2) @ coeff_basis(z, k - 2))[::-1]
+    ev = eisenstein_rs(w, z, t)
+    sgn_binom = binomials(k - 2)[k - 2] * (-1.0) ** np.arange(k - 1)
+    v = _closed_form_sums(hform, w, t, jarr, jbarr)
+    out = sgn_binom * pref * bnd_int * ev.value
+    out += pref * np.einsum("jqp,qp->j", _closed_form_alpha(k), v)
+    out.setflags(write=False)  # cached and shared by every caller
+    return out
+
+
 def closed_form_phi_j(
     hform: QExpansion,
     w: BiWeight,
@@ -356,46 +477,12 @@ def closed_form_phi_j(
     z: complex,
     t: TruncationParams = TruncationParams(),
 ) -> complex:
-    """Two-term closed formula for the basis coefficient phi(j; z).
-
-    Plus case: boundary Eichler-type integral times the Eisenstein series,
-    plus the double binomial sum over twisted L-values against automorphy
-    factors.  The minus case is evaluated through the exact conjugation
-    symmetry phi^-_{r,s}(j) = conj(phi^+_{s,r}(k-2-j)).
-    """
+    """The closed formula for one basis coefficient phi(j; z): entry j of
+    `closed_form_phi`."""
     k = hform.k
     if not 0 <= j <= k - 2:
         raise ValueError(f"j must lie in 0..{k - 2}")
-    if _minus(sign):
-        return closed_form_phi_j(hform, w.swapped(), "+", k - 2 - j, z, t).conjugate()
-    if w.r + w.s <= k:
-        raise ConvergenceError(f"needs r + s > k = {k}")
-    jarr, jbarr = _jarrays(t, z)  # validates z before any arithmetic on it
-    z = complex(z)
-    r, s = w.r, w.s
-    # prefactor from w - X = ((w-z)(X-cz) + (cz-w)(X-z)) / (z - cz)
-    pref = (z - z.conjugate()) ** (2 - k)
-    # boundary term: the Eichler moments against the basis polynomial of phi(j)
-    bnd_int = eichler_moments(hform, z, k - 2) @ coeff_basis(z, k - 2)[:, k - 2 - j]
-    ev = eisenstein_rs(w, z, t)
-    total = (-1) ** j * math.comb(k - 2, j) * pref * bnd_int * ev.value
-    # twisted double sum over the non-trivial cosets, reduced once
-    lam = _lambda_rows(hform, t.C, t.D)
-    cfl = _coset_data(t.C, t.D).cs.astype(np.float64)
-    jpow = [jarr ** (-(r + j + n + 2 - k)) for n in range(k - 1 - j)]
-    jbpow = [jbarr ** (-(s + m - j)) for m in range(j + 1)]
-    terms = np.zeros(cfl.size, dtype=np.complex128)
-    for m in range(j + 1):
-        for n in range(k - 1 - j):
-            alpha = (
-                i_power(1 - 2 * j - m - n)
-                * math.comb(k - 2, j)
-                * math.comb(j, m)
-                * math.comb(k - 2 - j, n)
-            )
-            terms += alpha * (lam[m + n] * cfl ** (m + n - k + 2) * jpow[n] * jbpow[m])
-    total += pref * terms.sum()
-    return complex(total)
+    return complex(closed_form_phi(hform, w, sign, z, t)[j])
 
 
 def fourier_coefficient(fn, l: int, y: float, M: int = DEFAULT_M) -> complex:

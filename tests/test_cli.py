@@ -227,6 +227,8 @@ def test_fourier_samples_each_point_once(capsys, monkeypatch):
         ["phi", "--form", "s16.-1"],
         ["iterated", "--depth", "3", "--forms", "delta"],
         ["fourier", "--psi", "--i", "20", "--l", "1"],
+        ["iterated", "--depth", "2", "--forms", "delta,s16,e4", "--z", "0", "2"],
+        ["fourier", "--i", "99", "--l", "1", "--M", "64"],
     ],
     ids=" ".join,
 )

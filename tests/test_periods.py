@@ -33,6 +33,21 @@ def test_exp_poly_primitive_decay():
     assert abs(per.exp_poly_primitive(1, 3, 20j)) <= 1e-50
 
 
+@pytest.mark.parametrize("form", ["delta", "s16"])
+def test_eichler_moments_match_the_per_frequency_rows(form):
+    f = DELTA if form == "delta" else qf.cusp_basis(16)[0]
+    m = f.k - 2
+    eps = np.finfo(float).eps
+    for z in (1j, 0.5 + 2j, 0.3 + 1.2j):
+        terms = np.array(
+            [per._exp_poly_primitive_row(n, m, z) * complex(f.coeffs[n]) for n in range(1, f.N + 1)]
+        )
+        got = per.eichler_moments(f, z, m)
+        for t in range(m + 1):
+            ref = complex(math.fsum(terms[:, t].real), math.fsum(terms[:, t].imag))
+            assert abs(got[t] - ref) <= 4 * eps * np.abs(terms[:, t]).sum()
+
+
 def test_eichler_fd_derivative():
     z, h = 1j, 1e-4
     dF = (per.eichler_F(DELTA, z + h) - per.eichler_F(DELTA, z - h)) * (1 / (2 * h))

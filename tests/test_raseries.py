@@ -186,6 +186,98 @@ def test_closed_form_minus_case_conjugate_structure():
         assert abs(b - c) == 0.0
 
 
+def _closed_form_per_term(f, w, sign, j, z, t):
+    """The closed formula for one phi(j), summed term by term over (m, n)."""
+    k = f.k
+    if sign == "-":
+        return np.conj(_closed_form_per_term(f, w.swapped(), "+", k - 2 - j, z, t))
+    jarr, jbarr = ra._jarrays(t, z)
+    pref = (z - z.conjugate()) ** (2 - k)
+    bnd = per.eichler_moments(f, z, k - 2) @ ra.coeff_basis(z, k - 2)[:, k - 2 - j]
+    total = (-1) ** j * math.comb(k - 2, j) * pref * bnd * ra.eisenstein_rs(w, z, t).value
+    lam = ra._lambda_rows(f, t.C, t.D)
+    cfl = ra._coset_data(t.C, t.D).cs.astype(np.float64)
+    jpow = [jarr ** (-(w.r + j + n + 2 - k)) for n in range(k - 1 - j)]
+    jbpow = [jbarr ** (-(w.s + m - j)) for m in range(j + 1)]
+    terms = np.zeros(cfl.size, dtype=np.complex128)
+    for m in range(j + 1):
+        for n in range(k - 1 - j):
+            alpha = (
+                per.i_power(1 - 2 * j - m - n)
+                * math.comb(k - 2, j)
+                * math.comb(j, m)
+                * math.comb(k - 2 - j, n)
+            )
+            terms += alpha * (lam[m + n] * cfl ** (m + n - k + 2) * jpow[n] * jbpow[m])
+    return complex(total + pref * terms.sum())
+
+
+@pytest.mark.parametrize("C", [10, 40])
+@pytest.mark.parametrize("form", ["delta", "s16"])
+def test_closed_form_phi_matches_the_per_term_double_sum(C, form):
+    f, w = (DELTA, BiWeight(11, 9)) if form == "delta" else (qf.cusp_basis(16)[0], BiWeight(10, 12))
+    t = ra.TruncationParams(C, 10 * C)
+    for sign in "+-":
+        for z in (2j, 0.5 + 2j, 0.3 + 1.2j):
+            got = ra.closed_form_phi(f, w, sign, z, t)
+            for j in range(f.k - 1):
+                ref = _closed_form_per_term(f, w, sign, j, z, t)
+                assert abs(got[j] - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+def test_closed_form_phi_j_is_an_entry_of_the_array():
+    for sign in "+-":
+        vec = ra.closed_form_phi(DELTA, BiWeight(11, 9), sign, 0.5 + 2j, T40)
+        assert not vec.flags.writeable
+        with pytest.raises(ValueError):
+            vec[0] = 0.0
+        for j in range(DELTA.k - 1):
+            assert ra.closed_form_phi_j(DELTA, BiWeight(11, 9), sign, j, 0.5 + 2j, T40) == vec[j]
+
+
+def test_closed_form_one_coset_pass_per_point(monkeypatch):
+    calls = []
+    jarrays = ra._jarrays
+
+    def counted(t, z):
+        calls.append(z)
+        return jarrays(t, z)
+
+    monkeypatch.setattr(ra, "_jarrays", counted)
+    z = 0.17 + 1.9j  # a point no other test uses, so nothing is cached yet
+    ra.closed_form_phi_j(DELTA, W, "-", 0, z, T40)
+    assert calls
+    calls.clear()
+    for j in range(1, DELTA.k - 1):
+        ra.closed_form_phi_j(DELTA, W, "-", j, z, T40)
+    assert calls == []
+
+
+def test_closed_form_validates_before_the_cache():
+    ra.closed_form_phi(DELTA, W, "+", 2j, T40)
+    with pytest.raises(ValueError):
+        ra.closed_form_phi(DELTA, W, "x", 2j, T40)
+    with pytest.raises(ValueError):
+        ra.closed_form_phi_j(DELTA, W, "+", 11, 2j, T40)
+    with pytest.raises(ConvergenceError):
+        ra.closed_form_phi(DELTA, BiWeight(6, 6), "+", 2j, T40)
+    with pytest.raises(ValueError):
+        ra.closed_form_phi(DELTA, W, "+", 3.0 + 2j, ra.TruncationParams(40, 100))
+
+
+def test_phi_builds_the_coset_weights_once(monkeypatch):
+    calls = []
+    rs_weights = ra._rs_weights
+
+    def counted(t, z, w):
+        calls.append((t, z, w))
+        return rs_weights(t, z, w)
+
+    monkeypatch.setattr(ra, "_rs_weights", counted)
+    ra.phi(DELTA, W, "+", 0.5 + 2j, T40)
+    assert len(calls) == 1
+
+
 def test_phi_basis_coefficient_invariance():
     # phi(i; z) is |_{r+i, s+k-2-i}-invariant
     from miint.group import jfactor, mobius
@@ -349,6 +441,7 @@ _ENTRY_POINTS = {
     "eisenstein_rs": lambda z: ra.eisenstein_rs(W, z, T40),
     "psi_series": lambda z: ra.psi_series(DELTA, W, "+", z, T40),
     "phi": lambda z: ra.phi(DELTA, W, "+", z, T40),
+    "closed_form_phi": lambda z: ra.closed_form_phi(DELTA, W, "+", z, T40),
     "closed_form_phi_j": lambda z: ra.closed_form_phi_j(DELTA, W, "-", 3, z, T40),
     "poincare": lambda z: ra.poincare(1, 12, z, T40),
     "second_order_G": lambda z: ra.second_order_G(1, DELTA, 16, z, T40),
