@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConvergenceError
 from .group import (
@@ -27,7 +28,7 @@ from .group import (
     binomials,
     mobius,
 )
-from .periods import _exp_poly_primitive_row, eichler_F, period_poly
+from .periods import _exp_primitives, eichler_F, period_poly
 from .qforms import QExpansion, admissible_z
 from .raseries import (
     TruncationParams,
@@ -96,49 +97,30 @@ class Poly2:
 def _depth3_value(f1: QExpansion, f2: QExpansion, z: complex) -> Poly2:
     """Coefficients of the depth-3 iterated integral at z.
 
-    Inner integral: F_2(w; X2) = sum_n a2(n) e^(2 pi i n w) Q_n(w; X2) with
-    Q_n from the exponential-primitive recurrence; the outer integral then
-    reduces to primitives at shifted frequencies.
+    Inner integral: F_2(w; X2) = sum_n a2(n) e^(2 pi i n w) sum_j w2[j] pi_j(w)
+    X2^(m2-j), where pi_j(w) = sum_t c (-c)^(j-t) j!/t! w^t, c = 1/(2 pi i n),
+    is the closed form of the exponential-primitive recurrence; the outer
+    integral then reduces to primitives I_tau(m + n; z) at shifted frequencies.
     """
-    z = complex(z)
     m1, m2 = f1.k - 2, f2.k - 2
     N1, N2 = f1.N, f2.N
-    tau_max = m1 + m2
-    # primitives I_tau(N; z) for all frequencies reachable as m + n
-    I_arr = np.zeros((N1 + N2 + 1, tau_max + 1), dtype=np.complex128)
-    for N in range(2, N1 + N2 + 1):
-        I_arr[N] = _exp_poly_primitive_row(N, tau_max, z)
-    a1 = np.array([complex(c) for c in f1.coeffs], dtype=np.complex128)
-    a2 = np.array([complex(c) for c in f2.coeffs], dtype=np.complex128)
-    # J[tau, n] = sum_m a1(m) I_tau(m + n; z)
-    J = np.zeros((tau_max + 1, N2 + 1), dtype=np.complex128)
-    for n in range(1, N2 + 1):
-        J[:, n] = a1[1:] @ I_arr[n + 1 : n + N1 + 1, :]
-    # Q_n[t, u]: w^t X2^u coefficients of the inner polynomial part;
-    # (w - X1)^m1 and (w - X2)^m2 expand with binomial rows
-    w2 = binomials(m2)[m2] * (-1.0) ** (m2 - np.arange(m2 + 1))
-    w1 = binomials(m1)[m1] * (-1.0) ** np.arange(m1 + 1)
-    Q = np.zeros((N2 + 1, m2 + 1, m2 + 1), dtype=np.complex128)
-    for n in range(1, N2 + 1):
-        if a2[n] == 0:
-            continue
-        cinv = 1.0 / (2j * math.pi * n)
-        pis = [np.array([cinv], dtype=np.complex128)]  # pi_0
-        for mdeg in range(1, m2 + 1):
-            prev = pis[-1]
-            cur = np.zeros(mdeg + 1, dtype=np.complex128)
-            cur[mdeg] = cinv
-            cur[: prev.size] -= mdeg * cinv * prev
-            pis.append(cur)
-        for ju in range(m2 + 1):
-            Q[n, : ju + 1, m2 - ju] += w2[ju] * pis[ju]
-        Q[n] *= a2[n]
-    out = np.zeros((m1 + 1, m2 + 1), dtype=np.complex128)
-    for v in range(m1 + 1):
-        e = m1 - v
-        # sum_n sum_t Q[n, t, u] J[e + t, n]
-        out[v] = w1[v] * np.einsum("ntu,tn->u", Q[1:], J[e : e + m2 + 1, 1:])
-    return Poly2(out)
+    a1 = np.array([complex(c) for c in f1.coeffs[1:]], dtype=np.complex128)
+    a2 = np.array([complex(c) for c in f2.coeffs[1:]], dtype=np.complex128)
+    # (w - X)^m = sum_t binom(m, t) (-1)^(m-t) w^t X^(m-t)
+    w1, w2 = (binomials(m)[m] * (-1.0) ** (m - np.arange(m + 1)) for m in (m1, m2))
+    # J[n-1, tau] = sum_m a1(m) I_tau(m + n; z), over windows of frequencies 2..N1+N2
+    I = _exp_primitives(np.arange(2, N1 + N2 + 1), m1 + m2, z)
+    J = sliding_window_view(I, N1, axis=0) @ a1
+    # pi[n-1, j, t] = c (-c)^(j-t) j!/t! for t <= j, the w^t coefficient of pi_j
+    c = (1.0 / (2j * math.pi * np.arange(1, N2 + 1)))[:, None, None]
+    fact = np.array([float(math.factorial(i)) for i in range(m2 + 1)])
+    j_t = np.subtract.outer(np.arange(m2 + 1), np.arange(m2 + 1))
+    pi = c * (-c) ** np.maximum(j_t, 0) * np.tril(fact[:, None] / fact)
+    # H[e, j] = sum_n sum_t J[n-1, e + t] a2(n) w2[j] pi[n-1, j, t]: the
+    # X1^(m1-e) X2^(m2-j) coefficient over w1[e]
+    R = a2[:, None, None] * w2[:, None] * pi
+    H = np.tensordot(sliding_window_view(J, m2 + 1, axis=1), R, axes=([0, 2], [0, 2]))
+    return Poly2((w1[:, None] * H)[::-1, ::-1])
 
 
 def iterated_F(data: IteratedIntegrand, z: complex):
@@ -288,8 +270,7 @@ def psi_bar_image(
 
     acted = act_tensor(combined, g, w, k)
     direct = acted(z) - combined(z)
-    ev = eisenstein_rs(w, z, t).value
-    closed = (period_poly(fplus, g, "+") + period_poly(gminus, g, "-")) * (-ev)
+    closed = psi_bar_closed(fplus, gminus, w, g, z, t)
     disc = (direct - closed).norm_inf()
     return {"direct": direct, "closed": closed, "discrepancy": float(disc)}
 

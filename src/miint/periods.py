@@ -50,38 +50,30 @@ def exp_poly_primitive(n: int, m: int, z: complex) -> complex:
     if n < 1 or m < 0:
         raise ValueError("need n >= 1, m >= 0")
     z = admissible_z(z)
-    return complex(_exp_poly_primitive_row(n, m, z)[m])
+    return complex(_exp_primitives(np.array([n]), m, z)[0, m])
 
 
-def _exp_poly_primitive_row(n: int, mmax: int, z: complex) -> np.ndarray:
-    """I_0..I_mmax for one frequency, sharing the recurrence."""
-    c = 1.0 / (2j * math.pi * n)
-    e = cmath.exp(2j * math.pi * n * complex(z))
-    out = np.empty(mmax + 1, dtype=np.complex128)
-    out[0] = e * c
-    zp = 1.0 + 0j
-    for t in range(1, mmax + 1):
-        zp *= z
-        out[t] = e * zp * c - t * c * out[t - 1]
-    return out
-
-
-def eichler_moments(f: QExpansion, z: complex, m: int) -> np.ndarray:
-    """Integrals from i*infinity to z of f(w) w^j dw for j = 0..m, termwise
-    over the q-expansion: the recurrence of `exp_poly_primitive` run for every
-    frequency n = 1..N at once."""
+def _exp_primitives(ns: np.ndarray, m: int, z: complex) -> np.ndarray:
+    """I_t(n; z) at [i, t] for every frequency n = ns[i] and t = 0..m: the
+    recurrence of `exp_poly_primitive` run for all frequencies at once."""
     z = complex(z)
-    n = np.arange(1, f.N + 1)
-    c = 1.0 / (2j * math.pi * n)
-    e = np.exp(2j * math.pi * n * z)
-    rows = np.empty((f.N, m + 1), dtype=np.complex128)
+    c = 1.0 / (2j * math.pi * ns)
+    e = np.exp(2j * math.pi * ns * z)
+    rows = np.empty((len(ns), m + 1), dtype=np.complex128)
     rows[:, 0] = e * c
     zp = 1.0 + 0j
     for t in range(1, m + 1):
         zp *= z
         rows[:, t] = e * zp * c - t * c * rows[:, t - 1]
+    return rows
+
+
+def eichler_moments(f: QExpansion, z: complex, m: int) -> np.ndarray:
+    """Integrals from i*infinity to z of f(w) w^j dw for j = 0..m, termwise
+    over the q-expansion: the primitives of every frequency n = 1..N weighted
+    by the coefficients a(n)."""
     a = np.array([complex(x) for x in f.coeffs[1:]], dtype=np.complex128)
-    return (rows * a[:, None]).sum(axis=0)
+    return (_exp_primitives(np.arange(1, f.N + 1), m, z) * a[:, None]).sum(axis=0)
 
 
 def _minus(sign: str) -> bool:

@@ -12,18 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-Matrix = list[list[int]]
-
-
-def _mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    n = len(A)
-    return [
-        [sum(A[i][l] * B[l][j] for l in range(n)) for j in range(n)] for i in range(n)
-    ]
-
-
-def _mat_eye(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+import numpy as np
 
 
 def legendre3(n: int) -> int:
@@ -39,9 +28,6 @@ class RhoRep:
     matS: tuple[tuple[int, ...], ...]
     matT: tuple[tuple[int, ...], ...]
 
-    def as_lists(self) -> tuple[Matrix, Matrix]:
-        return [list(r) for r in self.matS], [list(r) for r in self.matT]
-
 
 def rho_matrices(k1: int) -> RhoRep:
     """Generator matrices: S anti-diagonal with alternating signs, T a signed
@@ -54,31 +40,33 @@ def rho_matrices(k1: int) -> RhoRep:
     return RhoRep(k1, tuple(map(tuple, matS)), tuple(map(tuple, matT)))
 
 
+def _exact(mat: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """A generator as an array of Python ints (dtype=object), so that products
+    are exact big-integer sums, never int64."""
+    return np.array(mat, dtype=object)
+
+
 def check_relations(rep: RhoRep) -> bool:
     """S^2 = I and (S T)^3 = I, exactly."""
-    matS, matT = rep.as_lists()
-    n = len(matS)
-    eye = _mat_eye(n)
-    if _mat_mul(matS, matS) != eye:
-        return False
-    st = _mat_mul(matS, matT)
-    return _mat_mul(_mat_mul(st, st), st) == eye
+    s, t = _exact(rep.matS), _exact(rep.matT)
+    eye = np.identity(rep.k1 - 1, dtype=object)
+    st = s @ t
+    return np.array_equal(s @ s, eye) and np.array_equal(st @ st @ st, eye)
+
+
+def _rho_ST(k1: int) -> np.ndarray:
+    rep = rho_matrices(k1)
+    return _exact(rep.matS) @ _exact(rep.matT)
 
 
 def trace_ST(k1: int) -> int:
     """Exact trace of rho(S) rho(T); equals (k1-1 | 3) and Tr(rho(ST)^2)."""
-    rep = rho_matrices(k1)
-    matS, matT = rep.as_lists()
-    st = _mat_mul(matS, matT)
-    return sum(st[i][i] for i in range(len(st)))
+    return int(np.trace(_rho_ST(k1)))
 
 
 def trace_ST_squared(k1: int) -> int:
-    rep = rho_matrices(k1)
-    matS, matT = rep.as_lists()
-    st = _mat_mul(matS, matT)
-    st2 = _mat_mul(st, st)
-    return sum(st2[i][i] for i in range(len(st2)))
+    st = _rho_ST(k1)
+    return int(np.trace(st @ st))
 
 
 def trace_ST_sum_formula(k1: int) -> int:
