@@ -111,7 +111,7 @@ def _depth3_value(f1: QExpansion, f2: QExpansion, z: complex) -> Poly2:
     # J[n-1, tau] = sum_m a1(m) I_tau(m + n; z), over windows of frequencies 2..N1+N2
     I = _exp_primitives(np.arange(2, N1 + N2 + 1), m1 + m2, z)
     J = sliding_window_view(I, N1, axis=0) @ a1
-    # pi[n-1, j, t] = c (-c)^(j-t) j!/t! for t <= j, the w^t coefficient of pi_j
+    # pi[n-1, j, t]: the w^t coefficient of pi_j at frequency n
     c = (1.0 / (2j * math.pi * np.arange(1, N2 + 1)))[:, None, None]
     fact = np.array([float(math.factorial(i)) for i in range(m2 + 1)])
     j_t = np.subtract.outer(np.arange(m2 + 1), np.arange(m2 + 1))
