@@ -168,7 +168,7 @@ class PolyC:
 
     def shift(self, a: complex) -> "PolyC":
         """Taylor shift X -> X + a."""
-        return PolyC(binomial_matrix(1, a, 0, 1, self.bound) @ self.coeffs)
+        return PolyC(taylor_shift(self.coeffs.copy(), a))
 
     def norm_inf(self) -> float:
         return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
@@ -246,11 +246,25 @@ def binomial_matrix(a, b, c, d, m: int) -> np.ndarray:
     (aX + b)^j (cX + d)^(m-j): the closed sum over l of
     C(j, l) a^l b^(j-l) C(m-j, i-l) c^(i-l) d^(m-j-i+l), in complex128.
 
-    Every polynomial action is one such matrix: the slash by (a b; c d), the
-    Taylor shift (1, a, 0, 1) and the basis (X - z)^j (X - conj z)^(m-j)."""
+    The slash by (a b; c d) and the basis (X - z)^j (X - conj z)^(m-j) are
+    each one such matrix; a Taylor shift is `taylor_shift`."""
     coef, pos = _binomial_terms(m)
-    pows = np.vander(np.array([a, b, c, d], dtype=np.complex128), m + 1, increasing=True)
+    # powers 0..m of a, b, c, d at [entry, power], by running products
+    steps = np.array([[1, a], [1, b], [1, c], [1, d]], dtype=np.complex128)
+    pows = np.cumprod(np.repeat(steps, [1, m], axis=1), axis=1)
     return (coef * pows.ravel()[pos].prod(axis=0)).sum(axis=-1)
+
+
+def taylor_shift(P: np.ndarray, a) -> np.ndarray:
+    """Replace the ascending coefficients along axis 0 of P, in place, by
+    those of P(X + a), and return P: repeated synthetic division by X - a,
+    P[j] += a P[j+1].  `a` broadcasts over the other axes of P, so one call
+    shifts a batch of polynomials, each by its own amount."""
+    n = P.shape[0]
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            P[j] += a * P[j + 1]
+    return P
 
 
 def act_poly_matrix(g: GroupElement, k: int) -> np.ndarray:

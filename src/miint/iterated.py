@@ -21,7 +21,6 @@ from .group import (
     GroupElement,
     PolyC,
     T,
-    T_pow,
     act_poly,
     act_poly_matrix,
     act_tensor,
@@ -125,27 +124,16 @@ def _depth3_value(f1: QExpansion, f2: QExpansion, z: complex) -> Poly2:
 
 def iterated_F(data: IteratedIntegrand, z: complex):
     """Iterated Eichler integral of depth n at z: 1 for n = 1, the classical
-    Eichler integral for n = 2, and the nested expansion for n = 3.
-
-    The real part is translated into [-1/2, 1/2] first and the formal
-    variables shifted back (exact, by parabolic invariance); this keeps the
-    exponential-primitive sums well conditioned at every x.
+    Eichler integral `eichler_F` for n = 2, and the nested expansion
+    `_depth3_value` for n = 3, each evaluated at z itself.
     """
     z = admissible_z(z, q_series=True)
     n = data.depth
     if n == 1:
         return 1.0 + 0j
-    shift = round(z.real)
-    z0 = z - shift
     if n == 2:
-        val = eichler_F(data.forms[0], z0, "+")
-        if shift:
-            val = act_poly(val, T_pow(-shift), data.forms[0].k)
-        return val
-    val = _depth3_value(data.forms[0], data.forms[1], z0)
-    if shift:
-        val = val.act(T_pow(-shift), data.forms[0].k, data.forms[1].k)
-    return val
+        return eichler_F(data.forms[0], z, "+")
+    return _depth3_value(data.forms[0], data.forms[1], z)
 
 
 def dot_action(F, g: GroupElement, weights: tuple[int, ...]):

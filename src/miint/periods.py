@@ -28,6 +28,7 @@ from .group import (
     complete_row,
     euclid_chain,
     mobius,
+    taylor_shift,
     word_decompose,
 )
 from .qforms import QExpansion, admissible_z, eval_form_anywhere, eval_tail_bound
@@ -154,14 +155,9 @@ class ReducedPeriods:
     @cached_property
     def values(self) -> np.ndarray:
         """Lambda_f(s, -d0/c) at `values[s - 1, i]` for the i-th row of `rows`,
-        extracted on first use."""
-        k = self.periods.shape[1] + 1
-        vals = np.array(
-            [
-                _lambdas_from_period(PolyC(r), -d0 / c, k)
-                for (c, d0), r in zip(self.rows, self.periods)
-            ]
-        ).T
+        extracted on first use, every class in one batched Taylor shift."""
+        c, d0 = np.array(self.rows).T
+        vals = _lambdas_from_period(self.periods.T, -d0 / c, self.periods.shape[1] + 1)
         vals.setflags(write=False)  # cached and shared by every caller
         return vals
 
@@ -257,6 +253,8 @@ def twisted_L(
     range s > (k+1)/2.  The 'extract' method reads the value off a period
     polynomial and works for every s in 1..k-1.
     """
+    if not f.is_cusp:
+        raise ValueError("twisted L-values require a cusp form")
     if s < 1:
         raise ValueError("s must be a positive integer")
     if q < 1 or math.gcd(p, q) != 1:
@@ -313,19 +311,23 @@ def _lambda_scale(k: int) -> np.ndarray:
     return scale
 
 
-def _lambdas_from_period(rpoly: PolyC, a: float, k: int) -> np.ndarray:
-    """Lambda_f(j+1, a) for j = 0..k-2 from the Taylor expansion at X = a of
-    the period polynomial of a matrix sending the cusp a to i*infinity:
+def _lambdas_from_period(r: np.ndarray, a, k: int) -> np.ndarray:
+    """Lambda_f(j+1, a) at [j, ...] for j = 0..k-2 from the Taylor expansion
+    at X = a of the period polynomial of a matrix sending the cusp a to
+    i*infinity:
     r(g; X) = sum_j (-1)^j binom(k-2, j) i^(j+1) Lambda_f(j+1, a) (X - a)^(k-2-j).
+    `r` holds ascending coefficients along axis 0, and `a` broadcasts over
+    its other axes, one cusp per polynomial.
     """
-    return rpoly.shift(a).coeffs[::-1] / _lambda_scale(k)  # (X - a)^t coefficients
+    shifted = taylor_shift(np.array(r, dtype=np.complex128), a)  # (X - a)^t coefficients
+    return (shifted[::-1].T / _lambda_scale(k)).T
 
 
 def _lambda_by_extraction(f: QExpansion, s: int, p: int, q: int) -> complex:
     """Lambda_f(s, p/q) read off the period polynomial of the matrix with
     bottom row (c, d) = (q, -p), which sends the cusp p/q to i*infinity."""
     g = S if q == 1 else complete_row(q, -p)  # q = 1 comes with p = 0
-    return _lambdas_from_period(period_poly(f, g, "+"), p / q, f.k)[s - 1]
+    return _lambdas_from_period(period_poly(f, g, "+").coeffs, p / q, f.k)[s - 1]
 
 
 def period_from_Lvalues(f: QExpansion, g: GroupElement, table: ReducedPeriods) -> PolyC:

@@ -43,6 +43,7 @@ from .group import (
     enumerate_cosets,
     jfactor,
     mobius,
+    taylor_shift,
 )
 from .periods import (
     ReducedPeriods,
@@ -126,34 +127,18 @@ def _coset_data(C: int, D: int) -> _CosetData:
 @lru_cache(maxsize=6)
 def _period_table(f: QExpansion, C: int, D: int) -> np.ndarray:
     """Plus-sign period polynomials r(gamma; X) for every coset in the fixed
-    order, coefficient-major like `_lambda_rows`: shape (k-1, n_cosets), so
-    each coefficient's row is contiguous for the reduction.
+    order, coefficient-major: shape (k-1, n_cosets), so each coefficient's
+    row is contiguous for the reduction.
 
-    Reduced representatives (c, d0 mod c) come from the shared cocycle table
-    `reduced_periods`; the rest of each congruence class is filled by the
-    exact translation action r(gamma T^n) = r(gamma)|T^n, vectorised as a
-    Vandermonde product.
+    Coset (c, d) is the class (c, d mod c) of `reduced_periods` times T^n,
+    n = d // c, and r(gamma T^n; X) = r(gamma; X + n): the table is the
+    class rows gathered per coset, expanded by translation in one
+    `taylor_shift`.
     """
     data = _coset_data(C, D)
     classes = reduced_periods(f, C)
-    K = f.k - 1
-    cls = classes.index(data.cs, data.ds)
-    # cosets grouped by class, each class in ascending d, i.e. ascending n
-    order = np.lexsort((data.ds, cls))
-    starts = np.searchsorted(cls[order], np.arange(len(classes.rows)))
-    R = np.empty((K, data.cs.size), dtype=np.complex128)
-    # X^t coefficient of r(X + n) is sum_e n^e C(e+t, t) r[e+t]
-    e, t = np.ogrid[:K, :K]
-    u = np.minimum(e + t, K - 1)
-    skew = np.where(e + t < K, binomials(K - 1)[u, t], 0.0)
-    for (c, d0), base, start in zip(classes.rows, classes.periods, starts):
-        B = skew * base[u]
-        n_lo = math.ceil((-D - d0) / c)
-        n_hi = (D - d0) // c
-        ns = np.arange(n_lo, n_hi + 1, dtype=np.float64)
-        npows = np.vander(ns, K, increasing=True)
-        R[:, order[start : start + ns.size]] = (npows.astype(np.complex128) @ B).T
-    return R
+    R = np.take(classes.periods.T, classes.index(data.cs, data.ds), axis=1)
+    return taylor_shift(R, data.ds // data.cs)
 
 
 def _jarrays(t: TruncationParams, z: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -358,15 +343,6 @@ def phi_coefficient(
     return complex(coeff_decompose(phiv.value, z, hform.k)[j])
 
 
-@lru_cache(maxsize=4)
-def _lambda_rows(f: QExpansion, C: int, D: int) -> np.ndarray:
-    """Lambda_f(s, -d/c) aligned with the coset order, shape (k-1, n_cosets);
-    row index is s - 1."""
-    data = _coset_data(C, D)
-    table = reduced_periods(f, C)
-    return np.take(table.values, table.index(data.cs, data.ds), axis=1)
-
-
 #: cosets per block of the closed form's coset pass, which bounds its
 #: working memory to a few (k-1) x _CF_CHUNK arrays
 _CF_CHUNK = 4096
@@ -401,13 +377,16 @@ def _closed_form_sums(
     taken in blocks of cosets.  Each block builds its power rows from one
     complex power each, by repeated multiplication with 1/j and 1/jbar."""
     k, K = hform.k, hform.k - 1
-    lam = _lambda_rows(hform, t.C, t.D)
-    cfl = _coset_data(t.C, t.D).cs.astype(np.float64)
+    data = _coset_data(t.C, t.D)
+    table = reduced_periods(hform, t.C)
+    cls = table.index(data.cs, data.ds)
+    cfl = data.cs.astype(np.float64)
     cexp = np.arange(K)[:, None] - (k - 2)
     v = np.zeros((K, K), dtype=np.complex128)
     for lo in range(0, cfl.size, _CF_CHUNK):
         blk = slice(lo, lo + _CF_CHUNK)
-        lamc = lam[:, blk] * cfl[blk] ** cexp  # Lambda(d+1) c^(d-k+2), d = p - q
+        # Lambda(d+1) c^(d-k+2), d = p - q, gathered from the class table
+        lamc = table.values[:, cls[blk]] * cfl[blk] ** cexp
         jpow = np.empty((K, lamc.shape[1]), dtype=np.complex128)
         jbpow = np.empty_like(jpow)
         jpow[0] = jarr[blk] ** (k - 2 - w.r)  # j^-(r+2-k+p) at p = 0

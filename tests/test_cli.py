@@ -229,6 +229,7 @@ def test_fourier_samples_each_point_once(capsys, monkeypatch):
         ["fourier", "--psi", "--i", "20", "--l", "1"],
         ["iterated", "--depth", "2", "--forms", "delta,s16,e4", "--z", "0", "2"],
         ["fourier", "--i", "99", "--l", "1", "--M", "64"],
+        ["lvalue", "--form", "e4", "--s", "5"],
     ],
     ids=" ".join,
 )
@@ -237,6 +238,8 @@ def test_invalid_input_is_a_usage_error(capsys, argv):
     assert code == 1
     assert out == ""
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    if argv[:3] == ["lvalue", "--form", "e4"]:
+        assert "cusp form" in err
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,7 @@ from miint.group import (
     enumerate_cosets,
     jfactor,
     mobius,
+    taylor_shift,
     word_decompose,
     word_to_matrix,
 )
@@ -274,3 +275,29 @@ def test_polyc_shift_roundtrip():
     a = 0.3 - 0.7j
     Q = P.shift(a).shift(-a)
     assert (Q - P).norm_inf() < 1e-13
+
+
+def _shift_exact(p, a):
+    """Coefficients of p(X + a) for exact rational p and a."""
+    return [sum(math.comb(e, t) * a ** (e - t) * p[e] for e in range(t, len(p))) for t in range(len(p))]
+
+
+def test_taylor_shift_matches_exact_fraction_expansion():
+    # one (K, n) batch, each column shifted by its own integer or rational;
+    # every coefficient lies within 4 K eps of the sum of the magnitudes of
+    # its exact terms, the shift's own condition number
+    K = 15
+    rng = np.random.default_rng(5)
+    P = rng.uniform(-1, 1, (K, 6)) + 1j * rng.uniform(-1, 1, (K, 6))
+    shifts = np.array([0, 1, -7, 800, -3 / 7, 5 / 11])
+    got = taylor_shift(P.copy(), shifts)
+    eps = np.finfo(float).eps
+    for col, a in enumerate(shifts):
+        a = Fraction(float(a))
+        for part in ("real", "imag"):
+            p = [Fraction(x) for x in getattr(P[:, col], part).tolist()]
+            exact = _shift_exact(p, a)
+            size = _shift_exact([abs(x) for x in p], abs(a))
+            for t in range(K):
+                err = abs(getattr(got[t, col], part) - float(exact[t]))
+                assert err <= 4 * K * eps * float(size[t])

@@ -23,9 +23,10 @@ def test_depth_one_is_constant_one():
 
 
 def test_depth_two_matches_eichler():
-    v = it.iterated_F(DATA2, 1.3j)
-    w = per.eichler_F(DELTA, 1.3j)
-    assert np.array_equal(v.coeffs, w.coeffs)
+    for z in (1.3j, 1.7 + 0.8j):
+        v = it.iterated_F(DATA2, z)
+        w = per.eichler_F(DELTA, z)
+        assert np.array_equal(v.coeffs, w.coeffs)
 
 
 def test_depth_cap_and_cusp_requirement():
@@ -48,12 +49,13 @@ def test_depth3_fd_derivative():
 def test_depth3_matches_a_quadrature_along_the_vertical_ray(pair):
     # -i int_0^inf f1(z+it) (z+it-X1)^m1 F_2(z+it; X2) dt by 30-node
     # Gauss-Legendre panels of width 0.25 up to t = 7, where the integrand has
-    # decayed below roundoff; at Re z = 1.7 the series route also translates
+    # decayed below roundoff; the points out to |Re z| = 31.6 pin the series
+    # route away from the imaginary axis
     f1, f2 = (DELTA if name == "delta" else qf.cusp_basis(16)[0] for name in pair.split(","))
     m1 = f1.k - 2
     nodes, weights = np.polynomial.legendre.leggauss(30)
     ts = (np.arange(28)[:, None] + (nodes[None, :] + 1) / 2) * 0.25
-    for z in (1j, 0.3 + 1.1j, 1.7 + 0.8j):
+    for z in (1j, 0.3 + 1.1j, 1.7 + 0.8j, 2.6 + 0.9j, 5.4 + 1.0j, -31.6 + 1.1j):
         ref = 0j
         for t, wt in zip(ts.ravel(), np.tile(weights, 28) * 0.125):
             w = z + 1j * t
@@ -61,7 +63,7 @@ def test_depth3_matches_a_quadrature_along_the_vertical_ray(pair):
             ref = ref + wt * qf.eval_form(f1, w) * np.outer(x1, per.eichler_F(f2, w).coeffs)
         ref = -1j * ref
         got = it.iterated_F(it.IteratedIntegrand((f1, f2)), z).coeffs
-        assert float(np.max(np.abs(got - ref))) <= 1e-11 * float(np.max(np.abs(ref)))
+        assert float(np.max(np.abs(got - ref))) <= 1e-13 * float(np.max(np.abs(ref)))
 
 
 def test_dot_action_identity_and_composition():

@@ -244,6 +244,13 @@ def test_twisted_L_series_range_enforced():
     assert abs(v) > 0
 
 
+def test_twisted_L_rejects_a_non_cusp_form():
+    # the constant term a(0) of E_4 has no place in the Dirichlet series
+    for method in ("auto", "series", "extract"):
+        with pytest.raises(ValueError, match="cusp form"):
+            per.twisted_L(qf.eisenstein_q(4), 5, 0, 1, method=method)
+
+
 def test_lambda_table_and_reconstruction():
     table = per.lambda_table(DELTA, 2)
     worst = 0.0

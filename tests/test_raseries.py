@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -195,8 +196,10 @@ def _closed_form_per_term(f, w, sign, j, z, t):
     pref = (z - z.conjugate()) ** (2 - k)
     bnd = per.eichler_moments(f, z, k - 2) @ ra.coeff_basis(z, k - 2)[:, k - 2 - j]
     total = (-1) ** j * math.comb(k - 2, j) * pref * bnd * ra.eisenstein_rs(w, z, t).value
-    lam = ra._lambda_rows(f, t.C, t.D)
-    cfl = ra._coset_data(t.C, t.D).cs.astype(np.float64)
+    data = ra._coset_data(t.C, t.D)
+    table = per.reduced_periods(f, t.C)
+    lam = table.values[:, table.index(data.cs, data.ds)]
+    cfl = data.cs.astype(np.float64)
     jpow = [jarr ** (-(w.r + j + n + 2 - k)) for n in range(k - 1 - j)]
     jbpow = [jbarr ** (-(w.s + m - j)) for m in range(j + 1)]
     terms = np.zeros(cfl.size, dtype=np.complex128)
@@ -470,7 +473,9 @@ def test_period_and_lambda_tables_share_one_cocycle_pass():
     f = qf.delta_q(37)
     misses = per.reduced_periods.cache_info().misses
     ra._period_table(f, 10, 100)
-    ra._lambda_rows(f, 10, 100)
+    data = ra._coset_data(10, 100)
+    table = per.lambda_table(f, 10)
+    table.values[:, table.index(data.cs, data.ds)]
     assert per.reduced_periods.cache_info().misses == misses + 1
 
 
@@ -479,11 +484,35 @@ def test_coset_tables_match_per_coset_lookups():
     data = ra._coset_data(C, D)
     R = ra._period_table(DELTA, C, D)
     table = per.lambda_table(DELTA, C)
-    lam = ra._lambda_rows(DELTA, C, D)
+    lam = table.values[:, table.index(data.cs, data.ds)]
     for i, (c, d) in enumerate(zip(data.cs.tolist(), data.ds.tolist())):
         direct = per.period_poly(DELTA, per.complete_row(c, d))
         assert np.max(np.abs(R[:, i] - direct.coeffs)) <= 1e-10 * max(1.0, direct.norm_inf())
         assert lam[:, i].tolist() == [table.value(s, c, d) for s in range(1, DELTA.k)]
+
+
+def test_period_table_is_the_exact_translation_of_its_class_rows():
+    # r(gamma T^n; X) = r(gamma; X + n), n = d // c, expanded in exact
+    # rational arithmetic from each coset's class row, on the outer |d| band
+    # and every 97th coset.  Each coefficient lies within 4 K eps of the sum
+    # of the magnitudes of its exact terms, the shift's condition number: a
+    # short shift towards the cusp 0, such as (65, -2) from the class
+    # (65, 63), cancels about 2^(k-2) in that sum.
+    C, D = 80, 800
+    data = ra._coset_data(C, D)
+    R = ra._period_table(DELTA, C, D)
+    table = per.reduced_periods(DELTA, C)
+    cls = table.index(data.cs, data.ds)
+    K, eps = DELTA.k - 1, np.finfo(float).eps
+    sample = (np.abs(data.ds) > D - 5) | (np.arange(data.cs.size) % 97 == 0)
+    for i in np.flatnonzero(sample).tolist():
+        n = int(data.ds[i] // data.cs[i])
+        for part in ("real", "imag"):
+            p = [Fraction(x) for x in getattr(table.periods[cls[i]], part).tolist()]
+            for t in range(K):
+                terms = [math.comb(e, t) * n ** (e - t) * p[e] for e in range(t, K)]
+                err = abs(getattr(R[t, i], part) - float(sum(terms)))
+                assert err <= 4 * K * eps * float(sum(abs(x) for x in terms))
 
 
 def test_coeff_basis_columns_are_basis_products():
