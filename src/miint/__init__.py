@@ -32,7 +32,6 @@ from .qforms import QExpansion, cusp_basis, delta_q, eisenstein_q, eval_form
 from .periods import (
     eichler_F,
     exp_poly_primitive,
-    lambda_table,
     period_from_Lvalues,
     period_poly,
     period_poly_base,
@@ -46,9 +45,7 @@ from .raseries import (
     closed_form_phi_j,
     eisenstein_rs,
     fourier_coefficient,
-    kloosterman_twisted,
     phi,
-    phi_coefficient,
     poincare,
     psi_series,
     second_order_G,

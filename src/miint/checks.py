@@ -160,7 +160,7 @@ def suite_lvalue_dualroute() -> list[CheckResult]:
         worst = max(worst, abs(series - extract) / abs(extract))
     out.append(_result("Lambda(s, 0) series vs extraction, s = 7..11", worst, 1e-7))
 
-    table = periods.lambda_table(f, 2)
+    table = periods.reduced_periods(f, 2)
     worst = 0.0
     gammas = [periods.complete_row(c, d) for c, d in
               [(1, 0), (1, 1), (1, -1), (1, 2), (1, -2), (2, 1), (2, -1)]]

@@ -253,7 +253,9 @@ def _cmd_lvalue(ns, cfg: RunConfig) -> int:
     if method == "auto":
         method = "series" if periods.series_convergent(f, ns.lvalue_s) else "extract"
     val = periods.twisted_L(f, ns.lvalue_s, ns.p, ns.q, method=method)
-    if method == "series":
+    if method == "series" and ns.lvalue_s >= f.k:
+        err = None  # extraction covers s in 1..k-1: no second route
+    elif method == "series":
         err = abs(val - periods.twisted_L(f, ns.lvalue_s, ns.p, ns.q, method="extract"))
     else:
         g = periods.complete_row(ns.q, -(ns.p % ns.q)) if ns.q > 1 else periods.S

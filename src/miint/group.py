@@ -58,9 +58,6 @@ class GroupElement:
     def inv(self) -> "GroupElement":
         return GroupElement(self.d, -self.b, -self.c, self.a)
 
-    def neg_entries(self) -> tuple[int, int, int, int]:
-        return (-self.a, -self.b, -self.c, -self.d)
-
     @property
     def entries(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
@@ -322,10 +319,24 @@ def complete_row(c: int, d: int) -> GroupElement:
     return GroupElement(x, -y, c, d)
 
 
+def _top_rows(cs: np.ndarray, ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Top rows (a, b) of `complete_row(c, d)` for every bottom row, with one
+    `complete_row` call per class (c, d0), d0 = d mod c: coset (c, d0 + nc)
+    is its class times T^n, so its top row is (a0, b0 + n a0)."""
+    n, d0 = np.divmod(ds, cs)
+    width = int(cs.max()) + 1
+    keys, cls = np.unique(cs * width + d0, return_inverse=True)
+    tops = np.array([complete_row(*divmod(key, width)).entries[:2] for key in keys.tolist()])
+    a = tops[cls, 0]
+    return a, tops[cls, 1] + n * a
+
+
 def enumerate_cosets(C: int, D: int) -> list[GroupElement]:
     """Identity plus one representative per (c, d), 0 < c <= C, |d| <= D."""
     cs, ds = enumerate_coset_rows(C, D)
-    return [IDENTITY] + [complete_row(int(c), int(d)) for c, d in zip(cs, ds)]
+    a, b = _top_rows(cs, ds)
+    rows = zip(a.tolist(), b.tolist(), cs.tolist(), ds.tolist())
+    return [IDENTITY] + [GroupElement(*row) for row in rows]
 
 
 def euclid_chain(g: GroupElement):

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConvergenceError
 from .group import (
     BiWeight,
     GroupElement,
@@ -222,8 +221,6 @@ def real_iterated_F2(
 ) -> PolyC:
     """Real-analytic iterated integral E_{r,s}(z) * (Eichler integral of f1);
     its (g-1)-image is E_{r,s} r_{f1}(g; X)."""
-    if w.r + w.s <= 2:
-        raise ConvergenceError("needs r + s > 2")
     z = complex(z)
     return eisenstein_rs(w, z, t).value * eichler_F(f1, z, "+")
 
@@ -246,8 +243,6 @@ def psi_bar_image(
     if fplus.k != gminus.k:
         raise ValueError("both forms must share one weight")
     k = fplus.k
-    if w.r + w.s <= k:
-        raise ConvergenceError(f"needs r + s > k = {k}")
     z = complex(z)
 
     def combined(u: complex) -> PolyC:
@@ -285,7 +280,5 @@ def map_to_MI(
 ) -> np.ndarray:
     """Invariant coefficient vector (phi(0; z), ..., phi(k-2; z)) of the
     second-order series attached to hform."""
-    if w.r + w.s <= hform.k:
-        raise ConvergenceError(f"needs r + s > k = {hform.k}")
     phiv = phi(hform, w, sign, complex(z), t)
     return coeff_decompose(phiv.value, complex(z), hform.k)

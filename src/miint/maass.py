@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
 from .group import BiWeight, GroupElement, act_rs, act_rs_fn, mobius
 from .qforms import QExpansion, eval_form
 from .raseries import TruncationParams, coeff_basis, eisenstein_rs, phi
@@ -107,19 +106,17 @@ def check_phi_identities(
     """
     z = complex(z)
     k = hform.k
-    if w.r + w.s <= k:
-        raise ConvergenceError(f"the differential identities need r + s > k = {k}")
     delta = 1 if sign == "+" else 0
 
     def phi_at(u: complex, weights: BiWeight) -> np.ndarray:
         return phi(hform, weights, sign, u, t).value.coeffs
 
+    at_z = phi_at(z, w)  # raises ConvergenceError unless r + s > k
     ev = eisenstein_rs(w, z, t).value
     fz = eval_form(hform, z)
     y = z.imag
     basis = coeff_basis(z, k - 2)  # columns k-2 and 0: (X-z)^(k-2), (X-cz)^(k-2)
     dz, dzb = _wirtinger(lambda u: phi_at(u, w), z, scheme)
-    at_z = phi_at(z, w)
 
     lhs_d = 2j * y * dz + w.r * at_z
     rhs_d = w.r * phi_at(z, w.raised())

@@ -196,10 +196,6 @@ def reduced_periods(f: QExpansion, C: int) -> ReducedPeriods:
     return ReducedPeriods(rows, periods, lut)
 
 
-#: Lambda_f(s, -d/c) for c <= C: the same cached table as the periods
-lambda_table = reduced_periods
-
-
 def period_error_estimate(f: QExpansion, g: GroupElement, sign: str = "+") -> float:
     """Rough forward-error estimate for the cocycle route: roundoff at the
     anchor propagated through the word, plus the anchor's own q-tail."""
@@ -351,7 +347,7 @@ def convexity_spotcheck(f: QExpansion, qmax: int = 10) -> dict:
     being bounded by a fixed multiple of its small-q values.
     """
     k = f.k
-    table = lambda_table(f, qmax)
+    table = reduced_periods(f, qmax)
     ratios = {}
     for q in range(1, qmax + 1):
         worst = 0.0

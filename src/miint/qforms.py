@@ -249,13 +249,3 @@ def eval_form_anywhere(f: QExpansion, z: complex) -> complex:
         factor *= z ** (-f.k)
         z = -1 / z
     return factor * eval_form(f, z)
-
-
-def derivative_q(f: QExpansion) -> "QExpansion":
-    """Term-wise derivative divided by 2 pi i, i.e. q d/dq: a(n) -> n a(n)."""
-    return QExpansion(f.k + 2, tuple(n * c for n, c in enumerate(f.coeffs)))
-
-
-def eval_derivative(f: QExpansion, z: complex) -> complex:
-    """d/dz of the q-series at z (term-wise, exact coefficients)."""
-    return 2j * cmath.pi * eval_form(derivative_q(f), z)

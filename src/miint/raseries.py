@@ -1,7 +1,7 @@
 """Truncated coset sums over B\\Gamma: real-analytic Eisenstein series, the
 second-order series psi/phi attached to a cusp form, their coefficient
-decompositions and closed-form cross-checks, Fourier extraction, twisted
-Kloosterman-type sums, Poincare series and the second-order G series.
+decompositions and closed-form cross-checks, Fourier extraction, Poincare
+series and the second-order G series.
 
 Each truncated coset series (E_{r,s}, psi, the Poincare series and G) is
 one call of the kernel `_coset_sum`: a weight per non-trivial coset (times
@@ -13,6 +13,11 @@ psi and E_{r,s}.  The same inputs on the same Python, numpy and CPU give
 bitwise-identical results; the reduction error stays below the tail's
 16-eps floor.  The weights of (s, r) are the exact conjugates of those of
 (r, s), so E_{s,r} = conj E_{r,s} exactly.
+
+Every coset (c, d0 + nc) is its reduced class (c, d0) times T^n.  The
+period table translates its class's period polynomial, and the holomorphic
+weights e(n gz) of the Poincare series and G read a top row (a0, b0 + n a0)
+from its class's completed row (a0, b0).
 
 Every series value carries a tail estimate: an integral-comparison bound on
 the truncated part, with its constant read off the outermost computed shells
@@ -38,7 +43,7 @@ from .group import (
     act_poly,
     binomial_matrix,
     binomials,
-    complete_row,
+    _top_rows,
     enumerate_coset_rows,
     enumerate_cosets,
     jfactor,
@@ -46,7 +51,6 @@ from .group import (
     taylor_shift,
 )
 from .periods import (
-    ReducedPeriods,
     _minus,
     eichler_F,
     eichler_moments,
@@ -90,12 +94,9 @@ class TruncationParams:
 
 @dataclass
 class SeriesValue:
-    """Evaluated series (polynomial or scalar) plus truncation metadata."""
+    """Evaluated series (polynomial or scalar) plus its tail estimate."""
 
     value: object  # PolyC or complex
-    weights: BiWeight
-    sign: str
-    trunc: TruncationParams
     tail_estimate: float
 
 
@@ -108,15 +109,10 @@ class _CosetData:
 
     @cached_property
     def tops(self) -> tuple[np.ndarray, np.ndarray]:
-        """Top rows (a, b) completing each bottom row to a matrix in SL2(Z);
-        only the holomorphic weights e(n gz) read them, so they are built on
-        first use."""
-        as_ = np.empty(self.cs.size, dtype=np.int64)
-        bs = np.empty(self.cs.size, dtype=np.int64)
-        for i, (c, d) in enumerate(zip(self.cs, self.ds)):
-            g = complete_row(int(c), int(d))
-            as_[i], bs[i] = g.a, g.b
-        return as_, bs
+        """Top rows (a, b) of `complete_row(c, d)` for each coset, one call
+        per class; only the holomorphic weights e(n gz) read them, so they
+        are built on first use."""
+        return _top_rows(self.cs, self.ds)
 
 
 @lru_cache(maxsize=8)
@@ -213,7 +209,7 @@ def _period_sum(
 def _eisenstein(w: BiWeight, t: TruncationParams, z: complex, wts: np.ndarray) -> SeriesValue:
     """E_{r,s} from its coset weights `_rs_weights(t, z, w)`."""
     value, tail = _coset_sum(t, z, wts, w.r + w.s, identity=1.0)
-    return SeriesValue(value, w, "", t, tail)
+    return SeriesValue(value, tail)
 
 
 def eisenstein_rs(
@@ -240,7 +236,7 @@ def _psi(
 ) -> SeriesValue:
     """psi from its coset weights `_rs_weights(t, z, w)`."""
     value, tail = _period_sum(hform, sign, t, z, wts, w.r + w.s - hform.k + 2)
-    return SeriesValue(value, w, sign, t, tail)
+    return SeriesValue(value, tail)
 
 
 def psi_series(
@@ -276,7 +272,7 @@ def phi(
     ftail = eval_tail_bound(hform, z.imag) / (2 * math.pi)
     tail = psiv.tail_estimate + F.norm_inf() * ev.tail_estimate
     tail += abs(ev.value) * ftail
-    return SeriesValue(value, w, sign, t, tail)
+    return SeriesValue(value, tail)
 
 
 def _phi_direct(
@@ -305,7 +301,7 @@ def _phi_direct(
         rows.append(act_poly(eichler_F(hform, mobius(g, z), sign), g, k).coeffs * wt)
     terms = np.ascontiguousarray(np.array(rows).T)  # identity coset first
     _, tail = _coset_sum(t, z, terms[:, 1:], w.r + w.s - k + 2)
-    return SeriesValue(PolyC(terms.sum(axis=-1), k - 2), w, sign, t, tail)
+    return SeriesValue(PolyC(terms.sum(axis=-1), k - 2), tail)
 
 
 def coeff_basis(z: complex, m: int) -> np.ndarray:
@@ -326,21 +322,6 @@ def coeff_decompose(P: PolyC, z: complex, k: int) -> np.ndarray:
     except np.linalg.LinAlgError as exc:  # unreachable for z in H
         raise ArithmeticError("singular decomposition system") from exc
     return sol
-
-
-def phi_coefficient(
-    hform: QExpansion,
-    w: BiWeight,
-    sign: str,
-    j: int,
-    z: complex,
-    t: TruncationParams = TruncationParams(),
-) -> complex:
-    """Coefficient of (X-z)^j (X-conj z)^(k-2-j) in phi."""
-    if not 0 <= j <= hform.k - 2:
-        raise ValueError(f"j must lie in 0..{hform.k - 2}")
-    phiv = phi(hform, w, sign, z, t)
-    return complex(coeff_decompose(phiv.value, z, hform.k)[j])
 
 
 #: cosets per block of the closed form's coset pass, which bounds its
@@ -484,21 +465,6 @@ def fourier_coefficient(fn, l: int, y: float, M: int = DEFAULT_M) -> complex:
     return complex((vals * phase).sum()) / M
 
 
-def kloosterman_twisted(f: QExpansion, c: int, l: int, m: int, table: ReducedPeriods) -> complex:
-    """Finite twisted sum over d mod c, gcd(d, c) = 1, of
-    Lambda_f(m, -d/c) e^(2 pi i l d / c), read from a table covering c."""
-    if c < 1:
-        raise ValueError("c must be >= 1")
-    if table.C < c:
-        raise KeyError(f"Lambda table covers c <= {table.C} < {c}")
-    terms = [
-        table.value(m, c, d) * cmath.exp(2j * math.pi * l * d / c)
-        for d in range(c)
-        if math.gcd(d, c) == 1
-    ]
-    return complex(np.array(terms).sum())
-
-
 def poincare(
     n: int, k: int, z: complex, t: TruncationParams = TruncationParams()
 ) -> SeriesValue:
@@ -511,7 +477,7 @@ def poincare(
     value, tail = _coset_sum(
         t, z, _holo_weights(t, z, n, k), k, identity=cmath.exp(2j * math.pi * n * complex(z))
     )
-    return SeriesValue(value, BiWeight(k, 0), "", t, tail)
+    return SeriesValue(value, tail)
 
 
 def second_order_G(
@@ -530,4 +496,4 @@ def second_order_G(
     if n < 0:
         raise ValueError("n must be >= 0")
     value, tail = _period_sum(hform, sign, t, z, _holo_weights(t, z, n, k), k - k1 + 2)
-    return SeriesValue(value, BiWeight(k, 0), sign, t, tail)
+    return SeriesValue(value, tail)

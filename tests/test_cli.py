@@ -87,6 +87,22 @@ def test_lvalue_precision_exit(capsys):
     assert "convergence" in err
 
 
+@pytest.mark.parametrize(
+    "form, s, p, q",
+    [("delta", 12, 0, 1), ("delta", 20, 0, 1), ("s16", 20, 1, 3)],
+    ids=["lvalue --s 12", "lvalue --s 20", "lvalue --form s16 --s 20 --p 1 --q 3"],
+)
+def test_lvalue_past_extraction_has_no_error_estimate(capsys, form, s, p, q):
+    # extraction covers s in 1..k-1, so the series value has no second route
+    argv = ["lvalue", "--form", form, "--s", str(s), "--p", str(p), "--q", str(q)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["error_estimate"] is None
+    val = per.twisted_L(cli.resolve_form(form, 120), s, p, q)
+    assert payload["value"] == [val.real, val.imag]
+
+
 def test_usage_error_exit(capsys):
     code, _, err = run_cli(capsys, "period", "--gamma", "Q")
     assert code == 1
@@ -214,7 +230,7 @@ def test_fourier_samples_each_point_once(capsys, monkeypatch):
     "argv",
     [
         ["phi", "--z", "0", "-1"],
-        ["lvalue", "--s", "20"],
+        ["lvalue", "--s", "7", "--p", "2", "--q", "4"],
         ["lvalue", "--s", "0"],
         ["phi", "--j", "11"],
         ["phi", "--j", "-1"],

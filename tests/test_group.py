@@ -259,7 +259,7 @@ def test_word_decompose_trivials():
 @given(words)
 def test_word_decompose_reassembly(g):
     m = word_to_matrix(word_decompose(g))
-    assert m.entries == g.entries or m.entries == g.neg_entries()
+    assert m.entries == g.entries or m.entries == tuple(-x for x in g.entries)
 
 
 def test_polyc_conjugation_and_eval():

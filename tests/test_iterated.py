@@ -6,6 +6,7 @@ import pytest
 
 from miint.errors import ConvergenceError
 from miint import iterated as it
+from miint import maass as ma
 from miint import periods as per
 from miint import qforms as qf
 from miint import raseries as ra
@@ -168,6 +169,36 @@ def test_real_iterated_F2_cocycle_base_point_independence():
 def test_real_iterated_F2_weight_guard():
     with pytest.raises(ConvergenceError):
         it.real_iterated_F2(DELTA, BiWeight(1, 1), 2j, T40)
+
+
+@pytest.mark.parametrize(
+    "call, w",
+    [
+        (lambda w: it.map_to_MI(DELTA, w, "+", 2j, T40), BiWeight(6, 6)),
+        (lambda w: it.map_to_MI(DELTA, w, "-", 2j, T40), BiWeight(5, 3)),
+        (lambda w: it.psi_bar_image(DELTA, DELTA, w, S, 2j, T40), BiWeight(6, 6)),
+        (lambda w: it.psi_bar_image(DELTA, DELTA, w, S, 2j, T40), BiWeight(5, 3)),
+        (lambda w: ma.check_phi_identities(DELTA, w, "+", 2j, T40), BiWeight(6, 6)),
+        (lambda w: ma.check_phi_identities(DELTA, w, "-", 2j, T40), BiWeight(5, 3)),
+        (lambda w: it.real_iterated_F2(DELTA, w, 2j, T40), BiWeight(1, 1)),
+        (lambda w: it.real_iterated_F2(DELTA, w, 2j, T40), BiWeight(1, -1)),
+    ],
+    ids=[
+        f"{name}-{case}"
+        for name, cases in [
+            ("map_to_MI", ("r+s=k", "r+s<k")),
+            ("psi_bar_image", ("r+s=k", "r+s<k")),
+            ("check_phi_identities", ("r+s=k", "r+s<k")),
+            ("real_iterated_F2", ("r+s=2", "r+s<2")),
+        ]
+        for case in cases
+    ],
+)
+def test_entry_points_raise_below_convergence(call, w):
+    # each raises through the series it calls: r + s <= k (r + s <= 2 for
+    # the Eisenstein factor of real_iterated_F2)
+    with pytest.raises(ConvergenceError):
+        call(w)
 
 
 def test_psi_bar_image_two_routes():

@@ -16,6 +16,12 @@ W = BiWeight(10, 10)
 Z = 2j
 
 
+def _derivative(f, z):
+    """d/dz of the q-series of f at z, term by term: 2 pi i sum n a(n) q^n."""
+    df = qf.QExpansion(f.k + 2, tuple(n * c for n, c in enumerate(f.coeffs)))
+    return 2j * cmath.pi * qf.eval_form(df, z)
+
+
 def test_raising_on_power_of_y():
     fn = lambda u: complex(u).imag ** 3
     assert abs(ma.maass_d(fn, 5, Z) - 8 * Z.imag**3) <= 1e-7
@@ -24,7 +30,7 @@ def test_raising_on_power_of_y():
 
 def test_raising_on_holomorphic_form():
     fn = lambda u: qf.eval_form(DELTA, u)
-    target = 2j * Z.imag * qf.eval_derivative(DELTA, Z) + 7 * fn(Z)
+    target = 2j * Z.imag * _derivative(DELTA, Z) + 7 * fn(Z)
     assert abs(ma.maass_d(fn, 7, Z) - target) <= 1e-7
 
 
@@ -39,7 +45,7 @@ def test_lowering_kills_holomorphic():
 
 def test_lowering_on_conjugate_form():
     fn = lambda u: qf.eval_form(DELTA, u).conjugate()
-    target = -2j * Z.imag * qf.eval_derivative(DELTA, Z).conjugate() + 6 * fn(Z)
+    target = -2j * Z.imag * _derivative(DELTA, Z).conjugate() + 6 * fn(Z)
     assert abs(ma.maass_dbar(fn, 6, Z) - target) <= 1e-7
 
 

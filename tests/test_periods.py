@@ -1,7 +1,6 @@
 import cmath
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -125,7 +124,7 @@ def test_delta_period_rational_structure():
 
 
 def _slash_exact(P, g):
-    """Exact P(gX)(cX+d)^m for rational coefficients P (ascending, degree m)."""
+    """Exact P(gX)(cX+d)^m for integer coefficients P (ascending, degree m)."""
 
     def mul(p, q):
         out = [0] * (len(p) + len(q) - 1)
@@ -136,7 +135,7 @@ def _slash_exact(P, g):
 
     a, b, c, d = g
     m = len(P) - 1
-    out = [Fraction(0)] * (m + 1)
+    out = [0] * (m + 1)
     for j, pj in enumerate(P):
         term = [pj]
         for factor in [[b, a]] * j + [[d, c]] * (m - j):
@@ -150,7 +149,7 @@ def _cocycle_exact(P, c, d):
     r(T^q S g') = r(S)|g' + r(g'), with g' = (c d; -(a - qc) -(b - qd))."""
     a = pow(d, -1, c) if c > 1 else 0
     b = (a * d - 1) // c
-    acc = [Fraction(0)] * len(P)
+    acc = [0] * len(P)
     while c != 0:
         q = a // c
         a, b, c, d = c, d, -(a - q * c), -(b - q * d)
@@ -160,11 +159,12 @@ def _cocycle_exact(P, c, d):
 
 def test_period_table_matches_exact_rational_cocycle():
     # the Kohnen-Zagier shapes of r_Delta(S) pushed through the cocycle in
-    # exact arithmetic, scaled by the two anchor constants of period_poly
-    even = [Fraction(-36, 691), 0, 1, 0, -3, 0, 3, 0, -1, 0, Fraction(36, 691)]
+    # exact integer arithmetic (the even one times 691), scaled by the two
+    # anchor constants of period_poly
+    even = [-36, 0, 691, 0, -2073, 0, 2073, 0, -691, 0, 36]
     odd = [0, 4, 0, -25, 0, 42, 0, -25, 0, 4, 0]
     rS = per.period_poly(DELTA, S).coeffs
-    w_even = float(np.mean(rS[2::2].imag / np.array(even[2::2], dtype=float)))
+    w_even = float(np.mean(rS[2::2].imag / (np.array(even[2::2]) / 691)))
     w_odd = float(np.mean(rS[1::2].real / np.array(odd[1::2], dtype=float)))
     table = per.reduced_periods(DELTA, 20)
     deep = per.reduced_periods(DELTA, 80)
@@ -172,8 +172,9 @@ def test_period_table_matches_exact_rational_cocycle():
     assert len(top) == 32
     worst = 0.0
     for (c, d), r in list(zip(table.rows, table.periods)) + top:
-        E = np.array(_cocycle_exact(even, c, d), dtype=float)
-        O = np.array(_cocycle_exact(odd, c, d), dtype=float)
+        # int / int is the correctly rounded quotient, as float(Fraction) is
+        E = np.array([x / 691 for x in _cocycle_exact(even, c, d)])
+        O = np.array([x / 1 for x in _cocycle_exact(odd, c, d)])
         exact = 1j * w_even * E + w_odd * O
         worst = max(worst, np.abs(r - exact).max() / np.abs(exact).max())
     assert worst <= 1e-12
@@ -252,7 +253,7 @@ def test_twisted_L_rejects_a_non_cusp_form():
 
 
 def test_lambda_table_and_reconstruction():
-    table = per.lambda_table(DELTA, 2)
+    table = per.reduced_periods(DELTA, 2)
     worst = 0.0
     for c, d in [(1, 0), (1, 1), (1, -1), (1, 2), (2, 1), (2, -1), (2, 3)]:
         g = complete_row(c, d)
@@ -264,13 +265,13 @@ def test_lambda_table_and_reconstruction():
 
 
 def test_period_from_Lvalues_parabolic():
-    table = per.lambda_table(DELTA, 1)
+    table = per.reduced_periods(DELTA, 1)
     assert per.period_from_Lvalues(DELTA, T, table).norm_inf() == 0.0
     assert per.period_from_Lvalues(DELTA, IDENTITY, table).norm_inf() == 0.0
 
 
 def test_lambda_table_incomplete_raises():
-    table = per.lambda_table(DELTA, 2)
+    table = per.reduced_periods(DELTA, 2)
     with pytest.raises(KeyError):
         table.value(7, 5, 1)
     with pytest.raises(KeyError):
@@ -278,7 +279,7 @@ def test_lambda_table_incomplete_raises():
 
 
 def test_lambda_table_vs_integral_route():
-    table = per.lambda_table(DELTA, 5)
+    table = per.reduced_periods(DELTA, 5)
     for c, d, s in [(5, 1, 7), (4, 1, 8), (3, 2, 11)]:
         tab = table.value(s, c, d)
         direct = per.twisted_L(DELTA, s, (-d) % c, c, method="series")

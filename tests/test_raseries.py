@@ -10,7 +10,8 @@ from miint import periods as per
 from miint import qforms as qf
 from miint import raseries as ra
 from miint.group import BiWeight, PolyC, S, T, act_tensor
-from miint.iterated import IteratedIntegrand, iterated_F
+from miint import group
+from miint.iterated import IteratedIntegrand, iterated_F, map_to_MI
 
 DELTA = qf.delta_q(120)
 T40 = ra.TruncationParams()
@@ -169,8 +170,9 @@ def test_phi_coefficient_vs_closed_form():
     z = 2j
     phiv = ra.phi(DELTA, W, "+", z, T40)
     tol = max(phiv.tail_estimate, 1e-5)
+    vec = map_to_MI(DELTA, W, "+", z, T40)
     for j in (0, 5, 10):
-        a = ra.phi_coefficient(DELTA, W, "+", j, z, T40)
+        a = complex(vec[j])
         b = ra.closed_form_phi_j(DELTA, W, "+", j, z, T40)
         assert abs(a - b) / max(1.0, abs(b)) <= tol
 
@@ -340,24 +342,22 @@ def test_fourier_evaluates_each_node_once():
     assert len(calls) == 64 + 1  # the x = 0 probe is the first node
 
 
-def test_kloosterman_small_moduli():
-    table = per.lambda_table(DELTA, 2)
-    assert ra.kloosterman_twisted(DELTA, 1, 3, 5, table) == table.value(5, 1, 0)
-    assert ra.kloosterman_twisted(DELTA, 2, 0, 5, table) == table.value(5, 2, 1)
-
-
 def test_kloosterman_conjugation_realness():
-    # conjugation is reindexing (l, d) -> (-l, -d): the sum is real
-    table = per.lambda_table(DELTA, 5)
-    for c, l, m in [(5, 2, 6), (4, 3, 9), (3, 1, 6)]:
-        K = ra.kloosterman_twisted(DELTA, c, l, m, table)
-        assert abs(K.imag) <= 1e-9
-        recon = sum(
-            table.value(m, c, -d) * cmath.exp(-2j * math.pi * l * d / c)
+    # the twisted sum over d mod c of Lambda(m, -d/c) e(ld/c): conjugation
+    # is reindexing (l, d) -> (-l, -d), so the sum is real
+    table = per.reduced_periods(DELTA, 5)
+
+    def twisted(c, l, m, sign):
+        return sum(
+            table.value(m, c, sign * d) * cmath.exp(sign * 2j * math.pi * l * d / c)
             for d in range(c)
             if math.gcd(d, c) == 1
         )
-        assert abs(K.conjugate() - recon) <= 1e-9
+
+    for c, l, m in [(5, 2, 6), (4, 3, 9), (3, 1, 6)]:
+        K = twisted(c, l, m, 1)
+        assert abs(K.imag) <= 1e-9
+        assert abs(K.conjugate() - twisted(c, l, m, -1)) <= 1e-9
 
 
 def test_poincare_zeroth_is_eisenstein():
@@ -474,7 +474,7 @@ def test_period_and_lambda_tables_share_one_cocycle_pass():
     misses = per.reduced_periods.cache_info().misses
     ra._period_table(f, 10, 100)
     data = ra._coset_data(10, 100)
-    table = per.lambda_table(f, 10)
+    table = per.reduced_periods(f, 10)
     table.values[:, table.index(data.cs, data.ds)]
     assert per.reduced_periods.cache_info().misses == misses + 1
 
@@ -483,7 +483,7 @@ def test_coset_tables_match_per_coset_lookups():
     C, D = 5, 25
     data = ra._coset_data(C, D)
     R = ra._period_table(DELTA, C, D)
-    table = per.lambda_table(DELTA, C)
+    table = per.reduced_periods(DELTA, C)
     lam = table.values[:, table.index(data.cs, data.ds)]
     for i, (c, d) in enumerate(zip(data.cs.tolist(), data.ds.tolist())):
         direct = per.period_poly(DELTA, per.complete_row(c, d))
@@ -529,29 +529,46 @@ def test_coeff_basis_columns_are_basis_products():
 
 
 def test_lambda_table_is_the_period_table():
-    table = per.lambda_table(DELTA, 7)
+    table = per.reduced_periods(DELTA, 7)
     assert table.periods is per.reduced_periods(DELTA, 7).periods
     assert not table.values.flags.writeable
     with pytest.raises(ValueError):
         table.values[0, 0] = 0.0
 
 
-def test_phi_builds_no_top_rows(monkeypatch):
-    # a rectangle no other test uses, so its coset data is built here
-    C, D = 6, 61
+def _count_complete_rows(monkeypatch):
     calls = []
-    complete_row = ra.complete_row
+    complete_row = group.complete_row
 
     def counted(c, d):
         calls.append((c, d))
         return complete_row(c, d)
 
-    monkeypatch.setattr(ra, "complete_row", counted)
+    monkeypatch.setattr(group, "complete_row", counted)
+    return calls
+
+
+def test_phi_builds_no_top_rows(monkeypatch):
+    # a rectangle no other test uses, so its coset data is built here
+    C, D = 6, 61
+    calls = _count_complete_rows(monkeypatch)
     ra.phi(DELTA, W, "+", 2j, ra.TruncationParams(C, D))
     assert calls == []
     ra.poincare(1, 12, 2j, ra.TruncationParams(C, D))
+    # one row per reduced class (c, d mod c), in the class table's order
+    assert calls == list(per.reduced_periods(DELTA, C).rows)
+
+
+@pytest.mark.parametrize("C, D, classes", [(40, 400, 490), (80, 800, 1966)])
+def test_top_rows_are_the_completed_rows(monkeypatch, C, D, classes):
     data = ra._coset_data(C, D)
-    assert calls == list(zip(data.cs.tolist(), data.ds.tolist()))
+    a, b = data.tops
+    rows = [group.complete_row(c, d) for c, d in zip(data.cs.tolist(), data.ds.tolist())]
+    assert a.tolist() == [g.a for g in rows]
+    assert b.tolist() == [g.b for g in rows]
+    calls = _count_complete_rows(monkeypatch)
+    group._top_rows(data.cs, data.ds)
+    assert len(calls) == classes
 
 
 def test_coset_sum_reduction_within_floor():
