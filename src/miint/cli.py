@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import checks, iterated, periods, qforms, raseries, vvdim
-from .config import RunConfig, load_config
+from .config import FORMATS, RunConfig, load_config
 from .errors import ConvergenceError, PrecisionError
 from .group import BiWeight, GroupElement, PolyC, S, T, T_pow
 from .raseries import TruncationParams
@@ -123,7 +123,7 @@ def build_parser() -> _Parser:
     common.add_argument("--config", help="path to a KEY=VALUE config file")
     for name in ("C", "D", "N", "M"):
         common.add_argument(f"--{name}", type=int)
-    common.add_argument("--format", choices=("json", "csv"))
+    common.add_argument("--format", choices=FORMATS)
 
     parser = _Parser(prog="miint", description=__doc__, parents=[common])
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -442,7 +442,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
-        cfg = load_config(getattr(ns, "config", None), ns)
+        try:
+            cfg = load_config(getattr(ns, "config", None), ns)
+        except OSError as exc:  # a config file that cannot be read
+            raise _UsageError(f"cannot read config file: {exc}") from exc
         return _DISPATCH[ns.cmd](ns, cfg)
     except (PrecisionError, ConvergenceError) as exc:
         # caught before ValueError, which ConvergenceError subclasses

@@ -17,6 +17,8 @@ from .qforms import DEFAULT_N
 from .raseries import DEFAULT_M, TruncationParams
 
 ENV_CONFIG = "MIINT_CONFIG"
+#: output formats, for `--format` and the FORMAT key alike
+FORMATS = ("json", "csv")
 
 
 @dataclass
@@ -52,6 +54,8 @@ class RunConfig:
                 if key not in _KEYS:
                     raise ValueError(f"{path}:{lineno}: unknown key {key}")
                 name, typ = _KEYS[key]
+                if name == "format" and val not in FORMATS:
+                    raise ValueError(f"{path}:{lineno}: FORMAT must be one of {FORMATS}, got {val!r}")
                 setattr(self, name, typ(val))
 
     def apply_overrides(self, ns) -> None:

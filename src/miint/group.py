@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -291,25 +291,6 @@ def act_tensor(F, g: GroupElement, w: BiWeight, k: int):
     return acted
 
 
-def enumerate_coset_rows(C: int, D: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bottom rows (c, d) of the non-trivial B\\Gamma representatives.
-
-    Fixed order: ascending c, then ascending |d|, positive d before negative.
-    The identity coset is not included.
-    """
-    if C < 1 or D < 1:
-        raise ValueError("C and D must be >= 1")
-    cs, ds = [], []
-    for c in range(1, C + 1):
-        for ad in range(0, D + 1):
-            signs = (ad,) if ad == 0 else (ad, -ad)
-            for d in signs:
-                if math.gcd(c, abs(d)) == 1:
-                    cs.append(c)
-                    ds.append(d)
-    return np.array(cs, dtype=np.int64), np.array(ds, dtype=np.int64)
-
-
 def complete_row(c: int, d: int) -> GroupElement:
     """One matrix (a b; c d) in SL2(Z) with the given bottom row."""
     g, x, y = _ext_gcd(d, c)
@@ -319,23 +300,68 @@ def complete_row(c: int, d: int) -> GroupElement:
     return GroupElement(x, -y, c, d)
 
 
-def _top_rows(cs: np.ndarray, ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Top rows (a, b) of `complete_row(c, d)` for every bottom row, with one
-    `complete_row` call per class (c, d0), d0 = d mod c: coset (c, d0 + nc)
-    is its class times T^n, so its top row is (a0, b0 + n a0)."""
-    n, d0 = np.divmod(ds, cs)
-    width = int(cs.max()) + 1
-    keys, cls = np.unique(cs * width + d0, return_inverse=True)
-    tops = np.array([complete_row(*divmod(key, width)).entries[:2] for key in keys.tolist()])
-    a = tops[cls, 0]
-    return a, tops[cls, 1] + n * a
+@lru_cache(maxsize=8)
+def reduced_classes(C: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The reduced classes (c, d0), 1 <= c <= C, 0 <= d0 < c, gcd(c, d0) = 1,
+    in ascending (c, d0) order: read-only arrays c0 and d0, and `lut` with
+    lut[c, d0] the position of the class (-1 where there is none)."""
+    c, d0 = np.ogrid[: C + 1, :C]
+    c0, d0 = np.nonzero((np.gcd(c, d0) == 1) & (d0 < c))
+    lut = np.full((C + 1, C), -1, dtype=np.int64)
+    lut[c0, d0] = np.arange(c0.size)
+    for arr in (c0, d0, lut):
+        arr.setflags(write=False)  # cached and shared by every caller
+    return c0, d0, lut
+
+
+@dataclass(frozen=True)
+class CosetTable:
+    """Bottom rows (c, d) of the non-trivial B\\Gamma representatives in the
+    fixed order (ascending c, then ascending |d|, positive d first), and the
+    decomposition of each coset (c, d) = (c, d0 + nc) into its reduced class
+    (c, d0), at position `cls` of `reduced_classes(C)`, times T^n."""
+
+    C: int
+    cs: np.ndarray
+    ds: np.ndarray
+    cls: np.ndarray
+    n: np.ndarray
+
+    @cached_property
+    def tops(self) -> tuple[np.ndarray, np.ndarray]:
+        """Top rows (a, b) of `complete_row(c, d)` for every coset, with one
+        `complete_row` call per class: the top row of the class times T^n is
+        (a0, b0 + n a0).  Only the holomorphic weights e(n gz) and
+        `enumerate_cosets` read them, so they are built on first use."""
+        c0, d0, _ = reduced_classes(self.C)
+        rows = [complete_row(c, d).entries[:2] for c, d in zip(c0.tolist(), d0.tolist())]
+        a0, b0 = np.array(rows, dtype=np.int64).T
+        a = a0[self.cls]
+        return a, b0[self.cls] + self.n * a
+
+
+@lru_cache(maxsize=8)
+def cosets(C: int, D: int) -> CosetTable:
+    """The cosets (c, d), 0 < c <= C, |d| <= D, gcd(c, d) = 1, each with its
+    class and shift.  The identity coset is not included."""
+    if C < 1 or D < 1:
+        raise ValueError("C and D must be >= 1")
+    ad = np.arange(1, D + 1)
+    d = np.concatenate(([0], np.stack([ad, -ad], axis=1).ravel()))  # 0, 1, -1, 2, -2, ...
+    c = np.arange(1, C + 1)[:, None]
+    _, _, lut = reduced_classes(C)
+    n, d0 = np.divmod(d, c)
+    cls = lut[c, d0]
+    live = cls >= 0
+    cs, ds = np.broadcast_to(c, live.shape)[live], np.broadcast_to(d, live.shape)[live]
+    return CosetTable(C, cs, ds, cls[live], n[live])
 
 
 def enumerate_cosets(C: int, D: int) -> list[GroupElement]:
     """Identity plus one representative per (c, d), 0 < c <= C, |d| <= D."""
-    cs, ds = enumerate_coset_rows(C, D)
-    a, b = _top_rows(cs, ds)
-    rows = zip(a.tolist(), b.tolist(), cs.tolist(), ds.tolist())
+    table = cosets(C, D)
+    a, b = table.tops
+    rows = zip(a.tolist(), b.tolist(), table.cs.tolist(), table.ds.tolist())
     return [IDENTITY] + [GroupElement(*row) for row in rows]
 
 

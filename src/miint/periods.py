@@ -28,6 +28,7 @@ from .group import (
     complete_row,
     euclid_chain,
     mobius,
+    reduced_classes,
     taylor_shift,
     word_decompose,
 )
@@ -133,30 +134,20 @@ def period_poly(f: QExpansion, g: GroupElement, sign: str = "+") -> PolyC:
 @dataclass(frozen=True)
 class ReducedPeriods:
     """The one reduced-class table of a cusp form: plus-sign period
-    polynomials on the classes (c, d0 mod c), 1 <= c <= C, gcd(c, d0) = 1, in
-    ascending (c, d0) order, and the twisted L-values read off them.
+    polynomials on the classes (c, d0) of `reduced_classes(C)`, and the
+    twisted L-values read off them.
 
-    `periods[i]` holds the coefficients of r(g; X) for the i-th row of `rows`;
-    `lut[c, d0]` is that position (-1 where gcd(c, d0) != 1).
+    `periods[i]` holds the coefficients of r(g; X) for the i-th class.
     """
 
-    rows: tuple[tuple[int, int], ...]
+    C: int
     periods: np.ndarray  # (n_classes, k-1)
-    lut: np.ndarray  # (C+1, C)
-
-    @property
-    def C(self) -> int:
-        return self.lut.shape[0] - 1
-
-    def index(self, cs: np.ndarray, ds: np.ndarray) -> np.ndarray:
-        """Class position of every bottom row (c, d), 1 <= c <= C."""
-        return self.lut[cs, ds % cs]
 
     @cached_property
     def values(self) -> np.ndarray:
-        """Lambda_f(s, -d0/c) at `values[s - 1, i]` for the i-th row of `rows`,
+        """Lambda_f(s, -d0/c) at `values[s - 1, i]` for the i-th class,
         extracted on first use, every class in one batched Taylor shift."""
-        c, d0 = np.array(self.rows).T
+        c, d0, _ = reduced_classes(self.C)
         vals = _lambdas_from_period(self.periods.T, -d0 / c, self.periods.shape[1] + 1)
         vals.setflags(write=False)  # cached and shared by every caller
         return vals
@@ -165,7 +156,8 @@ class ReducedPeriods:
         """Lambda_f(s, -d/c); the twist is looked up modulo c."""
         if not 1 <= s <= self.periods.shape[1]:
             raise KeyError(f"s = {s} outside 1..{self.periods.shape[1]}")
-        i = self.lut[c, d % c] if 1 <= c <= self.C else -1
+        _, _, pos = reduced_classes(self.C)
+        i = pos[c, d % c] if 1 <= c <= self.C else -1
         if i < 0:
             raise KeyError(f"Lambda table does not cover (c, d) = ({c}, {d})")
         return complex(self.values[s - 1, i])
@@ -179,21 +171,16 @@ def reduced_periods(f: QExpansion, C: int) -> ReducedPeriods:
     row of the class (a', b').  The coset-series table and the Lambda values
     are both derived from it."""
     r_S = _anchor(f)
-    rows = tuple(
-        (c, d0) for c in range(1, C + 1) for d0 in range(c) if math.gcd(c, d0) == 1
-    )
-    lut = np.full((C + 1, C), -1, dtype=np.int64)
-    lut[tuple(zip(*rows))] = np.arange(len(rows))
-    periods = np.empty((len(rows), r_S.size), dtype=np.complex128)
+    c0, d0, pos = reduced_classes(C)
+    periods = np.empty((c0.size, r_S.size), dtype=np.complex128)
     periods[0] = r_S
-    for i, (c, d0) in enumerate(rows[1:], 1):
-        a = pow(d0, -1, c)
-        b = (a * d0 - 1) // c
-        # a d0 - b c = 1 with 1 <= d0 < c, c >= 2 gives 0 <= b < a < c: a stored class
-        periods[i] = binomial_matrix(c, d0, -a, -b, f.k - 2) @ r_S + periods[lut[a, b]]
+    for i, (c, d) in enumerate(zip(c0.tolist()[1:], d0.tolist()[1:]), 1):
+        a = pow(d, -1, c)
+        b = (a * d - 1) // c
+        # a d - b c = 1 with 1 <= d < c, c >= 2 gives 0 <= b < a < c: a stored class
+        periods[i] = binomial_matrix(c, d, -a, -b, f.k - 2) @ r_S + periods[pos[a, b]]
     periods.setflags(write=False)  # cached and shared by every caller
-    lut.setflags(write=False)
-    return ReducedPeriods(rows, periods, lut)
+    return ReducedPeriods(C, periods)
 
 
 def period_error_estimate(f: QExpansion, g: GroupElement, sign: str = "+") -> float:
@@ -338,26 +325,3 @@ def period_from_Lvalues(f: QExpansion, g: GroupElement, table: ReducedPeriods) -
     lams = np.array([table.value(s, c, d) for s in range(1, k)])
     taylor = (_lambda_scale(k) * lams)[::-1]
     return PolyC(taylor, k - 2).shift(-a)  # (X - a)-basis back to monomials
-
-
-def convexity_spotcheck(f: QExpansion, qmax: int = 10) -> dict:
-    """Soft growth check of q^(j+1) |Lambda_f(j+1, p/q)| against q^(k-1+0.1).
-
-    Reports the max ratio per q; flags (never fails) if the ratio table stops
-    being bounded by a fixed multiple of its small-q values.
-    """
-    k = f.k
-    table = reduced_periods(f, qmax)
-    ratios = {}
-    for q in range(1, qmax + 1):
-        worst = 0.0
-        for p in range(q):
-            if math.gcd(p, q) != 1:
-                continue
-            for j in range(k - 1):
-                lam = table.value(j + 1, q, -p)  # -d/c = p/q
-                worst = max(worst, q ** (j + 1) * abs(lam) / q ** (k - 1 + 0.1))
-        ratios[q] = worst
-    base = max(ratios[q] for q in ratios if q <= max(2, qmax // 2))
-    flag = any(v > 4.0 * base for v in ratios.values())
-    return {"ratios": ratios, "bounded": not flag}

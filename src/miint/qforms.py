@@ -65,9 +65,6 @@ class QExpansion:
     def is_cusp(self) -> bool:
         return self.coeffs[0] == 0
 
-    def a(self, n: int):
-        return self.coeffs[n]
-
     def __mul__(self, other):
         if isinstance(other, QExpansion):
             n = min(self.N, other.N)

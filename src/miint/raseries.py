@@ -14,10 +14,10 @@ bitwise-identical results; the reduction error stays below the tail's
 16-eps floor.  The weights of (s, r) are the exact conjugates of those of
 (r, s), so E_{s,r} = conj E_{r,s} exactly.
 
-Every coset (c, d0 + nc) is its reduced class (c, d0) times T^n.  The
-period table translates its class's period polynomial, and the holomorphic
-weights e(n gz) of the Poincare series and G read a top row (a0, b0 + n a0)
-from its class's completed row (a0, b0).
+Every coset (c, d0 + nc) is its reduced class (c, d0) times T^n, as the
+coset table `group.cosets` records.  The period table translates its class's
+period polynomial, and the holomorphic weights e(n gz) of the Poincare series
+and G read the table's top rows.
 
 Every series value carries a tail estimate: an integral-comparison bound on
 the truncated part, with its constant read off the outermost computed shells
@@ -32,7 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,8 +43,7 @@ from .group import (
     act_poly,
     binomial_matrix,
     binomials,
-    _top_rows,
-    enumerate_coset_rows,
+    cosets,
     enumerate_cosets,
     jfactor,
     mobius,
@@ -100,48 +99,25 @@ class SeriesValue:
     tail_estimate: float
 
 
-@dataclass(frozen=True)
-class _CosetData:
-    """Bottom rows (c, d) of the non-trivial cosets, in the fixed order."""
-
-    cs: np.ndarray
-    ds: np.ndarray
-
-    @cached_property
-    def tops(self) -> tuple[np.ndarray, np.ndarray]:
-        """Top rows (a, b) of `complete_row(c, d)` for each coset, one call
-        per class; only the holomorphic weights e(n gz) read them, so they
-        are built on first use."""
-        return _top_rows(self.cs, self.ds)
-
-
-@lru_cache(maxsize=8)
-def _coset_data(C: int, D: int) -> _CosetData:
-    return _CosetData(*enumerate_coset_rows(C, D))
-
-
 @lru_cache(maxsize=6)
 def _period_table(f: QExpansion, C: int, D: int) -> np.ndarray:
     """Plus-sign period polynomials r(gamma; X) for every coset in the fixed
     order, coefficient-major: shape (k-1, n_cosets), so each coefficient's
     row is contiguous for the reduction.
 
-    Coset (c, d) is the class (c, d mod c) of `reduced_periods` times T^n,
-    n = d // c, and r(gamma T^n; X) = r(gamma; X + n): the table is the
-    class rows gathered per coset, expanded by translation in one
-    `taylor_shift`.
+    Each coset is its class of `reduced_periods` times T^n, and
+    r(gamma T^n; X) = r(gamma; X + n): the table is the class rows gathered
+    per coset, expanded by translation in one `taylor_shift`.
     """
-    data = _coset_data(C, D)
-    classes = reduced_periods(f, C)
-    R = np.take(classes.periods.T, classes.index(data.cs, data.ds), axis=1)
-    return taylor_shift(R, data.ds // data.cs)
+    data = cosets(C, D)
+    return taylor_shift(np.take(reduced_periods(f, C).periods.T, data.cls, axis=1), data.n)
 
 
 def _jarrays(t: TruncationParams, z: complex) -> tuple[np.ndarray, np.ndarray]:
     """j(gamma, z) and j(gamma, conj z) over the cosets, after validating z."""
     t.validate_at(z)
     z = complex(z)
-    data = _coset_data(t.C, t.D)
+    data = cosets(t.C, t.D)
     return data.cs * z + data.ds, data.cs * z.conjugate() + data.ds
 
 
@@ -156,7 +132,7 @@ def _rs_weights(t: TruncationParams, z: complex, w: BiWeight) -> np.ndarray:
 
 def _holo_weights(t: TruncationParams, z: complex, n: int, k: int) -> np.ndarray:
     j, _ = _jarrays(t, z)
-    a, b = _coset_data(t.C, t.D).tops
+    a, b = cosets(t.C, t.D).tops
     return np.exp(2j * np.pi * n * ((a * complex(z) + b) / j)) * j ** (-k)
 
 
@@ -180,7 +156,7 @@ def _coset_sum(
         value = identity + value
     if w0 <= 2:
         return value, math.inf
-    data = _coset_data(t.C, t.D)
+    data = cosets(t.C, t.D)
     C, D, x = t.C, t.D, complex(z).real
     mags = np.abs(terms)
     band_c = max(1, min(8, C))
@@ -358,16 +334,15 @@ def _closed_form_sums(
     taken in blocks of cosets.  Each block builds its power rows from one
     complex power each, by repeated multiplication with 1/j and 1/jbar."""
     k, K = hform.k, hform.k - 1
-    data = _coset_data(t.C, t.D)
+    data = cosets(t.C, t.D)
     table = reduced_periods(hform, t.C)
-    cls = table.index(data.cs, data.ds)
     cfl = data.cs.astype(np.float64)
     cexp = np.arange(K)[:, None] - (k - 2)
     v = np.zeros((K, K), dtype=np.complex128)
     for lo in range(0, cfl.size, _CF_CHUNK):
         blk = slice(lo, lo + _CF_CHUNK)
         # Lambda(d+1) c^(d-k+2), d = p - q, gathered from the class table
-        lamc = table.values[:, cls[blk]] * cfl[blk] ** cexp
+        lamc = table.values[:, data.cls[blk]] * cfl[blk] ** cexp
         jpow = np.empty((K, lamc.shape[1]), dtype=np.complex128)
         jbpow = np.empty_like(jpow)
         jpow[0] = jarr[blk] ** (k - 2 - w.r)  # j^-(r+2-k+p) at p = 0

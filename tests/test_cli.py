@@ -246,6 +246,7 @@ def test_fourier_samples_each_point_once(capsys, monkeypatch):
         ["iterated", "--depth", "2", "--forms", "delta,s16,e4", "--z", "0", "2"],
         ["fourier", "--i", "99", "--l", "1", "--M", "64"],
         ["lvalue", "--form", "e4", "--s", "5"],
+        ["--config", "/nonexistent", "dim"],
     ],
     ids=" ".join,
 )
@@ -304,6 +305,19 @@ def test_config_rejects_removed_keys(tmp_path, key):
 
     with pytest.raises(ValueError, match=f"unknown key {key}"):
         RunConfig().apply_file(str(cfg))
+
+
+@pytest.mark.parametrize("content", [None, "FORMAT=xml\n"], ids=["directory", "format-xml"])
+def test_unreadable_or_invalid_config_file_is_a_usage_error(tmp_path, capsys, content):
+    path = tmp_path  # no content: the config path is a directory
+    if content is not None:
+        path = tmp_path / "bad.cfg"
+        path.write_text(content)
+    code, out, err = run_cli(capsys, "--config", str(path), "dim")
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert err.startswith("usage error:")
 
 
 def test_config_echo_describes_the_run(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from miint.group import (
@@ -23,10 +23,11 @@ from miint.group import (
     act_tensor,
     binomial_matrix,
     complete_row,
-    enumerate_coset_rows,
+    cosets,
     enumerate_cosets,
     jfactor,
     mobius,
+    reduced_classes,
     taylor_shift,
     word_decompose,
     word_to_matrix,
@@ -240,13 +241,42 @@ def test_enumerate_cosets_counts():
 
 
 def test_enumerate_cosets_rows_and_order():
-    cs, ds = enumerate_coset_rows(3, 4)
+    table = cosets(3, 4)
     # ascending c, ascending |d|, positive sign first
-    order = list(zip(cs.tolist(), ds.tolist()))
+    order = list(zip(table.cs.tolist(), table.ds.tolist()))
     assert order[:5] == [(1, 0), (1, 1), (1, -1), (1, 2), (1, -2)]
     for g in enumerate_cosets(3, 4)[1:]:
         assert g.a * g.d - g.b * g.c == 1
         assert g.c > 0
+
+
+def _coset_rows_oracle(C, D):
+    """The coset rows in the fixed order, one `math.gcd` per (c, d)."""
+    rows = []
+    for c in range(1, C + 1):
+        for ad in range(0, D + 1):
+            for d in (ad,) if ad == 0 else (ad, -ad):
+                if math.gcd(c, abs(d)) == 1:
+                    rows.append((c, d))
+    return rows
+
+
+@properties
+@given(st.integers(1, 12), st.integers(1, 40))
+@example(12, 3)  # D < C - 1: the classes (c, d0) with d0 > D have no coset
+def test_coset_table_matches_the_brute_force_rows(C, D):
+    c0, d0, lut = reduced_classes(C)
+    classes = [(c, d) for c in range(1, C + 1) for d in range(c) if math.gcd(c, d) == 1]
+    assert list(zip(c0.tolist(), d0.tolist())) == classes
+    assert lut[c0, d0].tolist() == list(range(len(classes)))
+    assert (lut >= 0).sum() == len(classes)
+    table = cosets(C, D)
+    rows = _coset_rows_oracle(C, D)
+    assert list(zip(table.cs.tolist(), table.ds.tolist())) == rows
+    assert np.array_equal(c0[table.cls], table.cs)
+    assert np.array_equal(d0[table.cls] + table.n * table.cs, table.ds)
+    a, b = table.tops
+    assert list(zip(a.tolist(), b.tolist())) == [complete_row(c, d).entries[:2] for c, d in rows]
 
 
 def test_word_decompose_trivials():

@@ -198,9 +198,8 @@ def _closed_form_per_term(f, w, sign, j, z, t):
     pref = (z - z.conjugate()) ** (2 - k)
     bnd = per.eichler_moments(f, z, k - 2) @ ra.coeff_basis(z, k - 2)[:, k - 2 - j]
     total = (-1) ** j * math.comb(k - 2, j) * pref * bnd * ra.eisenstein_rs(w, z, t).value
-    data = ra._coset_data(t.C, t.D)
-    table = per.reduced_periods(f, t.C)
-    lam = table.values[:, table.index(data.cs, data.ds)]
+    data = group.cosets(t.C, t.D)
+    lam = per.reduced_periods(f, t.C).values[:, data.cls]
     cfl = data.cs.astype(np.float64)
     jpow = [jarr ** (-(w.r + j + n + 2 - k)) for n in range(k - 1 - j)]
     jbpow = [jbarr ** (-(w.s + m - j)) for m in range(j + 1)]
@@ -473,18 +472,16 @@ def test_period_and_lambda_tables_share_one_cocycle_pass():
     f = qf.delta_q(37)
     misses = per.reduced_periods.cache_info().misses
     ra._period_table(f, 10, 100)
-    data = ra._coset_data(10, 100)
-    table = per.reduced_periods(f, 10)
-    table.values[:, table.index(data.cs, data.ds)]
+    per.reduced_periods(f, 10).values[:, group.cosets(10, 100).cls]
     assert per.reduced_periods.cache_info().misses == misses + 1
 
 
 def test_coset_tables_match_per_coset_lookups():
     C, D = 5, 25
-    data = ra._coset_data(C, D)
+    data = group.cosets(C, D)
     R = ra._period_table(DELTA, C, D)
     table = per.reduced_periods(DELTA, C)
-    lam = table.values[:, table.index(data.cs, data.ds)]
+    lam = table.values[:, data.cls]
     for i, (c, d) in enumerate(zip(data.cs.tolist(), data.ds.tolist())):
         direct = per.period_poly(DELTA, per.complete_row(c, d))
         assert np.max(np.abs(R[:, i] - direct.coeffs)) <= 1e-10 * max(1.0, direct.norm_inf())
@@ -499,16 +496,15 @@ def test_period_table_is_the_exact_translation_of_its_class_rows():
     # short shift towards the cusp 0, such as (65, -2) from the class
     # (65, 63), cancels about 2^(k-2) in that sum.
     C, D = 80, 800
-    data = ra._coset_data(C, D)
+    data = group.cosets(C, D)
     R = ra._period_table(DELTA, C, D)
     table = per.reduced_periods(DELTA, C)
-    cls = table.index(data.cs, data.ds)
     K, eps = DELTA.k - 1, np.finfo(float).eps
     sample = (np.abs(data.ds) > D - 5) | (np.arange(data.cs.size) % 97 == 0)
     for i in np.flatnonzero(sample).tolist():
         n = int(data.ds[i] // data.cs[i])
         for part in ("real", "imag"):
-            p = [Fraction(x) for x in getattr(table.periods[cls[i]], part).tolist()]
+            p = [Fraction(x) for x in getattr(table.periods[data.cls[i]], part).tolist()]
             for t in range(K):
                 terms = [math.comb(e, t) * n ** (e - t) * p[e] for e in range(t, K)]
                 err = abs(getattr(R[t, i], part) - float(sum(terms)))
@@ -556,18 +552,19 @@ def test_phi_builds_no_top_rows(monkeypatch):
     assert calls == []
     ra.poincare(1, 12, 2j, ra.TruncationParams(C, D))
     # one row per reduced class (c, d mod c), in the class table's order
-    assert calls == list(per.reduced_periods(DELTA, C).rows)
+    c0, d0, _ = group.reduced_classes(C)
+    assert calls == list(zip(c0.tolist(), d0.tolist()))
 
 
 @pytest.mark.parametrize("C, D, classes", [(40, 400, 490), (80, 800, 1966)])
 def test_top_rows_are_the_completed_rows(monkeypatch, C, D, classes):
-    data = ra._coset_data(C, D)
+    data = group.cosets(C, D)
     a, b = data.tops
     rows = [group.complete_row(c, d) for c, d in zip(data.cs.tolist(), data.ds.tolist())]
     assert a.tolist() == [g.a for g in rows]
     assert b.tolist() == [g.b for g in rows]
     calls = _count_complete_rows(monkeypatch)
-    group._top_rows(data.cs, data.ds)
+    group.cosets.__wrapped__(C, D).tops  # a fresh table, so its top rows are built here
     assert len(calls) == classes
 
 
