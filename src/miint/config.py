@@ -74,10 +74,11 @@ _KEYS = {f.name.upper(): (f.name, type(f.default)) for f in fields(RunConfig)}
 
 
 def load_config(path: str | None, ns=None) -> RunConfig:
-    """Defaults, then env-var config path, then explicit path, then flags."""
+    """Defaults, then env-var config path, then explicit path, then flags.
+    A named file that cannot be read raises OSError, from either source."""
     cfg = RunConfig()
     env_path = os.environ.get(ENV_CONFIG)
-    if env_path and os.path.exists(env_path):
+    if env_path:
         cfg.apply_file(env_path)
     if path:
         cfg.apply_file(path)

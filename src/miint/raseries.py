@@ -6,13 +6,14 @@ series and the second-order G series.
 Each truncated coset series (E_{r,s}, psi, the Poincare series and G) is
 one call of the kernel `_coset_sum`: a weight per non-trivial coset (times
 that coset's column of the coefficient-major period table, for the
-second-order series), reduced by numpy's pairwise sum along each
-coefficient's contiguous row of cosets in the fixed order (ascending c,
-ascending |d|, positive d first), plus the identity-coset term; phi combines
-psi and E_{r,s}.  The same inputs on the same Python, numpy and CPU give
-bitwise-identical results; the reduction error stays below the tail's
-16-eps floor.  The weights of (s, r) are the exact conjugates of those of
-(r, s), so E_{s,r} = conj E_{r,s} exactly.
+second-order series), reduced by numpy's pairwise sum in the fixed coset
+order (ascending c, ascending |d|, positive d first), plus the
+identity-coset term; phi combines psi and E_{r,s}.  The kernel walks the
+table one coefficient row at a time through one n-sized buffer, and reduces
+each row pairwise in that unchanged order.  The same inputs on the same
+Python, numpy and CPU give bitwise-identical results; the reduction error
+stays below the tail's 16-eps floor.  The weights of (s, r) are the exact
+conjugates of those of (r, s), so E_{s,r} = conj E_{r,s} exactly.
 
 Every coset (c, d0 + nc) is its reduced class (c, d0) times T^n, as the
 coset table `group.cosets` records.  The period table translates its class's
@@ -24,7 +25,9 @@ the truncated part, with its constant read off the outermost computed shells
 (averaged over the last few values of c to smooth totient fluctuations),
 plus a floating-point noise floor.  It is an estimate, not a proof-grade
 bound, but it is sized so that doubling the rectangle moves the value by
-less than it.
+less than it.  It reads the term magnitudes as |R| |w|: |w| per call, and
+|R| from `_period_mags`, a float table cached beside the period table under
+the same key and cache size (about 9 MiB for weight 16 at C=80).
 """
 
 from __future__ import annotations
@@ -113,6 +116,13 @@ def _period_table(f: QExpansion, C: int, D: int) -> np.ndarray:
     return taylor_shift(np.take(reduced_periods(f, C).periods.T, data.cls, axis=1), data.n)
 
 
+@lru_cache(maxsize=6)
+def _period_mags(f: QExpansion, C: int, D: int) -> np.ndarray:
+    """The coefficientwise magnitudes |r(gamma; X)| of `_period_table`, the
+    float table against which the tail weighs |w|."""
+    return np.abs(_period_table(f, C, D))
+
+
 def _jarrays(t: TruncationParams, z: complex) -> tuple[np.ndarray, np.ndarray]:
     """j(gamma, z) and j(gamma, conj z) over the cosets, after validating z."""
     t.validate_at(z)
@@ -136,37 +146,71 @@ def _holo_weights(t: TruncationParams, z: complex, n: int, k: int) -> np.ndarray
     return np.exp(2j * np.pi * n * ((a * complex(z) + b) / j)) * j ** (-k)
 
 
+@lru_cache(maxsize=8)
+def _tail_shells(C: int, D: int) -> tuple[int, int, int, np.ndarray]:
+    """The outer shells the tail reads, per rectangle: the last `band_c`
+    c-shells, which are the cosets from position `start` on, and the outer
+    |d| band of width `bw`, at positions `band`."""
+    data = cosets(C, D)
+    band_c = max(1, min(8, C))
+    bw = min(max(2 * C, 8), D)
+    start = int(np.searchsorted(data.cs, C - band_c, side="right"))
+    band = np.flatnonzero(np.abs(data.ds) > D - bw)
+    band.setflags(write=False)  # cached and shared by every caller
+    return band_c, bw, start, band
+
+
 def _coset_sum(
-    t: TruncationParams, z: complex, terms: np.ndarray, w0: float, identity=None
+    t: TruncationParams,
+    z: complex,
+    w: np.ndarray,
+    w0: float,
+    R: np.ndarray | None = None,
+    Rmag: np.ndarray | None = None,
+    identity=None,
 ) -> tuple[object, float]:
-    """The one truncated coset series: `terms` (the non-trivial cosets along
-    the last, contiguous axis; one row per coefficient when 2-D) reduced by
-    numpy's pairwise sum along that axis, plus the identity-coset term.  The
+    """The one truncated coset series: the weights `w` of the non-trivial
+    cosets, or for a second-order series each row of the coefficient-major
+    table `R` times `w`, reduced by numpy's pairwise sum in the fixed coset
+    order, plus the identity-coset term.  One row at a time goes through one
+    buffer, so the values are bitwise those of `(R * w).sum(axis=-1)`.  The
     reduction errs like eps log(n_cosets), inside the tail's 16-eps floor.
 
-    Returns (value, tail).  The tail extrapolates the outermost computed
-    shells: the c-tail scales the average of the last few c-shells by the
-    integral comparison sum_{c > C} (c/C)^(1-w0) ~ C/(w0-2); the d-tail
-    scales the outer |d| band with decay exponent w0.  A factor 2 pads shell
-    roughness; a floor of 16 eps times the absolute sum (plus 1 for an
+    Returns (value, tail).  The tail reads the magnitudes |w|, times the rows
+    of `Rmag` = |R| for a table, on the outermost computed shells
+    (`_tail_shells`): the c-tail scales the average of the last few c-shells
+    by the integral comparison sum_{c > C} (c/C)^(1-w0) ~ C/(w0-2); the
+    d-tail scales the outer |d| band with decay exponent w0.  A factor 2 pads
+    shell roughness; a floor of 16 eps times the absolute sum (plus 1 for an
     identity term) covers roundoff in the terms.
     """
-    value = terms.sum(axis=-1)
+    if R is None:
+        value = w.sum()
+    else:
+        value = np.empty(R.shape[0], dtype=np.complex128)
+        buf = np.empty_like(w)
+        for i, row in enumerate(R):
+            value[i] = np.multiply(row, w, out=buf).sum()
     if identity is not None:
         value = identity + value
     if w0 <= 2:
         return value, math.inf
-    data = cosets(t.C, t.D)
+    band_c, bw, start, band = _tail_shells(t.C, t.D)
+    wmag = np.abs(w)
+    if Rmag is None:
+        shell, outer, total = wmag[start:].sum(), wmag[band].sum(), wmag.sum()
+    else:
+        shell, outer, total = np.empty((3, Rmag.shape[0]))
+        mags, outer_mags = np.empty_like(wmag), np.empty(band.size)
+        for i, row in enumerate(Rmag):
+            np.multiply(row, wmag, out=mags)
+            shell[i], total[i] = mags[start:].sum(), mags.sum()
+            outer[i] = np.take(mags, band, out=outer_mags).sum()
     C, D, x = t.C, t.D, complex(z).real
-    mags = np.abs(terms)
-    band_c = max(1, min(8, C))
-    shell_avg = mags[..., data.cs > C - band_c].sum(axis=-1) / band_c
-    ctail = 2.0 * shell_avg * C / (w0 - 2.0)
-    bw = min(max(2 * C, 8), D)
-    band_sum = mags[..., np.abs(data.ds) > D - bw].sum(axis=-1)
-    dtail = 2.0 * band_sum * max(D - C * abs(x), 1.0) / (bw * (w0 - 1.0))
+    ctail = 2.0 * (shell / band_c) * C / (w0 - 2.0)
+    dtail = 2.0 * outer * max(D - C * abs(x), 1.0) / (bw * (w0 - 1.0))
     extra = 1.0 if identity is not None else 0.0
-    floor = 16.0 * _EPS * (float(np.max(mags.sum(axis=-1))) + extra)
+    floor = 16.0 * _EPS * (float(np.max(total)) + extra)
     return value, float(np.max(ctail + dtail)) + floor
 
 
@@ -175,10 +219,12 @@ def _period_sum(
 ) -> tuple[PolyC, float]:
     """The second-order coset sum of the sign's period table against `wts`.
     The '-' table is the conjugate of the '+' one, and sum conj(r) w =
-    conj(sum r conj(w)) conjugates only the weights and the result."""
+    conj(sum r conj(w)) conjugates only the weights and the result; both
+    tables have the magnitudes `_period_mags`."""
     minus = _minus(sign)
     R = _period_table(hform, t.C, t.D)
-    value, tail = _coset_sum(t, z, R * (wts.conj() if minus else wts), w0)
+    Rmag = _period_mags(hform, t.C, t.D)
+    value, tail = _coset_sum(t, z, wts.conj() if minus else wts, w0, R, Rmag)
     return PolyC(value.conj() if minus else value, hform.k - 2), tail
 
 
@@ -271,12 +317,14 @@ def _phi_direct(
         raise ConvergenceError(f"phi needs r + s > k = {k}")
     t.validate_at(z)
     z = complex(z)
-    rows = [eichler_F(hform, z, sign).coeffs]
+    rows, polys, wts = [eichler_F(hform, z, sign).coeffs], [], []
     for g in enumerate_cosets(t.C, t.D)[1:]:
-        wt = jfactor(g, z) ** (-w.r) * jfactor(g, z.conjugate()) ** (-w.s)
-        rows.append(act_poly(eichler_F(hform, mobius(g, z), sign), g, k).coeffs * wt)
+        wts.append(jfactor(g, z) ** (-w.r) * jfactor(g, z.conjugate()) ** (-w.s))
+        polys.append(act_poly(eichler_F(hform, mobius(g, z), sign), g, k).coeffs)
+        rows.append(polys[-1] * wts[-1])
+    polys = np.ascontiguousarray(np.array(polys).T)
+    _, tail = _coset_sum(t, z, np.array(wts), w.r + w.s - k + 2, polys, np.abs(polys))
     terms = np.ascontiguousarray(np.array(rows).T)  # identity coset first
-    _, tail = _coset_sum(t, z, terms[:, 1:], w.r + w.s - k + 2)
     return SeriesValue(PolyC(terms.sum(axis=-1), k - 2), tail)
 
 

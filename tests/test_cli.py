@@ -320,6 +320,16 @@ def test_unreadable_or_invalid_config_file_is_a_usage_error(tmp_path, capsys, co
     assert err.startswith("usage error:")
 
 
+def test_missing_env_config_file_is_a_usage_error(capsys, monkeypatch):
+    # the MIINT_CONFIG path is read like --config: a missing file is not skipped
+    monkeypatch.setenv("MIINT_CONFIG", "/nonexistent")
+    code, out, err = run_cli(capsys, "dim")
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert err.startswith("usage error:") and "/nonexistent" in err
+
+
 def test_config_echo_describes_the_run(capsys):
     # lvalue's --s is the L-value point, not the Eisenstein weight S
     payload = _payload(capsys, "lvalue", "--s", "7")

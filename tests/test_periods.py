@@ -1,14 +1,26 @@
 import cmath
+import functools
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from miint.errors import ConvergenceError
 from miint import periods as per
 from miint import qforms as qf
-from miint.group import IDENTITY, S, T, T_pow, act_poly, complete_row, reduced_classes
+from miint.group import (
+    IDENTITY,
+    GroupElement,
+    S,
+    T,
+    T_pow,
+    act_poly,
+    complete_row,
+    reduced_classes,
+)
 
 DELTA = qf.delta_q(120)
 DELTA_FINE = qf.delta_q(200)
@@ -198,6 +210,23 @@ def test_period_cocycle_random_words():
         scale = max(1.0, lhs.norm_inf(), part.norm_inf())
         worst = max(worst, (lhs - rhs).norm_inf() / scale)
     assert worst <= 1e-8
+
+
+# words of one to eight letters in S, T and T^-1, as `_word` draws them
+_words = st.lists(st.sampled_from((S, T, T.inv())), min_size=1, max_size=8).map(
+    lambda letters: functools.reduce(GroupElement.__mul__, letters, IDENTITY)
+)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(_words, _words)
+def test_period_cocycle_law_property(g, d):
+    # the property form of the fixed-seed test above, same scale and bound
+    lhs = per.period_poly(DELTA, g * d)
+    part = act_poly(per.period_poly(DELTA, g), d, 12)
+    rhs = part + per.period_poly(DELTA, d)
+    scale = max(1.0, lhs.norm_inf(), part.norm_inf())
+    assert (lhs - rhs).norm_inf() <= 1e-8 * scale
 
 
 def _word(rng, max_len=8):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -592,3 +593,87 @@ def test_swapped_weights_are_exact_conjugates():
             assert np.array_equal(m.value.coeffs, np.conj(p.value.coeffs))
             assert m.tail_estimate == p.tail_estimate
     assert ra.eisenstein_rs(BiWeight(7, 7), 0.3 + 1.2j, T40).value.imag == 0
+
+
+def _mask_tail(t, z, terms, w0, identity=None):
+    """Reference copy of the kernel's tail as a formula over the full term
+    array: magnitudes of every term, shells selected by masks."""
+    data = group.cosets(t.C, t.D)
+    C, D, x = t.C, t.D, complex(z).real
+    mags = np.abs(terms)
+    band_c = max(1, min(8, C))
+    shell_avg = mags[..., data.cs > C - band_c].sum(axis=-1) / band_c
+    ctail = 2.0 * shell_avg * C / (w0 - 2.0)
+    bw = min(max(2 * C, 8), D)
+    band_sum = mags[..., np.abs(data.ds) > D - bw].sum(axis=-1)
+    dtail = 2.0 * band_sum * max(D - C * abs(x), 1.0) / (bw * (w0 - 1.0))
+    extra = 1.0 if identity is not None else 0.0
+    floor = 16.0 * np.finfo(float).eps * (float(np.max(mags.sum(axis=-1))) + extra)
+    return float(np.max(ctail + dtail)) + floor
+
+
+def _assert_table_tail(got, ref):
+    # |R| |w| against |R w|: a few ulps per term
+    assert abs(got - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("x", [0.0, -0.5])
+@pytest.mark.parametrize("C", [1, 3, 7, 8, 40])
+def test_coset_sum_matches_the_full_term_array(C, x):
+    # the row-at-a-time kernel gives the values of (R * w).sum(axis=-1)
+    # bitwise, and the tail of the mask formula over the full product array
+    t, z, w = ra.TruncationParams(C, 10 * C), complex(x, 1.3), BiWeight(10, 8)
+    R = ra._period_table(DELTA, C, 10 * C)
+    rs, holo = ra._rs_weights(t, z, w), ra._holo_weights(t, z, 1, 16)
+    w0 = w.r + w.s - DELTA.k + 2
+    for sign, table in (("+", R), ("-", R.conj())):
+        sv = ra.psi_series(DELTA, w, sign, z, t)
+        assert np.array_equal(sv.value.coeffs, (table * rs).sum(axis=-1))
+        _assert_table_tail(sv.tail_estimate, _mask_tail(t, z, table * rs, w0))
+        g = ra.second_order_G(1, DELTA, 16, z, t, sign)
+        assert np.array_equal(g.value.coeffs, (table * holo).sum(axis=-1))
+        _assert_table_tail(g.tail_estimate, _mask_tail(t, z, table * holo, 16 - DELTA.k + 2))
+    ev = ra.eisenstein_rs(w, z, t)
+    assert ev.value == 1.0 + rs.sum()
+    assert ev.tail_estimate == _mask_tail(t, z, rs, w.r + w.s, identity=1.0)
+    holo = ra._holo_weights(t, z, 1, 12)
+    pn = ra.poincare(1, 12, z, t)
+    identity = cmath.exp(2j * math.pi * z)
+    assert pn.value == identity + holo.sum()
+    assert pn.tail_estimate == _mask_tail(t, z, holo, 12, identity=identity)
+
+
+@pytest.mark.parametrize("C, D", [(3, 5), (8, 16)])
+def test_coset_sum_when_the_d_band_covers_every_d(C, D):
+    # D <= 2C lies outside what `validate_at` admits, so the kernel is called
+    # directly, with weights built without validation
+    t, z = ra.TruncationParams(C, D), complex(-0.5, 1.3)
+    data = group.cosets(C, D)
+    assert ra._tail_shells(C, D)[3].tolist() == np.flatnonzero(data.ds != 0).tolist()
+    j = data.cs * z + data.ds
+    wts = j**-7 * np.conj(j) ** -5
+    R, Rmag = ra._period_table(DELTA, C, D), ra._period_mags(DELTA, C, D)
+    value, tail = ra._coset_sum(t, z, wts, 4, R, Rmag)
+    assert np.array_equal(value, (R * wts).sum(axis=-1))
+    _assert_table_tail(tail, _mask_tail(t, z, R * wts, 4))
+    value, tail = ra._coset_sum(t, z, wts, 12, identity=1.0)
+    assert value == 1.0 + wts.sum()
+    assert tail == _mask_tail(t, z, wts, 12, identity=1.0)
+
+
+@pytest.mark.parametrize("form", ["delta", "s16"])
+def test_warm_series_allocate_under_half_the_period_table(form):
+    # the kernel reads the cached table and its magnitudes a row at a time:
+    # a warm call allocates n-sized buffers, not a (k-1) x n term array
+    f = DELTA if form == "delta" else qf.cusp_basis(16)[0]
+    t, w = ra.TruncationParams(80, 800), BiWeight(f.k // 2 + 4, f.k // 2 + 4)
+    table_bytes = ra._period_table(f, t.C, t.D).nbytes
+    for series in (ra.psi_series, ra.phi):
+        series(f, w, "+", 2j, t)
+        tracemalloc.start()
+        try:
+            series(f, w, "+", 0.3 + 1.5j, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < table_bytes / 2
