@@ -70,11 +70,19 @@ def _exp_primitives(ns: np.ndarray, m: int, z: complex) -> np.ndarray:
     return rows
 
 
+@lru_cache(maxsize=8)
+def _coeff_array(f: QExpansion) -> np.ndarray:
+    """Read-only complex coefficients a(1..N) of a q-expansion."""
+    a = np.array([complex(x) for x in f.coeffs[1:]], dtype=np.complex128)
+    a.setflags(write=False)  # cached and shared by every moment
+    return a
+
+
 def eichler_moments(f: QExpansion, z: complex, m: int) -> np.ndarray:
     """Integrals from i*infinity to z of f(w) w^j dw for j = 0..m, termwise
     over the q-expansion: the primitives of every frequency n = 1..N weighted
     by the coefficients a(n)."""
-    a = np.array([complex(x) for x in f.coeffs[1:]], dtype=np.complex128)
+    a = _coeff_array(f)
     return (_exp_primitives(np.arange(1, f.N + 1), m, z) * a[:, None]).sum(axis=0)
 
 

@@ -12,8 +12,10 @@ identity-coset term; phi combines psi and E_{r,s}.  The kernel walks the
 table one coefficient row at a time through one n-sized buffer, and reduces
 each row pairwise in that unchanged order.  The same inputs on the same
 Python, numpy and CPU give bitwise-identical results; the reduction error
-stays below the tail's 16-eps floor.  The weights of (s, r) are the exact
-conjugates of those of (r, s), so E_{s,r} = conj E_{r,s} exactly.
+stays below the tail's 16-eps floor.  The weights divide by an integer
+power of the j array, raised by binary powering over the whole array
+(`_ipow`); the weights of (s, r) are the exact conjugates of those of
+(r, s), so E_{s,r} = conj E_{r,s} exactly.
 
 Every coset (c, d0 + nc) is its reduced class (c, d0) times T^n, as the
 coset table `group.cosets` records.  The period table translates its class's
@@ -27,7 +29,10 @@ plus a floating-point noise floor.  It is an estimate, not a proof-grade
 bound, but it is sized so that doubling the rectangle moves the value by
 less than it.  It reads the term magnitudes as |R| |w|: |w| per call, and
 |R| from `_period_mags`, a float table cached beside the period table under
-the same key and cache size (about 9 MiB for weight 16 at C=80).
+the same key and cache size (about 9 MiB for weight 16 at C=80), its columns
+in the tail order of `_tail_shells`.  A table's tail is four matrix-vector
+products over contiguous column blocks: their summation order is BLAS's,
+the same bits on every run, within 1e-12 of pairwise sums over masks.
 """
 
 from __future__ import annotations
@@ -67,6 +72,9 @@ _EPS = float(np.finfo(np.float64).eps)
 DEFAULT_M = 128
 #: relative mismatch between fn(iy) and fn(1 + iy) that rejects an integrand
 _PERIODICITY_RTOL = 1e-6
+#: cosets per block of a blocked coset pass (the closed form's sums, the
+#: magnitude table), which bounds its working memory to a few block-sized rows
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -119,51 +127,107 @@ def _period_table(f: QExpansion, C: int, D: int) -> np.ndarray:
 @lru_cache(maxsize=6)
 def _period_mags(f: QExpansion, C: int, D: int) -> np.ndarray:
     """The coefficientwise magnitudes |r(gamma; X)| of `_period_table`, the
-    float table against which the tail weighs |w|."""
-    return np.abs(_period_table(f, C, D))
+    float table against which the tail weighs |w|, with its columns in the
+    tail order of `_tail_shells`.  It is gathered a block of columns at a
+    time, so the build holds one block beyond the two tables."""
+    order = _tail_shells(C, D)[3]
+    table = _period_table(f, C, D)
+    mags = np.empty(table.shape)
+    for lo in range(0, order.size, _BLOCK):
+        cols = order[lo : lo + _BLOCK]
+        for src, dst in zip(table, mags):
+            np.abs(src[cols], out=dst[lo : lo + _BLOCK])
+    return mags
+
+
+def _jarray(t: TruncationParams, z: complex) -> np.ndarray:
+    """j(gamma, z) = cz + d over the cosets, after validating z.  It is built
+    in place, as are the weights from it: every n-sized temporary costs a
+    warm call page faults and peak memory."""
+    t.validate_at(z)
+    data = cosets(t.C, t.D)
+    j = data.cs * complex(z)
+    j += data.ds
+    return j
 
 
 def _jarrays(t: TruncationParams, z: complex) -> tuple[np.ndarray, np.ndarray]:
-    """j(gamma, z) and j(gamma, conj z) over the cosets, after validating z."""
-    t.validate_at(z)
-    z = complex(z)
-    data = cosets(t.C, t.D)
-    return data.cs * z + data.ds, data.cs * z.conjugate() + data.ds
+    """j(gamma, z) and j(gamma, conj z) over the cosets, after validating z.
+    The second is the conjugate of the first, bitwise cs conj(z) + ds."""
+    j = _jarray(t, z)
+    return j, j.conj()
+
+
+def _ipow(base: np.ndarray, e: int) -> np.ndarray:
+    """base ** e for an integer e >= 0, elementwise by binary powering: a
+    square buffer and a power buffer, each updated in place.  Complex
+    products commute with conjugation, so _ipow(conj b, e) = conj _ipow(b, e)
+    exactly."""
+    if e == 0:
+        return np.ones_like(base)
+    power, square = None, base.copy()
+    while True:
+        if e & 1:
+            # once no higher bit is left, the square itself is the last factor
+            if power is None:
+                power = square if e == 1 else square.copy()
+            else:
+                power *= square
+        e >>= 1
+        if not e:
+            return power
+        square *= square
 
 
 def _rs_weights(t: TruncationParams, z: complex, w: BiWeight) -> np.ndarray:
-    """j^(-r) jbar^(-s) as the real |j|^(-2m), m = min(r, s), times one complex
-    power, so the weights of (s, r) are the exact conjugates of these."""
-    j, jb = _jarrays(t, z)
-    m = min(w.r, w.s)
-    power = j ** (m - w.r) if w.r >= w.s else jb ** (m - w.s)
-    return (j.real**2 + j.imag**2) ** -m * power
+    """j^(-r) jbar^(-s) as the real |j|^(-2m), m = min(r, s), over the power
+    j^|r-s|, conjugated when s > r: the weights of (s, r) are the exact
+    conjugates of those of (r, s)."""
+    j = _jarray(t, z)
+    scale = j.real**2
+    scale += j.imag**2
+    np.power(scale, -min(w.r, w.s), out=scale)
+    power = _ipow(j, abs(w.r - w.s))
+    wts = np.divide(scale, power, out=power)
+    return np.conjugate(wts, out=wts) if w.s > w.r else wts
 
 
 def _holo_weights(t: TruncationParams, z: complex, n: int, k: int) -> np.ndarray:
-    j, _ = _jarrays(t, z)
+    """e(n gz) j^(-k) over the cosets, gz read off the top rows."""
+    j = _jarray(t, z)
     a, b = cosets(t.C, t.D).tops
-    return np.exp(2j * np.pi * n * ((a * complex(z) + b) / j)) * j ** (-k)
+    power = _ipow(j, k)
+    return np.divide(np.exp(2j * np.pi * n * ((a * complex(z) + b) / j)), power, out=power)
 
 
 @lru_cache(maxsize=8)
-def _tail_shells(C: int, D: int) -> tuple[int, int, int, np.ndarray]:
+def _tail_shells(C: int, D: int) -> tuple[int, int, int, np.ndarray, tuple[int, int, int]]:
     """The outer shells the tail reads, per rectangle: the last `band_c`
     c-shells, which are the cosets from position `start` on, and the outer
-    |d| band of width `bw`, at positions `band`."""
+    |d| band of width `bw`.
+
+    `order` is the tail order: the int32 coset positions in four contiguous
+    blocks, each in coset order, that end at `cuts` and at n: neither shell
+    nor band, band only, band and shell, shell only.  The band is
+    order[cuts[0]:cuts[2]], in coset order; the shells are order[cuts[1]:]."""
     data = cosets(C, D)
     band_c = max(1, min(8, C))
     bw = min(max(2 * C, 8), D)
     start = int(np.searchsorted(data.cs, C - band_c, side="right"))
-    band = np.flatnonzero(np.abs(data.ds) > D - bw)
-    band.setflags(write=False)  # cached and shared by every caller
-    return band_c, bw, start, band
+    band = np.abs(data.ds) > D - bw
+    block = band.astype(np.int8)
+    block[start:] = 3 - block[start:]  # a shell coset is in block 2 or 3
+    order = np.argsort(block, kind="stable").astype(np.int32)
+    order.setflags(write=False)  # cached and shared by every caller
+    cuts = tuple(np.cumsum(np.bincount(block, minlength=4))[:3].tolist())
+    return band_c, bw, start, order, cuts
 
 
 def _coset_sum(
     t: TruncationParams,
     z: complex,
     w: np.ndarray,
+    wmag: np.ndarray,
     w0: float,
     R: np.ndarray | None = None,
     Rmag: np.ndarray | None = None,
@@ -176,13 +240,17 @@ def _coset_sum(
     buffer, so the values are bitwise those of `(R * w).sum(axis=-1)`.  The
     reduction errs like eps log(n_cosets), inside the tail's 16-eps floor.
 
-    Returns (value, tail).  The tail reads the magnitudes |w|, times the rows
-    of `Rmag` = |R| for a table, on the outermost computed shells
-    (`_tail_shells`): the c-tail scales the average of the last few c-shells
-    by the integral comparison sum_{c > C} (c/C)^(1-w0) ~ C/(w0-2); the
-    d-tail scales the outer |d| band with decay exponent w0.  A factor 2 pads
-    shell roughness; a floor of 16 eps times the absolute sum (plus 1 for an
-    identity term) covers roundoff in the terms.
+    Returns (value, tail).  The tail reads the magnitudes `wmag` = |w| on the
+    outermost computed shells (`_tail_shells`): the c-tail scales the average
+    of the last few c-shells by the integral comparison
+    sum_{c > C} (c/C)^(1-w0) ~ C/(w0-2); the d-tail scales the outer |d| band
+    with decay exponent w0.  A factor 2 pads shell roughness; a floor of
+    16 eps times the absolute sum (plus 1 for an identity term) covers
+    roundoff in the terms.  A scalar series sums |w| pairwise over the
+    shells, the band and all cosets.  A table weighs |w|, gathered once into
+    tail order, against `Rmag` = |R| in that order, one matrix-vector product
+    per block: the total is all four blocks, the band blocks 2 and 3, the
+    shells blocks 3 and 4.
     """
     if R is None:
         value = w.sum()
@@ -195,17 +263,15 @@ def _coset_sum(
         value = identity + value
     if w0 <= 2:
         return value, math.inf
-    band_c, bw, start, band = _tail_shells(t.C, t.D)
-    wmag = np.abs(w)
+    band_c, bw, start, order, cuts = _tail_shells(t.C, t.D)
     if Rmag is None:
+        band = order[cuts[0] : cuts[2]]
         shell, outer, total = wmag[start:].sum(), wmag[band].sum(), wmag.sum()
     else:
-        shell, outer, total = np.empty((3, Rmag.shape[0]))
-        mags, outer_mags = np.empty_like(wmag), np.empty(band.size)
-        for i, row in enumerate(Rmag):
-            np.multiply(row, wmag, out=mags)
-            shell[i], total[i] = mags[start:].sum(), mags.sum()
-            outer[i] = np.take(mags, band, out=outer_mags).sum()
+        wm = wmag[order]
+        edges = (0, *cuts, wm.size)
+        b1, b2, b3, b4 = (Rmag[:, lo:hi] @ wm[lo:hi] for lo, hi in zip(edges, edges[1:]))
+        total, outer, shell = b1 + b2 + b3 + b4, b2 + b3, b3 + b4
     C, D, x = t.C, t.D, complex(z).real
     ctail = 2.0 * (shell / band_c) * C / (w0 - 2.0)
     dtail = 2.0 * outer * max(D - C * abs(x), 1.0) / (bw * (w0 - 1.0))
@@ -215,23 +281,23 @@ def _coset_sum(
 
 
 def _period_sum(
-    hform: QExpansion, sign: str, t: TruncationParams, z: complex, wts: np.ndarray, w0: float
+    hform: QExpansion,
+    sign: str,
+    t: TruncationParams,
+    z: complex,
+    wts: np.ndarray,
+    wmag: np.ndarray,
+    w0: float,
 ) -> tuple[PolyC, float]:
-    """The second-order coset sum of the sign's period table against `wts`.
-    The '-' table is the conjugate of the '+' one, and sum conj(r) w =
-    conj(sum r conj(w)) conjugates only the weights and the result; both
-    tables have the magnitudes `_period_mags`."""
+    """The second-order coset sum of the sign's period table against `wts`,
+    of magnitudes `wmag`.  The '-' table is the conjugate of the '+' one, and
+    sum conj(r) w = conj(sum r conj(w)) conjugates only the weights and the
+    result; both tables have the magnitudes `_period_mags`, and |conj w| = |w|."""
     minus = _minus(sign)
     R = _period_table(hform, t.C, t.D)
     Rmag = _period_mags(hform, t.C, t.D)
-    value, tail = _coset_sum(t, z, wts.conj() if minus else wts, w0, R, Rmag)
+    value, tail = _coset_sum(t, z, wts.conj() if minus else wts, wmag, w0, R, Rmag)
     return PolyC(value.conj() if minus else value, hform.k - 2), tail
-
-
-def _eisenstein(w: BiWeight, t: TruncationParams, z: complex, wts: np.ndarray) -> SeriesValue:
-    """E_{r,s} from its coset weights `_rs_weights(t, z, w)`."""
-    value, tail = _coset_sum(t, z, wts, w.r + w.s, identity=1.0)
-    return SeriesValue(value, tail)
 
 
 def eisenstein_rs(
@@ -241,7 +307,8 @@ def eisenstein_rs(
     j(g,z)^(-r) j(g, conj z)^(-s), identity coset contributing 1."""
     if w.r + w.s <= 2:
         raise ConvergenceError(f"weights ({w.r},{w.s}) diverge: r + s must exceed 2")
-    return _eisenstein(w, t, z, _rs_weights(t, z, w))
+    wts = _rs_weights(t, z, w)
+    return SeriesValue(*_coset_sum(t, z, wts, np.abs(wts), w.r + w.s, identity=1.0))
 
 
 def _check_psi(hform: QExpansion, w: BiWeight) -> None:
@@ -251,14 +318,6 @@ def _check_psi(hform: QExpansion, w: BiWeight) -> None:
         raise ConvergenceError(
             f"psi needs r + s > k = {hform.k}, got r + s = {w.r + w.s}"
         )
-
-
-def _psi(
-    hform: QExpansion, w: BiWeight, sign: str, t: TruncationParams, z: complex, wts: np.ndarray
-) -> SeriesValue:
-    """psi from its coset weights `_rs_weights(t, z, w)`."""
-    value, tail = _period_sum(hform, sign, t, z, wts, w.r + w.s - hform.k + 2)
-    return SeriesValue(value, tail)
 
 
 def psi_series(
@@ -271,7 +330,9 @@ def psi_series(
     """Second-order series sum over B\\Gamma of r(gamma; X) j^(-r) jbar^(-s);
     the identity coset contributes nothing."""
     _check_psi(hform, w)
-    return _psi(hform, w, sign, t, z, _rs_weights(t, z, w))
+    wts = _rs_weights(t, z, w)
+    w0 = w.r + w.s - hform.k + 2
+    return SeriesValue(*_period_sum(hform, sign, t, z, wts, np.abs(wts), w0))
 
 
 def phi(
@@ -283,18 +344,17 @@ def phi(
 ) -> SeriesValue:
     """Invariant series sum over B\\Gamma of the slashed Eichler integral,
     assembled as psi + F * E (`_phi_direct` is the reference route); psi and
-    E share one set of coset weights."""
+    E share one set of coset weights and their magnitudes."""
     z = complex(z)
     _check_psi(hform, w)
     wts = _rs_weights(t, z, w)
-    psiv = _psi(hform, w, sign, t, z, wts)
-    ev = _eisenstein(w, t, z, wts)
+    wmag = np.abs(wts)
+    psiv, ptail = _period_sum(hform, sign, t, z, wts, wmag, w.r + w.s - hform.k + 2)
+    ev, etail = _coset_sum(t, z, wts, wmag, w.r + w.s, identity=1.0)
     F = eichler_F(hform, z, sign)
-    value = psiv.value + F * ev.value
     ftail = eval_tail_bound(hform, z.imag) / (2 * math.pi)
-    tail = psiv.tail_estimate + F.norm_inf() * ev.tail_estimate
-    tail += abs(ev.value) * ftail
-    return SeriesValue(value, tail)
+    tail = ptail + F.norm_inf() * etail + abs(ev) * ftail
+    return SeriesValue(psiv + F * ev, tail)
 
 
 def _phi_direct(
@@ -323,7 +383,9 @@ def _phi_direct(
         polys.append(act_poly(eichler_F(hform, mobius(g, z), sign), g, k).coeffs)
         rows.append(polys[-1] * wts[-1])
     polys = np.ascontiguousarray(np.array(polys).T)
-    _, tail = _coset_sum(t, z, np.array(wts), w.r + w.s - k + 2, polys, np.abs(polys))
+    wts = np.array(wts)
+    mags = np.abs(polys)[:, _tail_shells(t.C, t.D)[3]]  # in tail order
+    _, tail = _coset_sum(t, z, wts, np.abs(wts), w.r + w.s - k + 2, polys, mags)
     terms = np.ascontiguousarray(np.array(rows).T)  # identity coset first
     return SeriesValue(PolyC(terms.sum(axis=-1), k - 2), tail)
 
@@ -346,11 +408,6 @@ def coeff_decompose(P: PolyC, z: complex, k: int) -> np.ndarray:
     except np.linalg.LinAlgError as exc:  # unreachable for z in H
         raise ArithmeticError("singular decomposition system") from exc
     return sol
-
-
-#: cosets per block of the closed form's coset pass, which bounds its
-#: working memory to a few (k-1) x _CF_CHUNK arrays
-_CF_CHUNK = 4096
 
 
 @lru_cache(maxsize=None)
@@ -387,8 +444,8 @@ def _closed_form_sums(
     cfl = data.cs.astype(np.float64)
     cexp = np.arange(K)[:, None] - (k - 2)
     v = np.zeros((K, K), dtype=np.complex128)
-    for lo in range(0, cfl.size, _CF_CHUNK):
-        blk = slice(lo, lo + _CF_CHUNK)
+    for lo in range(0, cfl.size, _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
         # Lambda(d+1) c^(d-k+2), d = p - q, gathered from the class table
         lamc = table.values[:, data.cls[blk]] * cfl[blk] ** cexp
         jpow = np.empty((K, lamc.shape[1]), dtype=np.complex128)
@@ -497,10 +554,9 @@ def poincare(
         raise ConvergenceError("Poincare series needs even k >= 4")
     if n < 0:
         raise ValueError("n must be >= 0")
-    value, tail = _coset_sum(
-        t, z, _holo_weights(t, z, n, k), k, identity=cmath.exp(2j * math.pi * n * complex(z))
-    )
-    return SeriesValue(value, tail)
+    wts = _holo_weights(t, z, n, k)
+    identity = cmath.exp(2j * math.pi * n * complex(z))
+    return SeriesValue(*_coset_sum(t, z, wts, np.abs(wts), k, identity=identity))
 
 
 def second_order_G(
@@ -518,5 +574,5 @@ def second_order_G(
         raise ConvergenceError(f"need even k > k1 = {k1} > 2, got k = {k}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    value, tail = _period_sum(hform, sign, t, z, _holo_weights(t, z, n, k), k - k1 + 2)
-    return SeriesValue(value, tail)
+    wts = _holo_weights(t, z, n, k)
+    return SeriesValue(*_period_sum(hform, sign, t, z, wts, np.abs(wts), k - k1 + 2))

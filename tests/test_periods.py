@@ -75,6 +75,18 @@ def test_eichler_moments_match_the_per_frequency_rows(form):
             assert abs(got[t] - ref) <= 4 * eps * np.abs(terms[:, t]).sum()
 
 
+def test_eichler_moments_read_one_cached_coefficient_array():
+    # the cached read-only array gives the moments of a fresh conversion bitwise
+    f = qf.cusp_basis(16)[0]
+    assert per._coeff_array(f) is per._coeff_array(f)
+    assert not per._coeff_array(f).flags.writeable
+    fresh = np.array([complex(x) for x in f.coeffs[1:]], dtype=np.complex128)
+    for z in (1j, 0.3 + 1.2j):
+        rows = per._exp_primitives(np.arange(1, f.N + 1), f.k - 2, z)
+        ref = (rows * fresh[:, None]).sum(axis=0)
+        assert np.array_equal(per.eichler_moments(f, z, f.k - 2), ref)
+
+
 def test_eichler_fd_derivative():
     z, h = 1j, 1e-4
     dF = (per.eichler_F(DELTA, z + h) - per.eichler_F(DELTA, z - h)) * (1 / (2 * h))

@@ -649,16 +649,74 @@ def test_coset_sum_when_the_d_band_covers_every_d(C, D):
     # directly, with weights built without validation
     t, z = ra.TruncationParams(C, D), complex(-0.5, 1.3)
     data = group.cosets(C, D)
-    assert ra._tail_shells(C, D)[3].tolist() == np.flatnonzero(data.ds != 0).tolist()
+    order, cuts = ra._tail_shells(C, D)[3:]
+    assert order[cuts[0] : cuts[2]].tolist() == np.flatnonzero(data.ds != 0).tolist()
     j = data.cs * z + data.ds
     wts = j**-7 * np.conj(j) ** -5
     R, Rmag = ra._period_table(DELTA, C, D), ra._period_mags(DELTA, C, D)
-    value, tail = ra._coset_sum(t, z, wts, 4, R, Rmag)
+    value, tail = ra._coset_sum(t, z, wts, np.abs(wts), 4, R, Rmag)
     assert np.array_equal(value, (R * wts).sum(axis=-1))
     _assert_table_tail(tail, _mask_tail(t, z, R * wts, 4))
-    value, tail = ra._coset_sum(t, z, wts, 12, identity=1.0)
+    value, tail = ra._coset_sum(t, z, wts, np.abs(wts), 12, identity=1.0)
     assert value == 1.0 + wts.sum()
     assert tail == _mask_tail(t, z, wts, 12, identity=1.0)
+
+
+@pytest.mark.parametrize("C, D", [(1, 10), (3, 5), (8, 80), (40, 400), (80, 800)])
+def test_tail_order_blocks(C, D):
+    # four contiguous blocks of coset positions, each in coset order: neither
+    # shell nor band, band only, band and shell, shell only
+    data = group.cosets(C, D)
+    band_c, bw, start, order, cuts = ra._tail_shells(C, D)
+    n = data.cs.size
+    assert order.dtype == np.int32 and not order.flags.writeable
+    assert np.array_equal(np.sort(order), np.arange(n))
+    shell = np.arange(n) >= start
+    assert np.array_equal(shell, data.cs > C - band_c)
+    band = np.abs(data.ds) > D - bw
+    members = (~band & ~shell, band & ~shell, band & shell, ~band & shell)
+    for block, mask in zip(np.split(order, cuts), members):
+        assert block.tolist() == np.flatnonzero(mask).tolist()
+    assert order[cuts[0] : cuts[2]].tolist() == np.flatnonzero(band).tolist()
+    f = DELTA if C < 80 else qf.cusp_basis(16)[0]
+    mags = ra._period_mags(f, C, D)
+    assert np.array_equal(mags, np.abs(ra._period_table(f, C, D))[:, order])
+
+
+def test_period_mags_build_allocates_no_second_table():
+    # with the period table warm, building its magnitudes allocates the
+    # magnitude table plus at most two n-sized buffers (and a few headers)
+    f, C, D = qf.cusp_basis(16)[0], 80, 800
+    ra._period_table(f, C, D), ra._tail_shells(C, D)
+    tracemalloc.start()
+    try:
+        mags = ra._period_mags.__wrapped__(f, C, D)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= mags.nbytes + 2 * mags[0].nbytes + 4096
+
+
+def test_ipow_is_conjugate_exact_and_accurate():
+    t = ra.TruncationParams(40, 400)
+    for z in (2j, 0.3 + 1.5j, -0.45 + 1.1j):
+        j = ra._jarrays(t, z)[0]
+        for e in range(25):
+            p = ra._ipow(j, e)
+            assert np.array_equal(ra._ipow(j.conj(), e), p.conj())
+            ref = j**e
+            assert np.all(np.abs(p - ref) <= 4 * e * np.finfo(float).eps * np.abs(ref))
+
+
+@pytest.mark.parametrize("C", [1, 7, 40])
+def test_jbar_is_the_conjugate_of_j(C):
+    # cs conj(z) + ds has the real part of cs z + ds and its imaginary part
+    # negated exactly, so j-bar is built by conjugation
+    t, data = ra.TruncationParams(C, 10 * C), group.cosets(C, 10 * C)
+    for z in (2j, 0.3 + 1.5j, -0.45 + 1.1j):
+        j, jb = ra._jarrays(t, z)
+        assert np.array_equal(j, data.cs * z + data.ds)
+        assert np.array_equal(jb, data.cs * z.conjugate() + data.ds)
 
 
 @pytest.mark.parametrize("form", ["delta", "s16"])
