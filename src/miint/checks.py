@@ -204,11 +204,12 @@ def suite_coeff_closed_form() -> list[CheckResult]:
 def suite_invariance() -> list[CheckResult]:
     f = _delta()
     w = BiWeight(10, 10)
+    t = TruncationParams()
     out = []
+    values = {}
     for z in (2j, 0.5 + 2j):
-        t = TruncationParams()
         for sign in "+-":
-            sv = raseries.phi(f, w, sign, z, t)
+            sv = values[z, sign] = raseries.phi(f, w, sign, z, t)
             fn = lambda u, sg=sign: raseries.phi(f, w, sg, u, t).value
             acted = act_tensor(fn, S, w, f.k)(z)
             res = (acted - sv.value).norm_inf()
@@ -216,9 +217,8 @@ def suite_invariance() -> list[CheckResult]:
             out.append(
                 _result(f"phi{sign} invariance under S at z = {z}", res, tol)
             )
-    z = 2j
-    base = raseries.phi(f, w, "+", z, TruncationParams())
-    fine = raseries.phi(f, w, "+", z, TruncationParams(C=80, D=800))
+    base = values[2j, "+"]
+    fine = raseries.phi(f, w, "+", 2j, TruncationParams(C=80, D=800))
     res = (base.value - fine.value).norm_inf()
     out.append(
         _result("phi self-convergence C: 40 -> 80", res, base.tail_estimate)
@@ -355,34 +355,34 @@ def suite_second_order() -> list[CheckResult]:
     z = 2j
     t = TruncationParams()
     out = []
-    for g, label in ((S, "S"), (T * S, "TS")):
-        sv = raseries.psi_series(f, w, "+", z, t)
-        fn = lambda u: raseries.psi_series(f, w, "+", u, t).value
+    sv = raseries.psi_series(f, w, "+", z, t)
+    fn = lambda u: raseries.psi_series(f, w, "+", u, t).value
+    ev = raseries.eisenstein_rs(w, z, t)
+    r_S = periods.period_poly(f, S)
+    for g, label, r_g in ((S, "S", r_S), (T * S, "TS", periods.period_poly(f, T * S))):
         image = act_tensor(fn, g, w, f.k)(z) - sv.value
-        ev = raseries.eisenstein_rs(w, z, t)
-        predicted = periods.period_poly(f, g) * (-ev.value)
+        predicted = r_g * (-ev.value)
         res = (image - predicted).norm_inf()
         tol = max(2 * sv.tail_estimate + abs(ev.tail_estimate), 1e-5)
         out.append(_result(f"psi.(g-1) + r(g) E = 0, g = {label}", res, tol))
 
     # second-order Poincare-type law at (n, k, k1) = (1, 16, 12)
     n, k = 1, 16
-    sv = raseries.second_order_G(n, f, k, z, t, "+")
+    G = raseries.second_order_G(n, f, k, z, t, "+")
     fn = lambda u: raseries.second_order_G(n, f, k, u, t, "+").value
-    image = act_tensor(fn, S, BiWeight(k, 0), f.k)(z) - sv.value
+    image = act_tensor(fn, S, BiWeight(k, 0), f.k)(z) - G.value
     pn = raseries.poincare(n, k, z, t)
-    predicted = periods.period_poly(f, S) * (-pn.value)
+    predicted = r_S * (-pn.value)
     res = (image - predicted).norm_inf()
-    tol = max(4 * sv.tail_estimate + abs(pn.tail_estimate), 1e-5)
+    tol = max(4 * G.tail_estimate + abs(pn.tail_estimate), 1e-5)
     out.append(_result("G.(S-1) + r(S) P_n = 0 at (1,16,12)", res, tol))
 
     # real-analytic F2 cocycle
     fn2 = it.real_F2_fn(f, w, t)
     image = act_tensor(fn2, S, w, f.k)(z) - fn2(z)
-    ev = raseries.eisenstein_rs(w, z, t)
-    predicted = periods.period_poly(f, S) * ev.value
+    predicted = r_S * ev.value
     res = (image - predicted).norm_inf()
-    tol = max(4 * ev.tail_estimate * periods.period_poly(f, S).norm_inf(), 1e-5)
+    tol = max(4 * ev.tail_estimate * r_S.norm_inf(), 1e-5)
     out.append(_result("real F2.(S-1) = E r(S)", res, tol))
     return out
 

@@ -118,33 +118,36 @@ def _emit_csv(rows: list[dict]) -> None:
 
 
 def build_parser() -> _Parser:
-    # SUPPRESS keeps subparser re-parsing from clobbering pre-command flags
+    # SUPPRESS keeps subparser re-parsing from clobbering a pre-command --config
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--config", help="path to a KEY=VALUE config file")
-    for name in ("C", "D", "N", "M"):
-        common.add_argument(f"--{name}", type=int)
-    common.add_argument("--format", choices=FORMATS)
 
     parser = _Parser(prog="miint", description=__doc__, parents=[common])
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add_parser(name, *int_flags, **kw):
+        """A subcommand with --config and the integer config flags it reads;
+        the two that read FORMAT add --format themselves."""
+        p = sub.add_parser(name, parents=[common], **kw)
+        for flag in int_flags:
+            p.add_argument(f"--{flag}", type=int)
+        return p
 
-    p = add_parser("forms", help="dump exact q-expansion coefficients")
+    p = add_parser("forms", "N", help="dump exact q-expansion coefficients")
+    p.add_argument("--format", choices=FORMATS)
     p.add_argument("--kind", choices=("eisenstein", "delta", "cusp-basis"), default="delta")
     p.add_argument("--weight", type=int, default=12)
 
-    p = add_parser("eval", help="evaluate a form at a point")
+    p = add_parser("eval", "N", help="evaluate a form at a point")
     p.add_argument("--form", default=None)
     p.add_argument("--z", nargs=2, type=float, metavar=("RE", "IM"), default=None)
 
-    p = add_parser("period", help="period polynomial r(gamma; X)")
+    p = add_parser("period", "N", help="period polynomial r(gamma; X)")
     p.add_argument("--form", default=None)
     p.add_argument("--gamma", default="S")
     p.add_argument("--sign", choices=("+", "-"), default="+")
 
-    p = add_parser("lvalue", help="twisted completed L-value")
+    p = add_parser("lvalue", "N", help="twisted completed L-value")
     p.add_argument("--form", default=None)
     # its own dest: S in the config is the Eisenstein weight, not this point
     p.add_argument("--s", type=int, required=True, dest="lvalue_s", metavar="S")
@@ -152,12 +155,12 @@ def build_parser() -> _Parser:
     p.add_argument("--q", type=int, default=1)
     p.add_argument("--method", choices=("auto", "series", "extract"), default="auto")
 
-    p = add_parser("eisenstein", help="real-analytic Eisenstein series value")
+    p = add_parser("eisenstein", "C", "D", help="real-analytic Eisenstein series value")
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--z", nargs=2, type=float, metavar=("RE", "IM"), default=None)
 
-    p = add_parser("phi", help="invariant series coefficients")
+    p = add_parser("phi", "C", "D", "N", help="invariant series coefficients")
     p.add_argument("--form", default=None)
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--s", type=int, default=None)
@@ -165,7 +168,7 @@ def build_parser() -> _Parser:
     p.add_argument("--z", nargs=2, type=float, metavar=("RE", "IM"), default=None)
     p.add_argument("--j", type=int, default=None, help="single basis coefficient")
 
-    p = add_parser("fourier", help="Fourier mode of a form or psi coefficient")
+    p = add_parser("fourier", "C", "D", "N", "M", help="Fourier mode of a form or psi coefficient")
     p.add_argument("--form", default=None)
     p.add_argument("--psi", action="store_true", help="use a psi basis coefficient")
     p.add_argument("--i", type=int, default=None, help="psi basis index (with --psi)")
@@ -174,19 +177,27 @@ def build_parser() -> _Parser:
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--y", type=float, default=1.0)
 
-    p = add_parser("iterated", help="iterated Eichler integral coefficients")
+    p = add_parser("iterated", "N", help="iterated Eichler integral coefficients")
     p.add_argument("--depth", type=int, choices=(1, 2, 3), default=2)
     p.add_argument("--forms", default=None, help="comma-separated, e.g. delta,delta")
     p.add_argument("--z", nargs=2, type=float, metavar=("RE", "IM"), default=None)
 
     p = add_parser("dim", help="dimension formulas")
-    p.add_argument("--k", type=int, default=16)
-    p.add_argument("--k1", type=int, default=12)
+    p.add_argument("--format", choices=FORMATS)
+    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k1", type=int, default=None)
     p.add_argument("--table", type=int, default=None, help="emit table up to kmax")
 
     p = add_parser("check", help="run a named verification suite")
     p.add_argument("suite", choices=sorted(checks.SUITES) + ["all"])
     return parser
+
+
+def _only_with(ns, flags: tuple[str, ...], mode: str) -> None:
+    """Reject the given ones among `flags`: the command reads them only `mode`."""
+    given = [f"--{flag}" for flag in flags if getattr(ns, flag) is not None]
+    if given:
+        raise _UsageError(f"{', '.join(given)}: read only {mode}")
 
 
 def _cmd_forms(ns, cfg: RunConfig) -> int:
@@ -258,7 +269,7 @@ def _cmd_lvalue(ns, cfg: RunConfig) -> int:
     elif method == "series":
         err = abs(val - periods.twisted_L(f, ns.lvalue_s, ns.p, ns.q, method="extract"))
     else:
-        g = periods.complete_row(ns.q, -(ns.p % ns.q)) if ns.q > 1 else periods.S
+        g = periods.complete_row(ns.q, -(ns.p % ns.q))
         err = periods.period_error_estimate(f, g)
     _emit(
         {
@@ -281,7 +292,7 @@ def _cmd_eisenstein(ns, cfg: RunConfig) -> int:
             "weights": [w.r, w.s],
             "value": _cnum(sv.value),
             "tail": sv.tail_estimate,
-            "trunc": {"C": cfg.C, "D": cfg.D, "N": cfg.N},
+            "trunc": {"C": cfg.C, "D": cfg.D},
         },
         cfg,
     )
@@ -312,10 +323,10 @@ def _cmd_phi(ns, cfg: RunConfig) -> int:
 
 
 def _cmd_fourier(ns, cfg: RunConfig) -> int:
+    if not ns.psi:
+        _only_with(ns, ("i", "C", "D", "r", "s"), "with --psi, for a psi coefficient")
     t = _trunc(cfg)
     f = resolve_form(cfg.form, cfg.N)
-    if ns.i is not None and not ns.psi:
-        raise _UsageError("--i selects a psi basis coefficient and needs --psi")
     if ns.psi:
         i = 0 if ns.i is None else ns.i
         if not 0 <= i <= f.k - 2:
@@ -377,29 +388,20 @@ def _cmd_iterated(ns, cfg: RunConfig) -> int:
 
 def _cmd_dim(ns, cfg: RunConfig) -> int:
     if ns.table:
-        rows = []
-        for k in range(6, ns.table + 1, 2):
-            for k1 in range(4, k, 2):
-                rows.append(
-                    {
-                        "k": k,
-                        "k1": k1,
-                        "dim_Mk_rho": vvdim.dim_Mk_rho(k, k1),
-                        "dim_M2c": vvdim.dim_M2c(k, k1),
-                    }
-                )
-        if cfg.format == "csv":
-            _emit_csv(rows)
-        else:
-            _emit({"table": rows}, cfg)
-        return EXIT_OK
-    _emit(
-        {
-            "dim_Mk_rho": vvdim.dim_Mk_rho(ns.k, ns.k1),
-            "dim_M2c": vvdim.dim_M2c(ns.k, ns.k1),
-        },
-        cfg,
-    )
+        _only_with(ns, ("k", "k1"), "without --table")
+        pairs = [(k, k1) for k in range(6, ns.table + 1, 2) for k1 in range(4, k, 2)]
+    else:
+        pairs = [(16 if ns.k is None else ns.k, 12 if ns.k1 is None else ns.k1)]
+    rows = [
+        {"k": k, "k1": k1, "dim_Mk_rho": vvdim.dim_Mk_rho(k, k1), "dim_M2c": vvdim.dim_M2c(k, k1)}
+        for k, k1 in pairs
+    ]
+    if cfg.format == "csv":
+        _emit_csv(rows)
+    elif ns.table:
+        _emit({"table": rows}, cfg)
+    else:
+        _emit({"dim_Mk_rho": rows[0]["dim_Mk_rho"], "dim_M2c": rows[0]["dim_M2c"]}, cfg)
     return EXIT_OK
 
 
@@ -411,12 +413,7 @@ def _cmd_check(ns, cfg: RunConfig) -> int:
         "suite": ns.suite,
         "passed": all(r.passed for r in results),
         "results": [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "residual": r.residual,
-                "tolerance": r.tolerance,
-            }
+            {"name": r.name, "passed": r.passed, "residual": r.residual, "tolerance": r.tolerance}
             for r in results
         ],
     }

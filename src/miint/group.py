@@ -21,19 +21,6 @@ import numpy as np
 INFINITY = object()
 
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with a*x + b*y == g == gcd(a, b)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    return old_r, old_x, old_y
-
-
 @dataclass(frozen=True)
 class GroupElement:
     """Integer unimodular 2x2 matrix (a b; c d), det = 1."""
@@ -292,12 +279,12 @@ def act_tensor(F, g: GroupElement, w: BiWeight, k: int):
 
 
 def complete_row(c: int, d: int) -> GroupElement:
-    """One matrix (a b; c d) in SL2(Z) with the given bottom row."""
-    g, x, y = _ext_gcd(d, c)
-    if g != 1:
-        raise ValueError(f"gcd({c}, {d}) != 1")
-    # a*d - b*c = 1 with a = x, b = -y
-    return GroupElement(x, -y, c, d)
+    """The matrix (a b; c d) in SL2(Z) with the given bottom row, c >= 1, and
+    a = d^-1 mod c in [0, c), b = (a d - 1) / c; (1, 0) completes to S."""
+    if c < 1:
+        raise ValueError(f"need c >= 1, got {c}")
+    a = pow(d, -1, c)  # a ValueError unless gcd(c, d) = 1
+    return GroupElement(a, (a * d - 1) // c, c, d)
 
 
 @lru_cache(maxsize=8)

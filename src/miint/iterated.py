@@ -26,7 +26,7 @@ from .group import (
     binomials,
     mobius,
 )
-from .periods import _exp_primitives, eichler_F, period_poly
+from .periods import _coeff_array, _exp_primitives, eichler_F, period_poly
 from .qforms import QExpansion, admissible_z
 from .raseries import (
     TruncationParams,
@@ -102,8 +102,7 @@ def _depth3_value(f1: QExpansion, f2: QExpansion, z: complex) -> Poly2:
     """
     m1, m2 = f1.k - 2, f2.k - 2
     N1, N2 = f1.N, f2.N
-    a1 = np.array([complex(c) for c in f1.coeffs[1:]], dtype=np.complex128)
-    a2 = np.array([complex(c) for c in f2.coeffs[1:]], dtype=np.complex128)
+    a1, a2 = _coeff_array(f1), _coeff_array(f2)
     # (w - X)^m = sum_t binom(m, t) (-1)^(m-t) w^t X^(m-t)
     w1, w2 = (binomials(m)[m] * (-1.0) ** (m - np.arange(m + 1)) for m in (m1, m2))
     # J[n-1, tau] = sum_m a1(m) I_tau(m + n; z), over windows of frequencies 2..N1+N2

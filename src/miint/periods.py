@@ -175,16 +175,15 @@ class ReducedPeriods:
 def reduced_periods(f: QExpansion, C: int) -> ReducedPeriods:
     """The period table over the reduced classes, each class built from its
     Euclid parent: (1, 0) is r(S), and a class (c, d0), 1 <= d0 < c, peels to
-    g' = (c d0; -a' -b') with a' = d0^-1 mod c, so its row is r(S)|g' plus the
-    row of the class (a', b').  The coset-series table and the Lambda values
+    g' = (c d0; -a' -b') with (a', b') the top row of `complete_row(c, d0)`,
+    so its row is r(S)|g' plus the row of the class (a', b').  The coset-series table and the Lambda values
     are both derived from it."""
     r_S = _anchor(f)
     c0, d0, pos = reduced_classes(C)
     periods = np.empty((c0.size, r_S.size), dtype=np.complex128)
     periods[0] = r_S
     for i, (c, d) in enumerate(zip(c0.tolist()[1:], d0.tolist()[1:]), 1):
-        a = pow(d, -1, c)
-        b = (a * d - 1) // c
+        a, b, _, _ = complete_row(c, d).entries
         # a d - b c = 1 with 1 <= d < c, c >= 2 gives 0 <= b < a < c: a stored class
         periods[i] = binomial_matrix(c, d, -a, -b, f.k - 2) @ r_S + periods[pos[a, b]]
     periods.setflags(write=False)  # cached and shared by every caller
@@ -317,7 +316,7 @@ def _lambdas_from_period(r: np.ndarray, a, k: int) -> np.ndarray:
 def _lambda_by_extraction(f: QExpansion, s: int, p: int, q: int) -> complex:
     """Lambda_f(s, p/q) read off the period polynomial of the matrix with
     bottom row (c, d) = (q, -p), which sends the cusp p/q to i*infinity."""
-    g = S if q == 1 else complete_row(q, -p)  # q = 1 comes with p = 0
+    g = complete_row(q, -p)  # S when q = 1, which comes with p = 0
     return _lambdas_from_period(period_poly(f, g, "+").coeffs, p / q, f.k)[s - 1]
 
 

@@ -119,6 +119,7 @@ def test_eval_and_eisenstein(capsys):
     payload = json.loads(out)
     assert payload["weights"] == [8, 8]
     assert "tail" in payload
+    assert payload["trunc"] == {"C": 40, "D": 400}  # E_{r,s} does not read N
 
 
 def test_forms_csv_and_json(capsys):
@@ -245,6 +246,14 @@ def test_fourier_samples_each_point_once(capsys, monkeypatch):
         ["fourier", "--psi", "--i", "20", "--l", "1"],
         ["iterated", "--depth", "2", "--forms", "delta,s16,e4", "--z", "0", "2"],
         ["fourier", "--i", "99", "--l", "1", "--M", "64"],
+        # fourier reads these only for a psi coefficient, dim reads --k/--k1
+        # only without --table
+        ["fourier", "--l", "1", "--C", "20"],
+        ["fourier", "--l", "1", "--D", "200"],
+        ["fourier", "--l", "1", "--r", "8"],
+        ["fourier", "--l", "1", "--s", "8"],
+        ["dim", "--table", "10", "--k", "16"],
+        ["dim", "--table", "10", "--k1", "12"],
         ["lvalue", "--form", "e4", "--s", "5"],
         ["--config", "/nonexistent", "dim"],
     ],
@@ -288,6 +297,57 @@ def test_every_global_flag_changes_output(capsys):
         default_m["value"],
         default_m["error_estimate"],
     )
+
+
+# the config flags each command reads; the other (command, flag) pairs are inert
+CONFIG_FLAGS = ("C", "D", "N", "M", "format")
+READS = {
+    "forms": ("N", "format"),
+    "eval": ("N",),
+    "period": ("N",),
+    "lvalue": ("N",),
+    "eisenstein": ("C", "D"),
+    "phi": ("C", "D", "N"),
+    "fourier": ("C", "D", "N", "M"),
+    "iterated": ("N",),
+    "dim": ("format",),
+    "check": (),
+}
+# the arguments each command needs to run at all
+REQUIRED = {"lvalue": ["--s", "7"], "fourier": ["--l", "1"], "check": ["vvdim"]}
+INERT = [(cmd, flag) for cmd, reads in READS.items() for flag in CONFIG_FLAGS if flag not in reads]
+
+
+def _with_flag(cmd, flag, before):
+    pair = [f"--{flag}", "csv" if flag == "format" else "80"]
+    argv = [cmd, *REQUIRED.get(cmd, [])]
+    return pair + argv if before else argv + pair
+
+
+def test_inert_pairs_are_counted():
+    assert len(INERT) == 34
+
+
+@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+@pytest.mark.parametrize("cmd, flag", INERT, ids=[f"{c} --{f}" for c, f in INERT])
+def test_inert_flag_is_a_usage_error(capsys, cmd, flag, before):
+    code, out, err = run_cli(capsys, *_with_flag(cmd, flag, before))
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("cmd, flag", [(c, f) for c, reads in READS.items() for f in reads])
+def test_read_flag_parses_after_its_command(cmd, flag):
+    ns = cli.build_parser().parse_args(_with_flag(cmd, flag, before=False))
+    assert getattr(ns, flag) == ("csv" if flag == "format" else 80)
+
+
+def test_dim_csv_prints_its_one_row(capsys):
+    code, out, _ = run_cli(capsys, "dim", "--k", "16", "--k1", "12", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["k,k1,dim_Mk_rho,dim_M2c", "16,12,19,23"]
 
 
 @pytest.mark.parametrize("flag", [["--threads", "2"], ["--tol", "1e-300"], ["--fd-h", "1e-3"]])

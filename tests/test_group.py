@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from miint.group import (
@@ -277,6 +277,23 @@ def test_coset_table_matches_the_brute_force_rows(C, D):
     assert np.array_equal(d0[table.cls] + table.n * table.cs, table.ds)
     a, b = table.tops
     assert list(zip(a.tolist(), b.tolist())) == [complete_row(c, d).entries[:2] for c, d in rows]
+
+
+@properties
+@given(st.integers(1, 10**6), st.integers(-(10**6), 10**6))
+def test_complete_row_has_det_one_and_a_reduced_mod_c(c, d):
+    assume(math.gcd(c, d) == 1)
+    g = complete_row(c, d)
+    assert (g.c, g.d) == (c, d)
+    assert g.a * g.d - g.b * g.c == 1
+    assert 0 <= g.a < c
+
+
+def test_complete_row_rejects_what_has_no_completion():
+    assert complete_row(1, 0) == S
+    for c, d in ((0, 1), (-3, 1), (4, 2)):
+        with pytest.raises(ValueError):
+            complete_row(c, d)
 
 
 def test_word_decompose_trivials():
