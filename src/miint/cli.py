@@ -136,7 +136,7 @@ def build_parser() -> _Parser:
     p = add_parser("forms", "N", help="dump exact q-expansion coefficients")
     p.add_argument("--format", choices=FORMATS)
     p.add_argument("--kind", choices=("eisenstein", "delta", "cusp-basis"), default="delta")
-    p.add_argument("--weight", type=int, default=12)
+    p.add_argument("--weight", type=int, default=None, help="weight (default 12), not with delta")
 
     p = add_parser("eval", "N", help="evaluate a form at a point")
     p.add_argument("--form", default=None)
@@ -201,15 +201,14 @@ def _only_with(ns, flags: tuple[str, ...], mode: str) -> None:
 
 
 def _cmd_forms(ns, cfg: RunConfig) -> int:
+    weight = 12 if ns.weight is None else ns.weight
     if ns.kind == "delta":
+        _only_with(ns, ("weight",), "with --kind eisenstein or cusp-basis")
         forms = [("delta", qforms.delta_q(cfg.N))]
     elif ns.kind == "eisenstein":
-        forms = [(f"e{ns.weight}", qforms.eisenstein_q(ns.weight, cfg.N))]
+        forms = [(f"e{weight}", qforms.eisenstein_q(weight, cfg.N))]
     else:
-        forms = [
-            (f"s{ns.weight}.{i}", f)
-            for i, f in enumerate(qforms.cusp_basis(ns.weight, cfg.N))
-        ]
+        forms = [(f"s{weight}.{i}", f) for i, f in enumerate(qforms.cusp_basis(weight, cfg.N))]
     if cfg.format == "csv":
         rows = []
         for name, f in forms:
@@ -387,8 +386,11 @@ def _cmd_iterated(ns, cfg: RunConfig) -> int:
 
 
 def _cmd_dim(ns, cfg: RunConfig) -> int:
-    if ns.table:
+    table = ns.table is not None
+    if table:
         _only_with(ns, ("k", "k1"), "without --table")
+        if ns.table < 6:
+            raise _UsageError(f"--table needs kmax >= 6, got {ns.table}")
         pairs = [(k, k1) for k in range(6, ns.table + 1, 2) for k1 in range(4, k, 2)]
     else:
         pairs = [(16 if ns.k is None else ns.k, 12 if ns.k1 is None else ns.k1)]
@@ -398,7 +400,7 @@ def _cmd_dim(ns, cfg: RunConfig) -> int:
     ]
     if cfg.format == "csv":
         _emit_csv(rows)
-    elif ns.table:
+    elif table:
         _emit({"table": rows}, cfg)
     else:
         _emit({"dim_Mk_rho": rows[0]["dim_Mk_rho"], "dim_M2c": rows[0]["dim_M2c"]}, cfg)
@@ -435,9 +437,30 @@ _DISPATCH = {
 }
 
 
+def _flag_before_command(argv: list[str]) -> str | None:
+    """The first flag before the subcommand other than --config and help:
+    the top-level parser knows no other, and would take the flag's value
+    for the command name."""
+    args = iter(argv)
+    for tok in args:
+        if not tok.startswith("-"):
+            return None
+        name = tok.split("=", 1)[0]
+        if name == "--config":
+            if "=" not in tok:
+                next(args, None)
+        elif name not in ("-h", "--help"):
+            return name
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        flag = _flag_before_command(argv)
+        if flag is not None:
+            raise _UsageError(f"{flag} must follow the subcommand")
         ns = parser.parse_args(argv)
         try:
             cfg = load_config(getattr(ns, "config", None), ns)

@@ -81,9 +81,14 @@ def _coeff_array(f: QExpansion) -> np.ndarray:
 def eichler_moments(f: QExpansion, z: complex, m: int) -> np.ndarray:
     """Integrals from i*infinity to z of f(w) w^j dw for j = 0..m, termwise
     over the q-expansion: the primitives of every frequency n = 1..N weighted
-    by the coefficients a(n)."""
+    by the coefficients a(n).  The frequencies past the last whose e(nz) is
+    not exactly 0 are left out: their rows are exact zeros, which leave the
+    sequential sum over the frequencies unchanged."""
     a = _coeff_array(f)
-    return (_exp_primitives(np.arange(1, f.N + 1), m, z) * a[:, None]).sum(axis=0)
+    ns = np.arange(1, f.N + 1)
+    live = np.flatnonzero(np.exp(2j * math.pi * ns * complex(z)))
+    n = int(live[-1]) + 1 if live.size else 1
+    return (_exp_primitives(ns[:n], m, z) * a[:n, None]).sum(axis=0)
 
 
 def _minus(sign: str) -> bool:

@@ -176,20 +176,29 @@ def cusp_basis(k: int, N: int = DEFAULT_N) -> list[QExpansion]:
     return out
 
 
+@lru_cache(maxsize=8)
+def _growth(f: QExpansion) -> tuple[float, float]:
+    """The exponent p = k/2 + 1 for cusp forms (divisor-bound regime), p = k
+    otherwise, and the growth constant max |a(n)| / n^p over the stored range."""
+    p = f.k / 2 + 1 if f.is_cusp else float(f.k)
+    csup = max(
+        (abs(float(f.coeffs[n])) / n**p for n in range(1, f.N + 1) if f.coeffs[n] != 0),
+        default=0.0,
+    )
+    return p, csup
+
+
 def eval_tail_bound(f: QExpansion, y: float) -> float:
     """Estimate of |sum_{n > N} a(n) q^n| at height y.
 
     Uses the empirical growth constant max |a(n)| / n^p over the stored range
-    with p = k/2 + 1 for cusp forms (divisor-bound regime) and p = k otherwise,
-    then a geometric comparison.  An estimate, not a proof-grade bound.
+    (cached per form) with p = k/2 + 1 for cusp forms (divisor-bound regime)
+    and p = k otherwise, then a geometric comparison.  An estimate, not a
+    proof-grade bound.
     """
     N = f.N
     x = math.exp(-2 * math.pi * y)
-    p = f.k / 2 + 1 if f.is_cusp else float(f.k)
-    csup = max(
-        (abs(float(f.coeffs[n])) / n**p for n in range(1, N + 1) if f.coeffs[n] != 0),
-        default=0.0,
-    )
+    p, csup = _growth(f)
     rho = x * (1 + 1 / (N + 1)) ** p
     if rho >= 1:
         return math.inf

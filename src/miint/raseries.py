@@ -33,12 +33,20 @@ the same key and cache size (about 9 MiB for weight 16 at C=80), its columns
 in the tail order of `_tail_shells`.  A table's tail is four matrix-vector
 products over contiguous column blocks: their summation order is BLAS's,
 the same bits on every run, within 1e-12 of pairwise sums over masks.
+
+A warm coset sum allocates no n-sized array: the weights, their magnitudes,
+the kernel's row buffer and the tail's gather are written with `out=` into
+one workspace (`_workspace`).  It is thread-local and holds the last
+rectangle (C, D) only: two complex and three float arrays, 56 bytes per
+coset.  A helper that returns a workspace view says so; such a view is valid
+until the next coset sum, and nothing holds one across it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -140,39 +148,87 @@ def _period_mags(f: QExpansion, C: int, D: int) -> np.ndarray:
     return mags
 
 
+class _Workspace:
+    """The n-sized buffers of one rectangle's coset sums: the float coset
+    rows `cs` and `ds`; the weights `w`; the magnitudes `mag`; and `spare`,
+    the binary powering's square, then the kernel's row buffer, whose first
+    n floats (`flat`) take |j|^2's second term and the tail's gathers."""
+
+    def __init__(self, C: int, D: int):
+        data = cosets(C, D)
+        n = data.cs.size
+        self.key = (C, D)
+        self.cs = data.cs.astype(np.float64)
+        self.ds = data.ds.astype(np.float64)
+        self.mag = np.empty(n)
+        self.w = np.empty(n, dtype=np.complex128)
+        self.spare = np.empty(n, dtype=np.complex128)
+        self.flat = self.spare.view(np.float64)[:n]
+
+
+_LOCAL = threading.local()
+
+
+def _workspace(C: int, D: int) -> _Workspace:
+    """This thread's workspace for the rectangle (C, D), built afresh when
+    the last one served another rectangle, which is dropped first."""
+    ws = getattr(_LOCAL, "ws", None)
+    if ws is None or ws.key != (C, D):
+        _LOCAL.ws = None
+        ws = _LOCAL.ws = _Workspace(C, D)
+    return ws
+
+
 def _jarray(t: TruncationParams, z: complex) -> np.ndarray:
-    """j(gamma, z) = cz + d over the cosets, after validating z.  It is built
-    in place, as are the weights from it: every n-sized temporary costs a
-    warm call page faults and peak memory."""
+    """j(gamma, z) = cz + d over the cosets, after validating z, as the
+    workspace view `w`.  Its parts are cs x + ds and cs y from the float
+    coset rows, bitwise the complex cs z + ds; cs x goes through `flat`, as
+    a strided write is slower than a contiguous one."""
     t.validate_at(z)
-    data = cosets(t.C, t.D)
-    j = data.cs * complex(z)
-    j += data.ds
+    z = complex(z)
+    ws = _workspace(t.C, t.D)
+    j = ws.w
+    np.add(np.multiply(ws.cs, z.real, out=ws.flat), ws.ds, out=j.real)
+    np.multiply(ws.cs, z.imag, out=j.imag)
     return j
 
 
 def _jarrays(t: TruncationParams, z: complex) -> tuple[np.ndarray, np.ndarray]:
-    """j(gamma, z) and j(gamma, conj z) over the cosets, after validating z.
-    The second is the conjugate of the first, bitwise cs conj(z) + ds."""
+    """j(gamma, z), as the workspace view of `_jarray`, and a fresh
+    j(gamma, conj z) over the cosets, after validating z.  The second is the
+    conjugate of the first, bitwise cs conj(z) + ds."""
     j = _jarray(t, z)
     return j, j.conj()
 
 
-def _ipow(base: np.ndarray, e: int) -> np.ndarray:
+def _into(out: np.ndarray | None, src: np.ndarray) -> np.ndarray:
+    """`src` copied into `out`, or into a fresh array when `out` is None."""
+    if out is None:
+        return src.copy()
+    out[...] = src
+    return out
+
+
+def _ipow(
+    base: np.ndarray, e: int, power: np.ndarray | None = None, square: np.ndarray | None = None
+) -> np.ndarray:
     """base ** e for an integer e >= 0, elementwise by binary powering: a
-    square buffer and a power buffer, each updated in place.  Complex
-    products commute with conjugation, so _ipow(conj b, e) = conj _ipow(b, e)
-    exactly."""
+    square buffer and a power buffer, each updated in place, fresh arrays
+    unless given (`power` may be `base` itself, which it then overwrites).
+    The result is the power buffer, or the square buffer when e is a power
+    of two.  Complex products commute with conjugation, so
+    _ipow(conj b, e) = conj _ipow(b, e) exactly."""
     if e == 0:
         return np.ones_like(base)
-    power, square = None, base.copy()
+    square, started = _into(square, base), False
     while True:
         if e & 1:
-            # once no higher bit is left, the square itself is the last factor
-            if power is None:
-                power = square if e == 1 else square.copy()
-            else:
+            if started:
                 power *= square
+            elif e == 1:
+                return square  # no higher bit is left: the square is the last factor
+            else:
+                power, started = _into(power, square), True
         e >>= 1
         if not e:
             return power
@@ -182,22 +238,39 @@ def _ipow(base: np.ndarray, e: int) -> np.ndarray:
 def _rs_weights(t: TruncationParams, z: complex, w: BiWeight) -> np.ndarray:
     """j^(-r) jbar^(-s) as the real |j|^(-2m), m = min(r, s), over the power
     j^|r-s|, conjugated when s > r: the weights of (s, r) are the exact
-    conjugates of those of (r, s)."""
+    conjugates of those of (r, s).  Returns the workspace view `w`, and
+    leaves |j|^(-2m) in `mag`: for r = s it is the weights' real part, their
+    imaginary part a zero, bitwise the quotient by a power of 1."""
     j = _jarray(t, z)
-    scale = j.real**2
-    scale += j.imag**2
+    ws = _workspace(t.C, t.D)
+    scale = np.square(j.real, out=ws.mag)
+    scale += np.square(j.imag, out=ws.flat)
     np.power(scale, -min(w.r, w.s), out=scale)
-    power = _ipow(j, abs(w.r - w.s))
-    wts = np.divide(scale, power, out=power)
+    if w.r == w.s:
+        j.real, j.imag = scale, 0.0
+        return j
+    power = _ipow(j, abs(w.r - w.s), power=j, square=ws.spare)
+    wts = np.divide(scale, power, out=j)
     return np.conjugate(wts, out=wts) if w.s > w.r else wts
 
 
+def _mags(t: TruncationParams, wts: np.ndarray, real: bool = False) -> np.ndarray:
+    """|wts| as the workspace view `mag`.  The weights of `_rs_weights` for
+    r = s (`real`) are their own magnitudes, which it leaves there."""
+    mag = _workspace(t.C, t.D).mag
+    return mag if real else np.abs(wts, out=mag)
+
+
 def _holo_weights(t: TruncationParams, z: complex, n: int, k: int) -> np.ndarray:
-    """e(n gz) j^(-k) over the cosets, gz read off the top rows."""
+    """e(n gz) j^(-k) over the cosets, gz read off the top rows, as the
+    workspace view `w`.  The powering allocates its square buffer."""
     j = _jarray(t, z)
     a, b = cosets(t.C, t.D).tops
-    power = _ipow(j, k)
-    return np.divide(np.exp(2j * np.pi * n * ((a * complex(z) + b) / j)), power, out=power)
+    gz = np.multiply(a, complex(z), out=_workspace(t.C, t.D).spare)
+    gz += b
+    gz /= j
+    np.exp(np.multiply(2j * np.pi * n, gz, out=gz), out=gz)
+    return np.divide(gz, _ipow(j, k, power=j), out=j)
 
 
 @lru_cache(maxsize=8)
@@ -239,6 +312,8 @@ def _coset_sum(
     order, plus the identity-coset term.  One row at a time goes through one
     buffer, so the values are bitwise those of `(R * w).sum(axis=-1)`.  The
     reduction errs like eps log(n_cosets), inside the tail's 16-eps floor.
+    The row buffer and the tail's gathers are the workspace's `spare`, which
+    `w` and `wmag` must not be.
 
     Returns (value, tail).  The tail reads the magnitudes `wmag` = |w| on the
     outermost computed shells (`_tail_shells`): the c-tail scales the average
@@ -252,23 +327,25 @@ def _coset_sum(
     per block: the total is all four blocks, the band blocks 2 and 3, the
     shells blocks 3 and 4.
     """
+    ws = _workspace(t.C, t.D)
     if R is None:
         value = w.sum()
     else:
         value = np.empty(R.shape[0], dtype=np.complex128)
-        buf = np.empty_like(w)
         for i, row in enumerate(R):
-            value[i] = np.multiply(row, w, out=buf).sum()
+            value[i] = np.multiply(row, w, out=ws.spare).sum()
     if identity is not None:
         value = identity + value
     if w0 <= 2:
         return value, math.inf
     band_c, bw, start, order, cuts = _tail_shells(t.C, t.D)
+    # a gather into a given buffer is unbuffered only in a mode other than "raise"
     if Rmag is None:
         band = order[cuts[0] : cuts[2]]
-        shell, outer, total = wmag[start:].sum(), wmag[band].sum(), wmag.sum()
+        outer = np.take(wmag, band, out=ws.flat[: band.size], mode="clip").sum()
+        shell, total = wmag[start:].sum(), wmag.sum()
     else:
-        wm = wmag[order]
+        wm = np.take(wmag, order, out=ws.flat, mode="clip")
         edges = (0, *cuts, wm.size)
         b1, b2, b3, b4 = (Rmag[:, lo:hi] @ wm[lo:hi] for lo, hi in zip(edges, edges[1:]))
         total, outer, shell = b1 + b2 + b3 + b4, b2 + b3, b3 + b4
@@ -291,12 +368,15 @@ def _period_sum(
 ) -> tuple[PolyC, float]:
     """The second-order coset sum of the sign's period table against `wts`,
     of magnitudes `wmag`.  The '-' table is the conjugate of the '+' one, and
-    sum conj(r) w = conj(sum r conj(w)) conjugates only the weights and the
-    result; both tables have the magnitudes `_period_mags`, and |conj w| = |w|."""
+    sum conj(r) w = conj(sum r conj(w)) conjugates only the weights, in
+    place, and the result; both tables have the magnitudes `_period_mags`,
+    and |conj w| = |w|."""
     minus = _minus(sign)
     R = _period_table(hform, t.C, t.D)
     Rmag = _period_mags(hform, t.C, t.D)
-    value, tail = _coset_sum(t, z, wts.conj() if minus else wts, wmag, w0, R, Rmag)
+    if minus:
+        np.conjugate(wts, out=wts)
+    value, tail = _coset_sum(t, z, wts, wmag, w0, R, Rmag)
     return PolyC(value.conj() if minus else value, hform.k - 2), tail
 
 
@@ -308,7 +388,7 @@ def eisenstein_rs(
     if w.r + w.s <= 2:
         raise ConvergenceError(f"weights ({w.r},{w.s}) diverge: r + s must exceed 2")
     wts = _rs_weights(t, z, w)
-    return SeriesValue(*_coset_sum(t, z, wts, np.abs(wts), w.r + w.s, identity=1.0))
+    return SeriesValue(*_coset_sum(t, z, wts, _mags(t, wts, w.r == w.s), w.r + w.s, identity=1.0))
 
 
 def _check_psi(hform: QExpansion, w: BiWeight) -> None:
@@ -332,7 +412,7 @@ def psi_series(
     _check_psi(hform, w)
     wts = _rs_weights(t, z, w)
     w0 = w.r + w.s - hform.k + 2
-    return SeriesValue(*_period_sum(hform, sign, t, z, wts, np.abs(wts), w0))
+    return SeriesValue(*_period_sum(hform, sign, t, z, wts, _mags(t, wts, w.r == w.s), w0))
 
 
 def phi(
@@ -344,13 +424,14 @@ def phi(
 ) -> SeriesValue:
     """Invariant series sum over B\\Gamma of the slashed Eichler integral,
     assembled as psi + F * E (`_phi_direct` is the reference route); psi and
-    E share one set of coset weights and their magnitudes."""
+    E share one set of coset weights and their magnitudes, E summed first as
+    the '-' sign conjugates the weights in place."""
     z = complex(z)
     _check_psi(hform, w)
     wts = _rs_weights(t, z, w)
-    wmag = np.abs(wts)
-    psiv, ptail = _period_sum(hform, sign, t, z, wts, wmag, w.r + w.s - hform.k + 2)
+    wmag = _mags(t, wts, w.r == w.s)
     ev, etail = _coset_sum(t, z, wts, wmag, w.r + w.s, identity=1.0)
+    psiv, ptail = _period_sum(hform, sign, t, z, wts, wmag, w.r + w.s - hform.k + 2)
     F = eichler_F(hform, z, sign)
     ftail = eval_tail_bound(hform, z.imag) / (2 * math.pi)
     tail = ptail + F.norm_inf() * etail + abs(ev) * ftail
@@ -495,12 +576,12 @@ def _closed_form_phi(
         out.setflags(write=False)
         return out
     k = hform.k
+    ev = eisenstein_rs(w, z, t)  # before j: both use the workspace
     jarr, jbarr = _jarrays(t, z)
     # prefactor from w - X = ((w-z)(X-cz) + (cz-w)(X-z)) / (z - cz)
     pref = (z - z.conjugate()) ** (2 - k)
     # boundary term: the Eichler moments against the basis polynomial of phi(j)
     bnd_int = (eichler_moments(hform, z, k - 2) @ coeff_basis(z, k - 2))[::-1]
-    ev = eisenstein_rs(w, z, t)
     sgn_binom = binomials(k - 2)[k - 2] * (-1.0) ** np.arange(k - 1)
     v = _closed_form_sums(hform, w, t, jarr, jbarr)
     out = sgn_binom * pref * bnd_int * ev.value
@@ -556,7 +637,7 @@ def poincare(
         raise ValueError("n must be >= 0")
     wts = _holo_weights(t, z, n, k)
     identity = cmath.exp(2j * math.pi * n * complex(z))
-    return SeriesValue(*_coset_sum(t, z, wts, np.abs(wts), k, identity=identity))
+    return SeriesValue(*_coset_sum(t, z, wts, _mags(t, wts), k, identity=identity))
 
 
 def second_order_G(
@@ -575,4 +656,4 @@ def second_order_G(
     if n < 0:
         raise ValueError("n must be >= 0")
     wts = _holo_weights(t, z, n, k)
-    return SeriesValue(*_period_sum(hform, sign, t, z, wts, np.abs(wts), k - k1 + 2))
+    return SeriesValue(*_period_sum(hform, sign, t, z, wts, _mags(t, wts), k - k1 + 2))

@@ -254,8 +254,17 @@ def test_fourier_samples_each_point_once(capsys, monkeypatch):
         ["fourier", "--l", "1", "--s", "8"],
         ["dim", "--table", "10", "--k", "16"],
         ["dim", "--table", "10", "--k1", "12"],
+        # forms reads --weight only for the eisenstein and cusp-basis kinds
+        ["forms", "--weight", "16", "--N", "3"],
+        ["forms", "--kind", "delta", "--weight", "12"],
+        # a table starts at k = 6, and --table 0 is a table, not its absence
+        ["dim", "--table", "4"],
+        ["dim", "--table", "0"],
+        ["dim", "--table", "0", "--k", "18"],
         ["lvalue", "--form", "e4", "--s", "5"],
         ["--config", "/nonexistent", "dim"],
+        ["--N", "10", "dim"],
+        ["--config=/nonexistent", "--C", "5", "dim"],
     ],
     ids=" ".join,
 )
@@ -266,6 +275,20 @@ def test_invalid_input_is_a_usage_error(capsys, argv):
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     if argv[:3] == ["lvalue", "--form", "e4"]:
         assert "cusp form" in err
+
+
+@pytest.mark.parametrize("argv", [["--N", "10", "dim"], ["--N", "dim"], ["--M=64", "phi"]], ids=" ".join)
+def test_a_flag_before_the_subcommand_is_named(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    flag = argv[0].split("=")[0]
+    assert err.strip() == f"usage error: {flag} must follow the subcommand"
+
+
+def test_dim_table_starts_at_weight_six(capsys):
+    code, out, _ = run_cli(capsys, "dim", "--table", "6", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["k,k1,dim_Mk_rho,dim_M2c", "6,4,3,3"]
 
 
 @pytest.mark.parametrize(

@@ -87,6 +87,32 @@ def test_eichler_moments_read_one_cached_coefficient_array():
         assert np.array_equal(per.eichler_moments(f, z, f.k - 2), ref)
 
 
+@pytest.mark.parametrize("form", ["delta", "s16"])
+def test_eichler_moments_leave_out_only_exact_zero_rows(monkeypatch, form):
+    # the frequencies whose e(nz) underflows to 0 add exact zeros to the
+    # sequential sum over the rows: the moments keep every bit
+    f = DELTA if form == "delta" else qf.cusp_basis(16)[0]
+    m, ns = f.k - 2, np.arange(1, f.N + 1)
+    rows = []
+    primitives = per._exp_primitives
+
+    def counted(freqs, m, z):
+        rows.append(len(freqs))
+        return primitives(freqs, m, z)
+
+    monkeypatch.setattr(per, "_exp_primitives", counted)
+    for y in (0.8, 1.0, 1.5, 2.0, 3.0):
+        for x in (0.0, 0.3, -0.5):
+            z = complex(x, y)
+            ref = (primitives(ns, m, z) * per._coeff_array(f)[:, None]).sum(axis=0)
+            rows.clear()
+            assert per.eichler_moments(f, z, m).tobytes() == ref.tobytes()
+            live = np.flatnonzero(np.exp(2j * math.pi * ns * z))
+            assert rows == [live[-1] + 1]
+    # at y = 3 e(nz) underflows from n = 40 on: two thirds of the rows go
+    assert rows == [39]
+
+
 def test_eichler_fd_derivative():
     z, h = 1j, 1e-4
     dF = (per.eichler_F(DELTA, z + h) - per.eichler_F(DELTA, z - h)) * (1 / (2 * h))

@@ -145,6 +145,19 @@ def test_tail_bound_decreasing_in_y():
     assert qf.eval_tail_bound(d, 0.08) >= qf.eval_tail_bound(d, 0.3)
 
 
+@pytest.mark.parametrize("form", ["delta", "s16", "e4"])
+def test_tail_bound_reads_a_growth_constant_cached_per_form(form):
+    # the bound is the per-call scan of the coefficients it replaced, bitwise
+    f = {"delta": qf.delta_q(120), "s16": qf.cusp_basis(16)[0], "e4": qf.eisenstein_q(4, 120)}[form]
+    p = f.k / 2 + 1 if f.is_cusp else float(f.k)
+    csup = max(abs(float(f.coeffs[n])) / n**p for n in range(1, f.N + 1) if f.coeffs[n] != 0)
+    for y in (0.08, 0.3, 1.0, 1.7):
+        x = math.exp(-2 * math.pi * y)
+        rho = x * (1 + 1 / (f.N + 1)) ** p
+        assert qf.eval_tail_bound(f, y) == csup * (f.N + 1) ** p * x ** (f.N + 1) / (1 - rho)
+    assert qf._growth(f) is qf._growth(f)
+
+
 def test_qexpansion_scalar_and_weight_bookkeeping():
     d = qf.delta_q(20)
     e4 = qf.eisenstein_q(4, 20)

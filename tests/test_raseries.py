@@ -1,5 +1,7 @@
 import cmath
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -195,7 +197,8 @@ def _closed_form_per_term(f, w, sign, j, z, t):
     k = f.k
     if sign == "-":
         return np.conj(_closed_form_per_term(f, w.swapped(), "+", k - 2 - j, z, t))
-    jarr, jbarr = ra._jarrays(t, z)
+    # j is a workspace view, which the Eisenstein sum below overwrites
+    jarr, jbarr = (a.copy() for a in ra._jarrays(t, z))
     pref = (z - z.conjugate()) ** (2 - k)
     bnd = per.eichler_moments(f, z, k - 2) @ ra.coeff_basis(z, k - 2)[:, k - 2 - j]
     total = (-1) ** j * math.comb(k - 2, j) * pref * bnd * ra.eisenstein_rs(w, z, t).value
@@ -624,7 +627,8 @@ def test_coset_sum_matches_the_full_term_array(C, x):
     # bitwise, and the tail of the mask formula over the full product array
     t, z, w = ra.TruncationParams(C, 10 * C), complex(x, 1.3), BiWeight(10, 8)
     R = ra._period_table(DELTA, C, 10 * C)
-    rs, holo = ra._rs_weights(t, z, w), ra._holo_weights(t, z, 1, 16)
+    # the weights are workspace views, which every series call overwrites
+    rs, holo = ra._rs_weights(t, z, w).copy(), ra._holo_weights(t, z, 1, 16).copy()
     w0 = w.r + w.s - DELTA.k + 2
     for sign, table in (("+", R), ("-", R.conj())):
         sv = ra.psi_series(DELTA, w, sign, z, t)
@@ -636,7 +640,7 @@ def test_coset_sum_matches_the_full_term_array(C, x):
     ev = ra.eisenstein_rs(w, z, t)
     assert ev.value == 1.0 + rs.sum()
     assert ev.tail_estimate == _mask_tail(t, z, rs, w.r + w.s, identity=1.0)
-    holo = ra._holo_weights(t, z, 1, 12)
+    holo = ra._holo_weights(t, z, 1, 12).copy()
     pn = ra.poincare(1, 12, z, t)
     identity = cmath.exp(2j * math.pi * z)
     assert pn.value == identity + holo.sum()
@@ -735,3 +739,101 @@ def test_warm_series_allocate_under_half_the_period_table(form):
         finally:
             tracemalloc.stop()
         assert peak < table_bytes / 2
+
+
+@pytest.mark.parametrize("form", ["delta", "s16"])
+def test_warm_series_allocate_under_one_coset_array(form):
+    # the weights, their magnitudes, the row buffer and the tail's gathers
+    # live in the rectangle's workspace: a warm call allocates less than one
+    # n-sized complex array
+    f = DELTA if form == "delta" else qf.cusp_basis(16)[0]
+    t = ra.TruncationParams(80, 800)
+    n = group.cosets(t.C, t.D).cs.size
+    for w in (BiWeight(f.k // 2 + 4, f.k // 2 + 4), BiWeight(f.k // 2 + 5, f.k // 2 + 3)):
+        for series in (ra.psi_series, ra.phi):
+            for sign in "+-":
+                series(f, w, sign, 2j, t)
+                tracemalloc.start()
+                try:
+                    series(f, w, sign, 0.3 + 1.5j, t)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak < 16 * n
+
+
+@pytest.mark.parametrize("w", [BiWeight(10, 10), BiWeight(11, 9), BiWeight(8, 12)], ids=str)
+def test_phi_is_psi_plus_F_times_E_bitwise(w):
+    # phi shares its coset weights between psi and E: the '-' sign's
+    # conjugation of them must not reach E
+    for sign in "+-":
+        for z in (2j, 0.3 + 1.4j):
+            got = ra.phi(DELTA, w, sign, z, T40)
+            psi, ev = ra.psi_series(DELTA, w, sign, z, T40), ra.eisenstein_rs(w, z, T40)
+            F = per.eichler_F(DELTA, z, sign)
+            assert np.array_equal(got.value.coeffs, (psi.value + F * ev.value).coeffs)
+            ftail = qf.eval_tail_bound(DELTA, z.imag) / (2 * math.pi)
+            tail = psi.tail_estimate + F.norm_inf() * ev.tail_estimate + abs(ev.value) * ftail
+            assert got.tail_estimate == tail
+
+
+def _bits(series, w, sign, z, t):
+    sv = series(DELTA, w, sign, z, t)
+    return sv.value.coeffs.tobytes(), sv.tail_estimate
+
+
+def _in_a_new_thread(fn):
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn()))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    return out[0]
+
+
+@pytest.mark.parametrize("w", [BiWeight(10, 10), BiWeight(11, 9)], ids=["r=s", "r!=s"])
+@pytest.mark.parametrize("series", [ra.psi_series, ra.phi], ids=["psi", "phi"])
+def test_a_value_does_not_depend_on_the_calls_before_it(series, w):
+    # a point computed first (in a new thread, so with no workspace yet) has
+    # the value and tail it has after another z, after the other sign, after
+    # a call at C=80 and after the holomorphic weights
+    z, other = 0.3 + 1.4j, -0.2 + 1.1j
+    for sign in "+-":
+        first = _in_a_new_thread(lambda: _bits(series, w, sign, z, T40))
+        before = (
+            lambda: series(DELTA, w, sign, other, T40),
+            lambda: series(DELTA, w, "-" if sign == "+" else "+", z, T40),
+            lambda: series(DELTA, w, sign, z, ra.TruncationParams(80, 800)),
+            lambda: ra.poincare(1, 12, other, T40),
+        )
+        for call in before:
+            call()
+            assert _bits(series, w, sign, z, T40) == first
+
+
+def test_threads_keep_their_own_workspace():
+    # two threads evaluating interleaved grids at one rectangle, switched
+    # often, get the values of a single thread bitwise
+    w = BiWeight(11, 9)
+    grids = [[complex(x / 6, 1.2) for x in range(6)], [complex(x / 6 - 0.4, 1.7) for x in range(6)]]
+    alone = [[_bits(s, w, "-", z, T40) for z in zs for s in (ra.phi, ra.psi_series)] for zs in grids]
+    barrier, got = threading.Barrier(2, timeout=60), [[], []]
+
+    def run(i):
+        for z in grids[i]:
+            for series in (ra.phi, ra.psi_series):
+                barrier.wait()
+                got[i].append(_bits(series, w, "-", z, T40))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == alone
