@@ -341,15 +341,11 @@ def _cmd_fourier(ns, cfg: RunConfig) -> int:
     # memoised by z: the coarse pass's nodes are every other node of the fine one
     fn = functools.cache(fn)
     val = raseries.fourier_coefficient(fn, ns.l, ns.y, cfg.M)
-    coarse = raseries.fourier_coefficient(fn, ns.l, ns.y, max(64, cfg.M // 2))
+    err = None  # a coarse pass needs M // 2 >= 64 nodes
+    if cfg.M >= 2 * 64:
+        err = abs(val - raseries.fourier_coefficient(fn, ns.l, ns.y, cfg.M // 2))
     _emit(
-        {
-            "l": ns.l,
-            "y": ns.y,
-            "value": _cnum(val),
-            "M": cfg.M,
-            "error_estimate": abs(val - coarse),
-        },
+        {"l": ns.l, "y": ns.y, "value": _cnum(val), "M": cfg.M, "error_estimate": err},
         cfg,
     )
     return EXIT_OK

@@ -5,7 +5,9 @@ bi-weight action on functions of z, the polynomial action on X, and their
 tensor product.  Cosets of the translation subgroup B = {±T^n} are
 parametrised by bottom rows (c, d) with c > 0 and gcd(c, d) = 1; the sign
 quotient is legal for every series in this package because the total weight
-is even.
+is even.  The coset table `cosets` is the one place that fixes their order:
+the four blocks that a tail estimate reads, so the outer c-shells and the
+outer |d| band are contiguous slices of it.
 """
 
 from __future__ import annotations
@@ -303,16 +305,25 @@ def reduced_classes(C: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class CosetTable:
-    """Bottom rows (c, d) of the non-trivial B\\Gamma representatives in the
-    fixed order (ascending c, then ascending |d|, positive d first), and the
-    decomposition of each coset (c, d) = (c, d0 + nc) into its reduced class
-    (c, d0), at position `cls` of `reduced_classes(C)`, times T^n."""
+    """Bottom rows (c, d) of the non-trivial B\\Gamma representatives, and
+    the decomposition of each coset (c, d) = (c, d0 + nc) into its reduced
+    class (c, d0), at position `cls` of `reduced_classes(C)`, times T^n.
+
+    The rows lie in the four blocks of a tail estimate, which reads the
+    outer `shells` values of c and the outer |d| band of width `band`:
+    neither, band only, band and shells, shells only, ending at `cuts` and
+    at n.  Each block is in ascending c, then ascending |d|, positive d
+    first.  So the band is [cuts[0]:cuts[2]] and the shells are [cuts[1]:],
+    both contiguous and in that order."""
 
     C: int
     cs: np.ndarray
     ds: np.ndarray
     cls: np.ndarray
     n: np.ndarray
+    shells: int
+    band: int
+    cuts: tuple[int, int, int]
 
     @cached_property
     def tops(self) -> tuple[np.ndarray, np.ndarray]:
@@ -330,7 +341,8 @@ class CosetTable:
 @lru_cache(maxsize=8)
 def cosets(C: int, D: int) -> CosetTable:
     """The cosets (c, d), 0 < c <= C, |d| <= D, gcd(c, d) = 1, each with its
-    class and shift.  The identity coset is not included."""
+    class and shift, in the tail blocks of `CosetTable`.  The identity coset
+    is not included."""
     if C < 1 or D < 1:
         raise ValueError("C and D must be >= 1")
     ad = np.arange(1, D + 1)
@@ -339,9 +351,16 @@ def cosets(C: int, D: int) -> CosetTable:
     _, _, lut = reduced_classes(C)
     n, d0 = np.divmod(d, c)
     cls = lut[c, d0]
+    shells, band = max(1, min(8, C)), min(max(2 * C, 8), D)
+    # each block is a rectangle of the (c, d) grid: its rows split at the
+    # first shell, its columns (in ascending |d|) at the first band column
+    r, b = C - shells, 1 + 2 * (D - band)
+    quads = (np.s_[:r, :b], np.s_[:r, b:], np.s_[r:, b:], np.s_[r:, :b])
     live = cls >= 0
-    cs, ds = np.broadcast_to(c, live.shape)[live], np.broadcast_to(d, live.shape)[live]
-    return CosetTable(C, cs, ds, cls[live], n[live])
+    grid = np.broadcast_arrays(c, d, cls, n)
+    cols = [np.concatenate([a[q][live[q]] for q in quads]) for a in grid]
+    cuts = tuple(np.cumsum([np.count_nonzero(live[q]) for q in quads[:3]]).tolist())
+    return CosetTable(C, *cols, shells, band, cuts)
 
 
 def enumerate_cosets(C: int, D: int) -> list[GroupElement]:

@@ -6,21 +6,21 @@ series and the second-order G series.
 Each truncated coset series (E_{r,s}, psi, the Poincare series and G) is
 one call of the kernel `_coset_sum`: a weight per non-trivial coset (times
 that coset's column of the coefficient-major period table, for the
-second-order series), reduced by numpy's pairwise sum in the fixed coset
-order (ascending c, ascending |d|, positive d first), plus the
-identity-coset term; phi combines psi and E_{r,s}.  The kernel walks the
-table one coefficient row at a time through one n-sized buffer, and reduces
-each row pairwise in that unchanged order.  The same inputs on the same
-Python, numpy and CPU give bitwise-identical results; the reduction error
-stays below the tail's 16-eps floor.  The weights divide by an integer
-power of the j array, raised by binary powering over the whole array
-(`_ipow`); the weights of (s, r) are the exact conjugates of those of
-(r, s), so E_{s,r} = conj E_{r,s} exactly.
+second-order series), reduced by numpy's pairwise sum in the order of the
+coset table `group.cosets`, plus the identity-coset term; phi combines psi
+and E_{r,s}.  The kernel walks the table one coefficient row at a time
+through one n-sized buffer, and reduces each row pairwise in that unchanged
+order.  The same inputs on the same Python, numpy and CPU give
+bitwise-identical results; the reduction error stays below the tail's
+16-eps floor.  The weights divide by an integer power of the j array,
+raised by binary powering over the whole array (`_ipow`); the weights of
+(s, r) are the exact conjugates of those of (r, s), so
+E_{s,r} = conj E_{r,s} exactly.
 
 Every coset (c, d0 + nc) is its reduced class (c, d0) times T^n, as the
-coset table `group.cosets` records.  The period table translates its class's
-period polynomial, and the holomorphic weights e(n gz) of the Poincare series
-and G read the table's top rows.
+coset table records.  The period table translates its class's period
+polynomial, and the holomorphic weights e(n gz) of the Poincare series and G
+read the table's top rows.
 
 Every series value carries a tail estimate: an integral-comparison bound on
 the truncated part, with its constant read off the outermost computed shells
@@ -28,18 +28,20 @@ the truncated part, with its constant read off the outermost computed shells
 plus a floating-point noise floor.  It is an estimate, not a proof-grade
 bound, but it is sized so that doubling the rectangle moves the value by
 less than it.  It reads the term magnitudes as |R| |w|: |w| per call, and
-|R| from `_period_mags`, a float table cached beside the period table under
-the same key and cache size (about 9 MiB for weight 16 at C=80), its columns
-in the tail order of `_tail_shells`.  A table's tail is four matrix-vector
-products over contiguous column blocks: their summation order is BLAS's,
-the same bits on every run, within 1e-12 of pairwise sums over masks.
+|R| from `_period_tables`, cached with R under one key (about 9 MiB for
+weight 16 at C=80).  There is one coset order: the table lists the cosets
+in the tail's blocks, so the total, the outer |d| band and the outer
+c-shells are three contiguous slices, and R, |R|, the weights and the
+workspace all share it.  A table's tail is three matrix-vector products
+over column slices: their summation order is BLAS's, the same bits on
+every run, within 1e-12 of pairwise sums over masks.
 
-A warm coset sum allocates no n-sized array: the weights, their magnitudes,
-the kernel's row buffer and the tail's gather are written with `out=` into
-one workspace (`_workspace`).  It is thread-local and holds the last
-rectangle (C, D) only: two complex and three float arrays, 56 bytes per
-coset.  A helper that returns a workspace view says so; such a view is valid
-until the next coset sum, and nothing holds one across it.
+A warm coset sum allocates no n-sized array: the weights, their magnitudes
+and the kernel's row buffer are written with `out=` into one workspace
+(`_workspace`).  It is thread-local and holds the last rectangle (C, D)
+only: two complex and three float arrays, 56 bytes per coset.  A helper
+that returns a workspace view says so; such a view is valid until the next
+coset sum, and nothing holds one across it.
 """
 
 from __future__ import annotations
@@ -80,8 +82,8 @@ _EPS = float(np.finfo(np.float64).eps)
 DEFAULT_M = 128
 #: relative mismatch between fn(iy) and fn(1 + iy) that rejects an integrand
 _PERIODICITY_RTOL = 1e-6
-#: cosets per block of a blocked coset pass (the closed form's sums, the
-#: magnitude table), which bounds its working memory to a few block-sized rows
+#: cosets per block of the closed form's coset pass, which bounds its
+#: working memory to a few block-sized rows
 _BLOCK = 4096
 
 
@@ -119,40 +121,27 @@ class SeriesValue:
 
 
 @lru_cache(maxsize=6)
-def _period_table(f: QExpansion, C: int, D: int) -> np.ndarray:
-    """Plus-sign period polynomials r(gamma; X) for every coset in the fixed
-    order, coefficient-major: shape (k-1, n_cosets), so each coefficient's
-    row is contiguous for the reduction.
+def _period_tables(f: QExpansion, C: int, D: int) -> tuple[np.ndarray, np.ndarray]:
+    """Plus-sign period polynomials r(gamma; X) for every coset in the
+    table's order, coefficient-major: shape (k-1, n_cosets), so each
+    coefficient's row is contiguous for the reduction; and beside it their
+    coefficientwise magnitudes |r(gamma; X)|, the float table against which
+    the tail weighs |w|, with the same columns.
 
     Each coset is its class of `reduced_periods` times T^n, and
     r(gamma T^n; X) = r(gamma; X + n): the table is the class rows gathered
     per coset, expanded by translation in one `taylor_shift`.
     """
     data = cosets(C, D)
-    return taylor_shift(np.take(reduced_periods(f, C).periods.T, data.cls, axis=1), data.n)
-
-
-@lru_cache(maxsize=6)
-def _period_mags(f: QExpansion, C: int, D: int) -> np.ndarray:
-    """The coefficientwise magnitudes |r(gamma; X)| of `_period_table`, the
-    float table against which the tail weighs |w|, with its columns in the
-    tail order of `_tail_shells`.  It is gathered a block of columns at a
-    time, so the build holds one block beyond the two tables."""
-    order = _tail_shells(C, D)[3]
-    table = _period_table(f, C, D)
-    mags = np.empty(table.shape)
-    for lo in range(0, order.size, _BLOCK):
-        cols = order[lo : lo + _BLOCK]
-        for src, dst in zip(table, mags):
-            np.abs(src[cols], out=dst[lo : lo + _BLOCK])
-    return mags
+    R = taylor_shift(np.take(reduced_periods(f, C).periods.T, data.cls, axis=1), data.n)
+    return R, np.abs(R)
 
 
 class _Workspace:
     """The n-sized buffers of one rectangle's coset sums: the float coset
     rows `cs` and `ds`; the weights `w`; the magnitudes `mag`; and `spare`,
     the binary powering's square, then the kernel's row buffer, whose first
-    n floats (`flat`) take |j|^2's second term and the tail's gathers."""
+    n floats (`flat`) take cs x and |j|^2's second term."""
 
     def __init__(self, C: int, D: int):
         data = cosets(C, D)
@@ -191,14 +180,6 @@ def _jarray(t: TruncationParams, z: complex) -> np.ndarray:
     np.add(np.multiply(ws.cs, z.real, out=ws.flat), ws.ds, out=j.real)
     np.multiply(ws.cs, z.imag, out=j.imag)
     return j
-
-
-def _jarrays(t: TruncationParams, z: complex) -> tuple[np.ndarray, np.ndarray]:
-    """j(gamma, z), as the workspace view of `_jarray`, and a fresh
-    j(gamma, conj z) over the cosets, after validating z.  The second is the
-    conjugate of the first, bitwise cs conj(z) + ds."""
-    j = _jarray(t, z)
-    return j, j.conj()
 
 
 def _into(out: np.ndarray | None, src: np.ndarray) -> np.ndarray:
@@ -273,29 +254,6 @@ def _holo_weights(t: TruncationParams, z: complex, n: int, k: int) -> np.ndarray
     return np.divide(gz, _ipow(j, k, power=j), out=j)
 
 
-@lru_cache(maxsize=8)
-def _tail_shells(C: int, D: int) -> tuple[int, int, int, np.ndarray, tuple[int, int, int]]:
-    """The outer shells the tail reads, per rectangle: the last `band_c`
-    c-shells, which are the cosets from position `start` on, and the outer
-    |d| band of width `bw`.
-
-    `order` is the tail order: the int32 coset positions in four contiguous
-    blocks, each in coset order, that end at `cuts` and at n: neither shell
-    nor band, band only, band and shell, shell only.  The band is
-    order[cuts[0]:cuts[2]], in coset order; the shells are order[cuts[1]:]."""
-    data = cosets(C, D)
-    band_c = max(1, min(8, C))
-    bw = min(max(2 * C, 8), D)
-    start = int(np.searchsorted(data.cs, C - band_c, side="right"))
-    band = np.abs(data.ds) > D - bw
-    block = band.astype(np.int8)
-    block[start:] = 3 - block[start:]  # a shell coset is in block 2 or 3
-    order = np.argsort(block, kind="stable").astype(np.int32)
-    order.setflags(write=False)  # cached and shared by every caller
-    cuts = tuple(np.cumsum(np.bincount(block, minlength=4))[:3].tolist())
-    return band_c, bw, start, order, cuts
-
-
 def _coset_sum(
     t: TruncationParams,
     z: complex,
@@ -308,24 +266,23 @@ def _coset_sum(
 ) -> tuple[object, float]:
     """The one truncated coset series: the weights `w` of the non-trivial
     cosets, or for a second-order series each row of the coefficient-major
-    table `R` times `w`, reduced by numpy's pairwise sum in the fixed coset
-    order, plus the identity-coset term.  One row at a time goes through one
+    table `R` times `w`, reduced by numpy's pairwise sum in the coset
+    table's order, plus the identity-coset term.  One row at a time goes through one
     buffer, so the values are bitwise those of `(R * w).sum(axis=-1)`.  The
     reduction errs like eps log(n_cosets), inside the tail's 16-eps floor.
-    The row buffer and the tail's gathers are the workspace's `spare`, which
-    `w` and `wmag` must not be.
+    The row buffer is the workspace's `spare`, which `w` and `wmag` must not
+    be.
 
     Returns (value, tail).  The tail reads the magnitudes `wmag` = |w| on the
-    outermost computed shells (`_tail_shells`): the c-tail scales the average
-    of the last few c-shells by the integral comparison
-    sum_{c > C} (c/C)^(1-w0) ~ C/(w0-2); the d-tail scales the outer |d| band
-    with decay exponent w0.  A factor 2 pads shell roughness; a floor of
-    16 eps times the absolute sum (plus 1 for an identity term) covers
-    roundoff in the terms.  A scalar series sums |w| pairwise over the
-    shells, the band and all cosets.  A table weighs |w|, gathered once into
-    tail order, against `Rmag` = |R| in that order, one matrix-vector product
-    per block: the total is all four blocks, the band blocks 2 and 3, the
-    shells blocks 3 and 4.
+    outermost computed shells, the blocks of the coset table: the c-tail
+    scales the average of its last `shells` c-shells by the integral
+    comparison sum_{c > C} (c/C)^(1-w0) ~ C/(w0-2); the d-tail scales its
+    outer |d| band, of width `band`, with decay exponent w0.  A factor 2
+    pads shell roughness; a floor of 16 eps times the absolute sum (plus 1
+    for an identity term) covers roundoff in the terms.  The total, the band
+    and the shells are three contiguous slices of the cosets: a scalar
+    series sums |w| over each pairwise, a table weighs it against
+    `Rmag` = |R| in one matrix-vector product per slice.
     """
     ws = _workspace(t.C, t.D)
     if R is None:
@@ -338,20 +295,14 @@ def _coset_sum(
         value = identity + value
     if w0 <= 2:
         return value, math.inf
-    band_c, bw, start, order, cuts = _tail_shells(t.C, t.D)
-    # a gather into a given buffer is unbuffered only in a mode other than "raise"
-    if Rmag is None:
-        band = order[cuts[0] : cuts[2]]
-        outer = np.take(wmag, band, out=ws.flat[: band.size], mode="clip").sum()
-        shell, total = wmag[start:].sum(), wmag.sum()
-    else:
-        wm = np.take(wmag, order, out=ws.flat, mode="clip")
-        edges = (0, *cuts, wm.size)
-        b1, b2, b3, b4 = (Rmag[:, lo:hi] @ wm[lo:hi] for lo, hi in zip(edges, edges[1:]))
-        total, outer, shell = b1 + b2 + b3 + b4, b2 + b3, b3 + b4
+    data = cosets(t.C, t.D)
+    parts = (slice(None), slice(data.cuts[0], data.cuts[2]), slice(data.cuts[1], None))
+    total, outer, shell = (
+        wmag[sl].sum() if Rmag is None else Rmag[:, sl] @ wmag[sl] for sl in parts
+    )
     C, D, x = t.C, t.D, complex(z).real
-    ctail = 2.0 * (shell / band_c) * C / (w0 - 2.0)
-    dtail = 2.0 * outer * max(D - C * abs(x), 1.0) / (bw * (w0 - 1.0))
+    ctail = 2.0 * (shell / data.shells) * C / (w0 - 2.0)
+    dtail = 2.0 * outer * max(D - C * abs(x), 1.0) / (data.band * (w0 - 1.0))
     extra = 1.0 if identity is not None else 0.0
     floor = 16.0 * _EPS * (float(np.max(total)) + extra)
     return value, float(np.max(ctail + dtail)) + floor
@@ -369,11 +320,10 @@ def _period_sum(
     """The second-order coset sum of the sign's period table against `wts`,
     of magnitudes `wmag`.  The '-' table is the conjugate of the '+' one, and
     sum conj(r) w = conj(sum r conj(w)) conjugates only the weights, in
-    place, and the result; both tables have the magnitudes `_period_mags`,
-    and |conj w| = |w|."""
+    place, and the result; both tables have the magnitudes of
+    `_period_tables`, and |conj w| = |w|."""
     minus = _minus(sign)
-    R = _period_table(hform, t.C, t.D)
-    Rmag = _period_mags(hform, t.C, t.D)
+    R, Rmag = _period_tables(hform, t.C, t.D)
     if minus:
         np.conjugate(wts, out=wts)
     value, tail = _coset_sum(t, z, wts, wmag, w0, R, Rmag)
@@ -465,8 +415,7 @@ def _phi_direct(
         rows.append(polys[-1] * wts[-1])
     polys = np.ascontiguousarray(np.array(polys).T)
     wts = np.array(wts)
-    mags = np.abs(polys)[:, _tail_shells(t.C, t.D)[3]]  # in tail order
-    _, tail = _coset_sum(t, z, wts, np.abs(wts), w.r + w.s - k + 2, polys, mags)
+    _, tail = _coset_sum(t, z, wts, np.abs(wts), w.r + w.s - k + 2, polys, np.abs(polys))
     terms = np.ascontiguousarray(np.array(rows).T)  # identity coset first
     return SeriesValue(PolyC(terms.sum(axis=-1), k - 2), tail)
 
@@ -513,27 +462,30 @@ def _closed_form_alpha(k: int) -> np.ndarray:
 
 
 def _closed_form_sums(
-    hform: QExpansion, w: BiWeight, t: TruncationParams, jarr: np.ndarray, jbarr: np.ndarray
+    hform: QExpansion, w: BiWeight, t: TruncationParams, z: complex
 ) -> np.ndarray:
     """v[q, p] = sum over the non-trivial cosets of
     Lambda_f(p-q+1, -d/c) c^(p-q-k+2) j^-(r+2-k+p) jbar^-(s-q), 0 <= q <= p <= k-2,
-    taken in blocks of cosets.  Each block builds its power rows from one
-    complex power each, by repeated multiplication with 1/j and 1/jbar."""
+    taken in blocks of cosets.  Each block reads j from `_jarray` and c from
+    the workspace, takes jbar as the block's conjugate of j (bitwise
+    cs conj(z) + ds), and builds its power rows from one complex power each,
+    by repeated multiplication with 1/j and 1/jbar."""
     k, K = hform.k, hform.k - 1
-    data = cosets(t.C, t.D)
+    jarr = _jarray(t, z)
+    cs, cls = _workspace(t.C, t.D).cs, cosets(t.C, t.D).cls
     table = reduced_periods(hform, t.C)
-    cfl = data.cs.astype(np.float64)
     cexp = np.arange(K)[:, None] - (k - 2)
     v = np.zeros((K, K), dtype=np.complex128)
-    for lo in range(0, cfl.size, _BLOCK):
+    for lo in range(0, cs.size, _BLOCK):
         blk = slice(lo, lo + _BLOCK)
         # Lambda(d+1) c^(d-k+2), d = p - q, gathered from the class table
-        lamc = table.values[:, data.cls[blk]] * cfl[blk] ** cexp
+        lamc = table.values[:, cls[blk]] * cs[blk] ** cexp
         jpow = np.empty((K, lamc.shape[1]), dtype=np.complex128)
         jbpow = np.empty_like(jpow)
+        jb = jarr[blk].conj()
         jpow[0] = jarr[blk] ** (k - 2 - w.r)  # j^-(r+2-k+p) at p = 0
-        jbpow[K - 1] = jbarr[blk] ** (k - 2 - w.s)  # jbar^-(s-q) at q = k-2
-        jinv, jbinv = 1.0 / jarr[blk], 1.0 / jbarr[blk]
+        jbpow[K - 1] = jb ** (k - 2 - w.s)  # jbar^-(s-q) at q = k-2
+        jinv, jbinv = 1.0 / jarr[blk], 1.0 / jb
         for p in range(1, K):
             jpow[p] = jpow[p - 1] * jinv
             jbpow[K - 1 - p] = jbpow[K - p] * jbinv
@@ -576,14 +528,13 @@ def _closed_form_phi(
         out.setflags(write=False)
         return out
     k = hform.k
-    ev = eisenstein_rs(w, z, t)  # before j: both use the workspace
-    jarr, jbarr = _jarrays(t, z)
+    ev = eisenstein_rs(w, z, t)  # before the sums: both use the workspace
     # prefactor from w - X = ((w-z)(X-cz) + (cz-w)(X-z)) / (z - cz)
     pref = (z - z.conjugate()) ** (2 - k)
     # boundary term: the Eichler moments against the basis polynomial of phi(j)
     bnd_int = (eichler_moments(hform, z, k - 2) @ coeff_basis(z, k - 2))[::-1]
     sgn_binom = binomials(k - 2)[k - 2] * (-1.0) ** np.arange(k - 1)
-    v = _closed_form_sums(hform, w, t, jarr, jbarr)
+    v = _closed_form_sums(hform, w, t, z)
     out = sgn_binom * pref * bnd_int * ev.value
     out += pref * np.einsum("jqp,qp->j", _closed_form_alpha(k), v)
     out.setflags(write=False)  # cached and shared by every caller

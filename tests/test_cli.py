@@ -227,6 +227,26 @@ def test_fourier_samples_each_point_once(capsys, monkeypatch):
     assert len(calls) == 129 == len(set(calls))
 
 
+@pytest.mark.parametrize("M", [64, 65, 100, 127, 128])
+def test_fourier_error_estimate_needs_a_coarse_pass_of_64_nodes(capsys, monkeypatch, M):
+    # the M // 2 pass reads the even nodes of the M pass; below M = 128 it
+    # would have fewer than 64 nodes, so there is none and the estimate is null
+    calls = []
+    eval_form = qf.eval_form
+
+    def counted(f, z):
+        calls.append(z)
+        return eval_form(f, z)
+
+    monkeypatch.setattr(qf, "eval_form", counted)
+    payload = _payload(capsys, "fourier", "--form", "delta", "--l", "1", "--M", str(M))
+    assert len(calls) == M + 1 == len(set(calls))
+    if M < 128:
+        assert payload["error_estimate"] is None
+    else:
+        assert 0.0 <= payload["error_estimate"] <= 1e-10
+
+
 @pytest.mark.parametrize(
     "argv",
     [

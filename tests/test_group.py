@@ -242,16 +242,22 @@ def test_enumerate_cosets_counts():
 
 def test_enumerate_cosets_rows_and_order():
     table = cosets(3, 4)
-    # ascending c, ascending |d|, positive sign first
+    # every coset lies in the outer c-shells (C <= 8) and the band covers
+    # every d but 0: the block "band and shells" in ascending c, ascending
+    # |d|, positive sign first, then the block "shells only", (1, 0)
     order = list(zip(table.cs.tolist(), table.ds.tolist()))
-    assert order[:5] == [(1, 0), (1, 1), (1, -1), (1, 2), (1, -2)]
+    assert table.cuts == (0, 0, len(order) - 1)
+    assert order[:5] == [(1, 1), (1, -1), (1, 2), (1, -2), (1, 3)]
+    assert order[-1] == (1, 0)
+    assert [(g.c, g.d) for g in enumerate_cosets(3, 4)[1:]] == order
     for g in enumerate_cosets(3, 4)[1:]:
         assert g.a * g.d - g.b * g.c == 1
         assert g.c > 0
 
 
 def _coset_rows_oracle(C, D):
-    """The coset rows in the fixed order, one `math.gcd` per (c, d)."""
+    """The coset rows in ascending c, ascending |d|, positive d first, one
+    `math.gcd` per (c, d)."""
     rows = []
     for c in range(1, C + 1):
         for ad in range(0, D + 1):
@@ -259,6 +265,14 @@ def _coset_rows_oracle(C, D):
                 if math.gcd(c, abs(d)) == 1:
                     rows.append((c, d))
     return rows
+
+
+def _tail_block(C, D, c, d):
+    """The tail block of the coset (c, d): 0 in neither the outer c-shells nor
+    the outer |d| band, 1 in the band only, 2 in both, 3 in the shells only."""
+    shell = c > C - max(1, min(8, C))
+    band = abs(d) > D - min(max(2 * C, 8), D)
+    return {(False, False): 0, (False, True): 1, (True, True): 2, (True, False): 3}[shell, band]
 
 
 @properties
@@ -271,12 +285,38 @@ def test_coset_table_matches_the_brute_force_rows(C, D):
     assert lut[c0, d0].tolist() == list(range(len(classes)))
     assert (lut >= 0).sum() == len(classes)
     table = cosets(C, D)
-    rows = _coset_rows_oracle(C, D)
+    # the table's layout: the brute-force rows stably sorted by tail block
+    rows = sorted(_coset_rows_oracle(C, D), key=lambda row: _tail_block(C, D, *row))
     assert list(zip(table.cs.tolist(), table.ds.tolist())) == rows
     assert np.array_equal(c0[table.cls], table.cs)
     assert np.array_equal(d0[table.cls] + table.n * table.cs, table.ds)
     a, b = table.tops
     assert list(zip(a.tolist(), b.tolist())) == [complete_row(c, d).entries[:2] for c, d in rows]
+
+
+@pytest.mark.parametrize(
+    "C, D", [(1, 10), (3, 5), (8, 16), (8, 80), (12, 3), (20, 30), (40, 400), (80, 800)]
+)
+def test_coset_table_lays_out_the_tail_blocks(C, D):
+    # four contiguous blocks, each in ascending c, ascending |d|, positive d
+    # first: neither outer c-shell nor outer |d| band, band only, band and
+    # shell, shell only; D <= 2C is a band that covers every d but 0
+    table = cosets(C, D)
+    rows = list(zip(table.cs.tolist(), table.ds.tolist()))
+    oracle = _coset_rows_oracle(C, D)
+    assert len(rows) == len(set(rows)) == len(oracle) == brute_coprime_count(C, D)
+    assert set(rows) == set(oracle)
+    shells, band = max(1, min(8, C)), min(max(2 * C, 8), D)
+    assert (table.shells, table.band) == (shells, band)
+    blocks = [_tail_block(C, D, *row) for row in oracle]
+    edges = (0, *table.cuts, len(rows))
+    for b, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        assert rows[lo:hi] == [row for row, blk in zip(oracle, blocks) if blk == b]
+    n = len(rows)
+    assert np.flatnonzero(np.abs(table.ds) > D - band).tolist() == list(
+        range(table.cuts[0], table.cuts[2])
+    )
+    assert np.flatnonzero(table.cs > C - shells).tolist() == list(range(table.cuts[1], n))
 
 
 @properties

@@ -192,32 +192,42 @@ def test_closed_form_minus_case_conjugate_structure():
         assert abs(b - c) == 0.0
 
 
-def _closed_form_per_term(f, w, sign, j, z, t):
-    """The closed formula for one phi(j), summed term by term over (m, n)."""
+def _closed_form_per_term(f, w, sign, z, t):
+    """The closed formula for every phi(j), summed term by term over (m, n).
+    The term (m, n) of phi(j) reads Lambda and c at the power e = m + n, j at
+    j + n and jbar at m - j: each of those powers is built once, by numpy's
+    elementwise `**`."""
     k = f.k
     if sign == "-":
-        return np.conj(_closed_form_per_term(f, w.swapped(), "+", k - 2 - j, z, t))
-    # j is a workspace view, which the Eisenstein sum below overwrites
-    jarr, jbarr = (a.copy() for a in ra._jarrays(t, z))
+        return np.conj(_closed_form_per_term(f, w.swapped(), "+", z, t)[::-1])
+    ev = ra.eisenstein_rs(w, z, t).value
+    # j is a workspace view, which every series call overwrites
+    jarr = ra._jarray(t, z).copy()
+    jbarr = jarr.conj()
     pref = (z - z.conjugate()) ** (2 - k)
-    bnd = per.eichler_moments(f, z, k - 2) @ ra.coeff_basis(z, k - 2)[:, k - 2 - j]
-    total = (-1) ** j * math.comb(k - 2, j) * pref * bnd * ra.eisenstein_rs(w, z, t).value
+    moments, basis = per.eichler_moments(f, z, k - 2), ra.coeff_basis(z, k - 2)
     data = group.cosets(t.C, t.D)
     lam = per.reduced_periods(f, t.C).values[:, data.cls]
     cfl = data.cs.astype(np.float64)
-    jpow = [jarr ** (-(w.r + j + n + 2 - k)) for n in range(k - 1 - j)]
-    jbpow = [jbarr ** (-(w.s + m - j)) for m in range(j + 1)]
-    terms = np.zeros(cfl.size, dtype=np.complex128)
-    for m in range(j + 1):
-        for n in range(k - 1 - j):
-            alpha = (
-                per.i_power(1 - 2 * j - m - n)
-                * math.comb(k - 2, j)
-                * math.comb(j, m)
-                * math.comb(k - 2 - j, n)
-            )
-            terms += alpha * (lam[m + n] * cfl ** (m + n - k + 2) * jpow[n] * jbpow[m])
-    return complex(total + pref * terms.sum())
+    lamc = [lam[e] * cfl ** (e - k + 2) for e in range(k - 1)]
+    jpow = [jarr ** (-(w.r + e + 2 - k)) for e in range(k - 1)]
+    jbpow = {e: jbarr ** (-(w.s + e)) for e in range(2 - k, 1)}
+    out = []
+    for j in range(k - 1):
+        bnd = moments @ basis[:, k - 2 - j]
+        total = (-1) ** j * math.comb(k - 2, j) * pref * bnd * ev
+        terms = np.zeros(cfl.size, dtype=np.complex128)
+        for m in range(j + 1):
+            for n in range(k - 1 - j):
+                alpha = (
+                    per.i_power(1 - 2 * j - m - n)
+                    * math.comb(k - 2, j)
+                    * math.comb(j, m)
+                    * math.comb(k - 2 - j, n)
+                )
+                terms += alpha * (lamc[m + n] * jpow[j + n] * jbpow[m - j])
+        out.append(complex(total + pref * terms.sum()))
+    return np.array(out)
 
 
 @pytest.mark.parametrize("C", [10, 40])
@@ -228,9 +238,9 @@ def test_closed_form_phi_matches_the_per_term_double_sum(C, form):
     for sign in "+-":
         for z in (2j, 0.5 + 2j, 0.3 + 1.2j):
             got = ra.closed_form_phi(f, w, sign, z, t)
+            ref = _closed_form_per_term(f, w, sign, z, t)
             for j in range(f.k - 1):
-                ref = _closed_form_per_term(f, w, sign, j, z, t)
-                assert abs(got[j] - ref) <= 1e-14 * max(1.0, abs(ref))
+                assert abs(got[j] - ref[j]) <= 1e-14 * max(1.0, abs(ref[j]))
 
 
 def test_closed_form_phi_j_is_an_entry_of_the_array():
@@ -245,13 +255,13 @@ def test_closed_form_phi_j_is_an_entry_of_the_array():
 
 def test_closed_form_one_coset_pass_per_point(monkeypatch):
     calls = []
-    jarrays = ra._jarrays
+    sums = ra._closed_form_sums
 
-    def counted(t, z):
+    def counted(hform, w, t, z):
         calls.append(z)
-        return jarrays(t, z)
+        return sums(hform, w, t, z)
 
-    monkeypatch.setattr(ra, "_jarrays", counted)
+    monkeypatch.setattr(ra, "_closed_form_sums", counted)
     z = 0.17 + 1.9j  # a point no other test uses, so nothing is cached yet
     ra.closed_form_phi_j(DELTA, W, "-", 0, z, T40)
     assert calls
@@ -475,7 +485,7 @@ def test_period_and_lambda_tables_share_one_cocycle_pass():
     # a truncation length no other test uses, so neither table is cached yet
     f = qf.delta_q(37)
     misses = per.reduced_periods.cache_info().misses
-    ra._period_table(f, 10, 100)
+    ra._period_tables(f, 10, 100)
     per.reduced_periods(f, 10).values[:, group.cosets(10, 100).cls]
     assert per.reduced_periods.cache_info().misses == misses + 1
 
@@ -483,7 +493,7 @@ def test_period_and_lambda_tables_share_one_cocycle_pass():
 def test_coset_tables_match_per_coset_lookups():
     C, D = 5, 25
     data = group.cosets(C, D)
-    R = ra._period_table(DELTA, C, D)
+    R = ra._period_tables(DELTA, C, D)[0]
     table = per.reduced_periods(DELTA, C)
     lam = table.values[:, data.cls]
     for i, (c, d) in enumerate(zip(data.cs.tolist(), data.ds.tolist())):
@@ -501,7 +511,7 @@ def test_period_table_is_the_exact_translation_of_its_class_rows():
     # (65, 63), cancels about 2^(k-2) in that sum.
     C, D = 80, 800
     data = group.cosets(C, D)
-    R = ra._period_table(DELTA, C, D)
+    R = ra._period_tables(DELTA, C, D)[0]
     table = per.reduced_periods(DELTA, C)
     K, eps = DELTA.k - 1, np.finfo(float).eps
     sample = (np.abs(data.ds) > D - 5) | (np.arange(data.cs.size) % 97 == 0)
@@ -578,7 +588,7 @@ def test_coset_sum_reduction_within_floor():
     t = ra.TruncationParams(40, 400)
     w = BiWeight(7, 7)
     sv = ra.psi_series(DELTA, w, "+", 2j, t)
-    terms = ra._period_table(DELTA, t.C, t.D) * ra._rs_weights(t, 2j, w)
+    terms = ra._period_tables(DELTA, t.C, t.D)[0] * ra._rs_weights(t, 2j, w)
     for row, got in zip(terms, sv.value.coeffs):
         exact = complex(math.fsum(row.real.tolist()), math.fsum(row.imag.tolist()))
         assert abs(got - exact) <= 16 * np.finfo(float).eps * np.abs(row).sum()
@@ -626,7 +636,7 @@ def test_coset_sum_matches_the_full_term_array(C, x):
     # the row-at-a-time kernel gives the values of (R * w).sum(axis=-1)
     # bitwise, and the tail of the mask formula over the full product array
     t, z, w = ra.TruncationParams(C, 10 * C), complex(x, 1.3), BiWeight(10, 8)
-    R = ra._period_table(DELTA, C, 10 * C)
+    R = ra._period_tables(DELTA, C, 10 * C)[0]
     # the weights are workspace views, which every series call overwrites
     rs, holo = ra._rs_weights(t, z, w).copy(), ra._holo_weights(t, z, 1, 16).copy()
     w0 = w.r + w.s - DELTA.k + 2
@@ -653,11 +663,11 @@ def test_coset_sum_when_the_d_band_covers_every_d(C, D):
     # directly, with weights built without validation
     t, z = ra.TruncationParams(C, D), complex(-0.5, 1.3)
     data = group.cosets(C, D)
-    order, cuts = ra._tail_shells(C, D)[3:]
-    assert order[cuts[0] : cuts[2]].tolist() == np.flatnonzero(data.ds != 0).tolist()
+    cuts = data.cuts
+    assert list(range(cuts[0], cuts[2])) == np.flatnonzero(data.ds != 0).tolist()
     j = data.cs * z + data.ds
     wts = j**-7 * np.conj(j) ** -5
-    R, Rmag = ra._period_table(DELTA, C, D), ra._period_mags(DELTA, C, D)
+    R, Rmag = ra._period_tables(DELTA, C, D)
     value, tail = ra._coset_sum(t, z, wts, np.abs(wts), 4, R, Rmag)
     assert np.array_equal(value, (R * wts).sum(axis=-1))
     _assert_table_tail(tail, _mask_tail(t, z, R * wts, 4))
@@ -666,45 +676,26 @@ def test_coset_sum_when_the_d_band_covers_every_d(C, D):
     assert tail == _mask_tail(t, z, wts, 12, identity=1.0)
 
 
-@pytest.mark.parametrize("C, D", [(1, 10), (3, 5), (8, 80), (40, 400), (80, 800)])
-def test_tail_order_blocks(C, D):
-    # four contiguous blocks of coset positions, each in coset order: neither
-    # shell nor band, band only, band and shell, shell only
-    data = group.cosets(C, D)
-    band_c, bw, start, order, cuts = ra._tail_shells(C, D)
-    n = data.cs.size
-    assert order.dtype == np.int32 and not order.flags.writeable
-    assert np.array_equal(np.sort(order), np.arange(n))
-    shell = np.arange(n) >= start
-    assert np.array_equal(shell, data.cs > C - band_c)
-    band = np.abs(data.ds) > D - bw
-    members = (~band & ~shell, band & ~shell, band & shell, ~band & shell)
-    for block, mask in zip(np.split(order, cuts), members):
-        assert block.tolist() == np.flatnonzero(mask).tolist()
-    assert order[cuts[0] : cuts[2]].tolist() == np.flatnonzero(band).tolist()
-    f = DELTA if C < 80 else qf.cusp_basis(16)[0]
-    mags = ra._period_mags(f, C, D)
-    assert np.array_equal(mags, np.abs(ra._period_table(f, C, D))[:, order])
-
-
 def test_period_mags_build_allocates_no_second_table():
-    # with the period table warm, building its magnitudes allocates the
-    # magnitude table plus at most two n-sized buffers (and a few headers)
+    # with the class rows and the coset table warm, building the period table
+    # and its magnitudes allocates the two tables plus at most two n-sized
+    # buffers (and a few headers)
     f, C, D = qf.cusp_basis(16)[0], 80, 800
-    ra._period_table(f, C, D), ra._tail_shells(C, D)
+    per.reduced_periods(f, C), group.cosets(C, D)
     tracemalloc.start()
     try:
-        mags = ra._period_mags.__wrapped__(f, C, D)
+        R, mags = ra._period_tables.__wrapped__(f, C, D)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= mags.nbytes + 2 * mags[0].nbytes + 4096
+    assert peak <= R.nbytes + mags.nbytes + 2 * mags[0].nbytes + 4096
+    assert np.array_equal(mags, np.abs(R))
 
 
 def test_ipow_is_conjugate_exact_and_accurate():
     t = ra.TruncationParams(40, 400)
     for z in (2j, 0.3 + 1.5j, -0.45 + 1.1j):
-        j = ra._jarrays(t, z)[0]
+        j = ra._jarray(t, z)
         for e in range(25):
             p = ra._ipow(j, e)
             assert np.array_equal(ra._ipow(j.conj(), e), p.conj())
@@ -715,12 +706,12 @@ def test_ipow_is_conjugate_exact_and_accurate():
 @pytest.mark.parametrize("C", [1, 7, 40])
 def test_jbar_is_the_conjugate_of_j(C):
     # cs conj(z) + ds has the real part of cs z + ds and its imaginary part
-    # negated exactly, so j-bar is built by conjugation
+    # negated exactly, so the closed form builds j-bar by conjugation
     t, data = ra.TruncationParams(C, 10 * C), group.cosets(C, 10 * C)
     for z in (2j, 0.3 + 1.5j, -0.45 + 1.1j):
-        j, jb = ra._jarrays(t, z)
+        j = ra._jarray(t, z)
         assert np.array_equal(j, data.cs * z + data.ds)
-        assert np.array_equal(jb, data.cs * z.conjugate() + data.ds)
+        assert np.array_equal(j.conj(), data.cs * z.conjugate() + data.ds)
 
 
 @pytest.mark.parametrize("form", ["delta", "s16"])
@@ -729,7 +720,7 @@ def test_warm_series_allocate_under_half_the_period_table(form):
     # a warm call allocates n-sized buffers, not a (k-1) x n term array
     f = DELTA if form == "delta" else qf.cusp_basis(16)[0]
     t, w = ra.TruncationParams(80, 800), BiWeight(f.k // 2 + 4, f.k // 2 + 4)
-    table_bytes = ra._period_table(f, t.C, t.D).nbytes
+    table_bytes = ra._period_tables(f, t.C, t.D)[0].nbytes
     for series in (ra.psi_series, ra.phi):
         series(f, w, "+", 2j, t)
         tracemalloc.start()
@@ -743,9 +734,9 @@ def test_warm_series_allocate_under_half_the_period_table(form):
 
 @pytest.mark.parametrize("form", ["delta", "s16"])
 def test_warm_series_allocate_under_one_coset_array(form):
-    # the weights, their magnitudes, the row buffer and the tail's gathers
-    # live in the rectangle's workspace: a warm call allocates less than one
-    # n-sized complex array
+    # the weights, their magnitudes and the row buffer live in the
+    # rectangle's workspace: a warm call allocates less than one n-sized
+    # complex array
     f = DELTA if form == "delta" else qf.cusp_basis(16)[0]
     t = ra.TruncationParams(80, 800)
     n = group.cosets(t.C, t.D).cs.size
