@@ -341,8 +341,8 @@ def _cmd_fourier(ns, cfg: RunConfig) -> int:
     # memoised by z: the coarse pass's nodes are every other node of the fine one
     fn = functools.cache(fn)
     val = raseries.fourier_coefficient(fn, ns.l, ns.y, cfg.M)
-    err = None  # a coarse pass needs M // 2 >= 64 nodes
-    if cfg.M >= 2 * 64:
+    err = None  # a coarse pass needs M // 2 >= 64 nodes, every other fine node
+    if cfg.M >= 2 * 64 and cfg.M % 2 == 0:
         err = abs(val - raseries.fourier_coefficient(fn, ns.l, ns.y, cfg.M // 2))
     _emit(
         {"l": ns.l, "y": ns.y, "value": _cnum(val), "M": cfg.M, "error_estimate": err},

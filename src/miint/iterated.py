@@ -86,11 +86,6 @@ class Poly2:
     def norm_inf(self) -> float:
         return float(np.max(np.abs(self.coeffs)))
 
-    def __call__(self, x1: complex, x2: complex) -> complex:
-        v1 = np.array([x1**v for v in range(self.coeffs.shape[0])])
-        v2 = np.array([x2**u for u in range(self.coeffs.shape[1])])
-        return complex(v1 @ self.coeffs @ v2)
-
 
 def _depth3_value(f1: QExpansion, f2: QExpansion, z: complex) -> Poly2:
     """Coefficients of the depth-3 iterated integral at z.

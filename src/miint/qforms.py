@@ -69,7 +69,7 @@ class QExpansion:
         if isinstance(other, QExpansion):
             n = min(self.N, other.N)
             prod = [
-                sum(self.coeffs[i] * other.coeffs[m - i] for i in range(m + 1) if i <= self.N and m - i <= other.N)
+                sum(self.coeffs[i] * other.coeffs[m - i] for i in range(m + 1))
                 for m in range(n + 1)
             ]
             return QExpansion(self.k + other.k, tuple(prod))
@@ -94,8 +94,9 @@ class QExpansion:
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
+            if e:  # a higher bit is left
+                base = base * base
         return out
 
 

@@ -36,12 +36,13 @@ workspace all share it.  A table's tail is three matrix-vector products
 over column slices: their summation order is BLAS's, the same bits on
 every run, within 1e-12 of pairwise sums over masks.
 
-A warm coset sum allocates no n-sized array: the weights, their magnitudes
-and the kernel's row buffer are written with `out=` into one workspace
-(`_workspace`).  It is thread-local and holds the last rectangle (C, D)
-only: two complex and three float arrays, 56 bytes per coset.  A helper
-that returns a workspace view says so; such a view is valid until the next
-coset sum, and nothing holds one across it.
+A warm E_{r,s}, psi or phi allocates no n-sized array: the weight builders
+return the pair (w, |w|) as views of one workspace (`_workspace`), which also
+holds the kernel's row buffer; the holomorphic weights allocate one square.
+It is thread-local and holds the last rectangle (C, D) only: two complex and
+three float arrays, 56 bytes per coset.  A helper that returns a workspace
+view says so; such a view is valid until the next coset sum, and nothing
+holds one across it.
 """
 
 from __future__ import annotations
@@ -58,13 +59,9 @@ from .errors import ConvergenceError
 from .group import (
     BiWeight,
     PolyC,
-    act_poly,
     binomial_matrix,
     binomials,
     cosets,
-    enumerate_cosets,
-    jfactor,
-    mobius,
     taylor_shift,
 )
 from .periods import (
@@ -182,26 +179,13 @@ def _jarray(t: TruncationParams, z: complex) -> np.ndarray:
     return j
 
 
-def _into(out: np.ndarray | None, src: np.ndarray) -> np.ndarray:
-    """`src` copied into `out`, or into a fresh array when `out` is None."""
-    if out is None:
-        return src.copy()
-    out[...] = src
-    return out
-
-
-def _ipow(
-    base: np.ndarray, e: int, power: np.ndarray | None = None, square: np.ndarray | None = None
-) -> np.ndarray:
-    """base ** e for an integer e >= 0, elementwise by binary powering: a
-    square buffer and a power buffer, each updated in place, fresh arrays
-    unless given (`power` may be `base` itself, which it then overwrites).
-    The result is the power buffer, or the square buffer when e is a power
-    of two.  Complex products commute with conjugation, so
-    _ipow(conj b, e) = conj _ipow(b, e) exactly."""
-    if e == 0:
-        return np.ones_like(base)
-    square, started = _into(square, base), False
+def _ipow(base: np.ndarray, e: int, power: np.ndarray, square: np.ndarray) -> np.ndarray:
+    """base ** e for an integer e >= 1, elementwise by binary powering
+    through the buffers `square` and `power`, each updated in place (`power`
+    may be `base` itself, which it then overwrites).  The result is `power`,
+    or `square` when e is a power of two.  Complex products commute with
+    conjugation, so _ipow(conj b, e) = conj _ipow(b, e) exactly."""
+    square[...], started = base, False
     while True:
         if e & 1:
             if started:
@@ -209,19 +193,21 @@ def _ipow(
             elif e == 1:
                 return square  # no higher bit is left: the square is the last factor
             else:
-                power, started = _into(power, square), True
+                power[...], started = square, True
         e >>= 1
         if not e:
             return power
         square *= square
 
 
-def _rs_weights(t: TruncationParams, z: complex, w: BiWeight) -> np.ndarray:
-    """j^(-r) jbar^(-s) as the real |j|^(-2m), m = min(r, s), over the power
-    j^|r-s|, conjugated when s > r: the weights of (s, r) are the exact
-    conjugates of those of (r, s).  Returns the workspace view `w`, and
-    leaves |j|^(-2m) in `mag`: for r = s it is the weights' real part, their
-    imaginary part a zero, bitwise the quotient by a power of 1."""
+def _rs_weights(
+    t: TruncationParams, z: complex, w: BiWeight
+) -> tuple[np.ndarray, np.ndarray]:
+    """The weights j^(-r) jbar^(-s) and their magnitudes, as the workspace
+    views `w` and `mag`: the real |j|^(-2m), m = min(r, s), over j^|r-s|,
+    conjugated when s > r, so the weights of (s, r) are the exact conjugates
+    of those of (r, s).  For r = s the weights are |j|^(-2m), their own
+    magnitudes, with a zero imaginary part."""
     j = _jarray(t, z)
     ws = _workspace(t.C, t.D)
     scale = np.square(j.real, out=ws.mag)
@@ -229,29 +215,28 @@ def _rs_weights(t: TruncationParams, z: complex, w: BiWeight) -> np.ndarray:
     np.power(scale, -min(w.r, w.s), out=scale)
     if w.r == w.s:
         j.real, j.imag = scale, 0.0
-        return j
-    power = _ipow(j, abs(w.r - w.s), power=j, square=ws.spare)
-    wts = np.divide(scale, power, out=j)
-    return np.conjugate(wts, out=wts) if w.s > w.r else wts
+        return j, scale
+    wts = np.divide(scale, _ipow(j, abs(w.r - w.s), j, ws.spare), out=j)
+    if w.s > w.r:
+        np.conjugate(wts, out=wts)
+    return wts, np.abs(wts, out=ws.mag)
 
 
-def _mags(t: TruncationParams, wts: np.ndarray, real: bool = False) -> np.ndarray:
-    """|wts| as the workspace view `mag`.  The weights of `_rs_weights` for
-    r = s (`real`) are their own magnitudes, which it leaves there."""
-    mag = _workspace(t.C, t.D).mag
-    return mag if real else np.abs(wts, out=mag)
-
-
-def _holo_weights(t: TruncationParams, z: complex, n: int, k: int) -> np.ndarray:
-    """e(n gz) j^(-k) over the cosets, gz read off the top rows, as the
-    workspace view `w`.  The powering allocates its square buffer."""
+def _holo_weights(
+    t: TruncationParams, z: complex, n: int, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The weights e(n gz) j^(-k) over the cosets, gz read off the top rows,
+    and their magnitudes, as the workspace views `w` and `mag`.  The
+    powering's square is a fresh array, as `spare` holds e(n gz)."""
     j = _jarray(t, z)
+    ws = _workspace(t.C, t.D)
     a, b = cosets(t.C, t.D).tops
-    gz = np.multiply(a, complex(z), out=_workspace(t.C, t.D).spare)
+    gz = np.multiply(a, complex(z), out=ws.spare)
     gz += b
     gz /= j
     np.exp(np.multiply(2j * np.pi * n, gz, out=gz), out=gz)
-    return np.divide(gz, _ipow(j, k, power=j), out=j)
+    wts = np.divide(gz, _ipow(j, k, j, np.empty_like(j)), out=j)
+    return wts, np.abs(wts, out=ws.mag)
 
 
 def _coset_sum(
@@ -337,8 +322,7 @@ def eisenstein_rs(
     j(g,z)^(-r) j(g, conj z)^(-s), identity coset contributing 1."""
     if w.r + w.s <= 2:
         raise ConvergenceError(f"weights ({w.r},{w.s}) diverge: r + s must exceed 2")
-    wts = _rs_weights(t, z, w)
-    return SeriesValue(*_coset_sum(t, z, wts, _mags(t, wts, w.r == w.s), w.r + w.s, identity=1.0))
+    return SeriesValue(*_coset_sum(t, z, *_rs_weights(t, z, w), w.r + w.s, identity=1.0))
 
 
 def _check_psi(hform: QExpansion, w: BiWeight) -> None:
@@ -360,9 +344,8 @@ def psi_series(
     """Second-order series sum over B\\Gamma of r(gamma; X) j^(-r) jbar^(-s);
     the identity coset contributes nothing."""
     _check_psi(hform, w)
-    wts = _rs_weights(t, z, w)
     w0 = w.r + w.s - hform.k + 2
-    return SeriesValue(*_period_sum(hform, sign, t, z, wts, _mags(t, wts, w.r == w.s), w0))
+    return SeriesValue(*_period_sum(hform, sign, t, z, *_rs_weights(t, z, w), w0))
 
 
 def phi(
@@ -373,51 +356,18 @@ def phi(
     t: TruncationParams = TruncationParams(),
 ) -> SeriesValue:
     """Invariant series sum over B\\Gamma of the slashed Eichler integral,
-    assembled as psi + F * E (`_phi_direct` is the reference route); psi and
-    E share one set of coset weights and their magnitudes, E summed first as
-    the '-' sign conjugates the weights in place."""
+    assembled as psi + F * E; psi and E share one set of coset weights and
+    their magnitudes, E summed first as the '-' sign conjugates the weights
+    in place."""
     z = complex(z)
     _check_psi(hform, w)
-    wts = _rs_weights(t, z, w)
-    wmag = _mags(t, wts, w.r == w.s)
+    wts, wmag = _rs_weights(t, z, w)
     ev, etail = _coset_sum(t, z, wts, wmag, w.r + w.s, identity=1.0)
     psiv, ptail = _period_sum(hform, sign, t, z, wts, wmag, w.r + w.s - hform.k + 2)
     F = eichler_F(hform, z, sign)
     ftail = eval_tail_bound(hform, z.imag) / (2 * math.pi)
     tail = ptail + F.norm_inf() * etail + abs(ev) * ftail
     return SeriesValue(psiv + F * ev, tail)
-
-
-def _phi_direct(
-    hform: QExpansion,
-    w: BiWeight,
-    sign: str,
-    z: complex,
-    t: TruncationParams = TruncationParams(),
-) -> SeriesValue:
-    """Reference route for `phi`: the Eichler integral slashed across the
-    coset representatives.  Small rectangles only: `eichler_F` raises
-    PrecisionError at an image point below the evaluation floor.
-
-    It shares only the tail estimate with the series it checks: the weights
-    come from per-coset automorphy factors, and the identity coset is
-    reduced together with the others.
-    """
-    k = hform.k
-    if w.r + w.s <= k:
-        raise ConvergenceError(f"phi needs r + s > k = {k}")
-    t.validate_at(z)
-    z = complex(z)
-    rows, polys, wts = [eichler_F(hform, z, sign).coeffs], [], []
-    for g in enumerate_cosets(t.C, t.D)[1:]:
-        wts.append(jfactor(g, z) ** (-w.r) * jfactor(g, z.conjugate()) ** (-w.s))
-        polys.append(act_poly(eichler_F(hform, mobius(g, z), sign), g, k).coeffs)
-        rows.append(polys[-1] * wts[-1])
-    polys = np.ascontiguousarray(np.array(polys).T)
-    wts = np.array(wts)
-    _, tail = _coset_sum(t, z, wts, np.abs(wts), w.r + w.s - k + 2, polys, np.abs(polys))
-    terms = np.ascontiguousarray(np.array(rows).T)  # identity coset first
-    return SeriesValue(PolyC(terms.sum(axis=-1), k - 2), tail)
 
 
 def coeff_basis(z: complex, m: int) -> np.ndarray:
@@ -444,19 +394,13 @@ def coeff_decompose(P: PolyC, z: complex, k: int) -> np.ndarray:
 def _closed_form_alpha(k: int) -> np.ndarray:
     """alpha[j, q, p] = i^(1-2j-m-n) binom(k-2, j) binom(j, m) binom(k-2-j, n)
     with m = j - q, n = p - j, zero outside q <= j <= p: the weight of the
-    coset sum v[q, p] in phi(j)."""
+    coset sum v[q, p] in phi(j).  Every factor is exact in float64."""
     K = k - 1
-    alpha = np.zeros((K, K, K), dtype=np.complex128)
-    for j in range(K):
-        for q in range(j + 1):
-            for p in range(j, K):
-                m, n = j - q, p - j
-                alpha[j, q, p] = (
-                    i_power(1 - 2 * j - m - n)
-                    * math.comb(k - 2, j)
-                    * math.comb(j, m)
-                    * math.comb(k - 2 - j, n)
-                )
+    j, q, p = np.ogrid[:K, :K, :K]
+    m, n, B = j - q, p - j, binomials(k - 2)
+    ipow = np.array([i_power(e) for e in range(4)])[(1 - 2 * j - m - n) % 4]
+    alpha = ipow * B[k - 2, j] * B[j, m % K] * B[k - 2 - j, n % K]  # % K: a valid index
+    alpha = np.where((q <= j) & (j <= p), alpha, 0)  # +0, not a signed zero product
     alpha.setflags(write=False)
     return alpha
 
@@ -466,13 +410,13 @@ def _closed_form_sums(
 ) -> np.ndarray:
     """v[q, p] = sum over the non-trivial cosets of
     Lambda_f(p-q+1, -d/c) c^(p-q-k+2) j^-(r+2-k+p) jbar^-(s-q), 0 <= q <= p <= k-2,
-    taken in blocks of cosets.  Each block reads j from `_jarray` and c from
-    the workspace, takes jbar as the block's conjugate of j (bitwise
+    taken in blocks of cosets.  Each block forms j = cs z + ds from the
+    workspace's float coset rows, takes jbar as its conjugate (bitwise
     cs conj(z) + ds), and builds its power rows from one complex power each,
     by repeated multiplication with 1/j and 1/jbar."""
     k, K = hform.k, hform.k - 1
-    jarr = _jarray(t, z)
-    cs, cls = _workspace(t.C, t.D).cs, cosets(t.C, t.D).cls
+    ws, cls = _workspace(t.C, t.D), cosets(t.C, t.D).cls
+    cs, ds = ws.cs, ws.ds
     table = reduced_periods(hform, t.C)
     cexp = np.arange(K)[:, None] - (k - 2)
     v = np.zeros((K, K), dtype=np.complex128)
@@ -482,10 +426,11 @@ def _closed_form_sums(
         lamc = table.values[:, cls[blk]] * cs[blk] ** cexp
         jpow = np.empty((K, lamc.shape[1]), dtype=np.complex128)
         jbpow = np.empty_like(jpow)
-        jb = jarr[blk].conj()
-        jpow[0] = jarr[blk] ** (k - 2 - w.r)  # j^-(r+2-k+p) at p = 0
+        j = cs[blk] * z + ds[blk]
+        jb = j.conj()
+        jpow[0] = j ** (k - 2 - w.r)  # j^-(r+2-k+p) at p = 0
         jbpow[K - 1] = jb ** (k - 2 - w.s)  # jbar^-(s-q) at q = k-2
-        jinv, jbinv = 1.0 / jarr[blk], 1.0 / jb
+        jinv, jbinv = 1.0 / j, 1.0 / jb
         for p in range(1, K):
             jpow[p] = jpow[p - 1] * jinv
             jbpow[K - 1 - p] = jbpow[K - p] * jbinv
@@ -528,14 +473,13 @@ def _closed_form_phi(
         out.setflags(write=False)
         return out
     k = hform.k
-    ev = eisenstein_rs(w, z, t)  # before the sums: both use the workspace
     # prefactor from w - X = ((w-z)(X-cz) + (cz-w)(X-z)) / (z - cz)
     pref = (z - z.conjugate()) ** (2 - k)
     # boundary term: the Eichler moments against the basis polynomial of phi(j)
     bnd_int = (eichler_moments(hform, z, k - 2) @ coeff_basis(z, k - 2))[::-1]
     sgn_binom = binomials(k - 2)[k - 2] * (-1.0) ** np.arange(k - 1)
     v = _closed_form_sums(hform, w, t, z)
-    out = sgn_binom * pref * bnd_int * ev.value
+    out = sgn_binom * pref * bnd_int * eisenstein_rs(w, z, t).value
     out += pref * np.einsum("jqp,qp->j", _closed_form_alpha(k), v)
     out.setflags(write=False)  # cached and shared by every caller
     return out
@@ -586,9 +530,8 @@ def poincare(
         raise ConvergenceError("Poincare series needs even k >= 4")
     if n < 0:
         raise ValueError("n must be >= 0")
-    wts = _holo_weights(t, z, n, k)
     identity = cmath.exp(2j * math.pi * n * complex(z))
-    return SeriesValue(*_coset_sum(t, z, wts, _mags(t, wts), k, identity=identity))
+    return SeriesValue(*_coset_sum(t, z, *_holo_weights(t, z, n, k), k, identity=identity))
 
 
 def second_order_G(
@@ -606,5 +549,4 @@ def second_order_G(
         raise ConvergenceError(f"need even k > k1 = {k1} > 2, got k = {k}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    wts = _holo_weights(t, z, n, k)
-    return SeriesValue(*_period_sum(hform, sign, t, z, wts, _mags(t, wts), k - k1 + 2))
+    return SeriesValue(*_period_sum(hform, sign, t, z, *_holo_weights(t, z, n, k), k - k1 + 2))

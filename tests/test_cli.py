@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 
@@ -227,10 +230,11 @@ def test_fourier_samples_each_point_once(capsys, monkeypatch):
     assert len(calls) == 129 == len(set(calls))
 
 
-@pytest.mark.parametrize("M", [64, 65, 100, 127, 128])
+@pytest.mark.parametrize("M", [64, 65, 100, 127, 128, 129, 255])
 def test_fourier_error_estimate_needs_a_coarse_pass_of_64_nodes(capsys, monkeypatch, M):
     # the M // 2 pass reads the even nodes of the M pass; below M = 128 it
-    # would have fewer than 64 nodes, so there is none and the estimate is null
+    # would have fewer than 64 nodes, and for odd M its nodes are not among
+    # the fine ones, so there is none and the estimate is null
     calls = []
     eval_form = qf.eval_form
 
@@ -241,7 +245,7 @@ def test_fourier_error_estimate_needs_a_coarse_pass_of_64_nodes(capsys, monkeypa
     monkeypatch.setattr(qf, "eval_form", counted)
     payload = _payload(capsys, "fourier", "--form", "delta", "--l", "1", "--M", str(M))
     assert len(calls) == M + 1 == len(set(calls))
-    if M < 128:
+    if M < 128 or M % 2:
         assert payload["error_estimate"] is None
     else:
         assert 0.0 <= payload["error_estimate"] <= 1e-10
@@ -385,6 +389,48 @@ def test_inert_flag_is_a_usage_error(capsys, cmd, flag, before):
 def test_read_flag_parses_after_its_command(cmd, flag):
     ns = cli.build_parser().parse_args(_with_flag(cmd, flag, before=False))
     assert getattr(ns, flag) == ("csv" if flag == "format" else 80)
+
+
+def _subcommand_flags():
+    """Every option string each subcommand's parser accepts."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: sorted(o for a in p._actions for o in a.option_strings) for name, p in sub.choices.items()}
+
+
+_FLAGS = _subcommand_flags()
+# small integers, and the malformed values each kind of flag must reject
+_VALUES = [str(i) for i in range(-2, 21)] + [
+    "nan", "inf", "1e400", "abc", "", "s12.5", "T^x", "1,2,3,4", "e4,delta", "/nonexistent"
+]
+
+
+@st.composite
+def _argvs(draw):
+    cmd = draw(st.sampled_from(sorted(READS)))
+    flags = st.sampled_from(_FLAGS[cmd] + [f"--{f}" for f in CONFIG_FLAGS])
+    argv = [cmd, "vvdim"] if cmd == "check" else [cmd]
+    if draw(st.booleans()):
+        argv += REQUIRED.get(cmd, [])
+    for _ in range(draw(st.integers(0, 4))):
+        argv += [draw(flags), *draw(st.lists(st.sampled_from(_VALUES), max_size=2))]
+    if draw(st.integers(0, 9)) == 0:  # now and then a flag before the command
+        argv = [draw(flags), draw(st.sampled_from(_VALUES))] + argv
+    return argv
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_argvs())
+def test_any_argv_exits_with_a_documented_code(argv):
+    # whatever the arguments, the CLI returns an exit code and raises nothing;
+    # argparse's help exits 0
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            assert exc.code == 0
+            code = 0
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
 
 
 def test_dim_csv_prints_its_one_row(capsys):

@@ -429,10 +429,13 @@ def test_both_signs_share_one_cocycle(monkeypatch):
 
 
 @pytest.mark.parametrize("f", [DELTA, qf.cusp_basis(16, 120)[0]], ids=["delta", "s16"])
-def test_table_rows_equal_their_euclid_chains(f):
+def test_table_rows_equal_their_euclid_chains(f, monkeypatch):
     # each class built from its parent row is bitwise the full chain of its
-    # representative, at every level up to c = 80
+    # representative, at every level up to c = 80.  A chain passes through
+    # its parent's chain, so the chains' actions are memoised: each matrix
+    # is built once, the same bits as a fresh build
     table = per.reduced_periods(f, 80)
+    monkeypatch.setattr(per, "binomial_matrix", functools.lru_cache(maxsize=None)(per.binomial_matrix))
     for (c, d), r in zip(_class_rows(80), table.periods):
         g = S if (c, d) == (1, 0) else complete_row(c, d)
         assert np.array_equal(r, per.period_poly(f, g).coeffs)

@@ -3,7 +3,6 @@ import math
 import sys
 import threading
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -122,16 +121,43 @@ def test_phi_invariance_generators_sample_points():
             assert res <= tol
 
 
+def _phi_direct(hform, w, sign, z, t):
+    """Reference route for `phi`: the Eichler integral slashed across the
+    coset representatives.  Small rectangles only: `eichler_F` raises
+    PrecisionError at an image point below the evaluation floor.
+
+    It shares only the tail estimate with the series it checks: the weights
+    come from per-coset automorphy factors, and the identity coset is
+    reduced together with the others.
+    """
+    k = hform.k
+    if w.r + w.s <= k:
+        raise ConvergenceError(f"phi needs r + s > k = {k}")
+    t.validate_at(z)
+    z = complex(z)
+    rows, polys, wts = [per.eichler_F(hform, z, sign).coeffs], [], []
+    for g in group.enumerate_cosets(t.C, t.D)[1:]:
+        wts.append(group.jfactor(g, z) ** (-w.r) * group.jfactor(g, z.conjugate()) ** (-w.s))
+        image = per.eichler_F(hform, group.mobius(g, z), sign)
+        polys.append(group.act_poly(image, g, k).coeffs)
+        rows.append(polys[-1] * wts[-1])
+    polys = np.ascontiguousarray(np.array(polys).T)
+    wts = np.array(wts)
+    _, tail = ra._coset_sum(t, z, wts, np.abs(wts), w.r + w.s - k + 2, polys, np.abs(polys))
+    terms = np.ascontiguousarray(np.array(rows).T)  # identity coset first
+    return ra.SeriesValue(PolyC(terms.sum(axis=-1), k - 2), tail)
+
+
 def test_phi_routes_agree_on_shared_rectangle():
     t_small = ra.TruncationParams(C=1, D=4)
-    a = ra._phi_direct(DELTA, W, "+", 4j, t_small)
+    a = _phi_direct(DELTA, W, "+", 4j, t_small)
     b = ra.phi(DELTA, W, "+", 4j, t_small)
     assert (a.value - b.value).norm_inf() <= a.tail_estimate + b.tail_estimate + 1e-15
 
 
 def test_phi_direct_route_floor_guard():
     with pytest.raises(PrecisionError):
-        ra._phi_direct(DELTA, W, "+", 2j, ra.TruncationParams(C=2, D=8))
+        _phi_direct(DELTA, W, "+", 2j, ra.TruncationParams(C=2, D=8))
 
 
 def test_phi_conjugate_swap_symmetry():
@@ -312,15 +338,22 @@ def test_phi_basis_coefficient_invariance():
 
 
 def test_closed_form_alpha_constant():
-    # alpha_{0,0} = i^(1-2j) binom(k-2, j), exactly representable
-    for j in range(11):
-        alpha = per.i_power(1 - 2 * j) * math.comb(10, j)
-        assert alpha in (
-            math.comb(10, j) * 1j,
-            -math.comb(10, j) * 1j,
-            math.comb(10, j) + 0j,
-            -math.comb(10, j) + 0j,
-        )
+    # every entry is bitwise the exact scalar formula, and +0 outside
+    # q <= j <= p
+    for k in (12, 16, 28):
+        alpha = ra._closed_form_alpha(k)
+        assert alpha.shape == (k - 1,) * 3 and not alpha.flags.writeable
+        for j, q, p in np.ndindex(alpha.shape):
+            m, n = j - q, p - j
+            ref = 0j
+            if q <= j <= p:
+                ref = (
+                    per.i_power(1 - 2 * j - m - n)
+                    * math.comb(k - 2, j)
+                    * math.comb(j, m)
+                    * math.comb(k - 2 - j, n)
+                )
+            assert alpha[j, q, p].tobytes() == np.complex128(ref).tobytes()
 
 
 def test_fourier_delta_modes():
@@ -502,13 +535,23 @@ def test_coset_tables_match_per_coset_lookups():
         assert lam[:, i].tolist() == [table.value(s, c, d) for s in range(1, DELTA.k)]
 
 
+def _scaled_ints(xs):
+    """The floats xs as exact integers x 2^s, with 2^s their common
+    denominator, and 2^s: int / 2^s is then the correctly rounded quotient,
+    as float(Fraction) is."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    scale = max(den for _, den in ratios)
+    return [num * (scale // den) for num, den in ratios], scale
+
+
 def test_period_table_is_the_exact_translation_of_its_class_rows():
     # r(gamma T^n; X) = r(gamma; X + n), n = d // c, expanded in exact
-    # rational arithmetic from each coset's class row, on the outer |d| band
-    # and every 97th coset.  Each coefficient lies within 4 K eps of the sum
-    # of the magnitudes of its exact terms, the shift's condition number: a
-    # short shift towards the cusp 0, such as (65, -2) from the class
-    # (65, 63), cancels about 2^(k-2) in that sum.
+    # arithmetic (integers over a common power of two) from each coset's
+    # class row, on the outer |d| band and every 97th coset.  Each
+    # coefficient lies within 4 K eps of the sum of the magnitudes of its
+    # exact terms, the shift's condition number: a short shift towards the
+    # cusp 0, such as (65, -2) from the class (65, 63), cancels about
+    # 2^(k-2) in that sum.
     C, D = 80, 800
     data = group.cosets(C, D)
     R = ra._period_tables(DELTA, C, D)[0]
@@ -518,11 +561,11 @@ def test_period_table_is_the_exact_translation_of_its_class_rows():
     for i in np.flatnonzero(sample).tolist():
         n = int(data.ds[i] // data.cs[i])
         for part in ("real", "imag"):
-            p = [Fraction(x) for x in getattr(table.periods[data.cls[i]], part).tolist()]
+            p, scale = _scaled_ints(getattr(table.periods[data.cls[i]], part).tolist())
             for t in range(K):
                 terms = [math.comb(e, t) * n ** (e - t) * p[e] for e in range(t, K)]
-                err = abs(getattr(R[t, i], part) - float(sum(terms)))
-                assert err <= 4 * K * eps * float(sum(abs(x) for x in terms))
+                err = abs(getattr(R[t, i], part) - sum(terms) / scale)
+                assert err <= 4 * K * eps * (sum(abs(x) for x in terms) / scale)
 
 
 def test_coeff_basis_columns_are_basis_products():
@@ -588,7 +631,7 @@ def test_coset_sum_reduction_within_floor():
     t = ra.TruncationParams(40, 400)
     w = BiWeight(7, 7)
     sv = ra.psi_series(DELTA, w, "+", 2j, t)
-    terms = ra._period_tables(DELTA, t.C, t.D)[0] * ra._rs_weights(t, 2j, w)
+    terms = ra._period_tables(DELTA, t.C, t.D)[0] * ra._rs_weights(t, 2j, w)[0]
     for row, got in zip(terms, sv.value.coeffs):
         exact = complex(math.fsum(row.real.tolist()), math.fsum(row.imag.tolist()))
         assert abs(got - exact) <= 16 * np.finfo(float).eps * np.abs(row).sum()
@@ -638,7 +681,7 @@ def test_coset_sum_matches_the_full_term_array(C, x):
     t, z, w = ra.TruncationParams(C, 10 * C), complex(x, 1.3), BiWeight(10, 8)
     R = ra._period_tables(DELTA, C, 10 * C)[0]
     # the weights are workspace views, which every series call overwrites
-    rs, holo = ra._rs_weights(t, z, w).copy(), ra._holo_weights(t, z, 1, 16).copy()
+    rs, holo = ra._rs_weights(t, z, w)[0].copy(), ra._holo_weights(t, z, 1, 16)[0].copy()
     w0 = w.r + w.s - DELTA.k + 2
     for sign, table in (("+", R), ("-", R.conj())):
         sv = ra.psi_series(DELTA, w, sign, z, t)
@@ -650,7 +693,7 @@ def test_coset_sum_matches_the_full_term_array(C, x):
     ev = ra.eisenstein_rs(w, z, t)
     assert ev.value == 1.0 + rs.sum()
     assert ev.tail_estimate == _mask_tail(t, z, rs, w.r + w.s, identity=1.0)
-    holo = ra._holo_weights(t, z, 1, 12).copy()
+    holo = ra._holo_weights(t, z, 1, 12)[0].copy()
     pn = ra.poincare(1, 12, z, t)
     identity = cmath.exp(2j * math.pi * z)
     assert pn.value == identity + holo.sum()
@@ -695,10 +738,13 @@ def test_period_mags_build_allocates_no_second_table():
 def test_ipow_is_conjugate_exact_and_accurate():
     t = ra.TruncationParams(40, 400)
     for z in (2j, 0.3 + 1.5j, -0.45 + 1.1j):
-        j = ra._jarray(t, z)
-        for e in range(25):
-            p = ra._ipow(j, e)
-            assert np.array_equal(ra._ipow(j.conj(), e), p.conj())
+        j = ra._jarray(t, z).copy()
+        for e in range(1, 25):
+            p = ra._ipow(j, e, np.empty_like(j), np.empty_like(j)).copy()
+            conj = j.conj()
+            assert np.array_equal(ra._ipow(conj, e, np.empty_like(j), np.empty_like(j)), p.conj())
+            # the power buffer may be the base itself, as the weights use it
+            assert np.array_equal(ra._ipow(conj, e, conj, np.empty_like(j)), p.conj())
             ref = j**e
             assert np.all(np.abs(p - ref) <= 4 * e * np.finfo(float).eps * np.abs(ref))
 
@@ -706,11 +752,15 @@ def test_ipow_is_conjugate_exact_and_accurate():
 @pytest.mark.parametrize("C", [1, 7, 40])
 def test_jbar_is_the_conjugate_of_j(C):
     # cs conj(z) + ds has the real part of cs z + ds and its imaginary part
-    # negated exactly, so the closed form builds j-bar by conjugation
+    # negated exactly, so the closed form builds j-bar by conjugation; and it
+    # forms j = cs z + ds per block from the workspace's float coset rows,
+    # bitwise the array of `_jarray`
     t, data = ra.TruncationParams(C, 10 * C), group.cosets(C, 10 * C)
     for z in (2j, 0.3 + 1.5j, -0.45 + 1.1j):
         j = ra._jarray(t, z)
         assert np.array_equal(j, data.cs * z + data.ds)
+        ws = ra._workspace(t.C, t.D)
+        assert np.array_equal(j, ws.cs * z + ws.ds)
         assert np.array_equal(j.conj(), data.cs * z.conjugate() + data.ds)
 
 
