@@ -4,17 +4,17 @@ decompositions and closed-form cross-checks, Fourier extraction, Poincare
 series and the second-order G series.
 
 Each truncated coset series (E_{r,s}, psi, the Poincare series and G) is
-one call of the kernel `_coset_sum`: a weight per non-trivial coset (times
-that coset's column of the coefficient-major period table, for the
-second-order series), reduced by numpy's pairwise sum in the order of the
-coset table `group.cosets`, plus the identity-coset term; phi combines psi
-and E_{r,s}.  The kernel walks the table one coefficient row at a time
-through one n-sized buffer, and reduces each row pairwise in that unchanged
-order.  The same inputs on the same Python, numpy and CPU give
-bitwise-identical results; the reduction error stays below the tail's
-16-eps floor.  The weights divide by an integer power of the j array,
-raised by binary powering over the whole array (`_ipow`); the weights of
-(s, r) are the exact conjugates of those of (r, s), so
+one call of the kernel `_coset_sum`: a weight per non-trivial coset, summed
+pairwise in the order of the coset table `group.cosets`, or for the
+second-order series the coefficient-major period table times the weights in
+one BLAS product, plus the identity-coset term; phi combines psi and
+E_{r,s}.  A table sum's order is BLAS's: the same inputs on the same
+Python, numpy, BLAS and CPU give bitwise-identical results for any BLAS
+thread count and buffer offset.  Either reduction errs within the tail's
+16-eps floor of the exactly rounded sum; a coset sum or tail that is not
+finite raises PrecisionError.  The weights divide by an integer power of
+the j array, raised by binary powering over the whole array (`_ipow`); the
+weights of (s, r) are the exact conjugates of those of (r, s), so
 E_{s,r} = conj E_{r,s} exactly.
 
 Every coset (c, d0 + nc) is its reduced class (c, d0) times T^n, as the
@@ -32,17 +32,17 @@ less than it.  It reads the term magnitudes as |R| |w|: |w| per call, and
 weight 16 at C=80).  There is one coset order: the table lists the cosets
 in the tail's blocks, so the total, the outer |d| band and the outer
 c-shells are three contiguous slices, and R, |R|, the weights and the
-workspace all share it.  A table's tail is three matrix-vector products
-over column slices: their summation order is BLAS's, the same bits on
-every run, within 1e-12 of pairwise sums over masks.
+workspace all share it.  A table's tail is one pass over |R|, a
+matrix-vector product per block, split at `cuts`: the same bits on every
+run, within 1e-12 of pairwise sums over masks.
 
 A warm E_{r,s}, psi or phi allocates no n-sized array: the weight builders
 return the pair (w, |w|) as views of one workspace (`_workspace`), which also
-holds the kernel's row buffer; the holomorphic weights allocate one square.
-It is thread-local and holds the last rectangle (C, D) only: two complex and
-three float arrays, 56 bytes per coset.  A helper that returns a workspace
-view says so; such a view is valid until the next coset sum, and nothing
-holds one across it.
+holds the powering's square; the holomorphic weights allocate theirs, as it
+holds e(n gz).  It is thread-local and holds the last rectangle (C, D) only:
+two complex and three float arrays, 56 bytes per coset.  A helper that
+returns a workspace view says so; such a view is valid until the next coset
+sum, and nothing holds one across it.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, PrecisionError
 from .group import (
     BiWeight,
     PolyC,
@@ -137,8 +137,8 @@ def _period_tables(f: QExpansion, C: int, D: int) -> tuple[np.ndarray, np.ndarra
 class _Workspace:
     """The n-sized buffers of one rectangle's coset sums: the float coset
     rows `cs` and `ds`; the weights `w`; the magnitudes `mag`; and `spare`,
-    the binary powering's square, then the kernel's row buffer, whose first
-    n floats (`flat`) take cs x and |j|^2's second term."""
+    the binary powering's square or e(n gz), whose first n floats (`flat`)
+    take cs x and |j|^2's second term."""
 
     def __init__(self, C: int, D: int):
         data = cosets(C, D)
@@ -200,6 +200,7 @@ def _ipow(base: np.ndarray, e: int, power: np.ndarray, square: np.ndarray) -> np
         square *= square
 
 
+@np.errstate(all="ignore")  # an overflow makes the coset sum raise
 def _rs_weights(
     t: TruncationParams, z: complex, w: BiWeight
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -222,6 +223,7 @@ def _rs_weights(
     return wts, np.abs(wts, out=ws.mag)
 
 
+@np.errstate(all="ignore")  # an overflow makes the coset sum raise
 def _holo_weights(
     t: TruncationParams, z: complex, n: int, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -239,6 +241,7 @@ def _holo_weights(
     return wts, np.abs(wts, out=ws.mag)
 
 
+@np.errstate(all="ignore")  # an overflow raises PrecisionError below
 def _coset_sum(
     t: TruncationParams,
     z: complex,
@@ -250,47 +253,44 @@ def _coset_sum(
     identity=None,
 ) -> tuple[object, float]:
     """The one truncated coset series: the weights `w` of the non-trivial
-    cosets, or for a second-order series each row of the coefficient-major
-    table `R` times `w`, reduced by numpy's pairwise sum in the coset
-    table's order, plus the identity-coset term.  One row at a time goes through one
-    buffer, so the values are bitwise those of `(R * w).sum(axis=-1)`.  The
-    reduction errs like eps log(n_cosets), inside the tail's 16-eps floor.
-    The row buffer is the workspace's `spare`, which `w` and `wmag` must not
-    be.
+    cosets summed pairwise in the coset table's order, or for a second-order
+    series the coefficient-major table `R` times `w` in one BLAS product,
+    in BLAS's order, the same bits for any BLAS thread count and buffer
+    offset; plus the identity-coset term.  Either errs like
+    eps log(n_cosets), inside the tail's 16-eps floor.
 
-    Returns (value, tail).  The tail reads the magnitudes `wmag` = |w| on the
-    outermost computed shells, the blocks of the coset table: the c-tail
-    scales the average of its last `shells` c-shells by the integral
-    comparison sum_{c > C} (c/C)^(1-w0) ~ C/(w0-2); the d-tail scales its
+    Returns (value, tail), or raises PrecisionError when either is not
+    finite.  The tail reads the magnitudes `wmag` = |w| on the outermost
+    computed shells, the blocks of the coset table: the c-tail scales the
+    average of its last `shells` c-shells by the integral comparison
+    sum_{c > C} (c/C)^(1-w0) ~ C/(w0-2), w0 > 2; the d-tail scales its
     outer |d| band, of width `band`, with decay exponent w0.  A factor 2
     pads shell roughness; a floor of 16 eps times the absolute sum (plus 1
     for an identity term) covers roundoff in the terms.  The total, the band
-    and the shells are three contiguous slices of the cosets: a scalar
-    series sums |w| over each pairwise, a table weighs it against
-    `Rmag` = |R| in one matrix-vector product per slice.
+    and the shells are slices of the cosets: a scalar series sums |w| over
+    each pairwise, a table weighs |w| against `Rmag` = |R| in one pass, a
+    matrix-vector product per block between the `cuts`.
     """
-    ws = _workspace(t.C, t.D)
+    data = cosets(t.C, t.D)
     if R is None:
         value = w.sum()
+        parts = (slice(None), slice(data.cuts[0], data.cuts[2]), slice(data.cuts[1], None))
+        total, outer, shell = (wmag[sl].sum() for sl in parts)
     else:
-        value = np.empty(R.shape[0], dtype=np.complex128)
-        for i, row in enumerate(R):
-            value[i] = np.multiply(row, w, out=ws.spare).sum()
+        value = R @ w
+        e = (0, *data.cuts, w.size)
+        b0, b1, b2, b3 = (Rmag[:, lo:hi] @ wmag[lo:hi] for lo, hi in zip(e, e[1:]))
+        outer, shell, total = b1 + b2, b2 + b3, b1 + b2 + b0 + b3
     if identity is not None:
         value = identity + value
-    if w0 <= 2:
-        return value, math.inf
-    data = cosets(t.C, t.D)
-    parts = (slice(None), slice(data.cuts[0], data.cuts[2]), slice(data.cuts[1], None))
-    total, outer, shell = (
-        wmag[sl].sum() if Rmag is None else Rmag[:, sl] @ wmag[sl] for sl in parts
-    )
     C, D, x = t.C, t.D, complex(z).real
     ctail = 2.0 * (shell / data.shells) * C / (w0 - 2.0)
     dtail = 2.0 * outer * max(D - C * abs(x), 1.0) / (data.band * (w0 - 1.0))
     extra = 1.0 if identity is not None else 0.0
-    floor = 16.0 * _EPS * (float(np.max(total)) + extra)
-    return value, float(np.max(ctail + dtail)) + floor
+    tail = float(np.max(ctail + dtail)) + 16.0 * _EPS * (float(np.max(total)) + extra)
+    if not (math.isfinite(tail) and np.isfinite(value).all()):
+        raise PrecisionError(f"the coset sum at z = {complex(z)} is not finite in float64")
+    return value, tail
 
 
 def _period_sum(
@@ -303,10 +303,9 @@ def _period_sum(
     w0: float,
 ) -> tuple[PolyC, float]:
     """The second-order coset sum of the sign's period table against `wts`,
-    of magnitudes `wmag`.  The '-' table is the conjugate of the '+' one, and
-    sum conj(r) w = conj(sum r conj(w)) conjugates only the weights, in
-    place, and the result; both tables have the magnitudes of
-    `_period_tables`, and |conj w| = |w|."""
+    of magnitudes `wmag`.  The '-' table is conj R, and conj(R) @ w =
+    conj(R @ conj(w)) conjugates only the weights, in place, and the result;
+    both tables have the magnitudes |R|, and |conj w| = |w|."""
     minus = _minus(sign)
     R, Rmag = _period_tables(hform, t.C, t.D)
     if minus:
@@ -359,8 +358,8 @@ def phi(
     assembled as psi + F * E; psi and E share one set of coset weights and
     their magnitudes, E summed first as the '-' sign conjugates the weights
     in place."""
-    z = complex(z)
     _check_psi(hform, w)
+    z = admissible_z(z, q_series=True)  # F's floor, before any coset sum
     wts, wmag = _rs_weights(t, z, w)
     ev, etail = _coset_sum(t, z, wts, wmag, w.r + w.s, identity=1.0)
     psiv, ptail = _period_sum(hform, sign, t, z, wts, wmag, w.r + w.s - hform.k + 2)

@@ -315,8 +315,18 @@ def test_dim_table_starts_at_weight_six(capsys):
     assert out.splitlines() == ["k,k1,dim_Mk_rho,dim_M2c", "6,4,3,3"]
 
 
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the case
 @pytest.mark.parametrize(
-    "argv", [["eval", "--z", "0", "0.01"], ["iterated", "--depth", "2", "--z", "0", "0.01"]], ids=" ".join
+    "argv",
+    [
+        ["eval", "--z", "0", "0.01"],
+        ["iterated", "--depth", "2", "--z", "0", "0.01"],
+        # a coset sum that overflows float64, and phi below the q-series floor
+        ["eisenstein", "--z", "0", "1e-160"],
+        ["eisenstein", "--r", "11", "--s", "9", "--z", "0", "1e-16"],
+        ["phi", "--z", "0", "1e-320"],
+    ],
+    ids=" ".join,
 )
 def test_below_the_evaluation_floor_is_a_precision_failure(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -626,15 +626,51 @@ def test_top_rows_are_the_completed_rows(monkeypatch, C, D, classes):
 
 
 def test_coset_sum_reduction_within_floor():
-    # every coefficient of psi lies within the tail's 16-eps floor of the
-    # exactly rounded sum of the same terms
-    t = ra.TruncationParams(40, 400)
-    w = BiWeight(7, 7)
-    sv = ra.psi_series(DELTA, w, "+", 2j, t)
-    terms = ra._period_tables(DELTA, t.C, t.D)[0] * ra._rs_weights(t, 2j, w)[0]
-    for row, got in zip(terms, sv.value.coeffs):
-        exact = complex(math.fsum(row.real.tolist()), math.fsum(row.imag.tolist()))
-        assert abs(got - exact) <= 16 * np.finfo(float).eps * np.abs(row).sum()
+    # every coefficient of psi and G, of either sign, lies within the tail's
+    # 16-eps floor of the exactly rounded sum of the same terms
+    for C in (1, 3, 7, 8, 40):
+        t, z = ra.TruncationParams(C, 10 * C), complex(0.3, 1.3)
+        R = ra._period_tables(DELTA, t.C, t.D)[0]
+        # the weights are workspace views, which every series call overwrites
+        weights = {w: ra._rs_weights(t, z, w)[0].copy() for w in (BiWeight(7, 7), BiWeight(10, 8))}
+        holo = ra._holo_weights(t, z, 1, 16)[0].copy()
+        for sign, table in (("+", R), ("-", R.conj())):
+            got = {w: ra.psi_series(DELTA, w, sign, z, t).value.coeffs for w in weights}
+            got["G"] = ra.second_order_G(1, DELTA, 16, z, t, sign).value.coeffs
+            for key, wts in (*weights.items(), ("G", holo)):
+                terms = table * wts
+                bound = 16 * np.finfo(float).eps * (np.abs(table) * np.abs(wts)).sum(axis=-1)
+                for row, value, floor in zip(terms, got[key], bound):
+                    exact = complex(math.fsum(row.real.tolist()), math.fsum(row.imag.tolist()))
+                    assert abs(value - exact) <= floor
+
+
+def _at_offset(a, k):
+    """A copy of `a` whose data starts k * 8 bytes past a 64-byte boundary."""
+    buf = np.empty(a.nbytes + 128, dtype=np.uint8)
+    lo = (-buf.ctypes.data) % 64 + 8 * k
+    out = buf[lo : lo + a.nbytes].view(a.dtype).reshape(a.shape)
+    out[...] = a
+    return out
+
+
+@pytest.mark.parametrize("w", [BiWeight(10, 10), BiWeight(11, 9)], ids=["r=s", "r!=s"])
+def test_coset_sum_bits_do_not_depend_on_buffer_offsets(w):
+    # BLAS may pick its kernel by alignment: a psi value and its tail keep
+    # their bits with the weights and the tables at any 8-byte offset
+    t, z = T40, complex(0.3, 1.4)
+    R, Rmag = ra._period_tables(DELTA, t.C, t.D)
+    rs, mag = (a.copy() for a in ra._rs_weights(t, z, w))
+    w0 = w.r + w.s - DELTA.k + 2
+    for sign in "+-":
+        sv = ra.psi_series(DELTA, w, sign, z, t)
+        wts = rs.conj() if sign == "-" else rs
+        for k in range(1, 8):
+            args = (_at_offset(a, k) for a in (wts, mag))
+            value, tail = ra._coset_sum(t, z, *args, w0, _at_offset(R, k), _at_offset(Rmag, k))
+            value = value.conj() if sign == "-" else value
+            assert value.tobytes() == sv.value.coeffs.tobytes()
+            assert tail == sv.tail_estimate
 
 
 def test_swapped_weights_are_exact_conjugates():
@@ -668,6 +704,11 @@ def _mask_tail(t, z, terms, w0, identity=None):
     return float(np.max(ctail + dtail)) + floor
 
 
+def _table_sum(R, w, sign):
+    # the sign's table is conj(R), and sum conj(r) w = conj(sum r conj(w))
+    return np.conj(R @ np.conj(w)) if sign == "-" else R @ w
+
+
 def _assert_table_tail(got, ref):
     # |R| |w| against |R w|: a few ulps per term
     assert abs(got - ref) <= 1e-12 * ref
@@ -676,8 +717,9 @@ def _assert_table_tail(got, ref):
 @pytest.mark.parametrize("x", [0.0, -0.5])
 @pytest.mark.parametrize("C", [1, 3, 7, 8, 40])
 def test_coset_sum_matches_the_full_term_array(C, x):
-    # the row-at-a-time kernel gives the values of (R * w).sum(axis=-1)
-    # bitwise, and the tail of the mask formula over the full product array
+    # the kernel gives the values of one BLAS product R @ w bitwise ('-':
+    # conj(R @ conj(w))), and the tail of the mask formula over the full
+    # product array
     t, z, w = ra.TruncationParams(C, 10 * C), complex(x, 1.3), BiWeight(10, 8)
     R = ra._period_tables(DELTA, C, 10 * C)[0]
     # the weights are workspace views, which every series call overwrites
@@ -685,10 +727,10 @@ def test_coset_sum_matches_the_full_term_array(C, x):
     w0 = w.r + w.s - DELTA.k + 2
     for sign, table in (("+", R), ("-", R.conj())):
         sv = ra.psi_series(DELTA, w, sign, z, t)
-        assert np.array_equal(sv.value.coeffs, (table * rs).sum(axis=-1))
+        assert np.array_equal(sv.value.coeffs, _table_sum(R, rs, sign))
         _assert_table_tail(sv.tail_estimate, _mask_tail(t, z, table * rs, w0))
         g = ra.second_order_G(1, DELTA, 16, z, t, sign)
-        assert np.array_equal(g.value.coeffs, (table * holo).sum(axis=-1))
+        assert np.array_equal(g.value.coeffs, _table_sum(R, holo, sign))
         _assert_table_tail(g.tail_estimate, _mask_tail(t, z, table * holo, 16 - DELTA.k + 2))
     ev = ra.eisenstein_rs(w, z, t)
     assert ev.value == 1.0 + rs.sum()
@@ -712,7 +754,7 @@ def test_coset_sum_when_the_d_band_covers_every_d(C, D):
     wts = j**-7 * np.conj(j) ** -5
     R, Rmag = ra._period_tables(DELTA, C, D)
     value, tail = ra._coset_sum(t, z, wts, np.abs(wts), 4, R, Rmag)
-    assert np.array_equal(value, (R * wts).sum(axis=-1))
+    assert np.array_equal(value, R @ wts)
     _assert_table_tail(tail, _mask_tail(t, z, R * wts, 4))
     value, tail = ra._coset_sum(t, z, wts, np.abs(wts), 12, identity=1.0)
     assert value == 1.0 + wts.sum()
@@ -766,7 +808,7 @@ def test_jbar_is_the_conjugate_of_j(C):
 
 @pytest.mark.parametrize("form", ["delta", "s16"])
 def test_warm_series_allocate_under_half_the_period_table(form):
-    # the kernel reads the cached table and its magnitudes a row at a time:
+    # the kernel reads the cached table and its magnitudes in BLAS products:
     # a warm call allocates n-sized buffers, not a (k-1) x n term array
     f = DELTA if form == "delta" else qf.cusp_basis(16)[0]
     t, w = ra.TruncationParams(80, 800), BiWeight(f.k // 2 + 4, f.k // 2 + 4)
@@ -784,7 +826,7 @@ def test_warm_series_allocate_under_half_the_period_table(form):
 
 @pytest.mark.parametrize("form", ["delta", "s16"])
 def test_warm_series_allocate_under_one_coset_array(form):
-    # the weights, their magnitudes and the row buffer live in the
+    # the weights, their magnitudes and the powering's square live in the
     # rectangle's workspace: a warm call allocates less than one n-sized
     # complex array
     f = DELTA if form == "delta" else qf.cusp_basis(16)[0]
