@@ -232,8 +232,10 @@ def binomial_matrix(a, b, c, d, m: int) -> np.ndarray:
     (aX + b)^j (cX + d)^(m-j): the closed sum over l of
     C(j, l) a^l b^(j-l) C(m-j, i-l) c^(i-l) d^(m-j-i+l), in complex128.
 
-    The slash by (a b; c d) and the basis (X - z)^j (X - conj z)^(m-j) are
-    each one such matrix; a Taylor shift is `taylor_shift`."""
+    The slash by (a b; c d), where it is consumed as a matrix, and the basis
+    (X - z)^j (X - conj z)^(m-j) are each one such matrix; the slashes of
+    one polynomial by many matrices are `slash_rows`, and a Taylor shift is
+    `taylor_shift`."""
     coef, pos = _binomial_terms(m)
     # powers 0..m of a, b, c, d at [entry, power], by running products
     steps = np.array([[1, a], [1, b], [1, c], [1, d]], dtype=np.complex128)
@@ -241,15 +243,60 @@ def binomial_matrix(a, b, c, d, m: int) -> np.ndarray:
     return (coef * pows.ravel()[pos].prod(axis=0)).sum(axis=-1)
 
 
+def slash_rows(P, a, b, c, d) -> np.ndarray:
+    """The slash of one polynomial by a batch of integer matrices
+    (a b; c d): row i holds the ascending coefficients of
+    sum_j P_j (a_i X + b_i)^j (c_i X + d_i)^(m-j), m = len(P) - 1, in
+    complex128.
+
+    Homogeneous Horner, H <- H (aX + b) + P_j (cX + d)^(m-j) for
+    j = m-1..0, carrying the power of cX + d alongside, in float64 on the
+    real and imaginary parts.  Every operation is elementwise along the
+    batch, so a row is the same bits in any batch, a single call included."""
+    P = np.asarray(P, dtype=np.complex128)
+    m = P.size - 1
+    a, b, c, d = (np.asarray(x, np.float64).reshape(-1) for x in (a, b, c, d))
+    parts = np.stack([P.real, P.imag], axis=-1)[:, :, None]  # [j, part, 1]
+    # W[i, :2] is the coefficient of X^i in H, W[i, 2] that in (cX + d)^t:
+    # each step multiplies the first by aX + b and the second by cX + d
+    lead, const = np.stack([a, a, c]), np.stack([b, b, d])
+    W = np.zeros((m + 1, 3, a.size))
+    W[0, :2], W[0, 2] = parts[m], 1.0
+    for t in range(1, m + 1):
+        raised = lead * W[:t]
+        W[: t + 1] *= const
+        W[1 : t + 1] += raised
+        W[: t + 1, :2] += parts[m - t] * W[: t + 1, 2:]
+    out = np.empty((a.size, m + 1), dtype=np.complex128)
+    out.view(np.float64).reshape(a.size, m + 1, 2)[:] = W[:, :2].transpose(2, 0, 1)
+    return out
+
+
+#: columns per block of a batched Taylor shift, so that a block stays in cache
+_SHIFT_BLOCK = 8192
+
+
 def taylor_shift(P: np.ndarray, a) -> np.ndarray:
     """Replace the ascending coefficients along axis 0 of P, in place, by
     those of P(X + a), and return P: repeated synthetic division by X - a,
-    P[j] += a P[j+1].  `a` broadcasts over the other axes of P, so one call
-    shifts a batch of polynomials, each by its own amount."""
+    P[j] += a P[j+1].  P is one polynomial or a 2-D table of them, one per
+    column, and `a` a scalar or one shift per column, so one call shifts a
+    batch of polynomials, each by its own amount.  The columns are swept in
+    blocks of `_SHIFT_BLOCK`, each block's shifts cast to P's dtype once and
+    each a P[j+1] written into one buffer: the same bits as the unblocked
+    division."""
     n = P.shape[0]
-    for i in range(n - 1):
-        for j in range(n - 2, i - 1, -1):
-            P[j] += a * P[j + 1]
+    table = P.reshape(n, -1)  # a view of P
+    shifts = np.broadcast_to(np.asarray(a), table.shape[1:])
+    buf = np.empty(min(shifts.size, _SHIFT_BLOCK), P.dtype)
+    for lo in range(0, shifts.size, _SHIFT_BLOCK):
+        blk = slice(lo, lo + _SHIFT_BLOCK)
+        Q, s = table[:, blk], shifts[blk].astype(P.dtype, casting="same_kind")
+        tmp = buf[: s.size]
+        for i in range(n - 1):
+            for j in range(n - 2, i - 1, -1):
+                np.multiply(s, Q[j + 1], out=tmp)
+                Q[j] += tmp
     return P
 
 
@@ -303,6 +350,20 @@ def reduced_classes(C: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return c0, d0, lut
 
 
+@lru_cache(maxsize=8)
+def class_tops(C: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top rows (a0, b0) of `complete_row(c, d0)` for the classes of
+    `reduced_classes(C)`, in its order, as read-only arrays: one
+    `complete_row` call per class, shared by the coset table's top rows and
+    the Euclid parents of the period table."""
+    c0, d0, _ = reduced_classes(C)
+    rows = [complete_row(c, d).entries[:2] for c, d in zip(c0.tolist(), d0.tolist())]
+    a0, b0 = np.array(rows, dtype=np.int64).T
+    for arr in (a0, b0):
+        arr.setflags(write=False)  # cached and shared by every caller
+    return a0, b0
+
+
 @dataclass(frozen=True)
 class CosetTable:
     """Bottom rows (c, d) of the non-trivial B\\Gamma representatives, and
@@ -327,13 +388,11 @@ class CosetTable:
 
     @cached_property
     def tops(self) -> tuple[np.ndarray, np.ndarray]:
-        """Top rows (a, b) of `complete_row(c, d)` for every coset, with one
-        `complete_row` call per class: the top row of the class times T^n is
+        """Top rows (a, b) of `complete_row(c, d)` for every coset, read off
+        its class's top row: the top row of the class times T^n is
         (a0, b0 + n a0).  Only the holomorphic weights e(n gz) and
         `enumerate_cosets` read them, so they are built on first use."""
-        c0, d0, _ = reduced_classes(self.C)
-        rows = [complete_row(c, d).entries[:2] for c, d in zip(c0.tolist(), d0.tolist())]
-        a0, b0 = np.array(rows, dtype=np.int64).T
+        a0, b0 = class_tops(self.C)
         a = a0[self.cls]
         return a, b0[self.cls] + self.n * a
 

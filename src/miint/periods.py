@@ -2,10 +2,12 @@
 
 The period cocycle is anchored at a single high-accuracy value r(S) computed
 from the Eichler integral at the fixed point i of S; every other period
-polynomial is a sum of actions of r(S) down the Euclid chain of g (Manin's
+polynomial is a sum of slashes of r(S) down the Euclid chain of g (Manin's
 continued-fraction reduction), r(T^q S g') = r(S)|g' + r(g'), so no
-evaluation ever happens at small imaginary part.  The reduced-class table
-builds each class from its Euclid parent: one action of r(S) per class.
+evaluation ever happens at small imaginary part.  The slashes of r(S) are
+rows of one batched `group.slash_rows` call: one per chain in
+`period_poly`, and one over every class in `reduced_periods`, which then
+adds each class's Euclid parent row level by level in c.
 """
 
 from __future__ import annotations
@@ -23,12 +25,13 @@ from .group import (
     PolyC,
     S,
     act_poly,
-    binomial_matrix,
     binomials,
+    class_tops,
     complete_row,
     euclid_chain,
     mobius,
     reduced_classes,
+    slash_rows,
     taylor_shift,
     word_decompose,
 )
@@ -133,13 +136,15 @@ def _anchor(f: QExpansion) -> np.ndarray:
 
 def period_poly(f: QExpansion, g: GroupElement, sign: str = "+") -> PolyC:
     """Period polynomial for arbitrary g: peel g = T^q S g' down its Euclid
-    chain, r(g) = r(S)|g' + r(g') with r(T) = 0, and sum the actions of r(S)
-    innermost first; the minus one is the conjugate of the plus one."""
+    chain, r(g) = r(S)|g' + r(g') with r(T) = 0, slash r(S) by every g' of
+    the chain in one `slash_rows` call, and sum the rows innermost first;
+    the minus one is the conjugate of the plus one."""
     minus = _minus(sign)
     r_S = _anchor(f)
+    chain = np.array([h for _, h in euclid_chain(g)], dtype=np.float64).reshape(-1, 4)
     acc = np.zeros_like(r_S)
-    for _, h in reversed(list(euclid_chain(g))):
-        acc = acc + binomial_matrix(*h, f.k - 2) @ r_S
+    for row in slash_rows(r_S, *chain.T)[::-1]:
+        acc = acc + row
     P = PolyC(acc)
     return P.conjugate() if minus else P
 
@@ -179,18 +184,19 @@ class ReducedPeriods:
 @lru_cache(maxsize=8)
 def reduced_periods(f: QExpansion, C: int) -> ReducedPeriods:
     """The period table over the reduced classes, each class built from its
-    Euclid parent: (1, 0) is r(S), and a class (c, d0), 1 <= d0 < c, peels to
-    g' = (c d0; -a' -b') with (a', b') the top row of `complete_row(c, d0)`,
-    so its row is r(S)|g' plus the row of the class (a', b').  The coset-series table and the Lambda values
-    are both derived from it."""
-    r_S = _anchor(f)
+    Euclid parent: a class (c, d0) peels to g' = (c d0; -a0 -b0), with
+    (a0, b0) its top row from `class_tops`, so its row is r(S)|g' plus the
+    row of the class (a0, b0) (none for (1, 0), whose g' is the identity).
+    Every r(S)|g' is one row of a single `slash_rows` call; a parent lies at
+    a lower level c, so the parent rows are added one level at a time.  The
+    coset-series table and the Lambda values are both derived from it."""
     c0, d0, pos = reduced_classes(C)
-    periods = np.empty((c0.size, r_S.size), dtype=np.complex128)
-    periods[0] = r_S
-    for i, (c, d) in enumerate(zip(c0.tolist()[1:], d0.tolist()[1:]), 1):
-        a, b, _, _ = complete_row(c, d).entries
-        # a d - b c = 1 with 1 <= d < c, c >= 2 gives 0 <= b < a < c: a stored class
-        periods[i] = binomial_matrix(c, d, -a, -b, f.k - 2) @ r_S + periods[pos[a, b]]
+    a0, b0 = class_tops(C)
+    periods = slash_rows(_anchor(f), c0, d0, -a0, -b0)
+    # a0 d0 - b0 c = 1 with 1 <= d0 < c, c >= 2 gives 0 <= b0 < a0 < c: a stored class
+    edges = np.searchsorted(c0, np.arange(2, C + 2)).tolist()
+    for lo, hi in zip(edges, edges[1:]):
+        periods[lo:hi] += periods[pos[a0[lo:hi], b0[lo:hi]]]
     periods.setflags(write=False)  # cached and shared by every caller
     return ReducedPeriods(C, periods)
 

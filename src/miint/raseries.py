@@ -62,6 +62,7 @@ from .group import (
     binomial_matrix,
     binomials,
     cosets,
+    reduced_classes,
     taylor_shift,
 )
 from .periods import (
@@ -409,32 +410,37 @@ def _closed_form_sums(
 ) -> np.ndarray:
     """v[q, p] = sum over the non-trivial cosets of
     Lambda_f(p-q+1, -d/c) c^(p-q-k+2) j^-(r+2-k+p) jbar^-(s-q), 0 <= q <= p <= k-2,
-    taken in blocks of cosets.  Each block forms j = cs z + ds from the
+    taken in blocks of cosets.  With e = p - q the term is L[e] rho^q, where
+    L[e] = Lambda_f(e+1, -d/c) c^(e-k+2) j^-(r+2-k+e) jbar^-s and rho = jbar/j,
+    so v[q, q+e] is entry [q, e] of the block product rho^q @ L[e]^T, summed
+    over the blocks.  The factors Lambda c^(e-k+2) are formed once per class
+    and gathered per block.  Each block forms j = cs z + ds from the
     workspace's float coset rows, takes jbar as its conjugate (bitwise
-    cs conj(z) + ds), and builds its power rows from one complex power each,
-    by repeated multiplication with 1/j and 1/jbar."""
+    cs conj(z) + ds), and builds L and the powers of rho from one complex
+    power each, by repeated multiplication with 1/j and with rho."""
     k, K = hform.k, hform.k - 1
     ws, cls = _workspace(t.C, t.D), cosets(t.C, t.D).cls
     cs, ds = ws.cs, ws.ds
-    table = reduced_periods(hform, t.C)
-    cexp = np.arange(K)[:, None] - (k - 2)
-    v = np.zeros((K, K), dtype=np.complex128)
+    c0 = reduced_classes(t.C)[0].astype(np.float64)
+    lam = reduced_periods(hform, t.C).values * c0 ** (np.arange(K)[:, None] - (k - 2))
+    G = np.zeros((K, K), dtype=np.complex128)
     for lo in range(0, cs.size, _BLOCK):
         blk = slice(lo, lo + _BLOCK)
-        # Lambda(d+1) c^(d-k+2), d = p - q, gathered from the class table
-        lamc = table.values[:, cls[blk]] * cs[blk] ** cexp
-        jpow = np.empty((K, lamc.shape[1]), dtype=np.complex128)
-        jbpow = np.empty_like(jpow)
         j = cs[blk] * z + ds[blk]
         jb = j.conj()
-        jpow[0] = j ** (k - 2 - w.r)  # j^-(r+2-k+p) at p = 0
-        jbpow[K - 1] = jb ** (k - 2 - w.s)  # jbar^-(s-q) at q = k-2
-        jinv, jbinv = 1.0 / j, 1.0 / jb
-        for p in range(1, K):
-            jpow[p] = jpow[p - 1] * jinv
-            jbpow[K - 1 - p] = jbpow[K - p] * jbinv
-        for q in range(K):
-            v[q, q:] += (lamc[: K - q] * jpow[q:] * jbpow[q]).sum(axis=-1)
+        L = np.empty((K, j.size), dtype=np.complex128)
+        rpow = np.empty_like(L)
+        L[0] = j ** (k - 2 - w.r) * jb ** -w.s
+        rpow[0] = 1.0
+        jinv, rho = 1.0 / j, jb / j
+        for e in range(1, K):
+            L[e] = L[e - 1] * jinv
+            rpow[e] = rpow[e - 1] * rho
+        L *= lam[:, cls[blk]]
+        G += rpow @ L.T
+    v = np.zeros((K, K), dtype=np.complex128)
+    for q in range(K):
+        v[q, q:] = G[q, : K - q]
     return v
 
 
@@ -459,8 +465,9 @@ def closed_form_phi(
     _minus(sign)
     if w.r + w.s <= hform.k:
         raise ConvergenceError(f"needs r + s > k = {hform.k}")
+    z = admissible_z(z, q_series=True)  # the moments' floor, before any coset sum
     t.validate_at(z)
-    return _closed_form_phi(hform, w, sign, complex(z), t)
+    return _closed_form_phi(hform, w, sign, z, t)
 
 
 @lru_cache(maxsize=8)

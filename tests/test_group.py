@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from miint import group
 from miint.group import (
     BiWeight,
     GroupElement,
@@ -28,6 +29,7 @@ from miint.group import (
     jfactor,
     mobius,
     reduced_classes,
+    slash_rows,
     taylor_shift,
     word_decompose,
     word_to_matrix,
@@ -157,6 +159,33 @@ def test_binomial_matrix_matches_exact_expansion(a, b, c, d, m):
     for j, col in enumerate(_expand_exact(a, b, c, d, m)):
         err = max(abs(complex(M[i, j]) - col[i]) for i in range(m + 1))
         assert err <= 1e-13 * max(abs(x) for x in col)
+
+
+@settings(properties, max_examples=50)
+@given(
+    st.lists(st.tuples(entry, entry, entry, entry), min_size=2, max_size=3),
+    st.sampled_from((2, 10, 14)),
+    st.integers(0, 2**32 - 1),
+)
+def test_slash_rows_match_exact_expansion(mats, m, seed):
+    # any integer entries, not only determinant 1, and integer real and
+    # imaginary parts, so the exact slash is an integer expansion; each
+    # coefficient lies within 4 m eps of the sum of the magnitudes of its
+    # exact terms, and each row of the batch is the bits of a single call
+    rng = np.random.default_rng(seed)
+    re, im = rng.integers(-1000, 1001, (2, m + 1)).tolist()
+    P = np.array(re) + 1j * np.array(im)
+    rows = slash_rows(P, *np.array(mats).T)
+    eps = np.finfo(float).eps
+    for (a, b, c, d), row in zip(mats, rows):
+        cols = _expand_exact(a, b, c, d, m)
+        mags = _expand_exact(abs(a), abs(b), abs(c), abs(d), m)
+        for got, coef in ((row.real, re), (row.imag, im)):
+            for i in range(m + 1):
+                exact = sum(x * col[i] for x, col in zip(coef, cols))
+                size = sum(abs(x) * col[i] for x, col in zip(coef, mags))
+                assert abs(got[i] - exact) <= 4 * m * eps * size
+        assert slash_rows(P, a, b, c, d)[0].tobytes() == row.tobytes()
 
 
 @properties
@@ -388,3 +417,22 @@ def test_taylor_shift_matches_exact_fraction_expansion():
             for t in range(K):
                 err = abs(getattr(got[t, col], part) - float(exact[t]))
                 assert err <= 4 * K * eps * float(size[t])
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_blocked_taylor_shift_is_bitwise_the_plain_division(dtype):
+    # three full column blocks and a ragged tail, shifts of both signs: the
+    # same bits as synthetic division over the whole table at once
+    K, width = 15, 3 * group._SHIFT_BLOCK + 123
+    rng = np.random.default_rng(7)
+    P = rng.uniform(-1, 1, (K, width)) + 1j * rng.uniform(-1, 1, (K, width))
+    shifts = rng.integers(-800, 801, width).astype(dtype)
+    if dtype is np.float64:
+        shifts /= rng.integers(1, 81, width)
+    assert (shifts < 0).any() and (shifts > 0).any()
+    plain = P.copy()
+    for i in range(K - 1):
+        for j in range(K - 2, i - 1, -1):
+            plain[j] += shifts * plain[j + 1]
+    assert taylor_shift(P, shifts) is P
+    assert P.tobytes() == plain.tobytes()

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import sys
 import threading
@@ -309,6 +310,20 @@ def test_closed_form_validates_before_the_cache():
         ra.closed_form_phi(DELTA, W, "+", 3.0 + 2j, ra.TruncationParams(40, 100))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("z", [0.04j, 1e-30j])
+def test_closed_form_below_the_q_series_floor_is_a_precision_failure(z):
+    # the closed form reads the Eichler moments, so it checks the q-series
+    # floor as phi does, before any coset sum or moment: no value, no warning
+    with pytest.raises(PrecisionError):
+        ra.phi(DELTA, W, "+", z, T40)
+    for sign in "+-":
+        with pytest.raises(PrecisionError):
+            ra.closed_form_phi(DELTA, W, sign, z, T40)
+        with pytest.raises(PrecisionError):
+            ra.closed_form_phi_j(DELTA, W, sign, 0, z, T40)
+
+
 def test_phi_builds_the_coset_weights_once(monkeypatch):
     calls = []
     rs_weights = ra._rs_weights
@@ -590,6 +605,8 @@ def test_lambda_table_is_the_period_table():
 
 
 def _count_complete_rows(monkeypatch):
+    """Record every `complete_row` call, with the class top rows built
+    afresh on first use (the period table and the coset table share them)."""
     calls = []
     complete_row = group.complete_row
 
@@ -598,17 +615,24 @@ def _count_complete_rows(monkeypatch):
         return complete_row(c, d)
 
     monkeypatch.setattr(group, "complete_row", counted)
+    fresh = functools.lru_cache(group.class_tops.__wrapped__)
+    for module in (group, per):
+        monkeypatch.setattr(module, "class_tops", fresh)
     return calls
 
 
 def test_phi_builds_no_top_rows(monkeypatch):
-    # a rectangle no other test uses, so its coset data is built here
+    # a rectangle no other test uses, so its coset data is built here; phi
+    # may read the class top rows (the Euclid parents of the period table)
+    # but builds no coset top rows
     C, D = 6, 61
     calls = _count_complete_rows(monkeypatch)
     ra.phi(DELTA, W, "+", 2j, ra.TruncationParams(C, D))
-    assert calls == []
+    assert "tops" not in vars(group.cosets(C, D))
     ra.poincare(1, 12, 2j, ra.TruncationParams(C, D))
-    # one row per reduced class (c, d mod c), in the class table's order
+    assert "tops" in vars(group.cosets(C, D))
+    # one row per reduced class (c, d mod c), in the class table's order,
+    # over both calls
     c0, d0, _ = group.reduced_classes(C)
     assert calls == list(zip(c0.tolist(), d0.tolist()))
 
