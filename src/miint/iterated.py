@@ -2,14 +2,13 @@
 images of the psi-type cocycles, and the map sending a second-order series to
 its vector of invariant basis coefficients.
 
-Depth 3 is evaluated by expanding the inner integral into exponential
-primitives, multiplying by the outer q-series and integrating term by term;
-no shuffle-product machinery is needed at this depth.
+Depth 3 is evaluated by expanding the inner integral into the ray
+primitives of `periods`, multiplying by the outer q-series and integrating
+term by term; no shuffle-product machinery is needed at this depth.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +22,11 @@ from .group import (
     act_poly,
     act_poly_matrix,
     act_tensor,
+    binomial_matrix,
     binomials,
     mobius,
 )
-from .periods import _coeff_array, _exp_primitives, eichler_F, period_poly
+from .periods import _coeff_array, _exps, _ray_primitives, eichler_F, period_poly
 from .qforms import QExpansion, admissible_z
 from .raseries import (
     TruncationParams,
@@ -90,29 +90,30 @@ class Poly2:
 def _depth3_value(f1: QExpansion, f2: QExpansion, z: complex) -> Poly2:
     """Coefficients of the depth-3 iterated integral at z.
 
-    Inner integral: F_2(w; X2) = sum_n a2(n) e^(2 pi i n w) sum_j w2[j] pi_j(w)
-    X2^(m2-j), where pi_j(w) = sum_t c (-c)^(j-t) j!/t! w^t, c = 1/(2 pi i n),
-    is the closed form of the exponential-primitive recurrence; the outer
-    integral then reduces to primitives I_tau(m + n; z) at shifted frequencies.
+    With w = z + u and Y = X - z, each integral from i*infinity is e(nz)
+    times ray primitives P(n, t) (`periods._ray_primitives`).  The inner
+    integral is F_2(w; X2) = sum_n a2(n) e(nw) sum_j w2[j] pi_j(u) Y2^(m2-j),
+    pi_j(u) = sum_t binom(j, t) P(n, j-t) u^t, and the outer one reduces to
+    e(Nz) P(N, tau) at the frequencies N = m + n.  The (Y1, Y2) coefficients
+    are shifted to (X1, X2) by one binomial matrix per variable.
     """
     m1, m2 = f1.k - 2, f2.k - 2
     N1, N2 = f1.N, f2.N
     a1, a2 = _coeff_array(f1), _coeff_array(f2)
-    # (w - X)^m = sum_t binom(m, t) (-1)^(m-t) w^t X^(m-t)
+    P = _ray_primitives(N1 + N2, m1 + m2)
+    # (u - Y)^m = sum_t binom(m, t) (-1)^(m-t) u^t Y^(m-t)
     w1, w2 = (binomials(m)[m] * (-1.0) ** (m - np.arange(m + 1)) for m in (m1, m2))
-    # J[n-1, tau] = sum_m a1(m) I_tau(m + n; z), over windows of frequencies 2..N1+N2
-    I = _exp_primitives(np.arange(2, N1 + N2 + 1), m1 + m2, z)
+    # J[n-1, tau] = sum_m a1(m) e((m+n) z) P(m+n, tau), windows of frequencies 2..N1+N2
+    I = _exps(np.arange(2, N1 + N2 + 1), z)[:, None] * P[1:]
     J = sliding_window_view(I, N1, axis=0) @ a1
-    # pi[n-1, j, t]: the w^t coefficient of pi_j at frequency n
-    c = (1.0 / (2j * math.pi * np.arange(1, N2 + 1)))[:, None, None]
-    fact = np.array([float(math.factorial(i)) for i in range(m2 + 1)])
-    j_t = np.subtract.outer(np.arange(m2 + 1), np.arange(m2 + 1))
-    pi = c * (-c) ** np.maximum(j_t, 0) * np.tril(fact[:, None] / fact)
+    # pi[n-1, j, t]: the u^t coefficient of pi_j at frequency n (binom(j, t) = 0 for t > j)
+    pi = binomials(m2) * P[:N2, abs(np.subtract.outer(np.arange(m2 + 1), np.arange(m2 + 1)))]
     # H[e, j] = sum_n sum_t J[n-1, e + t] a2(n) w2[j] pi[n-1, j, t]: the
-    # X1^(m1-e) X2^(m2-j) coefficient over w1[e]
+    # Y1^(m1-e) Y2^(m2-j) coefficient over w1[e]
     R = a2[:, None, None] * w2[:, None] * pi
     H = np.tensordot(sliding_window_view(J, m2 + 1, axis=1), R, axes=([0, 2], [0, 2]))
-    return Poly2((w1[:, None] * H)[::-1, ::-1])
+    B1, B2 = (binomial_matrix(1, -z, 0, 1, m) for m in (m1, m2))
+    return Poly2(B1 @ (w1[:, None] * H)[::-1, ::-1] @ B2.T)
 
 
 def iterated_F(data: IteratedIntegrand, z: complex):

@@ -1,5 +1,9 @@
 """Eichler integrals, period polynomials and additively twisted L-values.
 
+With w = z + u, each integral from i*infinity of e(nw) times a polynomial
+reads one cached table of ray primitives, and the Eichler integral of a
+form is the vector e(nz) times one cached matrix in the basis X - z.
+
 The period cocycle is anchored at a single high-accuracy value r(S) computed
 from the Eichler integral at the fixed point i of S; every other period
 polynomial is a sum of slashes of r(S) down the Euclid chain of g (Manin's
@@ -25,6 +29,7 @@ from .group import (
     PolyC,
     S,
     act_poly,
+    binomial_matrix,
     binomials,
     class_tops,
     complete_row,
@@ -47,51 +52,52 @@ def i_power(m: int) -> complex:
     return _I_POW[m % 4]
 
 
-def exp_poly_primitive(n: int, m: int, z: complex) -> complex:
-    """Primitive of e^(2 pi i n w) w^m vanishing at i*infinity, evaluated at z.
+@lru_cache(maxsize=8)
+def _ray_primitives(N: int, m: int) -> np.ndarray:
+    """Read-only P(n, t) = int_{i*infinity}^0 e(nu) u^t du = t! c (-c)^t,
+    c = 1/(2 pi i n), at [n - 1, t], n <= N, t <= m: -i^(t+1) times the
+    running product t!/(2 pi n)^(t+1), the same bits at any table size."""
+    n = np.arange(1, N + 1)[:, None]
+    table = np.cumprod(np.maximum(np.arange(m + 1), 1) / (2 * math.pi * n), axis=1)
+    table = table * -np.array([i_power(t + 1) for t in range(m + 1)])
+    table.setflags(write=False)  # cached and shared by every integral
+    return table
 
-    Recurrence: I_m = e^(2 pi i n z) z^m / (2 pi i n) - (m / (2 pi i n)) I_{m-1}.
-    """
+
+def _exps(ns: np.ndarray, z: complex) -> np.ndarray:
+    """e(nz) for the integers ns, Re z first reduced modulo 1 (exactly)."""
+    return np.exp(2j * math.pi * complex(math.remainder(z.real, 1.0), z.imag) * ns)
+
+
+def exp_poly_primitive(n: int, m: int, z: complex) -> complex:
+    """Primitive of e^(2 pi i n w) w^m vanishing at i*infinity, evaluated at z:
+    e(nz) sum_t binom(m, t) z^(m-t) P(n, t), P(n, t) = P(1, t) n^-(t+1)."""
     if n < 1 or m < 0:
         raise ValueError("need n >= 1, m >= 0")
     z = admissible_z(z)
-    return complex(_exp_primitives(np.array([n]), m, z)[0, m])
-
-
-def _exp_primitives(ns: np.ndarray, m: int, z: complex) -> np.ndarray:
-    """I_t(n; z) at [i, t] for every frequency n = ns[i] and t = 0..m: the
-    recurrence of `exp_poly_primitive` run for all frequencies at once."""
-    z = complex(z)
-    c = 1.0 / (2j * math.pi * ns)
-    e = np.exp(2j * math.pi * ns * z)
-    rows = np.empty((len(ns), m + 1), dtype=np.complex128)
-    rows[:, 0] = e * c
-    zp = 1.0 + 0j
-    for t in range(1, m + 1):
-        zp *= z
-        rows[:, t] = e * zp * c - t * c * rows[:, t - 1]
-    return rows
+    P = _ray_primitives(1, m)[0] / float(n) ** np.arange(1, m + 2)
+    terms = binomials(m)[m] * z ** np.arange(m, -1, -1) * P
+    return complex(_exps(np.array([n]), z)[0] * terms.sum())
 
 
 @lru_cache(maxsize=8)
 def _coeff_array(f: QExpansion) -> np.ndarray:
     """Read-only complex coefficients a(1..N) of a q-expansion."""
     a = np.array([complex(x) for x in f.coeffs[1:]], dtype=np.complex128)
-    a.setflags(write=False)  # cached and shared by every moment
+    a.setflags(write=False)  # cached and shared by every integral
     return a
 
 
-def eichler_moments(f: QExpansion, z: complex, m: int) -> np.ndarray:
-    """Integrals from i*infinity to z of f(w) w^j dw for j = 0..m, termwise
-    over the q-expansion: the primitives of every frequency n = 1..N weighted
-    by the coefficients a(n).  The frequencies past the last whose e(nz) is
-    not exactly 0 are left out: their rows are exact zeros, which leave the
-    sequential sum over the frequencies unchanged."""
-    a = _coeff_array(f)
-    ns = np.arange(1, f.N + 1)
-    live = np.flatnonzero(np.exp(2j * math.pi * ns * complex(z)))
-    n = int(live[-1]) + 1 if live.size else 1
-    return (_exp_primitives(ns[:n], m, z) * a[:n, None]).sum(axis=0)
+@lru_cache(maxsize=8)
+def _eichler_kernel(f: QExpansion) -> np.ndarray:
+    """Read-only K with F(z; X) = sum_s (e(nz) @ K)[s] (X - z)^s: with
+    w = z + u, (w - X)^m = sum_t binom(m, t) u^t (z - X)^(m-t), so
+    K[n - 1, m - t] = a(n) binom(m, t) (-1)^(m-t) P(n, t)."""
+    m, a = f.k - 2, _coeff_array(f)
+    sgn_binom = binomials(m)[m] * (-1.0) ** (m - np.arange(m + 1))
+    K = a[:, None] * (sgn_binom * _ray_primitives(a.size, m))[:, ::-1]
+    K.setflags(write=False)  # cached and shared by every integral
+    return K
 
 
 def _minus(sign: str) -> bool:
@@ -103,16 +109,14 @@ def _minus(sign: str) -> bool:
 
 def eichler_F(f: QExpansion, z: complex, sign: str = "+") -> PolyC:
     """Eichler integral from i*infinity to z of f(w)(w - X)^(k-2) dw as a
-    polynomial in X; the minus version conjugates the coefficients."""
+    polynomial in X: the vector e(nz) times `_eichler_kernel`, shifted from
+    the basis X - z to X; the minus version conjugates the coefficients."""
     if not f.is_cusp:
         raise ValueError("Eichler integrals require a cusp form")
     minus = _minus(sign)
     z = admissible_z(z, q_series=True)
-    m = f.k - 2
-    # (w - X)^m = sum_j binom(m, j) (-X)^(m-j) w^j
-    mono = np.zeros(m + 1, dtype=np.complex128)
-    mono[::-1] += binomials(m)[m] * (-1.0) ** (m - np.arange(m + 1)) * eichler_moments(f, z, m)
-    P = PolyC(mono)
+    Y = _exps(np.arange(1, f.N + 1), z) @ _eichler_kernel(f)
+    P = PolyC(binomial_matrix(1, -z, 0, 1, f.k - 2) @ Y)
     return P.conjugate() if minus else P
 
 

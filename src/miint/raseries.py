@@ -65,13 +65,7 @@ from .group import (
     reduced_classes,
     taylor_shift,
 )
-from .periods import (
-    _minus,
-    eichler_F,
-    eichler_moments,
-    i_power,
-    reduced_periods,
-)
+from .periods import _minus, eichler_F, i_power, reduced_periods
 from .qforms import QExpansion, admissible_z, eval_tail_bound
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -377,17 +371,14 @@ def coeff_basis(z: complex, m: int) -> np.ndarray:
 
 
 def coeff_decompose(P: PolyC, z: complex, k: int) -> np.ndarray:
-    """Coefficients phi(i) with P(X) = sum_i phi(i) (X-z)^i (X-conj z)^(k-2-i),
-    by solving the monomial-basis linear system."""
-    z = admissible_z(z)
-    m = k - 2
+    """Coefficients phi(i) with P(X) = sum_i phi(i) (X-z)^i (X-conj z)^(k-2-i):
+    with u = (X - z)/(X - conj z), the slash of P by (-conj z  z; -1  1),
+    which sends u to X, is (z - conj z)^(k-2) sum_i phi(i) X^i."""
+    z, m = admissible_z(z), k - 2
     if P.bound > m:
         raise ValueError("polynomial degree exceeds k - 2")
-    try:
-        sol = np.linalg.solve(coeff_basis(z, m), PolyC(P.coeffs, m).coeffs)
-    except np.linalg.LinAlgError as exc:  # unreachable for z in H
-        raise ArithmeticError("singular decomposition system") from exc
-    return sol
+    slashed = binomial_matrix(-z.conjugate(), z, -1, 1, m) @ PolyC(P.coeffs, m).coeffs
+    return slashed * (z - z.conjugate()) ** -m
 
 
 @lru_cache(maxsize=None)
@@ -405,6 +396,15 @@ def _closed_form_alpha(k: int) -> np.ndarray:
     return alpha
 
 
+def _lambda_c(lam: np.ndarray, c: np.ndarray, k: int) -> np.ndarray:
+    """Lambda c^(e-k+2) at [e, i] from the Lambda values at [e, i] of the
+    cusps -d/c[i]: c^(k-2-e) by repeated multiplication, then its reciprocal,
+    so every entry has the same bits in any batch of classes."""
+    c = np.asarray(c, dtype=np.float64)
+    steps = np.vstack([np.ones_like(c), np.broadcast_to(c, (k - 2, c.size))])
+    return lam * (1.0 / np.cumprod(steps, axis=0)[::-1])
+
+
 def _closed_form_sums(
     hform: QExpansion, w: BiWeight, t: TruncationParams, z: complex
 ) -> np.ndarray:
@@ -413,16 +413,15 @@ def _closed_form_sums(
     taken in blocks of cosets.  With e = p - q the term is L[e] rho^q, where
     L[e] = Lambda_f(e+1, -d/c) c^(e-k+2) j^-(r+2-k+e) jbar^-s and rho = jbar/j,
     so v[q, q+e] is entry [q, e] of the block product rho^q @ L[e]^T, summed
-    over the blocks.  The factors Lambda c^(e-k+2) are formed once per class
-    and gathered per block.  Each block forms j = cs z + ds from the
-    workspace's float coset rows, takes jbar as its conjugate (bitwise
-    cs conj(z) + ds), and builds L and the powers of rho from one complex
-    power each, by repeated multiplication with 1/j and with rho."""
+    over the blocks.  The factors Lambda c^(e-k+2) are formed once per
+    class (`_lambda_c`) and gathered per block.  Each block forms j = cs z + ds
+    from the workspace's float coset rows, takes jbar as its conjugate
+    (bitwise cs conj(z) + ds), and builds L and the powers of rho from one
+    complex power each, by repeated multiplication with 1/j and with rho."""
     k, K = hform.k, hform.k - 1
     ws, cls = _workspace(t.C, t.D), cosets(t.C, t.D).cls
     cs, ds = ws.cs, ws.ds
-    c0 = reduced_classes(t.C)[0].astype(np.float64)
-    lam = reduced_periods(hform, t.C).values * c0 ** (np.arange(K)[:, None] - (k - 2))
+    lam = _lambda_c(reduced_periods(hform, t.C).values, reduced_classes(t.C)[0], k)
     G = np.zeros((K, K), dtype=np.complex128)
     for lo in range(0, cs.size, _BLOCK):
         blk = slice(lo, lo + _BLOCK)
@@ -438,10 +437,8 @@ def _closed_form_sums(
             rpow[e] = rpow[e - 1] * rho
         L *= lam[:, cls[blk]]
         G += rpow @ L.T
-    v = np.zeros((K, K), dtype=np.complex128)
-    for q in range(K):
-        v[q, q:] = G[q, : K - q]
-    return v
+    q, p = np.ogrid[:K, :K]
+    return np.where(q <= p, G[q, (p - q) % K], 0)  # v[q, p] = G[q, p - q]; % K: a valid index
 
 
 def closed_form_phi(
@@ -465,7 +462,7 @@ def closed_form_phi(
     _minus(sign)
     if w.r + w.s <= hform.k:
         raise ConvergenceError(f"needs r + s > k = {hform.k}")
-    z = admissible_z(z, q_series=True)  # the moments' floor, before any coset sum
+    z = admissible_z(z, q_series=True)  # F's floor, before any coset sum
     t.validate_at(z)
     return _closed_form_phi(hform, w, sign, z, t)
 
@@ -479,14 +476,11 @@ def _closed_form_phi(
         out.setflags(write=False)
         return out
     k = hform.k
+    # boundary term: the Eichler integral in the basis of phi(j), times E
+    out = coeff_decompose(eichler_F(hform, z), z, k) * eisenstein_rs(w, z, t).value
     # prefactor from w - X = ((w-z)(X-cz) + (cz-w)(X-z)) / (z - cz)
     pref = (z - z.conjugate()) ** (2 - k)
-    # boundary term: the Eichler moments against the basis polynomial of phi(j)
-    bnd_int = (eichler_moments(hform, z, k - 2) @ coeff_basis(z, k - 2))[::-1]
-    sgn_binom = binomials(k - 2)[k - 2] * (-1.0) ** np.arange(k - 1)
-    v = _closed_form_sums(hform, w, t, z)
-    out = sgn_binom * pref * bnd_int * eisenstein_rs(w, z, t).value
-    out += pref * np.einsum("jqp,qp->j", _closed_form_alpha(k), v)
+    out += pref * np.einsum("jqp,qp->j", _closed_form_alpha(k), _closed_form_sums(hform, w, t, z))
     out.setflags(write=False)  # cached and shared by every caller
     return out
 

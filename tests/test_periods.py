@@ -63,55 +63,56 @@ def _primitive_row(n, m, z):
     return np.array(row)
 
 
+def _eichler_F_mp(f, z, dps=40):
+    """X coefficients of the Eichler integral of the truncated q-series at
+    `dps` digits, each primitive by the recurrence of `_primitive_row`."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        m, zz = f.k - 2, mp.mpc(z.real, z.imag)
+        moments = [mp.mpc(0)] * (m + 1)
+        for n in range(1, f.N + 1):
+            c, e = 1 / (2j * mp.pi * n), mp.exp(2j * mp.pi * n * zz)
+            if abs(e) < mp.mpf(10) ** -(dps + 30):
+                break  # the rest is negligible at dps digits, as |a(n)| <= 2 n^8 here
+            prim, zp = e * c, mp.mpc(1)
+            for t in range(m + 1):
+                if t:
+                    zp *= zz
+                    prim = e * zp * c - t * c * prim
+                moments[t] += f.coeffs[n] * prim
+        coeffs = [math.comb(m, t) * (-1) ** (m - t) * moments[t] for t in range(m + 1)]
+        return np.array([complex(c) for c in coeffs[::-1]])
+
+
 @pytest.mark.parametrize("form", ["delta", "s16"])
-def test_eichler_moments_match_the_per_frequency_rows(form):
+def test_eichler_F_matches_40_digit_values(form):
+    # the kernel in the basis X - z, shifted to X, keeps every coefficient
+    # within a few eps of the largest, also at |x| up to 3.4
+    f = DELTA if form == "delta" else qf.cusp_basis(16)[0]
+    for z in (0.3 + 1.2j, 2j, -0.45 + 0.9j, 3.4 + 1.1j):
+        ref = _eichler_F_mp(f, z)
+        got = per.eichler_F(f, z).coeffs
+        assert np.abs(got - ref).max() <= 2e-15 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("form", ["delta", "s16"])
+def test_eichler_F_matches_the_per_frequency_rows(form):
+    # the X^(m-t) coefficient is binom(m, t) (-1)^(m-t) sum_n a(n) I_t(n; z),
+    # here summed exactly over the scalar recurrence's rows; the kernel and
+    # the arrays it reads are cached read-only
     f = DELTA if form == "delta" else qf.cusp_basis(16)[0]
     m = f.k - 2
     eps = np.finfo(float).eps
+    assert per._eichler_kernel(f) is per._eichler_kernel(f)
+    for table in (per._eichler_kernel(f), per._ray_primitives(f.N, m), per._coeff_array(f)):
+        assert not table.flags.writeable
     for z in (1j, 0.5 + 2j, 0.3 + 1.2j):
-        terms = np.array([_primitive_row(n, m, z) * complex(f.coeffs[n]) for n in range(1, f.N + 1)])
-        got = per.eichler_moments(f, z, m)
+        rows = np.array([_primitive_row(n, m, z) * complex(f.coeffs[n]) for n in range(1, f.N + 1)])
+        got = per.eichler_F(f, z).coeffs[::-1]
         for t in range(m + 1):
-            ref = complex(math.fsum(terms[:, t].real), math.fsum(terms[:, t].imag))
-            assert abs(got[t] - ref) <= 4 * eps * np.abs(terms[:, t]).sum()
-
-
-def test_eichler_moments_read_one_cached_coefficient_array():
-    # the cached read-only array gives the moments of a fresh conversion bitwise
-    f = qf.cusp_basis(16)[0]
-    assert per._coeff_array(f) is per._coeff_array(f)
-    assert not per._coeff_array(f).flags.writeable
-    fresh = np.array([complex(x) for x in f.coeffs[1:]], dtype=np.complex128)
-    for z in (1j, 0.3 + 1.2j):
-        rows = per._exp_primitives(np.arange(1, f.N + 1), f.k - 2, z)
-        ref = (rows * fresh[:, None]).sum(axis=0)
-        assert np.array_equal(per.eichler_moments(f, z, f.k - 2), ref)
-
-
-@pytest.mark.parametrize("form", ["delta", "s16"])
-def test_eichler_moments_leave_out_only_exact_zero_rows(monkeypatch, form):
-    # the frequencies whose e(nz) underflows to 0 add exact zeros to the
-    # sequential sum over the rows: the moments keep every bit
-    f = DELTA if form == "delta" else qf.cusp_basis(16)[0]
-    m, ns = f.k - 2, np.arange(1, f.N + 1)
-    rows = []
-    primitives = per._exp_primitives
-
-    def counted(freqs, m, z):
-        rows.append(len(freqs))
-        return primitives(freqs, m, z)
-
-    monkeypatch.setattr(per, "_exp_primitives", counted)
-    for y in (0.8, 1.0, 1.5, 2.0, 3.0):
-        for x in (0.0, 0.3, -0.5):
-            z = complex(x, y)
-            ref = (primitives(ns, m, z) * per._coeff_array(f)[:, None]).sum(axis=0)
-            rows.clear()
-            assert per.eichler_moments(f, z, m).tobytes() == ref.tobytes()
-            live = np.flatnonzero(np.exp(2j * math.pi * ns * z))
-            assert rows == [live[-1] + 1]
-    # at y = 3 e(nz) underflows from n = 40 on: two thirds of the rows go
-    assert rows == [39]
+            terms = math.comb(m, t) * (-1) ** (m - t) * rows[:, t]
+            ref = complex(math.fsum(terms.real), math.fsum(terms.imag))
+            assert abs(got[t] - ref) <= 4 * eps * np.abs(terms).sum()
 
 
 def test_eichler_fd_derivative():

@@ -12,9 +12,10 @@ from miint.errors import ConvergenceError, PrecisionError
 from miint import periods as per
 from miint import qforms as qf
 from miint import raseries as ra
-from miint.group import BiWeight, PolyC, S, T, act_tensor
+from miint.group import BiWeight, PolyC, S, T, act_tensor, reduced_classes
 from miint import group
 from miint.iterated import IteratedIntegrand, iterated_F, map_to_MI
+from test_periods import _primitive_row
 
 DELTA = qf.delta_q(120)
 T40 = ra.TruncationParams()
@@ -196,6 +197,34 @@ def test_coeff_decompose_roundtrip():
     assert (recon - P).norm_inf() / P.norm_inf() <= 1e-11
 
 
+def _coeff_decompose_mp(P, z, dps=50):
+    """The coefficients of P in the basis (X - z)^i (X - conj z)^(m-i) by a
+    `dps`-digit solve of the monomial system, P's floats taken as exact."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        m, zz = P.bound, mp.mpc(z.real, z.imag)
+        A = mp.matrix(m + 1, m + 1)
+        for i in range(m + 1):
+            col = [mp.mpc(1)]
+            for root in [zz] * i + [mp.conj(zz)] * (m - i):
+                col = [a - root * b for a, b in zip([mp.mpc(0)] + col, col + [mp.mpc(0)])]
+            for r in range(m + 1):
+                A[r, i] = col[r]
+        sol = mp.lu_solve(A, mp.matrix([mp.mpc(c.real, c.imag) for c in P.coeffs]))
+        return np.array([complex(sol[i]) for i in range(m + 1)])
+
+
+def test_coeff_decompose_of_an_eichler_integral_matches_a_50_digit_solve():
+    # the inverse slash keeps the weight-16 coefficients within 1e-14 of the
+    # largest, where a float64 solve of the monomial system lost up to 2.7e-11
+    f = qf.cusp_basis(16)[0]
+    for z in (2j, 0.5 + 1j, 0.1 + 0.12j):
+        P = per.eichler_F(f, z)
+        ref = _coeff_decompose_mp(P, z)
+        got = ra.coeff_decompose(P, z, f.k)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 def test_phi_coefficient_vs_closed_form():
     z = 2j
     phiv = ra.phi(DELTA, W, "+", z, T40)
@@ -221,9 +250,11 @@ def test_closed_form_minus_case_conjugate_structure():
 
 def _closed_form_per_term(f, w, sign, z, t):
     """The closed formula for every phi(j), summed term by term over (m, n).
+    The boundary term reads the moments of the Eichler integral, summed over
+    the scalar recurrence's rows, against the basis polynomials of phi(j).
     The term (m, n) of phi(j) reads Lambda and c at the power e = m + n, j at
-    j + n and jbar at m - j: each of those powers is built once, by numpy's
-    elementwise `**`."""
+    j + n and jbar at m - j: c^-p is built by repeated multiplication, the
+    powers of j and jbar once each by numpy's elementwise `**`."""
     k = f.k
     if sign == "-":
         return np.conj(_closed_form_per_term(f, w.swapped(), "+", z, t)[::-1])
@@ -232,11 +263,15 @@ def _closed_form_per_term(f, w, sign, z, t):
     jarr = ra._jarray(t, z).copy()
     jbarr = jarr.conj()
     pref = (z - z.conjugate()) ** (2 - k)
-    moments, basis = per.eichler_moments(f, z, k - 2), ra.coeff_basis(z, k - 2)
+    rows = [_primitive_row(n, k - 2, z) * complex(f.coeffs[n]) for n in range(1, f.N + 1)]
+    moments, basis = np.sum(rows, axis=0), ra.coeff_basis(z, k - 2)
     data = group.cosets(t.C, t.D)
     lam = per.reduced_periods(f, t.C).values[:, data.cls]
     cfl = data.cs.astype(np.float64)
-    lamc = [lam[e] * cfl ** (e - k + 2) for e in range(k - 1)]
+    cpow = [np.ones_like(cfl)]
+    for _ in range(k - 2):
+        cpow.append(cpow[-1] * cfl)
+    lamc = [lam[e] / cpow[k - 2 - e] for e in range(k - 1)]
     jpow = [jarr ** (-(w.r + e + 2 - k)) for e in range(k - 1)]
     jbpow = {e: jbarr ** (-(w.s + e)) for e in range(2 - k, 1)}
     out = []
@@ -268,6 +303,19 @@ def test_closed_form_phi_matches_the_per_term_double_sum(C, form):
             ref = _closed_form_per_term(f, w, sign, z, t)
             for j in range(f.k - 1):
                 assert abs(got[j] - ref[j]) <= 1e-14 * max(1.0, abs(ref[j]))
+
+
+def test_lambda_c_factors_are_the_same_bits_in_any_batch_of_classes():
+    # c^(e-k+2) by repeated multiplication: every class's factors are the
+    # same bits whether taken over all 7,806 classes at C = 160 or in blocks
+    # of 4096 classes, as the closed form's coset pass gathers them
+    f = qf.cusp_basis(16)[0]
+    lam = per.reduced_periods(f, 160).values
+    c = reduced_classes(160)[0].astype(np.float64)
+    whole = ra._lambda_c(lam, c, f.k)
+    blocks = [slice(lo, lo + 4096) for lo in range(0, c.size, 4096)]
+    parts = [ra._lambda_c(lam[:, blk], c[blk], f.k) for blk in blocks]
+    assert whole.tobytes() == np.concatenate(parts, axis=1).tobytes()
 
 
 def test_closed_form_phi_j_is_an_entry_of_the_array():
