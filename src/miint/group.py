@@ -243,6 +243,20 @@ def binomial_matrix(a, b, c, d, m: int) -> np.ndarray:
     return (coef * pows.ravel()[pos].prod(axis=0)).sum(axis=-1)
 
 
+@lru_cache(maxsize=None)
+def _shift_terms(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """C(j, i) at [i, j], and the power j - i of -z there (0 where i > j)."""
+    r = np.arange(m + 1)
+    return binomials(m).T, np.maximum(-np.subtract.outer(r, r), 0)
+
+
+def shift_matrix(z: complex, m: int) -> np.ndarray:
+    """[i, j] = C(j, i) (-z)^(j-i), from the basis (X - z)^j to monomials:
+    bitwise `binomial_matrix(1, -z, 0, 1, m)`, from one running power row."""
+    coef, pos = _shift_terms(m)
+    return coef * np.cumprod(np.repeat(np.array([1, -z], dtype=np.complex128), [1, m]))[pos]
+
+
 def slash_rows(P, a, b, c, d) -> np.ndarray:
     """The slash of one polynomial by a batch of integer matrices
     (a b; c d): row i holds the ascending coefficients of

@@ -22,12 +22,12 @@ from .group import (
     act_poly,
     act_poly_matrix,
     act_tensor,
-    binomial_matrix,
     binomials,
     mobius,
+    shift_matrix,
 )
-from .periods import _coeff_array, _exps, _ray_primitives, eichler_F, period_poly
-from .qforms import QExpansion, admissible_z
+from .periods import _exps, _ray_primitives, eichler_F, period_poly
+from .qforms import QExpansion, admissible_z, coeff_array
 from .raseries import (
     TruncationParams,
     coeff_decompose,
@@ -95,11 +95,11 @@ def _depth3_value(f1: QExpansion, f2: QExpansion, z: complex) -> Poly2:
     integral is F_2(w; X2) = sum_n a2(n) e(nw) sum_j w2[j] pi_j(u) Y2^(m2-j),
     pi_j(u) = sum_t binom(j, t) P(n, j-t) u^t, and the outer one reduces to
     e(Nz) P(N, tau) at the frequencies N = m + n.  The (Y1, Y2) coefficients
-    are shifted to (X1, X2) by one binomial matrix per variable.
+    are shifted to (X1, X2) by one `shift_matrix` per variable.
     """
     m1, m2 = f1.k - 2, f2.k - 2
     N1, N2 = f1.N, f2.N
-    a1, a2 = _coeff_array(f1), _coeff_array(f2)
+    a1, a2 = coeff_array(f1)[1:], coeff_array(f2)[1:]
     P = _ray_primitives(N1 + N2, m1 + m2)
     # (u - Y)^m = sum_t binom(m, t) (-1)^(m-t) u^t Y^(m-t)
     w1, w2 = (binomials(m)[m] * (-1.0) ** (m - np.arange(m + 1)) for m in (m1, m2))
@@ -112,7 +112,7 @@ def _depth3_value(f1: QExpansion, f2: QExpansion, z: complex) -> Poly2:
     # Y1^(m1-e) Y2^(m2-j) coefficient over w1[e]
     R = a2[:, None, None] * w2[:, None] * pi
     H = np.tensordot(sliding_window_view(J, m2 + 1, axis=1), R, axes=([0, 2], [0, 2]))
-    B1, B2 = (binomial_matrix(1, -z, 0, 1, m) for m in (m1, m2))
+    B1, B2 = (shift_matrix(z, m) for m in (m1, m2))
     return Poly2(B1 @ (w1[:, None] * H)[::-1, ::-1] @ B2.T)
 
 

@@ -16,7 +16,6 @@ adds each class's Euclid parent row level by level in c.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -29,18 +28,18 @@ from .group import (
     PolyC,
     S,
     act_poly,
-    binomial_matrix,
     binomials,
     class_tops,
     complete_row,
     euclid_chain,
     mobius,
     reduced_classes,
+    shift_matrix,
     slash_rows,
     taylor_shift,
     word_decompose,
 )
-from .qforms import QExpansion, admissible_z, eval_form_anywhere, eval_tail_bound
+from .qforms import QExpansion, admissible_z, coeff_array, eval_form_anywhere, eval_tail_bound
 
 TWO_PI = 2.0 * math.pi
 
@@ -81,19 +80,11 @@ def exp_poly_primitive(n: int, m: int, z: complex) -> complex:
 
 
 @lru_cache(maxsize=8)
-def _coeff_array(f: QExpansion) -> np.ndarray:
-    """Read-only complex coefficients a(1..N) of a q-expansion."""
-    a = np.array([complex(x) for x in f.coeffs[1:]], dtype=np.complex128)
-    a.setflags(write=False)  # cached and shared by every integral
-    return a
-
-
-@lru_cache(maxsize=8)
 def _eichler_kernel(f: QExpansion) -> np.ndarray:
     """Read-only K with F(z; X) = sum_s (e(nz) @ K)[s] (X - z)^s: with
     w = z + u, (w - X)^m = sum_t binom(m, t) u^t (z - X)^(m-t), so
     K[n - 1, m - t] = a(n) binom(m, t) (-1)^(m-t) P(n, t)."""
-    m, a = f.k - 2, _coeff_array(f)
+    m, a = f.k - 2, coeff_array(f)[1:]
     sgn_binom = binomials(m)[m] * (-1.0) ** (m - np.arange(m + 1))
     K = a[:, None] * (sgn_binom * _ray_primitives(a.size, m))[:, ::-1]
     K.setflags(write=False)  # cached and shared by every integral
@@ -116,7 +107,7 @@ def eichler_F(f: QExpansion, z: complex, sign: str = "+") -> PolyC:
     minus = _minus(sign)
     z = admissible_z(z, q_series=True)
     Y = _exps(np.arange(1, f.N + 1), z) @ _eichler_kernel(f)
-    P = PolyC(binomial_matrix(1, -z, 0, 1, f.k - 2) @ Y)
+    P = PolyC(shift_matrix(z, f.k - 2) @ Y)
     return P.conjugate() if minus else P
 
 
@@ -219,21 +210,20 @@ def period_error_estimate(f: QExpansion, g: GroupElement, sign: str = "+") -> fl
 # ---------------------------------------------------------------------------
 
 
-def _upper_incomplete_gamma_int(s: int, x: float) -> float:
-    """Gamma(s, x) for integer s >= 1: (s-1)! e^-x sum_{t<s} x^t/t!."""
-    acc = 0.0
-    term = 1.0
-    for t in range(s):
-        if t:
-            term *= x / t
-        acc += term
-    return math.factorial(s - 1) * math.exp(-x) * acc
-
-
 @lru_cache(maxsize=4)
-def _gauss_legendre(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1]: the eigenvalues of the
+    Jacobi matrix of the Legendre recurrence, two Newton steps on P_n, and
+    the weights 2 / ((1 - x^2) P_n'(x)^2), P_n and P_n' by the recurrence."""
+    j = np.arange(1, n)
+    x = np.linalg.eigvalsh(np.diag(j / np.sqrt(4.0 * j * j - 1), -1))
+    for _ in range(2):
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dp = n * (x * p1 - p0) / (x * x - 1)
+        x = x - p1 / dp
+    return x, 2 / ((1 - x * x) * dp * dp)
 
 
 def series_convergent(f: QExpansion, s: int) -> bool:
@@ -281,29 +271,26 @@ def twisted_L(
 
 
 def _lambda_by_integral(f: QExpansion, s: int, p: int, q: int) -> complex:
+    """int_0^inf f(p/q + ix) x^(s-1) dx: the form evaluated once at every
+    node of every panel, plus the termwise tail over [1, inf)."""
     x0 = p / q
-    # tail over [1, inf): termwise incomplete gamma against the q-expansion
-    tail = 0j
-    for n in range(1, f.N + 1):
-        an = f.coeffs[n]
-        if an == 0:
-            continue
-        tw = cmath.exp(2j * math.pi * n * x0)
-        tail += complex(an) * tw * _upper_incomplete_gamma_int(s, TWO_PI * n) / (TWO_PI * n) ** s
+    # tail over [1, inf): a(n) e(n x0) Gamma(s, u) / u^s at u = 2 pi n, every n
+    # at once, Gamma(s, u) = (s-1)! e^-u sum_{t<s} u^t/t! by running products
+    u = TWO_PI * np.arange(1, f.N + 1)
+    steps = np.column_stack([np.ones_like(u), np.divide.outer(u, np.arange(1, s))])
+    gamma = math.factorial(s - 1) * np.exp(-u) * np.cumprod(steps, axis=1).sum(axis=1)
+    tail = np.sum(coeff_array(f)[1:] * np.exp(1j * x0 * u) * gamma / u**s)
     # [x_lo, 1] by geometric panels; integrand analytic, GL converges fast
-    x_lo = 1e-5 / (q * q)
+    edges = [1e-5 / (q * q)]
+    while edges[-1] < 1.0:
+        edges.append(min(1.0, 2.0 * edges[-1]))
+    lo, hi = np.array(edges[:-1])[:, None], np.array(edges[1:])[:, None]
     nodes, weights = _gauss_legendre(24)
-    total = 0j
-    lo = x_lo
-    while lo < 1.0:
-        hi = min(1.0, 2.0 * lo)
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        for xi, wi in zip(nodes, weights):
-            x = mid + half * xi
-            total += wi * half * eval_form_anywhere(f, complex(x0, x)) * x ** (s - 1)
-        lo = hi
+    half = 0.5 * (hi - lo)
+    x = 0.5 * (hi + lo) + half * nodes  # [panel, node]
+    total = np.sum(weights * half * eval_form_anywhere(f, x0 + 1j * x) * x ** (s - 1))
     # [0, x_lo] is neglected: cusp decay (q x)^(-k) e^(-2 pi/(q^2 x)) collapses it
-    return total + tail
+    return complex(total + tail)
 
 
 @lru_cache(maxsize=None)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import PrecisionError
 from .vvdim import dim_cusp
 
@@ -207,52 +209,82 @@ def eval_tail_bound(f: QExpansion, y: float) -> float:
     return t_next / (1 - rho)
 
 
-def admissible_z(z: complex, q_series: bool = False) -> complex:
-    """z as a complex, once it is a finite point of the upper half-plane
-    (ValueError otherwise); with `q_series`, also at or above the evaluation
-    floor Y_MIN of a truncated q-series (PrecisionError otherwise)."""
-    z = complex(z)
-    if not cmath.isfinite(z):
+def admissible_z(z: complex | np.ndarray, q_series: bool = False) -> complex | np.ndarray:
+    """z as a complex, or an array of points as complex128, once every point
+    is a finite point of the upper half-plane (ValueError otherwise); with
+    `q_series`, also at or above the evaluation floor Y_MIN of a truncated
+    q-series (PrecisionError otherwise)."""
+    if np.ndim(z):
+        z = np.asarray(z, dtype=np.complex128)
+        finite, low = np.isfinite(z).all(), z.imag.min(initial=np.inf)
+    else:
+        z = complex(z)
+        finite, low = cmath.isfinite(z), z.imag
+    if not finite:
         raise ValueError(f"z must be finite, got {z}")
-    if z.imag <= 0:
+    if low <= 0:
         raise ValueError("z must lie in the upper half-plane")
-    if q_series and z.imag < Y_MIN:
-        raise PrecisionError(f"Im z = {z.imag} below evaluation floor {Y_MIN}")
+    if q_series and low < Y_MIN:
+        raise PrecisionError(f"Im z = {low} below evaluation floor {Y_MIN}")
     return z
 
 
-def eval_form(f: QExpansion, z: complex, tol: float | None = None) -> complex:
-    """Truncated q-series value sum_{n <= N} a(n) e^(2 pi i n z).
+@lru_cache(maxsize=8)
+def coeff_array(f: QExpansion) -> np.ndarray:
+    """Read-only complex coefficients a(0..N) of a q-expansion, converted
+    once per form and shared by every evaluation and integral."""
+    a = np.array([complex(x) for x in f.coeffs], dtype=np.complex128)
+    a.setflags(write=False)
+    return a
 
-    Raises PrecisionError when a tolerance is requested and the tail estimate
-    exceeds it.
+
+def eval_form(
+    f: QExpansion, z: complex | np.ndarray, tol: float | None = None
+) -> complex | np.ndarray:
+    """Truncated q-series value sum_{n <= N} a(n) q^n, q = e(z), at a point
+    z, or an array of values at an array of points: the running powers of q
+    point by point, summed against `coeff_array` without BLAS, a block of
+    points at a time.
+
+    Raises PrecisionError when a tolerance is requested and the tail
+    estimate at the lowest point exceeds it.
     """
     z = admissible_z(z, q_series=True)
-    if tol is not None and eval_tail_bound(f, z.imag) > tol:
+    if tol is not None and eval_tail_bound(f, np.min(np.imag(z))) > tol:
         raise PrecisionError("q-series tail exceeds requested tolerance")
-    # IEEE remainder is exact: periodicity in x holds bitwise for exact shifts
-    q = cmath.exp(2j * cmath.pi * complex(math.remainder(z.real, 1.0), z.imag))
-    acc = 0j
-    for c in f.coeffs[::-1]:
-        acc = acc * q + (0j if c == 0 else complex(c))
-    return acc
+    # IEEE remainder x - rint(x) is exact: periodicity in x holds bitwise for exact shifts
+    q = np.exp(2j * math.pi * (z - np.rint(np.real(z)))).reshape(-1, 1)
+    a, vals = coeff_array(f), np.empty(q.size, dtype=np.complex128)
+    # blocks of points whose powers take at most 64 KiB: a temporary past malloc's
+    # mmap threshold would raise that threshold and leave later arrays resident
+    block = max(1, 4096 // max(1, f.N))
+    for lo in range(0, q.size, block):
+        powers = np.repeat(q[lo : lo + block], f.N, axis=1)
+        np.cumprod(powers, axis=1, out=powers)
+        vals[lo : lo + block] = a[0] + np.einsum("pn,n->p", powers, a[1:])
+    return complex(vals[0]) if np.ndim(z) == 0 else vals.reshape(np.shape(z))
 
 
-def eval_form_anywhere(f: QExpansion, z: complex) -> complex:
-    """Evaluate a (genuinely modular) form at any z in H.
+def eval_form_anywhere(f: QExpansion, z: complex | np.ndarray) -> complex | np.ndarray:
+    """Evaluate a (genuinely modular) form at any z in H, or at every point
+    of an array of them.
 
-    Translates and inverts into the fundamental domain, accumulating the
-    weight-k automorphy factor, then sums the q-series high up.  This keeps
-    vertical-line quadratures accurate arbitrarily close to the real axis.
+    Each pass translates every point (a no-op once it is reduced) and
+    inverts those inside the unit circle, accumulating the weight-k
+    automorphy factor; then all points are summed high up in one call.  This
+    keeps vertical-line quadratures accurate arbitrarily close to the real
+    axis.
     """
     z = admissible_z(z)
-    factor = 1.0 + 0j
+    w = np.array(z, dtype=np.complex128).reshape(-1)
+    factor = np.ones_like(w)
     for _ in range(10_000):
-        n = round(z.real)
-        z = z - n
-        if abs(z) >= 1 - 1e-15:
+        w -= np.rint(w.real)
+        inside = np.abs(w) < 1 - 1e-15
+        if not inside.any():
             break
         # f(z) = z^{-k} f(-1/z)
-        factor *= z ** (-f.k)
-        z = -1 / z
-    return factor * eval_form(f, z)
+        factor[inside] *= w[inside] ** (-f.k)
+        w[inside] = -1 / w[inside]
+    vals = factor * eval_form(f, w)
+    return complex(vals[0]) if np.ndim(z) == 0 else vals.reshape(np.shape(z))

@@ -11,6 +11,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,9 +30,11 @@ class RhoRep:
     matT: tuple[tuple[int, ...], ...]
 
 
+@lru_cache(maxsize=2)
 def rho_matrices(k1: int) -> RhoRep:
     """Generator matrices: S anti-diagonal with alternating signs, T a signed
-    Pascal matrix; -I acts as the identity."""
+    Pascal matrix; -I acts as the identity.  Frozen, so cached: the checks
+    read one k1 at a time, relations and both traces, so two are kept."""
     if k1 % 2 != 0 or k1 < 4:
         raise ValueError("k1 must be even and >= 4")
     n = k1 - 1
@@ -46,27 +49,42 @@ def _exact(mat: tuple[tuple[int, ...], ...]) -> np.ndarray:
     return np.array(mat, dtype=object)
 
 
+def _times_S(matS: tuple[tuple[int, ...], ...], X: np.ndarray) -> np.ndarray:
+    """rho(S) @ X, exactly, as a signed row gather: row i of the product is
+    +-X[c], where row i of rho(S) holds its one nonzero entry +-1 at column
+    c; ValueError when some row of rho(S) is not of that form."""
+    s = _exact(matS)
+    nonzero = s != 0
+    signs = s[nonzero]  # in row order: one per row, once every row has one and there are n
+    if signs.size != len(s) or not nonzero.any(axis=1).all() or not (signs * signs == 1).all():
+        raise ValueError("rho(S) must hold one entry +-1 in every row")
+    return signs[:, None] * X[nonzero.argmax(axis=1)]
+
+
 def check_relations(rep: RhoRep) -> bool:
-    """S^2 = I and (S T)^3 = I, exactly."""
-    s, t = _exact(rep.matS), _exact(rep.matT)
+    """S^2 = I and (S T)^3 = I, exactly; products with S are signed row
+    gathers, so an S with other than one +-1 per row fails."""
+    try:
+        ss, st = (_times_S(rep.matS, _exact(m)) for m in (rep.matS, rep.matT))
+    except ValueError:
+        return False
     eye = np.identity(rep.k1 - 1, dtype=object)
-    st = s @ t
-    return np.array_equal(s @ s, eye) and np.array_equal(st @ st @ st, eye)
-
-
-def _rho_ST(k1: int) -> np.ndarray:
-    rep = rho_matrices(k1)
-    return _exact(rep.matS) @ _exact(rep.matT)
+    return np.array_equal(ss, eye) and np.array_equal(st @ st @ st, eye)
 
 
 def trace_ST(k1: int) -> int:
-    """Exact trace of rho(S) rho(T); equals (k1-1 | 3) and Tr(rho(ST)^2)."""
-    return int(np.trace(_rho_ST(k1)))
+    """Exact trace of rho(S) rho(T), the sum of the elementwise product of S
+    and T^t; equals (k1-1 | 3) and Tr(rho(ST)^2)."""
+    rep = rho_matrices(k1)
+    return int((_exact(rep.matS) * _exact(rep.matT).T).sum())
 
 
 def trace_ST_squared(k1: int) -> int:
-    st = _rho_ST(k1)
-    return int(np.trace(st @ st))
+    """Exact Tr(rho(ST)^2), the sum of the elementwise product of ST and
+    (ST)^t, with ST a signed row gather of T."""
+    rep = rho_matrices(k1)
+    st = _times_S(rep.matS, _exact(rep.matT))
+    return int((st * st.T).sum())
 
 
 def trace_ST_sum_formula(k1: int) -> int:

@@ -29,6 +29,7 @@ from miint.group import (
     jfactor,
     mobius,
     reduced_classes,
+    shift_matrix,
     slash_rows,
     taylor_shift,
     word_decompose,
@@ -159,6 +160,13 @@ def test_binomial_matrix_matches_exact_expansion(a, b, c, d, m):
     for j, col in enumerate(_expand_exact(a, b, c, d, m)):
         err = max(abs(complex(M[i, j]) - col[i]) for i in range(m + 1))
         assert err <= 1e-13 * max(abs(x) for x in col)
+
+
+@pytest.mark.parametrize("m", [0, 2, 10, 14])
+def test_shift_matrix_is_the_binomial_matrix_of_the_shift(m):
+    # (X - z)^j = sum_i C(j, i) (-z)^(j-i) X^i, the same bits as binomial_matrix
+    for z in (0.3 + 1.5j, 1j, -2.7 + 0.4j, 11.5 + 0.05j):
+        assert np.array_equal(shift_matrix(z, m), binomial_matrix(1, -z, 0, 1, m))
 
 
 @settings(properties, max_examples=50)

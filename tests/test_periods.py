@@ -104,7 +104,7 @@ def test_eichler_F_matches_the_per_frequency_rows(form):
     m = f.k - 2
     eps = np.finfo(float).eps
     assert per._eichler_kernel(f) is per._eichler_kernel(f)
-    for table in (per._eichler_kernel(f), per._ray_primitives(f.N, m), per._coeff_array(f)):
+    for table in (per._eichler_kernel(f), per._ray_primitives(f.N, m), qf.coeff_array(f)):
         assert not table.flags.writeable
     for z in (1j, 0.5 + 2j, 0.3 + 1.2j):
         rows = np.array([_primitive_row(n, m, z) * complex(f.coeffs[n]) for n in range(1, f.N + 1)])
@@ -339,6 +339,69 @@ def test_twisted_L_general_twists_dual_route():
         a = per.twisted_L(DELTA, s, p, q, method="series")
         b = per.twisted_L(DELTA, s, p, q, method="extract")
         assert abs(a - b) / abs(b) <= 1e-7
+
+
+def _scalar_anywhere(f, z):
+    """The scalar route to f(z): reduce z into the fundamental domain point
+    by point, then Horner over the exact coefficients."""
+    factor = 1.0 + 0j
+    for _ in range(10_000):
+        z = z - round(z.real)
+        if abs(z) >= 1 - 1e-15:
+            break
+        factor *= z ** (-f.k)
+        z = -1 / z
+    q = cmath.exp(2j * math.pi * z)
+    acc = 0j
+    for c in f.coeffs[::-1]:
+        acc = acc * q + complex(c)
+    return factor * acc
+
+
+def _scalar_lambdas(f, ss, p, q):
+    """Lambda_f(s, p/q) for every s in ss by the per-node scalar quadrature:
+    one scalar evaluation per Gauss-Legendre node of each geometric panel
+    over [1e-5/q^2, 1], plus the tail over [1, inf) term by term through the
+    incomplete gamma Gamma(s, u) = (s-1)! e^-u sum_{t<s} u^t/t!."""
+    x0 = p / q
+    out = dict.fromkeys(ss, 0j)
+    for n in range(1, f.N + 1):
+        u, an = 2 * math.pi * n, complex(f.coeffs[n]) * cmath.exp(2j * math.pi * n * x0)
+        for s in ss:
+            acc, term = 0.0, 1.0
+            for t in range(s):
+                if t:
+                    term *= u / t
+                acc += term
+            out[s] += an * math.factorial(s - 1) * math.exp(-u) * acc / u**s
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    lo = 1e-5 / (q * q)
+    while lo < 1.0:
+        hi = min(1.0, 2.0 * lo)
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        for xi, wi in zip(nodes, weights):
+            x = mid + half * xi
+            fx = _scalar_anywhere(f, complex(x0, x))
+            for s in ss:
+                out[s] += wi * half * fx * x ** (s - 1)
+        lo = hi
+    return out
+
+
+@pytest.mark.parametrize("form", ["delta", "s16"])
+@pytest.mark.parametrize("p, q", [(0, 1), (1, 3), (2, 5), (-1, 7)])
+def test_series_L_values_match_the_scalar_quadrature(monkeypatch, form, p, q):
+    # every convergent s in 1..k-1; the array route evaluates the form in
+    # one call over all nodes of all panels
+    f = DELTA if form == "delta" else qf.cusp_basis(16)[0]
+    ss = [s for s in range(1, f.k) if per.series_convergent(f, s)]
+    ref = _scalar_lambdas(f, ss, p % q, q)
+    calls, anywhere = [], per.eval_form_anywhere
+    monkeypatch.setattr(per, "eval_form_anywhere", lambda g, z: calls.append(z) or anywhere(g, z))
+    for s in ss:
+        got = per.twisted_L(f, s, p, q, method="series")
+        assert abs(got - ref[s]) <= 1e-13 * abs(ref[s])
+    assert len(calls) == len(ss)
 
 
 def test_twisted_L_periodicity_exact():

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from miint.errors import PrecisionError
@@ -132,6 +133,33 @@ def test_eval_anywhere_matches_direct():
     a = qf.eval_form_anywhere(d, z)
     b = qf.eval_form(d, z)
     assert abs(a - b) / abs(b) <= 1e-12
+
+
+@pytest.mark.parametrize("evaluate", [qf.eval_form, qf.eval_form_anywhere])
+def test_an_array_of_points_gives_the_values_point_by_point(evaluate):
+    # one code path for a point and an array of points, in the array's shape
+    f = qf.cusp_basis(16)[0]
+    z = np.array([[0.3 + 0.8j, -1.2 + 0.06j, 2j], [0.5 + 1j, 7.25 + 0.4j, -0.1 + 3j]])
+    vals = evaluate(f, z)
+    assert vals.shape == z.shape
+    for zi, vi in zip(z.ravel(), vals.ravel()):
+        ref = evaluate(f, complex(zi))
+        assert type(ref) is complex
+        assert abs(vi - ref) <= 1e-14 * abs(ref)
+
+
+def test_an_array_of_points_is_admitted_only_as_a_whole():
+    d = qf.delta_q(120)
+    with pytest.raises(ValueError, match="finite"):
+        qf.eval_form_anywhere(d, np.array([1j, complex(np.nan, 1.0)]))
+    with pytest.raises(ValueError, match="upper half-plane"):
+        qf.eval_form_anywhere(d, np.array([1j, 0.5 - 1e-3j]))
+    with pytest.raises(PrecisionError):
+        qf.eval_form(d, np.array([1j, 0.01j]))
+    with pytest.raises(PrecisionError):
+        qf.eval_form(qf.delta_q(5), np.array([2j, 0.06j]), tol=1e-12)
+    assert qf.eval_form(d, np.array([], dtype=complex)).shape == (0,)
+    assert qf.eval_form(qf.eisenstein_q(4, 0), np.array([1j, 2j])).tolist() == [1, 1]
 
 
 def test_eval_anywhere_near_real_axis():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from miint import vvdim
@@ -27,6 +28,68 @@ def test_trace_identities_exact():
         assert tr == vvdim.legendre3(k1 - 1)
         assert tr == vvdim.trace_ST_squared(k1)
         assert tr == vvdim.trace_ST_sum_formula(k1)
+
+
+def _object_products(rep):
+    """Relations and both traces by plain object-dtype matrix products."""
+    s, t = np.array(rep.matS, dtype=object), np.array(rep.matT, dtype=object)
+    eye = np.identity(rep.k1 - 1, dtype=object)
+    st = s @ t
+    relations = np.array_equal(s @ s, eye) and np.array_equal(st @ st @ st, eye)
+    return relations, int(np.trace(st)), int(np.trace(st @ st))
+
+
+def _routes(monkeypatch, rep):
+    """check_relations and both traces of `rep`, served as rho_matrices(k1)."""
+    monkeypatch.setattr(vvdim, "rho_matrices", lambda k1: rep)
+    k1 = rep.k1
+    return vvdim.check_relations(rep), vvdim.trace_ST(k1), vvdim.trace_ST_squared(k1)
+
+
+def _with_entry(mat, i, j, value):
+    rows = [list(r) for r in mat]
+    rows[i][j] = value
+    return tuple(map(tuple, rows))
+
+
+def test_gathers_equal_the_object_products():
+    for k1 in range(4, 41, 2):
+        rep = vvdim.rho_matrices(k1)
+        assert rep is vvdim.rho_matrices(k1)
+        got = (vvdim.check_relations(rep), vvdim.trace_ST(k1), vvdim.trace_ST_squared(k1))
+        tr = vvdim.legendre3(k1 - 1)
+        assert got == _object_products(rep) == (True, tr, tr)
+
+
+@pytest.mark.parametrize("k1", [4, 10, 16])
+def test_a_seeded_defect_in_rho_is_caught(monkeypatch, k1):
+    # one flipped sign in each row of rho(S), one changed entry in each row
+    # of rho(T): both routes agree, and the relations or the traces fail
+    rep, n = vvdim.rho_matrices(k1), k1 - 1
+    S, T = rep.matS, rep.matT
+    bad = [vvdim.RhoRep(k1, _with_entry(S, i, n - 1 - i, -S[i][n - 1 - i]), T) for i in range(n)]
+    bad += [vvdim.RhoRep(k1, S, _with_entry(T, i, 7 * i % n, T[i][7 * i % n] + 1)) for i in range(n)]
+    for defect in bad:
+        relations, tr, tr2 = got = _routes(monkeypatch, defect)
+        assert got == _object_products(defect)
+        assert not relations or tr != vvdim.legendre3(k1 - 1) or tr != tr2
+
+
+def test_a_malformed_rho_S_fails_the_relations(monkeypatch):
+    # rho(S) must hold one entry +-1 per row for its products to be gathers
+    rep = vvdim.rho_matrices(12)
+    two_in_row_0 = _with_entry(rep.matS, 0, 0, 1)
+    for S in [
+        _with_entry(rep.matS, 0, 10, 2),
+        two_in_row_0,
+        _with_entry(rep.matS, 5, 5, 0),
+        _with_entry(two_in_row_0, 5, 5, 0),  # n nonzero entries, none in row 5
+    ]:
+        bad = vvdim.RhoRep(12, S, rep.matT)
+        assert not vvdim.check_relations(bad)
+        monkeypatch.setattr(vvdim, "rho_matrices", lambda k1: bad)
+        with pytest.raises(ValueError, match="one entry"):
+            vvdim.trace_ST_squared(12)
 
 
 def test_trace_examples():
