@@ -7,6 +7,7 @@ the CLI `check` subcommand and the acceptance test module.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import random
@@ -30,6 +31,10 @@ from .group import (
 from .raseries import TruncationParams
 
 SEED = 20260810
+#: the one setting of the suites: bi-weight, point and truncation (`T40.scaled(2)` at C = 80)
+W = BiWeight(10, 10)
+Z = 2j
+T40 = TruncationParams()
 
 
 def _delta() -> qforms.QExpansion:
@@ -176,15 +181,12 @@ def suite_lvalue_dualroute() -> list[CheckResult]:
 def suite_coeff_closed_form() -> list[CheckResult]:
     """Coefficient functions by decomposition vs the closed two-term formula."""
     f = _delta()
-    w = BiWeight(10, 10)
-    z = 2j
-    t = TruncationParams()
-    phiv = raseries.phi(f, w, "+", z, t)
-    vec = raseries.coeff_decompose(phiv.value, z, f.k)
+    phiv = raseries.phi(f, W, "+", Z, T40)
+    vec = raseries.coeff_decompose(phiv.value, Z, f.k)
     tails = max(phiv.tail_estimate, 1e-5)
     worst = 0.0
     per_j = {}
-    for j, closed in enumerate(raseries.closed_form_phi(f, w, "+", z, t)):
+    for j, closed in enumerate(raseries.closed_form_phi(f, W, "+", Z, T40)):
         res = abs(vec[j] - closed) / max(1.0, abs(closed))
         per_j[j] = res
         worst = max(worst, res)
@@ -203,22 +205,20 @@ def suite_coeff_closed_form() -> list[CheckResult]:
 
 def suite_invariance() -> list[CheckResult]:
     f = _delta()
-    w = BiWeight(10, 10)
-    t = TruncationParams()
     out = []
     values = {}
-    for z in (2j, 0.5 + 2j):
+    for z in (Z, 0.5 + Z):
         for sign in "+-":
-            sv = values[z, sign] = raseries.phi(f, w, sign, z, t)
-            fn = lambda u, sg=sign: raseries.phi(f, w, sg, u, t).value
-            acted = act_tensor(fn, S, w, f.k)(z)
+            sv = values[z, sign] = raseries.phi(f, W, sign, z, T40)
+            fn = lambda u, sg=sign: raseries.phi(f, W, sg, u, T40).value
+            acted = act_tensor(fn, S, W, f.k)(z)
             res = (acted - sv.value).norm_inf()
             tol = max(4 * sv.tail_estimate, 1e-5)
             out.append(
                 _result(f"phi{sign} invariance under S at z = {z}", res, tol)
             )
-    base = values[2j, "+"]
-    fine = raseries.phi(f, w, "+", 2j, TruncationParams(C=80, D=800))
+    base = values[Z, "+"]
+    fine = raseries.phi(f, W, "+", Z, T40.scaled(2))
     res = (base.value - fine.value).norm_inf()
     out.append(
         _result("phi self-convergence C: 40 -> 80", res, base.tail_estimate)
@@ -231,18 +231,14 @@ def suite_invariance() -> list[CheckResult]:
 
 def suite_phi_identities() -> list[CheckResult]:
     f = _delta()
-    w = BiWeight(10, 10)
-    z = 2j
     out = []
     coarse = {}
     for sign in "+-":
-        res = maass.check_phi_identities(f, w, sign, z, TruncationParams(), maass.FDScheme())
+        res = maass.check_phi_identities(f, W, sign, Z, T40, maass.FDScheme())
         coarse[sign] = res
         out.append(_result(f"raising identity, {sign} case", res["raising"], 1e-4))
         out.append(_result(f"lowering identity, {sign} case", res["lowering"], 1e-4))
-    fine = maass.check_phi_identities(
-        f, w, "+", z, TruncationParams(C=80, D=800), maass.FDScheme(h=5e-4)
-    )
+    fine = maass.check_phi_identities(f, W, "+", Z, T40.scaled(2), maass.FDScheme(h=5e-4))
     improved = max(fine.values()) < max(coarse["+"].values())
     out.append(
         _result(
@@ -259,12 +255,7 @@ def suite_phi_identities() -> list[CheckResult]:
 def suite_coeffs_identity() -> list[CheckResult]:
     """Basis recombination identity, on synthetic data and composed with the
     differential identities on the actual coefficient functions."""
-    import cmath
-
     f = _delta()
-    w = BiWeight(10, 10)
-    z = 2j
-    t = TruncationParams()
     fjs = [
         (lambda a, b: (lambda u: complex(u).imag ** a * cmath.exp(2j * cmath.pi * b * complex(u))))(a, b)
         for (a, b) in [(1, 1), (0, 2), (2, 1), (1, 0), (0, 1)]
@@ -273,19 +264,19 @@ def suite_coeffs_identity() -> list[CheckResult]:
     out = [_result("recombination identity on monomial data, k = 6", res, 1e-6)]
 
     k = f.k
-    ev = raseries.eisenstein_rs(w, z, t).value
-    fz = qforms.eval_form(f, z)
-    vec_up = raseries.coeff_decompose(raseries.phi(f, w.raised(), "+", z, t).value, z, k)
+    ev = raseries.eisenstein_rs(W, Z, T40).value
+    fz = qforms.eval_form(f, Z)
+    vec_up = raseries.coeff_decompose(raseries.phi(f, W.raised(), "+", Z, T40).value, Z, k)
 
     def coeffs(u: complex):
-        return raseries.coeff_decompose(raseries.phi(f, w, "+", u, t).value, u, k)
+        return raseries.coeff_decompose(raseries.phi(f, W, "+", u, T40).value, u, k)
 
     # d_{r+j} phi(j) - (j+1) phi(j+1) for every j from one stencil pass
-    vec = coeffs(z)
-    lhs = maass.maass_d(coeffs, w.r + np.arange(k - 1), z)
+    vec = coeffs(Z)
+    lhs = maass.maass_d(coeffs, W.r + np.arange(k - 1), Z)
     lhs -= np.arange(1, k) * np.append(vec[1:], 0.0)
-    rhs = w.r * vec_up
-    rhs[k - 2] += 2j * z.imag * fz * ev
+    rhs = W.r * vec_up
+    rhs[k - 2] += 2j * Z.imag * fz * ev
     worst = float(np.max(np.abs(lhs - rhs)))
     out.append(
         _result(
@@ -297,12 +288,12 @@ def suite_coeffs_identity() -> list[CheckResult]:
 
 def suite_equivariance() -> list[CheckResult]:
     f = _delta()
-    ers = lambda z: raseries.eisenstein_rs(BiWeight(7, 7), z, TruncationParams()).value
+    ers = lambda z: raseries.eisenstein_rs(BiWeight(7, 7), z, T40).value
     out = []
-    res_t, res_y = maass.check_equivariance(ers, T, BiWeight(7, 7), 2j)
+    res_t, res_y = maass.check_equivariance(ers, T, BiWeight(7, 7), Z)
     out.append(_result("raising/slash equivariance under T", res_t, 1e-6))
-    sv = raseries.eisenstein_rs(BiWeight(7, 7), 2j, TruncationParams())
-    res_s, _ = maass.check_equivariance(ers, S, BiWeight(7, 7), 2j)
+    sv = raseries.eisenstein_rs(BiWeight(7, 7), Z, T40)
+    res_s, _ = maass.check_equivariance(ers, S, BiWeight(7, 7), Z)
     out.append(
         _result(
             "raising/slash equivariance under S",
@@ -311,7 +302,7 @@ def suite_equivariance() -> list[CheckResult]:
         )
     )
     fd = lambda z: qforms.eval_form(f, z)
-    _, res_comm = maass.check_equivariance(fd, T, BiWeight(12, 0), 2j)
+    _, res_comm = maass.check_equivariance(fd, T, BiWeight(12, 0), Z)
     out.append(_result("y^k commutation on Delta, k = 2", res_comm, 1e-7))
     return out
 
@@ -351,16 +342,13 @@ def suite_order3() -> list[CheckResult]:
 
 def suite_second_order() -> list[CheckResult]:
     f = _delta()
-    w = BiWeight(10, 10)
-    z = 2j
-    t = TruncationParams()
     out = []
-    sv = raseries.psi_series(f, w, "+", z, t)
-    fn = lambda u: raseries.psi_series(f, w, "+", u, t).value
-    ev = raseries.eisenstein_rs(w, z, t)
+    sv = raseries.psi_series(f, W, "+", Z, T40)
+    fn = lambda u: raseries.psi_series(f, W, "+", u, T40).value
+    ev = raseries.eisenstein_rs(W, Z, T40)
     r_S = periods.period_poly(f, S)
     for g, label, r_g in ((S, "S", r_S), (T * S, "TS", periods.period_poly(f, T * S))):
-        image = act_tensor(fn, g, w, f.k)(z) - sv.value
+        image = act_tensor(fn, g, W, f.k)(Z) - sv.value
         predicted = r_g * (-ev.value)
         res = (image - predicted).norm_inf()
         tol = max(2 * sv.tail_estimate + abs(ev.tail_estimate), 1e-5)
@@ -368,18 +356,18 @@ def suite_second_order() -> list[CheckResult]:
 
     # second-order Poincare-type law at (n, k, k1) = (1, 16, 12)
     n, k = 1, 16
-    G = raseries.second_order_G(n, f, k, z, t, "+")
-    fn = lambda u: raseries.second_order_G(n, f, k, u, t, "+").value
-    image = act_tensor(fn, S, BiWeight(k, 0), f.k)(z) - G.value
-    pn = raseries.poincare(n, k, z, t)
+    G = raseries.second_order_G(n, f, k, Z, T40, "+")
+    fn = lambda u: raseries.second_order_G(n, f, k, u, T40, "+").value
+    image = act_tensor(fn, S, BiWeight(k, 0), f.k)(Z) - G.value
+    pn = raseries.poincare(n, k, Z, T40)
     predicted = r_S * (-pn.value)
     res = (image - predicted).norm_inf()
     tol = max(4 * G.tail_estimate + abs(pn.tail_estimate), 1e-5)
     out.append(_result("G.(S-1) + r(S) P_n = 0 at (1,16,12)", res, tol))
 
     # real-analytic F2 cocycle
-    fn2 = it.real_F2_fn(f, w, t)
-    image = act_tensor(fn2, S, w, f.k)(z) - fn2(z)
+    fn2 = it.real_F2_fn(f, W, T40)
+    image = act_tensor(fn2, S, W, f.k)(Z) - fn2(Z)
     predicted = r_S * ev.value
     res = (image - predicted).norm_inf()
     tol = max(4 * ev.tail_estimate * r_S.norm_inf(), 1e-5)
@@ -389,22 +377,19 @@ def suite_second_order() -> list[CheckResult]:
 
 def suite_psibar() -> list[CheckResult]:
     f = _delta()
-    w = BiWeight(10, 10)
-    z = 2j
-    t = TruncationParams()
-    rep = it.psi_bar_image(f, f, w, S, z, t)
+    rep = it.psi_bar_image(f, f, W, S, Z, T40)
     out = [
         _result(
             "psi-bar image: series vs closed form, g = S",
             rep["discrepancy"],
-            max(1e-5, 4 * raseries.psi_series(f, w, "+", z, t).tail_estimate),
+            max(1e-5, 4 * raseries.psi_series(f, W, "+", Z, T40).tail_estimate),
         )
     ]
     # cocycle property of the closed-form image over (S, TS)
     g, d = S, T * S
-    lhs = it.psi_bar_closed(f, f, w, g * d, z, t)
-    rhs = act_poly(it.psi_bar_closed(f, f, w, g, z, t), d, f.k) + it.psi_bar_closed(
-        f, f, w, d, z, t
+    lhs = it.psi_bar_closed(f, f, W, g * d, Z, T40)
+    rhs = act_poly(it.psi_bar_closed(f, f, W, g, Z, T40), d, f.k) + it.psi_bar_closed(
+        f, f, W, d, Z, T40
     )
     res = (lhs - rhs).norm_inf() / max(1.0, lhs.norm_inf())
     out.append(_result("psi-bar cocycle over (S, TS)", res, 1e-5))
@@ -423,8 +408,6 @@ def suite_fourier() -> list[CheckResult]:
     these weights, so only the one-sided bound is meaningful).
     """
     f = _delta()
-    w = BiWeight(10, 10)
-    t = TruncationParams()
     out = []
     B = 12.0
     M = 96
@@ -432,12 +415,12 @@ def suite_fourier() -> list[CheckResult]:
     # memoised by z: the l = 1 and l = 2 modes share their samples
     @functools.cache
     def phi_fn(z: complex) -> complex:
-        val = raseries.phi(f, w, "+", z, t).value
+        val = raseries.phi(f, W, "+", z, T40).value
         return complex(raseries.coeff_decompose(val, z, f.k)[f.k - 2])
 
     @functools.cache
     def psi_fn(z: complex) -> complex:
-        val = raseries.psi_series(f, w, "+", z, t).value
+        val = raseries.psi_series(f, W, "+", z, T40).value
         return complex(raseries.coeff_decompose(val, z, f.k)[0])
 
     for l in (1, 2):

@@ -259,9 +259,7 @@ def _cmd_period(ns, cfg: RunConfig) -> int:
 
 def _cmd_lvalue(ns, cfg: RunConfig) -> int:
     f = resolve_form(cfg.form, cfg.N)
-    method = ns.method
-    if method == "auto":
-        method = "series" if periods.series_convergent(f, ns.lvalue_s) else "extract"
+    method = periods._lvalue_method(f, ns.lvalue_s, ns.method)
     val = periods.twisted_L(f, ns.lvalue_s, ns.p, ns.q, method=method)
     if method == "series" and ns.lvalue_s >= f.k:
         err = None  # extraction covers s in 1..k-1: no second route

@@ -42,6 +42,7 @@ from .group import (
 from .qforms import QExpansion, admissible_z, coeff_array, eval_form_anywhere, eval_tail_bound
 
 TWO_PI = 2.0 * math.pi
+_EPS = float(np.finfo(np.float64).eps)
 
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 
@@ -202,7 +203,7 @@ def period_error_estimate(f: QExpansion, g: GroupElement, sign: str = "+") -> fl
     poly = period_poly(f, g, sign)
     steps = len(word_decompose(g)) + 1
     anchor_tail = eval_tail_bound(f, 1.0) / (2 * math.pi)
-    return 32 * 2.220446049250313e-16 * steps * max(1.0, poly.norm_inf()) + anchor_tail
+    return 32 * _EPS * steps * max(1.0, poly.norm_inf()) + anchor_tail
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +233,14 @@ def series_convergent(f: QExpansion, s: int) -> bool:
     return s > (f.k + 1) / 2
 
 
+def _lvalue_method(f: QExpansion, s: int, method: str) -> str:
+    """`method`, with 'auto' read as the series route where the Dirichlet
+    series converges absolutely and as extraction below it."""
+    if method != "auto":
+        return method
+    return "series" if series_convergent(f, s) else "extract"
+
+
 def twisted_L(
     f: QExpansion,
     s: int,
@@ -255,8 +264,7 @@ def twisted_L(
     if q < 1 or math.gcd(p, q) != 1:
         raise ValueError("need q >= 1 and gcd(p, q) = 1")
     p = p % q if q > 1 else 0
-    if method == "auto":
-        method = "series" if series_convergent(f, s) else "extract"
+    method = _lvalue_method(f, s, method)
     if method == "extract":
         if not 1 <= s <= f.k - 1:
             raise ValueError("extraction is defined for s in 1..k-1")

@@ -2,7 +2,8 @@
 
 Coefficients are exact integers (or rationals) up to the truncation length;
 conversion to floating point happens only at evaluation time, so downstream
-checks see a single numerical error source.
+checks see a single numerical error source.  Cusp forms come as Miller's
+integral basis of S_k, echelonised by integer back-substitution alone.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PrecisionError
-from .vvdim import dim_cusp
 
 DEFAULT_N = 120
 Y_MIN = 0.05
@@ -91,15 +91,15 @@ class QExpansion:
     def __pow__(self, e: int) -> "QExpansion":
         if e < 0:
             raise ValueError("negative powers not supported")
-        out = QExpansion(0, tuple([1] + [0] * self.N))
+        out = None  # the unit, never multiplied in
         base = self
         while e:
             if e & 1:
-                out = out * base
+                out = base if out is None else out * base
             e >>= 1
             if e:  # a higher bit is left
                 base = base * base
-        return out
+        return QExpansion(0, (1,) + (0,) * self.N) if out is None else out
 
 
 @lru_cache(maxsize=None)
@@ -133,50 +133,28 @@ def delta_q(N: int = DEFAULT_N) -> QExpansion:
 
 
 def cusp_basis(k: int, N: int = DEFAULT_N) -> list[QExpansion]:
-    """Echelonised basis of S_k built from Delta * E4^a * E6^b, 4a + 6b = k - 12.
+    """Echelonised basis of S_k, Miller's integral basis: f_i = q^i + O(q^(d+1)),
+    i = 1..d = dim S_k, with integer coefficients.
 
-    Leading coefficients are 1 at q, q^2, ... after exact Gaussian elimination.
-    Empty for k < 12 or dim S_k = 0.
+    Row i is g_i = Delta^i E4^a E6^b, 4a + 6b = k - 12i, which starts at q^i
+    (b = 0 or 1 is fixed by k mod 4, so rows exist while k - 12i - 6b >= 0);
+    from the last row up, each is cleared at q^(i+1)..q^d by integer multiples
+    of the rows already reduced.  With N < d only f_1..f_N are returned,
+    cleared at q..q^N.  Empty for k < 12 or dim S_k = 0.
     """
     if k < 12 or k % 2 != 0:
         return []
-    delta = delta_q(N)
-    prods = []
-    for a_exp in range((k - 12) // 4 + 1):
-        rem = k - 12 - 4 * a_exp
-        if rem >= 0 and rem % 6 == 0:
-            prods.append(delta * eisenstein_q(4, N) ** a_exp * eisenstein_q(6, N) ** (rem // 6))
-    if not prods:
-        return []
-    rows = [[Fraction(c) for c in p.coeffs] for p in prods]
-    # exact echelon on columns 1, 2, ... (column 0 is zero: cusp forms)
-    basis_rows = []
-    col = 1
-    while rows and col <= N:
-        pivot = next((i for i, r in enumerate(rows) if r[col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        row = rows.pop(pivot)
-        inv = row[col]
-        row = [c / inv for c in row]
-        rows = [
-            [rc - rr[col] * c for rc, c in zip(rr, row)] if rr[col] != 0 else rr
-            for rr in rows
-        ]
-        for prev in basis_rows:
-            if prev[col] != 0:
-                fac = prev[col]
-                for j in range(len(prev)):
-                    prev[j] -= fac * row[j]
-        basis_rows.append(row)
-        col += 1
-    dim = dim_cusp(k)
-    basis_rows = basis_rows[:dim]
-    out = []
-    for row in basis_rows:
-        out.append(QExpansion(k, tuple(int(c) if c.denominator == 1 else c for c in row)))
-    return out
+    delta, e4, e6 = delta_q(N), eisenstein_q(4, N), eisenstein_q(6, N)
+    b = k % 4 // 2
+    d = min((k - 6 * b) // 12, N)  # dim S_k, or N for a short expansion
+    basis = []  # f_d, f_(d-1), ...
+    for i in range(d, 0, -1):
+        exps = (i, (k - 12 * i - 6 * b) // 4, b)
+        g = math.prod(f**e for f, e in zip((delta, e4, e6), exps) if e)
+        for j, f in zip(range(d, i, -1), basis):
+            g = g - g.coeffs[j] * f
+        basis.append(g)
+    return basis[::-1]
 
 
 @lru_cache(maxsize=8)

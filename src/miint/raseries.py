@@ -65,10 +65,8 @@ from .group import (
     reduced_classes,
     taylor_shift,
 )
-from .periods import _minus, eichler_F, i_power, reduced_periods
+from .periods import _EPS, _minus, eichler_F, i_power, reduced_periods
 from .qforms import QExpansion, admissible_z, eval_tail_bound
-
-_EPS = float(np.finfo(np.float64).eps)
 
 #: default number of trapezoidal nodes in `fourier_coefficient`
 DEFAULT_M = 128

@@ -84,6 +84,18 @@ def test_lvalue_method_tag(capsys):
     assert json.loads(out)["method"] == "extract"
 
 
+@pytest.mark.parametrize("form", ["delta", "s16"])
+def test_lvalue_auto_reports_the_route_twisted_L_takes(capsys, form):
+    # the series route exactly where the Dirichlet series converges absolutely
+    f = cli.resolve_form(form, 120)
+    for s in range(1, 14):
+        payload = json.loads(run_cli(capsys, "lvalue", "--form", form, "--s", str(s))[1])
+        assert payload["method"] == ("series" if s > (f.k + 1) / 2 else "extract")
+        val = per.twisted_L(f, s, 0, 1)
+        assert payload["value"] == [val.real, val.imag]
+        assert val == per.twisted_L(f, s, 0, 1, method=payload["method"])
+
+
 def test_lvalue_precision_exit(capsys):
     code, _, err = run_cli(capsys, "lvalue", "--s", "3", "--method", "series")
     assert code == 2

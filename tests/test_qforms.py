@@ -69,6 +69,44 @@ def test_cusp_basis_dimensions():
     assert b24[1].coeffs[1] == 0 and b24[1].coeffs[2] == 1
 
 
+@pytest.mark.parametrize("k", range(12, 63, 2))
+def test_cusp_basis_is_an_integral_echelon_basis_of_cusp_forms(k):
+    # independent of the construction: the count from the dimension
+    # formula, the identity block at q..q^n, exact Python ints, and
+    # modularity under S of every full-length form
+    d = vvdim.dim_cusp(k)
+    for N in sorted({1, 2, d - 1, 120} - {-1, 0}):
+        basis = qf.cusp_basis(k, N)
+        n = min(d, N)
+        assert len(basis) == n
+        for i, f in enumerate(basis, start=1):
+            assert f.k == k and f.N == N
+            assert all(type(c) is int for c in f.coeffs)
+            assert f.coeffs[: n + 1] == tuple(int(j == i) for j in range(n + 1))
+            if N == 120:
+                for z in (0.25 + 1.1j, -0.125 + 1.3j):
+                    rhs = z**k * qf.eval_form(f, z)
+                    assert abs(qf.eval_form(f, -1 / z) - rhs) <= 1e-12 * abs(rhs)
+
+
+@pytest.mark.parametrize("k", (16, 18, 20, 22, 26))
+def test_one_dimensional_cusp_basis_is_a_hecke_eigenform(k):
+    # dim S_k = 1, so the normalised form is the eigenform: a(mn) = a(m)a(n)
+    # for coprime m, n, and a(p^(r+1)) = a(p)a(p^r) - p^(k-1) a(p^(r-1)),
+    # which at r = 1 reads a(p^2) = a(p)^2 - p^(k-1)
+    (f,) = qf.cusp_basis(k, 120)
+    a = f.coeffs
+    for m in range(2, 11):
+        for n in range(m + 1, 120 // m + 1):
+            if math.gcd(m, n) == 1:
+                assert a[m * n] == a[m] * a[n]
+    for p in (2, 3, 5, 7):
+        r = 1
+        while p ** (r + 1) <= 120:
+            assert a[p ** (r + 1)] == a[p] * a[p**r] - p ** (k - 1) * a[p ** (r - 1)]
+            r += 1
+
+
 def test_ring_structure_associativity_exact():
     e4 = qf.eisenstein_q(4, 25)
     e6 = qf.eisenstein_q(6, 25)
@@ -77,6 +115,19 @@ def test_ring_structure_associativity_exact():
     rhs = e4 * (e6 * d)
     assert lhs.coeffs == rhs.coeffs
     assert lhs.k == 22
+
+
+def test_powers_are_repeated_products():
+    e4 = qf.eisenstein_q(4, 25)
+    unit = e4**0
+    assert unit.k == 0 and unit.coeffs == (1,) + (0,) * 25
+    assert (unit * e4).coeffs == e4.coeffs
+    prod = unit
+    for e in range(1, 8):
+        prod = prod * e4
+        assert (e4**e).k == 4 * e and (e4**e).coeffs == prod.coeffs
+    with pytest.raises(ValueError):
+        e4 ** -1
 
 
 def test_eval_periodicity_exact():
