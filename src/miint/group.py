@@ -7,7 +7,8 @@ parametrised by bottom rows (c, d) with c > 0 and gcd(c, d) = 1; the sign
 quotient is legal for every series in this package because the total weight
 is even.  The coset table `cosets` is the one place that fixes their order:
 the four blocks that a tail estimate reads, so the outer c-shells and the
-outer |d| band are contiguous slices of it.
+outer |d| band are contiguous slices of it.  It stores the half d >= 0, and
+(c, -d) is read from (c, d) = g as its mirror -eps g eps, eps = diag(-1, 1).
 """
 
 from __future__ import annotations
@@ -380,16 +381,19 @@ def class_tops(C: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class CosetTable:
-    """Bottom rows (c, d) of the non-trivial B\\Gamma representatives, and
-    the decomposition of each coset (c, d) = (c, d0 + nc) into its reduced
-    class (c, d0), at position `cls` of `reduced_classes(C)`, times T^n.
+    """Bottom rows (c, d), d >= 0, of the non-trivial B\\Gamma
+    representatives, and the decomposition of each coset (c, d) = (c, d0 + nc)
+    into its reduced class (c, d0), at position `cls` of `reduced_classes(C)`,
+    times T^n, n >= 0.  A row with d > 0 also stands for its mirror (c, -d),
+    -eps g eps (eps = diag(-1, 1)), top row (-a, b); (1, 0) is its own.
 
     The rows lie in the four blocks of a tail estimate, which reads the
     outer `shells` values of c and the outer |d| band of width `band`:
     neither, band only, band and shells, shells only, ending at `cuts` and
-    at n.  Each block is in ascending c, then ascending |d|, positive d
-    first.  So the band is [cuts[0]:cuts[2]] and the shells are [cuts[1]:],
-    both contiguous and in that order."""
+    at n.  Each block is in ascending c, then ascending d, and is symmetric
+    under d -> -d, so a mirror lies in its row's block.  So the band is
+    [cuts[0]:cuts[2]] and the shells are [cuts[1]:], both contiguous and in
+    that order."""
 
     C: int
     cs: np.ndarray
@@ -413,21 +417,21 @@ class CosetTable:
 
 @lru_cache(maxsize=8)
 def cosets(C: int, D: int) -> CosetTable:
-    """The cosets (c, d), 0 < c <= C, |d| <= D, gcd(c, d) = 1, each with its
-    class and shift, in the tail blocks of `CosetTable`.  The identity coset
-    is not included."""
+    """The cosets (c, d), 0 < c <= C, 0 <= d <= D, gcd(c, d) = 1, each with
+    its class and shift, in the tail blocks of `CosetTable`; with their
+    mirrors (c, -d), every coset with |d| <= D.  The identity coset is not
+    included."""
     if C < 1 or D < 1:
         raise ValueError("C and D must be >= 1")
-    ad = np.arange(1, D + 1)
-    d = np.concatenate(([0], np.stack([ad, -ad], axis=1).ravel()))  # 0, 1, -1, 2, -2, ...
+    d = np.arange(D + 1)
     c = np.arange(1, C + 1)[:, None]
     _, _, lut = reduced_classes(C)
     n, d0 = np.divmod(d, c)
     cls = lut[c, d0]
     shells, band = max(1, min(8, C)), min(max(2 * C, 8), D)
     # each block is a rectangle of the (c, d) grid: its rows split at the
-    # first shell, its columns (in ascending |d|) at the first band column
-    r, b = C - shells, 1 + 2 * (D - band)
+    # first shell, its columns at the first band column
+    r, b = C - shells, 1 + D - band
     quads = (np.s_[:r, :b], np.s_[:r, b:], np.s_[r:, b:], np.s_[r:, :b])
     live = cls >= 0
     grid = np.broadcast_arrays(c, d, cls, n)
@@ -437,11 +441,14 @@ def cosets(C: int, D: int) -> CosetTable:
 
 
 def enumerate_cosets(C: int, D: int) -> list[GroupElement]:
-    """Identity plus one representative per (c, d), 0 < c <= C, |d| <= D."""
+    """Identity plus one representative per (c, d), 0 < c <= C, |d| <= D:
+    each row of the coset table followed by its mirror (-a b; c -d)."""
     table = cosets(C, D)
     a, b = table.tops
-    rows = zip(a.tolist(), b.tolist(), table.cs.tolist(), table.ds.tolist())
-    return [IDENTITY] + [GroupElement(*row) for row in rows]
+    out = [IDENTITY]
+    for a, b, c, d in zip(a.tolist(), b.tolist(), table.cs.tolist(), table.ds.tolist()):
+        out += [GroupElement(a, b, c, d)] + ([GroupElement(-a, b, c, -d)] if d else [])
+    return out
 
 
 def euclid_chain(g: GroupElement):

@@ -7,42 +7,47 @@ Each truncated coset series (E_{r,s}, psi, the Poincare series and G) is
 one call of the kernel `_coset_sum`: a weight per non-trivial coset, summed
 pairwise in the order of the coset table `group.cosets`, or for the
 second-order series the coefficient-major period table times the weights in
-one BLAS product, plus the identity-coset term; phi combines psi and
+two BLAS products, plus the identity-coset term; phi combines psi and
 E_{r,s}.  A table sum's order is BLAS's: the same inputs on the same
 Python, numpy, BLAS and CPU give bitwise-identical results for any BLAS
 thread count and buffer offset.  Either reduction errs within the tail's
 16-eps floor of the exactly rounded sum; a coset sum or tail that is not
-finite raises PrecisionError.  The weights divide by an integer power of
-the j array, raised by binary powering over the whole array (`_ipow`); the
+finite raises PrecisionError.  The weights take an integer power of the j
+array, raised by binary powering over the whole array (`_ipow`); the
 weights of (s, r) are the exact conjugates of those of (r, s), so
 E_{s,r} = conj E_{r,s} exactly.
 
 Every coset (c, d0 + nc) is its reduced class (c, d0) times T^n, as the
-coset table records.  The period table translates its class's period
-polynomial, and the holomorphic weights e(n gz) of the Poincare series and G
-read the table's top rows.
+coset table records.  It lists the cosets with d >= 0, and the weights are
+two rows, at j = cz + d and at the mirrors' cz - d ((1, 0) is its own).
+A form's coefficients are rational, so r(eps g eps; X) = -conj r(g; -X),
+eps = diag(-1, 1): the period table stores the d >= 0 half, each column a
+translation by n >= 0 of its class's period polynomial, and a table sum is
+R @ w+ + M conj(R @ conj w-), M = diag((-1)^(i+1)).  The holomorphic
+weights e(n gz) of the Poincare series and G read the table's top rows.
 
 Every series value carries a tail estimate: an integral-comparison bound on
 the truncated part, with its constant read off the outermost computed shells
 (averaged over the last few values of c to smooth totient fluctuations),
 plus a floating-point noise floor.  It is an estimate, not a proof-grade
 bound, but it is sized so that doubling the rectangle moves the value by
-less than it.  It reads the term magnitudes as |R| |w|: |w| per call, and
-|R| from `_period_tables`, cached with R under one key (about 9 MiB for
-weight 16 at C=80).  There is one coset order: the table lists the cosets
-in the tail's blocks, so the total, the outer |d| band and the outer
-c-shells are three contiguous slices, and R, |R|, the weights and the
-workspace all share it.  A table's tail is one pass over |R|, a
-matrix-vector product per block, split at `cuts`: the same bits on every
-run, within 1e-12 of pairwise sums over masks.
+less than it.  It reads the term magnitudes as |R| |w|: |w| per call, summed
+over a coset and its mirror, which share |R|, and |R| from `_period_tables`,
+cached with R under one key (4.5 MiB for weight 16 at C=80).  There is one
+coset order: the table lists the cosets in the tail's blocks, so the total,
+the outer |d| band and the outer c-shells are three contiguous slices, and
+R, |R|, the weights and the workspace all share it.  A table's tail is one
+pass over |R|, a matrix-vector product per block, split at `cuts`: the same
+bits on every run, within 1e-12 of pairwise sums over masks.
 
 A warm E_{r,s}, psi or phi allocates no n-sized array: the weight builders
-return the pair (w, |w|) as views of one workspace (`_workspace`), which also
-holds the powering's square; the holomorphic weights allocate theirs, as it
-holds e(n gz).  It is thread-local and holds the last rectangle (C, D) only:
-two complex and three float arrays, 56 bytes per coset.  A helper that
-returns a workspace view says so; such a view is valid until the next coset
-sum, and nothing holds one across it.
+return the pair (w, |w+| + |w-|) as views of one workspace (`_workspace`),
+which also holds the powering's square; the holomorphic weights allocate
+e(n gz).  It is thread-local and holds the last rectangle (C, D) only: two
+float rows and, for each row of weights, one float and two complex arrays,
+96 bytes per stored coset.  A helper that returns a workspace view says so;
+such a view is valid until the next coset sum, and nothing holds one across
+it.
 """
 
 from __future__ import annotations
@@ -112,13 +117,13 @@ class SeriesValue:
 
 @lru_cache(maxsize=6)
 def _period_tables(f: QExpansion, C: int, D: int) -> tuple[np.ndarray, np.ndarray]:
-    """Plus-sign period polynomials r(gamma; X) for every coset in the
-    table's order, coefficient-major: shape (k-1, n_cosets), so each
-    coefficient's row is contiguous for the reduction; and beside it their
-    coefficientwise magnitudes |r(gamma; X)|, the float table against which
-    the tail weighs |w|, with the same columns.
+    """Plus-sign period polynomials r(gamma; X) for the cosets of the
+    table, d >= 0, in its order, coefficient-major: shape (k-1, n_H), so
+    each coefficient's row is contiguous for the reduction; and beside it
+    their coefficientwise magnitudes |r(gamma; X)|, a mirror's too, the
+    float table against which the tail weighs |w|, with the same columns.
 
-    Each coset is its class of `reduced_periods` times T^n, and
+    Each coset is its class of `reduced_periods` times T^n, n >= 0, and
     r(gamma T^n; X) = r(gamma; X + n): the table is the class rows gathered
     per coset, expanded by translation in one `taylor_shift`.
     """
@@ -128,21 +133,23 @@ def _period_tables(f: QExpansion, C: int, D: int) -> tuple[np.ndarray, np.ndarra
 
 
 class _Workspace:
-    """The n-sized buffers of one rectangle's coset sums: the float coset
-    rows `cs` and `ds`; the weights `w`; the magnitudes `mag`; and `spare`,
-    the binary powering's square or e(n gz), whose first n floats (`flat`)
-    take cs x and |j|^2's second term."""
+    """The buffers of one rectangle's coset sums, n_H per row: the float
+    coset rows `cs` and `ds`; and of shape (2, n_H), a row for the cosets
+    and one for their mirrors, the weights `w`, the magnitudes `mag` and
+    `spare`, the binary powering's square, whose first 2 n_H floats
+    (`flat`) take cs x and |j|^2's second term."""
 
     def __init__(self, C: int, D: int):
         data = cosets(C, D)
         n = data.cs.size
         self.key = (C, D)
+        self.fixed = int(np.flatnonzero(data.ds == 0)[0])  # (1, 0), its own mirror
         self.cs = data.cs.astype(np.float64)
         self.ds = data.ds.astype(np.float64)
-        self.mag = np.empty(n)
-        self.w = np.empty(n, dtype=np.complex128)
-        self.spare = np.empty(n, dtype=np.complex128)
-        self.flat = self.spare.view(np.float64)[:n]
+        self.mag = np.empty((2, n))
+        self.w = np.empty((2, n), dtype=np.complex128)
+        self.spare = np.empty((2, n), dtype=np.complex128)
+        self.flat = self.spare.view(np.float64).reshape(-1)[: 2 * n].reshape(2, n)
 
 
 _LOCAL = threading.local()
@@ -159,15 +166,18 @@ def _workspace(C: int, D: int) -> _Workspace:
 
 
 def _jarray(t: TruncationParams, z: complex) -> np.ndarray:
-    """j(gamma, z) = cz + d over the cosets, after validating z, as the
-    workspace view `w`.  Its parts are cs x + ds and cs y from the float
-    coset rows, bitwise the complex cs z + ds; cs x goes through `flat`, as
-    a strided write is slower than a contiguous one."""
+    """j(gamma, z) over the cosets, after validating z, as the workspace
+    view `w`: cz + d in row 0 and the mirrors' cz - d in row 1.  Its parts
+    are cs x +- ds and cs y from the float coset rows, bitwise the complex
+    cs z +- ds; cs x goes through `flat`, as a strided write is slower than
+    a contiguous one."""
     t.validate_at(z)
     z = complex(z)
     ws = _workspace(t.C, t.D)
     j = ws.w
-    np.add(np.multiply(ws.cs, z.real, out=ws.flat), ws.ds, out=j.real)
+    cx = np.multiply(ws.cs, z.real, out=ws.flat[0])
+    np.add(cx, ws.ds, out=j[0].real)
+    np.subtract(cx, ws.ds, out=j[1].real)
     np.multiply(ws.cs, z.imag, out=j.imag)
     return j
 
@@ -194,44 +204,59 @@ def _ipow(base: np.ndarray, e: int, power: np.ndarray, square: np.ndarray) -> np
 
 
 @np.errstate(all="ignore")  # an overflow makes the coset sum raise
+def _automorphy(ws: _Workspace, j: np.ndarray, r: int, s: int) -> np.ndarray:
+    """j^(-r) jbar^(-s) in place of j, both rows, the mirror of (1, 0) zero:
+    rho^(-max(r, s)), rho = |j|^2, in `mag`, times jbar^|r-s|, conjugated
+    when s > r, so the weights of (s, r) are the exact conjugates of those
+    of (r, s).  For r = s they are real, `mag` itself."""
+    scale = np.square(j.real, out=ws.mag)
+    scale += np.square(j.imag, out=ws.flat)
+    np.power(scale, -max(r, s), out=scale)
+    scale[1, ws.fixed] = 0.0
+    if r == s:
+        j.real, j.imag = scale, 0.0
+        return j
+    np.multiply(_ipow(j, abs(r - s), j, ws.spare), scale, out=j)
+    return np.conjugate(j, out=j) if r > s else j  # jbar^|r-s| = conj j^|r-s|
+
+
+@np.errstate(all="ignore")  # an overflow makes the coset sum raise
 def _rs_weights(
     t: TruncationParams, z: complex, w: BiWeight
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The weights j^(-r) jbar^(-s) and their magnitudes, as the workspace
-    views `w` and `mag`: the real |j|^(-2m), m = min(r, s), over j^|r-s|,
-    conjugated when s > r, so the weights of (s, r) are the exact conjugates
-    of those of (r, s).  For r = s the weights are |j|^(-2m), their own
-    magnitudes, with a zero imaginary part."""
+    """The weights j^(-r) jbar^(-s) of both rows and their summed
+    magnitudes, as the workspace views `w` and `mag[0]`."""
     j = _jarray(t, z)
     ws = _workspace(t.C, t.D)
-    scale = np.square(j.real, out=ws.mag)
-    scale += np.square(j.imag, out=ws.flat)
-    np.power(scale, -min(w.r, w.s), out=scale)
-    if w.r == w.s:
-        j.real, j.imag = scale, 0.0
-        return j, scale
-    wts = np.divide(scale, _ipow(j, abs(w.r - w.s), j, ws.spare), out=j)
-    if w.s > w.r:
-        np.conjugate(wts, out=wts)
-    return wts, np.abs(wts, out=ws.mag)
+    wts = _automorphy(ws, j, w.r, w.s)
+    mag = ws.mag if w.r == w.s else np.abs(wts, out=ws.mag)
+    mag[0] += mag[1]
+    return wts, mag[0]
 
 
 @np.errstate(all="ignore")  # an overflow makes the coset sum raise
 def _holo_weights(
     t: TruncationParams, z: complex, n: int, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The weights e(n gz) j^(-k) over the cosets, gz read off the top rows,
-    and their magnitudes, as the workspace views `w` and `mag`.  The
-    powering's square is a fresh array, as `spare` holds e(n gz)."""
+    """The weights e(n gz) j^(-k) of both rows, gz read off the top rows,
+    (-a, b) for a mirror, and their summed magnitudes, as the workspace
+    views `w` and `mag[0]`: the weights of E_{k,0} times e(n gz), the same
+    bits at n = 0.  e(n gz) is a fresh array, as `spare` holds the
+    powering's square."""
     j = _jarray(t, z)
     ws = _workspace(t.C, t.D)
     a, b = cosets(t.C, t.D).tops
-    gz = np.multiply(a, complex(z), out=ws.spare)
-    gz += b
+    gz = np.empty_like(j)
+    np.multiply(a, complex(z), out=gz[0])
+    np.subtract(b, gz[0], out=gz[1])
+    gz[0] += b
     gz /= j
     np.exp(np.multiply(2j * np.pi * n, gz, out=gz), out=gz)
-    wts = np.divide(gz, _ipow(j, k, j, np.empty_like(j)), out=j)
-    return wts, np.abs(wts, out=ws.mag)
+    wts = _automorphy(ws, j, k, 0)
+    wts *= gz
+    mag = np.abs(wts, out=ws.mag)
+    mag[0] += mag[1]
+    return wts, mag[0]
 
 
 @np.errstate(all="ignore")  # an overflow raises PrecisionError below
@@ -244,25 +269,28 @@ def _coset_sum(
     R: np.ndarray | None = None,
     Rmag: np.ndarray | None = None,
     identity=None,
+    minus: bool = False,
 ) -> tuple[object, float]:
     """The one truncated coset series: the weights `w` of the non-trivial
-    cosets summed pairwise in the coset table's order, or for a second-order
-    series the coefficient-major table `R` times `w` in one BLAS product,
-    in BLAS's order, the same bits for any BLAS thread count and buffer
-    offset; plus the identity-coset term.  Either errs like
+    cosets, rows w+ and w- (the mirrors), summed pairwise in the coset
+    table's order, or for a second-order series the coefficient-major table
+    `R` times `w` in two BLAS products, R @ w+ + M conj(R @ conj w-), in
+    BLAS's order, the same bits for any BLAS thread count and buffer offset,
+    with one row of `w` conjugated in place ('-' sign, `minus`: conj of the
+    sum over conj w); plus the identity-coset term.  Either errs like
     eps log(n_cosets), inside the tail's 16-eps floor.
 
     Returns (value, tail), or raises PrecisionError when either is not
-    finite.  The tail reads the magnitudes `wmag` = |w| on the outermost
-    computed shells, the blocks of the coset table: the c-tail scales the
+    finite.  The tail reads `wmag` = |w+| + |w-| on the outermost computed
+    shells, the blocks of the coset table: the c-tail scales the
     average of its last `shells` c-shells by the integral comparison
     sum_{c > C} (c/C)^(1-w0) ~ C/(w0-2), w0 > 2; the d-tail scales its
     outer |d| band, of width `band`, with decay exponent w0.  A factor 2
     pads shell roughness; a floor of 16 eps times the absolute sum (plus 1
     for an identity term) covers roundoff in the terms.  The total, the band
-    and the shells are slices of the cosets: a scalar series sums |w| over
-    each pairwise, a table weighs |w| against `Rmag` = |R| in one pass, a
-    matrix-vector product per block between the `cuts`.
+    and the shells are slices of the cosets: a scalar series sums `wmag`
+    over each pairwise, a table weighs it against `Rmag` = |R| in one pass,
+    a matrix-vector product per block between the `cuts`.
     """
     data = cosets(t.C, t.D)
     if R is None:
@@ -270,8 +298,11 @@ def _coset_sum(
         parts = (slice(None), slice(data.cuts[0], data.cuts[2]), slice(data.cuts[1], None))
         total, outer, shell = (wmag[sl].sum() for sl in parts)
     else:
-        value = R @ w
-        e = (0, *data.cuts, w.size)
+        row = w[0] if minus else w[1]
+        np.conjugate(row, out=row)
+        value = R @ w[0] + np.conj(R @ w[1]) * (-1.0) ** np.arange(1, R.shape[0] + 1)
+        value = value.conj() if minus else value
+        e = (0, *data.cuts, wmag.size)
         b0, b1, b2, b3 = (Rmag[:, lo:hi] @ wmag[lo:hi] for lo, hi in zip(e, e[1:]))
         outer, shell, total = b1 + b2, b2 + b3, b1 + b2 + b0 + b3
     if identity is not None:
@@ -296,15 +327,10 @@ def _period_sum(
     w0: float,
 ) -> tuple[PolyC, float]:
     """The second-order coset sum of the sign's period table against `wts`,
-    of magnitudes `wmag`.  The '-' table is conj R, and conj(R) @ w =
-    conj(R @ conj(w)) conjugates only the weights, in place, and the result;
-    both tables have the magnitudes |R|, and |conj w| = |w|."""
-    minus = _minus(sign)
+    of magnitudes `wmag`; the kernel conjugates one row of `wts` in place."""
     R, Rmag = _period_tables(hform, t.C, t.D)
-    if minus:
-        np.conjugate(wts, out=wts)
-    value, tail = _coset_sum(t, z, wts, wmag, w0, R, Rmag)
-    return PolyC(value.conj() if minus else value, hform.k - 2), tail
+    value, tail = _coset_sum(t, z, wts, wmag, w0, R, Rmag, minus=_minus(sign))
+    return PolyC(value, hform.k - 2), tail
 
 
 def eisenstein_rs(
@@ -349,8 +375,8 @@ def phi(
 ) -> SeriesValue:
     """Invariant series sum over B\\Gamma of the slashed Eichler integral,
     assembled as psi + F * E; psi and E share one set of coset weights and
-    their magnitudes, E summed first as the '-' sign conjugates the weights
-    in place."""
+    their magnitudes, E summed first as the table sum conjugates one row of
+    the weights in place."""
     _check_psi(hform, w)
     z = admissible_z(z, q_series=True)  # F's floor, before any coset sum
     wts, wmag = _rs_weights(t, z, w)
@@ -412,29 +438,34 @@ def _closed_form_sums(
     L[e] = Lambda_f(e+1, -d/c) c^(e-k+2) j^-(r+2-k+e) jbar^-s and rho = jbar/j,
     so v[q, q+e] is entry [q, e] of the block product rho^q @ L[e]^T, summed
     over the blocks.  The factors Lambda c^(e-k+2) are formed once per
-    class (`_lambda_c`) and gathered per block.  Each block forms j = cs z + ds
-    from the workspace's float coset rows, takes jbar as its conjugate
-    (bitwise cs conj(z) + ds), and builds L and the powers of rho from one
-    complex power each, by repeated multiplication with 1/j and with rho."""
+    class (`_lambda_c`) and gathered per block, conjugated for the mirrors:
+    Lambda(s, d/c) = conj Lambda(s, -d/c).  Each block, then its mirrors,
+    forms j = cs z +- ds from the workspace's float coset rows, takes jbar
+    as its conjugate (bitwise cs conj(z) +- ds), and builds L and the powers
+    of rho from one complex power each, by repeated multiplication with 1/j
+    and with rho."""
     k, K = hform.k, hform.k - 1
-    ws, cls = _workspace(t.C, t.D), cosets(t.C, t.D).cls
+    ws, data = _workspace(t.C, t.D), cosets(t.C, t.D)
     cs, ds = ws.cs, ws.ds
     lam = _lambda_c(reduced_periods(hform, t.C).values, reduced_classes(t.C)[0], k)
     G = np.zeros((K, K), dtype=np.complex128)
     for lo in range(0, cs.size, _BLOCK):
         blk = slice(lo, lo + _BLOCK)
-        j = cs[blk] * z + ds[blk]
-        jb = j.conj()
-        L = np.empty((K, j.size), dtype=np.complex128)
-        rpow = np.empty_like(L)
-        L[0] = j ** (k - 2 - w.r) * jb ** -w.s
-        rpow[0] = 1.0
-        jinv, rho = 1.0 / j, jb / j
-        for e in range(1, K):
-            L[e] = L[e - 1] * jinv
-            rpow[e] = rpow[e - 1] * rho
-        L *= lam[:, cls[blk]]
-        G += rpow @ L.T
+        rows = lam[:, data.cls[blk]]
+        mirrors = np.where(ds[blk] > 0, rows.conj(), 0.0)  # (1, 0) has no mirror
+        for sgn, lam_blk in ((1.0, rows), (-1.0, mirrors)):
+            j = cs[blk] * z + sgn * ds[blk]
+            jb = j.conj()
+            L = np.empty((K, j.size), dtype=np.complex128)
+            rpow = np.empty_like(L)
+            L[0] = j ** (k - 2 - w.r) * jb ** -w.s
+            rpow[0] = 1.0
+            jinv, rho = 1.0 / j, jb / j
+            for e in range(1, K):
+                L[e] = L[e - 1] * jinv
+                rpow[e] = rpow[e - 1] * rho
+            L *= lam_blk
+            G += rpow @ L.T
     q, p = np.ogrid[:K, :K]
     return np.where(q <= p, G[q, (p - q) % K], 0)  # v[q, p] = G[q, p - q]; % K: a valid index
 

@@ -281,27 +281,29 @@ def test_enumerate_cosets_rows_and_order():
     table = cosets(3, 4)
     # every coset lies in the outer c-shells (C <= 8) and the band covers
     # every d but 0: the block "band and shells" in ascending c, ascending
-    # |d|, positive sign first, then the block "shells only", (1, 0)
+    # d >= 0, then the block "shells only", (1, 0), its own mirror
     order = list(zip(table.cs.tolist(), table.ds.tolist()))
     assert table.cuts == (0, 0, len(order) - 1)
-    assert order[:5] == [(1, 1), (1, -1), (1, 2), (1, -2), (1, 3)]
+    assert order[:3] == [(1, 1), (1, 2), (1, 3)]
     assert order[-1] == (1, 0)
-    assert [(g.c, g.d) for g in enumerate_cosets(3, 4)[1:]] == order
-    for g in enumerate_cosets(3, 4)[1:]:
+    # each row followed by its mirror (c, -d): ascending |d|, positive first
+    full = [row for c, d in order for row in ([(c, d), (c, -d)] if d else [(c, d)])]
+    assert full[:5] == [(1, 1), (1, -1), (1, 2), (1, -2), (1, 3)]
+    elements = enumerate_cosets(3, 4)[1:]
+    assert [(g.c, g.d) for g in elements] == full
+    for g in elements:
         assert g.a * g.d - g.b * g.c == 1
         assert g.c > 0
+    # a mirror is -eps g eps, eps = diag(-1, 1): top row (-a, b)
+    for g, h in zip(elements, elements[1:]):
+        if h.d < 0:
+            assert h.entries == (-g.a, g.b, g.c, -g.d)
 
 
 def _coset_rows_oracle(C, D):
-    """The coset rows in ascending c, ascending |d|, positive d first, one
+    """The coset rows with d >= 0 in ascending c, ascending d, one
     `math.gcd` per (c, d)."""
-    rows = []
-    for c in range(1, C + 1):
-        for ad in range(0, D + 1):
-            for d in (ad,) if ad == 0 else (ad, -ad):
-                if math.gcd(c, abs(d)) == 1:
-                    rows.append((c, d))
-    return rows
+    return [(c, d) for c in range(1, C + 1) for d in range(D + 1) if math.gcd(c, d) == 1]
 
 
 def _tail_block(C, D, c, d):
@@ -325,6 +327,8 @@ def test_coset_table_matches_the_brute_force_rows(C, D):
     # the table's layout: the brute-force rows stably sorted by tail block
     rows = sorted(_coset_rows_oracle(C, D), key=lambda row: _tail_block(C, D, *row))
     assert list(zip(table.cs.tolist(), table.ds.tolist())) == rows
+    assert [row for row in rows if row[1] == 0] == [(1, 0)]
+    assert (table.n >= 0).all()
     assert np.array_equal(c0[table.cls], table.cs)
     assert np.array_equal(d0[table.cls] + table.n * table.cs, table.ds)
     a, b = table.tops
@@ -335,13 +339,15 @@ def test_coset_table_matches_the_brute_force_rows(C, D):
     "C, D", [(1, 10), (3, 5), (8, 16), (8, 80), (12, 3), (20, 30), (40, 400), (80, 800)]
 )
 def test_coset_table_lays_out_the_tail_blocks(C, D):
-    # four contiguous blocks, each in ascending c, ascending |d|, positive d
-    # first: neither outer c-shell nor outer |d| band, band only, band and
-    # shell, shell only; D <= 2C is a band that covers every d but 0
+    # four contiguous blocks, each in ascending c, ascending d >= 0: neither
+    # outer c-shell nor outer |d| band, band only, band and shell, shell
+    # only; D <= 2C is a band that covers every d but 0.  The rows and their
+    # mirrors (c, -d), d > 0, are every coset
     table = cosets(C, D)
     rows = list(zip(table.cs.tolist(), table.ds.tolist()))
     oracle = _coset_rows_oracle(C, D)
-    assert len(rows) == len(set(rows)) == len(oracle) == brute_coprime_count(C, D)
+    assert len(rows) == len(set(rows)) == len(oracle)
+    assert 2 * len(rows) - 1 == brute_coprime_count(C, D)
     assert set(rows) == set(oracle)
     shells, band = max(1, min(8, C)), min(max(2 * C, 8), D)
     assert (table.shells, table.band) == (shells, band)

@@ -128,9 +128,9 @@ def _phi_direct(hform, w, sign, z, t):
     coset representatives.  Small rectangles only: `eichler_F` raises
     PrecisionError at an image point below the evaluation floor.
 
-    It shares only the tail estimate with the series it checks: the weights
-    come from per-coset automorphy factors, and the identity coset is
-    reduced together with the others.
+    It shares only the tail formula with the series it checks (`_mask_tail`
+    over its terms): the weights come from per-coset automorphy factors, and
+    the identity coset is reduced together with the others.
     """
     k = hform.k
     if w.r + w.s <= k:
@@ -143,9 +143,7 @@ def _phi_direct(hform, w, sign, z, t):
         image = per.eichler_F(hform, group.mobius(g, z), sign)
         polys.append(group.act_poly(image, g, k).coeffs)
         rows.append(polys[-1] * wts[-1])
-    polys = np.ascontiguousarray(np.array(polys).T)
-    wts = np.array(wts)
-    _, tail = ra._coset_sum(t, z, wts, np.abs(wts), w.r + w.s - k + 2, polys, np.abs(polys))
+    tail = _mask_tail(t, z, np.array(polys).T * np.array(wts), w.r + w.s - k + 2)
     terms = np.ascontiguousarray(np.array(rows).T)  # identity coset first
     return ra.SeriesValue(PolyC(terms.sum(axis=-1), k - 2), tail)
 
@@ -259,15 +257,16 @@ def _closed_form_per_term(f, w, sign, z, t):
     if sign == "-":
         return np.conj(_closed_form_per_term(f, w.swapped(), "+", z, t)[::-1])
     ev = ra.eisenstein_rs(w, z, t).value
-    # j is a workspace view, which every series call overwrites
-    jarr = ra._jarray(t, z).copy()
+    # every coset, the mirrors (c, -d) included, each with its own class
+    data = group.cosets(t.C, t.D)
+    cs, ds = _full_rows(data)
+    jarr = cs * z + ds
     jbarr = jarr.conj()
     pref = (z - z.conjugate()) ** (2 - k)
     rows = [_primitive_row(n, k - 2, z) * complex(f.coeffs[n]) for n in range(1, f.N + 1)]
     moments, basis = np.sum(rows, axis=0), ra.coeff_basis(z, k - 2)
-    data = group.cosets(t.C, t.D)
-    lam = per.reduced_periods(f, t.C).values[:, data.cls]
-    cfl = data.cs.astype(np.float64)
+    lam = per.reduced_periods(f, t.C).values[:, reduced_classes(t.C)[2][cs, ds % cs]]
+    cfl = cs.astype(np.float64)
     cpow = [np.ones_like(cfl)]
     for _ in range(k - 2):
         cpow.append(cpow[-1] * cfl)
@@ -607,28 +606,100 @@ def _scaled_ints(xs):
     return [num * (scale // den) for num, den in ratios], scale
 
 
+def _exact_column(table, c, d):
+    """The period polynomial of the coset (c, d) in exact arithmetic
+    (integers over a common power of two), for the real and the imaginary
+    parts: the translation r(gamma T^n; X) = r(gamma; X + n), n = d // c, of
+    its class row, or for d < 0 that of its mirror (c, -d), reflected by
+    r(eps g eps; X) = -conj r(g; -X).  Each coefficient comes with the sum
+    of the magnitudes of its exact terms, the shift's condition number."""
+    m = abs(d)
+    row = table.periods[reduced_classes(table.C)[2][c, m % c]]
+    K = row.size
+    sign = (-1.0) ** (np.arange(K) + 1) if d < 0 else np.ones(K)
+    out = {}
+    for part, sgn in (("real", sign), ("imag", -sign if d < 0 else sign)):
+        p, scale = _scaled_ints(getattr(row, part).tolist())
+        terms = [[math.comb(e, t) * (m // c) ** (e - t) * p[e] for e in range(t, K)] for t in range(K)]
+        exact = np.array([sum(x) / scale for x in terms])
+        out[part] = sgn * exact, np.array([sum(abs(y) for y in x) / scale for x in terms])
+    return out
+
+
 def test_period_table_is_the_exact_translation_of_its_class_rows():
-    # r(gamma T^n; X) = r(gamma; X + n), n = d // c, expanded in exact
-    # arithmetic (integers over a common power of two) from each coset's
-    # class row, on the outer |d| band and every 97th coset.  Each
-    # coefficient lies within 4 K eps of the sum of the magnitudes of its
-    # exact terms, the shift's condition number: a short shift towards the
-    # cusp 0, such as (65, -2) from the class (65, 63), cancels about
-    # 2^(k-2) in that sum.
+    # each column of the full table, rebuilt from the stored half by the
+    # reflection, is its coset's class row translated, reflected for a
+    # mirror (`_exact_column`), on the outer |d| band and every 97th coset.
+    # Each coefficient lies within 4 K eps of the sum of the magnitudes of
+    # its exact terms, the shift's condition number: the stored shifts are
+    # n >= 0, and a short shift towards the cusp 0, such as (65, -2) from
+    # the class (65, 63), which cancels about 2^(k-2) in that sum, is not
+    # taken
     C, D = 80, 800
     data = group.cosets(C, D)
-    R = ra._period_tables(DELTA, C, D)[0]
+    R = _full_table(ra._period_tables(DELTA, C, D)[0], data)
+    cs, ds = _full_rows(data)
     table = per.reduced_periods(DELTA, C)
     K, eps = DELTA.k - 1, np.finfo(float).eps
-    sample = (np.abs(data.ds) > D - 5) | (np.arange(data.cs.size) % 97 == 0)
+    sample = (np.abs(ds) > D - 5) | (np.arange(cs.size) % 97 == 0)
     for i in np.flatnonzero(sample).tolist():
-        n = int(data.ds[i] // data.cs[i])
-        for part in ("real", "imag"):
-            p, scale = _scaled_ints(getattr(table.periods[data.cls[i]], part).tolist())
-            for t in range(K):
-                terms = [math.comb(e, t) * n ** (e - t) * p[e] for e in range(t, K)]
-                err = abs(getattr(R[t, i], part) - sum(terms) / scale)
-                assert err <= 4 * K * eps * (sum(abs(x) for x in terms) / scale)
+        for part, (exact, size) in _exact_column(table, int(cs[i]), int(ds[i])).items():
+            err = np.abs(getattr(R[:, i], part) - exact)
+            assert (err <= 4 * K * eps * size).all()
+
+
+@pytest.mark.parametrize("form", ["delta", "s16"])
+def test_a_coset_near_the_cusp_zero_is_its_mirror_reflected(form):
+    # a coset (c, -d), 0 < d < c, such as (65, -2), is read as the mirror of
+    # the stored (c, d), a class row with no shift, not as the class
+    # (c, c - d) shifted by -1, which cancels about 2^(k-2): every such
+    # column of the full table lies within 4 K eps of its largest
+    # coefficient of the reflection of the exact translation of its
+    # mirror's class row, by n = 0, so the class row itself
+    f = DELTA if form == "delta" else qf.cusp_basis(16)[0]
+    C, D = 80, 800
+    data = group.cosets(C, D)
+    R = _full_table(ra._period_tables(f, C, D)[0], data)
+    cs, ds = _full_rows(data)
+    K, eps = f.k - 1, np.finfo(float).eps
+    near = np.flatnonzero((ds < 0) & (-ds < cs))
+    assert (65, -2) in set(zip(cs[near].tolist(), ds[near].tolist()))
+    assert near.size == sum(1 for c in range(2, C + 1) for d in range(1, c) if math.gcd(c, d) == 1)
+    rows = per.reduced_periods(f, C).periods[reduced_classes(C)[2][cs[near], -ds[near]]].T
+    ref = ((-1.0) ** (np.arange(K) + 1))[:, None] * rows.conj()  # -conj r(g; -X)
+    assert (np.abs(R[:, near] - ref).max(axis=0) <= 4 * K * eps * np.abs(ref).max(axis=0)).all()
+
+
+@pytest.mark.parametrize("form", ["delta", "s16", "s24.1", "s24.2"])
+@pytest.mark.parametrize("C, D, every", [(5, 50, 1), (80, 800, 257)])
+def test_the_mirrored_columns_are_the_euclid_chains_of_the_mirrors(form, C, D, every):
+    # the reflection r(eps g eps; X) = -conj r(g; -X), eps = diag(-1, 1),
+    # pinned against a route that shares no code with the table: each
+    # mirrored column of the full table against `period_poly` of the
+    # completed row (c, -d), peeled down its own Euclid chain; every coset
+    # at C = 5, every 257th at C = 80, on eigenforms and non-eigenforms
+    s24 = qf.cusp_basis(24)
+    f = {"delta": DELTA, "s16": qf.cusp_basis(16)[0], "s24.1": s24[0], "s24.2": s24[1]}[form]
+    data = group.cosets(C, D)
+    R = _full_table(ra._period_tables(f, C, D)[0], data)
+    cs, ds = _full_rows(data)
+    mirrors = np.flatnonzero(ds < 0)
+    assert mirrors.size == data.cs.size - 1
+    for i in mirrors[::every].tolist():
+        direct = per.period_poly(f, per.complete_row(int(cs[i]), int(ds[i])))
+        assert np.max(np.abs(R[:, i] - direct.coeffs)) <= 1e-10 * max(1.0, direct.norm_inf())
+
+
+@pytest.mark.parametrize("C", [40, 80])
+def test_period_table_holds_the_half_of_the_cosets(C):
+    # (k - 1) x n_H columns, n_H = (n_cosets + 1) / 2: the cosets with
+    # d >= 0; a mirror (c, -d) is read by the reflection
+    c, d = np.ogrid[1 : C + 1, -10 * C : 10 * C + 1]
+    n_cosets = int((np.gcd(c, d) == 1).sum())
+    for f in (DELTA, qf.cusp_basis(16)[0]):
+        R, Rmag = ra._period_tables(f, C, 10 * C)
+        assert R.shape == Rmag.shape == (f.k - 1, (n_cosets + 1) // 2)
+        assert n_cosets % 2 == 1
 
 
 def test_coeff_basis_columns_are_basis_products():
@@ -699,13 +770,16 @@ def test_top_rows_are_the_completed_rows(monkeypatch, C, D, classes):
 
 def test_coset_sum_reduction_within_floor():
     # every coefficient of psi and G, of either sign, lies within the tail's
-    # 16-eps floor of the exactly rounded sum of the same terms
+    # 16-eps floor of the exactly rounded sum of the same terms, over the
+    # full table rebuilt from the stored half by the reflection
     for C in (1, 3, 7, 8, 40):
         t, z = ra.TruncationParams(C, 10 * C), complex(0.3, 1.3)
-        R = ra._period_tables(DELTA, t.C, t.D)[0]
-        # the weights are workspace views, which every series call overwrites
-        weights = {w: ra._rs_weights(t, z, w)[0].copy() for w in (BiWeight(7, 7), BiWeight(10, 8))}
-        holo = ra._holo_weights(t, z, 1, 16)[0].copy()
+        data = group.cosets(t.C, t.D)
+        R = _full_table(ra._period_tables(DELTA, t.C, t.D)[0], data)
+        # the weights are workspace views, which every series call
+        # overwrites: the full-order gathers are copies
+        weights = {w: _full_weights(ra._rs_weights(t, z, w)[0], data) for w in (BiWeight(7, 7), BiWeight(10, 8))}
+        holo = _full_weights(ra._holo_weights(t, z, 1, 16)[0], data)
         for sign, table in (("+", R), ("-", R.conj())):
             got = {w: ra.psi_series(DELTA, w, sign, z, t).value.coeffs for w in weights}
             got["G"] = ra.second_order_G(1, DELTA, 16, z, t, sign).value.coeffs
@@ -736,11 +810,11 @@ def test_coset_sum_bits_do_not_depend_on_buffer_offsets(w):
     w0 = w.r + w.s - DELTA.k + 2
     for sign in "+-":
         sv = ra.psi_series(DELTA, w, sign, z, t)
-        wts = rs.conj() if sign == "-" else rs
         for k in range(1, 8):
-            args = (_at_offset(a, k) for a in (wts, mag))
-            value, tail = ra._coset_sum(t, z, *args, w0, _at_offset(R, k), _at_offset(Rmag, k))
-            value = value.conj() if sign == "-" else value
+            # fresh copies: the kernel conjugates one row of the weights
+            args = (_at_offset(a, k) for a in (rs, mag))
+            tables = (_at_offset(R, k), _at_offset(Rmag, k))
+            value, tail = ra._coset_sum(t, z, *args, w0, *tables, minus=sign == "-")
             assert value.tobytes() == sv.value.coeffs.tobytes()
             assert tail == sv.tail_estimate
 
@@ -759,12 +833,56 @@ def test_swapped_weights_are_exact_conjugates():
     assert ra.eisenstein_rs(BiWeight(7, 7), 0.3 + 1.2j, T40).value.imag == 0
 
 
+def _full_order(data):
+    """Every coset as a slot of the stored half: each row of the coset table
+    followed by its mirror (c, -d), (1, 0) alone, the order of
+    `enumerate_cosets`; the positions in the half and whether the slot is
+    the mirror's."""
+    n = data.cs.size
+    pos, mirror = np.repeat(np.arange(n), 2), np.tile([False, True], n)
+    keep = ~(mirror & (data.ds[pos] == 0))
+    return pos[keep], mirror[keep]
+
+
+def _full_rows(data):
+    """The bottom rows (c, d) of every coset, in `_full_order`."""
+    pos, mirror = _full_order(data)
+    return data.cs[pos], np.where(mirror, -data.ds[pos], data.ds[pos])
+
+
+def _full_table(R, data):
+    """The period table of every coset, in `_full_order`, rebuilt from the
+    stored half by the reflection r(eps g eps; X) = -conj r(g; -X): a
+    mirror's coefficient i is its row's, conjugated and signed (-1)^(i+1)."""
+    pos, mirror = _full_order(data)
+    sign = ((-1.0) ** (np.arange(R.shape[0]) + 1))[:, None]
+    return np.where(mirror, sign * R[:, pos].conj(), R[:, pos])
+
+
+def _full_weights(w, data):
+    """The two rows of weights (cosets, mirrors) as one array in
+    `_full_order`, a copy."""
+    pos, mirror = _full_order(data)
+    return w[mirror.astype(int), pos]
+
+
+def _fold(full, data):
+    """A full-order array back in the two rows (..., 2, n_H) of the kernel,
+    the mirror slot of (1, 0) zero."""
+    pos, mirror = _full_order(data)
+    out = np.zeros(full.shape[:-1] + (2, data.cs.size), dtype=full.dtype)
+    out[..., mirror.astype(int), pos] = full
+    return out
+
+
 def _mask_tail(t, z, terms, w0, identity=None):
     """Reference copy of the kernel's tail as a formula over the full term
-    array: magnitudes of every term, shells selected by masks."""
+    array, in `_full_order`: magnitudes of every term, a coset's and its
+    mirror's added, shells selected by masks."""
     data = group.cosets(t.C, t.D)
     C, D, x = t.C, t.D, complex(z).real
-    mags = np.abs(terms)
+    pair = np.abs(_fold(terms, data))
+    mags = pair[..., 0, :] + pair[..., 1, :]
     band_c = max(1, min(8, C))
     shell_avg = mags[..., data.cs > C - band_c].sum(axis=-1) / band_c
     ctail = 2.0 * shell_avg * C / (w0 - 2.0)
@@ -776,9 +894,11 @@ def _mask_tail(t, z, terms, w0, identity=None):
     return float(np.max(ctail + dtail)) + floor
 
 
-def _table_sum(R, w, sign):
-    # the sign's table is conj(R), and sum conj(r) w = conj(sum r conj(w))
-    return np.conj(R @ np.conj(w)) if sign == "-" else R @ w
+def _table_sum(table, w, data):
+    """The full table times the full weights as two BLAS products, over the
+    stored cosets and over their mirrors, each at its row's slot."""
+    pair, wts = _fold(table, data), _fold(w, data)
+    return sum(np.ascontiguousarray(pair[:, i]) @ wts[i] for i in (0, 1))
 
 
 def _assert_table_tail(got, ref):
@@ -789,28 +909,33 @@ def _assert_table_tail(got, ref):
 @pytest.mark.parametrize("x", [0.0, -0.5])
 @pytest.mark.parametrize("C", [1, 3, 7, 8, 40])
 def test_coset_sum_matches_the_full_term_array(C, x):
-    # the kernel gives the values of one BLAS product R @ w bitwise ('-':
-    # conj(R @ conj(w))), and the tail of the mask formula over the full
-    # product array
+    # the kernel gives the values of the full table, rebuilt from the stored
+    # half by the reflection, times the full weights, as one BLAS product
+    # over the stored cosets and one over their mirrors, bitwise ('-': the
+    # table conj R), and the tail of the mask formula over the full product
+    # array
     t, z, w = ra.TruncationParams(C, 10 * C), complex(x, 1.3), BiWeight(10, 8)
-    R = ra._period_tables(DELTA, C, 10 * C)[0]
-    # the weights are workspace views, which every series call overwrites
-    rs, holo = ra._rs_weights(t, z, w)[0].copy(), ra._holo_weights(t, z, 1, 16)[0].copy()
+    data = group.cosets(C, 10 * C)
+    R = _full_table(ra._period_tables(DELTA, C, 10 * C)[0], data)
+    # the weights are workspace views, which every series call overwrites:
+    # the full-order gathers are copies
+    rs = _full_weights(ra._rs_weights(t, z, w)[0], data)
+    holo = _full_weights(ra._holo_weights(t, z, 1, 16)[0], data)
     w0 = w.r + w.s - DELTA.k + 2
     for sign, table in (("+", R), ("-", R.conj())):
         sv = ra.psi_series(DELTA, w, sign, z, t)
-        assert np.array_equal(sv.value.coeffs, _table_sum(R, rs, sign))
+        assert np.array_equal(sv.value.coeffs, _table_sum(table, rs, data))
         _assert_table_tail(sv.tail_estimate, _mask_tail(t, z, table * rs, w0))
         g = ra.second_order_G(1, DELTA, 16, z, t, sign)
-        assert np.array_equal(g.value.coeffs, _table_sum(R, holo, sign))
+        assert np.array_equal(g.value.coeffs, _table_sum(table, holo, data))
         _assert_table_tail(g.tail_estimate, _mask_tail(t, z, table * holo, 16 - DELTA.k + 2))
     ev = ra.eisenstein_rs(w, z, t)
-    assert ev.value == 1.0 + rs.sum()
+    assert ev.value == 1.0 + _fold(rs, data).sum()
     assert ev.tail_estimate == _mask_tail(t, z, rs, w.r + w.s, identity=1.0)
-    holo = ra._holo_weights(t, z, 1, 12)[0].copy()
+    holo = _full_weights(ra._holo_weights(t, z, 1, 12)[0], data)
     pn = ra.poincare(1, 12, z, t)
     identity = cmath.exp(2j * math.pi * z)
-    assert pn.value == identity + holo.sum()
+    assert pn.value == identity + _fold(holo, data).sum()
     assert pn.tail_estimate == _mask_tail(t, z, holo, 12, identity=identity)
 
 
@@ -822,14 +947,20 @@ def test_coset_sum_when_the_d_band_covers_every_d(C, D):
     data = group.cosets(C, D)
     cuts = data.cuts
     assert list(range(cuts[0], cuts[2])) == np.flatnonzero(data.ds != 0).tolist()
-    j = data.cs * z + data.ds
+    cs, ds = _full_rows(data)
+    j = cs * z + ds
     wts = j**-7 * np.conj(j) ** -5
+    pair = _fold(wts, data)
+    mags = np.abs(pair)
+    mag = mags[0] + mags[1]
     R, Rmag = ra._period_tables(DELTA, C, D)
-    value, tail = ra._coset_sum(t, z, wts, np.abs(wts), 4, R, Rmag)
-    assert np.array_equal(value, R @ wts)
-    _assert_table_tail(tail, _mask_tail(t, z, R * wts, 4))
-    value, tail = ra._coset_sum(t, z, wts, np.abs(wts), 12, identity=1.0)
-    assert value == 1.0 + wts.sum()
+    full = _full_table(R, data)
+    # a copy of the weights: the table sum conjugates one row in place
+    value, tail = ra._coset_sum(t, z, pair.copy(), mag, 4, R, Rmag)
+    assert np.array_equal(value, _table_sum(full, wts, data))
+    _assert_table_tail(tail, _mask_tail(t, z, full * wts, 4))
+    value, tail = ra._coset_sum(t, z, pair, mag, 12, identity=1.0)
+    assert value == 1.0 + pair.sum()
     assert tail == _mask_tail(t, z, wts, 12, identity=1.0)
 
 
@@ -847,6 +978,30 @@ def test_period_mags_build_allocates_no_second_table():
         tracemalloc.stop()
     assert peak <= R.nbytes + mags.nbytes + 2 * mags[0].nbytes + 4096
     assert np.array_equal(mags, np.abs(R))
+
+
+@pytest.mark.parametrize("C", [3, 40])
+def test_weights_are_the_automorphy_factors_of_both_rows(C):
+    # off the imaginary axis, where (r, s) and (s, r) differ: the weights of
+    # the cosets (c, d) and of their mirrors (c, -d) against numpy's powers
+    # of cz +- d, the holomorphic ones with the mirrors' completed top rows;
+    # the mirror of (1, 0) weighs zero, and the magnitudes are |w+| + |w-|
+    t, z = ra.TruncationParams(C, 10 * C), complex(0.3, 1.2)
+    data = group.cosets(t.C, t.D)
+    j = np.stack([data.cs * z + data.ds, data.cs * z - data.ds])
+    mirrors = [group.complete_row(c, -d) for c, d in zip(data.cs.tolist(), data.ds.tolist())]
+    a, b = data.tops
+    gz = np.stack([(a * z + b) / j[0], np.array([g.a * z + g.b for g in mirrors]) / j[1]])
+
+    def check(weights, ref):
+        w, mag = weights
+        ref[1, data.ds == 0] = 0.0
+        assert np.all(np.abs(w - ref) <= 1e-13 * np.abs(ref))
+        assert np.array_equal(mag, np.abs(w[0]) + np.abs(w[1]))
+
+    for r, s in ((11, 9), (9, 11), (10, 10), (4, 0)):
+        check(ra._rs_weights(t, z, BiWeight(r, s)), j**-r * np.conj(j) ** -s)
+    check(ra._holo_weights(t, z, 2, 12), np.exp(4j * np.pi * gz) * j**-12)
 
 
 def test_ipow_is_conjugate_exact_and_accurate():
@@ -872,10 +1027,12 @@ def test_jbar_is_the_conjugate_of_j(C):
     t, data = ra.TruncationParams(C, 10 * C), group.cosets(C, 10 * C)
     for z in (2j, 0.3 + 1.5j, -0.45 + 1.1j):
         j = ra._jarray(t, z)
-        assert np.array_equal(j, data.cs * z + data.ds)
         ws = ra._workspace(t.C, t.D)
-        assert np.array_equal(j, ws.cs * z + ws.ds)
-        assert np.array_equal(j.conj(), data.cs * z.conjugate() + data.ds)
+        # row 0 the cosets (c, d), row 1 their mirrors (c, -d)
+        for row, sgn in ((j[0], 1.0), (j[1], -1.0)):
+            assert np.array_equal(row, data.cs * z + sgn * data.ds)
+            assert np.array_equal(row, ws.cs * z + sgn * ws.ds)
+            assert np.array_equal(row.conj(), data.cs * z.conjugate() + sgn * data.ds)
 
 
 @pytest.mark.parametrize("form", ["delta", "s16"])
