@@ -7,6 +7,8 @@ three, Maass-operator identity checks, and exact dimension formulas for the
 associated vector-valued spaces.
 """
 
+import importlib
+
 from .errors import ConvergenceError, PrecisionError
 from .group import (
     BiWeight,
@@ -50,8 +52,21 @@ from .raseries import (
     psi_series,
     second_order_G,
 )
-from .maass import FDScheme, maass_d, maass_dbar
-from .iterated import IteratedIntegrand, iterated_F, map_to_MI, order_check
-from .vvdim import dim_M2c, dim_Mk_rho, rho_matrices, trace_ST
 
 __version__ = "0.1.0"
+
+#: submodules that no series value reads, and their names: bound on first use
+_LAZY = {
+    "maass": ("FDScheme", "maass_d", "maass_dbar"),
+    "iterated": ("IteratedIntegrand", "iterated_F", "map_to_MI", "order_check"),
+    "vvdim": ("dim_M2c", "dim_Mk_rho", "rho_matrices", "trace_ST"),
+}
+_OWNER = {name: module for module, names in _LAZY.items() for name in (module, *names)}
+
+
+def __getattr__(name: str):  # PEP 562: only a name not yet bound comes here
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_OWNER[name]}")
+    value = globals()[name] = module if name in _LAZY else getattr(module, name)
+    return value

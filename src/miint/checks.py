@@ -301,6 +301,12 @@ def suite_equivariance() -> list[CheckResult]:
             max(1e-5, 4 * sv.tail_estimate),
         )
     )
+    # off the imaginary axis, where E_{r,s} and E_{s,r} differ: E(Sz) = z^r zbar^s E(z)
+    z, w = complex(0.3, 1.2), BiWeight(11, 9)
+    ez, esz = (raseries.eisenstein_rs(w, u, T40) for u in (z, -1 / z))
+    res = abs(esz.value - z**w.r * z.conjugate() ** w.s * ez.value)
+    tol = 8 * (esz.tail_estimate + abs(z) ** (w.r + w.s) * ez.tail_estimate)
+    out.append(_result("E_{11,9} under S at 0.3+1.2i", res, tol))
     fd = lambda z: qforms.eval_form(f, z)
     _, res_comm = maass.check_equivariance(fd, T, BiWeight(12, 0), Z)
     out.append(_result("y^k commutation on Delta, k = 2", res_comm, 1e-7))

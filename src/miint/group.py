@@ -368,12 +368,18 @@ def reduced_classes(C: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 @lru_cache(maxsize=8)
 def class_tops(C: int) -> tuple[np.ndarray, np.ndarray]:
     """Top rows (a0, b0) of `complete_row(c, d0)` for the classes of
-    `reduced_classes(C)`, in its order, as read-only arrays: one
-    `complete_row` call per class, shared by the coset table's top rows and
-    the Euclid parents of the period table."""
+    `reduced_classes(C)`, in its order, as read-only arrays, shared by the
+    coset table's top rows and the Euclid parents of the period table: one
+    extended Euclid pass over every class, on remainders r and s d0 = r mod c,
+    down to r = gcd = 1, where a0 = s mod c = d0^-1 mod c."""
     c0, d0, _ = reduced_classes(C)
-    rows = [complete_row(c, d).entries[:2] for c, d in zip(c0.tolist(), d0.tolist())]
-    a0, b0 = np.array(rows, dtype=np.int64).T
+    r, s = np.stack([d0, c0]), np.stack([np.ones_like(c0), np.zeros_like(c0)])
+    while (live := np.flatnonzero(r[1])).size:
+        q = r[0, live] // r[1, live]
+        for x in (r, s):
+            x[:, live] = x[1, live], x[0, live] - q * x[1, live]
+    a0 = s[0] % c0
+    b0 = (a0 * d0 - 1) // c0
     for arr in (a0, b0):
         arr.setflags(write=False)  # cached and shared by every caller
     return a0, b0

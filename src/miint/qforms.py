@@ -102,9 +102,13 @@ class QExpansion:
         return QExpansion(0, (1,) + (0,) * self.N) if out is None else out
 
 
-@lru_cache(maxsize=None)
 def eisenstein_q(k: int, N: int = DEFAULT_N) -> QExpansion:
     """Normalised Eisenstein series E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n."""
+    return _eisenstein_q(k, N)  # one cache entry per resolved (k, N)
+
+
+@lru_cache(maxsize=None)
+def _eisenstein_q(k: int, N: int) -> QExpansion:
     if k % 2 != 0 or k < 4:
         raise ValueError("k must be even and >= 4")
     if N < 0:
@@ -115,9 +119,13 @@ def eisenstein_q(k: int, N: int = DEFAULT_N) -> QExpansion:
     return QExpansion(k, tuple(norm))
 
 
-@lru_cache(maxsize=None)
 def delta_q(N: int = DEFAULT_N) -> QExpansion:
     """Discriminant cusp form Delta = (E4^3 - E6^2)/1728, integer coefficients."""
+    return _delta_q(N)  # one cache entry per resolved N
+
+
+@lru_cache(maxsize=None)
+def _delta_q(N: int) -> QExpansion:
     if N < 1:
         raise ValueError("N must be >= 1")
     e4 = eisenstein_q(4, N)

@@ -77,8 +77,8 @@ from .qforms import QExpansion, admissible_z, eval_tail_bound
 DEFAULT_M = 128
 #: relative mismatch between fn(iy) and fn(1 + iy) that rejects an integrand
 _PERIODICITY_RTOL = 1e-6
-#: cosets per block of the closed form's coset pass, which bounds its
-#: working memory to a few block-sized rows
+#: cosets per block of the closed form's coset pass: its working memory is
+#: three (k-1) x _BLOCK complex buffers, allocated once per pass and refilled
 _BLOCK = 4096
 
 
@@ -423,10 +423,11 @@ def _closed_form_alpha(k: int) -> np.ndarray:
 def _lambda_c(lam: np.ndarray, c: np.ndarray, k: int) -> np.ndarray:
     """Lambda c^(e-k+2) at [e, i] from the Lambda values at [e, i] of the
     cusps -d/c[i]: c^(k-2-e) by repeated multiplication, then its reciprocal,
-    so every entry has the same bits in any batch of classes."""
+    so every entry has the same bits in any batch of classes; in C order,
+    which a block's gather of columns reads without a copy."""
     c = np.asarray(c, dtype=np.float64)
     steps = np.vstack([np.ones_like(c), np.broadcast_to(c, (k - 2, c.size))])
-    return lam * (1.0 / np.cumprod(steps, axis=0)[::-1])
+    return np.multiply(lam, 1.0 / np.cumprod(steps, axis=0)[::-1], order="C")
 
 
 def _closed_form_sums(
@@ -443,29 +444,31 @@ def _closed_form_sums(
     forms j = cs z +- ds from the workspace's float coset rows, takes jbar
     as its conjugate (bitwise cs conj(z) +- ds), and builds L and the powers
     of rho from one complex power each, by repeated multiplication with 1/j
-    and with rho."""
+    and with rho.  L, the powers of rho and the gathered rows (conjugated in
+    place for the mirrors) are three buffers allocated once per call."""
     k, K = hform.k, hform.k - 1
     ws, data = _workspace(t.C, t.D), cosets(t.C, t.D)
     cs, ds = ws.cs, ws.ds
     lam = _lambda_c(reduced_periods(hform, t.C).values, reduced_classes(t.C)[0], k)
     G = np.zeros((K, K), dtype=np.complex128)
+    bufs = np.empty((3, K * min(_BLOCK, cs.size)), dtype=np.complex128)
     for lo in range(0, cs.size, _BLOCK):
         blk = slice(lo, lo + _BLOCK)
-        rows = lam[:, data.cls[blk]]
-        mirrors = np.where(ds[blk] > 0, rows.conj(), 0.0)  # (1, 0) has no mirror
-        for sgn, lam_blk in ((1.0, rows), (-1.0, mirrors)):
+        lam_blk, Lb, rb = (buf[: K * cs[blk].size].reshape(K, -1) for buf in bufs)
+        np.take(lam, data.cls[blk], axis=1, out=lam_blk, mode="clip")  # clip: unbuffered
+        for sgn in (1.0, -1.0):
+            if sgn < 0:  # the mirrors' rows; (1, 0) has no mirror
+                np.conjugate(lam_blk, out=lam_blk)[:, ds[blk] == 0] = 0.0
             j = cs[blk] * z + sgn * ds[blk]
             jb = j.conj()
-            L = np.empty((K, j.size), dtype=np.complex128)
-            rpow = np.empty_like(L)
-            L[0] = j ** (k - 2 - w.r) * jb ** -w.s
-            rpow[0] = 1.0
+            np.multiply(j ** (k - 2 - w.r), jb ** -w.s, out=Lb[0])
+            rb[0] = 1.0
             jinv, rho = 1.0 / j, jb / j
             for e in range(1, K):
-                L[e] = L[e - 1] * jinv
-                rpow[e] = rpow[e - 1] * rho
-            L *= lam_blk
-            G += rpow @ L.T
+                np.multiply(Lb[e - 1], jinv, out=Lb[e])
+                np.multiply(rb[e - 1], rho, out=rb[e])
+            Lb *= lam_blk
+            G += rb @ Lb.T
     q, p = np.ogrid[:K, :K]
     return np.where(q <= p, G[q, (p - q) % K], 0)  # v[q, p] = G[q, p - q]; % K: a valid index
 

@@ -372,6 +372,18 @@ def test_complete_row_has_det_one_and_a_reduced_mod_c(c, d):
     assert 0 <= g.a < c
 
 
+@pytest.mark.parametrize("C", [1, 2, 3, 40, 80])
+def test_class_tops_are_the_completed_rows(C):
+    # the one extended Euclid over every class against a `complete_row`
+    # call per class
+    c0, d0, _ = reduced_classes(C)
+    a0, b0 = group.class_tops(C)
+    rows = [complete_row(c, d).entries[:2] for c, d in zip(c0.tolist(), d0.tolist())]
+    assert list(zip(a0.tolist(), b0.tolist())) == rows
+    assert a0.dtype == b0.dtype == np.int64
+    assert not (a0.flags.writeable or b0.flags.writeable)
+
+
 def test_complete_row_rejects_what_has_no_completion():
     assert complete_row(1, 0) == S
     for c, d in ((0, 1), (-3, 1), (4, 2)):

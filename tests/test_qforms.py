@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -45,6 +46,19 @@ def test_delta_coefficients():
     assert d.coeffs[4] == -1472
     assert all(isinstance(c, int) for c in d.coeffs)  # exact divisibility by 1728
     assert d.is_cusp
+
+
+def test_default_length_is_one_cache_entry(monkeypatch):
+    # delta_q() and delta_q(DEFAULT_N) are one build, and so are
+    # eisenstein_q(k) and eisenstein_q(k, DEFAULT_N): a cusp basis built
+    # after delta_q() builds Delta no second time
+    assert qf.delta_q() is qf.delta_q(qf.DEFAULT_N) is qf.delta_q(N=qf.DEFAULT_N)
+    assert qf.eisenstein_q(4) is qf.eisenstein_q(4, qf.DEFAULT_N)
+    fresh = functools.lru_cache(qf._delta_q.__wrapped__)
+    monkeypatch.setattr(qf, "_delta_q", fresh)
+    qf.delta_q()
+    qf.cusp_basis(16)
+    assert fresh.cache_info().misses == 1
 
 
 def test_delta_hecke_multiplicativity():

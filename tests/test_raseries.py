@@ -723,21 +723,13 @@ def test_lambda_table_is_the_period_table():
         table.values[0, 0] = 0.0
 
 
-def _count_complete_rows(monkeypatch):
-    """Record every `complete_row` call, with the class top rows built
-    afresh on first use (the period table and the coset table share them)."""
-    calls = []
-    complete_row = group.complete_row
-
-    def counted(c, d):
-        calls.append((c, d))
-        return complete_row(c, d)
-
-    monkeypatch.setattr(group, "complete_row", counted)
+def _fresh_class_tops(monkeypatch):
+    """A fresh cache of the class top rows, shared by the period table and
+    the coset table: its misses count the builds."""
     fresh = functools.lru_cache(group.class_tops.__wrapped__)
     for module in (group, per):
         monkeypatch.setattr(module, "class_tops", fresh)
-    return calls
+    return fresh
 
 
 def test_phi_builds_no_top_rows(monkeypatch):
@@ -745,15 +737,13 @@ def test_phi_builds_no_top_rows(monkeypatch):
     # may read the class top rows (the Euclid parents of the period table)
     # but builds no coset top rows
     C, D = 6, 61
-    calls = _count_complete_rows(monkeypatch)
+    tops = _fresh_class_tops(monkeypatch)
     ra.phi(DELTA, W, "+", 2j, ra.TruncationParams(C, D))
     assert "tops" not in vars(group.cosets(C, D))
     ra.poincare(1, 12, 2j, ra.TruncationParams(C, D))
     assert "tops" in vars(group.cosets(C, D))
-    # one row per reduced class (c, d mod c), in the class table's order,
-    # over both calls
-    c0, d0, _ = group.reduced_classes(C)
-    assert calls == list(zip(c0.tolist(), d0.tolist()))
+    # the class top rows are built once for C, over both calls
+    assert tops.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("C, D, classes", [(40, 400, 490), (80, 800, 1966)])
@@ -763,9 +753,11 @@ def test_top_rows_are_the_completed_rows(monkeypatch, C, D, classes):
     rows = [group.complete_row(c, d) for c, d in zip(data.cs.tolist(), data.ds.tolist())]
     assert a.tolist() == [g.a for g in rows]
     assert b.tolist() == [g.b for g in rows]
-    calls = _count_complete_rows(monkeypatch)
-    group.cosets.__wrapped__(C, D).tops  # a fresh table, so its top rows are built here
-    assert len(calls) == classes
+    tops = _fresh_class_tops(monkeypatch)
+    fresh = group.cosets.__wrapped__(C, D).tops  # a fresh table, so its top rows are built here
+    assert all(np.array_equal(x, y) for x, y in zip(fresh, (a, b)))
+    # one build of the top rows of every class
+    assert tops.cache_info().misses == 1 and tops(C)[0].size == classes
 
 
 def test_coset_sum_reduction_within_floor():
@@ -1072,6 +1064,22 @@ def test_warm_series_allocate_under_one_coset_array(form):
                 finally:
                     tracemalloc.stop()
                 assert peak < 16 * n
+
+
+def test_closed_form_pass_allocates_at_most_4_mib():
+    # with the tables built, one coset pass of the closed form allocates its
+    # (k-1) x block buffers once, not fresh term arrays per block
+    f, t, z = qf.cusp_basis(16)[0], ra.TruncationParams(80, 800), 0.3 + 1.2j
+    w = BiWeight(12, 12)
+    ra.phi(f, w, "+", z, t)  # the coset table, the workspace and the period tables
+    per.reduced_periods(f, t.C).values
+    tracemalloc.start()
+    try:
+        ra._closed_form_sums(f, w, t, z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 @pytest.mark.parametrize("w", [BiWeight(10, 10), BiWeight(11, 9), BiWeight(8, 12)], ids=str)
