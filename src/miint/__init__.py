@@ -37,6 +37,7 @@ from .periods import (
     period_from_Lvalues,
     period_poly,
     period_poly_base,
+    period_polys,
     twisted_L,
 )
 from .raseries import (

@@ -215,17 +215,17 @@ def binomials(m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _binomial_terms(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The l-sum of `binomial_matrix` at [i, j, l]: the coefficient
-    C(j, l) C(m-j, i-l), zero out of range, and where a^l, b^(j-l), c^(i-l),
-    d^(m-j-i+l) sit in the power table (the 0th power where it is zero)."""
+def _binomial_terms(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The terms of the l-sum of `binomial_matrix` that are not zero: their
+    flat positions in [i, j, l], l <= i, j and i - l <= m - j, the
+    coefficients C(j, l) C(m-j, i-l) there, and where a^l, b^(j-l), c^(i-l),
+    d^(m-j-i+l) sit in the power table."""
     i, j, l = np.ogrid[: m + 1, : m + 1, : m + 1]
-    live = (l <= j) & (l <= i) & (i - l <= m - j)
-    exps = np.stack(np.broadcast_arrays(l, j - l, i - l, m - j - i + l))
+    live = np.flatnonzero((l <= j) & (l <= i) & (i - l <= m - j))
+    i, j, l = np.unravel_index(live, (m + 1,) * 3)
     table = binomials(m)
-    coef = np.where(live, table[j, l] * table[m - j, np.clip(i - l, 0, m)], 0.0)
-    pos = np.where(live, exps, 0) + (m + 1) * np.arange(4).reshape(4, 1, 1, 1)
-    return coef, pos
+    pos = np.stack([l, j - l, i - l, m - j - i + l]) + (m + 1) * np.arange(4)[:, None]
+    return live, table[j, l] * table[m - j, i - l], pos
 
 
 def binomial_matrix(a, b, c, d, m: int) -> np.ndarray:
@@ -237,11 +237,13 @@ def binomial_matrix(a, b, c, d, m: int) -> np.ndarray:
     (X - z)^j (X - conj z)^(m-j) are each one such matrix; the slashes of
     one polynomial by many matrices are `slash_rows`, and a Taylor shift is
     `taylor_shift`."""
-    coef, pos = _binomial_terms(m)
+    live, coef, pos = _binomial_terms(m)
     # powers 0..m of a, b, c, d at [entry, power], by running products
     steps = np.array([[1, a], [1, b], [1, c], [1, d]], dtype=np.complex128)
     pows = np.cumprod(np.repeat(steps, [1, m], axis=1), axis=1)
-    return (coef * pows.ravel()[pos].prod(axis=0)).sum(axis=-1)
+    terms = np.zeros((m + 1,) * 3, dtype=np.complex128)  # +0 where a term is zero
+    terms.flat[live] = coef * pows.ravel()[pos].prod(axis=0)
+    return terms.sum(axis=-1)
 
 
 @lru_cache(maxsize=None)

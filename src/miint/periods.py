@@ -9,8 +9,8 @@ from the Eichler integral at the fixed point i of S; every other period
 polynomial is a sum of slashes of r(S) down the Euclid chain of g (Manin's
 continued-fraction reduction), r(T^q S g') = r(S)|g' + r(g'), so no
 evaluation ever happens at small imaginary part.  The slashes of r(S) are
-rows of one batched `group.slash_rows` call: one per chain in
-`period_poly`, and one over every class in `reduced_periods`, which then
+rows of one batched `group.slash_rows` call: one over every chain of a
+batch in `period_polys`, and one over every class in `reduced_periods`, which then
 adds each class's Euclid parent row level by level in c.
 """
 
@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -106,10 +107,13 @@ def eichler_F(f: QExpansion, z: complex, sign: str = "+") -> PolyC:
     if not f.is_cusp:
         raise ValueError("Eichler integrals require a cusp form")
     minus = _minus(sign)
-    z = admissible_z(z, q_series=True)
-    Y = _exps(np.arange(1, f.N + 1), z) @ _eichler_kernel(f)
-    P = PolyC(shift_matrix(z, f.k - 2) @ Y)
-    return P.conjugate() if minus else P
+    return PolyC(_eichler(f, admissible_z(z, q_series=True), minus))
+
+
+def _eichler(f: QExpansion, z: complex, minus: bool) -> np.ndarray:
+    """The coefficients of `eichler_F` at a validated z, as a fresh array."""
+    P = shift_matrix(z, f.k - 2) @ (_exps(np.arange(1, f.N + 1), z) @ _eichler_kernel(f))
+    return np.conjugate(P, out=P) if minus else P
 
 
 def period_poly_base(f: QExpansion, g: GroupElement, sign: str = "+", z0: complex = 1j) -> PolyC:
@@ -131,18 +135,22 @@ def _anchor(f: QExpansion) -> np.ndarray:
 
 
 def period_poly(f: QExpansion, g: GroupElement, sign: str = "+") -> PolyC:
-    """Period polynomial for arbitrary g: peel g = T^q S g' down its Euclid
-    chain, r(g) = r(S)|g' + r(g') with r(T) = 0, slash r(S) by every g' of
-    the chain in one `slash_rows` call, and sum the rows innermost first;
-    the minus one is the conjugate of the plus one."""
-    minus = _minus(sign)
-    r_S = _anchor(f)
-    chain = np.array([h for _, h in euclid_chain(g)], dtype=np.float64).reshape(-1, 4)
-    acc = np.zeros_like(r_S)
-    for row in slash_rows(r_S, *chain.T)[::-1]:
-        acc = acc + row
-    P = PolyC(acc)
-    return P.conjugate() if minus else P
+    """Period polynomial for arbitrary g: `period_polys` of g alone."""
+    return period_polys(f, [g], sign)[0]
+
+
+def period_polys(f: QExpansion, gs, sign: str = "+") -> list[PolyC]:
+    """Period polynomials of every g in `gs`: peel g = T^q S g' down its
+    Euclid chain, r(g) = r(S)|g' + r(g') with r(T) = 0, slash r(S) by every
+    g' of every chain in one `slash_rows` call (a row has the same bits in
+    any batch), and sum each element's rows innermost first from zero; the
+    minus one is the conjugate of the plus one."""
+    minus, r_S = _minus(sign), _anchor(f)
+    chains = [[h for _, h in euclid_chain(g)] for g in gs]
+    flat = np.array([h for chain in chains for h in chain], dtype=np.float64).reshape(-1, 4)
+    rows, ends = slash_rows(r_S, *flat.T), list(accumulate(map(len, chains), initial=0))
+    sums = (reduce(np.add, rows[i:j][::-1], np.zeros_like(r_S)) for i, j in zip(ends, ends[1:]))
+    return [PolyC(np.conj(acc) if minus else acc) for acc in sums]
 
 
 @dataclass(frozen=True)

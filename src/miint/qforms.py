@@ -70,10 +70,10 @@ class QExpansion:
     def __mul__(self, other):
         if isinstance(other, QExpansion):
             n = min(self.N, other.N)
-            prod = [
-                sum(self.coeffs[i] * other.coeffs[m - i] for i in range(m + 1))
-                for m in range(n + 1)
-            ]
+            a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
+            if all(type(c) is int for c in a + b):
+                return QExpansion(self.k + other.k, _kronecker_product(a, b))
+            prod = [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(n + 1)]
             return QExpansion(self.k + other.k, tuple(prod))
         return QExpansion(self.k, tuple(c * other for c in self.coeffs))
 
@@ -100,6 +100,25 @@ class QExpansion:
             if e:  # a higher bit is left
                 base = base * base
         return QExpansion(0, (1,) + (0,) * self.N) if out is None else out
+
+
+def _kronecker_product(a: tuple, b: tuple) -> tuple:
+    """The first n = len(a) coefficients of the product of two integer series
+    of length n, exactly, by Kronecker substitution: each packed into one int
+    in digits of nb bytes, 2^(8 nb - 1) above every product coefficient's
+    magnitude, one multiplication, and the low n digits read back with
+    2^(8 nb - 1) added to each, so that none borrows, then subtracted."""
+    n = len(a)
+    nb = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + n.bit_length() + 8) // 8
+
+    def pack(cs):  # the nonnegative digits and the negative ones apart
+        pos, neg = (b"".join(max(s * c, 0).to_bytes(nb, "little") for c in cs) for s in (1, -1))
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+    half = 1 << (8 * nb - 1)
+    low = pack(a) * pack(b) + int.from_bytes(half.to_bytes(nb, "little") * n, "little")
+    raw = (low & ((1 << 8 * nb * n) - 1)).to_bytes(nb * n, "little")  # a mask, not a division
+    return tuple(int.from_bytes(raw[i : i + nb], "little") - half for i in range(0, nb * n, nb))
 
 
 def eisenstein_q(k: int, N: int = DEFAULT_N) -> QExpansion:

@@ -70,7 +70,7 @@ from .group import (
     reduced_classes,
     taylor_shift,
 )
-from .periods import _EPS, _minus, eichler_F, i_power, reduced_periods
+from .periods import _EPS, _eichler, _minus, eichler_F, i_power, reduced_periods
 from .qforms import QExpansion, admissible_z, eval_tail_bound
 
 #: default number of trapezoidal nodes in `fourier_coefficient`
@@ -93,15 +93,17 @@ class TruncationParams:
         if self.C < 1 or self.D < 1:
             raise ValueError("C and D must be >= 1")
 
-    def validate_at(self, z: complex) -> None:
-        """Every coset series is evaluated at a finite z in the upper
-        half-plane, inside a rectangle wide enough for its real part."""
-        z = admissible_z(z)
+    def validate_at(self, z: complex, q_series: bool = False) -> complex:
+        """z as a complex, once it is a finite point of the upper half-plane
+        (with `q_series`, at or above the q-series floor) inside a rectangle
+        wide enough for its real part: every coset series is evaluated there."""
+        z = admissible_z(z, q_series)
         need = 4 * self.C * (abs(z.real) + 1.0)
         if self.D < need:
             raise ValueError(
                 f"d-cutoff too small at x = {z.real}: need D >= {need}, got {self.D}"
             )
+        return z
 
     def scaled(self, factor: int) -> "TruncationParams":
         return TruncationParams(self.C * factor, self.D * factor)
@@ -137,13 +139,17 @@ class _Workspace:
     coset rows `cs` and `ds`; and of shape (2, n_H), a row for the cosets
     and one for their mirrors, the weights `w`, the magnitudes `mag` and
     `spare`, the binary powering's square, whose first 2 n_H floats
-    (`flat`) take cs x and |j|^2's second term."""
+    (`flat`) take cs x and |j|^2's second term; and the tail's constants,
+    the table's `shells`, `band`, `parts` (slices) and `blocks`."""
 
     def __init__(self, C: int, D: int):
         data = cosets(C, D)
         n = data.cs.size
         self.key = (C, D)
         self.fixed = int(np.flatnonzero(data.ds == 0)[0])  # (1, 0), its own mirror
+        self.shells, self.band, (c0, c1, c2) = data.shells, data.band, data.cuts
+        self.parts = (slice(None), slice(c0, c2), slice(c1, None))
+        self.blocks = (slice(0, c0), slice(c0, c1), slice(c1, c2), slice(c2, None))
         self.cs = data.cs.astype(np.float64)
         self.ds = data.ds.astype(np.float64)
         self.mag = np.empty((2, n))
@@ -166,13 +172,11 @@ def _workspace(C: int, D: int) -> _Workspace:
 
 
 def _jarray(t: TruncationParams, z: complex) -> np.ndarray:
-    """j(gamma, z) over the cosets, after validating z, as the workspace
-    view `w`: cz + d in row 0 and the mirrors' cz - d in row 1.  Its parts
-    are cs x +- ds and cs y from the float coset rows, bitwise the complex
-    cs z +- ds; cs x goes through `flat`, as a strided write is slower than
-    a contiguous one."""
-    t.validate_at(z)
-    z = complex(z)
+    """j(gamma, z) over the cosets at a validated z, as the workspace view
+    `w`: cz + d in row 0 and the mirrors' cz - d in row 1 (at conj z, their
+    conjugates jbar).  Its parts are cs x +- ds and cs y from the float
+    coset rows, bitwise the complex cs z +- ds; cs x goes through `flat`, as
+    a strided write is slower than a contiguous one."""
     ws = _workspace(t.C, t.D)
     j = ws.w
     cx = np.multiply(ws.cs, z.real, out=ws.flat[0])
@@ -185,30 +189,31 @@ def _jarray(t: TruncationParams, z: complex) -> np.ndarray:
 def _ipow(base: np.ndarray, e: int, power: np.ndarray, square: np.ndarray) -> np.ndarray:
     """base ** e for an integer e >= 1, elementwise by binary powering
     through the buffers `square` and `power`, each updated in place (`power`
-    may be `base` itself, which it then overwrites).  The result is `power`,
-    or `square` when e is a power of two.  Complex products commute with
-    conjugation, so _ipow(conj b, e) = conj _ipow(b, e) exactly."""
-    square[...], started = base, False
+    may be `base` itself, which it then overwrites).  The result is `base`
+    when e = 1, `square` when e is a higher power of two, else `power`.
+    Complex products commute with conjugation, so
+    _ipow(conj b, e) = conj _ipow(b, e) exactly."""
+    factor, started = base, False
     while True:
         if e & 1:
             if started:
-                power *= square
+                power *= factor
             elif e == 1:
-                return square  # no higher bit is left: the square is the last factor
+                return factor  # no higher bit is left: the last factor
             else:
-                power[...], started = square, True
+                power[...], started = factor, True
         e >>= 1
         if not e:
             return power
-        square *= square
+        factor = np.multiply(factor, factor, out=square)
 
 
-@np.errstate(all="ignore")  # an overflow makes the coset sum raise
 def _automorphy(ws: _Workspace, j: np.ndarray, r: int, s: int) -> np.ndarray:
-    """j^(-r) jbar^(-s) in place of j, both rows, the mirror of (1, 0) zero:
-    rho^(-max(r, s)), rho = |j|^2, in `mag`, times jbar^|r-s|, conjugated
-    when s > r, so the weights of (s, r) are the exact conjugates of those
-    of (r, s).  For r = s they are real, `mag` itself."""
+    """j^(-r) jbar^(-s) in place of `j`, both rows, the mirror of (1, 0)
+    zero, from j when s >= r and from jbar when r > s: rho^(-max(r, s)),
+    rho = |j|^2, in `mag`, times the given array to the power |r-s|, so the
+    weights of (s, r) are the exact conjugates of those of (r, s).  For r = s
+    they are real, `mag` itself."""
     scale = np.square(j.real, out=ws.mag)
     scale += np.square(j.imag, out=ws.flat)
     np.power(scale, -max(r, s), out=scale)
@@ -216,19 +221,17 @@ def _automorphy(ws: _Workspace, j: np.ndarray, r: int, s: int) -> np.ndarray:
     if r == s:
         j.real, j.imag = scale, 0.0
         return j
-    np.multiply(_ipow(j, abs(r - s), j, ws.spare), scale, out=j)
-    return np.conjugate(j, out=j) if r > s else j  # jbar^|r-s| = conj j^|r-s|
+    return np.multiply(_ipow(j, abs(r - s), j, ws.spare), scale, out=j)
 
 
 @np.errstate(all="ignore")  # an overflow makes the coset sum raise
 def _rs_weights(
     t: TruncationParams, z: complex, w: BiWeight
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The weights j^(-r) jbar^(-s) of both rows and their summed
-    magnitudes, as the workspace views `w` and `mag[0]`."""
-    j = _jarray(t, z)
-    ws = _workspace(t.C, t.D)
-    wts = _automorphy(ws, j, w.r, w.s)
+    """The weights j^(-r) jbar^(-s) of both rows at a validated z and their
+    summed magnitudes, as the workspace views `w` and `mag[0]`."""
+    ws = _workspace(t.C, t.D)  # for r > s from jbar, the j array at conj z
+    wts = _automorphy(ws, _jarray(t, z.conjugate() if w.r > w.s else z), w.r, w.s)
     mag = ws.mag if w.r == w.s else np.abs(wts, out=ws.mag)
     mag[0] += mag[1]
     return wts, mag[0]
@@ -238,25 +241,29 @@ def _rs_weights(
 def _holo_weights(
     t: TruncationParams, z: complex, n: int, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The weights e(n gz) j^(-k) of both rows, gz read off the top rows,
-    (-a, b) for a mirror, and their summed magnitudes, as the workspace
-    views `w` and `mag[0]`: the weights of E_{k,0} times e(n gz), the same
-    bits at n = 0.  e(n gz) is a fresh array, as `spare` holds the
+    """The weights e(n gz) j^(-k) of both rows at a validated z, gz read off
+    the top rows, (-a, b) for a mirror, and their summed magnitudes, as the
+    workspace views `w` and `mag[0]`: the weights of E_{k,0} times e(n gz),
+    the same bits at n = 0.  e(n gz) is a fresh array, as `spare` holds the
     powering's square."""
     j = _jarray(t, z)
     ws = _workspace(t.C, t.D)
     a, b = cosets(t.C, t.D).tops
     gz = np.empty_like(j)
-    np.multiply(a, complex(z), out=gz[0])
+    np.multiply(a, z, out=gz[0])
     np.subtract(b, gz[0], out=gz[1])
     gz[0] += b
     gz /= j
     np.exp(np.multiply(2j * np.pi * n, gz, out=gz), out=gz)
-    wts = _automorphy(ws, j, k, 0)
+    wts = _automorphy(ws, np.conjugate(j, out=j), k, 0)
     wts *= gz
     mag = np.abs(wts, out=ws.mag)
     mag[0] += mag[1]
     return wts, mag[0]
+
+
+#: the diagonal (-1)^(i+1), i = 1..K, of M, built once per K
+_mirror_signs = lru_cache(maxsize=None)(lambda K: (-1.0) ** np.arange(1, K + 1))
 
 
 @np.errstate(all="ignore")  # an overflow raises PrecisionError below
@@ -292,45 +299,31 @@ def _coset_sum(
     over each pairwise, a table weighs it against `Rmag` = |R| in one pass,
     a matrix-vector product per block between the `cuts`.
     """
-    data = cosets(t.C, t.D)
+    ws = _workspace(t.C, t.D)
     if R is None:
         value = w.sum()
-        parts = (slice(None), slice(data.cuts[0], data.cuts[2]), slice(data.cuts[1], None))
-        total, outer, shell = (wmag[sl].sum() for sl in parts)
+        total, outer, shell = (float(wmag[sl].sum()) for sl in ws.parts)
     else:
         row = w[0] if minus else w[1]
         np.conjugate(row, out=row)
-        value = R @ w[0] + np.conj(R @ w[1]) * (-1.0) ** np.arange(1, R.shape[0] + 1)
+        value = R @ w[0] + np.conj(R @ w[1]) * _mirror_signs(R.shape[0])
         value = value.conj() if minus else value
-        e = (0, *data.cuts, wmag.size)
-        b0, b1, b2, b3 = (Rmag[:, lo:hi] @ wmag[lo:hi] for lo, hi in zip(e, e[1:]))
+        b0, b1, b2, b3 = (Rmag[:, sl] @ wmag[sl] for sl in ws.blocks)
         outer, shell, total = b1 + b2, b2 + b3, b1 + b2 + b0 + b3
     if identity is not None:
         value = identity + value
     C, D, x = t.C, t.D, complex(z).real
-    ctail = 2.0 * (shell / data.shells) * C / (w0 - 2.0)
-    dtail = 2.0 * outer * max(D - C * abs(x), 1.0) / (data.band * (w0 - 1.0))
-    extra = 1.0 if identity is not None else 0.0
-    tail = float(np.max(ctail + dtail)) + 16.0 * _EPS * (float(np.max(total)) + extra)
-    if not (math.isfinite(tail) and np.isfinite(value).all()):
+    ctail = 2.0 * (shell / ws.shells) * C / (w0 - 2.0)
+    dtail = 2.0 * outer * max(D - C * abs(x), 1.0) / (ws.band * (w0 - 1.0))
+    peak = ctail + dtail
+    if R is None:  # the tail in Python floats, in the same order of operations
+        finite = cmath.isfinite(value)
+    else:  # a tail per coefficient: the largest
+        peak, total, finite = float(peak.max()), float(total.max()), np.isfinite(value).all()
+    tail = peak + 16.0 * _EPS * (total + (1.0 if identity is not None else 0.0))
+    if not (math.isfinite(tail) and finite):
         raise PrecisionError(f"the coset sum at z = {complex(z)} is not finite in float64")
     return value, tail
-
-
-def _period_sum(
-    hform: QExpansion,
-    sign: str,
-    t: TruncationParams,
-    z: complex,
-    wts: np.ndarray,
-    wmag: np.ndarray,
-    w0: float,
-) -> tuple[PolyC, float]:
-    """The second-order coset sum of the sign's period table against `wts`,
-    of magnitudes `wmag`; the kernel conjugates one row of `wts` in place."""
-    R, Rmag = _period_tables(hform, t.C, t.D)
-    value, tail = _coset_sum(t, z, wts, wmag, w0, R, Rmag, minus=_minus(sign))
-    return PolyC(value, hform.k - 2), tail
 
 
 def eisenstein_rs(
@@ -340,6 +333,7 @@ def eisenstein_rs(
     j(g,z)^(-r) j(g, conj z)^(-s), identity coset contributing 1."""
     if w.r + w.s <= 2:
         raise ConvergenceError(f"weights ({w.r},{w.s}) diverge: r + s must exceed 2")
+    z = t.validate_at(z)
     return SeriesValue(*_coset_sum(t, z, *_rs_weights(t, z, w), w.r + w.s, identity=1.0))
 
 
@@ -362,8 +356,10 @@ def psi_series(
     """Second-order series sum over B\\Gamma of r(gamma; X) j^(-r) jbar^(-s);
     the identity coset contributes nothing."""
     _check_psi(hform, w)
+    z, tables = t.validate_at(z), _period_tables(hform, t.C, t.D)
     w0 = w.r + w.s - hform.k + 2
-    return SeriesValue(*_period_sum(hform, sign, t, z, *_rs_weights(t, z, w), w0))
+    value, tail = _coset_sum(t, z, *_rs_weights(t, z, w), w0, *tables, minus=_minus(sign))
+    return SeriesValue(PolyC(value), tail)
 
 
 def phi(
@@ -374,18 +370,20 @@ def phi(
     t: TruncationParams = TruncationParams(),
 ) -> SeriesValue:
     """Invariant series sum over B\\Gamma of the slashed Eichler integral,
-    assembled as psi + F * E; psi and E share one set of coset weights and
-    their magnitudes, E summed first as the table sum conjugates one row of
-    the weights in place."""
+    assembled as psi + F * E from zero, as a sum of polynomials (so a -0.0
+    of psi reads +0.0); psi and E share one set of coset weights and their
+    magnitudes, E summed first as the table sum conjugates one row of the
+    weights in place."""
     _check_psi(hform, w)
-    z = admissible_z(z, q_series=True)  # F's floor, before any coset sum
+    z = t.validate_at(z, q_series=True)  # F's floor, before any coset sum
     wts, wmag = _rs_weights(t, z, w)
     ev, etail = _coset_sum(t, z, wts, wmag, w.r + w.s, identity=1.0)
-    psiv, ptail = _period_sum(hform, sign, t, z, wts, wmag, w.r + w.s - hform.k + 2)
-    F = eichler_F(hform, z, sign)
+    tables, minus, w0 = _period_tables(hform, t.C, t.D), _minus(sign), w.r + w.s - hform.k + 2
+    psiv, ptail = _coset_sum(t, z, wts, wmag, w0, *tables, minus=minus)
+    F = _eichler(hform, z, minus)
     ftail = eval_tail_bound(hform, z.imag) / (2 * math.pi)
-    tail = ptail + F.norm_inf() * etail + abs(ev) * ftail
-    return SeriesValue(psiv + F * ev, tail)
+    tail = ptail + float(np.abs(F).max()) * etail + abs(ev) * ftail
+    return SeriesValue(PolyC(np.zeros_like(psiv) + psiv + F * ev), tail)
 
 
 def coeff_basis(z: complex, m: int) -> np.ndarray:
@@ -494,8 +492,7 @@ def closed_form_phi(
     _minus(sign)
     if w.r + w.s <= hform.k:
         raise ConvergenceError(f"needs r + s > k = {hform.k}")
-    z = admissible_z(z, q_series=True)  # F's floor, before any coset sum
-    t.validate_at(z)
+    z = t.validate_at(z, q_series=True)  # F's floor, before any coset sum
     return _closed_form_phi(hform, w, sign, z, t)
 
 
@@ -562,7 +559,8 @@ def poincare(
         raise ConvergenceError("Poincare series needs even k >= 4")
     if n < 0:
         raise ValueError("n must be >= 0")
-    identity = cmath.exp(2j * math.pi * n * complex(z))
+    z = t.validate_at(z)
+    identity = cmath.exp(2j * math.pi * n * z)
     return SeriesValue(*_coset_sum(t, z, *_holo_weights(t, z, n, k), k, identity=identity))
 
 
@@ -581,4 +579,7 @@ def second_order_G(
         raise ConvergenceError(f"need even k > k1 = {k1} > 2, got k = {k}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    return SeriesValue(*_period_sum(hform, sign, t, z, *_holo_weights(t, z, n, k), k - k1 + 2))
+    z, tables = t.validate_at(z), _period_tables(hform, t.C, t.D)
+    w0 = k - k1 + 2
+    value, tail = _coset_sum(t, z, *_holo_weights(t, z, n, k), w0, *tables, minus=_minus(sign))
+    return SeriesValue(PolyC(value), tail)

@@ -68,6 +68,11 @@ def test_criterion_06_phi_invariance():
     elapsed = time.time() - t0
     _report("criterion 6: phi invariance and self-convergence", results)
     assert elapsed < 300.0
+    # at a near-critical weight off the axis the truncation moves phi: the
+    # line reads a nonzero residual, well inside the C=40 value's tail
+    conv = results[-1]
+    assert conv.name == "phi self-convergence C: 40 -> 80, (8,6) at 0.3+1.2i"
+    assert 1e-4 * conv.tolerance < conv.residual < 1e-2 * conv.tolerance
 
 
 def test_criterion_07_differential_identities():
@@ -76,6 +81,12 @@ def test_criterion_07_differential_identities():
     elapsed = time.time() - t0
     _report("criterion 7: key differential identities", results)
     assert elapsed < 300.0
+    # the refinement line is the ratio of the two stencils' residuals, held
+    # to 1/2: a second-order stencil at h/2 reads about a quarter
+    (ratio,) = [res for res in results if res.name.startswith("identity residual ratio")]
+    fine, coarse = ratio.details["fine"], ratio.details["coarse"]
+    assert ratio.residual == max(fine.values()) / max(coarse.values())
+    assert ratio.tolerance == 0.5 and 0.05 < ratio.residual < 0.5
 
 
 def test_criterion_08_closed_form_cross_check():

@@ -23,6 +23,7 @@ from miint.group import (
     act_rs,
     act_tensor,
     binomial_matrix,
+    binomials,
     complete_row,
     cosets,
     enumerate_cosets,
@@ -160,6 +161,38 @@ def test_binomial_matrix_matches_exact_expansion(a, b, c, d, m):
     for j, col in enumerate(_expand_exact(a, b, c, d, m)):
         err = max(abs(complex(M[i, j]) - col[i]) for i in range(m + 1))
         assert err <= 1e-13 * max(abs(x) for x in col)
+
+
+def _dense_l_sum(a, b, c, d, m):
+    """The l-sum of `binomial_matrix` over the full [i, j, l] cube: every
+    term the product ((a^l b^(j-l)) c^(i-l)) d^(m-j-i+l) times its binomial
+    coefficients, the powers' 0th where the term is out of range, so the
+    coefficient 0 makes it +0."""
+    i, j, l = np.ogrid[: m + 1, : m + 1, : m + 1]
+    live = (l <= j) & (l <= i) & (i - l <= m - j)
+    exps = np.where(live, np.stack(np.broadcast_arrays(l, j - l, i - l, m - j - i + l)), 0)
+    table = binomials(m)
+    coef = np.where(live, table[j, l] * table[m - j, np.clip(i - l, 0, m)], 0.0)
+    steps = np.array([[1, a], [1, b], [1, c], [1, d]], dtype=np.complex128)
+    pows = np.cumprod(np.repeat(steps, [1, m], axis=1), axis=1)
+    return (coef * pows[np.arange(4).reshape(4, 1, 1, 1), exps].prod(axis=0)).sum(axis=-1)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 10, 14, 22])
+def test_binomial_matrix_sums_only_its_nonzero_terms_bitwise(m):
+    # against the dense cube, as uint64 bit patterns, so that the signs of
+    # zeros count: the basis change of coeff_decompose on and off the axis,
+    # the basis of the coefficients, integer matrices with zero entries
+    rng = np.random.default_rng(m)
+    args = [(0, -1, 1, 0), (1, 1, 0, 1), (0, 0, 0, 0), (3, -2, 0, 5)]
+    for x in (0.0, -0.0, 0.3, -1.7):
+        z = complex(x, 1.37)
+        args += [(-z.conjugate(), z, -1, 1), (1, -z, 1, -z.conjugate())]
+    args += [tuple(rng.integers(-9, 10, 4).tolist()) for _ in range(8)]
+    args += [tuple(rng.standard_normal(4) + 1j * rng.standard_normal(4)) for _ in range(8)]
+    for a, b, c, d in args:
+        got = binomial_matrix(a, b, c, d, m)
+        assert got.view(np.uint64).tolist() == _dense_l_sum(a, b, c, d, m).view(np.uint64).tolist()
 
 
 @pytest.mark.parametrize("m", [0, 2, 10, 14])

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from miint.errors import ConvergenceError
+from miint import checks
 from miint import periods as per
 from miint import qforms as qf
 from miint.group import (
@@ -20,7 +21,9 @@ from miint.group import (
     T_pow,
     act_poly,
     complete_row,
+    euclid_chain,
     reduced_classes,
+    slash_rows,
 )
 
 DELTA = qf.delta_q(120)
@@ -543,3 +546,53 @@ def test_table_rows_equal_their_euclid_chains(f):
     for (c, d), r in zip(_class_rows(80), table.periods):
         g = S if (c, d) == (1, 0) else complete_row(c, d)
         assert np.array_equal(r, per.period_poly(f, g).coeffs)
+
+
+def _chain_sum(f, g, sign):
+    """The single-element route: g's Euclid chain slashed in its own
+    `slash_rows` call, its rows summed innermost first from zero, conjugated
+    for '-'."""
+    chain = np.array([h for _, h in euclid_chain(g)], dtype=np.float64).reshape(-1, 4)
+    acc = np.zeros(f.k - 1, dtype=np.complex128)
+    for row in slash_rows(per._anchor(f), *chain.T)[::-1]:
+        acc = acc + row
+    return np.conj(acc) if sign == "-" else acc
+
+
+@pytest.mark.parametrize("sign", "+-")
+def test_a_batch_of_period_polynomials_is_each_element_alone_bitwise(sign):
+    # the cocycle suite's 150 elements (g d, g and d of 50 random word pairs)
+    # and four with short or empty chains, as uint64 bit patterns, so that the
+    # signs of zeros count
+    rng = random.Random(checks.SEED)
+    pairs = [(checks._random_word(rng, 8), checks._random_word(rng, 8)) for _ in range(50)]
+    gs = [h for g, d in pairs for h in (g * d, g, d)] + [IDENTITY, T, T_pow(5), S]
+    batch = per.period_polys(DELTA, gs, sign)
+    assert len(batch) == len(gs)
+    for g, P in zip(gs, batch):
+        ref = _chain_sum(DELTA, g, sign).view(np.uint64)
+        assert P.coeffs.view(np.uint64).tolist() == ref.tolist()
+        assert per.period_poly(DELTA, g, sign).coeffs.view(np.uint64).tolist() == ref.tolist()
+    # a batch of empty chains only ('-' conjugates the zeros too), and an
+    # empty batch
+    empty = [IDENTITY, T_pow(-3)]
+    for g, P in zip(empty, per.period_polys(DELTA, empty, sign)):
+        ref = _chain_sum(DELTA, g, sign).view(np.uint64)
+        assert P.coeffs.view(np.uint64).tolist() == ref.tolist()
+        assert not P.coeffs.any()
+    assert per.period_polys(DELTA, [], sign) == []
+
+
+def test_the_cocycle_suite_slashes_once(monkeypatch):
+    # every period polynomial of the suite comes from one batched call
+    calls = []
+    slash = per.slash_rows
+
+    def counted(*args):
+        calls.append(args)
+        return slash(*args)
+
+    monkeypatch.setattr(per, "slash_rows", counted)
+    results = checks.suite_cocycle()
+    assert all(res.passed for res in results)
+    assert len(calls) == 1

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from miint.errors import PrecisionError
 from miint import iterated as it
@@ -129,6 +131,35 @@ def test_ring_structure_associativity_exact():
     rhs = e4 * (e6 * d)
     assert lhs.coeffs == rhs.coeffs
     assert lhs.k == 22
+
+
+def _schoolbook(a, b):
+    n = min(len(a), len(b))
+    return tuple(sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(n))
+
+
+_int_series = st.lists(st.integers(-(2**200), 2**200), min_size=1, max_size=200).map(tuple)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(_int_series, _int_series)
+def test_integer_products_are_the_schoolbook_sum(a, b):
+    # the Kronecker product equals the schoolbook sum entry for entry, every
+    # entry a Python int
+    got = (qf.QExpansion(0, a) * qf.QExpansion(2, b)).coeffs
+    assert got == _schoolbook(a, b)
+    assert all(type(c) is int for c in got)
+
+
+def test_rational_products_keep_the_schoolbook_sum():
+    # a series with Fraction entries keeps today's sum and its types: a
+    # Fraction wherever a Fraction term enters, an int elsewhere
+    e12, d = qf.eisenstein_q(12, 30), qf.delta_q(30)
+    assert any(isinstance(c, Fraction) for c in e12.coeffs)
+    for a, b in ((e12.coeffs, d.coeffs), (d.coeffs, e12.coeffs), (e12.coeffs, e12.coeffs)):
+        got = (qf.QExpansion(12, a) * qf.QExpansion(12, b)).coeffs
+        ref = _schoolbook(a, b)
+        assert got == ref and [type(c) for c in got] == [type(c) for c in ref]
 
 
 def test_powers_are_repeated_products():

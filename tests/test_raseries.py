@@ -931,6 +931,47 @@ def test_coset_sum_matches_the_full_term_array(C, x):
     assert pn.tail_estimate == _mask_tail(t, z, holo, 12, identity=identity)
 
 
+def _u64(x):
+    """The float64 bit patterns of a float, a complex or an array of them."""
+    return np.array(x).reshape(-1).view(np.uint64).tolist()
+
+
+@functools.lru_cache(maxsize=2)
+def _sweep_table(form):
+    """A form and its full period table at the sweep's rectangle, C=40, D=400."""
+    f = DELTA if form == "delta" else qf.cusp_basis(16)[0]
+    return f, _full_table(ra._period_tables(f, 40, 400)[0], group.cosets(40, 400))
+
+
+@pytest.mark.parametrize("dr, ds", [(3, 5), (5, 3), (4, 4), (2, 6)])
+@pytest.mark.parametrize("form", ["delta", "s16"])
+def test_the_point_path_bit_for_bit_at_the_sweep_rectangle(form, dr, ds):
+    # as uint64 bit patterns, so that the signs of zeros count, at weights
+    # (k/2 + dr, k/2 + ds), both signs, on the axis (exact zeros) and off it:
+    # E and psi against the full term array ('-': the conjugate of the sum
+    # over the conjugate weights, whose exact zeros read -0.0), phi against
+    # psi + F E assembled as polynomials (from zero, so +0.0) and its tail
+    # against its parts
+    (f, R), t = _sweep_table(form), T40
+    data, w = group.cosets(t.C, t.D), BiWeight(f.k // 2 + dr, f.k // 2 + ds)
+    w0 = w.r + w.s - f.k + 2
+    for z in (1.37j, complex(0.3, 1.37)):
+        rs = _full_weights(ra._rs_weights(t, z, w)[0], data)
+        ev = ra.eisenstein_rs(w, z, t)
+        assert _u64(ev.value) == _u64(1.0 + _fold(rs, data).sum())
+        assert _u64(ev.tail_estimate) == _u64(_mask_tail(t, z, rs, w.r + w.s, identity=1.0))
+        ftail = qf.eval_tail_bound(f, z.imag) / (2 * math.pi)
+        for sign, table in (("+", R), ("-", R.conj())):
+            psi = ra.psi_series(f, w, sign, z, t)
+            ref = _table_sum(R, rs, data) if sign == "+" else _table_sum(R, rs.conj(), data).conj()
+            assert _u64(psi.value.coeffs) == _u64(ref)
+            _assert_table_tail(psi.tail_estimate, _mask_tail(t, z, table * rs, w0))
+            F, got = per.eichler_F(f, z, sign), ra.phi(f, w, sign, z, t)
+            assert _u64(got.value.coeffs) == _u64((psi.value + F * ev.value).coeffs)
+            tail = psi.tail_estimate + F.norm_inf() * ev.tail_estimate + abs(ev.value) * ftail
+            assert _u64(got.tail_estimate) == _u64(tail)
+
+
 @pytest.mark.parametrize("C, D", [(3, 5), (8, 16)])
 def test_coset_sum_when_the_d_band_covers_every_d(C, D):
     # D <= 2C lies outside what `validate_at` admits, so the kernel is called
@@ -1013,12 +1054,15 @@ def test_ipow_is_conjugate_exact_and_accurate():
 @pytest.mark.parametrize("C", [1, 7, 40])
 def test_jbar_is_the_conjugate_of_j(C):
     # cs conj(z) + ds has the real part of cs z + ds and its imaginary part
-    # negated exactly, so the closed form builds j-bar by conjugation; and it
+    # negated exactly, so the closed form builds j-bar by conjugation, and
+    # the r > s weights take it as the j array at conj z; and the closed form
     # forms j = cs z + ds per block from the workspace's float coset rows,
     # bitwise the array of `_jarray`
     t, data = ra.TruncationParams(C, 10 * C), group.cosets(C, 10 * C)
     for z in (2j, 0.3 + 1.5j, -0.45 + 1.1j):
+        jbar = ra._jarray(t, z.conjugate()).copy()
         j = ra._jarray(t, z)
+        assert jbar.view(np.uint64).tolist() == j.conj().view(np.uint64).tolist()
         ws = ra._workspace(t.C, t.D)
         # row 0 the cosets (c, d), row 1 their mirrors (c, -d)
         for row, sgn in ((j[0], 1.0), (j[1], -1.0)):
