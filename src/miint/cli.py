@@ -153,7 +153,7 @@ def build_parser() -> _Parser:
     p.add_argument("--s", type=int, required=True, dest="lvalue_s", metavar="S")
     p.add_argument("--p", type=int, default=0)
     p.add_argument("--q", type=int, default=1)
-    p.add_argument("--method", choices=("auto", "series", "extract"), default="auto")
+    p.add_argument("--method", choices=("series", "extract"), default="series")
 
     p = add_parser("eisenstein", "C", "D", help="real-analytic Eisenstein series value")
     p.add_argument("--r", type=int, default=None)
@@ -259,23 +259,14 @@ def _cmd_period(ns, cfg: RunConfig) -> int:
 
 def _cmd_lvalue(ns, cfg: RunConfig) -> int:
     f = resolve_form(cfg.form, cfg.N)
-    method = periods._lvalue_method(f, ns.lvalue_s, ns.method)
-    val = periods.twisted_L(f, ns.lvalue_s, ns.p, ns.q, method=method)
-    if method == "series" and ns.lvalue_s >= f.k:
-        err = None  # extraction covers s in 1..k-1: no second route
-    elif method == "series":
-        err = abs(val - periods.twisted_L(f, ns.lvalue_s, ns.p, ns.q, method="extract"))
-    else:
-        g = periods.complete_row(ns.q, -(ns.p % ns.q))
-        err = periods.period_error_estimate(f, g)
+    s, p, q = ns.lvalue_s, ns.p, ns.q
+    val = periods.twisted_L(f, s, p, q, method=ns.method)
+    err = None  # extraction covers s in 1..k-1: no second route past it
+    if s <= f.k - 1:
+        other = "extract" if ns.method == "series" else "series"
+        err = abs(val - periods.twisted_L(f, s, p, q, method=other))
     _emit(
-        {
-            "value": _cnum(val),
-            "s": ns.lvalue_s,
-            "twist": [ns.p, ns.q],
-            "method": method,
-            "error_estimate": err,
-        },
+        {"value": _cnum(val), "s": s, "twist": [p, q], "method": ns.method, "error_estimate": err},
         cfg,
     )
     return EXIT_OK

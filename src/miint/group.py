@@ -20,6 +20,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .errors import PrecisionError
+
 #: point at infinity on the boundary of the upper half-plane
 INFINITY = object()
 
@@ -228,6 +230,17 @@ def _binomial_terms(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return live, table[j, l] * table[m - j, i - l], pos
 
 
+_LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
+
+
+def _check_powers(a, b, c, d, m: int) -> None:
+    """Raise PrecisionError where (|a| + |b|)^j (|c| + |d|)^(m-j), which
+    bounds every coefficient of (aX + b)^j (cX + d)^(m-j) and every running
+    power that builds them, may overflow float64: one scalar test."""
+    if m * math.log(max(abs(a) + abs(b), abs(c) + abs(d), 1.0)) > _LOG_FLOAT_MAX:
+        raise PrecisionError(f"degree-{m} powers of ({a}, {b}; {c}, {d}) overflow float64")
+
+
 def binomial_matrix(a, b, c, d, m: int) -> np.ndarray:
     """Matrix whose entry [i, j] is the coefficient of X^i in
     (aX + b)^j (cX + d)^(m-j): the closed sum over l of
@@ -237,6 +250,7 @@ def binomial_matrix(a, b, c, d, m: int) -> np.ndarray:
     (X - z)^j (X - conj z)^(m-j) are each one such matrix; the slashes of
     one polynomial by many matrices are `slash_rows`, and a Taylor shift is
     `taylor_shift`."""
+    _check_powers(a, b, c, d, m)
     live, coef, pos = _binomial_terms(m)
     # powers 0..m of a, b, c, d at [entry, power], by running products
     steps = np.array([[1, a], [1, b], [1, c], [1, d]], dtype=np.complex128)
@@ -256,6 +270,7 @@ def _shift_terms(m: int) -> tuple[np.ndarray, np.ndarray]:
 def shift_matrix(z: complex, m: int) -> np.ndarray:
     """[i, j] = C(j, i) (-z)^(j-i), from the basis (X - z)^j to monomials:
     bitwise `binomial_matrix(1, -z, 0, 1, m)`, from one running power row."""
+    _check_powers(1, -z, 0, 1, m)
     coef, pos = _shift_terms(m)
     return coef * np.cumprod(np.repeat(np.array([1, -z], dtype=np.complex128), [1, m]))[pos]
 

@@ -16,6 +16,7 @@ adds each class's Euclid parent row level by level in c.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
@@ -23,7 +24,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import PrecisionError
 from .group import (
     GroupElement,
     PolyC,
@@ -44,6 +45,7 @@ from .qforms import QExpansion, admissible_z, coeff_array, eval_form_anywhere, e
 
 TWO_PI = 2.0 * math.pi
 _EPS = float(np.finfo(np.float64).eps)
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 
@@ -235,35 +237,22 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, 2 / ((1 - x * x) * dp * dp)
 
 
-def series_convergent(f: QExpansion, s: int) -> bool:
-    """Absolute convergence range of the Dirichlet series under the divisor
-    bound |a(n)| <= d(n) n^((k-1)/2)."""
-    return s > (f.k + 1) / 2
-
-
-def _lvalue_method(f: QExpansion, s: int, method: str) -> str:
-    """`method`, with 'auto' read as the series route where the Dirichlet
-    series converges absolutely and as extraction below it."""
-    if method != "auto":
-        return method
-    return "series" if series_convergent(f, s) else "extract"
-
-
 def twisted_L(
     f: QExpansion,
     s: int,
     p: int,
     q: int = 1,
-    method: str = "auto",
+    method: str = "series",
 ) -> complex:
     """Completed additively twisted L-value
     Lambda_f(s, p/q) = Gamma(s) (2 pi)^(-s) sum_n a(n) e^(2 pi i n p/q) / n^s.
 
-    The 'series' method evaluates the equivalent vertical-line integral
-    int_0^inf f(p/q + ix) x^(s-1) dx by panel Gauss-Legendre quadrature plus
-    an incomplete-gamma tail; it is only admitted in the absolute-convergence
-    range s > (k+1)/2.  The 'extract' method reads the value off a period
-    polynomial and works for every s in 1..k-1.
+    The 'series' method, the default, evaluates the equivalent vertical-line
+    integral int_0^inf f(p/q + ix) x^(s-1) dx by panel Gauss-Legendre
+    quadrature plus an incomplete-gamma tail.  A cusp form decays at every
+    cusp, so the integral converges for every s >= 1; where it overflows
+    float64 (a large s) it raises PrecisionError.  The 'extract' method reads
+    the value off a period polynomial and covers s in 1..k-1.
     """
     if not f.is_cusp:
         raise ValueError("twisted L-values require a cusp form")
@@ -272,18 +261,13 @@ def twisted_L(
     if q < 1 or math.gcd(p, q) != 1:
         raise ValueError("need q >= 1 and gcd(p, q) = 1")
     p = p % q if q > 1 else 0
-    method = _lvalue_method(f, s, method)
-    if method == "extract":
-        if not 1 <= s <= f.k - 1:
-            raise ValueError("extraction is defined for s in 1..k-1")
-        return _lambda_by_extraction(f, s, p, q)
-    if method != "series":
+    if method == "series":
+        return _lambda_by_integral(f, s, p, q)
+    if method != "extract":
         raise ValueError(f"unknown method {method!r}")
-    if not series_convergent(f, s):
-        raise ConvergenceError(
-            f"series method needs s > (k+1)/2 = {(f.k + 1) / 2}, got s = {s}"
-        )
-    return _lambda_by_integral(f, s, p, q)
+    if not 1 <= s <= f.k - 1:
+        raise ValueError("extraction is defined for s in 1..k-1")
+    return _lambda_by_extraction(f, s, p, q)
 
 
 def _lambda_by_integral(f: QExpansion, s: int, p: int, q: int) -> complex:
@@ -294,8 +278,11 @@ def _lambda_by_integral(f: QExpansion, s: int, p: int, q: int) -> complex:
     # at once, Gamma(s, u) = (s-1)! e^-u sum_{t<s} u^t/t! by running products
     u = TWO_PI * np.arange(1, f.N + 1)
     steps = np.column_stack([np.ones_like(u), np.divide.outer(u, np.arange(1, s))])
-    gamma = math.factorial(s - 1) * np.exp(-u) * np.cumprod(steps, axis=1).sum(axis=1)
-    tail = np.sum(coeff_array(f)[1:] * np.exp(1j * x0 * u) * gamma / u**s)
+    fact = math.factorial(s - 1)
+    fact = fact if fact <= _FLOAT_MAX else math.inf  # past float64; a large s is checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma = fact * np.exp(-u) * np.cumprod(steps, axis=1).sum(axis=1)
+        tail = np.sum(coeff_array(f)[1:] * np.exp(1j * x0 * u) * gamma / u**s)
     # [x_lo, 1] by geometric panels; integrand analytic, GL converges fast
     edges = [1e-5 / (q * q)]
     while edges[-1] < 1.0:
@@ -306,7 +293,10 @@ def _lambda_by_integral(f: QExpansion, s: int, p: int, q: int) -> complex:
     x = 0.5 * (hi + lo) + half * nodes  # [panel, node]
     total = np.sum(weights * half * eval_form_anywhere(f, x0 + 1j * x) * x ** (s - 1))
     # [0, x_lo] is neglected: cusp decay (q x)^(-k) e^(-2 pi/(q^2 x)) collapses it
-    return complex(total + tail)
+    value = complex(total + tail)
+    if not cmath.isfinite(value):
+        raise PrecisionError(f"Lambda_f({s}, {p}/{q}) is not finite in float64")
+    return value
 
 
 @lru_cache(maxsize=None)

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 
 import numpy as np
@@ -76,30 +77,49 @@ def test_parse_gamma_round_trip(word):
 
 
 def test_lvalue_method_tag(capsys):
-    code, out, _ = run_cli(capsys, "lvalue", "--s", "7")
+    # the default is the series route at every s, and --method is echoed
+    for s in ("7", "3"):
+        code, out, _ = run_cli(capsys, "lvalue", "--s", s)
+        assert code == 0
+        assert json.loads(out)["method"] == "series"
+    code, out, _ = run_cli(capsys, "lvalue", "--s", "3", "--method", "extract")
     assert code == 0
-    payload = json.loads(out)
-    assert payload["method"] == "series"
-    code, out, _ = run_cli(capsys, "lvalue", "--s", "3")
     assert json.loads(out)["method"] == "extract"
 
 
 @pytest.mark.parametrize("form", ["delta", "s16"])
 def test_lvalue_auto_reports_the_route_twisted_L_takes(capsys, form):
-    # the series route exactly where the Dirichlet series converges absolutely
+    # the series route at every s; below k its error estimate is the
+    # distance to extraction, the other route
     f = cli.resolve_form(form, 120)
     for s in range(1, 14):
         payload = json.loads(run_cli(capsys, "lvalue", "--form", form, "--s", str(s))[1])
-        assert payload["method"] == ("series" if s > (f.k + 1) / 2 else "extract")
+        assert payload["method"] == "series"
         val = per.twisted_L(f, s, 0, 1)
         assert payload["value"] == [val.real, val.imag]
-        assert val == per.twisted_L(f, s, 0, 1, method=payload["method"])
+        assert val == per.twisted_L(f, s, 0, 1, method="series")
+        if s <= f.k - 1:
+            extract = per.twisted_L(f, s, 0, 1, method="extract")
+            assert payload["error_estimate"] == abs(val - extract)
+        else:
+            assert payload["error_estimate"] is None
 
 
 def test_lvalue_precision_exit(capsys):
-    code, _, err = run_cli(capsys, "lvalue", "--s", "3", "--method", "series")
+    # the series value overflows float64 at a large s
+    code, out, err = run_cli(capsys, "lvalue", "--s", "200")
     assert code == 2
-    assert "convergence" in err
+    assert out == ""
+    assert "precision" in err
+
+
+def test_lvalue_at_a_large_s_matches_the_gamma_oracle(capsys):
+    # Lambda_Delta(s, 0) = Gamma(s) (2 pi)^-s (1 - 24 2^-s + ...), and
+    # 252 3^-s is below the last bit at s = 120
+    payload = _payload(capsys, "lvalue", "--s", "120")
+    oracle = math.factorial(119) / (2 * math.pi) ** 120 * (1 - 24 * 2.0**-120)
+    assert payload["error_estimate"] is None
+    assert abs(complex(*payload["value"]) - oracle) <= 1e-13 * oracle
 
 
 @pytest.mark.parametrize(
@@ -337,6 +357,14 @@ def test_dim_table_starts_at_weight_six(capsys):
         ["eisenstein", "--z", "0", "1e-160"],
         ["eisenstein", "--r", "11", "--s", "9", "--z", "0", "1e-16"],
         ["phi", "--z", "0", "1e-320"],
+        # a Lambda value past float64, and powers of z past it above the floor
+        ["lvalue", "--s", "171"],
+        ["lvalue", "--s", "200"],
+        ["phi", "--z", "0", "1e31"],
+        ["phi", "--form", "s16", "--r", "12", "--s", "12", "--z", "0", "1e25"],
+        ["iterated", "--depth", "2", "--z", "0", "1e31"],
+        ["iterated", "--depth", "3", "--z", "0", "1e31"],
+        ["fourier", "--psi", "--l", "1", "--y", "1e300"],
     ],
     ids=" ".join,
 )

@@ -15,7 +15,7 @@ T40 = ra.TruncationParams()
 
 def test_weight16_lvalue_dual_route():
     worst = 0.0
-    for s in range(9, 16):
+    for s in range(1, 16):
         a = per.twisted_L(F16, s, 0, 1, method="series")
         b = per.twisted_L(F16, s, 0, 1, method="extract")
         worst = max(worst, abs(a - b) / abs(b))

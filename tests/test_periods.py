@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from miint.errors import ConvergenceError
 from miint import checks
 from miint import periods as per
 from miint import qforms as qf
@@ -330,7 +329,7 @@ def test_conjugation_intertwining_exact():
 
 def test_twisted_L_dual_route():
     worst = 0.0
-    for s in range(7, 12):
+    for s in range(1, 12):
         a = per.twisted_L(DELTA, s, 0, 1, method="series")
         b = per.twisted_L(DELTA, s, 0, 1, method="extract")
         worst = max(worst, abs(a - b) / abs(b))
@@ -338,10 +337,11 @@ def test_twisted_L_dual_route():
 
 
 def test_twisted_L_general_twists_dual_route():
-    for s, p, q in [(7, 1, 2), (9, 1, 3), (11, 2, 3)]:
-        a = per.twisted_L(DELTA, s, p, q, method="series")
-        b = per.twisted_L(DELTA, s, p, q, method="extract")
-        assert abs(a - b) / abs(b) <= 1e-7
+    for s in range(1, 12):
+        for p, q in [(1, 2), (1, 3), (2, 3)]:
+            a = per.twisted_L(DELTA, s, p, q, method="series")
+            b = per.twisted_L(DELTA, s, p, q, method="extract")
+            assert abs(a - b) / abs(b) <= 1e-7
 
 
 def _scalar_anywhere(f, z):
@@ -394,10 +394,10 @@ def _scalar_lambdas(f, ss, p, q):
 @pytest.mark.parametrize("form", ["delta", "s16"])
 @pytest.mark.parametrize("p, q", [(0, 1), (1, 3), (2, 5), (-1, 7)])
 def test_series_L_values_match_the_scalar_quadrature(monkeypatch, form, p, q):
-    # every convergent s in 1..k-1; the array route evaluates the form in
-    # one call over all nodes of all panels
+    # every s in 1..k-1; the array route evaluates the form in one call over
+    # all nodes of all panels
     f = DELTA if form == "delta" else qf.cusp_basis(16)[0]
-    ss = [s for s in range(1, f.k) if per.series_convergent(f, s)]
+    ss = list(range(1, f.k))
     ref = _scalar_lambdas(f, ss, p % q, q)
     calls, anywhere = [], per.eval_form_anywhere
     monkeypatch.setattr(per, "eval_form_anywhere", lambda g, z: calls.append(z) or anywhere(g, z))
@@ -418,18 +418,21 @@ def test_twisted_L_conjugation_symmetry():
 
 
 def test_twisted_L_series_range_enforced():
-    with pytest.raises(ConvergenceError):
-        per.twisted_L(DELTA, 3, 0, 1, method="series")
+    # the vertical-line integral converges for every s >= 1, below the
+    # Dirichlet series' range too: at s = 3 it agrees with extraction
+    series = per.twisted_L(DELTA, 3, 0, 1, method="series")
+    assert per.twisted_L(DELTA, 3, 0, 1) == series
+    extract = per.twisted_L(DELTA, 3, 0, 1, method="extract")
+    assert abs(series - extract) <= 1e-13 * abs(extract)
     with pytest.raises(ValueError):
         per.twisted_L(DELTA, 7, 2, 4)  # gcd != 1
-    # below the series range the auto method extracts
-    v = per.twisted_L(DELTA, 3, 0, 1)
-    assert abs(v) > 0
+    with pytest.raises(ValueError, match="unknown method"):
+        per.twisted_L(DELTA, 3, 0, 1, method="auto")
 
 
 def test_twisted_L_rejects_a_non_cusp_form():
     # the constant term a(0) of E_4 has no place in the Dirichlet series
-    for method in ("auto", "series", "extract"):
+    for method in ("series", "extract"):
         with pytest.raises(ValueError, match="cusp form"):
             per.twisted_L(qf.eisenstein_q(4), 5, 0, 1, method=method)
 
@@ -461,11 +464,14 @@ def test_lambda_table_incomplete_raises():
 
 
 def test_lambda_table_vs_integral_route():
-    table = per.reduced_periods(DELTA, 5)
-    for c, d, s in [(5, 1, 7), (4, 1, 8), (3, 2, 11)]:
-        tab = table.value(s, c, d)
-        direct = per.twisted_L(DELTA, s, (-d) % c, c, method="series")
-        assert abs(tab - direct) / abs(direct) <= 1e-7
+    # every class with c <= 6 at every s = 1..k-1 against the vertical-line
+    # integral, which shares with the table's Euclid-chain walk only the
+    # form's coefficients; relative to each class's largest value
+    for f in (DELTA, qf.cusp_basis(16)[0]):
+        vals = per.reduced_periods(f, 6).values
+        for i, (c, d0) in enumerate(_class_rows(6)):
+            direct = np.array([per.twisted_L(f, s, -d0, c, method="series") for s in range(1, f.k)])
+            assert np.abs(vals[:, i] - direct).max() <= 1e-12 * np.abs(direct).max()
 
 
 def _convexity_ratios(qmax):
