@@ -27,6 +27,7 @@ from .group import (
     T_pow,
     act_poly,
     act_tensor,
+    reduced_classes,
 )
 from .raseries import TruncationParams
 
@@ -158,13 +159,9 @@ def suite_cocycle() -> list[CheckResult]:
 
 def suite_lvalue_dualroute() -> list[CheckResult]:
     f = _delta()
-    out = []
-    worst = 0.0
-    for s in range(7, 12):
-        series = periods.twisted_L(f, s, 0, 1, method="series")
-        extract = periods.twisted_L(f, s, 0, 1, method="extract")
-        worst = max(worst, abs(series - extract) / abs(extract))
-    out.append(_result("Lambda(s, 0) series vs extraction, s = 7..11", worst, 1e-7))
+    series, extract = periods._lambdas_by_integral(f, 0, 1, f.k - 1), periods._lambdas_by_extraction(f, 0, 1)
+    worst = np.max(np.abs(series - extract) / np.abs(extract))
+    out = [_result("Lambda(s, 0) series vs extraction, s = 1..11", worst, 1e-7)]
 
     table = periods.reduced_periods(f, 2)
     worst = 0.0
@@ -176,6 +173,31 @@ def suite_lvalue_dualroute() -> list[CheckResult]:
         scale = max(1.0, direct.norm_inf())
         worst = max(worst, (direct - rebuilt).norm_inf() / scale)
     out.append(_result("period_from_Lvalues vs period_poly, c <= 2", worst, 1e-6))
+    return out
+
+
+def suite_classes() -> list[CheckResult]:
+    """The period table's L-values of every reduced class with c <= 12, at
+    every s = 1..k-1, against the vertical-line integral, which shares with
+    the table's Euclid-chain walk only the form's coefficients.  A class's
+    residual is its largest difference over s relative to its largest value
+    (|Lambda| falls across s, so a ratio per value would follow the smallest
+    one); a line reports the worst class.  Its tolerance is the extraction's
+    roundoff budget: 32 eps times the worst shift condition, the Taylor
+    shift of |row| to the cusp |-d0/c| over the class's largest value."""
+    c, d0, _ = reduced_classes(12)
+    out = []
+    for label, f in (("Delta", _delta()), ("weight 16", qforms.cusp_basis(16)[0])):
+        table = periods.reduced_periods(f, 12)
+        rows = zip(c.tolist(), d0.tolist())
+        direct = np.column_stack([periods._lambdas_by_integral(f, -d, q, f.k - 1) for q, d in rows])
+        scale = np.abs(table.values).max(axis=0)
+        res = np.abs(table.values - direct).max(axis=0) / scale
+        shifted = periods._lambdas_from_period(np.abs(table.periods.T), d0 / c, f.k)
+        tol = 32 * periods._EPS * (np.abs(shifted).max(axis=0) / scale).max()
+        i = int(res.argmax())
+        name = f"Lambda table vs integral, every class c <= 12, s = 1..{f.k - 1}, {label}"
+        out.append(_result(name, res[i], tol, worst_class=(int(c[i]), int(d0[i]))))
     return out
 
 
@@ -450,6 +472,7 @@ SUITES = {
     "vvdim": lambda: suite_vvdim_dims() + suite_vvdim_rep() + suite_vvdim_recurrence(),
     "cocycle": suite_cocycle,
     "dualroute": lambda: suite_lvalue_dualroute() + suite_coeff_closed_form(),
+    "classes": suite_classes,
     "invariance": suite_invariance,
     "keypr": suite_phi_identities,
     "coeffs": suite_coeffs_identity,

@@ -45,7 +45,6 @@ from .qforms import QExpansion, admissible_z, coeff_array, eval_form_anywhere, e
 
 TWO_PI = 2.0 * math.pi
 _EPS = float(np.finfo(np.float64).eps)
-_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 
@@ -247,12 +246,11 @@ def twisted_L(
     """Completed additively twisted L-value
     Lambda_f(s, p/q) = Gamma(s) (2 pi)^(-s) sum_n a(n) e^(2 pi i n p/q) / n^s.
 
-    The 'series' method, the default, evaluates the equivalent vertical-line
-    integral int_0^inf f(p/q + ix) x^(s-1) dx by panel Gauss-Legendre
-    quadrature plus an incomplete-gamma tail.  A cusp form decays at every
-    cusp, so the integral converges for every s >= 1; where it overflows
-    float64 (a large s) it raises PrecisionError.  The 'extract' method reads
-    the value off a period polynomial and covers s in 1..k-1.
+    Either method computes the twist's values from s = 1 in one pass and
+    returns entry s - 1.  The 'series' method, the default, integrates
+    f(p/q + ix) x^(s-1) over x > 0, which converges for every s >= 1; a value
+    past float64 (Delta's past s = 260) raises PrecisionError.  The 'extract'
+    method reads the k - 1 values off a period polynomial.
     """
     if not f.is_cusp:
         raise ValueError("twisted L-values require a cusp form")
@@ -261,28 +259,29 @@ def twisted_L(
     if q < 1 or math.gcd(p, q) != 1:
         raise ValueError("need q >= 1 and gcd(p, q) = 1")
     p = p % q if q > 1 else 0
-    if method == "series":
-        return _lambda_by_integral(f, s, p, q)
-    if method != "extract":
+    if method not in ("series", "extract"):
         raise ValueError(f"unknown method {method!r}")
-    if not 1 <= s <= f.k - 1:
+    if method == "extract" and not 1 <= s <= f.k - 1:
         raise ValueError("extraction is defined for s in 1..k-1")
-    return _lambda_by_extraction(f, s, p, q)
+    vals = _lambdas_by_integral(f, p, q, s) if method == "series" else _lambdas_by_extraction(f, p, q)[:s]
+    value = complex(vals[-1])  # entry s - 1, or the first past float64
+    if not cmath.isfinite(value):
+        raise PrecisionError(f"Lambda_f({s}, {p}/{q}) is not finite in float64")
+    return value
 
 
-def _lambda_by_integral(f: QExpansion, s: int, p: int, q: int) -> complex:
-    """int_0^inf f(p/q + ix) x^(s-1) dx: the form evaluated once at every
-    node of every panel, plus the termwise tail over [1, inf)."""
+@np.errstate(over="ignore", invalid="ignore")  # a value past float64 ends the pass
+def _lambdas_by_integral(f: QExpansion, p: int, q: int, n: int) -> np.ndarray:
+    """int_0^inf f(p/q + ix) x^(s-1) dx at [s - 1] for s = 1..n, the same
+    bits for any n >= s, cut after the first value past float64 (every later
+    one is past it too): f once at every panel node, x^(s-1) by running
+    products, and the tail over [1, inf)."""
     x0 = p / q
-    # tail over [1, inf): a(n) e(n x0) Gamma(s, u) / u^s at u = 2 pi n, every n
-    # at once, Gamma(s, u) = (s-1)! e^-u sum_{t<s} u^t/t! by running products
-    u = TWO_PI * np.arange(1, f.N + 1)
-    steps = np.column_stack([np.ones_like(u), np.divide.outer(u, np.arange(1, s))])
-    fact = math.factorial(s - 1)
-    fact = fact if fact <= _FLOAT_MAX else math.inf  # past float64; a large s is checked below
-    with np.errstate(over="ignore", invalid="ignore"):
-        gamma = fact * np.exp(-u) * np.cumprod(steps, axis=1).sum(axis=1)
-        tail = np.sum(coeff_array(f)[1:] * np.exp(1j * x0 * u) * gamma / u**s)
+    # tail over [1, inf): sum_m a(m) e(m x0) T_s(u), u = 2 pi m, over a(m) != 0,
+    # T_s(u) = Gamma(s, u) / u^s by T_1 = e^-u / u, T_(s+1) = (s T_s + e^-u) / u
+    a = coeff_array(f)[1:]
+    u = TWO_PI * (np.flatnonzero(a) + 1)
+    coef, decay, tail = a[a != 0] * np.exp(1j * x0 * u), np.exp(-u), np.exp(-u) / u
     # [x_lo, 1] by geometric panels; integrand analytic, GL converges fast
     edges = [1e-5 / (q * q)]
     while edges[-1] < 1.0:
@@ -291,12 +290,16 @@ def _lambda_by_integral(f: QExpansion, s: int, p: int, q: int) -> complex:
     nodes, weights = _gauss_legendre(24)
     half = 0.5 * (hi - lo)
     x = 0.5 * (hi + lo) + half * nodes  # [panel, node]
-    total = np.sum(weights * half * eval_form_anywhere(f, x0 + 1j * x) * x ** (s - 1))
+    fx, power = weights * half * eval_form_anywhere(f, x0 + 1j * x), np.ones_like(x)
     # [0, x_lo] is neglected: cusp decay (q x)^(-k) e^(-2 pi/(q^2 x)) collapses it
-    value = complex(total + tail)
-    if not cmath.isfinite(value):
-        raise PrecisionError(f"Lambda_f({s}, {p}/{q}) is not finite in float64")
-    return value
+    values = []
+    for s in range(1, n + 1):
+        values.append(np.sum(fx * power) + np.sum(coef * tail))
+        if not cmath.isfinite(values[-1]):
+            break
+        power *= x
+        tail = (s * tail + decay) / u
+    return np.array(values)
 
 
 @lru_cache(maxsize=None)
@@ -321,11 +324,12 @@ def _lambdas_from_period(r: np.ndarray, a, k: int) -> np.ndarray:
     return (shifted[::-1].T / _lambda_scale(k)).T
 
 
-def _lambda_by_extraction(f: QExpansion, s: int, p: int, q: int) -> complex:
-    """Lambda_f(s, p/q) read off the period polynomial of the matrix with
-    bottom row (c, d) = (q, -p), which sends the cusp p/q to i*infinity."""
+def _lambdas_by_extraction(f: QExpansion, p: int, q: int) -> np.ndarray:
+    """Lambda_f(s, p/q) at [s - 1] for s = 1..k-1, read off the period
+    polynomial of the matrix with bottom row (c, d) = (q, -p), which sends
+    the cusp p/q to i*infinity."""
     g = complete_row(q, -p)  # S when q = 1, which comes with p = 0
-    return _lambdas_from_period(period_poly(f, g, "+").coeffs, p / q, f.k)[s - 1]
+    return _lambdas_from_period(period_poly(f, g, "+").coeffs, p / q, f.k)
 
 
 def period_from_Lvalues(f: QExpansion, g: GroupElement, table: ReducedPeriods) -> PolyC:

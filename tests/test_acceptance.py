@@ -119,3 +119,15 @@ def test_criterion_11_fourier_structure():
     elapsed = time.time() - t0
     _report("criterion 11: Fourier expansion structure", results)
     assert elapsed < 300.0
+
+
+def test_criterion_12_every_class_against_the_integral():
+    # every reduced class with c <= 12 at every s, for Delta and weight 16;
+    # a tolerance over a thousand times the residual would hide a defect
+    t0 = time.time()
+    results = checks.suite_classes()
+    elapsed = time.time() - t0
+    _report("criterion 12: every class's L-values against the integral", results)
+    assert len(results) == 2
+    assert all(res.residual >= 1e-3 * res.tolerance for res in results)
+    assert elapsed <= 1.0

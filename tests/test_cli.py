@@ -105,12 +105,37 @@ def test_lvalue_auto_reports_the_route_twisted_L_takes(capsys, form):
             assert payload["error_estimate"] is None
 
 
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the case
 def test_lvalue_precision_exit(capsys):
-    # the series value overflows float64 at a large s
-    code, out, err = run_cli(capsys, "lvalue", "--s", "200")
-    assert code == 2
-    assert out == ""
-    assert "precision" in err
+    # Lambda_Delta(s, 0) ~ Gamma(s) (2 pi)^-s leaves float64 at s = 261, and
+    # the pass stops there, so s = 100000 fails as fast
+    for s in ("262", "100000"):
+        code, out, err = run_cli(capsys, "lvalue", "--s", s)
+        assert code == 2
+        assert out == ""
+        assert "precision" in err and "Traceback" not in err
+
+
+def _dirichlet_oracle(f, s):
+    """Gamma(s) (2 pi)^-s sum_n a(n) n^-s to 30 digits over the form's own
+    coefficients: Lambda_f(s, 0), every term exact but the last rounding."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        total = mpmath.fsum(int(a) * mpmath.mpf(n) ** -s for n, a in enumerate(f.coeffs) if n and a)
+        return float(mpmath.gamma(s) * (2 * mpmath.pi) ** -s * total)
+
+
+@pytest.mark.parametrize(
+    "form, s", [("delta", 169), ("delta", 200), ("delta", 260), ("s24.1", 300)]
+)
+def test_lvalue_far_past_extraction_matches_the_dirichlet_sum(capsys, form, s):
+    # the tail's recurrence T_(s+1) = (s T_s + e^-u) / u reaches every s whose
+    # value float64 holds; s24.1 has a(1) = 0, so its value is finite past
+    # where the m = 1 tail term alone leaves float64
+    payload = _payload(capsys, "lvalue", "--form", form, "--s", str(s))
+    oracle = _dirichlet_oracle(cli.resolve_form(form, 120), s)
+    assert payload["value"][1] == 0.0
+    assert abs(payload["value"][0] - oracle) <= 1e-13 * abs(oracle)
 
 
 def test_lvalue_at_a_large_s_matches_the_gamma_oracle(capsys):
@@ -358,8 +383,8 @@ def test_dim_table_starts_at_weight_six(capsys):
         ["eisenstein", "--r", "11", "--s", "9", "--z", "0", "1e-16"],
         ["phi", "--z", "0", "1e-320"],
         # a Lambda value past float64, and powers of z past it above the floor
-        ["lvalue", "--s", "171"],
-        ["lvalue", "--s", "200"],
+        ["lvalue", "--s", "262"],
+        ["lvalue", "--s", "100000"],
         ["phi", "--z", "0", "1e31"],
         ["phi", "--form", "s16", "--r", "12", "--s", "12", "--z", "0", "1e25"],
         ["iterated", "--depth", "2", "--z", "0", "1e31"],

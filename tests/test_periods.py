@@ -407,6 +407,19 @@ def test_series_L_values_match_the_scalar_quadrature(monkeypatch, form, p, q):
     assert len(calls) == len(ss)
 
 
+@pytest.mark.parametrize("form", ["delta", "s16"])
+@pytest.mark.parametrize("p, q", [(0, 1), (2, 5), (6, 7)])
+def test_a_twist_s_values_come_from_one_pass(form, p, q):
+    # entry s - 1 of a twist's vector has the same bits however many s the
+    # pass covers, and twisted_L returns that entry
+    f = DELTA if form == "delta" else qf.cusp_basis(16)[0]
+    longest = per._lambdas_by_integral(f, p, q, 40)
+    assert longest.shape == (40,)
+    assert np.array_equal(per._lambdas_by_integral(f, p, q, f.k - 1), longest[: f.k - 1])
+    for s in range(1, 41):  # twisted_L reads the last entry of the pass with n = s
+        assert per.twisted_L(f, s, p, q) == longest[s - 1]
+
+
 def test_twisted_L_periodicity_exact():
     assert per.twisted_L(DELTA, 7, 1, 3) == per.twisted_L(DELTA, 7, 4, 3)
 
@@ -470,7 +483,7 @@ def test_lambda_table_vs_integral_route():
     for f in (DELTA, qf.cusp_basis(16)[0]):
         vals = per.reduced_periods(f, 6).values
         for i, (c, d0) in enumerate(_class_rows(6)):
-            direct = np.array([per.twisted_L(f, s, -d0, c, method="series") for s in range(1, f.k)])
+            direct = per._lambdas_by_integral(f, -d0 % c, c, f.k - 1)
             assert np.abs(vals[:, i] - direct).max() <= 1e-12 * np.abs(direct).max()
 
 
