@@ -14,6 +14,7 @@ outer |d| band are contiguous slices of it.  It stores the half d >= 0, and
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -205,6 +206,23 @@ def act_rs_fn(fn, g: GroupElement, w: BiWeight):
         return act_rs(fn(mobius(g, z)), g, z, w)
 
     return acted
+
+
+def memo_points(fn):
+    """fn evaluated once per distinct point: a value is kept under the bit
+    pattern of its complex point (so 0.0 and -0.0 stay apart), and a repeat
+    returns the same object, bit for bit what a second call would give.  For
+    one identity's nodes, never as a cache across calls."""
+    seen = {}
+
+    def at(z):
+        z = complex(z)
+        key = struct.pack("<2d", z.real, z.imag)
+        if key not in seen:
+            seen[key] = fn(z)
+        return seen[key]
+
+    return at
 
 
 @lru_cache(maxsize=None)

@@ -10,6 +10,7 @@ term by term; no shuffle-product machinery is needed at this depth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -23,6 +24,7 @@ from .group import (
     act_poly_matrix,
     act_tensor,
     binomials,
+    memo_points,
     mobius,
     shift_matrix,
 )
@@ -87,33 +89,54 @@ class Poly2:
         return float(np.max(np.abs(self.coeffs)))
 
 
-def _depth3_value(f1: QExpansion, f2: QExpansion, z: complex) -> Poly2:
-    """Coefficients of the depth-3 iterated integral at z.
+@lru_cache(maxsize=8)
+def _depth3_kernel(f1: QExpansion, f2: QExpansion) -> np.ndarray:
+    """Read-only K with the depth-3 integral at z equal to
+    (K @ e(Nz))[(a, b)] Y1^a Y2^b, Y = X - z, over the frequencies
+    N = 2..N1+N2: one dot product over N per coefficient, the same bits at
+    any BLAS thread count.
 
-    With w = z + u and Y = X - z, each integral from i*infinity is e(nz)
-    times ray primitives P(n, t) (`periods._ray_primitives`).  The inner
-    integral is F_2(w; X2) = sum_n a2(n) e(nw) sum_j w2[j] pi_j(u) Y2^(m2-j),
-    pi_j(u) = sum_t binom(j, t) P(n, j-t) u^t, and the outer one reduces to
-    e(Nz) P(N, tau) at the frequencies N = m + n.  The (Y1, Y2) coefficients
-    are shifted to (X1, X2) by one `shift_matrix` per variable.
+    With w = z + u, each integral from i*infinity is e(nz) times ray
+    primitives P(n, t) (`periods._ray_primitives`).  The inner integral is
+    F_2(w; X2) = sum_n a2(n) e(nw) sum_j w2[j] pi_j(u) Y2^(m2-j), with
+    pi_j(u) = sum_t binom(j, t) P(n, j-t) u^t and (u - Y)^m =
+    sum_t w[t] u^t Y^(m-t), w[t] = binom(m, t) (-1)^(m-t); the outer one
+    reduces to e(Nz) P(N, tau) at N = m + n.  So the Y1^(m1-e) Y2^(m2-j)
+    coefficient over w1[e] is sum_N e(Nz) sum_t P(N, e+t) Q[N, t, j], where
+    Q[N, t, j] = sum_n a1(N-n) a2(n) w2[j] binom(j, t) P(n, j-t) is a band
+    of a1 against the inner data: nothing but e(Nz) depends on z.
     """
     m1, m2 = f1.k - 2, f2.k - 2
     N1, N2 = f1.N, f2.N
-    a1, a2 = coeff_array(f1)[1:], coeff_array(f2)[1:]
+    a1, a2 = coeff_array(f1)[1:].real, coeff_array(f2)[1:].real
     P = _ray_primitives(N1 + N2, m1 + m2)
-    # (u - Y)^m = sum_t binom(m, t) (-1)^(m-t) u^t Y^(m-t)
     w1, w2 = (binomials(m)[m] * (-1.0) ** (m - np.arange(m + 1)) for m in (m1, m2))
-    # J[n-1, tau] = sum_m a1(m) e((m+n) z) P(m+n, tau), windows of frequencies 2..N1+N2
-    I = _exps(np.arange(2, N1 + N2 + 1), z)[:, None] * P[1:]
-    J = sliding_window_view(I, N1, axis=0) @ a1
-    # pi[n-1, j, t]: the u^t coefficient of pi_j at frequency n (binom(j, t) = 0 for t > j)
+    # R[n-1, t, j] = a2(n) w2[j] binom(j, t) P(n, j-t) (binom(j, t) = 0 for t > j)
     pi = binomials(m2) * P[:N2, abs(np.subtract.outer(np.arange(m2 + 1), np.arange(m2 + 1)))]
-    # H[e, j] = sum_n sum_t J[n-1, e + t] a2(n) w2[j] pi[n-1, j, t]: the
-    # Y1^(m1-e) Y2^(m2-j) coefficient over w1[e]
-    R = a2[:, None, None] * w2[:, None] * pi
-    H = np.tensordot(sliding_window_view(J, m2 + 1, axis=1), R, axes=([0, 2], [0, 2]))
-    B1, B2 = (shift_matrix(z, m) for m in (m1, m2))
-    return Poly2(B1 @ (w1[:, None] * H)[::-1, ::-1] @ B2.T)
+    R = np.ascontiguousarray(((a2[:, None] * w2)[:, :, None] * pi).transpose(0, 2, 1))
+    # band[N-2, n-1] = a1(N-n): a window over a1 padded by N2 - 1 zeros each side
+    padded = np.zeros(N1 + 2 * N2 - 2)
+    padded[N2 - 1 : N2 - 1 + N1] = a1
+    band = np.ascontiguousarray(sliding_window_view(padded, N2)[:, ::-1])
+    # row N-2 of Q as one real matrix-vector product of R's float view with
+    # band row N-2 (one dot product per entry, as in K @ e(Nz))
+    RT = np.ascontiguousarray(R.reshape(N2, -1).view(np.float64).T)
+    Q = np.ascontiguousarray((RT @ band[:, :, None])[..., 0]).view(np.complex128)
+    # K[N-2, m1-e, m2-j] = w1[e] sum_t P(N, e+t) Q[N, t, j]
+    windows = w1[::-1, None] * sliding_window_view(P[1:], m2 + 1, axis=1)[:, ::-1]
+    K = windows @ Q.reshape(-1, m2 + 1, m2 + 1)[:, :, ::-1]
+    K = np.ascontiguousarray(K.reshape(len(K), -1).T)
+    K.setflags(write=False)  # cached and shared by every value of the pair
+    return K
+
+
+def _depth3_value(f1: QExpansion, f2: QExpansion, z: complex) -> Poly2:
+    """Coefficients of the depth-3 iterated integral at z: `_depth3_kernel`
+    times e(Nz) in the basis (Y1, Y2), shifted to (X1, X2) by one
+    `shift_matrix` per variable."""
+    K = _depth3_kernel(f1, f2)
+    H = (K @ _exps(np.arange(2, K.shape[1] + 2), z)).reshape(f1.k - 1, f2.k - 1)
+    return Poly2(shift_matrix(z, f1.k - 2) @ H @ shift_matrix(z, f2.k - 2).T)
 
 
 def iterated_F(data: IteratedIntegrand, z: complex):
@@ -169,13 +192,14 @@ def order_check(
     n = 3: the recursive condition; F.(g-1) lands in order-2 objects
     tensored with the inert X2 slot, so each X2-coefficient of F.(g-1),
     as a polynomial-valued function of (z, X1), must pass the order-2
-    test against the second witness.  Report-only: returns residuals,
-    never raises on failure.
+    test against the second witness.  F is evaluated once per distinct
+    point of the call (`group.memo_points`).  Report-only: returns
+    residuals, never raises on failure.
     """
     if n not in (2, 3):
         raise ValueError("order_check supports n = 2 or 3")
     weights = data.weights
-    F = lambda z: iterated_F(data, z)
+    F = memo_points(lambda z: iterated_F(data, z))
     z1, z2 = (complex(z) for z in zpair)
     report = {"n": n, "residuals": {}, "values": {}}
     if n == 2:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import BiWeight, GroupElement, act_rs, act_rs_fn, mobius
+from .group import BiWeight, GroupElement, act_rs, act_rs_fn, memo_points, mobius
 from .qforms import QExpansion, eval_form
 from .raseries import TruncationParams, coeff_basis, eisenstein_rs, phi
 
@@ -71,8 +71,12 @@ def check_equivariance(
 ) -> tuple[float, float]:
     """Residuals of the two operator identities used throughout: raising
     commutes with the slash action up to the weight shift (r,s) -> (r+1,s-1),
-    and conjugating by y^2 shifts the operator subscript by 2."""
+    and conjugating by y^2 shifts the operator subscript by 2.  fn is
+    evaluated once per distinct node of the call (`group.memo_points`): the
+    second identity's two sides share all nine, and under T the first's
+    sides share theirs, the nodes about gz being the images of those about z."""
     z = complex(z)
+    fn = memo_points(fn)
     lhs = maass_d(act_rs_fn(fn, g, w), w.r, z, scheme)
     rhs = act_rs(maass_d(fn, w.r, mobius(g, z), scheme), g, z, w.raised())
     res1 = abs(lhs - rhs)
@@ -144,13 +148,15 @@ def check_coeffs_identity(
     d_m( sum_j f_j (X-z)^j (X-cz)^(k-2-j) )
         = sum_j ( d_{m+j} f_j - (j+1) f_{j+1} ) (X-z)^j (X-cz)^(k-2-j)
 
-    with f_{k-1} = 0; both sides compared in monomial coefficients.
+    with f_{k-1} = 0; both sides compared in monomial coefficients, from
+    one evaluation of the f_j per stencil node (`group.memo_points`).
     """
     z = complex(z)
     deg = k - 2
     if len(fjs) != deg + 1:
         raise ValueError(f"need {deg + 1} coefficient functions")
 
+    @memo_points
     def values(u: complex) -> np.ndarray:
         return np.array([fj(u) for fj in fjs], dtype=np.complex128)
 

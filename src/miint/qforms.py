@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -54,10 +54,18 @@ class QExpansion:
 
     k: int
     coeffs: tuple  # Fraction or int entries, length N + 1
+    # the hash of (k, coeffs), computed on first use: every form-keyed cache
+    # would otherwise rehash N + 1 coefficients on each lookup
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k % 2 != 0 or self.k < 0:
             raise ValueError(f"weight must be even and >= 0, got {self.k}")
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.k, self.coeffs)))
+        return self._hash
 
     @property
     def N(self) -> int:

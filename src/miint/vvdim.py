@@ -1,8 +1,10 @@
 """Exact arithmetic for the symmetric-power-type representation rho and the
 dimension formulas for vector-valued and second-order form spaces.
 
-Everything here is theorem-grade: big-integer / rational arithmetic only,
-except for the complex spot-check of the sixth-root-of-unity identity.
+Everything here is theorem-grade: big-integer / rational arithmetic, and
+int64 residues modulo primes wherever a product of residues fits int64
+exactly, except for the complex spot-check of the sixth-root-of-unity
+identity.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -28,6 +30,15 @@ class RhoRep:
     k1: int
     matS: tuple[tuple[int, ...], ...]
     matT: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def st(self) -> np.ndarray:
+        """Read-only rho(S) rho(T) in Python ints, the signed row gather
+        `_times_S` of rho(T), formed once for the relations and the trace of
+        its square; ValueError, each time, for an S of another shape."""
+        st = _times_S(self.matS, _exact(self.matT))
+        st.setflags(write=False)
+        return st
 
 
 @lru_cache(maxsize=2)
@@ -61,15 +72,47 @@ def _times_S(matS: tuple[tuple[int, ...], ...], X: np.ndarray) -> np.ndarray:
     return signs[:, None] * X[nonzero.argmax(axis=1)]
 
 
+#: the 24 largest primes below 2^28: a product of two residues lies below
+#: 2^56 and a sum of 64 such products below 2^62, so an int64 matrix product
+#: of residues, reduced once, is exact for n <= 64
+_PRIMES = (
+    268435399, 268435367, 268435361, 268435337, 268435331, 268435313,
+    268435291, 268435273, 268435243, 268435183, 268435171, 268435157,
+    268435147, 268435133, 268435129, 268435121, 268435109, 268435091,
+    268435067, 268435043, 268435039, 268435033, 268435019, 268435009,
+)
+
+
+def _cube_is_identity(a: np.ndarray) -> bool:
+    """A^3 = I for an n x n array of Python ints (dtype=object), exactly.
+
+    Every entry of A^3 - I is an integer of magnitude at most
+    n^2 M^3 + 1, M = max |A|.  A^3 is formed in int64 modulo each of the
+    first primes of `_PRIMES` whose product exceeds 2 (n^2 M^3 + 1): an
+    entry that vanishes modulo each vanishes modulo their product (Chinese
+    remainder theorem), and the only multiple of that product of magnitude
+    at most n^2 M^3 + 1 is 0.  Past n = 64, or with a bound beyond the
+    product of every prime, the cube is formed in Python ints."""
+    n, M = len(a), max(map(abs, a.flat))
+    eye = np.identity(n, dtype=np.int64)
+    bound = 2 * (n * n * M**3 + 1)
+    if n > 64 or math.prod(_PRIMES) <= bound:
+        return np.array_equal(a @ a @ a, eye)
+    count = next(j for j in range(1, len(_PRIMES) + 1) if math.prod(_PRIMES[:j]) > bound)
+    p = np.array(_PRIMES[:count], dtype=np.int64)[:, None, None]
+    r = ((a.astype(np.int64) if M < 2**63 else a) % p).astype(np.int64)
+    return bool((r @ r % p @ r % p == eye).all())
+
+
 def check_relations(rep: RhoRep) -> bool:
     """S^2 = I and (S T)^3 = I, exactly; products with S are signed row
-    gathers, so an S with other than one +-1 per row fails."""
+    gathers, so an S with other than one +-1 per row fails, and the cube of
+    ST is checked by residues (`_cube_is_identity`)."""
     try:
-        ss, st = (_times_S(rep.matS, _exact(m)) for m in (rep.matS, rep.matT))
+        ss, st = _times_S(rep.matS, _exact(rep.matS)), rep.st
     except ValueError:
         return False
-    eye = np.identity(rep.k1 - 1, dtype=object)
-    return np.array_equal(ss, eye) and np.array_equal(st @ st @ st, eye)
+    return np.array_equal(ss, np.identity(rep.k1 - 1, dtype=np.int64)) and _cube_is_identity(st)
 
 
 def trace_ST(k1: int) -> int:
@@ -82,8 +125,7 @@ def trace_ST(k1: int) -> int:
 def trace_ST_squared(k1: int) -> int:
     """Exact Tr(rho(ST)^2), the sum of the elementwise product of ST and
     (ST)^t, with ST a signed row gather of T."""
-    rep = rho_matrices(k1)
-    st = _times_S(rep.matS, _exact(rep.matT))
+    st = rho_matrices(k1).st
     return int((st * st.T).sum())
 
 

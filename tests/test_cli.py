@@ -201,6 +201,11 @@ def test_check_vvdim_exit_zero(capsys):
     assert "[PASS]" in err
 
 
+def test_the_check_choices_are_the_suites():
+    # the parser lists the suites without importing them
+    assert cli.SUITE_NAMES == tuple(sorted(checks.SUITES))
+
+
 def test_raising_suite_is_a_check_failure(capsys, monkeypatch):
     def seeded():
         raise ValueError("seeded defect")

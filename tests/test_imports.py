@@ -13,15 +13,24 @@ import miint
 LAZY = ("maass", "iterated", "vvdim")
 
 
-def test_import_miint_loads_only_the_series_modules():
-    # a fresh interpreter that finds the same miint as this one
+def _loaded_by(module: str) -> set[str]:
+    """The miint modules that importing `module` loads in a fresh interpreter
+    that finds the same miint as this one."""
     path = [str(Path(miint.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    probe = "import sys, miint; print(*sorted(m for m in sys.modules if m.startswith('miint.')))"
+    probe = f"import sys, {module}; print(*sorted(m for m in sys.modules if m.startswith('miint.')))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    loaded = set(out.stdout.split())
+    return set(out.stdout.split())
+
+
+def test_import_miint_loads_only_the_series_modules():
+    loaded = _loaded_by("miint")
     assert not loaded & {f"miint.{m}" for m in (*LAZY, "checks", "cli")}
     assert {"miint.group", "miint.qforms", "miint.periods", "miint.raseries"} <= loaded
+
+
+def test_the_cli_loads_the_suites_only_to_run_them():
+    assert not _loaded_by("miint.cli") & {f"miint.{m}" for m in (*LAZY, "checks")}
 
 
 def test_lazy_names_are_the_submodules_own_objects():

@@ -56,15 +56,50 @@ def test_depth3_matches_a_quadrature_along_the_vertical_ray(pair):
     m1 = f1.k - 2
     nodes, weights = np.polynomial.legendre.leggauss(30)
     ts = (np.arange(28)[:, None] + (nodes[None, :] + 1) / 2) * 0.25
+    wts = np.tile(weights, 28) * 0.125
+    signed_binom = np.array([math.comb(m1, v) * (-1) ** v for v in range(m1 + 1)])
     for z in (1j, 0.3 + 1.1j, 1.7 + 0.8j, 2.6 + 0.9j, 5.4 + 1.0j, -31.6 + 1.1j):
-        ref = 0j
-        for t, wt in zip(ts.ravel(), np.tile(weights, 28) * 0.125):
-            w = z + 1j * t
-            x1 = np.array([math.comb(m1, v) * (-1) ** v * w ** (m1 - v) for v in range(m1 + 1)])
-            ref = ref + wt * qf.eval_form(f1, w) * np.outer(x1, per.eichler_F(f2, w).coeffs)
-        ref = -1j * ref
+        # every node at once: the weighted f1 (w - X1)^m1 rows against F_2's
+        ws = z + 1j * ts.ravel()
+        x1 = signed_binom * ws[:, None] ** np.arange(m1, -1, -1)
+        F2 = np.array([per.eichler_F(f2, w).coeffs for w in ws])
+        ref = -1j * (((wts * qf.eval_form(f1, ws))[:, None] * x1).T @ F2)
         got = it.iterated_F(it.IteratedIntegrand((f1, f2)), z).coeffs
         assert float(np.max(np.abs(got - ref))) <= 1e-13 * float(np.max(np.abs(ref)))
+
+
+def _depth3_reference(f1, f2, z):
+    """The depth-3 value by its defining sums at z, with no cached kernel:
+    J[n-1, tau] = sum_m a1(m) e((m+n) z) P(m+n, tau) over windows of the
+    frequencies 2..N1+N2, then the inner primitives pi[n-1, j, t] and one
+    contraction over (n, t), shifted from (Y1, Y2) to (X1, X2)."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    from miint.group import binomials, shift_matrix
+
+    m1, m2 = f1.k - 2, f2.k - 2
+    N1, N2 = f1.N, f2.N
+    a1, a2 = qf.coeff_array(f1)[1:], qf.coeff_array(f2)[1:]
+    P = per._ray_primitives(N1 + N2, m1 + m2)
+    w1, w2 = (binomials(m)[m] * (-1.0) ** (m - np.arange(m + 1)) for m in (m1, m2))
+    I = per._exps(np.arange(2, N1 + N2 + 1), z)[:, None] * P[1:]
+    J = sliding_window_view(I, N1, axis=0) @ a1
+    pi = binomials(m2) * P[:N2, abs(np.subtract.outer(np.arange(m2 + 1), np.arange(m2 + 1)))]
+    R = a2[:, None, None] * w2[:, None] * pi
+    H = np.tensordot(sliding_window_view(J, m2 + 1, axis=1), R, axes=([0, 2], [0, 2]))
+    B1, B2 = (shift_matrix(z, m) for m in (m1, m2))
+    return B1 @ (w1[:, None] * H)[::-1, ::-1] @ B2.T
+
+
+@pytest.mark.parametrize("pair", ["delta,delta", "delta,s16", "s16,delta"])
+def test_the_depth3_kernel_equals_the_defining_sums(pair):
+    f1, f2 = (DELTA if name == "delta" else qf.cusp_basis(16)[0] for name in pair.split(","))
+    K = it._depth3_kernel(f1, f2)
+    assert K is it._depth3_kernel(f1, f2) and not K.flags.writeable
+    for z in (1j, 0.3 + 1.1j, -0.45 + 0.8j, -31.6 + 1.1j):
+        ref = _depth3_reference(f1, f2, z)
+        got = it.iterated_F(it.IteratedIntegrand((f1, f2)), z).coeffs
+        assert float(np.max(np.abs(got - ref))) <= 1e-14 * float(np.max(np.abs(ref)))
 
 
 def test_dot_action_identity_and_composition():
@@ -113,6 +148,24 @@ def test_order3_checks_every_slot_in_one_pass(monkeypatch):
     rep = it.order_check(DATA3, 3, [(S, S * T)], (1j, 1 + 2j))
     assert max(rep["residuals"].values()) <= 1e-6
     assert len(calls) <= 10
+
+
+def test_order3_evaluates_each_distinct_point_once(monkeypatch):
+    # the suite's witnesses share z1, z2 and their S-images, and S i = i and
+    # S (ST i) = TS i = 1 + i bit for bit: 9 distinct points of the 16 visits
+    import struct
+
+    calls = []
+    iterated_F = it.iterated_F
+
+    def counted(data, z):
+        calls.append(struct.pack("<2d", z.real, z.imag))
+        return iterated_F(data, z)
+
+    monkeypatch.setattr(it, "iterated_F", counted)
+    rep = it.order_check(DATA3, 3, [(S, S * T), (S, T_pow(1) * S)], (1j, 1 + 2j))
+    assert max(rep["residuals"].values()) <= 1e-6
+    assert len(calls) == len(set(calls)) == 9
 
 
 def test_order_filtration_depth2_inside_depth3():

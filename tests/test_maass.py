@@ -159,3 +159,37 @@ def test_coeffs_suite_shares_one_stencil_pass(monkeypatch):
     results = checks.suite_coeffs_identity()
     assert all(r.passed for r in results)
     assert len(calls) <= 11
+
+
+@pytest.mark.parametrize("g", [T, S], ids=["T", "S"])
+def test_equivariance_evaluates_each_node_once(monkeypatch, g):
+    # under T the nodes about Tz are the T-images of those about z, and the
+    # y^2 identity's two sides share theirs: 18 nodes under T, and 26 under S,
+    # where S z and the centre of the stencil about Sz coincide; the residuals
+    # are bitwise those of one evaluation per visit
+    import struct
+
+    calls = []
+
+    def ers(u):
+        calls.append(struct.pack("<2d", u.real, u.imag))
+        return ra.eisenstein_rs(BiWeight(7, 7), u, T40).value
+
+    memoised = ma.check_equivariance(ers, g, BiWeight(7, 7), Z)
+    assert len(calls) == len(set(calls)) == {T: 18, S: 26}[g]
+    monkeypatch.setattr(ma, "memo_points", lambda fn: fn)
+    calls.clear()
+    assert ma.check_equivariance(ers, g, BiWeight(7, 7), Z) == memoised
+    assert len(calls) == 36
+
+
+def test_coeffs_identity_evaluates_each_node_once():
+    calls = []
+
+    def f0(u):
+        calls.append(u)
+        return complex(u).imag * cmath.exp(2j * cmath.pi * u)
+
+    res = ma.check_coeffs_identity([f0, lambda u: 1.0, lambda u: complex(u).imag], 2, 0.3 + 1.5j, 4)
+    assert res <= 1e-6
+    assert len(calls) == len(set(calls)) == 9

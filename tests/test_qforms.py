@@ -14,6 +14,26 @@ from miint import qforms as qf
 from miint import vvdim
 
 
+def test_a_form_hashes_its_coefficients_once():
+    # equal forms hash equal; a form used as a cache key hashes its N + 1
+    # coefficients on its first lookup only
+    calls = []
+
+    class Counted(tuple):
+        def __hash__(self):
+            calls.append(1)
+            return super().__hash__()
+
+    delta = qf.delta_q(40)
+    f = qf.QExpansion(12, Counted(delta.coeffs))
+    assert f == delta and hash(f) == hash(delta) == hash(qf.delta_q(40))
+    assert f != qf.QExpansion(12, delta.coeffs[:-1] + (delta.coeffs[-1] + 1,))
+    assert "_hash" not in repr(f)
+    cached = functools.lru_cache(maxsize=4)(lambda form: form.N)
+    assert [cached(f) for _ in range(5)] == [40] * 5
+    assert cached.cache_info().hits == 4 and len(calls) == 1
+
+
 def test_bernoulli_values():
     assert qf.bernoulli(2) == Fraction(1, 6)
     assert qf.bernoulli(4) == Fraction(-1, 30)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,50 @@ def test_a_seeded_defect_in_rho_is_caught(monkeypatch, k1):
         relations, tr, tr2 = got = _routes(monkeypatch, defect)
         assert got == _object_products(defect)
         assert not relations or tr != vvdim.legendre3(k1 - 1) or tr != tr2
+
+
+def test_the_residue_moduli_are_distinct_primes_below_2_28():
+    primes = vvdim._PRIMES
+    assert len(set(primes)) == len(primes) and max(primes) < 2**28
+    for p in primes:
+        assert all(p % q for q in range(2, math.isqrt(p) + 1))
+
+
+@pytest.mark.parametrize("k1", [10, 40])
+def test_a_shift_by_the_moduli_is_caught(monkeypatch, k1):
+    # a rho(T) entry shifted by one modulus, by the product of the moduli the
+    # clean relations read, and by the product of them all agrees with the
+    # clean one modulo those, yet its larger entries call for more moduli (or
+    # for the cube in Python ints) and the relations fail
+    rep, n = vvdim.rho_matrices(k1), k1 - 1
+    st = vvdim._times_S(rep.matS, np.array(rep.matT, dtype=object))
+    bound = 2 * (n * n * max(map(abs, st.flat)) ** 3 + 1)
+    used = next(j for j in range(1, 25) if math.prod(vvdim._PRIMES[:j]) > bound)
+    assert used < len(vvdim._PRIMES)
+    for shift in (vvdim._PRIMES[0], math.prod(vvdim._PRIMES[:used]), math.prod(vvdim._PRIMES)):
+        for i, j in ((0, 0), (n // 2, n - 1)):
+            bad = vvdim.RhoRep(k1, rep.matS, _with_entry(rep.matT, i, j, rep.matT[i][j] + shift))
+            assert not vvdim.check_relations(bad)
+            assert not _object_products(bad)[0]
+
+
+def test_the_cube_reads_as_many_primes_as_its_bound_needs():
+    # U (ST) U^-1, U = I + c E_{0,n-1}, keeps (ST)^3 = I with entries up to
+    # about c^2 M: from one prime up to all 24, and past them the exact cube
+    st = vvdim.rho_matrices(10).st
+    n = len(st)
+    for c in (1, 2**20, 2**60, 2**100, 2**108, 2**200):
+        u, u_inv = (np.identity(n, dtype=int).astype(object) for _ in range(2))
+        u[0, n - 1], u_inv[0, n - 1] = c, -c
+        a = u @ st @ u_inv
+        assert vvdim._cube_is_identity(a)
+        a[1, 1] += 1
+        assert not vvdim._cube_is_identity(a)
+
+
+def test_relations_hold_past_the_int64_size():
+    # n = 65 > 64: the cube is formed in Python ints
+    assert vvdim.check_relations(vvdim.rho_matrices(66))
 
 
 def test_a_malformed_rho_S_fails_the_relations(monkeypatch):
