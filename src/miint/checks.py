@@ -8,7 +8,6 @@ the CLI `check` subcommand and the acceptance test module.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import random
 import traceback
@@ -27,6 +26,7 @@ from .group import (
     T_pow,
     act_poly,
     act_tensor,
+    memo_points,
     reduced_classes,
 )
 from .raseries import TruncationParams
@@ -36,10 +36,6 @@ SEED = 20260810
 W = BiWeight(10, 10)
 Z = 2j
 T40 = TruncationParams()
-
-
-def _delta() -> qforms.QExpansion:
-    return qforms.delta_q()
 
 
 @dataclass
@@ -79,8 +75,6 @@ def suite_vvdim_dims() -> list[CheckResult]:
     bad = 0
     for k in range(6, 41, 2):
         for k1 in range(4, k, 2):
-            if k1 <= 2:
-                continue
             try:
                 vvdim.dim_Mk_rho(k, k1)
             except ArithmeticError:
@@ -125,7 +119,7 @@ def suite_vvdim_recurrence() -> list[CheckResult]:
 
 
 def suite_cocycle() -> list[CheckResult]:
-    f = _delta()
+    f = qforms.delta_q()
     k = f.k
     rng = random.Random(SEED)
     pairs = [(_random_word(rng, 8), _random_word(rng, 8)) for _ in range(50)]
@@ -158,7 +152,7 @@ def suite_cocycle() -> list[CheckResult]:
 
 
 def suite_lvalue_dualroute() -> list[CheckResult]:
-    f = _delta()
+    f = qforms.delta_q()
     series, extract = periods._lambdas_by_integral(f, 0, 1, f.k - 1), periods._lambdas_by_extraction(f, 0, 1)
     worst = np.max(np.abs(series - extract) / np.abs(extract))
     out = [_result("Lambda(s, 0) series vs extraction, s = 1..11", worst, 1e-7)]
@@ -186,7 +180,7 @@ def suite_classes() -> list[CheckResult]:
     shift of |row| to the cusp |-d0/c| over the class's largest value."""
     c, d0, _ = reduced_classes(12)
     out = []
-    for label, f in (("Delta", _delta()), ("weight 16", qforms.cusp_basis(16)[0])):
+    for label, f in (("Delta", qforms.delta_q()), ("weight 16", qforms.cusp_basis(16)[0])):
         table = periods.reduced_periods(f, 12)
         rows = zip(c.tolist(), d0.tolist())
         direct = np.column_stack([periods._lambdas_by_integral(f, -d, q, f.k - 1) for q, d in rows])
@@ -202,7 +196,7 @@ def suite_classes() -> list[CheckResult]:
 
 def suite_coeff_closed_form() -> list[CheckResult]:
     """Coefficient functions by decomposition vs the closed two-term formula."""
-    f = _delta()
+    f = qforms.delta_q()
     phiv = raseries.phi(f, W, "+", Z, T40)
     vec = raseries.coeff_decompose(phiv.value, Z, f.k)
     tails = max(phiv.tail_estimate, 1e-5)
@@ -226,7 +220,7 @@ def suite_coeff_closed_form() -> list[CheckResult]:
 
 
 def suite_invariance() -> list[CheckResult]:
-    f = _delta()
+    f = qforms.delta_q()
     out = []
     for z in (Z, 0.5 + Z):
         for sign in "+-":
@@ -253,7 +247,7 @@ def suite_invariance() -> list[CheckResult]:
 
 
 def suite_phi_identities() -> list[CheckResult]:
-    f = _delta()
+    f = qforms.delta_q()
     out = []
     coarse = {}
     for sign in "+-":
@@ -275,7 +269,7 @@ def suite_phi_identities() -> list[CheckResult]:
 def suite_coeffs_identity() -> list[CheckResult]:
     """Basis recombination identity, on synthetic data and composed with the
     differential identities on the actual coefficient functions."""
-    f = _delta()
+    f = qforms.delta_q()
     fjs = [
         (lambda a, b: (lambda u: complex(u).imag ** a * cmath.exp(2j * cmath.pi * b * complex(u))))(a, b)
         for (a, b) in [(1, 1), (0, 2), (2, 1), (1, 0), (0, 1)]
@@ -307,7 +301,7 @@ def suite_coeffs_identity() -> list[CheckResult]:
 
 
 def suite_equivariance() -> list[CheckResult]:
-    f = _delta()
+    f = qforms.delta_q()
     ers = lambda z: raseries.eisenstein_rs(BiWeight(7, 7), z, T40).value
     out = []
     res_t, res_y = maass.check_equivariance(ers, T, BiWeight(7, 7), Z)
@@ -337,7 +331,7 @@ def suite_equivariance() -> list[CheckResult]:
 
 
 def suite_order2() -> list[CheckResult]:
-    f = _delta()
+    f = qforms.delta_q()
     data = it.IteratedIntegrand((f,))
     rep = it.order_check(data, 2, [S, S * T], (1j, 1 + 2j))
     worst = max(rep["residuals"].values())
@@ -352,7 +346,7 @@ def suite_order2() -> list[CheckResult]:
 
 
 def suite_order3() -> list[CheckResult]:
-    f = _delta()
+    f = qforms.delta_q()
     data = it.IteratedIntegrand((f, f))
     rep = it.order_check(data, 3, [(S, S * T), (S, T_pow(1) * S)], (1j, 1 + 2j))
     worst = max(rep["residuals"].values())
@@ -367,7 +361,7 @@ def suite_order3() -> list[CheckResult]:
 
 
 def suite_second_order() -> list[CheckResult]:
-    f = _delta()
+    f = qforms.delta_q()
     out = []
     sv = raseries.psi_series(f, W, "+", Z, T40)
     fn = lambda u: raseries.psi_series(f, W, "+", u, T40).value
@@ -392,7 +386,7 @@ def suite_second_order() -> list[CheckResult]:
     out.append(_result("G.(S-1) + r(S) P_n = 0 at (1,16,12)", res, tol))
 
     # real-analytic F2 cocycle
-    fn2 = it.real_F2_fn(f, W, T40)
+    fn2 = lambda u: it.real_iterated_F2(f, W, u, T40)
     image = act_tensor(fn2, S, W, f.k)(Z) - fn2(Z)
     predicted = r_S * ev.value
     res = (image - predicted).norm_inf()
@@ -402,7 +396,7 @@ def suite_second_order() -> list[CheckResult]:
 
 
 def suite_psibar() -> list[CheckResult]:
-    f = _delta()
+    f = qforms.delta_q()
     rep = it.psi_bar_image(f, f, W, S, Z, T40)
     out = [
         _result(
@@ -433,25 +427,25 @@ def suite_fourier() -> list[CheckResult]:
     modes decay at least that fast (their leading mode content vanishes at
     these weights, so only the one-sided bound is meaningful).
     """
-    f = _delta()
+    f = qforms.delta_q()
     out = []
     B = 12.0
     M = 96
 
-    # memoised by z: the l = 1 and l = 2 modes share their samples
-    @functools.cache
+    # once per point: the l = 1 and l = 2 modes share their samples
+    @memo_points
     def phi_fn(z: complex) -> complex:
         val = raseries.phi(f, W, "+", z, T40).value
         return complex(raseries.coeff_decompose(val, z, f.k)[f.k - 2])
 
-    @functools.cache
+    @memo_points
     def psi_fn(z: complex) -> complex:
         val = raseries.psi_series(f, W, "+", z, T40).value
         return complex(raseries.coeff_decompose(val, z, f.k)[0])
 
     def drop(fn, l: int) -> float:  # a mode's magnitude at y = 1.5 over that at y = 1
-        mode = functools.partial(raseries.fourier_coefficient, fn, l, M=M)
-        return abs(mode(1.5)) / abs(mode(1.0))
+        mode = lambda y: abs(raseries.fourier_coefficient(fn, l, y, M))
+        return mode(1.5) / mode(1.0)
 
     for l in (1, 2):
         decay = math.exp(-2 * math.pi * l * 0.5)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import sys
 from fractions import Fraction
@@ -18,7 +17,7 @@ from fractions import Fraction
 from . import periods, qforms, raseries
 from .config import FORMATS, RunConfig, load_config
 from .errors import ConvergenceError, PrecisionError
-from .group import BiWeight, GroupElement, PolyC, S, T, T_pow
+from .group import BiWeight, GroupElement, PolyC, S, T, T_pow, memo_points
 from .raseries import TruncationParams
 
 EXIT_OK = 0
@@ -41,6 +40,15 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        # '--gamma VALUE' (or an abbreviation) read as '--gamma=VALUE':
+        # argparse would take a value that starts with '-', such as '-I', for a flag
+        args = sys.argv[1:] if args is None else list(args)
+        for i in range(len(args) - 2, -1, -1):
+            if len(args[i]) > 2 and "--gamma".startswith(args[i]):
+                args[i : i + 2] = [f"{args[i]}={args[i + 1]}"]
+        return super().parse_known_args(args, namespace)
 
 
 def _cnum(x: complex) -> list[float]:
@@ -160,7 +168,6 @@ def build_parser() -> _Parser:
     p.add_argument("--s", type=int, required=True, dest="lvalue_s", metavar="S")
     p.add_argument("--p", type=int, default=0)
     p.add_argument("--q", type=int, default=1)
-    p.add_argument("--method", choices=("series", "extract"), default="series")
 
     p = add_parser("eisenstein", "C", "D", help="real-analytic Eisenstein series value")
     p.add_argument("--r", type=int, default=None)
@@ -257,7 +264,7 @@ def _cmd_period(ns, cfg: RunConfig) -> int:
             "gamma": list(g.entries),
             "sign": ns.sign,
             "coeffs": _poly(poly),
-            "error_estimate": periods.period_error_estimate(f, g, ns.sign),
+            "error_estimate": periods.period_error_estimate(f, g, poly),
         },
         cfg,
     )
@@ -267,15 +274,11 @@ def _cmd_period(ns, cfg: RunConfig) -> int:
 def _cmd_lvalue(ns, cfg: RunConfig) -> int:
     f = resolve_form(cfg.form, cfg.N)
     s, p, q = ns.lvalue_s, ns.p, ns.q
-    val = periods.twisted_L(f, s, p, q, method=ns.method)
-    err = None  # extraction covers s in 1..k-1: no second route past it
+    val = periods.twisted_L(f, s, p, q)
+    err = None  # the distance to the extraction reference, which covers s in 1..k-1
     if s <= f.k - 1:
-        other = "extract" if ns.method == "series" else "series"
-        err = abs(val - periods.twisted_L(f, s, p, q, method=other))
-    _emit(
-        {"value": _cnum(val), "s": s, "twist": [p, q], "method": ns.method, "error_estimate": err},
-        cfg,
-    )
+        err = abs(val - periods._lambdas_by_extraction(f, p % q, q)[s - 1])
+    _emit({"value": _cnum(val), "s": s, "twist": [p, q], "error_estimate": err}, cfg)
     return EXIT_OK
 
 
@@ -334,8 +337,8 @@ def _cmd_fourier(ns, cfg: RunConfig) -> int:
 
     else:
         fn = lambda z: qforms.eval_form(f, z)
-    # memoised by z: the coarse pass's nodes are every other node of the fine one
-    fn = functools.cache(fn)
+    # once per point: the coarse pass's nodes are every other node of the fine one
+    fn = memo_points(fn)
     val = raseries.fourier_coefficient(fn, ns.l, ns.y, cfg.M)
     err = None  # a coarse pass needs M // 2 >= 64 nodes, every other fine node
     if cfg.M >= 2 * 64 and cfg.M % 2 == 0:

@@ -212,7 +212,7 @@ def memo_points(fn):
     """fn evaluated once per distinct point: a value is kept under the bit
     pattern of its complex point (so 0.0 and -0.0 stay apart), and a repeat
     returns the same object, bit for bit what a second call would give.  For
-    one identity's nodes, never as a cache across calls."""
+    the points of one check or one command, never as a cache across calls."""
     seen = {}
 
     def at(z):

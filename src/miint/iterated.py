@@ -244,10 +244,6 @@ def real_iterated_F2(
     return eisenstein_rs(w, z, t).value * eichler_F(f1, z, "+")
 
 
-def real_F2_fn(f1: QExpansion, w: BiWeight, t: TruncationParams = TruncationParams()):
-    return lambda z: real_iterated_F2(f1, w, z, t)
-
-
 def psi_bar_image(
     fplus: QExpansion,
     gminus: QExpansion,

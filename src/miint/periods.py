@@ -206,10 +206,10 @@ def reduced_periods(f: QExpansion, C: int) -> ReducedPeriods:
     return ReducedPeriods(C, periods)
 
 
-def period_error_estimate(f: QExpansion, g: GroupElement, sign: str = "+") -> float:
-    """Rough forward-error estimate for the cocycle route: roundoff at the
-    anchor propagated through the word, plus the anchor's own q-tail."""
-    poly = period_poly(f, g, sign)
+def period_error_estimate(f: QExpansion, g: GroupElement, poly: PolyC) -> float:
+    """Rough forward-error estimate of `poly`, the period polynomial of g by
+    the cocycle route: roundoff at the anchor propagated through the word,
+    plus the anchor's own q-tail."""
     steps = len(word_decompose(g)) + 1
     anchor_tail = eval_tail_bound(f, 1.0) / (2 * math.pi)
     return 32 * _EPS * steps * max(1.0, poly.norm_inf()) + anchor_tail
@@ -236,21 +236,12 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, 2 / ((1 - x * x) * dp * dp)
 
 
-def twisted_L(
-    f: QExpansion,
-    s: int,
-    p: int,
-    q: int = 1,
-    method: str = "series",
-) -> complex:
+def twisted_L(f: QExpansion, s: int, p: int, q: int = 1) -> complex:
     """Completed additively twisted L-value
-    Lambda_f(s, p/q) = Gamma(s) (2 pi)^(-s) sum_n a(n) e^(2 pi i n p/q) / n^s.
-
-    Either method computes the twist's values from s = 1 in one pass and
-    returns entry s - 1.  The 'series' method, the default, integrates
-    f(p/q + ix) x^(s-1) over x > 0, which converges for every s >= 1; a value
-    past float64 (Delta's past s = 260) raises PrecisionError.  The 'extract'
-    method reads the k - 1 values off a period polynomial.
+    Lambda_f(s, p/q) = Gamma(s) (2 pi)^(-s) sum_n a(n) e^(2 pi i n p/q) / n^s,
+    entry s - 1 of the twist's one pass of `_lambdas_by_integral`, which
+    integrates f(p/q + ix) x^(s-1) over x > 0 and converges for every s >= 1;
+    a value past float64 (Delta's past s = 260) raises PrecisionError.
     """
     if not f.is_cusp:
         raise ValueError("twisted L-values require a cusp form")
@@ -258,13 +249,8 @@ def twisted_L(
         raise ValueError("s must be a positive integer")
     if q < 1 or math.gcd(p, q) != 1:
         raise ValueError("need q >= 1 and gcd(p, q) = 1")
-    p = p % q if q > 1 else 0
-    if method not in ("series", "extract"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "extract" and not 1 <= s <= f.k - 1:
-        raise ValueError("extraction is defined for s in 1..k-1")
-    vals = _lambdas_by_integral(f, p, q, s) if method == "series" else _lambdas_by_extraction(f, p, q)[:s]
-    value = complex(vals[-1])  # entry s - 1, or the first past float64
+    p %= q
+    value = complex(_lambdas_by_integral(f, p, q, s)[-1])  # entry s - 1, or the first past float64
     if not cmath.isfinite(value):
         raise PrecisionError(f"Lambda_f({s}, {p}/{q}) is not finite in float64")
     return value

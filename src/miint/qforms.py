@@ -251,20 +251,13 @@ def coeff_array(f: QExpansion) -> np.ndarray:
     return a
 
 
-def eval_form(
-    f: QExpansion, z: complex | np.ndarray, tol: float | None = None
-) -> complex | np.ndarray:
+def eval_form(f: QExpansion, z: complex | np.ndarray) -> complex | np.ndarray:
     """Truncated q-series value sum_{n <= N} a(n) q^n, q = e(z), at a point
     z, or an array of values at an array of points: the running powers of q
     point by point, summed against `coeff_array` without BLAS, a block of
     points at a time.
-
-    Raises PrecisionError when a tolerance is requested and the tail
-    estimate at the lowest point exceeds it.
     """
     z = admissible_z(z, q_series=True)
-    if tol is not None and eval_tail_bound(f, np.min(np.imag(z))) > tol:
-        raise PrecisionError("q-series tail exceeds requested tolerance")
     # IEEE remainder x - rint(x) is exact: periodicity in x holds bitwise for exact shifts
     q = np.exp(2j * math.pi * (z - np.rint(np.real(z)))).reshape(-1, 1)
     a, vals = coeff_array(f), np.empty(q.size, dtype=np.complex128)

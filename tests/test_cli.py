@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from miint import checks, cli
 from miint import periods as per
 from miint import qforms as qf
+from miint import raseries as ra
 from miint.group import S, T, word_to_matrix
 
 
@@ -59,6 +60,26 @@ def test_gamma_parsing(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("gamma", ["-I", "-1,0,0,-1", "-2,1,-5,2"])
+def test_a_gamma_that_starts_with_a_minus_parses_in_both_spellings(capsys, gamma):
+    # argparse would take the value of '--gamma -I' for a flag
+    code, out, err = run_cli(capsys, "period", "--gamma", gamma)
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, "period", f"--gamma={gamma}") == (code, out, err)
+    assert run_cli(capsys, "period", "--gam", gamma) == (code, out, err)
+    assert json.loads(out)["gamma"] == list(cli.parse_gamma(gamma).entries)
+
+
+def test_period_slashes_once(capsys, monkeypatch):
+    # the error estimate reads the polynomial the command computed
+    calls = []
+    slash = per.slash_rows
+    monkeypatch.setattr(per, "slash_rows", lambda *args: calls.append(args) or slash(*args))
+    code, _, _ = run_cli(capsys, "period", "--form", "s16", "--gamma", "S*T^-2*S")
+    assert code == 0
+    assert len(calls) == 1
+
+
 # nonempty words over S and T-powers, in word_decompose's letter format
 letters = st.lists(
     st.one_of(st.just(("S", 1)), st.tuples(st.just("T"), st.integers(-50, 50))),
@@ -76,30 +97,29 @@ def test_parse_gamma_round_trip(word):
     assert cli.parse_gamma(",".join(str(e) for e in g.entries)) == g
 
 
-def test_lvalue_method_tag(capsys):
-    # the default is the series route at every s, and --method is echoed
+def test_lvalue_has_no_method(capsys):
+    # the integral is the one route at every s: no route to echo or choose
     for s in ("7", "3"):
         code, out, _ = run_cli(capsys, "lvalue", "--s", s)
         assert code == 0
-        assert json.loads(out)["method"] == "series"
-    code, out, _ = run_cli(capsys, "lvalue", "--s", "3", "--method", "extract")
-    assert code == 0
-    assert json.loads(out)["method"] == "extract"
+        assert "method" not in json.loads(out)
+    for method in ("extract", "series"):
+        code, out, err = run_cli(capsys, "lvalue", "--s", "3", "--method", method)
+        assert (code, out) == (1, "")
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("form", ["delta", "s16"])
 def test_lvalue_auto_reports_the_route_twisted_L_takes(capsys, form):
-    # the series route at every s; below k its error estimate is the
-    # distance to extraction, the other route
+    # the integral at every s; below k its error estimate is the distance to
+    # the extraction reference
     f = cli.resolve_form(form, 120)
     for s in range(1, 14):
         payload = json.loads(run_cli(capsys, "lvalue", "--form", form, "--s", str(s))[1])
-        assert payload["method"] == "series"
         val = per.twisted_L(f, s, 0, 1)
         assert payload["value"] == [val.real, val.imag]
-        assert val == per.twisted_L(f, s, 0, 1, method="series")
         if s <= f.k - 1:
-            extract = per.twisted_L(f, s, 0, 1, method="extract")
+            extract = per._lambdas_by_extraction(f, 0, 1)[s - 1]
             assert payload["error_estimate"] == abs(val - extract)
         else:
             assert payload["error_estimate"] is None
@@ -191,6 +211,19 @@ def test_forms_csv_and_json(capsys):
     code, out, _ = run_cli(capsys, "forms", "--kind", "cusp-basis", "--weight", "16", "--N", "12")
     payload = json.loads(out)
     assert payload["forms"]["s16.0"]["weight"] == 16
+
+
+def test_check_fourier_evaluates_each_sample_point_once(capsys, monkeypatch):
+    # the l = 1 and l = 2 modes share their samples: M + 1 = 97 points at
+    # each of y = 1 and y = 1.5, for phi and for psi
+    calls = {"phi": [], "psi": []}
+    phi, psi = ra.phi, ra.psi_series
+    monkeypatch.setattr(ra, "phi", lambda *args: calls["phi"].append(args[3]) or phi(*args))
+    monkeypatch.setattr(ra, "psi_series", lambda *args: calls["psi"].append(args[3]) or psi(*args))
+    code, _, _ = run_cli(capsys, "check", "fourier")
+    assert code == 0
+    for points in calls.values():
+        assert len(points) == 194 == len(set(points))
 
 
 def test_check_vvdim_exit_zero(capsys):
@@ -348,6 +381,9 @@ def test_fourier_error_estimate_needs_a_coarse_pass_of_64_nodes(capsys, monkeypa
         ["dim", "--table", "0"],
         ["dim", "--table", "0", "--k", "18"],
         ["lvalue", "--form", "e4", "--s", "5"],
+        # a bare --gamma, and one whose value parses as no group element
+        ["period", "--gamma"],
+        ["period", "--gamma", "-Q"],
         ["--config", "/nonexistent", "dim"],
         ["--N", "10", "dim"],
         ["--config=/nonexistent", "--C", "5", "dim"],

@@ -195,7 +195,7 @@ def test_order_check_validates_n():
 
 def test_real_iterated_F2_cocycle():
     z = 2j
-    fn = it.real_F2_fn(DELTA, W, T40)
+    fn = lambda u: it.real_iterated_F2(DELTA, W, u, T40)
     ev = ra.eisenstein_rs(W, z, T40)
     image = act_tensor(fn, S, W, 12)(z) - fn(z)
     predicted = per.period_poly(DELTA, S) * ev.value
@@ -203,14 +203,14 @@ def test_real_iterated_F2_cocycle():
 
 
 def test_real_iterated_F2_translation_invariance():
-    fn = it.real_F2_fn(DELTA, W, T40)
+    fn = lambda u: it.real_iterated_F2(DELTA, W, u, T40)
     image = act_tensor(fn, T, W, 12)(2j)
     assert (image - fn(2j)).norm_inf() <= 1e-9
 
 
 def test_real_iterated_F2_cocycle_base_point_independence():
     ev1 = ra.eisenstein_rs(W, 2j, T40)
-    fn = it.real_F2_fn(DELTA, W, T40)
+    fn = lambda u: it.real_iterated_F2(DELTA, W, u, T40)
     im1 = act_tensor(fn, S, W, 12)(2j) - fn(2j)
     im2 = act_tensor(fn, S, W, 12)(0.5 + 2j) - fn(0.5 + 2j)
     r1 = im1 * (1.0 / ev1.value)

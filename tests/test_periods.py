@@ -330,8 +330,8 @@ def test_conjugation_intertwining_exact():
 def test_twisted_L_dual_route():
     worst = 0.0
     for s in range(1, 12):
-        a = per.twisted_L(DELTA, s, 0, 1, method="series")
-        b = per.twisted_L(DELTA, s, 0, 1, method="extract")
+        a = per.twisted_L(DELTA, s, 0, 1)
+        b = per._lambdas_by_extraction(DELTA, 0, 1)[s - 1]
         worst = max(worst, abs(a - b) / abs(b))
     assert worst <= 1e-7
 
@@ -339,8 +339,8 @@ def test_twisted_L_dual_route():
 def test_twisted_L_general_twists_dual_route():
     for s in range(1, 12):
         for p, q in [(1, 2), (1, 3), (2, 3)]:
-            a = per.twisted_L(DELTA, s, p, q, method="series")
-            b = per.twisted_L(DELTA, s, p, q, method="extract")
+            a = per.twisted_L(DELTA, s, p, q)
+            b = per._lambdas_by_extraction(DELTA, p % q, q)[s - 1]
             assert abs(a - b) / abs(b) <= 1e-7
 
 
@@ -402,7 +402,7 @@ def test_series_L_values_match_the_scalar_quadrature(monkeypatch, form, p, q):
     calls, anywhere = [], per.eval_form_anywhere
     monkeypatch.setattr(per, "eval_form_anywhere", lambda g, z: calls.append(z) or anywhere(g, z))
     for s in ss:
-        got = per.twisted_L(f, s, p, q, method="series")
+        got = per.twisted_L(f, s, p, q)
         assert abs(got - ref[s]) <= 1e-13 * abs(ref[s])
     assert len(calls) == len(ss)
 
@@ -425,29 +425,31 @@ def test_twisted_L_periodicity_exact():
 
 
 def test_twisted_L_conjugation_symmetry():
-    a = per.twisted_L(DELTA, 7, 1, 3, method="series")
-    b = per.twisted_L(DELTA, 7, -1, 3, method="series")
+    a = per.twisted_L(DELTA, 7, 1, 3)
+    b = per.twisted_L(DELTA, 7, -1, 3)
     assert abs(a.conjugate() - b) / abs(a) <= 1e-13
 
 
 def test_twisted_L_series_range_enforced():
     # the vertical-line integral converges for every s >= 1, below the
     # Dirichlet series' range too: at s = 3 it agrees with extraction
-    series = per.twisted_L(DELTA, 3, 0, 1, method="series")
-    assert per.twisted_L(DELTA, 3, 0, 1) == series
-    extract = per.twisted_L(DELTA, 3, 0, 1, method="extract")
+    series = per.twisted_L(DELTA, 3, 0, 1)
+    extract = per._lambdas_by_extraction(DELTA, 0, 1)[2]
     assert abs(series - extract) <= 1e-13 * abs(extract)
     with pytest.raises(ValueError):
         per.twisted_L(DELTA, 7, 2, 4)  # gcd != 1
-    with pytest.raises(ValueError, match="unknown method"):
-        per.twisted_L(DELTA, 3, 0, 1, method="auto")
+    for method in ("series", "extract", "auto"):  # the integral is the one route
+        with pytest.raises(TypeError):
+            per.twisted_L(DELTA, 3, 0, 1, method=method)
 
 
 def test_twisted_L_rejects_a_non_cusp_form():
-    # the constant term a(0) of E_4 has no place in the Dirichlet series
-    for method in ("series", "extract"):
+    # the constant term a(0) of E_4 has no place in the Dirichlet series,
+    # by the integral or by the extraction reference
+    e4 = qf.eisenstein_q(4)
+    for route in (lambda: per.twisted_L(e4, 5, 0, 1), lambda: per._lambdas_by_extraction(e4, 0, 1)):
         with pytest.raises(ValueError, match="cusp form"):
-            per.twisted_L(qf.eisenstein_q(4), 5, 0, 1, method=method)
+            route()
 
 
 def test_lambda_table_and_reconstruction():
@@ -511,9 +513,9 @@ def test_completed_L_reflection_symmetry():
     # Lambda(s, 0) = Lambda(k - s, 0) for the discriminant form: a theorem
     # about the completed L-function that no code path implements, so the
     # agreement independently certifies the extraction route end to end
+    lams = per._lambdas_by_extraction(DELTA, 0, 1)
     for s in range(1, 12):
-        a = per.twisted_L(DELTA, s, 0, 1, method="extract")
-        b = per.twisted_L(DELTA, 12 - s, 0, 1, method="extract")
+        a, b = lams[s - 1], lams[12 - s - 1]
         assert abs(a - b) / abs(a) <= 1e-12
 
 
@@ -527,9 +529,8 @@ def test_i_power_exact():
     [
         lambda: per.period_poly(DELTA, S, "x"),
         lambda: per.period_poly_base(DELTA, S, "?"),
-        lambda: per.period_error_estimate(DELTA, S, "bogus"),
     ],
-    ids=["period_poly", "period_poly_base", "period_error_estimate"],
+    ids=["period_poly", "period_poly_base"],
 )
 def test_unknown_sign_is_rejected(call):
     with pytest.raises(ValueError, match="sign"):

@@ -231,8 +231,6 @@ def test_eval_floor_and_tolerance():
     d = qf.delta_q(120)
     with pytest.raises(PrecisionError):
         qf.eval_form(d, 0.01j)
-    with pytest.raises(PrecisionError):
-        qf.eval_form(qf.delta_q(5), 0.06j, tol=1e-12)
 
 
 def test_q_series_entry_points_reject_points_below_the_floor():
@@ -272,8 +270,6 @@ def test_an_array_of_points_is_admitted_only_as_a_whole():
         qf.eval_form_anywhere(d, np.array([1j, 0.5 - 1e-3j]))
     with pytest.raises(PrecisionError):
         qf.eval_form(d, np.array([1j, 0.01j]))
-    with pytest.raises(PrecisionError):
-        qf.eval_form(qf.delta_q(5), np.array([2j, 0.06j]), tol=1e-12)
     assert qf.eval_form(d, np.array([], dtype=complex)).shape == (0,)
     assert qf.eval_form(qf.eisenstein_q(4, 0), np.array([1j, 2j])).tolist() == [1, 1]
 
