@@ -28,12 +28,10 @@ from .group import (
     jfactor,
     mobius,
     word_decompose,
-    word_to_matrix,
 )
 from .qforms import QExpansion, cusp_basis, delta_q, eisenstein_q, eval_form
 from .periods import (
     eichler_F,
-    exp_poly_primitive,
     period_from_Lvalues,
     period_poly,
     period_poly_base,
@@ -59,7 +57,7 @@ __version__ = "0.1.0"
 #: submodules that no series value reads, and their names: bound on first use
 _LAZY = {
     "maass": ("FDScheme", "maass_d", "maass_dbar"),
-    "iterated": ("IteratedIntegrand", "iterated_F", "map_to_MI", "order_check"),
+    "iterated": ("IteratedIntegrand", "iterated_F", "order_check"),
     "vvdim": ("dim_M2c", "dim_Mk_rho", "rho_matrices", "trace_ST"),
 }
 _OWNER = {name: module for module, names in _LAZY.items() for name in (module, *names)}

@@ -14,6 +14,8 @@ import json
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import periods, qforms, raseries
 from .config import FORMATS, RunConfig, load_config
 from .errors import ConvergenceError, PrecisionError
@@ -362,19 +364,13 @@ def _cmd_iterated(ns, cfg: RunConfig) -> int:
     forms = tuple(resolve_form(n, cfg.N) for n in names)
     data = iterated.IteratedIntegrand(forms)
     z = cfg.z
-    val = iterated.iterated_F(data, z)
-    if ns.depth == 1:
-        coeffs = [_cnum(complex(val))]
-    elif ns.depth == 2:
-        coeffs = _poly(val)
-    else:
-        coeffs = [[_cnum(c) for c in row] for row in val.coeffs]
+    v = np.atleast_1d(iterated.iterated_F(data, z))
     t_res = iterated.parabolic_residual(data, z)
     _emit(
         {
             "depth": ns.depth,
             "weights": list(data.weights),
-            "coeffs": coeffs,
+            "coeffs": np.stack([v.real, v.imag], -1).tolist(),
             "parabolic_residual": t_res,
         },
         cfg,

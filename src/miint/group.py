@@ -516,10 +516,3 @@ def word_decompose(g: GroupElement) -> list[tuple[str, int]]:
         word += [("T", q), ("S", 1)]
     word.append(("T", a * b))  # the chain ends at +-T^n
     return [(kind, n) for kind, n in word if not (kind == "T" and n == 0)]
-
-
-def word_to_matrix(word: list[tuple[str, int]]) -> GroupElement:
-    g = IDENTITY
-    for kind, n in word:
-        g = g * (S if kind == "S" else T_pow(n))
-    return g

@@ -1,6 +1,10 @@
-"""Iterated Eichler integrals of depth <= 3, higher-order invariance checks,
-images of the psi-type cocycles, and the map sending a second-order series to
-its vector of invariant basis coefficients.
+"""Iterated Eichler integrals of depth <= 3, higher-order invariance checks
+and images of the psi-type cocycles.
+
+An iterated value is a complex coefficient array with one axis per integrand
+form: shape () at depth 1, (k1-1,) at depth 2 and (k1-1, k2-1) at depth 3,
+where [v, u] is the coefficient of X1^v X2^u.  Gamma acts on it by the tensor
+product of the one-variable slashes `act_poly_matrix(g, k_i)`.
 
 Depth 3 is evaluated by expanding the inner integral into the ray
 primitives of `periods`, multiplying by the outer q-series and integrating
@@ -20,7 +24,6 @@ from .group import (
     GroupElement,
     PolyC,
     T,
-    act_poly,
     act_poly_matrix,
     act_tensor,
     binomials,
@@ -30,13 +33,7 @@ from .group import (
 )
 from .periods import _exps, _ray_primitives, eichler_F, period_poly
 from .qforms import QExpansion, admissible_z, coeff_array
-from .raseries import (
-    TruncationParams,
-    coeff_decompose,
-    eisenstein_rs,
-    phi,
-    psi_series,
-)
+from .raseries import TruncationParams, eisenstein_rs, psi_series
 
 
 @dataclass(frozen=True)
@@ -59,34 +56,6 @@ class IteratedIntegrand:
     @property
     def weights(self) -> tuple[int, ...]:
         return (2,) + tuple(f.k for f in self.forms)
-
-
-class Poly2:
-    """Polynomial in two formal variables, coefficients[v, u] of X1^v X2^u."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = np.asarray(coeffs, dtype=np.complex128)
-
-    def __add__(self, other: "Poly2") -> "Poly2":
-        return Poly2(self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "Poly2") -> "Poly2":
-        return Poly2(self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar) -> "Poly2":
-        return Poly2(self.coeffs * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def act(self, g: GroupElement, k1: int, k2: int) -> "Poly2":
-        M1 = act_poly_matrix(g, k1)
-        M2 = act_poly_matrix(g, k2)
-        return Poly2(M1 @ self.coeffs @ M2.T)
-
-    def norm_inf(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
 
 
 @lru_cache(maxsize=8)
@@ -130,49 +99,48 @@ def _depth3_kernel(f1: QExpansion, f2: QExpansion) -> np.ndarray:
     return K
 
 
-def _depth3_value(f1: QExpansion, f2: QExpansion, z: complex) -> Poly2:
+def _depth3_value(f1: QExpansion, f2: QExpansion, z: complex) -> np.ndarray:
     """Coefficients of the depth-3 iterated integral at z: `_depth3_kernel`
     times e(Nz) in the basis (Y1, Y2), shifted to (X1, X2) by one
     `shift_matrix` per variable."""
     K = _depth3_kernel(f1, f2)
     H = (K @ _exps(np.arange(2, K.shape[1] + 2), z)).reshape(f1.k - 1, f2.k - 1)
-    return Poly2(shift_matrix(z, f1.k - 2) @ H @ shift_matrix(z, f2.k - 2).T)
+    return shift_matrix(z, f1.k - 2) @ H @ shift_matrix(z, f2.k - 2).T
 
 
-def iterated_F(data: IteratedIntegrand, z: complex):
-    """Iterated Eichler integral of depth n at z: 1 for n = 1, the classical
-    Eichler integral `eichler_F` for n = 2, and the nested expansion
-    `_depth3_value` for n = 3, each evaluated at z itself.
+def iterated_F(data: IteratedIntegrand, z: complex) -> np.ndarray:
+    """Iterated Eichler integral of depth n at z as a coefficient array: 1 for
+    n = 1, the classical Eichler integral `eichler_F` for n = 2, and the
+    nested expansion `_depth3_value` for n = 3, each evaluated at z itself.
     """
     z = admissible_z(z, q_series=True)
     n = data.depth
     if n == 1:
-        return 1.0 + 0j
+        return np.array(1 + 0j)
     if n == 2:
-        return eichler_F(data.forms[0], z, "+")
+        return eichler_F(data.forms[0], z, "+").coeffs
     return _depth3_value(data.forms[0], data.forms[1], z)
+
+
+def _act(val: np.ndarray, g: GroupElement, ks: tuple[int, ...]) -> np.ndarray:
+    """`act_poly_matrix(g, ks[i])` along axis i of a coefficient array, for
+    each given weight: M1 @ val, then @ M2.T."""
+    if ks:
+        val = act_poly_matrix(g, ks[0]) @ val
+    if len(ks) == 2:
+        val = val @ act_poly_matrix(g, ks[1]).T
+    return val
 
 
 def dot_action(F, g: GroupElement, weights: tuple[int, ...]):
     """Multi-variable right action on a function-valued family: substitute
     gz and gX_i and multiply the polynomial factors.  The outer weight is 2,
     so its automorphy factor j(g,z)^(2-2) is 1."""
-
-    def acted(z: complex):
-        val = F(mobius(g, complex(z)))
-        if isinstance(val, Poly2):
-            return val.act(g, weights[1], weights[2])
-        if isinstance(val, PolyC):
-            return act_poly(val, g, weights[1])
-        return val
-
-    return acted
+    return lambda z: _act(F(mobius(g, complex(z))), g, weights[1:])
 
 
-def _norm(val) -> float:
-    if isinstance(val, (Poly2, PolyC)):
-        return val.norm_inf()
-    return abs(val)
+def _norm(val: np.ndarray) -> float:
+    return float(np.abs(val).max())
 
 
 def _image_fn(F, g: GroupElement, weights):
@@ -213,12 +181,11 @@ def order_check(
     k1 = data.forms[0].k
     for g, d in witnesses:
         first = _image_fn(F, g, weights)
-        Md = act_poly_matrix(d, k1)
         at1 = first(z1)
-        # the order-2 test against d on every X2 column at once, each column
-        # against its own scale
-        v1 = Md @ first(mobius(d, z1)).coeffs - at1.coeffs
-        v2 = Md @ first(mobius(d, z2)).coeffs - first(z2).coeffs
+        # the order-2 test against d on every X2 column at once (d acts on X1
+        # alone), each column against its own scale
+        v1 = _act(first(mobius(d, z1)), d, (k1,)) - at1
+        v2 = _act(first(mobius(d, z2)), d, (k1,)) - first(z2)
         scale = np.maximum(1.0, np.abs(v1).max(axis=0))
         worst = float((np.abs(v1 - v2).max(axis=0) / scale).max())
         report["residuals"][(g.entries, d.entries)] = worst
@@ -284,16 +251,3 @@ def psi_bar_closed(
     """Closed-form cocycle value -(r^+_f(g) + r^-_g(g)) E_{r,s}(z)."""
     ev = eisenstein_rs(w, complex(z), t).value
     return (period_poly(fplus, g, "+") + period_poly(gminus, g, "-")) * (-ev)
-
-
-def map_to_MI(
-    hform: QExpansion,
-    w: BiWeight,
-    sign: str,
-    z: complex,
-    t: TruncationParams = TruncationParams(),
-) -> np.ndarray:
-    """Invariant coefficient vector (phi(0; z), ..., phi(k-2; z)) of the
-    second-order series attached to hform."""
-    phiv = phi(hform, w, sign, complex(z), t)
-    return coeff_decompose(phiv.value, complex(z), hform.k)

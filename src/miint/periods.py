@@ -71,17 +71,6 @@ def _exps(ns: np.ndarray, z: complex) -> np.ndarray:
     return np.exp(2j * math.pi * complex(math.remainder(z.real, 1.0), z.imag) * ns)
 
 
-def exp_poly_primitive(n: int, m: int, z: complex) -> complex:
-    """Primitive of e^(2 pi i n w) w^m vanishing at i*infinity, evaluated at z:
-    e(nz) sum_t binom(m, t) z^(m-t) P(n, t), P(n, t) = P(1, t) n^-(t+1)."""
-    if n < 1 or m < 0:
-        raise ValueError("need n >= 1, m >= 0")
-    z = admissible_z(z)
-    P = _ray_primitives(1, m)[0] / float(n) ** np.arange(1, m + 2)
-    terms = binomials(m)[m] * z ** np.arange(m, -1, -1) * P
-    return complex(_exps(np.array([n]), z)[0] * terms.sum())
-
-
 @lru_cache(maxsize=8)
 def _eichler_kernel(f: QExpansion) -> np.ndarray:
     """Read-only K with F(z; X) = sum_s (e(nz) @ K)[s] (X - z)^s: with

@@ -14,7 +14,7 @@ from miint import checks, cli
 from miint import periods as per
 from miint import qforms as qf
 from miint import raseries as ra
-from miint.group import S, T, word_to_matrix
+from miint.group import IDENTITY, S, T, T_pow
 
 
 def run_cli(capsys, *args):
@@ -92,7 +92,7 @@ letters = st.lists(
 @given(letters)
 def test_parse_gamma_round_trip(word):
     # the word written as S*T^n*..., and its matrix written as a,b,c,d
-    g = word_to_matrix(word)
+    g = math.prod((S if kind == "S" else T_pow(n) for kind, n in word), start=IDENTITY)
     assert cli.parse_gamma("*".join("S" if kind == "S" else f"T^{n}" for kind, n in word)) == g
     assert cli.parse_gamma(",".join(str(e) for e in g.entries)) == g
 
@@ -291,6 +291,32 @@ def test_iterated_subcommand(capsys):
     assert payload["weights"] == [2, 12]
     assert payload["parabolic_residual"] <= 1e-9
     assert len(payload["coeffs"]) == 11
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--depth", "1"),
+        ("--depth", "2", "--forms", "s16", "--z", "0.3", "1.1"),
+        ("--depth", "3", "--forms", "delta,s16", "--z", "0.3", "1.1"),
+    ],
+    ids=["depth1", "depth2", "depth3"],
+)
+def test_iterated_prints_the_coefficient_array_as_re_im_pairs(capsys, args):
+    from miint import iterated as it
+
+    code, out, _ = run_cli(capsys, "iterated", *args)
+    assert code == 0
+    payload = json.loads(out)
+    cfg = payload["config"]
+    names = args[3].split(",") if "--forms" in args else []
+    forms = tuple(cli.resolve_form(n, cfg["N"]) for n in names)
+    v = it.iterated_F(it.IteratedIntegrand(forms), complex(cfg["z_re"], cfg["z_im"]))
+    pairs = np.array(payload["coeffs"])
+    assert pairs.shape == np.atleast_1d(v).shape + (2,)
+    assert np.array_equal(pairs[..., 0] + 1j * pairs[..., 1], np.atleast_1d(v))
+    if "--forms" not in args:
+        assert '"coeffs": [[1.0, 0.0]]' in out
 
 
 def test_phi_subcommand_single_coefficient(capsys):

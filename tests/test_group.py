@@ -34,7 +34,6 @@ from miint.group import (
     slash_rows,
     taylor_shift,
     word_decompose,
-    word_to_matrix,
 )
 
 
@@ -433,7 +432,8 @@ def test_word_decompose_trivials():
 @properties
 @given(words)
 def test_word_decompose_reassembly(g):
-    m = word_to_matrix(word_decompose(g))
+    word = word_decompose(g)
+    m = math.prod((S if kind == "S" else T_pow(n) for kind, n in word), start=IDENTITY)
     assert m.entries == g.entries or m.entries == tuple(-x for x in g.entries)
 
 

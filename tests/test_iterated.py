@@ -19,15 +19,28 @@ T40 = ra.TruncationParams()
 W = BiWeight(10, 10)
 
 
+def map_to_MI(hform, w, sign, z):
+    """The map to M_I: the invariant coefficient vector
+    (phi(0; z), ..., phi(k-2; z)) of the second-order series of hform."""
+    return ra.coeff_decompose(ra.phi(hform, w, sign, z, T40).value, z, hform.k)
+
+
 def test_depth_one_is_constant_one():
     assert it.iterated_F(it.IteratedIntegrand(()), 2j) == 1.0 + 0j
+
+
+def test_values_are_coefficient_arrays_with_one_axis_per_form():
+    s16 = qf.cusp_basis(16)[0]
+    for forms, shape in [((), ()), ((DELTA,), (11,)), ((DELTA, s16), (11, 15))]:
+        v = it.iterated_F(it.IteratedIntegrand(forms), 0.3 + 1.1j)
+        assert type(v) is np.ndarray and v.dtype == np.complex128 and v.shape == shape
 
 
 def test_depth_two_matches_eichler():
     for z in (1.3j, 1.7 + 0.8j):
         v = it.iterated_F(DATA2, z)
         w = per.eichler_F(DELTA, z)
-        assert np.array_equal(v.coeffs, w.coeffs)
+        assert np.array_equal(v, w.coeffs)
 
 
 def test_depth_cap_and_cusp_requirement():
@@ -43,7 +56,7 @@ def test_depth3_fd_derivative():
     fz = qf.eval_form(DELTA, z)
     xz = np.array([math.comb(10, v) * (-1) ** v * z ** (10 - v) for v in range(11)])
     target = np.outer(xz * fz, per.eichler_F(DELTA, z).coeffs)
-    assert float(np.max(np.abs(dF.coeffs - target))) <= 1e-5
+    assert float(np.max(np.abs(dF - target))) <= 1e-5
 
 
 @pytest.mark.parametrize("pair", ["delta,delta", "delta,s16", "s16,delta"])
@@ -64,7 +77,7 @@ def test_depth3_matches_a_quadrature_along_the_vertical_ray(pair):
         x1 = signed_binom * ws[:, None] ** np.arange(m1, -1, -1)
         F2 = np.array([per.eichler_F(f2, w).coeffs for w in ws])
         ref = -1j * (((wts * qf.eval_form(f1, ws))[:, None] * x1).T @ F2)
-        got = it.iterated_F(it.IteratedIntegrand((f1, f2)), z).coeffs
+        got = it.iterated_F(it.IteratedIntegrand((f1, f2)), z)
         assert float(np.max(np.abs(got - ref))) <= 1e-13 * float(np.max(np.abs(ref)))
 
 
@@ -98,14 +111,15 @@ def test_the_depth3_kernel_equals_the_defining_sums(pair):
     assert K is it._depth3_kernel(f1, f2) and not K.flags.writeable
     for z in (1j, 0.3 + 1.1j, -0.45 + 0.8j, -31.6 + 1.1j):
         ref = _depth3_reference(f1, f2, z)
-        got = it.iterated_F(it.IteratedIntegrand((f1, f2)), z).coeffs
+        got = it.iterated_F(it.IteratedIntegrand((f1, f2)), z)
         assert float(np.max(np.abs(got - ref))) <= 1e-14 * float(np.max(np.abs(ref)))
 
 
 def test_dot_action_identity_and_composition():
+    for data in (it.IteratedIntegrand(()), DATA2, DATA3):
+        F = lambda z: it.iterated_F(data, z)
+        assert np.array_equal(it.dot_action(F, IDENTITY, data.weights)(2j), F(2j))
     F = lambda z: it.iterated_F(DATA3, z)
-    v0 = F(2j)
-    assert (it.dot_action(F, IDENTITY, DATA3.weights)(2j) - v0).norm_inf() <= 1e-15
     # fixed small-entry pairs keep every evaluation above the q-series floor;
     # residual is relative to the acted operand, whose size sets the float
     # conditioning of the re-expansion
@@ -115,8 +129,8 @@ def test_dot_action_identity_and_composition():
         lhs = it.dot_action(it.dot_action(F, g, DATA3.weights), d, DATA3.weights)(2j)
         rhs = it.dot_action(F, g * d, DATA3.weights)(2j)
         operand = F(mobius(g * d, 2j))
-        scale = max(1.0, rhs.norm_inf(), operand.norm_inf())
-        assert (lhs - rhs).norm_inf() / scale <= 1e-9
+        scale = max(1.0, np.abs(rhs).max(), np.abs(operand).max())
+        assert np.abs(lhs - rhs).max() / scale <= 1e-9
 
 
 def test_parabolic_invariance():
@@ -128,7 +142,7 @@ def test_order2_membership():
     rep = it.order_check(DATA2, 2, [S, S * T], (1j, 1 + 2j))
     assert max(rep["residuals"].values()) <= 1e-8
     val = rep["values"][S.entries]
-    assert (val - per.period_poly(DELTA, S)).norm_inf() <= 1e-8
+    assert np.abs(val - per.period_poly(DELTA, S).coeffs).max() <= 1e-8
 
 
 def test_order3_membership():
@@ -173,7 +187,7 @@ def test_order_filtration_depth2_inside_depth3():
     # F2.(g-1) = r(g; X1) already has z-independent slot coefficients
     F = lambda z: it.iterated_F(DATA2, z)
     img = it._image_fn(F, S, DATA2.weights)
-    assert (img(1j) - img(1 + 2j)).norm_inf() <= 1e-8
+    assert np.abs(img(1j) - img(1 + 2j)).max() <= 1e-8
 
 
 def test_depth3_image_structure():
@@ -182,7 +196,7 @@ def test_depth3_image_structure():
     F = lambda z: it.iterated_F(DATA3, z)
     img = it._image_fn(F, g, DATA3.weights)
     z1, z2 = 1.5j, 2.5j
-    lhs = img(z1).coeffs - img(z2).coeffs
+    lhs = img(z1) - img(z2)
     r2 = per.period_poly(DELTA, g)
     rhs = np.outer(per.eichler_F(DELTA, z1).coeffs - per.eichler_F(DELTA, z2).coeffs, r2.coeffs)
     assert float(np.max(np.abs(lhs - rhs))) <= 1e-12
@@ -227,8 +241,8 @@ def test_real_iterated_F2_weight_guard():
 @pytest.mark.parametrize(
     "call, w",
     [
-        (lambda w: it.map_to_MI(DELTA, w, "+", 2j, T40), BiWeight(6, 6)),
-        (lambda w: it.map_to_MI(DELTA, w, "-", 2j, T40), BiWeight(5, 3)),
+        (lambda w: map_to_MI(DELTA, w, "+", 2j), BiWeight(6, 6)),
+        (lambda w: map_to_MI(DELTA, w, "-", 2j), BiWeight(5, 3)),
         (lambda w: it.psi_bar_image(DELTA, DELTA, w, S, 2j, T40), BiWeight(6, 6)),
         (lambda w: it.psi_bar_image(DELTA, DELTA, w, S, 2j, T40), BiWeight(5, 3)),
         (lambda w: ma.check_phi_identities(DELTA, w, "+", 2j, T40), BiWeight(6, 6)),
@@ -289,14 +303,14 @@ def test_psi_bar_requires_matching_weights():
 
 
 def test_map_to_MI_linearity():
-    vec = it.map_to_MI(DELTA, W, "+", 2j, T40)
-    vec3 = it.map_to_MI(3 * DELTA, W, "+", 2j, T40)
+    vec = map_to_MI(DELTA, W, "+", 2j)
+    vec3 = map_to_MI(3 * DELTA, W, "+", 2j)
     assert float(np.max(np.abs(vec3 - 3 * vec))) <= 1e-10
 
 
 def test_map_to_MI_roundtrip():
     z = 2j
-    vec = it.map_to_MI(DELTA, W, "+", z, T40)
+    vec = map_to_MI(DELTA, W, "+", z)
     phiv = ra.phi(DELTA, W, "+", z, T40).value
     lo = PolyC([-z, 1.0])
     hi = PolyC([-np.conj(z), 1.0])
@@ -315,9 +329,9 @@ def test_map_to_MI_component_invariance():
     from miint.group import jfactor, mobius
 
     z = 2j
-    vec = it.map_to_MI(DELTA, W, "+", z, T40)
+    vec = map_to_MI(DELTA, W, "+", z)
     zs = mobius(S, z)
-    vec_s = it.map_to_MI(DELTA, W, "+", zs, T40)
+    vec_s = map_to_MI(DELTA, W, "+", zs)
     j = jfactor(S, z)
     jb = jfactor(S, z.conjugate())
     for i in range(11):

@@ -35,24 +35,6 @@ def _class_rows(C):
     return list(zip(c0.tolist(), d0.tolist()))
 
 
-def test_exp_poly_primitive_m0_closed_form():
-    for n in (1, 3):
-        for z in (1j, 0.3 + 0.7j):
-            v = per.exp_poly_primitive(n, 0, z)
-            assert abs(v - cmath.exp(2j * cmath.pi * n * z) / (2j * cmath.pi * n)) <= 1e-20
-
-
-def test_exp_poly_primitive_fd_derivative():
-    h = 1e-4
-    z = 1j
-    fd = (per.exp_poly_primitive(1, 3, z + h) - per.exp_poly_primitive(1, 3, z - h)) / (2 * h)
-    assert abs(fd - cmath.exp(2j * cmath.pi * z) * z**3) <= 1e-6
-
-
-def test_exp_poly_primitive_decay():
-    assert abs(per.exp_poly_primitive(1, 3, 20j)) <= 1e-50
-
-
 def _primitive_row(n, m, z):
     """I_0..I_m of one frequency by the scalar recurrence, in Python complex."""
     c = 1.0 / (2j * math.pi * n)

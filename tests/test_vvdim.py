@@ -203,3 +203,15 @@ def test_dimension_preconditions():
         vvdim.dim_Mk_rho(16, 2)
     with pytest.raises(ValueError):
         vvdim.dim_Mk_rho(15, 12)
+
+
+def test_the_integrality_line_names_the_range_it_scans(monkeypatch):
+    from miint import checks
+
+    pairs = []
+    dim = vvdim.dim_Mk_rho
+    monkeypatch.setattr(vvdim, "dim_Mk_rho", lambda k, k1: pairs.append((k, k1)) or dim(k, k1))
+    (line,) = [r for r in checks.suite_vvdim_dims() if "integral" in r.name]
+    # the literal lines read (16, 12) and (14, 12); the ends come from the scan
+    assert min(k1 for _, k1 in pairs) == 4 and max(k for k, _ in pairs) == 40
+    assert line.name == "dim_Mk_rho integral over 4 <= k1 < k <= 40"
