@@ -14,9 +14,7 @@ from .group import (
     BiWeight,
     GroupElement,
     IDENTITY,
-    INFINITY,
     PolyC,
-    R,
     S,
     T,
     T_pow,

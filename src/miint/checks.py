@@ -72,14 +72,19 @@ def suite_vvdim_dims() -> list[CheckResult]:
     out.append(_result("dim_Mk_rho(16,12) == 19", abs(vvdim.dim_Mk_rho(16, 12) - 19), 0))
     out.append(_result("dim_M2c(16,12) == 23", abs(vvdim.dim_M2c(16, 12) - 23), 0))
     out.append(_result("dim_Mk_rho(14,12) == 18", abs(vvdim.dim_Mk_rho(14, 12) - 18), 0))
-    bad = 0
+    # the closed formula against the free module over M_* of Sym^n, n = k1 - 2,
+    # generated in weights -n, -n+2, ..., n (Marks & Mason 2010): the sum of
+    # dim M_w over w = k-n, k-n+2, ..., k+n
+    bad = apart = 0
     for k in range(6, 41, 2):
         for k1 in range(4, k, 2):
             try:
-                vvdim.dim_Mk_rho(k, k1)
-            except ArithmeticError:
-                bad += 1
+                dim = vvdim.dim_Mk_rho(k, k1)
+            except ArithmeticError:  # no value, so no agreement either
+                dim, bad = None, bad + 1
+            apart += dim != sum(map(vvdim.dim_modular, range(k - k1 + 2, k + k1 - 1, 2)))
     out.append(_result("dim_Mk_rho integral over 4 <= k1 < k <= 40", bad, 0))
+    out.append(_result("dim_Mk_rho = free-module sum over 4 <= k1 < k <= 40", apart, 0))
     return out
 
 
@@ -141,8 +146,8 @@ def suite_cocycle() -> list[CheckResult]:
     out.append(_result("r(S)|S + r(S) = 0", res_s2, 1e-8))
     out.append(_result("r((ST)^3) = 0", r_st3.norm_inf() / scale, 1e-8))
 
-    r1 = periods.period_poly_base(f, S, "+", 1j)
-    r2 = periods.period_poly_base(f, S, "+", 0.5 + 2j)
+    r1 = periods.period_poly_base(f, S, 1j)
+    r2 = periods.period_poly_base(f, S, 0.5 + 2j)
     res_base = (r1 - r2).norm_inf() / max(1.0, r1.norm_inf())
     out.append(_result("base-point independence of r(S)", res_base, 1e-9))
     return out
@@ -333,7 +338,7 @@ def suite_equivariance() -> list[CheckResult]:
 def suite_order2() -> list[CheckResult]:
     f = qforms.delta_q()
     data = it.IteratedIntegrand((f,))
-    rep = it.order_check(data, 2, [S, S * T], (1j, 1 + 2j))
+    rep = it.order_check(data, 2, [S, S * T])
     worst = max(rep["residuals"].values())
     out = [_result("F2.(g-1) z-independence", worst, 1e-6)]
     val = rep["values"][S.entries]
@@ -348,7 +353,7 @@ def suite_order2() -> list[CheckResult]:
 def suite_order3() -> list[CheckResult]:
     f = qforms.delta_q()
     data = it.IteratedIntegrand((f, f))
-    rep = it.order_check(data, 3, [(S, S * T), (S, T_pow(1) * S)], (1j, 1 + 2j))
+    rep = it.order_check(data, 3, [(S, S * T), (S, T_pow(1) * S)])
     worst = max(rep["residuals"].values())
     out = [_result("F3.(g-1).(d-1) z-independence", worst, 1e-5)]
     out.append(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -121,15 +122,14 @@ def _trunc(cfg: RunConfig) -> TruncationParams:
 
 
 def _emit(payload: dict, cfg: RunConfig) -> None:
-    payload = {"config": cfg.to_dict(), **payload}
+    payload = {"config": dataclasses.asdict(cfg), **payload}
     json.dump(payload, sys.stdout, sort_keys=True)
     sys.stdout.write("\n")
 
 
-def _emit_csv(rows: list[dict]) -> None:
-    if not rows:
-        return
-    writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0].keys()))
+def _emit_csv(rows: list[dict], fieldnames: tuple[str, ...]) -> None:
+    """A header row, then one row per dict: the header alone when there is none."""
+    writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames)
     writer.writeheader()
     writer.writerows(rows)
 
@@ -230,7 +230,7 @@ def _cmd_forms(ns, cfg: RunConfig) -> int:
         for name, f in forms:
             for n, c in enumerate(f.coeffs):
                 rows.append({"form": name, "n": n, "a_n": str(c)})
-        _emit_csv(rows)
+        _emit_csv(rows, ("form", "n", "a_n"))
         return EXIT_OK
     payload = {
         "forms": {
@@ -394,7 +394,7 @@ def _cmd_dim(ns, cfg: RunConfig) -> int:
         for k, k1 in pairs
     ]
     if cfg.format == "csv":
-        _emit_csv(rows)
+        _emit_csv(rows, ("k", "k1", "dim_Mk_rho", "dim_M2c"))
     elif table:
         _emit({"table": rows}, cfg)
     else:

@@ -11,7 +11,7 @@ from `raseries.DEFAULT_M`.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from .qforms import DEFAULT_N
 from .raseries import DEFAULT_M, TruncationParams
@@ -37,9 +37,6 @@ class RunConfig:
     @property
     def z(self) -> complex:
         return complex(self.z_re, self.z_im)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     def apply_file(self, path: str) -> None:
         with open(path, "r", encoding="utf-8") as fh:

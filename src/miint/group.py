@@ -16,16 +16,11 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import PrecisionError
-
-#: point at infinity on the boundary of the upper half-plane
-INFINITY = object()
-
 
 @dataclass(frozen=True)
 class GroupElement:
@@ -59,7 +54,6 @@ class GroupElement:
 IDENTITY = GroupElement(1, 0, 0, 1)
 S = GroupElement(0, -1, 1, 0)
 T = GroupElement(1, 1, 0, 1)
-R = S * T  # (0 -1; 1 1), order 6 up to sign
 
 
 def T_pow(n: int) -> GroupElement:
@@ -93,10 +87,9 @@ class BiWeight:
 
 
 class PolyC:
-    """Complex-coefficient polynomial in one formal variable X.
-
-    The degree bound is fixed at construction; coefficients are stored
-    ascending.  Conjugation acts on coefficients only (X is treated as real).
+    """Complex-coefficient polynomial in one formal variable X: sums,
+    differences and complex multiples.  The degree bound is fixed at
+    construction; coefficients are stored ascending.
     """
 
     __slots__ = ("coeffs",)
@@ -111,16 +104,6 @@ class PolyC:
                     [arr, np.zeros(bound + 1 - arr.size, dtype=np.complex128)]
                 )
         self.coeffs = arr
-
-    @classmethod
-    def zero(cls, bound: int) -> "PolyC":
-        return cls(np.zeros(bound + 1, dtype=np.complex128))
-
-    @classmethod
-    def one(cls, bound: int = 0) -> "PolyC":
-        c = np.zeros(bound + 1, dtype=np.complex128)
-        c[0] = 1.0
-        return cls(c)
 
     @property
     def bound(self) -> int:
@@ -139,26 +122,10 @@ class PolyC:
     def __neg__(self) -> "PolyC":
         return PolyC(-self.coeffs)
 
-    def __mul__(self, other):
-        if isinstance(other, PolyC):
-            return PolyC(np.convolve(self.coeffs, other.coeffs))
-        return PolyC(self.coeffs * complex(other))
+    def __mul__(self, scalar: complex) -> "PolyC":
+        return PolyC(self.coeffs * complex(scalar))
 
     __rmul__ = __mul__
-
-    def __call__(self, x: complex) -> complex:
-        # Horner, highest coefficient first
-        acc = 0j
-        for c in self.coeffs[::-1]:
-            acc = acc * x + c
-        return acc
-
-    def conjugate(self) -> "PolyC":
-        return PolyC(np.conj(self.coeffs))
-
-    def shift(self, a: complex) -> "PolyC":
-        """Taylor shift X -> X + a."""
-        return PolyC(taylor_shift(self.coeffs.copy(), a))
 
     def norm_inf(self) -> float:
         return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
@@ -167,19 +134,9 @@ class PolyC:
         return f"PolyC({np.round(self.coeffs, 6)})"
 
 
-def mobius(g: GroupElement, z):
-    """Fractional-linear image of z; z may be complex, rational or INFINITY."""
+def mobius(g: GroupElement, z: complex) -> complex:
+    """Fractional-linear image of a point z of H."""
     a, b, c, d = g.entries
-    if z is INFINITY:
-        if c == 0:
-            return INFINITY
-        return Fraction(a, c)
-    if isinstance(z, (int, Fraction)):
-        z = Fraction(z)
-        den = c * z + d
-        if den == 0:
-            return INFINITY
-        return (a * z + b) / den
     z = complex(z)
     return (a * z + b) / (c * z + d)
 
@@ -366,15 +323,11 @@ def act_poly(P: PolyC, g: GroupElement, k: int) -> PolyC:
 
 
 def act_tensor(F, g: GroupElement, w: BiWeight, k: int):
-    """Tensor action on a PolyC-valued function of z.
-
+    """Tensor action on a PolyC-valued function of z: the slash `act_rs_fn`
+    of X -> F(., gX) j(g,X)^(k-2),
     (F | g)(z, X) = F(gz, gX) j(g,z)^(-r) j(g, conj z)^(-s) j(g,X)^(k-2).
     """
-
-    def acted(z: complex) -> PolyC:
-        return act_rs(act_poly(F(mobius(g, complex(z))), g, k), g, z, w)
-
-    return acted
+    return act_rs_fn(lambda u: act_poly(F(u), g, k), g, w)
 
 
 def complete_row(c: int, d: int) -> GroupElement:

@@ -148,13 +148,9 @@ def _image_fn(F, g: GroupElement, weights):
     return lambda z: acted(z) - F(z)
 
 
-def order_check(
-    data: IteratedIntegrand,
-    n: int,
-    witnesses: list,
-    zpair: tuple[complex, complex] = (1j, 1 + 2j),
-) -> dict:
-    """Higher-order membership via z-independence of group images.
+def order_check(data: IteratedIntegrand, n: int, witnesses: list) -> dict:
+    """Higher-order membership via z-independence of group images between
+    z1 = i and z2 = 1 + 2i.
 
     n = 2: F.(g-1) must not depend on z (constants tensor polynomials).
     n = 3: the recursive condition; F.(g-1) lands in order-2 objects
@@ -168,7 +164,7 @@ def order_check(
         raise ValueError("order_check supports n = 2 or 3")
     weights = data.weights
     F = memo_points(lambda z: iterated_F(data, z))
-    z1, z2 = (complex(z) for z in zpair)
+    z1, z2 = 1j, 1 + 2j
     report = {"n": n, "residuals": {}, "values": {}}
     if n == 2:
         for g in witnesses:

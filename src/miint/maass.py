@@ -106,7 +106,8 @@ def check_phi_identities(
                               - 2i (1-delta) y conj(f(z)) (X-cz)^(k-2) E_{r,s}
 
     delta = 1 in the plus case, 0 in the minus case; residuals are sup-norms
-    over monomial coefficients.  Both derivatives come from one stencil.
+    over monomial coefficients.  phi_{r,s} is evaluated once per distinct
+    point (`group.memo_points`), so raising and lowering share its stencil.
     """
     z = complex(z)
     k = hform.k
@@ -115,24 +116,22 @@ def check_phi_identities(
     def phi_at(u: complex, weights: BiWeight) -> np.ndarray:
         return phi(hform, weights, sign, u, t).value.coeffs
 
-    at_z = phi_at(z, w)  # raises ConvergenceError unless r + s > k
+    phi_w = memo_points(lambda u: phi_at(u, w))
+    phi_w(z)  # raises ConvergenceError unless r + s > k
     ev = eisenstein_rs(w, z, t).value
     fz = eval_form(hform, z)
     y = z.imag
     basis = coeff_basis(z, k - 2)  # columns k-2 and 0: (X-z)^(k-2), (X-cz)^(k-2)
-    dz, dzb = _wirtinger(lambda u: phi_at(u, w), z, scheme)
 
-    lhs_d = 2j * y * dz + w.r * at_z
     rhs_d = w.r * phi_at(z, w.raised())
     if delta:
         rhs_d = rhs_d + (2j * y * fz * ev) * basis[:, k - 2]
-    res_d = np.max(np.abs(lhs_d - rhs_d))
+    res_d = np.max(np.abs(maass_d(phi_w, w.r, z, scheme) - rhs_d))
 
-    lhs_db = -2j * y * dzb + w.s * at_z
     rhs_db = w.s * phi_at(z, w.lowered())
     if not delta:
         rhs_db = rhs_db - (2j * y * fz.conjugate() * ev) * basis[:, 0]
-    res_db = np.max(np.abs(lhs_db - rhs_db))
+    res_db = np.max(np.abs(maass_dbar(phi_w, w.s, z, scheme) - rhs_db))
     return {"raising": float(res_d), "lowering": float(res_db)}
 
 

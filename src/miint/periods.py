@@ -106,20 +106,18 @@ def _eichler(f: QExpansion, z: complex, minus: bool) -> np.ndarray:
     return np.conjugate(P, out=P) if minus else P
 
 
-def period_poly_base(f: QExpansion, g: GroupElement, sign: str = "+", z0: complex = 1j) -> PolyC:
-    """Period polynomial via the base-point formula
+def period_poly_base(f: QExpansion, g: GroupElement, z0: complex = 1j) -> PolyC:
+    """Plus-sign period polynomial via the base-point formula
     r(g; X) = F(g z0, g X) j(g, X)^(k-2) - F(z0, X), independent of z0;
     `eichler_F` rejects a base point or image below the evaluation floor."""
-    minus = _minus(sign)
-    F_at_gz0 = eichler_F(f, mobius(g, complex(z0)), "+")
-    val = act_poly(F_at_gz0, g, f.k) - eichler_F(f, z0, "+")
-    return val.conjugate() if minus else val
+    F_at_gz0 = eichler_F(f, mobius(g, z0), "+")
+    return act_poly(F_at_gz0, g, f.k) - eichler_F(f, z0, "+")
 
 
 @lru_cache(maxsize=8)
 def _anchor(f: QExpansion) -> np.ndarray:
     """Read-only coefficients of r(S), the one anchored period of a cusp form."""
-    r_S = period_poly_base(f, S, "+", 1j).coeffs
+    r_S = period_poly_base(f, S, 1j).coeffs
     r_S.setflags(write=False)  # cached and shared by every period
     return r_S
 
@@ -163,16 +161,6 @@ class ReducedPeriods:
         vals = _lambdas_from_period(self.periods.T, -d0 / c, self.periods.shape[1] + 1)
         vals.setflags(write=False)  # cached and shared by every caller
         return vals
-
-    def value(self, s: int, c: int, d: int) -> complex:
-        """Lambda_f(s, -d/c); the twist is looked up modulo c."""
-        if not 1 <= s <= self.periods.shape[1]:
-            raise KeyError(f"s = {s} outside 1..{self.periods.shape[1]}")
-        _, _, pos = reduced_classes(self.C)
-        i = pos[c, d % c] if 1 <= c <= self.C else -1
-        if i < 0:
-            raise KeyError(f"Lambda table does not cover (c, d) = ({c}, {d})")
-        return complex(self.values[s - 1, i])
 
 
 @lru_cache(maxsize=8)
@@ -309,13 +297,16 @@ def _lambdas_by_extraction(f: QExpansion, p: int, q: int) -> np.ndarray:
 
 def period_from_Lvalues(f: QExpansion, g: GroupElement, table: ReducedPeriods) -> PolyC:
     """Reassemble r(g; X) from twisted L-values:
-    sum_j (-1)^j binom(k-2,j) i^(j+1) Lambda_f(j+1, g^(-1) inf) (X - a)^(k-2-j).
+    sum_j (-1)^j binom(k-2,j) i^(j+1) Lambda_f(j+1, a) (X - a)^(k-2-j),
+    a = g^(-1) inf = -d/c, its class's column of `table.values` (the twist
+    is read modulo c) shifted back to monomials by X -> X + d/c.
     """
     k = f.k
     if g.c == 0:
-        return PolyC.zero(k - 2)  # cusp fixed, empty integral
+        return PolyC(np.zeros(k - 1))  # cusp fixed, empty integral
     c, d = (g.c, g.d) if g.c > 0 else (-g.c, -g.d)
-    a = -d / c
-    lams = np.array([table.value(s, c, d) for s in range(1, k)])
-    taylor = (_lambda_scale(k) * lams)[::-1]
-    return PolyC(taylor, k - 2).shift(-a)  # (X - a)-basis back to monomials
+    _, _, lut = reduced_classes(table.C)
+    i = lut[c, d % c] if c <= table.C else -1
+    if i < 0:
+        raise KeyError(f"Lambda table does not cover (c, d) = ({c}, {d})")
+    return PolyC(taylor_shift(_lambda_scale(k)[::-1] * table.values[::-1, i], d / c))

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -211,6 +212,23 @@ def test_forms_csv_and_json(capsys):
     code, out, _ = run_cli(capsys, "forms", "--kind", "cusp-basis", "--weight", "16", "--N", "12")
     payload = json.loads(out)
     assert payload["forms"]["s16.0"]["weight"] == 16
+
+
+@pytest.mark.parametrize("weight", ["10", "14"])
+def test_an_empty_cusp_basis_prints_the_csv_header_alone(capsys, weight):
+    # S_10 = S_14 = 0: no rows, where the JSON form prints "forms": {}
+    code, out, _ = run_cli(capsys, "forms", "--kind", "cusp-basis", "--weight", weight, "--format", "csv")
+    assert (code, out) == (0, "form,n,a_n\r\n")
+
+
+def test_csv_tables_keep_their_bytes(capsys):
+    # the header row is each command's own field names, in the order of its
+    # rows' keys: the same bytes as a header read off the first row
+    assert run_cli(capsys, "dim", "--format", "csv") == (0, "k,k1,dim_Mk_rho,dim_M2c\r\n16,12,19,23\r\n", "")
+    code, out, _ = run_cli(capsys, "forms", "--kind", "cusp-basis", "--weight", "24", "--format", "csv")
+    assert code == 0 and out.count("\r\n") == 243
+    digest = "e80b6d72211ac8459b4e919046db5593eb0c427384032b005eef72a1a03b7187"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_check_fourier_evaluates_each_sample_point_once(capsys, monkeypatch):

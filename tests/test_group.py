@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,6 @@ from miint.group import (
     BiWeight,
     GroupElement,
     IDENTITY,
-    INFINITY,
     PolyC,
     S,
     T,
@@ -61,8 +61,9 @@ def test_composition_and_inverse_exact():
 
 def test_mobius_fixed_points():
     assert mobius(S, 1j) == 1j
-    assert mobius(T, INFINITY) is INFINITY
-    assert mobius(S.inv(), INFINITY) == Fraction(0)
+    rho = complex(-0.5, math.sqrt(3) / 2)  # fixed by S T = (0 -1; 1 1)
+    assert abs(mobius(S * T, rho) - rho) <= 1e-15
+    assert mobius(T_pow(-3), 0.25 + 2j) == -2.75 + 2j
 
 
 def test_mobius_preserves_upper_half_plane():
@@ -71,13 +72,6 @@ def test_mobius_preserves_upper_half_plane():
         g = random_word(rng)
         z = complex(rng.uniform(-2, 2), rng.uniform(0.1, 3))
         assert mobius(g, z).imag > 0
-
-
-def test_mobius_rational_boundary():
-    g = complete_row(2, 1)
-    assert mobius(g, INFINITY) == Fraction(g.a, 2)
-    # pole of the fractional-linear map goes to infinity
-    assert mobius(S, Fraction(0)) is INFINITY
 
 
 def test_jfactor_trivial_values():
@@ -259,9 +253,9 @@ def test_act_poly_pointwise_oracle():
         for x in samples:
             den = g.c * x + g.d
             gx = (g.a * x + g.b) / den
-            direct = P(gx) * den ** (k - 2)
+            direct = polyval(gx, P.coeffs) * den ** (k - 2)
             scale = max(1.0, abs(direct), coeff_scale * abs(x) ** (k - 2))
-            assert abs(acted(x) - direct) / scale <= 1e-10
+            assert abs(polyval(x, acted.coeffs) - direct) / scale <= 1e-10
 
 
 def test_act_poly_degree_overflow():
@@ -437,19 +431,11 @@ def test_word_decompose_reassembly(g):
     assert m.entries == g.entries or m.entries == tuple(-x for x in g.entries)
 
 
-def test_polyc_conjugation_and_eval():
-    P = PolyC([1 + 2j, 3 - 1j, 0.5j])
-    Q = P.conjugate()
-    assert np.array_equal(Q.coeffs, np.conj(P.coeffs))
-    x = 0.7
-    assert abs(P(x).conjugate() - Q(x)) < 1e-15  # X treated as real
-
-
-def test_polyc_shift_roundtrip():
-    P = PolyC([1.0, -2.0, 3.0, 0.25])
+def test_taylor_shift_complex_roundtrip():
+    P = np.array([1.0, -2.0, 3.0, 0.25], dtype=np.complex128)
     a = 0.3 - 0.7j
-    Q = P.shift(a).shift(-a)
-    assert (Q - P).norm_inf() < 1e-13
+    Q = taylor_shift(taylor_shift(P.copy(), a), -a)
+    assert np.abs(Q - P).max() < 1e-13
 
 
 def _shift_exact(p, a):

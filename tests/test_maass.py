@@ -146,10 +146,21 @@ def _count_phi_calls(monkeypatch, module):
 
 
 def test_phi_identities_share_one_stencil_pass(monkeypatch):
+    # raising and lowering read one stencil of phi_{r,s}: its 8 nodes and z
+    # itself, once each, and phi at the raised and lowered weights at z; the
+    # residuals are bitwise those of one evaluation per visit (21 of them)
     calls = _count_phi_calls(monkeypatch, ma)
-    ma.check_phi_identities(DELTA, W, "+", Z, T40)
-    # 8 stencil nodes, z itself, and the raised and lowered weights
-    assert len(calls) <= 11
+    for sign in "+-":
+        calls.clear()
+        memoised = ma.check_phi_identities(DELTA, W, sign, Z, T40)
+        at_w = {args[3] for args in calls if args[1] == W}
+        assert len(calls) == 11 and len(at_w) == 9
+        assert sorted((a[1].r, a[1].s) for a in calls if a[1] != W) == [(9, 11), (11, 9)]
+        with monkeypatch.context() as m:
+            m.setattr(ma, "memo_points", lambda fn: fn)
+            calls.clear()
+            assert ma.check_phi_identities(DELTA, W, sign, Z, T40) == memoised
+            assert len(calls) == 21
 
 
 def test_coeffs_suite_shares_one_stencil_pass(monkeypatch):

@@ -4,6 +4,7 @@ for it, not pass and not raise."""
 from miint import checks
 from miint import periods as per
 from miint import raseries as ra
+from miint import vvdim
 from miint.group import reduced_classes
 
 
@@ -36,3 +37,13 @@ def test_a_class_off_by_1e_8_fails_the_classes_suite(monkeypatch):
     assert len(failures) == 2
     assert all(res.residual >= 10 * res.tolerance for res in failures)
     assert {res.details["worst_class"] for res in failures} == {(3, 1)}
+
+
+def test_a_wrong_integral_term_of_dim_Mk_rho_fails_the_free_module_line(monkeypatch):
+    # (17 + k)/12 (k1 - 1) for (5 + k)/12 (k1 - 1): every value moves by
+    # k1 - 1 and stays an integer, so only the second route sees it
+    dim = vvdim.dim_Mk_rho
+    monkeypatch.setattr(vvdim, "dim_Mk_rho", lambda k, k1: dim(k, k1) + (k1 - 1))
+    failures = {res.name: res for res in _failures("vvdim")}
+    assert "dim_Mk_rho integral over 4 <= k1 < k <= 40" not in failures
+    assert failures["dim_Mk_rho = free-module sum over 4 <= k1 < k <= 40"].residual == 171

@@ -125,13 +125,13 @@ def test_eichler_requires_cusp_form():
 
 
 def test_period_base_trivial_elements():
-    assert per.period_poly_base(DELTA, T, "+", 1j).norm_inf() <= 1e-12
-    assert per.period_poly_base(DELTA, IDENTITY, "+", 1j).norm_inf() <= 1e-12
+    assert per.period_poly_base(DELTA, T, 1j).norm_inf() <= 1e-12
+    assert per.period_poly_base(DELTA, IDENTITY, 1j).norm_inf() <= 1e-12
 
 
 def test_period_base_point_independence():
-    r1 = per.period_poly_base(DELTA, S, "+", 1j)
-    r2 = per.period_poly_base(DELTA, S, "+", 0.5 + 2j)
+    r1 = per.period_poly_base(DELTA, S, 1j)
+    r2 = per.period_poly_base(DELTA, S, 0.5 + 2j)
     assert (r1 - r2).norm_inf() / r1.norm_inf() <= 1e-9
 
 
@@ -139,7 +139,7 @@ def test_period_cocycle_vs_base_route():
     worst = 0.0
     for c, d in [(1, 0), (1, 1), (1, -1), (2, 1), (2, -1), (3, 1), (3, 2), (3, -2)]:
         g = complete_row(c, d)
-        rb = per.period_poly_base(DELTA_FINE, g, "+", 1j)
+        rb = per.period_poly_base(DELTA_FINE, g, 1j)
         rc = per.period_poly(DELTA_FINE, g, "+")
         worst = max(worst, (rb - rc).norm_inf() / max(1.0, rb.norm_inf()))
     assert worst <= 1e-9
@@ -454,10 +454,23 @@ def test_period_from_Lvalues_parabolic():
 
 def test_lambda_table_incomplete_raises():
     table = per.reduced_periods(DELTA, 2)
-    with pytest.raises(KeyError):
-        table.value(7, 5, 1)
-    with pytest.raises(KeyError):
-        table.value(20, 2, 1)
+    for g in (complete_row(5, 1), complete_row(3, -1), GroupElement(-1, 0, -5, -1)):
+        with pytest.raises(KeyError, match="does not cover"):
+            per.period_from_Lvalues(DELTA, g, table)
+
+
+def test_period_from_Lvalues_every_class_to_c_12():
+    # each class's column of the table, shifted back to monomials, against
+    # the Euclid-chain period of its matrix, relative to its largest
+    # coefficient; g and -g read the same class with the same bits
+    for f in (DELTA, qf.cusp_basis(16)[0]):
+        table = per.reduced_periods(f, 12)
+        gs = [complete_row(c, d0) for c, d0 in _class_rows(12)]
+        for g, direct in zip(gs, per.period_polys(f, gs)):
+            rebuilt = per.period_from_Lvalues(f, g, table)
+            assert np.abs(rebuilt.coeffs - direct.coeffs).max() <= 1e-14 * direct.norm_inf()
+            minus_g = GroupElement(*(-x for x in g.entries))
+            assert per.period_from_Lvalues(f, minus_g, table).coeffs.tobytes() == rebuilt.coeffs.tobytes()
 
 
 def test_lambda_table_vs_integral_route():
@@ -510,9 +523,9 @@ def test_i_power_exact():
     "call",
     [
         lambda: per.period_poly(DELTA, S, "x"),
-        lambda: per.period_poly_base(DELTA, S, "?"),
+        lambda: per.eichler_F(DELTA, 2j, "?"),
     ],
-    ids=["period_poly", "period_poly_base"],
+    ids=["period_poly", "eichler_F"],
 )
 def test_unknown_sign_is_rejected(call):
     with pytest.raises(ValueError, match="sign"):
