@@ -54,7 +54,7 @@ __version__ = "0.1.0"
 
 #: submodules that no series value reads, and their names: bound on first use
 _LAZY = {
-    "maass": ("FDScheme", "maass_d", "maass_dbar"),
+    "maass": ("maass_d", "maass_dbar"),
     "iterated": ("IteratedIntegrand", "iterated_F", "order_check"),
     "vvdim": ("dim_M2c", "dim_Mk_rho", "rho_matrices", "trace_ST"),
 }

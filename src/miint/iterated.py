@@ -139,60 +139,52 @@ def dot_action(F, g: GroupElement, weights: tuple[int, ...]):
     return lambda z: _act(F(mobius(g, complex(z))), g, weights[1:])
 
 
-def _norm(val: np.ndarray) -> float:
-    return float(np.abs(val).max())
+def _image(F, witness: tuple, weights: tuple[int, ...]):
+    """z -> F.(g_1 - 1)...(g_m - 1) at z, one level per element: level i
+    acts through `dot_action` on the first n-1-i polynomial slots of a
+    depth-n F, n = len(weights), so at depth 3 the second level acts on X1
+    alone (F.(g_1 - 1) is an order-2 object tensored with the inert X2)."""
+    for g in witness:
+        F = (lambda acted, prev: lambda z: acted(z) - prev(z))(dot_action(F, g, weights), F)
+        weights = weights[:-1]
+    return F
 
 
-def _image_fn(F, g: GroupElement, weights):
-    acted = dot_action(F, g, weights)
-    return lambda z: acted(z) - F(z)
-
-
-def order_check(data: IteratedIntegrand, n: int, witnesses: list) -> dict:
+def order_check(data: IteratedIntegrand, witnesses: list) -> dict:
     """Higher-order membership via z-independence of group images between
     z1 = i and z2 = 1 + 2i.
 
-    n = 2: F.(g-1) must not depend on z (constants tensor polynomials).
-    n = 3: the recursive condition; F.(g-1) lands in order-2 objects
-    tensored with the inert X2 slot, so each X2-coefficient of F.(g-1),
-    as a polynomial-valued function of (z, X1), must pass the order-2
-    test against the second witness.  F is evaluated once per distinct
-    point of the call (`group.memo_points`).  Report-only: returns
-    residuals, never raises on failure.
+    At depth n each witness is a tuple (g_1, ..., g_(n-1)), and
+    F.(g_1 - 1)...(g_(n-1) - 1) must not depend on z: at n = 2 it is a
+    constant tensor polynomial, and at n = 3 each X2-coefficient of
+    F.(g_1 - 1), a polynomial-valued function of (z, X1), passes the order-2
+    test against g_2, each against its own scale.  The reported value is
+    F.(g_1 - 1) at z1.  F is evaluated once per distinct point of the call
+    (`group.memo_points`).  Report-only: returns residuals, never raises on
+    failure.
     """
-    if n not in (2, 3):
-        raise ValueError("order_check supports n = 2 or 3")
-    weights = data.weights
+    n, weights = data.depth, data.weights
     F = memo_points(lambda z: iterated_F(data, z))
     z1, z2 = 1j, 1 + 2j
     report = {"n": n, "residuals": {}, "values": {}}
-    if n == 2:
-        for g in witnesses:
-            diff = _image_fn(F, g, weights)
-            v1, v2 = diff(z1), diff(z2)
-            scale = max(1.0, _norm(v1))
-            report["residuals"][g.entries] = _norm(v1 - v2) / scale
-            report["values"][g.entries] = v1
-        return report
-    k1 = data.forms[0].k
-    for g, d in witnesses:
-        first = _image_fn(F, g, weights)
-        at1 = first(z1)
-        # the order-2 test against d on every X2 column at once (d acts on X1
-        # alone), each column against its own scale
-        v1 = _act(first(mobius(d, z1)), d, (k1,)) - at1
-        v2 = _act(first(mobius(d, z2)), d, (k1,)) - first(z2)
+    for witness in witnesses:
+        if len(witness) != n - 1:
+            raise ValueError(f"a depth-{n} witness is a tuple of {n - 1} group elements")
+        # the first level apart, once per point: its value at z1 is reported
+        first = memo_points(_image(F, witness[:1], weights))
+        image = _image(first, witness[1:], weights[:-1])
+        v1, v2 = image(z1), image(z2)
         scale = np.maximum(1.0, np.abs(v1).max(axis=0))
-        worst = float((np.abs(v1 - v2).max(axis=0) / scale).max())
-        report["residuals"][(g.entries, d.entries)] = worst
-        report["values"][(g.entries, d.entries)] = at1
+        key = tuple(g.entries for g in witness)
+        report["residuals"][key] = float((np.abs(v1 - v2).max(axis=0) / scale).max())
+        report["values"][key] = first(z1)
     return report
 
 
 def parabolic_residual(data: IteratedIntegrand, z: complex) -> float:
     """Sup-norm of F.(T-1) at z; vanishes for every iterated integral."""
     F = lambda u: iterated_F(data, u)
-    return _norm(_image_fn(F, T, data.weights)(complex(z)))
+    return float(np.abs(_image(F, (T,), data.weights)(complex(z))).max())
 
 
 def real_iterated_F2(

@@ -1,6 +1,6 @@
 """Maass raising/lowering operators by finite differences, and verification
-of the equivariance, key differential and coefficient-recombination
-identities they satisfy.
+of the equivariance, weight-shift, key differential and
+coefficient-recombination identities they satisfy.
 
 The operators act on functions of z only; polynomial-valued functions are
 differentiated coefficient-wise in the monomial basis (X held constant).
@@ -10,8 +10,6 @@ operator is always supplied by the caller, never inferred.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .group import BiWeight, GroupElement, act_rs, act_rs_fn, memo_points, mobius
@@ -19,75 +17,61 @@ from .qforms import QExpansion, eval_form
 from .raseries import TruncationParams, coeff_basis, eisenstein_rs, phi
 
 
-@dataclass(frozen=True)
-class FDScheme:
-    """Step of the 4th-order central stencil.
-
-    Error model: evaluation noise eps contributes ~ eps/h, truncation is
-    O(h^4).
-    """
-
-    h: float = 1e-3
-
-    def derivative(self, fn, x0: float) -> complex:
-        offs, wts, den = [2.0, 1.0, -1.0, -2.0], [-1.0, 8.0, -8.0, 1.0], 12.0
-        return sum(w * fn(x0 + o * self.h) for o, w in zip(offs, wts)) / (den * self.h)
+#: step of the 4th-order central stencil.  Error model: evaluation noise
+#: eps contributes ~ eps/h, truncation is O(h^4).
+STEP = 1e-3
 
 
-def _check_stencil(z: complex, scheme: FDScheme) -> None:
-    if complex(z).imag - 2 * scheme.h <= 0:
-        raise ValueError("stencil leaves the upper half-plane")
+def _derivative(fn, x0: float, h: float) -> complex:
+    offs, wts, den = [2.0, 1.0, -1.0, -2.0], [-1.0, 8.0, -8.0, 1.0], 12.0
+    return sum(w * fn(x0 + o * h) for o, w in zip(offs, wts)) / (den * h)
 
 
-def _wirtinger(fn, z: complex, scheme: FDScheme) -> tuple:
+def _wirtinger(fn, z: complex, h: float) -> tuple:
     """(d/dz, d/dzbar) = ((d/dx - i d/dy)/2, (d/dx + i d/dy)/2) of a scalar-
     or array-valued function, from one stencil along each axis."""
     z = complex(z)
-    _check_stencil(z, scheme)
-    dx = scheme.derivative(lambda u: fn(complex(u, z.imag)), z.real)
-    dy = scheme.derivative(lambda v: fn(complex(z.real, v)), z.imag)
+    if z.imag - 2 * h <= 0:
+        raise ValueError("stencil leaves the upper half-plane")
+    dx = _derivative(lambda u: fn(complex(u, z.imag)), z.real, h)
+    dy = _derivative(lambda v: fn(complex(z.real, v)), z.imag, h)
     return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
 
 
-def maass_d(fn, r, z: complex, scheme: FDScheme = FDScheme()) -> complex:
+def maass_d(fn, r, z: complex, h: float = STEP) -> complex:
     """Raising operator 2iy d/dz + r; for an array-valued fn, r may be an
     array with one subscript per component."""
     z = complex(z)
-    return 2j * z.imag * _wirtinger(fn, z, scheme)[0] + r * fn(z)
+    return 2j * z.imag * _wirtinger(fn, z, h)[0] + r * fn(z)
 
 
-def maass_dbar(fn, s: int, z: complex, scheme: FDScheme = FDScheme()) -> complex:
+def maass_dbar(fn, s: int, z: complex, h: float = STEP) -> complex:
     """Lowering operator -2iy d/dzbar + s."""
     z = complex(z)
-    return -2j * z.imag * _wirtinger(fn, z, scheme)[1] + s * fn(z)
+    return -2j * z.imag * _wirtinger(fn, z, h)[1] + s * fn(z)
 
 
-def check_equivariance(
-    fn,
-    g: GroupElement,
-    w: BiWeight,
-    z: complex,
-    scheme: FDScheme = FDScheme(),
-) -> tuple[float, float]:
-    """Residuals of the two operator identities used throughout: raising
-    commutes with the slash action up to the weight shift (r,s) -> (r+1,s-1),
-    and conjugating by y^2 shifts the operator subscript by 2.  fn is
-    evaluated once per distinct node of the call (`group.memo_points`): the
-    second identity's two sides share all nine, and under T the first's
-    sides share theirs, the nodes about gz being the images of those about z."""
+def check_equivariance(fn, g: GroupElement, w: BiWeight, z: complex, h: float = STEP) -> float:
+    """Residual of raising commuting with the slash action up to the weight
+    shift (r,s) -> (r+1,s-1).  fn is evaluated once per distinct node of the
+    call (`group.memo_points`): under T the nodes about gz are the images of
+    those about z."""
     z = complex(z)
     fn = memo_points(fn)
-    lhs = maass_d(act_rs_fn(fn, g, w), w.r, z, scheme)
-    rhs = act_rs(maass_d(fn, w.r, mobius(g, z), scheme), g, z, w.raised())
-    res1 = abs(lhs - rhs)
+    lhs = maass_d(act_rs_fn(fn, g, w), w.r, z, h)
+    rhs = act_rs(maass_d(fn, w.r, mobius(g, z), h), g, z, w.raised())
+    return abs(lhs - rhs)
 
-    def scaled(u: complex) -> complex:
-        return complex(u).imag ** 2 * fn(u)
 
-    lhs2 = maass_d(scaled, w.r, z, scheme)
-    rhs2 = z.imag**2 * maass_d(fn, w.r + 2, z, scheme)
-    res2 = abs(lhs2 - rhs2)
-    return res1, res2
+def check_weight_shift(fn, r: int, z: complex, h: float = STEP) -> float:
+    """Residual of conjugating raising by y^2, d_r(y^2 fn) = y^2 d_(r+2) fn;
+    its two sides read fn at the same nine nodes, once each
+    (`group.memo_points`)."""
+    z = complex(z)
+    fn = memo_points(fn)
+    lhs = maass_d(lambda u: complex(u).imag ** 2 * fn(u), r, z, h)
+    rhs = z.imag**2 * maass_d(fn, r + 2, z, h)
+    return abs(lhs - rhs)
 
 
 def check_phi_identities(
@@ -96,7 +80,7 @@ def check_phi_identities(
     sign: str,
     z: complex,
     t: TruncationParams = TruncationParams(),
-    scheme: FDScheme = FDScheme(),
+    h: float = STEP,
 ) -> dict[str, float]:
     """Residuals of the key differential identities for phi.
 
@@ -126,41 +110,34 @@ def check_phi_identities(
     rhs_d = w.r * phi_at(z, w.raised())
     if delta:
         rhs_d = rhs_d + (2j * y * fz * ev) * basis[:, k - 2]
-    res_d = np.max(np.abs(maass_d(phi_w, w.r, z, scheme) - rhs_d))
+    res_d = np.max(np.abs(maass_d(phi_w, w.r, z, h) - rhs_d))
 
     rhs_db = w.s * phi_at(z, w.lowered())
     if not delta:
         rhs_db = rhs_db - (2j * y * fz.conjugate() * ev) * basis[:, 0]
-    res_db = np.max(np.abs(maass_dbar(phi_w, w.s, z, scheme) - rhs_db))
+    res_db = np.max(np.abs(maass_dbar(phi_w, w.s, z, h) - rhs_db))
     return {"raising": float(res_d), "lowering": float(res_db)}
 
 
-def check_coeffs_identity(
-    fjs: list,
-    m: int,
-    z: complex,
-    k: int,
-    scheme: FDScheme = FDScheme(),
-) -> float:
+def check_coeffs_identity(fjs: list, m: int, z: complex, h: float = STEP) -> float:
     """Residual of the basis recombination identity
 
     d_m( sum_j f_j (X-z)^j (X-cz)^(k-2-j) )
         = sum_j ( d_{m+j} f_j - (j+1) f_{j+1} ) (X-z)^j (X-cz)^(k-2-j)
 
-    with f_{k-1} = 0; both sides compared in monomial coefficients, from
-    one evaluation of the f_j per stencil node (`group.memo_points`).
+    with k = len(fjs) + 1 and f_{k-1} = 0; both sides compared in monomial
+    coefficients, from one evaluation of the f_j per stencil node
+    (`group.memo_points`).
     """
     z = complex(z)
-    deg = k - 2
-    if len(fjs) != deg + 1:
-        raise ValueError(f"need {deg + 1} coefficient functions")
+    deg = len(fjs) - 1
 
     @memo_points
     def values(u: complex) -> np.ndarray:
         return np.array([fj(u) for fj in fjs], dtype=np.complex128)
 
-    lhs = maass_d(lambda u: coeff_basis(u, deg) @ values(u), m, z, scheme)
+    lhs = maass_d(lambda u: coeff_basis(u, deg) @ values(u), m, z, h)
     at_z = values(z)
     nxt = np.arange(1, deg + 2) * np.append(at_z[1:], 0.0)
-    rhs = coeff_basis(z, deg) @ (maass_d(values, m + np.arange(deg + 1), z, scheme) - nxt)
+    rhs = coeff_basis(z, deg) @ (maass_d(values, m + np.arange(deg + 1), z, h) - nxt)
     return float(np.max(np.abs(lhs - rhs)))

@@ -117,7 +117,7 @@ def check_relations(rep: RhoRep) -> bool:
 
 def trace_ST(k1: int) -> int:
     """Exact trace of rho(S) rho(T), the sum of the elementwise product of S
-    and T^t; equals (k1-1 | 3) and Tr(rho(ST)^2)."""
+    and T^t; equals (k1-1 | 3), Tr(rho(ST)^2) and `legendre_seq(k1 - 2)[-1]`."""
     rep = rho_matrices(k1)
     return int((_exact(rep.matS) * _exact(rep.matT).T).sum())
 
@@ -127,11 +127,6 @@ def trace_ST_squared(k1: int) -> int:
     (ST)^t, with ST a signed row gather of T."""
     st = rho_matrices(k1).st
     return int((st * st.T).sum())
-
-
-def trace_ST_sum_formula(k1: int) -> int:
-    """Independent route: sum_i (-1)^i binom(i, k1-2-i)."""
-    return sum((-1) ** i * math.comb(i, k1 - 2 - i) for i in range(k1 - 1) if i >= k1 - 2 - i >= 0)
 
 
 def legendre_seq(nmax: int) -> list[int]:

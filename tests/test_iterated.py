@@ -140,14 +140,14 @@ def test_parabolic_invariance():
 
 
 def test_order2_membership():
-    rep = it.order_check(DATA2, 2, [S, S * T])
+    rep = it.order_check(DATA2, [(S,), (S * T,)])
     assert max(rep["residuals"].values()) <= 1e-8
-    val = rep["values"][S.entries]
+    val = rep["values"][(S.entries,)]
     assert np.abs(val - per.period_poly(DELTA, S).coeffs).max() <= 1e-8
 
 
 def test_order3_membership():
-    rep = it.order_check(DATA3, 3, [(S, S * T), (S, T_pow(1) * S)])
+    rep = it.order_check(DATA3, [(S, S * T), (S, T_pow(1) * S)])
     assert max(rep["residuals"].values()) <= 1e-6
 
 
@@ -160,7 +160,7 @@ def test_order3_checks_every_slot_in_one_pass(monkeypatch):
         return iterated_F(data, z)
 
     monkeypatch.setattr(it, "iterated_F", counted)
-    rep = it.order_check(DATA3, 3, [(S, S * T)])
+    rep = it.order_check(DATA3, [(S, S * T)])
     assert max(rep["residuals"].values()) <= 1e-6
     assert len(calls) <= 10
 
@@ -178,7 +178,7 @@ def test_order3_evaluates_each_distinct_point_once(monkeypatch):
         return iterated_F(data, z)
 
     monkeypatch.setattr(it, "iterated_F", counted)
-    rep = it.order_check(DATA3, 3, [(S, S * T), (S, T_pow(1) * S)])
+    rep = it.order_check(DATA3, [(S, S * T), (S, T_pow(1) * S)])
     assert max(rep["residuals"].values()) <= 1e-6
     assert len(calls) == len(set(calls)) == 9
 
@@ -187,7 +187,7 @@ def test_order_filtration_depth2_inside_depth3():
     # a depth-2 object seen through the depth-3 recursion: the image
     # F2.(g-1) = r(g; X1) already has z-independent slot coefficients
     F = lambda z: it.iterated_F(DATA2, z)
-    img = it._image_fn(F, S, DATA2.weights)
+    img = it._image(F, (S,), DATA2.weights)
     assert np.abs(img(1j) - img(1 + 2j)).max() <= 1e-8
 
 
@@ -195,7 +195,7 @@ def test_depth3_image_structure():
     # F3.(g-1) - (z-independent part) = outer(F2(z; X1), r2(g; X2))
     g = S
     F = lambda z: it.iterated_F(DATA3, z)
-    img = it._image_fn(F, g, DATA3.weights)
+    img = it._image(F, (g,), DATA3.weights)
     z1, z2 = 1.5j, 2.5j
     lhs = img(z1) - img(z2)
     r2 = per.period_poly(DELTA, g)
@@ -204,8 +204,10 @@ def test_depth3_image_structure():
 
 
 def test_order_check_validates_n():
-    with pytest.raises(ValueError):
-        it.order_check(DATA2, 4, [S])
+    # a depth-n witness is n - 1 group elements, one per level
+    for data, witness in [(DATA2, (S, T)), (DATA2, ()), (DATA3, (S,)), (DATA3, (S, T, S))]:
+        with pytest.raises(ValueError):
+            it.order_check(data, [witness])
 
 
 def test_real_iterated_F2_cocycle():

@@ -1,4 +1,5 @@
 import cmath
+import struct
 
 import numpy as np
 import pytest
@@ -59,26 +60,23 @@ def test_lowering_on_holo_times_y_power():
 
 def test_stencil_domain_guard():
     with pytest.raises(ValueError):
-        ma.maass_d(lambda u: 1.0, 2, 0.001j, ma.FDScheme(h=1e-3))
+        ma.maass_d(lambda u: 1.0, 2, 0.001j, h=1e-3)
 
 
 def test_equivariance_T_exact():
     ers = lambda u: ra.eisenstein_rs(BiWeight(7, 7), u, T40).value
-    res1, _ = ma.check_equivariance(ers, T, BiWeight(7, 7), Z)
-    assert res1 <= 1e-6
+    assert ma.check_equivariance(ers, T, BiWeight(7, 7), Z) <= 1e-6
 
 
 def test_equivariance_S_eisenstein():
     ers = lambda u: ra.eisenstein_rs(BiWeight(7, 7), u, T40).value
     sv = ra.eisenstein_rs(BiWeight(7, 7), Z, T40)
-    res1, _ = ma.check_equivariance(ers, S, BiWeight(7, 7), Z)
-    assert res1 <= max(1e-5, 4 * sv.tail_estimate)
+    assert ma.check_equivariance(ers, S, BiWeight(7, 7), Z) <= max(1e-5, 4 * sv.tail_estimate)
 
 
 def test_y_power_commutation_on_delta():
     fn = lambda u: qf.eval_form(DELTA, u)
-    _, res2 = ma.check_equivariance(fn, T, BiWeight(12, 0), Z)
-    assert res2 <= 1e-7
+    assert ma.check_weight_shift(fn, 12, Z) <= 1e-7
 
 
 def test_phi_identities_all_cases():
@@ -89,10 +87,8 @@ def test_phi_identities_all_cases():
 
 
 def test_phi_identities_residual_decreases_with_refinement():
-    coarse = ma.check_phi_identities(DELTA, W, "+", Z, T40, ma.FDScheme())
-    fine = ma.check_phi_identities(
-        DELTA, W, "+", Z, ra.TruncationParams(C=80, D=800), ma.FDScheme(h=5e-4)
-    )
+    coarse = ma.check_phi_identities(DELTA, W, "+", Z, T40)
+    fine = ma.check_phi_identities(DELTA, W, "+", Z, ra.TruncationParams(C=80, D=800), h=5e-4)
     assert max(fine.values()) < max(coarse.values())
 
 
@@ -102,7 +98,7 @@ def test_phi_identities_convergence_precondition():
 
 
 def test_coeffs_identity_degenerate():
-    res = ma.check_coeffs_identity([lambda u: complex(u).imag ** 2], 3, Z, 2)
+    res = ma.check_coeffs_identity([lambda u: complex(u).imag ** 2], 3, Z)
     assert res <= 1e-7
 
 
@@ -111,7 +107,7 @@ def test_coeffs_identity_monomial_data():
         (lambda a, b: (lambda u: complex(u).imag ** a * cmath.exp(2j * cmath.pi * b * complex(u))))(a, b)
         for (a, b) in [(1, 1), (0, 2), (2, 1), (1, 0), (0, 1)]
     ]
-    res = ma.check_coeffs_identity(fjs, 4, 0.3 + 1.5j, 6)
+    res = ma.check_coeffs_identity(fjs, 4, 0.3 + 1.5j)
     assert res <= 1e-6
 
 
@@ -164,34 +160,69 @@ def test_phi_identities_share_one_stencil_pass(monkeypatch):
 
 
 def test_coeffs_suite_shares_one_stencil_pass(monkeypatch):
+    # phi at the 9 stencil nodes, z among them, and once at the raised weight
     from miint import checks
 
     calls = _count_phi_calls(monkeypatch, ra)
     results = checks.suite_coeffs_identity()
     assert all(r.passed for r in results)
-    assert len(calls) <= 11
+    assert len(calls) == 10
 
 
-@pytest.mark.parametrize("g", [T, S], ids=["T", "S"])
-def test_equivariance_evaluates_each_node_once(monkeypatch, g):
-    # under T the nodes about Tz are the T-images of those about z, and the
-    # y^2 identity's two sides share theirs: 18 nodes under T, and 26 under S,
-    # where S z and the centre of the stencil about Sz coincide; the residuals
-    # are bitwise those of one evaluation per visit
-    import struct
-
-    calls = []
-
+def _counted_ers(calls):
     def ers(u):
         calls.append(struct.pack("<2d", u.real, u.imag))
         return ra.eisenstein_rs(BiWeight(7, 7), u, T40).value
 
+    return ers
+
+
+@pytest.mark.parametrize("g", [T, S], ids=["T", "S"])
+def test_equivariance_evaluates_each_node_once(monkeypatch, g):
+    # under T the nodes about Tz are the T-images of those about z: 9 nodes,
+    # and 17 under S, where S z and the centre of the stencil about Sz
+    # coincide; the residual is bitwise that of one evaluation per visit
+    calls = []
+    ers = _counted_ers(calls)
     memoised = ma.check_equivariance(ers, g, BiWeight(7, 7), Z)
-    assert len(calls) == len(set(calls)) == {T: 18, S: 26}[g]
+    assert len(calls) == len(set(calls)) == {T: 9, S: 17}[g]
     monkeypatch.setattr(ma, "memo_points", lambda fn: fn)
     calls.clear()
     assert ma.check_equivariance(ers, g, BiWeight(7, 7), Z) == memoised
-    assert len(calls) == 36
+    assert len(calls) == 18
+
+
+def test_weight_shift_evaluates_each_node_once(monkeypatch):
+    # the y^2 identity's two sides read the same 9 nodes
+    calls = []
+    ers = _counted_ers(calls)
+    memoised = ma.check_weight_shift(ers, 7, Z)
+    assert memoised <= 1e-7
+    assert len(calls) == len(set(calls)) == 9
+    monkeypatch.setattr(ma, "memo_points", lambda fn: fn)
+    calls.clear()
+    assert ma.check_weight_shift(ers, 7, Z) == memoised
+    assert len(calls) == 18
+
+
+def test_equivariance_suite_evaluates_eisenstein_29_times(monkeypatch):
+    # E_{7,7} at 9 nodes under T, at z for the S line's tail and at 17 nodes
+    # under S, E_{11,9} at z and Sz, and none for the y^k line, which reads
+    # Delta alone (47 when each equivariance call also checked the y^2
+    # identity)
+    from miint import checks
+
+    calls = []
+    eisenstein_rs = ra.eisenstein_rs
+
+    def counted(w, z, t=T40):
+        calls.append(w)
+        return eisenstein_rs(w, z, t)
+
+    monkeypatch.setattr(ra, "eisenstein_rs", counted)
+    results = checks.suite_equivariance()
+    assert all(r.passed for r in results)
+    assert len(calls) == 29 and calls.count(BiWeight(7, 7)) == 27
 
 
 def test_coeffs_identity_evaluates_each_node_once():
@@ -201,6 +232,6 @@ def test_coeffs_identity_evaluates_each_node_once():
         calls.append(u)
         return complex(u).imag * cmath.exp(2j * cmath.pi * u)
 
-    res = ma.check_coeffs_identity([f0, lambda u: 1.0, lambda u: complex(u).imag], 2, 0.3 + 1.5j, 4)
+    res = ma.check_coeffs_identity([f0, lambda u: 1.0, lambda u: complex(u).imag], 2, 0.3 + 1.5j)
     assert res <= 1e-6
     assert len(calls) == len(set(calls)) == 9

@@ -1,11 +1,25 @@
 """Seeded defects, each planted by monkeypatching: a suite must report FAIL
 for it, not pass and not raise."""
 
+import pytest
+
 from miint import checks
 from miint import periods as per
 from miint import raseries as ra
 from miint import vvdim
-from miint.group import reduced_classes
+from miint.group import reduced_classes, taylor_shift
+
+
+@pytest.fixture(autouse=True)
+def _fresh_form_tables():
+    # the form-keyed caches: a table built before the defect was planted
+    # would hide it, and one built under it would leak into later tests
+    caches = (per.reduced_periods, ra._period_tables, ra._closed_form_phi)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
 
 
 def _failures(suite: str) -> list[checks.CheckResult]:
@@ -47,3 +61,54 @@ def test_a_wrong_integral_term_of_dim_Mk_rho_fails_the_free_module_line(monkeypa
     failures = {res.name: res for res in _failures("vvdim")}
     assert "dim_Mk_rho integral over 4 <= k1 < k <= 40" not in failures
     assert failures["dim_Mk_rho = free-module sum over 4 <= k1 < k <= 40"].residual == 171
+
+
+def _by_suite(suites) -> dict[str, list[checks.CheckResult]]:
+    return {suite: _failures(suite) for suite in suites}
+
+
+def test_one_flipped_alpha_sign_fails_the_closed_form_line(monkeypatch):
+    # one term of the double binomial sum with the wrong sign
+    alpha = ra._closed_form_alpha
+
+    def flipped(k):
+        out = alpha(k).copy()
+        out[3, 2, 5] *= -1
+        return out
+
+    monkeypatch.setattr(ra, "_closed_form_alpha", flipped)
+    failures = _failures("dualroute")
+    assert [res.name for res in failures] == ["phi(j; z) decomposition vs closed form, j = 0..10"]
+    assert failures[0].residual >= 1e3 * failures[0].tolerance
+
+
+def test_a_translation_off_by_one_fails_the_invariance_suite(monkeypatch):
+    # every coset's period polynomial translated by n + 1 instead of n
+    monkeypatch.setattr(ra, "taylor_shift", lambda P, n: taylor_shift(P, n + 1))
+    failures = _by_suite(["invariance", "psibar", "secondorder"])
+    assert all(failures.values())
+    assert max(res.residual / res.tolerance for res in failures["invariance"]) >= 1e3
+
+
+def test_a_minus_series_without_its_conjugation_fails_keypr_and_psibar(monkeypatch):
+    # the '-' series summed as the '+' one
+    monkeypatch.setattr(ra, "_minus", lambda sign: False)
+    failures = _by_suite(["keypr", "psibar"])
+    assert all(failures.values())
+    assert all(res.residual >= 1e3 * res.tolerance for res in failures["keypr"] + failures["psibar"])
+
+
+def test_an_anchor_coefficient_off_by_1e_8_fails_cocycle_and_classes(monkeypatch):
+    # coefficient 3 of r(S), from which every period is slashed, scaled by 1 + 1e-8
+    anchor = per._anchor
+
+    def scaled(f):
+        r_S = anchor(f).copy()
+        r_S[3] *= 1 + 1e-8
+        return r_S
+
+    monkeypatch.setattr(per, "_anchor", scaled)
+    failures = _by_suite(["cocycle", "classes"])
+    assert all(failures.values())
+    assert len(failures["classes"]) == 2
+    assert all(res.residual >= 10 * res.tolerance for res in failures["classes"])

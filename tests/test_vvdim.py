@@ -29,7 +29,7 @@ def test_trace_identities_exact():
         tr = vvdim.trace_ST(k1)
         assert tr == vvdim.legendre3(k1 - 1)
         assert tr == vvdim.trace_ST_squared(k1)
-        assert tr == vvdim.trace_ST_sum_formula(k1)
+        assert tr == vvdim.legendre_seq(k1 - 2)[-1]  # sum_i (-1)^i binom(i, k1-2-i)
 
 
 def _object_products(rep):
