@@ -212,7 +212,8 @@ def suite_coeff_closed_form() -> list[CheckResult]:
     closed = raseries.closed_form_phi(f, W, "+", Z, T40)
     scale = max(np.abs(vec).max(), np.abs(closed).max())
     per_j = np.abs(vec - closed) / scale
-    name, tol = "phi(j; z) decomposition vs closed form, j = 0..10", 8 * phiv.tail_estimate / scale
+    name = "phi(j; z) decomposition vs closed form, j = 0..10"
+    tol = 8 * phiv.tail_estimate / scale
     return [_result(name, per_j.max(), tol, per_j=dict(enumerate(per_j.tolist())))]
 
 

@@ -144,8 +144,12 @@ def _image(F, witness: tuple, weights: tuple[int, ...]):
     acts through `dot_action` on the first n-1-i polynomial slots of a
     depth-n F, n = len(weights), so at depth 3 the second level acts on X1
     alone (F.(g_1 - 1) is an order-2 object tensored with the inert X2)."""
+    def level(F, g, weights):
+        acted = dot_action(F, g, weights)
+        return lambda z: acted(z) - F(z)
+
     for g in witness:
-        F = (lambda acted, prev: lambda z: acted(z) - prev(z))(dot_action(F, g, weights), F)
+        F = level(F, g, weights)
         weights = weights[:-1]
     return F
 
@@ -168,10 +172,10 @@ def order_check(data: IteratedIntegrand, witnesses: list) -> dict:
     z1, z2 = 1j, 1 + 2j
     report = {"n": n, "residuals": {}, "values": {}}
     for witness in witnesses:
-        if len(witness) != n - 1:
-            raise ValueError(f"a depth-{n} witness is a tuple of {n - 1} group elements")
-        # the first level apart, once per point: its value at z1 is reported
-        first = memo_points(_image(F, witness[:1], weights))
+        if n < 2 or len(witness) != n - 1:
+            raise ValueError(f"order checks need depth >= 2 and witnesses of {n - 1} group elements")
+        # the first level apart: its value at z1 is reported
+        first = _image(F, witness[:1], weights)
         image = _image(first, witness[1:], weights[:-1])
         v1, v2 = image(z1), image(z2)
         scale = np.maximum(1.0, np.abs(v1).max(axis=0))

@@ -51,26 +51,26 @@ def maass_dbar(fn, s: int, z: complex, h: float = STEP) -> complex:
     return -2j * z.imag * _wirtinger(fn, z, h)[1] + s * fn(z)
 
 
-def check_equivariance(fn, g: GroupElement, w: BiWeight, z: complex, h: float = STEP) -> float:
+def check_equivariance(fn, g: GroupElement, w: BiWeight, z: complex) -> float:
     """Residual of raising commuting with the slash action up to the weight
     shift (r,s) -> (r+1,s-1).  fn is evaluated once per distinct node of the
     call (`group.memo_points`): under T the nodes about gz are the images of
     those about z."""
     z = complex(z)
     fn = memo_points(fn)
-    lhs = maass_d(act_rs_fn(fn, g, w), w.r, z, h)
-    rhs = act_rs(maass_d(fn, w.r, mobius(g, z), h), g, z, w.raised())
+    lhs = maass_d(act_rs_fn(fn, g, w), w.r, z)
+    rhs = act_rs(maass_d(fn, w.r, mobius(g, z)), g, z, w.raised())
     return abs(lhs - rhs)
 
 
-def check_weight_shift(fn, r: int, z: complex, h: float = STEP) -> float:
+def check_weight_shift(fn, r: int, z: complex) -> float:
     """Residual of conjugating raising by y^2, d_r(y^2 fn) = y^2 d_(r+2) fn;
     its two sides read fn at the same nine nodes, once each
     (`group.memo_points`)."""
     z = complex(z)
     fn = memo_points(fn)
-    lhs = maass_d(lambda u: complex(u).imag ** 2 * fn(u), r, z, h)
-    rhs = z.imag**2 * maass_d(fn, r + 2, z, h)
+    lhs = maass_d(lambda u: complex(u).imag ** 2 * fn(u), r, z)
+    rhs = z.imag**2 * maass_d(fn, r + 2, z)
     return abs(lhs - rhs)
 
 
@@ -119,7 +119,7 @@ def check_phi_identities(
     return {"raising": float(res_d), "lowering": float(res_db)}
 
 
-def check_coeffs_identity(fjs: list, m: int, z: complex, h: float = STEP) -> float:
+def check_coeffs_identity(fjs: list, m: int, z: complex) -> float:
     """Residual of the basis recombination identity
 
     d_m( sum_j f_j (X-z)^j (X-cz)^(k-2-j) )
@@ -136,8 +136,8 @@ def check_coeffs_identity(fjs: list, m: int, z: complex, h: float = STEP) -> flo
     def values(u: complex) -> np.ndarray:
         return np.array([fj(u) for fj in fjs], dtype=np.complex128)
 
-    lhs = maass_d(lambda u: coeff_basis(u, deg) @ values(u), m, z, h)
+    lhs = maass_d(lambda u: coeff_basis(u, deg) @ values(u), m, z)
     at_z = values(z)
     nxt = np.arange(1, deg + 2) * np.append(at_z[1:], 0.0)
-    rhs = coeff_basis(z, deg) @ (maass_d(values, m + np.arange(deg + 1), z, h) - nxt)
+    rhs = coeff_basis(z, deg) @ (maass_d(values, m + np.arange(deg + 1), z) - nxt)
     return float(np.max(np.abs(lhs - rhs)))

@@ -204,8 +204,11 @@ def test_depth3_image_structure():
 
 
 def test_order_check_validates_n():
-    # a depth-n witness is n - 1 group elements, one per level
-    for data, witness in [(DATA2, (S, T)), (DATA2, ()), (DATA3, (S,)), (DATA3, (S, T, S))]:
+    # a depth-n witness is n - 1 group elements, one per level, and the
+    # constant depth-1 value has no order check
+    DATA1 = it.IteratedIntegrand(())
+    cases = [(DATA1, ()), (DATA2, (S, T)), (DATA2, ()), (DATA3, (S,)), (DATA3, (S, T, S))]
+    for data, witness in cases:
         with pytest.raises(ValueError):
             it.order_check(data, [witness])
 
