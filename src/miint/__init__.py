@@ -19,11 +19,8 @@ from .group import (
     T,
     T_pow,
     act_poly,
-    act_rs,
-    act_rs_fn,
     act_tensor,
     enumerate_cosets,
-    jfactor,
     mobius,
     word_decompose,
 )

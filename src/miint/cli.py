@@ -408,6 +408,8 @@ def _cmd_check(ns, cfg: RunConfig) -> int:
     results = checks.run_suite(ns.suite)
     for res in results:
         print(res.line(), file=sys.stderr)
+        if "traceback" in res.details:  # a suite that raised
+            print(res.details["traceback"], end="", file=sys.stderr)
     payload = {
         "suite": ns.suite,
         "passed": all(r.passed for r in results),

@@ -1,7 +1,7 @@
 """SL2(Z) elements, slash actions and coset machinery.
 
-Carries the three right actions used everywhere downstream: the scalar
-bi-weight action on functions of z, the polynomial action on X, and their
+Carries the right actions used everywhere downstream: the bi-weight
+automorphy factor of functions of z, the polynomial action on X, and their
 tensor product.  Cosets of the translation subgroup B = {±T^n} are
 parametrised by bottom rows (c, d) with c > 0 and gcd(c, d) = 1; the sign
 quotient is legal for every series in this package because the total weight
@@ -13,6 +13,7 @@ outer |d| band are contiguous slices of it.  It stores the half d >= 0, and
 
 from __future__ import annotations
 
+import cmath
 import math
 import struct
 from dataclasses import dataclass
@@ -141,28 +142,13 @@ def mobius(g: GroupElement, z: complex) -> complex:
     return (a * z + b) / (c * z + d)
 
 
-def jfactor(g: GroupElement, z: complex) -> complex:
-    """Automorphy factor c*z + d."""
-    return g.c * complex(z) + g.d
-
-
-def act_rs(fval: complex, g: GroupElement, z: complex, w: BiWeight) -> complex:
-    """Apply the bi-weight automorphy factor to a pre-computed value f(gz)."""
+def automorphy(g: GroupElement, z: complex, w: BiWeight) -> complex:
+    """The bi-weight automorphy factor j(g,z)^(-r) j(g, conj z)^(-s),
+    j(g, z) = cz + d, at a point z of H: the one factor of every slash."""
     z = complex(z)
-    if z.imag == 0:
-        raise ValueError("act_rs is defined on the upper half-plane only")
-    j = jfactor(g, z)
-    jb = jfactor(g, z.conjugate())
-    return j ** (-w.r) * jb ** (-w.s) * fval
-
-
-def act_rs_fn(fn, g: GroupElement, w: BiWeight):
-    """Right-translate a function on H: (f |_{r,s} g)(z)."""
-
-    def acted(z: complex) -> complex:
-        return act_rs(fn(mobius(g, z)), g, z, w)
-
-    return acted
+    if not (cmath.isfinite(z) and z.imag > 0):
+        raise ValueError(f"automorphy factors are defined on the upper half-plane only, got {z}")
+    return (g.c * z + g.d) ** (-w.r) * (g.c * z.conjugate() + g.d) ** (-w.s)
 
 
 def memo_points(fn):
@@ -323,11 +309,10 @@ def act_poly(P: PolyC, g: GroupElement, k: int) -> PolyC:
 
 
 def act_tensor(F, g: GroupElement, w: BiWeight, k: int):
-    """Tensor action on a PolyC-valued function of z: the slash `act_rs_fn`
-    of X -> F(., gX) j(g,X)^(k-2),
-    (F | g)(z, X) = F(gz, gX) j(g,z)^(-r) j(g, conj z)^(-s) j(g,X)^(k-2).
-    """
-    return act_rs_fn(lambda u: act_poly(F(u), g, k), g, w)
+    """Tensor action on a PolyC-valued function of z,
+    (F | g)(z, X) = F(gz, gX) j(g,z)^(-r) j(g, conj z)^(-s) j(g,X)^(k-2):
+    the `automorphy` factor times `act_poly` of F at gz."""
+    return lambda z: automorphy(g, z, w) * act_poly(F(mobius(g, z)), g, k)
 
 
 def complete_row(c: int, d: int) -> GroupElement:

@@ -1,5 +1,5 @@
-"""Iterated Eichler integrals of depth <= 3, higher-order invariance checks
-and images of the psi-type cocycles.
+"""Iterated Eichler integrals of depth <= 3 and their higher-order invariance
+checks.
 
 An iterated value is a complex coefficient array with one axis per integrand
 form: shape () at depth 1, (k1-1,) at depth 2 and (k1-1, k2-1) at depth 3,
@@ -19,21 +19,9 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .group import (
-    BiWeight,
-    GroupElement,
-    PolyC,
-    T,
-    act_poly_matrix,
-    act_tensor,
-    binomials,
-    memo_points,
-    mobius,
-    shift_matrix,
-)
-from .periods import _exps, _ray_primitives, eichler_F, period_poly
+from .group import GroupElement, T, act_poly_matrix, binomials, memo_points, mobius, shift_matrix
+from .periods import _exps, _ray_primitives, eichler_F
 from .qforms import QExpansion, admissible_z, coeff_array
-from .raseries import TruncationParams, eisenstein_rs, psi_series
 
 
 @dataclass(frozen=True)
@@ -156,90 +144,33 @@ def _image(F, witness: tuple, weights: tuple[int, ...]):
 
 def order_check(data: IteratedIntegrand, witnesses: list) -> dict:
     """Higher-order membership via z-independence of group images between
-    z1 = i and z2 = 1 + 2i.
+    z1 = i and z2 = 1 + 2i: the residual of each witness, keyed by the
+    entries of its elements.
 
     At depth n each witness is a tuple (g_1, ..., g_(n-1)), and
     F.(g_1 - 1)...(g_(n-1) - 1) must not depend on z: at n = 2 it is a
     constant tensor polynomial, and at n = 3 each X2-coefficient of
     F.(g_1 - 1), a polynomial-valued function of (z, X1), passes the order-2
-    test against g_2, each against its own scale.  The reported value is
-    F.(g_1 - 1) at z1.  F is evaluated once per distinct point of the call
-    (`group.memo_points`).  Report-only: returns residuals, never raises on
-    failure.
+    test against g_2, each against its own scale.  F is evaluated once per
+    distinct point of the call (`group.memo_points`).  Report-only: never
+    raises on failure.
     """
     n, weights = data.depth, data.weights
     F = memo_points(lambda z: iterated_F(data, z))
     z1, z2 = 1j, 1 + 2j
-    report = {"n": n, "residuals": {}, "values": {}}
+    residuals = {}
     for witness in witnesses:
         if n < 2 or len(witness) != n - 1:
             raise ValueError(f"order checks need depth >= 2 and witnesses of {n - 1} group elements")
-        # the first level apart: its value at z1 is reported
-        first = _image(F, witness[:1], weights)
-        image = _image(first, witness[1:], weights[:-1])
+        image = _image(F, witness, weights)
         v1, v2 = image(z1), image(z2)
         scale = np.maximum(1.0, np.abs(v1).max(axis=0))
         key = tuple(g.entries for g in witness)
-        report["residuals"][key] = float((np.abs(v1 - v2).max(axis=0) / scale).max())
-        report["values"][key] = first(z1)
-    return report
+        residuals[key] = float((np.abs(v1 - v2).max(axis=0) / scale).max())
+    return residuals
 
 
 def parabolic_residual(data: IteratedIntegrand, z: complex) -> float:
     """Sup-norm of F.(T-1) at z; vanishes for every iterated integral."""
     F = lambda u: iterated_F(data, u)
     return float(np.abs(_image(F, (T,), data.weights)(complex(z))).max())
-
-
-def real_iterated_F2(
-    f1: QExpansion,
-    w: BiWeight,
-    z: complex,
-    t: TruncationParams = TruncationParams(),
-) -> PolyC:
-    """Real-analytic iterated integral E_{r,s}(z) * (Eichler integral of f1);
-    its (g-1)-image is E_{r,s} r_{f1}(g; X)."""
-    z = complex(z)
-    return eisenstein_rs(w, z, t).value * eichler_F(f1, z, "+")
-
-
-def psi_bar_image(
-    fplus: QExpansion,
-    gminus: QExpansion,
-    w: BiWeight,
-    g: GroupElement,
-    z: complex,
-    t: TruncationParams = TruncationParams(),
-) -> dict:
-    """(psi^+_f + psi^-_g).(g-1) by direct series difference and by the closed
-    form -(r^+_f(g) + r^-_g(g)) E_{r,s}(z); returns both plus the discrepancy.
-    """
-    if fplus.k != gminus.k:
-        raise ValueError("both forms must share one weight")
-    k = fplus.k
-    z = complex(z)
-
-    def combined(u: complex) -> PolyC:
-        return (
-            psi_series(fplus, w, "+", u, t).value
-            + psi_series(gminus, w, "-", u, t).value
-        )
-
-    acted = act_tensor(combined, g, w, k)
-    direct = acted(z) - combined(z)
-    closed = psi_bar_closed(fplus, gminus, w, g, z, t)
-    disc = (direct - closed).norm_inf()
-    return {"direct": direct, "closed": closed, "discrepancy": float(disc)}
-
-
-def psi_bar_closed(
-    fplus: QExpansion,
-    gminus: QExpansion,
-    w: BiWeight,
-    g: GroupElement,
-    z: complex,
-    t: TruncationParams = TruncationParams(),
-) -> PolyC:
-    """Closed-form cocycle value -(r^+_f(g) + r^-_g(g)) E_{r,s}(z)."""
-    ev = eisenstein_rs(w, complex(z), t).value
-    return (period_poly(fplus, g, "+") + period_poly(gminus, g, "-")) * (-ev)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .group import BiWeight, GroupElement, act_rs, act_rs_fn, memo_points, mobius
+from .group import BiWeight, GroupElement, automorphy, memo_points, mobius
 from .qforms import QExpansion, eval_form
 from .raseries import TruncationParams, coeff_basis, eisenstein_rs, phi
 
@@ -53,13 +53,12 @@ def maass_dbar(fn, s: int, z: complex, h: float = STEP) -> complex:
 
 def check_equivariance(fn, g: GroupElement, w: BiWeight, z: complex) -> float:
     """Residual of raising commuting with the slash action up to the weight
-    shift (r,s) -> (r+1,s-1).  fn is evaluated once per distinct node of the
-    call (`group.memo_points`): under T the nodes about gz are the images of
-    those about z."""
+    shift (r,s) -> (r+1,s-1), both sides through `group.automorphy`.  fn is
+    evaluated once per distinct node of the call (`group.memo_points`)."""
     z = complex(z)
     fn = memo_points(fn)
-    lhs = maass_d(act_rs_fn(fn, g, w), w.r, z)
-    rhs = act_rs(maass_d(fn, w.r, mobius(g, z)), g, z, w.raised())
+    lhs = maass_d(lambda u: automorphy(g, u, w) * fn(mobius(g, u)), w.r, z)
+    rhs = automorphy(g, z, w.raised()) * maass_d(fn, w.r, mobius(g, z))
     return abs(lhs - rhs)
 
 

@@ -20,6 +20,10 @@ def _report(criterion: str, results) -> None:
     status = "PASS" if ok else "FAIL"
     print(f"[{status}] {criterion}")
     assert ok, f"{criterion}: " + "; ".join(r.line() for r in results if not r.passed)
+    # a residual of exactly 0 against a nonzero tolerance marks a line that
+    # holds by construction: it would read 0 for any input
+    exact = [r.name for r in results if r.tolerance and r.residual == 0]
+    assert not exact, f"{criterion}: lines that cannot fail: {exact}"
 
 
 def test_criterion_01_exact_dimension_suite():
@@ -77,7 +81,9 @@ def test_criterion_06_phi_invariance():
 
 def test_criterion_07_differential_identities():
     t0 = time.time()
-    results = checks.suite_phi_identities() + checks.suite_coeffs_identity()
+    results = (
+        checks.suite_phi_identities() + checks.suite_coeffs_identity() + checks.suite_equivariance()
+    )
     elapsed = time.time() - t0
     _report("criterion 7: key differential identities", results)
     assert elapsed < 300.0

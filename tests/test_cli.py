@@ -267,7 +267,10 @@ def test_raising_suite_is_a_check_failure(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["passed"] is False
     assert "ValueError: seeded defect" in payload["results"][0]["name"]
-    assert "[FAIL]" in err
+    # the traceback follows the FAIL line on stderr, and ends at the defect
+    line, trace = err.split("\n", 1)
+    assert line.startswith("[FAIL]")
+    assert trace.startswith("Traceback") and trace.endswith("ValueError: seeded defect\n")
 
 
 def test_deterministic_output(capsys):

@@ -20,14 +20,13 @@ from miint.group import (
     T_pow,
     act_poly,
     act_poly_matrix,
-    act_rs,
     act_tensor,
+    automorphy,
     binomial_matrix,
     binomials,
     complete_row,
     cosets,
     enumerate_cosets,
-    jfactor,
     mobius,
     reduced_classes,
     shift_matrix,
@@ -75,33 +74,41 @@ def test_mobius_preserves_upper_half_plane():
 
 
 def test_jfactor_trivial_values():
-    assert jfactor(T, 0.3 + 1j) == 1
-    assert jfactor(S, 1j) == 1j
+    # j(T, z) = 1 and j(S, z) = z
+    assert automorphy(T, 0.3 + 1j, BiWeight(4, 2)) == 1
+    assert automorphy(S, 2j, BiWeight(-2, 0)) == (2j) ** 2
 
 
 def test_jfactor_cocycle_identity():
     rng = random.Random(3)
+    w = BiWeight(3, 1)
     worst = 0.0
     for _ in range(100):
         g, d = random_word(rng), random_word(rng)
         z = complex(rng.uniform(-1, 1), rng.uniform(0.5, 2.5))
-        lhs = jfactor(g * d, z)
-        rhs = jfactor(g, mobius(d, z)) * jfactor(d, z)
+        lhs = automorphy(g * d, z, w)
+        rhs = automorphy(g, mobius(d, z), w) * automorphy(d, z, w)
         worst = max(worst, abs(lhs - rhs) / abs(lhs))
     assert worst <= 1e-12
 
 
 def test_act_rs_identity_and_parity():
     w = BiWeight(4, 2)
-    assert act_rs(3 + 1j, IDENTITY, 2j, w) == 3 + 1j
-    neg = GroupElement(-1, 0, 0, -1)
+    assert automorphy(IDENTITY, 2j, w) == 1
     # (-1)^(r+s) = 1 by the parity invariant
-    assert abs(act_rs(3 + 1j, neg, 2j, w) - (3 + 1j)) < 1e-15
+    assert automorphy(GroupElement(-1, 0, 0, -1), 2j, w) == 1
 
 
 def test_act_rs_rejects_real_z():
-    with pytest.raises(ValueError):
-        act_rs(1.0, S, 1.0 + 0j, BiWeight(2, 2))
+    for z in (1.0 + 0j, 2.0):
+        with pytest.raises(ValueError):
+            automorphy(S, z, BiWeight(2, 2))
+
+
+def test_automorphy_rejects_lower_half_plane_and_nan():
+    for z in (1 - 2j, float("nan"), complex(float("nan"), 1.0)):
+        with pytest.raises(ValueError):
+            automorphy(S, z, BiWeight(2, 2))
 
 
 def test_biweight_parity_enforced():

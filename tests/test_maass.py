@@ -205,11 +205,9 @@ def test_weight_shift_evaluates_each_node_once(monkeypatch):
     assert len(calls) == 18
 
 
-def test_equivariance_suite_evaluates_eisenstein_29_times(monkeypatch):
-    # E_{7,7} at 9 nodes under T, at z for the S line's tail and at 17 nodes
-    # under S, E_{11,9} at z and Sz, and none for the y^k line, which reads
-    # Delta alone (47 when each equivariance call also checked the y^2
-    # identity)
+def test_equivariance_suite_evaluates_eisenstein_20_times(monkeypatch):
+    # E_{7,7} at z for the S line's tail and at 17 nodes under S, E_{11,9}
+    # at z and Sz, and none for the y^k line, which reads Delta alone
     from miint import checks
 
     calls = []
@@ -222,7 +220,7 @@ def test_equivariance_suite_evaluates_eisenstein_29_times(monkeypatch):
     monkeypatch.setattr(ra, "eisenstein_rs", counted)
     results = checks.suite_equivariance()
     assert all(r.passed for r in results)
-    assert len(calls) == 29 and calls.count(BiWeight(7, 7)) == 27
+    assert len(calls) == 20 and calls.count(BiWeight(7, 7)) == 18
 
 
 def test_coeffs_identity_evaluates_each_node_once():

@@ -5,6 +5,7 @@ import pytest
 
 from miint import checks
 from miint import periods as per
+from miint import qforms as qf
 from miint import raseries as ra
 from miint import vvdim
 from miint.group import reduced_classes, taylor_shift
@@ -112,3 +113,18 @@ def test_an_anchor_coefficient_off_by_1e_8_fails_cocycle_and_classes(monkeypatch
     assert all(failures.values())
     assert len(failures["classes"]) == 2
     assert all(res.residual >= 10 * res.tolerance for res in failures["classes"])
+
+
+def test_a_leading_coefficient_off_by_1e_8_fails_both_anchor_lines(monkeypatch):
+    # a(1) of Delta scaled by 1 + 1e-8: not a modular form, so r(S) depends
+    # on its base point and breaks the relation that (TS)^3 = -I imposes
+    delta = qf.delta_q()
+    coeffs = list(delta.coeffs)
+    coeffs[1] *= 1 + 1e-8
+    monkeypatch.setattr(qf, "delta_q", lambda: qf.QExpansion(delta.k, tuple(coeffs)))
+    failures = _failures("cocycle")
+    assert [res.name for res in failures] == [
+        "r(S)|(1 + U + U^2) = 0, U = TS",
+        "base-point independence of r(S)",
+    ]
+    assert all(res.residual >= 1e3 * res.tolerance for res in failures)

@@ -59,12 +59,12 @@ def test_eisenstein_self_convergence():
 
 
 def test_eisenstein_invariance_through_act_rs():
-    from miint.group import act_rs_fn
+    from miint.group import automorphy, mobius
 
     w = BiWeight(8, 8)
     sv = ra.eisenstein_rs(w, 2j, T40)
-    acted = act_rs_fn(lambda u: ra.eisenstein_rs(w, u, T40).value, S, w)
-    assert abs(acted(2j) - sv.value) <= max(4 * sv.tail_estimate, 1e-8)
+    acted = automorphy(S, 2j, w) * ra.eisenstein_rs(w, mobius(S, 2j), T40).value
+    assert abs(acted - sv.value) <= max(4 * sv.tail_estimate, 1e-8)
 
 
 def test_eisenstein_holomorphic_weight_matches_q_expansion():
@@ -139,7 +139,7 @@ def _phi_direct(hform, w, sign, z, t):
     z = complex(z)
     rows, polys, wts = [per.eichler_F(hform, z, sign).coeffs], [], []
     for g in group.enumerate_cosets(t.C, t.D)[1:]:
-        wts.append(group.jfactor(g, z) ** (-w.r) * group.jfactor(g, z.conjugate()) ** (-w.s))
+        wts.append((g.c * z + g.d) ** (-w.r) * (g.c * z.conjugate() + g.d) ** (-w.s))
         image = per.eichler_F(hform, group.mobius(g, z), sign)
         polys.append(group.act_poly(image, g, k).coeffs)
         rows.append(polys[-1] * wts[-1])
@@ -383,16 +383,14 @@ def test_phi_builds_the_coset_weights_once(monkeypatch):
 
 def test_phi_basis_coefficient_invariance():
     # phi(i; z) is |_{r+i, s+k-2-i}-invariant
-    from miint.group import jfactor, mobius
+    from miint.group import automorphy, mobius
 
     z = 2j
     vec = ra.coeff_decompose(ra.phi(DELTA, W, "+", z, T40).value, z, 12)
     zs = mobius(S, z)
     vec_s = ra.coeff_decompose(ra.phi(DELTA, W, "+", zs, T40).value, zs, 12)
-    j = jfactor(S, z)
-    jb = jfactor(S, z.conjugate())
     for i in (0, 5, 10):
-        pred = vec_s[i] * j ** (-(10 + i)) * jb ** (-(10 + 10 - i))
+        pred = automorphy(S, z, BiWeight(10 + i, 10 + 10 - i)) * vec_s[i]
         assert abs(pred - vec[i]) <= 1e-10
 
 
@@ -480,11 +478,11 @@ def test_poincare_invariance_and_modularity():
     a = ra.poincare(1, 12, 2j, T40)
     b = ra.poincare(1, 12, 1 + 2j, T40)
     assert abs(a.value - b.value) <= 2 * a.tail_estimate
-    from miint.group import jfactor, mobius
+    from miint.group import automorphy, mobius
 
     sz = mobius(S, 2j)
     c = ra.poincare(1, 12, sz, T40)
-    assert abs(c.value - jfactor(S, 2j) ** 12 * a.value) / abs(c.value) <= 1e-10
+    assert abs(c.value - automorphy(S, 2j, BiWeight(-12, 0)) * a.value) / abs(c.value) <= 1e-10
 
 
 def test_poincare_rejects_low_weight():
