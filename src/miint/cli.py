@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -414,7 +415,14 @@ def _cmd_check(ns, cfg: RunConfig) -> int:
         "suite": ns.suite,
         "passed": all(r.passed for r in results),
         "results": [
-            {"name": r.name, "passed": r.passed, "residual": r.residual, "tolerance": r.tolerance}
+            # JSON has no Infinity or NaN: a non-finite residual (a suite
+            # that raised reports inf) is null
+            {
+                "name": r.name,
+                "passed": r.passed,
+                "residual": r.residual if math.isfinite(r.residual) else None,
+                "tolerance": r.tolerance,
+            }
             for r in results
         ],
     }

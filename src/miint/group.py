@@ -151,16 +151,27 @@ def automorphy(g: GroupElement, z: complex, w: BiWeight) -> complex:
     return (g.c * z + g.d) ** (-w.r) * (g.c * z.conjugate() + g.d) ** (-w.s)
 
 
+def point_key(z: complex) -> bytes:
+    """The bit pattern of a complex point, the key of a value memoised per
+    point: unlike the complex itself, it keeps 0.0 and -0.0 apart."""
+    return struct.pack("<2d", z.real, z.imag)
+
+
+def key_point(key: bytes) -> complex:
+    """The complex point whose bit pattern is `key`, bit for bit."""
+    return complex(*struct.unpack("<2d", key))
+
+
 def memo_points(fn):
     """fn evaluated once per distinct point: a value is kept under the bit
-    pattern of its complex point (so 0.0 and -0.0 stay apart), and a repeat
-    returns the same object, bit for bit what a second call would give.  For
-    the points of one check or one command, never as a cache across calls."""
+    pattern of its complex point (`point_key`), and a repeat returns the same
+    object, bit for bit what a second call would give.  For the points of one
+    check or one command, never as a cache across calls."""
     seen = {}
 
     def at(z):
         z = complex(z)
-        key = struct.pack("<2d", z.real, z.imag)
+        key = point_key(z)
         if key not in seen:
             seen[key] = fn(z)
         return seen[key]

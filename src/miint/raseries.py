@@ -48,6 +48,17 @@ float rows and, for each row of weights, one float and two complex arrays,
 96 bytes per stored coset.  A helper that returns a workspace view says so;
 such a view is valid until the next coset sum, and nothing holds one across
 it.
+
+A point is summed once.  Every public coset series, and the closed form,
+validates its arguments (convergence, sign, the point and, for phi, its
+q-series floor) and then reads one bounded cache of point values
+(`_point_value`, the `_POINT_CACHE` most recently used), keyed by the
+private series, its exact arguments (form, weights, sign, n and k,
+truncation) and the bit pattern of the validated point (`group.point_key`,
+so 0.0 and -0.0 stay apart).  A miss runs the series, so a hit is bitwise
+the value and tail of a fresh call; a call that raises caches nothing, and
+every call returns its own copy.  A second Fourier mode at the same nodes,
+or a check that revisits a point, sums no coset.
 """
 
 from __future__ import annotations
@@ -67,6 +78,8 @@ from .group import (
     binomial_matrix,
     binomials,
     cosets,
+    key_point,
+    point_key,
     reduced_classes,
     taylor_shift,
 )
@@ -80,6 +93,10 @@ _PERIODICITY_RTOL = 1e-6
 #: cosets per block of the closed form's coset pass: its working memory is
 #: three (k-1) x _BLOCK complex buffers, allocated once per pass and refilled
 _BLOCK = 4096
+#: values held by the point cache `_point_value`: both passes of one
+#: `fourier_coefficient` at the default M, 2 (M + 1) = 258 points, with room
+#: for a second series beside them (about 0.3 MiB at weight 16)
+_POINT_CACHE = 512
 
 
 @dataclass(frozen=True)
@@ -115,6 +132,17 @@ class SeriesValue:
 
     value: object  # PolyC or complex
     tail_estimate: float
+
+
+@lru_cache(maxsize=_POINT_CACHE)
+def _point_value(series, t: TruncationParams, key: bytes, *args):
+    """series(t, z, *args) at the validated point z whose bit pattern is
+    `key` (`group.point_key`), kept for later calls with the same series,
+    arguments and key: a miss runs the series itself, and a call that
+    raises caches nothing.  A value is shared by every hit, so no caller
+    hands it out: `PolyC` copies it, and the closed form's arrays are
+    read-only."""
+    return series(t, key_point(key), *args)
 
 
 @lru_cache(maxsize=6)
@@ -326,6 +354,10 @@ def _coset_sum(
     return value, tail
 
 
+def _eisenstein_sum(t: TruncationParams, z: complex, w: BiWeight) -> tuple[complex, float]:
+    return _coset_sum(t, z, *_rs_weights(t, z, w), w.r + w.s, identity=1.0)
+
+
 def eisenstein_rs(
     w: BiWeight, z: complex, t: TruncationParams = TruncationParams()
 ) -> SeriesValue:
@@ -333,8 +365,8 @@ def eisenstein_rs(
     j(g,z)^(-r) j(g, conj z)^(-s), identity coset contributing 1."""
     if w.r + w.s <= 2:
         raise ConvergenceError(f"weights ({w.r},{w.s}) diverge: r + s must exceed 2")
-    z = t.validate_at(z)
-    return SeriesValue(*_coset_sum(t, z, *_rs_weights(t, z, w), w.r + w.s, identity=1.0))
+    key = point_key(t.validate_at(z))
+    return SeriesValue(*_point_value(_eisenstein_sum, t, key, w))
 
 
 def _check_psi(hform: QExpansion, w: BiWeight) -> None:
@@ -344,6 +376,13 @@ def _check_psi(hform: QExpansion, w: BiWeight) -> None:
         raise ConvergenceError(
             f"psi needs r + s > k = {hform.k}, got r + s = {w.r + w.s}"
         )
+
+
+def _psi_sum(
+    t: TruncationParams, z: complex, hform: QExpansion, w: BiWeight, minus: bool
+) -> tuple[np.ndarray, float]:
+    tables, w0 = _period_tables(hform, t.C, t.D), w.r + w.s - hform.k + 2
+    return _coset_sum(t, z, *_rs_weights(t, z, w), w0, *tables, minus=minus)
 
 
 def psi_series(
@@ -356,10 +395,22 @@ def psi_series(
     """Second-order series sum over B\\Gamma of r(gamma; X) j^(-r) jbar^(-s);
     the identity coset contributes nothing."""
     _check_psi(hform, w)
-    z, tables = t.validate_at(z), _period_tables(hform, t.C, t.D)
-    w0 = w.r + w.s - hform.k + 2
-    value, tail = _coset_sum(t, z, *_rs_weights(t, z, w), w0, *tables, minus=_minus(sign))
+    key = point_key(t.validate_at(z))
+    value, tail = _point_value(_psi_sum, t, key, hform, w, _minus(sign))
     return SeriesValue(PolyC(value), tail)
+
+
+def _phi_sum(
+    t: TruncationParams, z: complex, hform: QExpansion, w: BiWeight, minus: bool
+) -> tuple[np.ndarray, float]:
+    wts, wmag = _rs_weights(t, z, w)
+    ev, etail = _coset_sum(t, z, wts, wmag, w.r + w.s, identity=1.0)
+    tables, w0 = _period_tables(hform, t.C, t.D), w.r + w.s - hform.k + 2
+    psiv, ptail = _coset_sum(t, z, wts, wmag, w0, *tables, minus=minus)
+    F = _eichler(hform, z, minus)
+    ftail = eval_tail_bound(hform, z.imag) / (2 * math.pi)
+    tail = ptail + float(np.abs(F).max()) * etail + abs(ev) * ftail
+    return np.zeros_like(psiv) + psiv + F * ev, tail
 
 
 def phi(
@@ -375,15 +426,9 @@ def phi(
     magnitudes, E summed first as the table sum conjugates one row of the
     weights in place."""
     _check_psi(hform, w)
-    z = t.validate_at(z, q_series=True)  # F's floor, before any coset sum
-    wts, wmag = _rs_weights(t, z, w)
-    ev, etail = _coset_sum(t, z, wts, wmag, w.r + w.s, identity=1.0)
-    tables, minus, w0 = _period_tables(hform, t.C, t.D), _minus(sign), w.r + w.s - hform.k + 2
-    psiv, ptail = _coset_sum(t, z, wts, wmag, w0, *tables, minus=minus)
-    F = _eichler(hform, z, minus)
-    ftail = eval_tail_bound(hform, z.imag) / (2 * math.pi)
-    tail = ptail + float(np.abs(F).max()) * etail + abs(ev) * ftail
-    return SeriesValue(PolyC(np.zeros_like(psiv) + psiv + F * ev), tail)
+    key = point_key(t.validate_at(z, q_series=True))  # F's floor, before any coset sum
+    value, tail = _point_value(_phi_sum, t, key, hform, w, _minus(sign))
+    return SeriesValue(PolyC(value), tail)
 
 
 def coeff_basis(z: complex, m: int) -> np.ndarray:
@@ -486,24 +531,23 @@ def closed_form_phi(
     factors.  With q = j - m and p = j + n the double sum regroups into the
     coset sums v[q, p] of `_closed_form_sums`, shared by every j.  The minus
     case is evaluated through the exact conjugation symmetry
-    phi^-_{r,s}(j) = conj(phi^+_{s,r}(k-2-j)).  The last few results are
-    cached.
+    phi^-_{r,s}(j) = conj(phi^+_{s,r}(k-2-j)).  The plus arrays are held
+    by the point cache `_point_value`.
     """
-    _minus(sign)
+    minus = _minus(sign)
     if w.r + w.s <= hform.k:
         raise ConvergenceError(f"needs r + s > k = {hform.k}")
-    z = t.validate_at(z, q_series=True)  # F's floor, before any coset sum
-    return _closed_form_phi(hform, w, sign, z, t)
+    key = point_key(t.validate_at(z, q_series=True))  # F's floor, before any coset sum
+    if not minus:
+        return _point_value(_closed_form_plus, t, key, hform, w)
+    out = _point_value(_closed_form_plus, t, key, hform, w.swapped())[::-1].conj()
+    out.setflags(write=False)
+    return out
 
 
-@lru_cache(maxsize=8)
-def _closed_form_phi(
-    hform: QExpansion, w: BiWeight, sign: str, z: complex, t: TruncationParams
+def _closed_form_plus(
+    t: TruncationParams, z: complex, hform: QExpansion, w: BiWeight
 ) -> np.ndarray:
-    if sign == "-":
-        out = _closed_form_phi(hform, w.swapped(), "+", z, t)[::-1].conj()
-        out.setflags(write=False)
-        return out
     k = hform.k
     # boundary term: the Eichler integral in the basis of phi(j), times E
     out = coeff_decompose(eichler_F(hform, z), z, k) * eisenstein_rs(w, z, t).value
@@ -559,9 +603,13 @@ def poincare(
         raise ConvergenceError("Poincare series needs even k >= 4")
     if n < 0:
         raise ValueError("n must be >= 0")
-    z = t.validate_at(z)
+    key = point_key(t.validate_at(z))
+    return SeriesValue(*_point_value(_poincare_sum, t, key, n, k))
+
+
+def _poincare_sum(t: TruncationParams, z: complex, n: int, k: int) -> tuple[complex, float]:
     identity = cmath.exp(2j * math.pi * n * z)
-    return SeriesValue(*_coset_sum(t, z, *_holo_weights(t, z, n, k), k, identity=identity))
+    return _coset_sum(t, z, *_holo_weights(t, z, n, k), k, identity=identity)
 
 
 def second_order_G(
@@ -579,7 +627,13 @@ def second_order_G(
         raise ConvergenceError(f"need even k > k1 = {k1} > 2, got k = {k}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    z, tables = t.validate_at(z), _period_tables(hform, t.C, t.D)
-    w0 = k - k1 + 2
-    value, tail = _coset_sum(t, z, *_holo_weights(t, z, n, k), w0, *tables, minus=_minus(sign))
+    key = point_key(t.validate_at(z))
+    value, tail = _point_value(_second_order_sum, t, key, n, hform, k, _minus(sign))
     return SeriesValue(PolyC(value), tail)
+
+
+def _second_order_sum(
+    t: TruncationParams, z: complex, n: int, hform: QExpansion, k: int, minus: bool
+) -> tuple[np.ndarray, float]:
+    tables, w0 = _period_tables(hform, t.C, t.D), k - hform.k + 2
+    return _coset_sum(t, z, *_holo_weights(t, z, n, k), w0, *tables, minus=minus)

@@ -273,8 +273,25 @@ def test_raising_suite_is_a_check_failure(capsys, monkeypatch):
     assert trace.startswith("Traceback") and trace.endswith("ValueError: seeded defect\n")
 
 
+def test_a_raising_suite_prints_valid_json(capsys, monkeypatch):
+    # RFC 8259 has no Infinity: the raised suite's infinite residual is null
+    def seeded():
+        raise ValueError("seeded defect")
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    monkeypatch.setitem(checks.SUITES, "vvdim", seeded)
+    code, out, err = run_cli(capsys, "check", "vvdim")
+    assert code == 3
+    (result,) = json.loads(out, parse_constant=reject)["results"]
+    assert result["residual"] is None and result["passed"] is False
+    assert "residual inf" in err
+
+
 def test_deterministic_output(capsys):
     _, out1, _ = run_cli(capsys, "eisenstein", "--r", "10", "--s", "10", "--z", "0.5", "2")
+    ra._point_value.cache_clear()  # the second run sums the series again
     _, out2, _ = run_cli(capsys, "eisenstein", "--r", "10", "--s", "10", "--z", "0.5", "2")
     assert out1 == out2
 

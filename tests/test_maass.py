@@ -154,6 +154,7 @@ def test_phi_identities_share_one_stencil_pass(monkeypatch):
         assert sorted((a[1].r, a[1].s) for a in calls if a[1] != W) == [(9, 11), (11, 9)]
         with monkeypatch.context() as m:
             m.setattr(ma, "memo_points", lambda fn: fn)
+            m.setattr(ra, "_point_value", ra._point_value.__wrapped__)  # each visit sums
             calls.clear()
             assert ma.check_phi_identities(DELTA, W, sign, Z, T40) == memoised
             assert len(calls) == 21
@@ -187,6 +188,7 @@ def test_equivariance_evaluates_each_node_once(monkeypatch, g):
     memoised = ma.check_equivariance(ers, g, BiWeight(7, 7), Z)
     assert len(calls) == len(set(calls)) == {T: 9, S: 17}[g]
     monkeypatch.setattr(ma, "memo_points", lambda fn: fn)
+    monkeypatch.setattr(ra, "_point_value", ra._point_value.__wrapped__)  # each visit sums
     calls.clear()
     assert ma.check_equivariance(ers, g, BiWeight(7, 7), Z) == memoised
     assert len(calls) == 18
@@ -200,6 +202,7 @@ def test_weight_shift_evaluates_each_node_once(monkeypatch):
     assert memoised <= 1e-7
     assert len(calls) == len(set(calls)) == 9
     monkeypatch.setattr(ma, "memo_points", lambda fn: fn)
+    monkeypatch.setattr(ra, "_point_value", ra._point_value.__wrapped__)  # each visit sums
     calls.clear()
     assert ma.check_weight_shift(ers, 7, Z) == memoised
     assert len(calls) == 18

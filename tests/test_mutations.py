@@ -13,9 +13,10 @@ from miint.group import reduced_classes, taylor_shift
 
 @pytest.fixture(autouse=True)
 def _fresh_form_tables():
-    # the form-keyed caches: a table built before the defect was planted
-    # would hide it, and one built under it would leak into later tests
-    caches = (per.reduced_periods, ra._period_tables, ra._closed_form_phi)
+    # the form-keyed caches and the point cache of the series values: a
+    # table or value built before the defect was planted would hide it, and
+    # one built under it would leak into later tests
+    caches = (per.reduced_periods, ra._period_tables, ra._point_value)
     for cache in caches:
         cache.cache_clear()
     yield

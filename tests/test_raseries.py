@@ -333,7 +333,7 @@ def test_closed_form_one_coset_pass_per_point(monkeypatch):
         return sums(hform, w, t, z)
 
     monkeypatch.setattr(ra, "_closed_form_sums", counted)
-    z = 0.17 + 1.9j  # a point no other test uses, so nothing is cached yet
+    z = 0.17 + 1.9j  # the point cache is cleared before each test
     ra.closed_form_phi_j(DELTA, W, "-", 0, z, T40)
     assert calls
     calls.clear()
@@ -544,6 +544,7 @@ def test_poincare_and_G_self_convergence():
 
 def test_series_determinism():
     a = ra.psi_series(DELTA, W, "+", 2j, T40)
+    ra._point_value.cache_clear()  # b is summed again
     b = ra.psi_series(DELTA, W, "+", 2j, T40)
     assert np.array_equal(a.value.coeffs, b.value.coeffs)
 
@@ -1136,6 +1137,9 @@ def test_phi_is_psi_plus_F_times_E_bitwise(w):
 
 
 def _bits(series, w, sign, z, t):
+    """The bits of a value and tail summed afresh, not read from the point
+    cache: what the workspace and the calls before it leave must not show."""
+    ra._point_value.cache_clear()
     sv = series(DELTA, w, sign, z, t)
     return sv.value.coeffs.tobytes(), sv.tail_estimate
 
