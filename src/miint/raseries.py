@@ -59,6 +59,14 @@ so 0.0 and -0.0 stay apart).  A miss runs the series, so a hit is bitwise
 the value and tail of a fresh call; a call that raises caches nothing, and
 every call returns its own copy.  A second Fourier mode at the same nodes,
 or a check that revisits a point, sums no coset.
+
+A point left of the axis is read from its mirror.  Conjugation by eps
+normalises B and maps the rectangle onto itself, so at x < 0 (not -0.0)
+E_{r,s} and psi are the `_image` of their entry at -conj z, and phi
+assembles the images of that entry's E and psi parts with F at z, cached
+under z's own key; each tail keeps its bits, and a value lies within the
+16-eps floor of a fresh sum at z.  `fourier_coefficient` samples a grid
+symmetric about 0, so a mode sums the cosets at about half its nodes.
 """
 
 from __future__ import annotations
@@ -354,6 +362,28 @@ def _coset_sum(
     return value, tail
 
 
+def _image(value):
+    """The value at -conj z of a coset series whose value at z is `value`.
+    eps = diag(-1, 1) normalises B and maps the rectangle onto itself, so a
+    scalar series reads conj (E_{r,s}(-conj z) = conj E_{r,s}(z)), and a
+    coefficient array, as r(eps g eps; X) = -conj r(g; -X), reads M conj
+    (psi(-conj z; X) = -conj psi(z; -X)), either sign."""
+    if np.ndim(value) == 0:
+        return value.conjugate()
+    return _mirror_signs(value.size) * value.conj()
+
+
+def _series_value(series, t: TruncationParams, z: complex, *args) -> tuple[object, float]:
+    """The point cache's (value, tail) of `series` at a validated z; at
+    x < 0 (not -0.0), the `_image` of the entry at -conj z, whose terms are
+    those at z with each coset and its mirror swapped, so its tail holds
+    the same bits."""
+    if z.real < 0:
+        value, tail = _point_value(series, t, point_key(complex(-z.real, z.imag)), *args)
+        return _image(value), tail
+    return _point_value(series, t, point_key(z), *args)
+
+
 def _eisenstein_sum(t: TruncationParams, z: complex, w: BiWeight) -> tuple[complex, float]:
     return _coset_sum(t, z, *_rs_weights(t, z, w), w.r + w.s, identity=1.0)
 
@@ -365,8 +395,7 @@ def eisenstein_rs(
     j(g,z)^(-r) j(g, conj z)^(-s), identity coset contributing 1."""
     if w.r + w.s <= 2:
         raise ConvergenceError(f"weights ({w.r},{w.s}) diverge: r + s must exceed 2")
-    key = point_key(t.validate_at(z))
-    return SeriesValue(*_point_value(_eisenstein_sum, t, key, w))
+    return SeriesValue(*_series_value(_eisenstein_sum, t, t.validate_at(z), w))
 
 
 def _check_psi(hform: QExpansion, w: BiWeight) -> None:
@@ -395,22 +424,45 @@ def psi_series(
     """Second-order series sum over B\\Gamma of r(gamma; X) j^(-r) jbar^(-s);
     the identity coset contributes nothing."""
     _check_psi(hform, w)
-    key = point_key(t.validate_at(z))
-    value, tail = _point_value(_psi_sum, t, key, hform, w, _minus(sign))
+    value, tail = _series_value(_psi_sum, t, t.validate_at(z), hform, w, _minus(sign))
     return SeriesValue(PolyC(value), tail)
 
 
 def _phi_sum(
-    t: TruncationParams, z: complex, hform: QExpansion, w: BiWeight, minus: bool
-) -> tuple[np.ndarray, float]:
-    wts, wmag = _rs_weights(t, z, w)
-    ev, etail = _coset_sum(t, z, wts, wmag, w.r + w.s, identity=1.0)
-    tables, w0 = _period_tables(hform, t.C, t.D), w.r + w.s - hform.k + 2
-    psiv, ptail = _coset_sum(t, z, wts, wmag, w0, *tables, minus=minus)
+    t: TruncationParams,
+    z: complex,
+    hform: QExpansion,
+    w: BiWeight,
+    minus: bool,
+    parts: tuple | None = None,
+) -> tuple[np.ndarray, float, tuple]:
+    """phi at a validated z as (value, tail, parts): its parts, the pairs
+    (E, tail) and (psi, tail), summed at z from one set of weights unless
+    given, E first, as the table sum conjugates one row of the weights in
+    place; assembled with F at z."""
+    if parts is None:
+        wts, wmag = _rs_weights(t, z, w)
+        tables, w0 = _period_tables(hform, t.C, t.D), w.r + w.s - hform.k + 2
+        parts = (
+            _coset_sum(t, z, wts, wmag, w.r + w.s, identity=1.0),
+            _coset_sum(t, z, wts, wmag, w0, *tables, minus=minus),
+        )
+    (ev, etail), (psiv, ptail) = parts
     F = _eichler(hform, z, minus)
     ftail = eval_tail_bound(hform, z.imag) / (2 * math.pi)
     tail = ptail + float(np.abs(F).max()) * etail + abs(ev) * ftail
-    return np.zeros_like(psiv) + psiv + F * ev, tail
+    return np.zeros_like(psiv) + psiv + F * ev, tail, parts
+
+
+def _phi_image(
+    t: TruncationParams, z: complex, hform: QExpansion, w: BiWeight, minus: bool
+) -> tuple[np.ndarray, float]:
+    """phi at a validated z with x < 0, as (value, tail): the parts of the
+    entry at -conj z, each read as its `_image`, assembled with F at z
+    itself."""
+    mirror = point_key(complex(-z.real, z.imag))
+    parts = _point_value(_phi_sum, t, mirror, hform, w, minus)[2]
+    return _phi_sum(t, z, hform, w, minus, tuple((_image(v), tail) for v, tail in parts))[:2]
 
 
 def phi(
@@ -423,11 +475,12 @@ def phi(
     """Invariant series sum over B\\Gamma of the slashed Eichler integral,
     assembled as psi + F * E from zero, as a sum of polynomials (so a -0.0
     of psi reads +0.0); psi and E share one set of coset weights and their
-    magnitudes, E summed first as the table sum conjugates one row of the
-    weights in place."""
+    magnitudes.  At x < 0 its E and psi are the images of those at -conj z
+    (`_phi_image`), each point's value cached under its own key."""
     _check_psi(hform, w)
-    key = point_key(t.validate_at(z, q_series=True))  # F's floor, before any coset sum
-    value, tail = _point_value(_phi_sum, t, key, hform, w, _minus(sign))
+    z = t.validate_at(z, q_series=True)  # F's floor, before any coset sum
+    series = _phi_image if z.real < 0 else _phi_sum
+    value, tail = _point_value(series, t, point_key(z), hform, w, _minus(sign))[:2]
     return SeriesValue(PolyC(value), tail)
 
 
@@ -575,20 +628,25 @@ def closed_form_phi_j(
 
 
 def fourier_coefficient(fn, l: int, y: float, M: int = DEFAULT_M) -> complex:
-    """Trapezoidal Fourier mode int_0^1 fn(x + iy) e^(-2 pi i l x) dx.
+    """Trapezoidal Fourier mode int_{-1/2}^{1/2} fn(x + iy) e^(-2 pi i l x) dx
+    on the nodes x_m = -1/2 + m/M, m = 0..M-1.
 
-    Spectrally accurate for smooth 1-periodic integrands; raises if the
-    integrand visibly fails periodicity across one period.  Makes M + 1
-    evaluations: the probe at x = 0 is also the first node.
+    Spectrally accurate for smooth 1-periodic integrands, on any shifted
+    grid of a period; raises if the integrand visibly fails periodicity
+    between x = -1/2 and x = 1/2.  Makes M + 1 evaluations: the probe at
+    x = -1/2 is also the first node.  The grid is symmetric about 0, -x_m
+    is x_{M-m} bitwise, so a coset series sums the cosets at the nodes with
+    x >= 0 and the probe at 1/2 only, and reads each other node from its
+    mirror; for even M the M/2 nodes are among the M.
     """
     if M < 64:
         raise ValueError("M must be >= 64")
-    left = fn(complex(0.0, y))
-    right = fn(complex(1.0, y))
+    xs = (2.0 * np.arange(M) - M) / (2 * M)  # the exact quotients: -x_m is x_{M-m}
+    left = fn(complex(xs[0], y))
+    right = fn(complex(0.5, y))
     scale = max(1.0, abs(left))
     if abs(left - right) > _PERIODICITY_RTOL * scale:
         raise ValueError("integrand is not 1-periodic in x")
-    xs = np.arange(M) / M
     vals = np.array([left] + [fn(complex(x, y)) for x in xs[1:]], dtype=np.complex128)
     phase = np.exp(-2j * np.pi * l * xs)
     return complex((vals * phase).sum()) / M

@@ -43,15 +43,20 @@ class RhoRep:
 
 @lru_cache(maxsize=2)
 def rho_matrices(k1: int) -> RhoRep:
-    """Generator matrices: S anti-diagonal with alternating signs, T a signed
-    Pascal matrix; -I acts as the identity.  Frozen, so cached: the checks
-    read one k1 at a time, relations and both traces, so two are kept."""
+    """Generator matrices: S anti-diagonal with alternating signs, T the
+    signed Pascal matrix (-1)^(i+j) binom(j, i); -I acts as the identity.
+    Column j + 1 of T is column j shifted down one row minus itself, by
+    Pascal's rule.  Frozen, so cached: the checks read one k1 at a time,
+    relations and both traces, so two are kept."""
     if k1 % 2 != 0 or k1 < 4:
         raise ValueError("k1 must be even and >= 4")
     n = k1 - 1
-    matS = [[((-1) ** i if j == k1 - 2 - i else 0) for j in range(n)] for i in range(n)]
-    matT = [[(-1) ** (i + j) * math.comb(j, i) for j in range(n)] for i in range(n)]
-    return RhoRep(k1, tuple(map(tuple, matS)), tuple(map(tuple, matT)))
+    matS = tuple((0,) * (n - 1 - i) + ((-1) ** i,) + (0,) * i for i in range(n))
+    cols, col = [], [1]
+    for _ in range(n):
+        cols.append(col + [0] * (n - len(col)))
+        col = [a - b for a, b in zip([0] + col, col + [0])]
+    return RhoRep(k1, matS, tuple(zip(*cols)))
 
 
 def _exact(mat: tuple[tuple[int, ...], ...]) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Seeded defects, each planted by monkeypatching: a suite must report FAIL
 for it, not pass and not raise."""
 
+import numpy as np
 import pytest
 
 from miint import checks
@@ -36,6 +37,28 @@ def test_swapped_weights_fail_the_equivariance_suite(monkeypatch):
     weights = ra._rs_weights
     monkeypatch.setattr(ra, "_rs_weights", lambda t, z, w: weights(t, z, w.swapped()))
     assert [res.name for res in _failures("equivariance")] == ["E_{11,9} under S at 0.3+1.2i"]
+
+
+def test_a_psi_image_without_its_signs_fails_the_invariance_suite(monkeypatch):
+    # psi at x < 0 read as conj psi(-conj z; X), not -conj psi(-conj z; -X):
+    # of the suite's points only S(0.5+2i) has x < 0 (S(2i) has x = -0.0)
+    image = ra._image
+    monkeypatch.setattr(ra, "_image", lambda v: v.conj() if np.ndim(v) else image(v))
+    failures = _failures("invariance")
+    assert [res.name for res in failures] == [
+        f"phi{sign} invariance under S at z = (0.5+2j)" for sign in "+-"
+    ]
+    assert all(res.residual >= 1e3 * res.tolerance for res in failures)
+
+
+def test_an_eisenstein_image_without_its_conjugation_fails_the_equivariance_suite(monkeypatch):
+    # E_{r,s} at x < 0 read as E(-conj z), not its conjugate: E_{7,7} is real,
+    # so only the E_{11,9} line, whose S-image has x < 0, sees it
+    image = ra._image
+    monkeypatch.setattr(ra, "_image", lambda v: image(v) if np.ndim(v) else v)
+    failures = _failures("equivariance")
+    assert [res.name for res in failures] == ["E_{11,9} under S at 0.3+1.2i"]
+    assert failures[0].residual >= 1e3 * failures[0].tolerance
 
 
 def test_a_class_off_by_1e_8_fails_the_classes_suite(monkeypatch):

@@ -9,6 +9,8 @@ import threading
 import numpy as np
 import pytest
 
+from miint import group
+from miint import periods as per
 from miint import qforms as qf
 from miint import raseries as ra
 from miint.errors import ConvergenceError, PrecisionError
@@ -32,7 +34,8 @@ _SERIES = {
     **{
         f"{name}{sign}": (
             lambda z, series=series, sign=sign: series(DELTA, W, sign, z, T40),
-            lambda z, fresh=fresh, sign=sign: fresh(T40, z, DELTA, W, sign == "-"),
+            # value and tail: phi's entry also keeps its E and psi parts
+            lambda z, fresh=fresh, sign=sign: fresh(T40, z, DELTA, W, sign == "-")[:2],
         )
         for name, series, fresh in (
             ("psi_series", ra.psi_series, ra._psi_sum),
@@ -157,11 +160,13 @@ def test_a_second_fourier_mode_at_the_same_nodes_sums_no_coset(monkeypatch):
         return complex(ra.coeff_decompose(ra.phi(DELTA, W, "+", z, T40).value, z, DELTA.k)[4])
 
     modes = [ra.fourier_coefficient(fn, l, 1.25, M=64) for l in (1, 2)]
-    # 65 distinct points (the probe at x = 1 and the 64 nodes), E and psi at each
-    assert len(calls) == 130
+    # 65 points (the probe at x = 1/2 and the 64 nodes), of which the 32 at
+    # x < 0 read their mirrors: 33 canonical points, E and psi at each
+    assert len(calls) == 66
+    assert all(z.real >= 0 for z in calls)
     CACHE.cache_clear()
     assert ra.fourier_coefficient(fn, 2, 1.25, M=64) == modes[1]
-    assert len(calls) == 260
+    assert len(calls) == 132
 
 
 def test_threads_share_the_cache_and_read_fresh_bits():
@@ -199,3 +204,113 @@ def test_threads_share_the_cache_and_read_fresh_bits():
     for i in range(3):
         assert got[i] == want[i:] + want[:i]
     assert CACHE.cache_info().currsize == len(grid)
+
+
+# the reflection: at x < 0 (not -0.0) E, psi and phi read the entry at
+# -conj z, whose coset sums are those at z with each coset and its mirror
+# swapped, E as its conjugate and psi as -conj psi(-conj z; -X)
+_REFLECTED = ("eisenstein_rs", "psi_series+", "psi_series-", "phi+", "phi-")
+_MIRROR_SIGNS = (-1.0) ** np.arange(1, DELTA.k)
+
+
+def _public(name, w, z):
+    """The public value of `name` at z as an array or a complex128, and its tail."""
+    if name == "eisenstein_rs":
+        sv = ra.eisenstein_rs(w, z, T40)
+        return np.complex128(sv.value), sv.tail_estimate
+    series = ra.psi_series if name.startswith("psi") else ra.phi
+    sv = series(DELTA, w, name[-1], z, T40)
+    return sv.value.coeffs, sv.tail_estimate
+
+
+def _fresh(name, w, z):
+    """The kernel's value and tail of `name` summed afresh at z."""
+    if name == "eisenstein_rs":
+        return ra._eisenstein_sum(T40, z, w)
+    fresh = ra._psi_sum if name.startswith("psi") else ra._phi_sum
+    return fresh(T40, z, DELTA, w, name[-1] == "-")[:2]
+
+
+def _image_of_mirror(name, w, z):
+    """The value and tail of `name` at z built from the public values at
+    -conj z: phi from the images of its psi and E there, with F at z."""
+    mirror = complex(-z.real, z.imag)
+    ev, etail = _public("eisenstein_rs", w, mirror)
+    if name == "eisenstein_rs":
+        return np.conj(ev), etail
+    sign = name[-1]
+    psi, ptail = _public("psi_series" + sign, w, mirror)
+    psi, ev = _MIRROR_SIGNS * psi.conj(), np.conj(ev)
+    if name.startswith("psi"):
+        return psi, ptail
+    F = per.eichler_F(DELTA, z, sign).coeffs
+    ftail = qf.eval_tail_bound(DELTA, z.imag) / (2 * math.pi)
+    tail = ptail + float(np.abs(F).max()) * etail + abs(ev) * ftail
+    return np.zeros_like(psi) + psi + F * ev, tail
+
+
+@pytest.mark.parametrize("x", [-0.5, -0.13, -1.2])
+@pytest.mark.parametrize("w", [BiWeight(9, 11), BiWeight(10, 10), BiWeight(11, 9)], ids=str)
+@pytest.mark.parametrize("name", _REFLECTED)
+def test_a_point_left_of_the_axis_is_the_image_of_its_mirror(name, w, x):
+    z = complex(x, 1.3)
+    value, tail = _public(name, w, z)
+    assert _bits(value, tail) == _bits(*_image_of_mirror(name, w, z))
+    fresh, fresh_tail = _fresh(name, w, z)
+    assert np.abs(value - fresh).max() <= tail
+    if name.startswith("phi"):  # its E and psi tails, from the entry at -conj z
+        mirror = group.point_key(complex(-x, 1.3))
+        entry = CACHE(ra._phi_sum, T40, mirror, DELTA, w, name[-1] == "-")
+        tails = [part[1] for part in entry[2]]
+        assert tails == [_fresh(other, w, z)[1] for other in ("eisenstein_rs", "psi_series" + name[-1])]
+    else:
+        assert tail == fresh_tail
+
+
+def test_x_minus_zero_is_not_reflected(monkeypatch):
+    calls, coset_sum = [], ra._coset_sum
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return coset_sum(*args, **kwargs)
+
+    monkeypatch.setattr(ra, "_coset_sum", counted)
+    CACHE.cache_clear()
+    for name in _REFLECTED:
+        _public(name, W, complex(-0.0, 1.3))
+    assert calls and all(math.copysign(1.0, z.real) == -1.0 for z in calls)
+
+
+@pytest.mark.parametrize("name", _REFLECTED)
+def test_a_reflected_point_reads_the_same_bits_in_any_order_and_thread(name):
+    z, mirror = complex(-0.13, 1.3), complex(0.13, 1.3)
+
+    def in_thread(*points):
+        out = []
+        thread = threading.Thread(target=lambda: out.extend(_public(name, W, p) for p in points))
+        thread.start()
+        thread.join(timeout=60)
+        return out[-1]
+
+    runs = []
+    for order in ((z,), (mirror, z)):
+        for run in (lambda: [_public(name, W, p) for p in order][-1], lambda: in_thread(*order)):
+            CACHE.cache_clear()
+            runs.append(_bits(*run()))
+    CACHE.cache_clear()
+    in_thread(mirror)  # the canonical point summed in another thread
+    runs.append(_bits(*_public(name, W, z)))
+    assert all(run == runs[0] for run in runs)
+
+
+def test_cache_clear_drops_the_reflected_and_canonical_entries():
+    z = complex(-0.13, 1.3)
+    CACHE.cache_clear()
+    ra.phi(DELTA, W, "+", z, T40)  # its own entry and that at -conj z
+    assert CACHE.cache_info().currsize == 2
+    ra.psi_series(DELTA, W, "+", z, T40)  # the entry at -conj z only
+    assert CACHE.cache_info().currsize == 3
+    CACHE.cache_clear()
+    assert CACHE.cache_info().currsize == 0
+    ra.phi(DELTA, W, "+", z, T40)
+    assert CACHE.cache_info().misses == 2

@@ -442,7 +442,7 @@ def test_fourier_evaluates_each_node_once():
         return qf.eval_form(DELTA, z)
 
     ra.fourier_coefficient(fn, 1, 1.0, 64)
-    assert len(calls) == 64 + 1  # the x = 0 probe is the first node
+    assert len(calls) == 64 + 1  # the x = -1/2 probe is the first node
 
 
 def _lambda(table, s, c, d):
@@ -900,7 +900,8 @@ def test_coset_sum_matches_the_full_term_array(C, x):
     # half by the reflection, times the full weights, as one BLAS product
     # over the stored cosets and one over their mirrors, bitwise ('-': the
     # table conj R), and the tail of the mask formula over the full product
-    # array
+    # array; the public psi and E are those sums at x >= 0, and at x < 0 the
+    # images of their values at -conj z, bitwise
     t, z, w = ra.TruncationParams(C, 10 * C), complex(x, 1.3), BiWeight(10, 8)
     data = group.cosets(C, 10 * C)
     R = _full_table(ra._period_tables(DELTA, C, 10 * C)[0], data)
@@ -909,16 +910,30 @@ def test_coset_sum_matches_the_full_term_array(C, x):
     rs = _full_weights(ra._rs_weights(t, z, w)[0], data)
     holo = _full_weights(ra._holo_weights(t, z, 1, 16)[0], data)
     w0 = w.r + w.s - DELTA.k + 2
+    mirror = complex(-x, 1.3) if x < 0 else None
+    signs = (-1.0) ** np.arange(1, DELTA.k)  # psi(-conj z; X) = -conj psi(z; -X)
     for sign, table in (("+", R), ("-", R.conj())):
+        value, tail = ra._psi_sum(t, z, DELTA, w, sign == "-")
+        assert np.array_equal(value, _table_sum(table, rs, data))
+        _assert_table_tail(tail, _mask_tail(t, z, table * rs, w0))
         sv = ra.psi_series(DELTA, w, sign, z, t)
-        assert np.array_equal(sv.value.coeffs, _table_sum(table, rs, data))
-        _assert_table_tail(sv.tail_estimate, _mask_tail(t, z, table * rs, w0))
+        if mirror is not None:
+            at = ra.psi_series(DELTA, w, sign, mirror, t)
+            value, tail = signs * at.value.coeffs.conj(), at.tail_estimate
+        assert _u64(sv.value.coeffs) == _u64(value)
+        assert _u64(sv.tail_estimate) == _u64(tail)
         g = ra.second_order_G(1, DELTA, 16, z, t, sign)
         assert np.array_equal(g.value.coeffs, _table_sum(table, holo, data))
         _assert_table_tail(g.tail_estimate, _mask_tail(t, z, table * holo, 16 - DELTA.k + 2))
+    value, tail = ra._eisenstein_sum(t, z, w)
+    assert value == 1.0 + _fold(rs, data).sum()
+    assert tail == _mask_tail(t, z, rs, w.r + w.s, identity=1.0)
     ev = ra.eisenstein_rs(w, z, t)
-    assert ev.value == 1.0 + _fold(rs, data).sum()
-    assert ev.tail_estimate == _mask_tail(t, z, rs, w.r + w.s, identity=1.0)
+    if mirror is not None:  # E(-conj z) = conj E(z)
+        at = ra.eisenstein_rs(w, mirror, t)
+        value, tail = np.conj(at.value), at.tail_estimate
+    assert _u64(ev.value) == _u64(value)
+    assert _u64(ev.tail_estimate) == _u64(tail)
     holo = _full_weights(ra._holo_weights(t, z, 1, 12)[0], data)
     pn = ra.poincare(1, 12, z, t)
     identity = cmath.exp(2j * math.pi * z)

@@ -12,6 +12,19 @@ def test_rho_matrices_weight_four():
     assert rep.matT == ((1, -1, 1), (0, 1, -2), (0, 0, 1))
 
 
+def test_rho_matrices_match_the_binomial_definition():
+    # the Pascal-row recurrence gives the tuples of the closed forms
+    for k1 in range(4, 41, 2):
+        rep, n = vvdim.rho_matrices(k1), k1 - 1
+        assert rep.matS == tuple(
+            tuple((-1) ** i if j == k1 - 2 - i else 0 for j in range(n)) for i in range(n)
+        )
+        assert rep.matT == tuple(
+            tuple((-1) ** (i + j) * math.comb(j, i) for j in range(n)) for i in range(n)
+        )
+        assert all(type(e) is int for row in rep.matS + rep.matT for e in row)
+
+
 def test_rho_matrices_parity_guard():
     with pytest.raises(ValueError):
         vvdim.rho_matrices(5)
