@@ -89,18 +89,17 @@ def check_phi_identities(
                               - 2i (1-delta) y conj(f(z)) (X-cz)^(k-2) E_{r,s}
 
     delta = 1 in the plus case, 0 in the minus case; residuals are sup-norms
-    over monomial coefficients.  phi_{r,s} is evaluated once per distinct
-    point (`group.memo_points`), so raising and lowering share its stencil.
+    over monomial coefficients.  Raising and lowering share the stencil of
+    phi_{r,s}, whose coset sums the point cache of `raseries` holds.
     """
     z = complex(z)
     k = hform.k
     delta = 1 if sign == "+" else 0
 
-    def phi_at(u: complex, weights: BiWeight) -> np.ndarray:
+    def phi_at(u: complex, weights: BiWeight = w) -> np.ndarray:
         return phi(hform, weights, sign, u, t).value.coeffs
 
-    phi_w = memo_points(lambda u: phi_at(u, w))
-    phi_w(z)  # raises ConvergenceError unless r + s > k
+    phi_at(z)  # raises ConvergenceError unless r + s > k
     ev = eisenstein_rs(w, z, t).value
     fz = eval_form(hform, z)
     y = z.imag
@@ -109,12 +108,12 @@ def check_phi_identities(
     rhs_d = w.r * phi_at(z, w.raised())
     if delta:
         rhs_d = rhs_d + (2j * y * fz * ev) * basis[:, k - 2]
-    res_d = np.max(np.abs(maass_d(phi_w, w.r, z, h) - rhs_d))
+    res_d = np.max(np.abs(maass_d(phi_at, w.r, z, h) - rhs_d))
 
     rhs_db = w.s * phi_at(z, w.lowered())
     if not delta:
         rhs_db = rhs_db - (2j * y * fz.conjugate() * ev) * basis[:, 0]
-    res_db = np.max(np.abs(maass_dbar(phi_w, w.s, z, h) - rhs_db))
+    res_db = np.max(np.abs(maass_dbar(phi_at, w.s, z, h) - rhs_db))
     return {"raising": float(res_d), "lowering": float(res_db)}
 
 

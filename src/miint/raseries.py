@@ -62,11 +62,13 @@ or a check that revisits a point, sums no coset.
 
 A point left of the axis is read from its mirror.  Conjugation by eps
 normalises B and maps the rectangle onto itself, so at x < 0 (not -0.0)
-E_{r,s} and psi are the `_image` of their entry at -conj z, and phi
-assembles the images of that entry's E and psi parts with F at z, cached
-under z's own key; each tail keeps its bits, and a value lies within the
-16-eps floor of a fresh sum at z.  `fourier_coefficient` samples a grid
-symmetric about 0, so a mode sums the cosets at about half its nodes.
+every public coset series is the `_image` of its entry at -conj z
+(`_series_value`): E_{r,s} and the Poincare series read conj, and psi, G
+and phi read -conj(.)(-X), phi as F(-conj z; X) = -conj F(z; -X) for a
+form with real coefficients.  Each tail keeps its bits, and a value lies
+within its tail of a fresh sum at z.  The closed form's own coset pass is
+not reflected.  `fourier_coefficient` samples a grid symmetric about 0, so
+a mode sums the cosets at about half its nodes.
 """
 
 from __future__ import annotations
@@ -102,8 +104,9 @@ _PERIODICITY_RTOL = 1e-6
 #: three (k-1) x _BLOCK complex buffers, allocated once per pass and refilled
 _BLOCK = 4096
 #: values held by the point cache `_point_value`: both passes of one
-#: `fourier_coefficient` at the default M, 2 (M + 1) = 258 points, with room
-#: for a second series beside them (about 0.3 MiB at weight 16)
+#: `fourier_coefficient` at the default M store M/2 + 1 = 65 entries per
+#: series, its nodes with x >= 0 and the probe at 1/2, so it holds several
+#: series or heights beside them (about 0.3 MiB at weight 16)
 _POINT_CACHE = 512
 
 
@@ -365,23 +368,26 @@ def _coset_sum(
 def _image(value):
     """The value at -conj z of a coset series whose value at z is `value`.
     eps = diag(-1, 1) normalises B and maps the rectangle onto itself, so a
-    scalar series reads conj (E_{r,s}(-conj z) = conj E_{r,s}(z)), and a
-    coefficient array, as r(eps g eps; X) = -conj r(g; -X), reads M conj
+    scalar series, E_{r,s} or P_n, reads conj (E_{r,s}(-conj z) =
+    conj E_{r,s}(z)), and a coefficient array, psi, G or phi, as
+    r(eps g eps; X) = -conj r(g; -X), reads M conj
     (psi(-conj z; X) = -conj psi(z; -X)), either sign."""
     if np.ndim(value) == 0:
         return value.conjugate()
     return _mirror_signs(value.size) * value.conj()
 
 
-def _series_value(series, t: TruncationParams, z: complex, *args) -> tuple[object, float]:
-    """The point cache's (value, tail) of `series` at a validated z; at
-    x < 0 (not -0.0), the `_image` of the entry at -conj z, whose terms are
-    those at z with each coset and its mirror swapped, so its tail holds
-    the same bits."""
+def _series_value(series, t: TruncationParams, z: complex, *args) -> SeriesValue:
+    """The public value of `series` at a validated z, read from the point
+    cache; at x < 0 (not -0.0), the `_image` of the entry at -conj z, whose
+    terms are those at z with each coset and its mirror swapped, so its tail
+    holds the same bits.  A coefficient array is copied into its own `PolyC`."""
     if z.real < 0:
         value, tail = _point_value(series, t, point_key(complex(-z.real, z.imag)), *args)
-        return _image(value), tail
-    return _point_value(series, t, point_key(z), *args)
+        value = _image(value)
+    else:
+        value, tail = _point_value(series, t, point_key(z), *args)
+    return SeriesValue(value if np.ndim(value) == 0 else PolyC(value), tail)
 
 
 def _eisenstein_sum(t: TruncationParams, z: complex, w: BiWeight) -> tuple[complex, float]:
@@ -395,7 +401,7 @@ def eisenstein_rs(
     j(g,z)^(-r) j(g, conj z)^(-s), identity coset contributing 1."""
     if w.r + w.s <= 2:
         raise ConvergenceError(f"weights ({w.r},{w.s}) diverge: r + s must exceed 2")
-    return SeriesValue(*_series_value(_eisenstein_sum, t, t.validate_at(z), w))
+    return _series_value(_eisenstein_sum, t, t.validate_at(z), w)
 
 
 def _check_psi(hform: QExpansion, w: BiWeight) -> None:
@@ -424,45 +430,23 @@ def psi_series(
     """Second-order series sum over B\\Gamma of r(gamma; X) j^(-r) jbar^(-s);
     the identity coset contributes nothing."""
     _check_psi(hform, w)
-    value, tail = _series_value(_psi_sum, t, t.validate_at(z), hform, w, _minus(sign))
-    return SeriesValue(PolyC(value), tail)
+    return _series_value(_psi_sum, t, t.validate_at(z), hform, w, _minus(sign))
 
 
 def _phi_sum(
-    t: TruncationParams,
-    z: complex,
-    hform: QExpansion,
-    w: BiWeight,
-    minus: bool,
-    parts: tuple | None = None,
-) -> tuple[np.ndarray, float, tuple]:
-    """phi at a validated z as (value, tail, parts): its parts, the pairs
-    (E, tail) and (psi, tail), summed at z from one set of weights unless
-    given, E first, as the table sum conjugates one row of the weights in
-    place; assembled with F at z."""
-    if parts is None:
-        wts, wmag = _rs_weights(t, z, w)
-        tables, w0 = _period_tables(hform, t.C, t.D), w.r + w.s - hform.k + 2
-        parts = (
-            _coset_sum(t, z, wts, wmag, w.r + w.s, identity=1.0),
-            _coset_sum(t, z, wts, wmag, w0, *tables, minus=minus),
-        )
-    (ev, etail), (psiv, ptail) = parts
+    t: TruncationParams, z: complex, hform: QExpansion, w: BiWeight, minus: bool
+) -> tuple[np.ndarray, float]:
+    """phi at a validated z: E and psi summed at z from one set of weights,
+    E first, as the table sum conjugates one row of the weights in place;
+    assembled with F at z."""
+    wts, wmag = _rs_weights(t, z, w)
+    tables, w0 = _period_tables(hform, t.C, t.D), w.r + w.s - hform.k + 2
+    ev, etail = _coset_sum(t, z, wts, wmag, w.r + w.s, identity=1.0)
+    psiv, ptail = _coset_sum(t, z, wts, wmag, w0, *tables, minus=minus)
     F = _eichler(hform, z, minus)
     ftail = eval_tail_bound(hform, z.imag) / (2 * math.pi)
     tail = ptail + float(np.abs(F).max()) * etail + abs(ev) * ftail
-    return np.zeros_like(psiv) + psiv + F * ev, tail, parts
-
-
-def _phi_image(
-    t: TruncationParams, z: complex, hform: QExpansion, w: BiWeight, minus: bool
-) -> tuple[np.ndarray, float]:
-    """phi at a validated z with x < 0, as (value, tail): the parts of the
-    entry at -conj z, each read as its `_image`, assembled with F at z
-    itself."""
-    mirror = point_key(complex(-z.real, z.imag))
-    parts = _point_value(_phi_sum, t, mirror, hform, w, minus)[2]
-    return _phi_sum(t, z, hform, w, minus, tuple((_image(v), tail) for v, tail in parts))[:2]
+    return np.zeros_like(psiv) + psiv + F * ev, tail
 
 
 def phi(
@@ -475,13 +459,10 @@ def phi(
     """Invariant series sum over B\\Gamma of the slashed Eichler integral,
     assembled as psi + F * E from zero, as a sum of polynomials (so a -0.0
     of psi reads +0.0); psi and E share one set of coset weights and their
-    magnitudes.  At x < 0 its E and psi are the images of those at -conj z
-    (`_phi_image`), each point's value cached under its own key."""
+    magnitudes."""
     _check_psi(hform, w)
     z = t.validate_at(z, q_series=True)  # F's floor, before any coset sum
-    series = _phi_image if z.real < 0 else _phi_sum
-    value, tail = _point_value(series, t, point_key(z), hform, w, _minus(sign))[:2]
-    return SeriesValue(PolyC(value), tail)
+    return _series_value(_phi_sum, t, z, hform, w, _minus(sign))
 
 
 def coeff_basis(z: complex, m: int) -> np.ndarray:
@@ -661,8 +642,7 @@ def poincare(
         raise ConvergenceError("Poincare series needs even k >= 4")
     if n < 0:
         raise ValueError("n must be >= 0")
-    key = point_key(t.validate_at(z))
-    return SeriesValue(*_point_value(_poincare_sum, t, key, n, k))
+    return _series_value(_poincare_sum, t, t.validate_at(z), n, k)
 
 
 def _poincare_sum(t: TruncationParams, z: complex, n: int, k: int) -> tuple[complex, float]:
@@ -685,9 +665,7 @@ def second_order_G(
         raise ConvergenceError(f"need even k > k1 = {k1} > 2, got k = {k}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    key = point_key(t.validate_at(z))
-    value, tail = _point_value(_second_order_sum, t, key, n, hform, k, _minus(sign))
-    return SeriesValue(PolyC(value), tail)
+    return _series_value(_second_order_sum, t, t.validate_at(z), n, hform, k, _minus(sign))
 
 
 def _second_order_sum(

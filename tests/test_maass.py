@@ -129,34 +129,36 @@ def test_coeffs_identity_composite_with_phi_coefficients():
     assert worst <= 1e-3
 
 
-def _count_phi_calls(monkeypatch, module):
+def _count_phi_calls(monkeypatch, module, name="phi"):
     calls = []
-    phi = ra.phi
+    phi = getattr(ra, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return phi(*args, **kwargs)
 
-    monkeypatch.setattr(module, "phi", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_phi_identities_share_one_stencil_pass(monkeypatch):
-    # raising and lowering read one stencil of phi_{r,s}: its 8 nodes and z
-    # itself, once each, and phi at the raised and lowered weights at z; the
-    # residuals are bitwise those of one evaluation per visit (21 of them)
-    calls = _count_phi_calls(monkeypatch, ma)
+    # raising and lowering read one stencil of phi_{r,s} through the point
+    # cache: z = 2i lies on the axis, so the nodes at x = -h, -2h read the
+    # sums at their mirrors, and phi is summed at 7 points, plus once at the
+    # raised and the lowered weights at z; the residuals are bitwise those
+    # of one sum per visit (21 of them)
+    calls = _count_phi_calls(monkeypatch, ra, "_phi_sum")
     for sign in "+-":
         calls.clear()
-        memoised = ma.check_phi_identities(DELTA, W, sign, Z, T40)
-        at_w = {args[3] for args in calls if args[1] == W}
-        assert len(calls) == 11 and len(at_w) == 9
-        assert sorted((a[1].r, a[1].s) for a in calls if a[1] != W) == [(9, 11), (11, 9)]
+        cached = ma.check_phi_identities(DELTA, W, sign, Z, T40)
+        at_w = {args[1] for args in calls if args[3] == W}
+        assert len(calls) == 9 and len(at_w) == 7
+        assert all(z.real >= 0 for z in at_w)
+        assert sorted((a[3].r, a[3].s) for a in calls if a[3] != W) == [(9, 11), (11, 9)]
         with monkeypatch.context() as m:
-            m.setattr(ma, "memo_points", lambda fn: fn)
             m.setattr(ra, "_point_value", ra._point_value.__wrapped__)  # each visit sums
             calls.clear()
-            assert ma.check_phi_identities(DELTA, W, sign, Z, T40) == memoised
+            assert ma.check_phi_identities(DELTA, W, sign, Z, T40) == cached
             assert len(calls) == 21
 
 

@@ -9,8 +9,6 @@ import threading
 import numpy as np
 import pytest
 
-from miint import group
-from miint import periods as per
 from miint import qforms as qf
 from miint import raseries as ra
 from miint.errors import ConvergenceError, PrecisionError
@@ -21,21 +19,26 @@ T40 = ra.TruncationParams()
 W = BiWeight(11, 9)  # r != s: complex weights
 CACHE = ra._point_value
 
-# each public series at a point, and its private sum afresh (its miss path)
+# each public series at a point, and its private sum afresh (its miss
+# path); a series with weights takes them as w, and the Poincare series and
+# G, whose weights are fixed, ignore it
 _SERIES = {
     "eisenstein_rs": (
-        lambda z: ra.eisenstein_rs(W, z, T40),
-        lambda z: ra._eisenstein_sum(T40, z, W),
+        lambda z, w=W: ra.eisenstein_rs(w, z, T40),
+        lambda z, w=W: ra._eisenstein_sum(T40, z, w),
     ),
     "poincare": (
-        lambda z: ra.poincare(1, 12, z, T40),
-        lambda z: ra._poincare_sum(T40, z, 1, 12),
+        lambda z, w=W: ra.poincare(1, 12, z, T40),
+        lambda z, w=W: ra._poincare_sum(T40, z, 1, 12),
+    ),
+    "poincare0": (
+        lambda z, w=W: ra.poincare(0, 12, z, T40),
+        lambda z, w=W: ra._poincare_sum(T40, z, 0, 12),
     ),
     **{
         f"{name}{sign}": (
-            lambda z, series=series, sign=sign: series(DELTA, W, sign, z, T40),
-            # value and tail: phi's entry also keeps its E and psi parts
-            lambda z, fresh=fresh, sign=sign: fresh(T40, z, DELTA, W, sign == "-")[:2],
+            lambda z, w=W, series=series, sign=sign: series(DELTA, w, sign, z, T40),
+            lambda z, w=W, fresh=fresh, sign=sign: fresh(T40, z, DELTA, w, sign == "-"),
         )
         for name, series, fresh in (
             ("psi_series", ra.psi_series, ra._psi_sum),
@@ -45,12 +48,13 @@ _SERIES = {
     },
     **{
         f"second_order_G{sign}": (
-            lambda z, sign=sign: ra.second_order_G(1, DELTA, 16, z, T40, sign),
-            lambda z, sign=sign: ra._second_order_sum(T40, z, 1, DELTA, 16, sign == "-"),
+            lambda z, w=W, sign=sign: ra.second_order_G(1, DELTA, 16, z, T40, sign),
+            lambda z, w=W, sign=sign: ra._second_order_sum(T40, z, 1, DELTA, 16, sign == "-"),
         )
         for sign in "+-"
     },
 }
+_WEIGHTED = ("eisenstein_rs", "psi_series+", "psi_series-", "phi+", "phi-")
 
 
 def _bits(value, tail):
@@ -206,65 +210,41 @@ def test_threads_share_the_cache_and_read_fresh_bits():
     assert CACHE.cache_info().currsize == len(grid)
 
 
-# the reflection: at x < 0 (not -0.0) E, psi and phi read the entry at
-# -conj z, whose coset sums are those at z with each coset and its mirror
-# swapped, E as its conjugate and psi as -conj psi(-conj z; -X)
-_REFLECTED = ("eisenstein_rs", "psi_series+", "psi_series-", "phi+", "phi-")
+# the reflection: at x < 0 (not -0.0) every public coset series reads the
+# entry at -conj z, whose coset sums are those at z with each coset and its
+# mirror swapped: E and P_n as their conjugates, and psi, phi and G as
+# -conj(.)(-X)
 _MIRROR_SIGNS = (-1.0) ** np.arange(1, DELTA.k)
 
 
 def _public(name, w, z):
     """The public value of `name` at z as an array or a complex128, and its tail."""
-    if name == "eisenstein_rs":
-        sv = ra.eisenstein_rs(w, z, T40)
-        return np.complex128(sv.value), sv.tail_estimate
-    series = ra.psi_series if name.startswith("psi") else ra.phi
-    sv = series(DELTA, w, name[-1], z, T40)
-    return sv.value.coeffs, sv.tail_estimate
-
-
-def _fresh(name, w, z):
-    """The kernel's value and tail of `name` summed afresh at z."""
-    if name == "eisenstein_rs":
-        return ra._eisenstein_sum(T40, z, w)
-    fresh = ra._psi_sum if name.startswith("psi") else ra._phi_sum
-    return fresh(T40, z, DELTA, w, name[-1] == "-")[:2]
+    sv = _SERIES[name][0](z, w)
+    value = sv.value.coeffs if hasattr(sv.value, "coeffs") else np.complex128(sv.value)
+    return value, sv.tail_estimate
 
 
 def _image_of_mirror(name, w, z):
-    """The value and tail of `name` at z built from the public values at
-    -conj z: phi from the images of its psi and E there, with F at z."""
-    mirror = complex(-z.real, z.imag)
-    ev, etail = _public("eisenstein_rs", w, mirror)
-    if name == "eisenstein_rs":
-        return np.conj(ev), etail
-    sign = name[-1]
-    psi, ptail = _public("psi_series" + sign, w, mirror)
-    psi, ev = _MIRROR_SIGNS * psi.conj(), np.conj(ev)
-    if name.startswith("psi"):
-        return psi, ptail
-    F = per.eichler_F(DELTA, z, sign).coeffs
-    ftail = qf.eval_tail_bound(DELTA, z.imag) / (2 * math.pi)
-    tail = ptail + float(np.abs(F).max()) * etail + abs(ev) * ftail
-    return np.zeros_like(psi) + psi + F * ev, tail
+    """The value and tail of `name` at z read from the public value at
+    -conj z: a scalar's conjugate, an array's M conj."""
+    value, tail = _public(name, w, complex(-z.real, z.imag))
+    return (np.conj(value) if np.ndim(value) == 0 else _MIRROR_SIGNS * value.conj()), tail
 
 
 @pytest.mark.parametrize("x", [-0.5, -0.13, -1.2])
-@pytest.mark.parametrize("w", [BiWeight(9, 11), BiWeight(10, 10), BiWeight(11, 9)], ids=str)
-@pytest.mark.parametrize("name", _REFLECTED)
+@pytest.mark.parametrize(
+    "name, w",
+    [(name, w) for name in _WEIGHTED for w in (BiWeight(9, 11), BiWeight(10, 10), W)]
+    + [(name, W) for name in _SERIES if name not in _WEIGHTED],
+    ids=str,
+)
 def test_a_point_left_of_the_axis_is_the_image_of_its_mirror(name, w, x):
     z = complex(x, 1.3)
     value, tail = _public(name, w, z)
     assert _bits(value, tail) == _bits(*_image_of_mirror(name, w, z))
-    fresh, fresh_tail = _fresh(name, w, z)
+    fresh, fresh_tail = _SERIES[name][1](z, w)
+    assert tail == fresh_tail
     assert np.abs(value - fresh).max() <= tail
-    if name.startswith("phi"):  # its E and psi tails, from the entry at -conj z
-        mirror = group.point_key(complex(-x, 1.3))
-        entry = CACHE(ra._phi_sum, T40, mirror, DELTA, w, name[-1] == "-")
-        tails = [part[1] for part in entry[2]]
-        assert tails == [_fresh(other, w, z)[1] for other in ("eisenstein_rs", "psi_series" + name[-1])]
-    else:
-        assert tail == fresh_tail
 
 
 def test_x_minus_zero_is_not_reflected(monkeypatch):
@@ -276,12 +256,13 @@ def test_x_minus_zero_is_not_reflected(monkeypatch):
 
     monkeypatch.setattr(ra, "_coset_sum", counted)
     CACHE.cache_clear()
-    for name in _REFLECTED:
-        _public(name, W, complex(-0.0, 1.3))
+    z = complex(-0.0, 1.3)
+    for name, (_, fresh) in _SERIES.items():
+        assert _bits(*_public(name, W, z)) == _bits(*fresh(z))
     assert calls and all(math.copysign(1.0, z.real) == -1.0 for z in calls)
 
 
-@pytest.mark.parametrize("name", _REFLECTED)
+@pytest.mark.parametrize("name", _SERIES)
 def test_a_reflected_point_reads_the_same_bits_in_any_order_and_thread(name):
     z, mirror = complex(-0.13, 1.3), complex(0.13, 1.3)
 
@@ -306,11 +287,11 @@ def test_a_reflected_point_reads_the_same_bits_in_any_order_and_thread(name):
 def test_cache_clear_drops_the_reflected_and_canonical_entries():
     z = complex(-0.13, 1.3)
     CACHE.cache_clear()
-    ra.phi(DELTA, W, "+", z, T40)  # its own entry and that at -conj z
+    ra.phi(DELTA, W, "+", z, T40)  # the entry at -conj z only
+    assert CACHE.cache_info().currsize == 1
+    ra.psi_series(DELTA, W, "+", z, T40)  # its own entry at -conj z
     assert CACHE.cache_info().currsize == 2
-    ra.psi_series(DELTA, W, "+", z, T40)  # the entry at -conj z only
-    assert CACHE.cache_info().currsize == 3
     CACHE.cache_clear()
     assert CACHE.cache_info().currsize == 0
     ra.phi(DELTA, W, "+", z, T40)
-    assert CACHE.cache_info().misses == 2
+    assert CACHE.cache_info().misses == 1

@@ -900,8 +900,8 @@ def test_coset_sum_matches_the_full_term_array(C, x):
     # half by the reflection, times the full weights, as one BLAS product
     # over the stored cosets and one over their mirrors, bitwise ('-': the
     # table conj R), and the tail of the mask formula over the full product
-    # array; the public psi and E are those sums at x >= 0, and at x < 0 the
-    # images of their values at -conj z, bitwise
+    # array; the public psi, G, E and P_n are those sums at x >= 0, and at
+    # x < 0 the images of their values at -conj z, bitwise
     t, z, w = ra.TruncationParams(C, 10 * C), complex(x, 1.3), BiWeight(10, 8)
     data = group.cosets(C, 10 * C)
     R = _full_table(ra._period_tables(DELTA, C, 10 * C)[0], data)
@@ -922,9 +922,15 @@ def test_coset_sum_matches_the_full_term_array(C, x):
             value, tail = signs * at.value.coeffs.conj(), at.tail_estimate
         assert _u64(sv.value.coeffs) == _u64(value)
         assert _u64(sv.tail_estimate) == _u64(tail)
+        value, tail = ra._second_order_sum(t, z, 1, DELTA, 16, sign == "-")
+        assert np.array_equal(value, _table_sum(table, holo, data))
+        _assert_table_tail(tail, _mask_tail(t, z, table * holo, 16 - DELTA.k + 2))
         g = ra.second_order_G(1, DELTA, 16, z, t, sign)
-        assert np.array_equal(g.value.coeffs, _table_sum(table, holo, data))
-        _assert_table_tail(g.tail_estimate, _mask_tail(t, z, table * holo, 16 - DELTA.k + 2))
+        if mirror is not None:
+            at = ra.second_order_G(1, DELTA, 16, mirror, t, sign)
+            value, tail = signs * at.value.coeffs.conj(), at.tail_estimate
+        assert _u64(g.value.coeffs) == _u64(value)
+        assert _u64(g.tail_estimate) == _u64(tail)
     value, tail = ra._eisenstein_sum(t, z, w)
     assert value == 1.0 + _fold(rs, data).sum()
     assert tail == _mask_tail(t, z, rs, w.r + w.s, identity=1.0)
@@ -935,10 +941,16 @@ def test_coset_sum_matches_the_full_term_array(C, x):
     assert _u64(ev.value) == _u64(value)
     assert _u64(ev.tail_estimate) == _u64(tail)
     holo = _full_weights(ra._holo_weights(t, z, 1, 12)[0], data)
-    pn = ra.poincare(1, 12, z, t)
+    value, tail = ra._poincare_sum(t, z, 1, 12)
     identity = cmath.exp(2j * math.pi * z)
-    assert pn.value == identity + _fold(holo, data).sum()
-    assert pn.tail_estimate == _mask_tail(t, z, holo, 12, identity=identity)
+    assert value == identity + _fold(holo, data).sum()
+    assert tail == _mask_tail(t, z, holo, 12, identity=identity)
+    pn = ra.poincare(1, 12, z, t)
+    if mirror is not None:  # P_n(-conj z) = conj P_n(z)
+        at = ra.poincare(1, 12, mirror, t)
+        value, tail = np.conj(at.value), at.tail_estimate
+    assert _u64(pn.value) == _u64(value)
+    assert _u64(pn.tail_estimate) == _u64(tail)
 
 
 def _u64(x):
