@@ -27,7 +27,6 @@ from .group import (
     act_poly,
     act_poly_matrix,
     act_tensor,
-    memo_points,
     mobius,
     reduced_classes,
 )
@@ -295,7 +294,6 @@ def suite_coeffs_identity() -> list[CheckResult]:
     fz = qforms.eval_form(f, Z)
     vec_up = raseries.coeff_decompose(raseries.phi(f, W.raised(), "+", Z, T40).value, Z, k)
 
-    @memo_points
     def coeffs(u: complex):
         return raseries.coeff_decompose(raseries.phi(f, W, "+", u, T40).value, u, k)
 
@@ -426,13 +424,11 @@ def suite_fourier() -> list[CheckResult]:
     B = 12.0
     M = 96
 
-    # once per point: the l = 1 and l = 2 modes share their samples
-    @memo_points
+    # the l = 1 and l = 2 modes share their coset sums, through the point cache
     def phi_fn(z: complex) -> complex:
         val = raseries.phi(f, W, "+", z, T40).value
         return complex(raseries.coeff_decompose(val, z, f.k)[f.k - 2])
 
-    @memo_points
     def psi_fn(z: complex) -> complex:
         val = raseries.psi_series(f, W, "+", z, T40).value
         return complex(raseries.coeff_decompose(val, z, f.k)[0])

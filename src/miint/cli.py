@@ -21,7 +21,7 @@ import numpy as np
 from . import periods, qforms, raseries
 from .config import FORMATS, RunConfig, load_config
 from .errors import ConvergenceError, PrecisionError
-from .group import BiWeight, GroupElement, PolyC, S, T, T_pow, memo_points
+from .group import BiWeight, GroupElement, PolyC, S, T, T_pow
 from .raseries import TruncationParams
 
 EXIT_OK = 0
@@ -340,8 +340,6 @@ def _cmd_fourier(ns, cfg: RunConfig) -> int:
 
     else:
         fn = lambda z: qforms.eval_form(f, z)
-    # once per point: the coarse pass's nodes are every other node of the fine one
-    fn = memo_points(fn)
     val = raseries.fourier_coefficient(fn, ns.l, ns.y, cfg.M)
     err = None  # a coarse pass needs M // 2 >= 64 nodes, every other fine node
     if cfg.M >= 2 * 64 and cfg.M % 2 == 0:

@@ -9,13 +9,14 @@ is even.  The coset table `cosets` is the one place that fixes their order:
 the four blocks that a tail estimate reads, so the outer c-shells and the
 outer |d| band are contiguous slices of it.  It stores the half d >= 0, and
 (c, -d) is read from (c, d) = g as its mirror -eps g eps, eps = diag(-1, 1).
+A cached array is shared by every caller, so each cached builder of the
+package returns its arrays through `read_only`.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -151,41 +152,19 @@ def automorphy(g: GroupElement, z: complex, w: BiWeight) -> complex:
     return (g.c * z + g.d) ** (-w.r) * (g.c * z.conjugate() + g.d) ** (-w.s)
 
 
-def point_key(z: complex) -> bytes:
-    """The bit pattern of a complex point, the key of a value memoised per
-    point: unlike the complex itself, it keeps 0.0 and -0.0 apart."""
-    return struct.pack("<2d", z.real, z.imag)
-
-
-def key_point(key: bytes) -> complex:
-    """The complex point whose bit pattern is `key`, bit for bit."""
-    return complex(*struct.unpack("<2d", key))
-
-
-def memo_points(fn):
-    """fn evaluated once per distinct point: a value is kept under the bit
-    pattern of its complex point (`point_key`), and a repeat returns the same
-    object, bit for bit what a second call would give.  For the points of one
-    check or one command, never as a cache across calls."""
-    seen = {}
-
-    def at(z):
-        z = complex(z)
-        key = point_key(z)
-        if key not in seen:
-            seen[key] = fn(z)
-        return seen[key]
-
-    return at
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """arr, made read-only: a cached array is shared by every caller, so no
+    caller may write to it."""
+    arr.setflags(write=False)
+    return arr
 
 
 @lru_cache(maxsize=None)
 def binomials(m: int) -> np.ndarray:
     """Read-only table of the binomial coefficients C(n, t) at [n, t],
     0 <= n, t <= m (zero for t > n)."""
-    table = np.array([[math.comb(n, t) for t in range(m + 1)] for n in range(m + 1)], float)
-    table.setflags(write=False)
-    return table
+    table = [[math.comb(n, t) for t in range(m + 1)] for n in range(m + 1)]
+    return read_only(np.array(table, float))
 
 
 @lru_cache(maxsize=None)
@@ -199,7 +178,7 @@ def _binomial_terms(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     i, j, l = np.unravel_index(live, (m + 1,) * 3)
     table = binomials(m)
     pos = np.stack([l, j - l, i - l, m - j - i + l]) + (m + 1) * np.arange(4)[:, None]
-    return live, table[j, l] * table[m - j, i - l], pos
+    return read_only(live), read_only(table[j, l] * table[m - j, i - l]), read_only(pos)
 
 
 _LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
@@ -236,7 +215,7 @@ def binomial_matrix(a, b, c, d, m: int) -> np.ndarray:
 def _shift_terms(m: int) -> tuple[np.ndarray, np.ndarray]:
     """C(j, i) at [i, j], and the power j - i of -z there (0 where i > j)."""
     r = np.arange(m + 1)
-    return binomials(m).T, np.maximum(-np.subtract.outer(r, r), 0)
+    return binomials(m).T, read_only(np.maximum(-np.subtract.outer(r, r), 0))
 
 
 def shift_matrix(z: complex, m: int) -> np.ndarray:
@@ -344,9 +323,7 @@ def reduced_classes(C: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     c0, d0 = np.nonzero((np.gcd(c, d0) == 1) & (d0 < c))
     lut = np.full((C + 1, C), -1, dtype=np.int64)
     lut[c0, d0] = np.arange(c0.size)
-    for arr in (c0, d0, lut):
-        arr.setflags(write=False)  # cached and shared by every caller
-    return c0, d0, lut
+    return read_only(c0), read_only(d0), read_only(lut)
 
 
 @lru_cache(maxsize=8)
@@ -363,10 +340,7 @@ def class_tops(C: int) -> tuple[np.ndarray, np.ndarray]:
         for x in (r, s):
             x[:, live] = x[1, live], x[0, live] - q * x[1, live]
     a0 = s[0] % c0
-    b0 = (a0 * d0 - 1) // c0
-    for arr in (a0, b0):
-        arr.setflags(write=False)  # cached and shared by every caller
-    return a0, b0
+    return read_only(a0), read_only((a0 * d0 - 1) // c0)
 
 
 @dataclass(frozen=True)
@@ -401,8 +375,8 @@ class CosetTable:
         (a0, b0 + n a0).  Only the holomorphic weights e(n gz) and
         `enumerate_cosets` read them, so they are built on first use."""
         a0, b0 = class_tops(self.C)
-        a = a0[self.cls]
-        return a, b0[self.cls] + self.n * a
+        a = read_only(a0[self.cls])
+        return a, read_only(b0[self.cls] + self.n * a)
 
 
 @lru_cache(maxsize=8)
@@ -425,7 +399,7 @@ def cosets(C: int, D: int) -> CosetTable:
     quads = (np.s_[:r, :b], np.s_[:r, b:], np.s_[r:, b:], np.s_[r:, :b])
     live = cls >= 0
     grid = np.broadcast_arrays(c, d, cls, n)
-    cols = [np.concatenate([a[q][live[q]] for q in quads]) for a in grid]
+    cols = [read_only(np.concatenate([a[q][live[q]] for q in quads])) for a in grid]
     cuts = tuple(np.cumsum([np.count_nonzero(live[q]) for q in quads[:3]]).tolist())
     return CosetTable(C, *cols, shells, band, cuts)
 

@@ -8,7 +8,9 @@ product of the one-variable slashes `act_poly_matrix(g, k_i)`.
 
 Depth 3 is evaluated by expanding the inner integral into the ray
 primitives of `periods`, multiplying by the outer q-series and integrating
-term by term; no shuffle-product machinery is needed at this depth.
+term by term; no shuffle-product machinery is needed at this depth.  Its
+kernel is cached per form pair, read-only, and a value is computed afresh
+at each visit of a point, as one product e(Nz) @ K.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .group import GroupElement, T, act_poly_matrix, binomials, memo_points, mobius, shift_matrix
+from .group import GroupElement, T, act_poly_matrix, binomials, mobius, read_only, shift_matrix
 from .periods import _exps, _ray_primitives, eichler_F
 from .qforms import QExpansion, admissible_z, coeff_array
 
@@ -82,9 +84,7 @@ def _depth3_kernel(f1: QExpansion, f2: QExpansion) -> np.ndarray:
     # K[N-2, m1-e, m2-j] = w1[e] sum_t P(N, e+t) Q[N, t, j]
     windows = w1[::-1, None] * sliding_window_view(P[1:], m2 + 1, axis=1)[:, ::-1]
     K = windows @ Q.reshape(-1, m2 + 1, m2 + 1)[:, :, ::-1]
-    K = np.ascontiguousarray(K.reshape(len(K), -1).T)
-    K.setflags(write=False)  # cached and shared by every value of the pair
-    return K
+    return read_only(np.ascontiguousarray(K.reshape(len(K), -1).T))
 
 
 def _depth3_value(f1: QExpansion, f2: QExpansion, z: complex) -> np.ndarray:
@@ -151,12 +151,11 @@ def order_check(data: IteratedIntegrand, witnesses: list) -> dict:
     F.(g_1 - 1)...(g_(n-1) - 1) must not depend on z: at n = 2 it is a
     constant tensor polynomial, and at n = 3 each X2-coefficient of
     F.(g_1 - 1), a polynomial-valued function of (z, X1), passes the order-2
-    test against g_2, each against its own scale.  F is evaluated once per
-    distinct point of the call (`group.memo_points`).  Report-only: never
+    test against g_2, each against its own scale.  Report-only: never
     raises on failure.
     """
     n, weights = data.depth, data.weights
-    F = memo_points(lambda z: iterated_F(data, z))
+    F = lambda z: iterated_F(data, z)
     z1, z2 = 1j, 1 + 2j
     residuals = {}
     for witness in witnesses:

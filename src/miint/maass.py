@@ -5,14 +5,16 @@ coefficient-recombination identities they satisfy.
 The operators act on functions of z only; polynomial-valued functions are
 differentiated coefficient-wise in the monomial basis (X held constant).
 Derivatives use one 4th-order central stencil.  The subscript of an
-operator is always supplied by the caller, never inferred.
+operator is always supplied by the caller, never inferred.  A function is
+called at every visit of a node; a coset series at a node it has summed
+reads the point cache of `raseries`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .group import BiWeight, GroupElement, automorphy, memo_points, mobius
+from .group import BiWeight, GroupElement, automorphy, mobius
 from .qforms import QExpansion, eval_form
 from .raseries import TruncationParams, coeff_basis, eisenstein_rs, phi
 
@@ -53,10 +55,8 @@ def maass_dbar(fn, s: int, z: complex, h: float = STEP) -> complex:
 
 def check_equivariance(fn, g: GroupElement, w: BiWeight, z: complex) -> float:
     """Residual of raising commuting with the slash action up to the weight
-    shift (r,s) -> (r+1,s-1), both sides through `group.automorphy`.  fn is
-    evaluated once per distinct node of the call (`group.memo_points`)."""
+    shift (r,s) -> (r+1,s-1), both sides through `group.automorphy`."""
     z = complex(z)
-    fn = memo_points(fn)
     lhs = maass_d(lambda u: automorphy(g, u, w) * fn(mobius(g, u)), w.r, z)
     rhs = automorphy(g, z, w.raised()) * maass_d(fn, w.r, mobius(g, z))
     return abs(lhs - rhs)
@@ -64,10 +64,8 @@ def check_equivariance(fn, g: GroupElement, w: BiWeight, z: complex) -> float:
 
 def check_weight_shift(fn, r: int, z: complex) -> float:
     """Residual of conjugating raising by y^2, d_r(y^2 fn) = y^2 d_(r+2) fn;
-    its two sides read fn at the same nine nodes, once each
-    (`group.memo_points`)."""
+    its two sides read fn at the same nine nodes."""
     z = complex(z)
-    fn = memo_points(fn)
     lhs = maass_d(lambda u: complex(u).imag ** 2 * fn(u), r, z)
     rhs = z.imag**2 * maass_d(fn, r + 2, z)
     return abs(lhs - rhs)
@@ -124,13 +122,11 @@ def check_coeffs_identity(fjs: list, m: int, z: complex) -> float:
         = sum_j ( d_{m+j} f_j - (j+1) f_{j+1} ) (X-z)^j (X-cz)^(k-2-j)
 
     with k = len(fjs) + 1 and f_{k-1} = 0; both sides compared in monomial
-    coefficients, from one evaluation of the f_j per stencil node
-    (`group.memo_points`).
+    coefficients.
     """
     z = complex(z)
     deg = len(fjs) - 1
 
-    @memo_points
     def values(u: complex) -> np.ndarray:
         return np.array([fj(u) for fj in fjs], dtype=np.complex128)
 

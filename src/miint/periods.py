@@ -35,6 +35,7 @@ from .group import (
     complete_row,
     euclid_chain,
     mobius,
+    read_only,
     reduced_classes,
     shift_matrix,
     slash_rows,
@@ -61,9 +62,7 @@ def _ray_primitives(N: int, m: int) -> np.ndarray:
     running product t!/(2 pi n)^(t+1), the same bits at any table size."""
     n = np.arange(1, N + 1)[:, None]
     table = np.cumprod(np.maximum(np.arange(m + 1), 1) / (2 * math.pi * n), axis=1)
-    table = table * -np.array([i_power(t + 1) for t in range(m + 1)])
-    table.setflags(write=False)  # cached and shared by every integral
-    return table
+    return read_only(table * -np.array([i_power(t + 1) for t in range(m + 1)]))
 
 
 def _exps(ns: np.ndarray, z: complex) -> np.ndarray:
@@ -78,9 +77,7 @@ def _eichler_kernel(f: QExpansion) -> np.ndarray:
     K[n - 1, m - t] = a(n) binom(m, t) (-1)^(m-t) P(n, t)."""
     m, a = f.k - 2, coeff_array(f)[1:]
     sgn_binom = binomials(m)[m] * (-1.0) ** (m - np.arange(m + 1))
-    K = a[:, None] * (sgn_binom * _ray_primitives(a.size, m))[:, ::-1]
-    K.setflags(write=False)  # cached and shared by every integral
-    return K
+    return read_only(a[:, None] * (sgn_binom * _ray_primitives(a.size, m))[:, ::-1])
 
 
 def _minus(sign: str) -> bool:
@@ -117,9 +114,7 @@ def period_poly_base(f: QExpansion, g: GroupElement, z0: complex = 1j) -> PolyC:
 @lru_cache(maxsize=8)
 def _anchor(f: QExpansion) -> np.ndarray:
     """Read-only coefficients of r(S), the one anchored period of a cusp form."""
-    r_S = period_poly_base(f, S, 1j).coeffs
-    r_S.setflags(write=False)  # cached and shared by every period
-    return r_S
+    return read_only(period_poly_base(f, S, 1j).coeffs)
 
 
 def period_poly(f: QExpansion, g: GroupElement, sign: str = "+") -> PolyC:
@@ -158,9 +153,7 @@ class ReducedPeriods:
         """Lambda_f(s, -d0/c) at `values[s - 1, i]` for the i-th class,
         extracted on first use, every class in one batched Taylor shift."""
         c, d0, _ = reduced_classes(self.C)
-        vals = _lambdas_from_period(self.periods.T, -d0 / c, self.periods.shape[1] + 1)
-        vals.setflags(write=False)  # cached and shared by every caller
-        return vals
+        return read_only(_lambdas_from_period(self.periods.T, -d0 / c, self.periods.shape[1] + 1))
 
 
 @lru_cache(maxsize=8)
@@ -179,8 +172,7 @@ def reduced_periods(f: QExpansion, C: int) -> ReducedPeriods:
     edges = np.searchsorted(c0, np.arange(2, C + 2)).tolist()
     for lo, hi in zip(edges, edges[1:]):
         periods[lo:hi] += periods[pos[a0[lo:hi], b0[lo:hi]]]
-    periods.setflags(write=False)  # cached and shared by every caller
-    return ReducedPeriods(C, periods)
+    return ReducedPeriods(C, read_only(periods))
 
 
 def period_error_estimate(f: QExpansion, g: GroupElement, poly: PolyC) -> float:
@@ -210,7 +202,7 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
             p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
         dp = n * (x * p1 - p0) / (x * x - 1)
         x = x - p1 / dp
-    return x, 2 / ((1 - x * x) * dp * dp)
+    return read_only(x), read_only(2 / ((1 - x * x) * dp * dp))
 
 
 def twisted_L(f: QExpansion, s: int, p: int, q: int = 1) -> complex:
@@ -270,9 +262,8 @@ def _lambda_scale(k: int) -> np.ndarray:
     """(-1)^j binom(k-2, j) i^(j+1) for j = 0..k-2: the factor between
     Lambda_f(j+1, a) and the (X - a)^(k-2-j) coefficient of a period
     polynomial, in both directions."""
-    scale = np.array([(-1) ** j * math.comb(k - 2, j) * i_power(j + 1) for j in range(k - 1)])
-    scale.setflags(write=False)
-    return scale
+    scale = [(-1) ** j * math.comb(k - 2, j) * i_power(j + 1) for j in range(k - 1)]
+    return read_only(np.array(scale))
 
 
 def _lambdas_from_period(r: np.ndarray, a, k: int) -> np.ndarray:

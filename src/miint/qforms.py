@@ -17,6 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PrecisionError
+from .group import read_only
 
 DEFAULT_N = 120
 Y_MIN = 0.05
@@ -246,9 +247,7 @@ def admissible_z(z: complex | np.ndarray, q_series: bool = False) -> complex | n
 def coeff_array(f: QExpansion) -> np.ndarray:
     """Read-only complex coefficients a(0..N) of a q-expansion, converted
     once per form and shared by every evaluation and integral."""
-    a = np.array([complex(x) for x in f.coeffs], dtype=np.complex128)
-    a.setflags(write=False)
-    return a
+    return read_only(np.array([complex(x) for x in f.coeffs], dtype=np.complex128))
 
 
 def eval_form(f: QExpansion, z: complex | np.ndarray) -> complex | np.ndarray:

@@ -54,11 +54,12 @@ validates its arguments (convergence, sign, the point and, for phi, its
 q-series floor) and then reads one bounded cache of point values
 (`_point_value`, the `_POINT_CACHE` most recently used), keyed by the
 private series, its exact arguments (form, weights, sign, n and k,
-truncation) and the bit pattern of the validated point (`group.point_key`,
-so 0.0 and -0.0 stay apart).  A miss runs the series, so a hit is bitwise
-the value and tail of a fresh call; a call that raises caches nothing, and
-every call returns its own copy.  A second Fourier mode at the same nodes,
-or a check that revisits a point, sums no coset.
+truncation) and the bit pattern of the validated point (`_point_key`, so
+0.0 and -0.0 stay apart).  A miss runs the series, so a hit is bitwise
+the value and tail of a fresh call; a call that raises caches nothing, the
+cached arrays are read-only, and every series call returns its own copy.
+A second Fourier mode at the same nodes, or a check that revisits a point,
+sums no coset.
 
 A point left of the axis is read from its mirror.  Conjugation by eps
 normalises B and maps the rectangle onto itself, so at x < 0 (not -0.0)
@@ -75,6 +76,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
+import struct
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -88,8 +91,7 @@ from .group import (
     binomial_matrix,
     binomials,
     cosets,
-    key_point,
-    point_key,
+    read_only,
     reduced_classes,
     taylor_shift,
 )
@@ -118,6 +120,8 @@ class TruncationParams:
     D: int = 400
 
     def __post_init__(self):
+        if not (isinstance(self.C, numbers.Integral) and isinstance(self.D, numbers.Integral)):
+            raise ValueError(f"C and D must be integers, got C = {self.C!r}, D = {self.D!r}")
         if self.C < 1 or self.D < 1:
             raise ValueError("C and D must be >= 1")
 
@@ -145,15 +149,20 @@ class SeriesValue:
     tail_estimate: float
 
 
+def _point_key(z: complex) -> bytes:
+    """The bit pattern of a complex point, the key of the point cache:
+    unlike the complex itself, it keeps 0.0 and -0.0 apart."""
+    return struct.pack("<2d", z.real, z.imag)
+
+
 @lru_cache(maxsize=_POINT_CACHE)
 def _point_value(series, t: TruncationParams, key: bytes, *args):
     """series(t, z, *args) at the validated point z whose bit pattern is
-    `key` (`group.point_key`), kept for later calls with the same series,
+    `key` (`_point_key`), kept for later calls with the same series,
     arguments and key: a miss runs the series itself, and a call that
-    raises caches nothing.  A value is shared by every hit, so no caller
-    hands it out: `PolyC` copies it, and the closed form's arrays are
-    read-only."""
-    return series(t, key_point(key), *args)
+    raises caches nothing.  A value is shared by every hit, so its arrays
+    are read-only, and `PolyC` copies one that a caller is handed."""
+    return series(t, complex(*struct.unpack("<2d", key)), *args)
 
 
 @lru_cache(maxsize=6)
@@ -170,7 +179,7 @@ def _period_tables(f: QExpansion, C: int, D: int) -> tuple[np.ndarray, np.ndarra
     """
     data = cosets(C, D)
     R = taylor_shift(np.take(reduced_periods(f, C).periods.T, data.cls, axis=1), data.n)
-    return R, np.abs(R)
+    return read_only(R), read_only(np.abs(R))
 
 
 class _Workspace:
@@ -302,7 +311,7 @@ def _holo_weights(
 
 
 #: the diagonal (-1)^(i+1), i = 1..K, of M, built once per K
-_mirror_signs = lru_cache(maxsize=None)(lambda K: (-1.0) ** np.arange(1, K + 1))
+_mirror_signs = lru_cache(maxsize=None)(lambda K: read_only((-1.0) ** np.arange(1, K + 1)))
 
 
 @np.errstate(all="ignore")  # an overflow raises PrecisionError below
@@ -346,7 +355,7 @@ def _coset_sum(
         row = w[0] if minus else w[1]
         np.conjugate(row, out=row)
         value = R @ w[0] + np.conj(R @ w[1]) * _mirror_signs(R.shape[0])
-        value = value.conj() if minus else value
+        value = read_only(value.conj() if minus else value)
         b0, b1, b2, b3 = (Rmag[:, sl] @ wmag[sl] for sl in ws.blocks)
         outer, shell, total = b1 + b2, b2 + b3, b1 + b2 + b0 + b3
     if identity is not None:
@@ -383,10 +392,10 @@ def _series_value(series, t: TruncationParams, z: complex, *args) -> SeriesValue
     terms are those at z with each coset and its mirror swapped, so its tail
     holds the same bits.  A coefficient array is copied into its own `PolyC`."""
     if z.real < 0:
-        value, tail = _point_value(series, t, point_key(complex(-z.real, z.imag)), *args)
+        value, tail = _point_value(series, t, _point_key(complex(-z.real, z.imag)), *args)
         value = _image(value)
     else:
-        value, tail = _point_value(series, t, point_key(z), *args)
+        value, tail = _point_value(series, t, _point_key(z), *args)
     return SeriesValue(value if np.ndim(value) == 0 else PolyC(value), tail)
 
 
@@ -446,7 +455,7 @@ def _phi_sum(
     F = _eichler(hform, z, minus)
     ftail = eval_tail_bound(hform, z.imag) / (2 * math.pi)
     tail = ptail + float(np.abs(F).max()) * etail + abs(ev) * ftail
-    return np.zeros_like(psiv) + psiv + F * ev, tail
+    return read_only(np.zeros_like(psiv) + psiv + F * ev), tail
 
 
 def phi(
@@ -492,9 +501,7 @@ def _closed_form_alpha(k: int) -> np.ndarray:
     m, n, B = j - q, p - j, binomials(k - 2)
     ipow = np.array([i_power(e) for e in range(4)])[(1 - 2 * j - m - n) % 4]
     alpha = ipow * B[k - 2, j] * B[j, m % K] * B[k - 2 - j, n % K]  # % K: a valid index
-    alpha = np.where((q <= j) & (j <= p), alpha, 0)  # +0, not a signed zero product
-    alpha.setflags(write=False)
-    return alpha
+    return read_only(np.where((q <= j) & (j <= p), alpha, 0))  # +0, not a signed zero product
 
 
 def _lambda_c(lam: np.ndarray, c: np.ndarray, k: int) -> np.ndarray:
@@ -568,15 +575,11 @@ def closed_form_phi(
     phi^-_{r,s}(j) = conj(phi^+_{s,r}(k-2-j)).  The plus arrays are held
     by the point cache `_point_value`.
     """
-    minus = _minus(sign)
-    if w.r + w.s <= hform.k:
-        raise ConvergenceError(f"needs r + s > k = {hform.k}")
-    key = point_key(t.validate_at(z, q_series=True))  # F's floor, before any coset sum
-    if not minus:
+    _check_psi(hform, w)
+    key = _point_key(t.validate_at(z, q_series=True))  # F's floor, before any coset sum
+    if not _minus(sign):
         return _point_value(_closed_form_plus, t, key, hform, w)
-    out = _point_value(_closed_form_plus, t, key, hform, w.swapped())[::-1].conj()
-    out.setflags(write=False)
-    return out
+    return read_only(_point_value(_closed_form_plus, t, key, hform, w.swapped())[::-1].conj())
 
 
 def _closed_form_plus(
@@ -588,8 +591,7 @@ def _closed_form_plus(
     # prefactor from w - X = ((w-z)(X-cz) + (cz-w)(X-z)) / (z - cz)
     pref = (z - z.conjugate()) ** (2 - k)
     out += pref * np.einsum("jqp,qp->j", _closed_form_alpha(k), _closed_form_sums(hform, w, t, z))
-    out.setflags(write=False)  # cached and shared by every caller
-    return out
+    return read_only(out)
 
 
 def closed_form_phi_j(

@@ -17,6 +17,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .group import read_only
+
 
 def legendre3(n: int) -> int:
     """Legendre symbol (n | 3)."""
@@ -36,9 +38,7 @@ class RhoRep:
         """Read-only rho(S) rho(T) in Python ints, the signed row gather
         `_times_S` of rho(T), formed once for the relations and the trace of
         its square; ValueError, each time, for an S of another shape."""
-        st = _times_S(self.matS, _exact(self.matT))
-        st.setflags(write=False)
-        return st
+        return read_only(_times_S(self.matS, _exact(self.matT)))
 
 
 @lru_cache(maxsize=2)

@@ -232,16 +232,22 @@ def test_csv_tables_keep_their_bytes(capsys):
 
 
 def test_check_fourier_evaluates_each_sample_point_once(capsys, monkeypatch):
-    # the l = 1 and l = 2 modes share their samples: M + 1 = 97 points at
-    # each of y = 1 and y = 1.5, for phi and for psi
-    calls = {"phi": [], "psi": []}
-    phi, psi = ra.phi, ra.psi_series
-    monkeypatch.setattr(ra, "phi", lambda *args: calls["phi"].append(args[3]) or phi(*args))
-    monkeypatch.setattr(ra, "psi_series", lambda *args: calls["psi"].append(args[3]) or psi(*args))
+    # the l = 1 and l = 2 modes read the same M + 1 = 97 points at each of
+    # y = 1 and y = 1.5, for phi and for psi; the point cache sums each
+    # series once at the 49 of them with x >= 0 (the other 48 read their
+    # mirrors), so a second mode and a revisit sum no coset
+    visits = {"phi": [], "psi": []}
+    sums = {"phi": [], "psi": []}
+    for name, private, key in (("phi", "_phi_sum", "phi"), ("psi_series", "_psi_sum", "psi")):
+        fn, kernel = getattr(ra, name), getattr(ra, private)
+        monkeypatch.setattr(ra, name, lambda *a, fn=fn, k=key: visits[k].append(a[3]) or fn(*a))
+        monkeypatch.setattr(ra, private, lambda *a, fn=kernel, k=key: sums[k].append(a[1]) or fn(*a))
     code, _, _ = run_cli(capsys, "check", "fourier")
     assert code == 0
-    for points in calls.values():
-        assert len(points) == 194 == len(set(points))
+    for key in visits:
+        assert len(visits[key]) == 388 and len(set(visits[key])) == 194
+        assert len(sums[key]) == 98 == len(set(sums[key]))
+        assert all(z.real >= 0 for z in sums[key])
 
 
 def test_check_vvdim_exit_zero(capsys):
@@ -375,7 +381,8 @@ def test_fourier_subcommand(capsys):
 
 
 def test_fourier_samples_each_point_once(capsys, monkeypatch):
-    # the M/2 error-estimate pass reuses the even nodes of the M pass
+    # the M/2 error-estimate pass reads the even nodes of the M pass again:
+    # M + 1 = 129 distinct points, and M/2 + 1 = 65 more visits
     calls = []
     eval_form = qf.eval_form
 
@@ -386,14 +393,15 @@ def test_fourier_samples_each_point_once(capsys, monkeypatch):
     monkeypatch.setattr(qf, "eval_form", counted)
     code, _, _ = run_cli(capsys, "fourier", "--form", "delta", "--l", "1", "--M", "128")
     assert code == 0
-    assert len(calls) == 129 == len(set(calls))
+    assert len(set(calls)) == 129 and len(calls) == 129 + 65
 
 
 @pytest.mark.parametrize("M", [64, 65, 100, 127, 128, 129, 255])
 def test_fourier_error_estimate_needs_a_coarse_pass_of_64_nodes(capsys, monkeypatch, M):
-    # the M // 2 pass reads the even nodes of the M pass; below M = 128 it
-    # would have fewer than 64 nodes, and for odd M its nodes are not among
-    # the fine ones, so there is none and the estimate is null
+    # the M // 2 pass reads the even nodes of the M pass again, M/2 + 1
+    # visits; below M = 128 it would have fewer than 64 nodes, and for odd M
+    # its nodes are not among the fine ones, so there is none and the
+    # estimate is null
     calls = []
     eval_form = qf.eval_form
 
@@ -403,11 +411,13 @@ def test_fourier_error_estimate_needs_a_coarse_pass_of_64_nodes(capsys, monkeypa
 
     monkeypatch.setattr(qf, "eval_form", counted)
     payload = _payload(capsys, "fourier", "--form", "delta", "--l", "1", "--M", str(M))
-    assert len(calls) == M + 1 == len(set(calls))
+    assert len(set(calls)) == M + 1
     if M < 128 or M % 2:
         assert payload["error_estimate"] is None
+        assert len(calls) == M + 1
     else:
         assert 0.0 <= payload["error_estimate"] <= 1e-10
+        assert len(calls) == M + 1 + M // 2 + 1
 
 
 @pytest.mark.parametrize(

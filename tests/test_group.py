@@ -488,3 +488,65 @@ def test_blocked_taylor_shift_is_bitwise_the_plain_division(dtype):
             plain[j] += shifts * plain[j + 1]
     assert taylor_shift(P, shifts) is P
     assert P.tobytes() == plain.tobytes()
+
+
+def _cached_arrays():
+    """Every array that a cached builder of the package returns, by the
+    builder's name, at small sizes."""
+    from miint import iterated, periods, qforms, raseries, vvdim
+
+    f, t, w = qforms.delta_q(40), raseries.TruncationParams(4, 40), BiWeight(10, 10)
+    table, reduced = cosets(4, 40), periods.reduced_periods(f, 4)
+    key = raseries._point_key(0.3 + 1.2j)
+    return {
+        "binomials": [binomials(6)],
+        "_binomial_terms": list(group._binomial_terms(6)),
+        "_shift_terms": list(group._shift_terms(6)),
+        "reduced_classes": list(reduced_classes(4)),
+        "class_tops": list(group.class_tops(4)),
+        "cosets": [table.cs, table.ds, table.cls, table.n],
+        "tops": list(table.tops),
+        "coeff_array": [qforms.coeff_array(f)],
+        "_ray_primitives": [periods._ray_primitives(8, 4)],
+        "_eichler_kernel": [periods._eichler_kernel(f)],
+        "_anchor": [periods._anchor(f)],
+        "reduced_periods": [reduced.periods],
+        "values": [reduced.values],
+        "_gauss_legendre": list(periods._gauss_legendre(24)),
+        "_lambda_scale": [periods._lambda_scale(12)],
+        "_period_tables": list(raseries._period_tables(f, 4, 40)),
+        "_mirror_signs": [raseries._mirror_signs(11)],
+        "_closed_form_alpha": [raseries._closed_form_alpha(12)],
+        "_point_value": [
+            raseries._point_value(raseries._psi_sum, t, key, f, w, False)[0],
+            raseries._point_value(raseries._phi_sum, t, key, f, w, True)[0],
+            raseries._point_value(raseries._second_order_sum, t, key, 1, f, 16, False)[0],
+            raseries._point_value(raseries._closed_form_plus, t, key, f, w),
+            raseries.closed_form_phi(f, w, "-", 0.3 + 1.2j, t),
+        ],
+        "_depth3_kernel": [iterated._depth3_kernel(f, f)],
+        "st": [vvdim.rho_matrices(12).st],
+    }
+
+
+#: the cached builders that return no array of their own
+_NO_ARRAYS = {"_eisenstein_q", "_delta_q", "_growth", "rho_matrices"}
+
+
+def test_every_cached_array_is_read_only():
+    # a cached array is shared by every caller, so writing to it raises
+    import re
+    from pathlib import Path
+
+    source = "\n".join(p.read_text() for p in Path(group.__file__).parent.glob("*.py"))
+    cached = re.findall(r"@(?:lru_cache\(.*\)|cached_property)\n\s*def (\w+)", source)
+    cached += re.findall(r"^(\w+) = lru_cache\(", source, re.M)
+    arrays = _cached_arrays()
+    assert set(cached) == set(arrays) | _NO_ARRAYS
+    for name, arrs in arrays.items():
+        for arr in arrs:
+            assert isinstance(arr, np.ndarray) and not arr.flags.writeable, name
+            with pytest.raises(ValueError):
+                arr.flat[0] = arr.flat[0]
+    with pytest.raises(ValueError):
+        cosets(40, 400).n[5] += 3

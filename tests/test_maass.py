@@ -129,15 +129,18 @@ def test_coeffs_identity_composite_with_phi_coefficients():
     assert worst <= 1e-3
 
 
-def _count_phi_calls(monkeypatch, module, name="phi"):
+def _count_calls(monkeypatch, name):
+    """The argument tuples of every call of `raseries.<name>` from here on:
+    a private sum counts the kernel sums, as a fresh wrapper keys entries of
+    its own in the point cache."""
     calls = []
-    phi = getattr(ra, name)
+    fn = getattr(ra, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return phi(*args, **kwargs)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(ra, name, counted)
     return calls
 
 
@@ -147,7 +150,7 @@ def test_phi_identities_share_one_stencil_pass(monkeypatch):
     # sums at their mirrors, and phi is summed at 7 points, plus once at the
     # raised and the lowered weights at z; the residuals are bitwise those
     # of one sum per visit (21 of them)
-    calls = _count_phi_calls(monkeypatch, ra, "_phi_sum")
+    calls = _count_calls(monkeypatch, "_phi_sum")
     for sign in "+-":
         calls.clear()
         cached = ma.check_phi_identities(DELTA, W, sign, Z, T40)
@@ -163,13 +166,16 @@ def test_phi_identities_share_one_stencil_pass(monkeypatch):
 
 
 def test_coeffs_suite_shares_one_stencil_pass(monkeypatch):
-    # phi at the 9 stencil nodes, z among them, and once at the raised weight
+    # phi is summed at the 7 of its 9 stencil nodes with x >= 0, z among
+    # them (the nodes at x = -h, -2h read their mirrors), and once at the
+    # raised weight: 8 sums for its 11 visits
     from miint import checks
 
-    calls = _count_phi_calls(monkeypatch, ra)
+    sums = _count_calls(monkeypatch, "_phi_sum")
+    visits = _count_calls(monkeypatch, "phi")
     results = checks.suite_coeffs_identity()
     assert all(r.passed for r in results)
-    assert len(calls) == 10
+    assert len(sums) == 8 and len(visits) == 11
 
 
 def _counted_ers(calls):
@@ -182,53 +188,55 @@ def _counted_ers(calls):
 
 @pytest.mark.parametrize("g", [T, S], ids=["T", "S"])
 def test_equivariance_evaluates_each_node_once(monkeypatch, g):
-    # under T the nodes about Tz are the T-images of those about z: 9 nodes,
-    # and 17 under S, where S z and the centre of the stencil about Sz
-    # coincide; the residual is bitwise that of one evaluation per visit
-    calls = []
-    ers = _counted_ers(calls)
-    memoised = ma.check_equivariance(ers, g, BiWeight(7, 7), Z)
-    assert len(calls) == len(set(calls)) == {T: 9, S: 17}[g]
-    monkeypatch.setattr(ma, "memo_points", lambda fn: fn)
+    # each side reads its 9 nodes: under T those about Tz are the T-images
+    # of those about z, 9 distinct nodes, all at x >= 0; under S, S z and the
+    # centre of the stencil about Sz coincide, 17 distinct nodes, and the 4
+    # at x < 0 read their mirrors, so E_{7,7} is summed 9 and 13 times; the
+    # residual is bitwise that of one sum per visit
+    sums = _count_calls(monkeypatch, "_eisenstein_sum")
+    visits = []
+    ers = _counted_ers(visits)
+    cached = ma.check_equivariance(ers, g, BiWeight(7, 7), Z)
+    assert len(sums) == {T: 9, S: 13}[g]
+    assert len(visits) == 18 and len(set(visits)) == {T: 9, S: 17}[g]
     monkeypatch.setattr(ra, "_point_value", ra._point_value.__wrapped__)  # each visit sums
-    calls.clear()
-    assert ma.check_equivariance(ers, g, BiWeight(7, 7), Z) == memoised
-    assert len(calls) == 18
+    sums.clear()
+    assert ma.check_equivariance(ers, g, BiWeight(7, 7), Z) == cached
+    assert len(sums) == 18
 
 
 def test_weight_shift_evaluates_each_node_once(monkeypatch):
-    # the y^2 identity's two sides read the same 9 nodes
-    calls = []
-    ers = _counted_ers(calls)
-    memoised = ma.check_weight_shift(ers, 7, Z)
-    assert memoised <= 1e-7
-    assert len(calls) == len(set(calls)) == 9
-    monkeypatch.setattr(ma, "memo_points", lambda fn: fn)
+    # the y^2 identity's two sides read the same 9 nodes, the 2 at x < 0
+    # from their mirrors: E_{7,7} is summed 7 times for its 18 visits
+    sums = _count_calls(monkeypatch, "_eisenstein_sum")
+    visits = []
+    ers = _counted_ers(visits)
+    cached = ma.check_weight_shift(ers, 7, Z)
+    assert cached <= 1e-7
+    assert len(sums) == 7
+    assert len(visits) == 18 and len(set(visits)) == 9
     monkeypatch.setattr(ra, "_point_value", ra._point_value.__wrapped__)  # each visit sums
-    calls.clear()
-    assert ma.check_weight_shift(ers, 7, Z) == memoised
-    assert len(calls) == 18
+    sums.clear()
+    assert ma.check_weight_shift(ers, 7, Z) == cached
+    assert len(sums) == 18
 
 
-def test_equivariance_suite_evaluates_eisenstein_20_times(monkeypatch):
-    # E_{7,7} at z for the S line's tail and at 17 nodes under S, E_{11,9}
-    # at z and Sz, and none for the y^k line, which reads Delta alone
+def test_equivariance_suite_sums_eisenstein_16_times(monkeypatch):
+    # E_{7,7} at z for the S line's tail and at the 13 nodes with x >= 0 of
+    # the 17 under S, E_{11,9} at z and Sz, and none for the y^k line, which
+    # reads Delta alone
     from miint import checks
 
-    calls = []
-    eisenstein_rs = ra.eisenstein_rs
-
-    def counted(w, z, t=T40):
-        calls.append(w)
-        return eisenstein_rs(w, z, t)
-
-    monkeypatch.setattr(ra, "eisenstein_rs", counted)
+    sums = _count_calls(monkeypatch, "_eisenstein_sum")
     results = checks.suite_equivariance()
     assert all(r.passed for r in results)
-    assert len(calls) == 20 and calls.count(BiWeight(7, 7)) == 18
+    assert len(sums) == 16
+    assert sum(w == BiWeight(7, 7) for _, _, w in sums) == 14
 
 
 def test_coeffs_identity_evaluates_each_node_once():
+    # the synthetic f_j are not coset series: each of the 19 visits
+    # evaluates them, at the 9 distinct stencil nodes, z among them
     calls = []
 
     def f0(u):
@@ -237,4 +245,4 @@ def test_coeffs_identity_evaluates_each_node_once():
 
     res = ma.check_coeffs_identity([f0, lambda u: 1.0, lambda u: complex(u).imag], 2, 0.3 + 1.5j)
     assert res <= 1e-6
-    assert len(calls) == len(set(calls)) == 9
+    assert len(set(calls)) == 9 and len(calls) <= 19

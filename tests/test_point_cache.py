@@ -295,3 +295,20 @@ def test_cache_clear_drops_the_reflected_and_canonical_entries():
     assert CACHE.cache_info().currsize == 0
     ra.phi(DELTA, W, "+", z, T40)
     assert CACHE.cache_info().misses == 1
+
+
+def test_the_series_suites_sum_each_requested_entry_once(monkeypatch):
+    # from a cleared cache, the eight suites that read coset series ask the
+    # cache for 259 distinct (series, t, key, args) entries, many of them
+    # more than once, and each is a miss once: nothing is evicted and
+    # summed again, so no memo in front of the cache would save a sum
+    from miint import checks
+
+    requests = []
+    monkeypatch.setattr(ra, "_point_value", lambda *args: requests.append(args) or CACHE(*args))
+    suites = ("dualroute", "invariance", "keypr", "coeffs")
+    suites += ("equivariance", "psibar", "secondorder", "fourier")
+    for name in suites:
+        assert all(r.passed for r in checks.SUITES[name]())
+    assert CACHE.cache_info().misses == len(set(requests)) == 259
+    assert len(requests) > 259

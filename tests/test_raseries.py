@@ -29,6 +29,20 @@ def test_truncation_rectangle_invariant():
         ra.TruncationParams(C=0, D=10)
 
 
+@pytest.mark.parametrize(
+    "C, D", [(40.5, 400), (40.0, 400.0), (40, 400.7), (math.nan, 400)], ids=str
+)
+def test_truncation_rejects_a_cutoff_that_is_not_an_integer(C, D):
+    # at construction, not at the first coset sum inside numpy
+    with pytest.raises(ValueError, match="integers"):
+        ra.TruncationParams(C, D)
+
+
+def test_truncation_accepts_numpy_integers():
+    t = ra.TruncationParams(np.int64(40), np.int32(400))
+    assert ra.eisenstein_rs(W, 2j, t).value == ra.eisenstein_rs(W, 2j, T40).value
+
+
 def test_eisenstein_divergent_weights_rejected():
     with pytest.raises(ConvergenceError):
         ra.eisenstein_rs(BiWeight(1, 1), 2j, T40)
@@ -352,6 +366,20 @@ def test_closed_form_validates_before_the_cache():
         ra.closed_form_phi(DELTA, BiWeight(6, 6), "+", 2j, T40)
     with pytest.raises(ValueError):
         ra.closed_form_phi(DELTA, W, "+", 3.0 + 2j, ra.TruncationParams(40, 100))
+
+
+@pytest.mark.parametrize(
+    "form, w", [(qf.eisenstein_q(12), W), (DELTA, BiWeight(6, 6))], ids=["non-cusp", "r+s=k"]
+)
+def test_closed_form_rejects_what_phi_rejects(form, w):
+    # both validate the form and the weights through one check
+    with pytest.raises(Exception) as phi_error:
+        ra.phi(form, w, "+", 2j, T40)
+    for sign in "+-":
+        with pytest.raises(Exception) as closed_error:
+            ra.closed_form_phi(form, w, sign, 2j, T40)
+        assert type(closed_error.value) is type(phi_error.value)
+        assert str(closed_error.value) == str(phi_error.value)
 
 
 @pytest.mark.filterwarnings("error")
