@@ -14,7 +14,6 @@ from .group import (
     BiWeight,
     GroupElement,
     IDENTITY,
-    PolyC,
     S,
     T,
     T_pow,

@@ -21,7 +21,7 @@ import numpy as np
 from . import periods, qforms, raseries
 from .config import FORMATS, RunConfig, load_config
 from .errors import ConvergenceError, PrecisionError
-from .group import BiWeight, GroupElement, PolyC, S, T, T_pow
+from .group import BiWeight, GroupElement, S, T, T_pow
 from .raseries import TruncationParams
 
 EXIT_OK = 0
@@ -59,8 +59,8 @@ def _cnum(x: complex) -> list[float]:
     return [float(x.real), float(x.imag)]
 
 
-def _poly(p: PolyC) -> list[list[float]]:
-    return [_cnum(c) for c in p.coeffs]
+def _poly(p: np.ndarray) -> list[list[float]]:
+    return [_cnum(c) for c in p]
 
 
 def _coeff_json(c) -> object:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -62,6 +63,12 @@ def T_pow(n: int) -> GroupElement:
     return GroupElement(1, n, 0, 1)
 
 
+def check_integers(**values) -> None:
+    """A ValueError unless every value is a `numbers.Integral` (numpy's too)."""
+    if not all(isinstance(v, numbers.Integral) for v in values.values()):
+        raise ValueError(f"{', '.join(values)} must be integers, got {values}")
+
+
 @dataclass(frozen=True)
 class BiWeight:
     """Pair of integer weights (r, s); only the parity r + s even is enforced.
@@ -75,6 +82,7 @@ class BiWeight:
     s: int
 
     def __post_init__(self):
+        check_integers(r=self.r, s=self.s)
         if (self.r + self.s) % 2 != 0:
             raise ValueError(f"r + s must be even, got ({self.r}, {self.s})")
 
@@ -86,54 +94,6 @@ class BiWeight:
 
     def swapped(self) -> "BiWeight":
         return BiWeight(self.s, self.r)
-
-
-class PolyC:
-    """Complex-coefficient polynomial in one formal variable X: sums,
-    differences and complex multiples.  The degree bound is fixed at
-    construction; coefficients are stored ascending.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs, bound: int | None = None):
-        arr = np.asarray(coeffs, dtype=np.complex128).reshape(-1).copy()
-        if bound is not None:
-            if arr.size > bound + 1:
-                raise ValueError(f"degree overflow: {arr.size - 1} > {bound}")
-            if arr.size < bound + 1:
-                arr = np.concatenate(
-                    [arr, np.zeros(bound + 1 - arr.size, dtype=np.complex128)]
-                )
-        self.coeffs = arr
-
-    @property
-    def bound(self) -> int:
-        return self.coeffs.size - 1
-
-    def __add__(self, other: "PolyC") -> "PolyC":
-        n = max(self.coeffs.size, other.coeffs.size)
-        out = np.zeros(n, dtype=np.complex128)
-        out[: self.coeffs.size] += self.coeffs
-        out[: other.coeffs.size] += other.coeffs
-        return PolyC(out)
-
-    def __sub__(self, other: "PolyC") -> "PolyC":
-        return self + (-other)
-
-    def __neg__(self) -> "PolyC":
-        return PolyC(-self.coeffs)
-
-    def __mul__(self, scalar: complex) -> "PolyC":
-        return PolyC(self.coeffs * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def norm_inf(self) -> float:
-        return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
-
-    def __repr__(self):
-        return f"PolyC({np.round(self.coeffs, 6)})"
 
 
 def mobius(g: GroupElement, z: complex) -> complex:
@@ -288,21 +248,24 @@ def act_poly_matrix(g: GroupElement, k: int) -> np.ndarray:
     return binomial_matrix(*g.entries, k - 2)
 
 
-def act_poly(P: PolyC, g: GroupElement, k: int) -> PolyC:
-    """Polynomial action: X -> P(gX) * j(g, X)^(k-2), re-expanded.
-
-    Preserves the degree bound k - 2.
-    """
-    if P.bound > k - 2:
-        raise ValueError(f"degree {P.bound} exceeds bound {k - 2}")
-    return PolyC(act_poly_matrix(g, k) @ PolyC(P.coeffs, k - 2).coeffs)
+def act_poly(P: np.ndarray, g: GroupElement, k: int) -> np.ndarray:
+    """Polynomial action on the k - 1 ascending coefficients P of a polynomial:
+    X -> P(gX) * j(g, X)^(k-2), re-expanded, as a new plain array."""
+    if np.shape(P) != (k - 1,):
+        raise ValueError(f"need {k - 1} polynomial coefficients, got shape {np.shape(P)}")
+    return act_poly_matrix(g, k) @ np.asarray(P)
 
 
 def act_tensor(F, g: GroupElement, w: BiWeight, k: int):
-    """Tensor action on a PolyC-valued function of z,
-    (F | g)(z, X) = F(gz, gX) j(g,z)^(-r) j(g, conj z)^(-s) j(g,X)^(k-2):
-    the `automorphy` factor times `act_poly` of F at gz."""
-    return lambda z: automorphy(g, z, w) * act_poly(F(mobius(g, z)), g, k)
+    """Tensor action on a function F of z whose values are arrays as `act_poly`
+    takes, (F | g)(z, X) = F(gz, gX) j(g,z)^(-r) j(g, conj z)^(-s) j(g,X)^(k-2):
+    `act_poly` of F at gz times the `automorphy` factor."""
+
+    def acted(z):
+        factor = automorphy(g, z, w)
+        return act_poly(F(mobius(g, z)), g, k) * factor
+
+    return acted
 
 
 def complete_row(c: int, d: int) -> GroupElement:

@@ -106,7 +106,7 @@ def iterated_F(data: IteratedIntegrand, z: complex) -> np.ndarray:
     if n == 1:
         return np.array(1 + 0j)
     if n == 2:
-        return eichler_F(data.forms[0], z, "+").coeffs
+        return eichler_F(data.forms[0], z, "+")
     return _depth3_value(data.forms[0], data.forms[1], z)
 
 

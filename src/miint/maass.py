@@ -95,7 +95,7 @@ def check_phi_identities(
     delta = 1 if sign == "+" else 0
 
     def phi_at(u: complex, weights: BiWeight = w) -> np.ndarray:
-        return phi(hform, weights, sign, u, t).value.coeffs
+        return phi(hform, weights, sign, u, t).value
 
     phi_at(z)  # raises ConvergenceError unless r + s > k
     ev = eisenstein_rs(w, z, t).value

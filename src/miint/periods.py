@@ -27,7 +27,6 @@ import numpy as np
 from .errors import PrecisionError
 from .group import (
     GroupElement,
-    PolyC,
     S,
     act_poly,
     binomials,
@@ -87,14 +86,15 @@ def _minus(sign: str) -> bool:
     return sign == "-"
 
 
-def eichler_F(f: QExpansion, z: complex, sign: str = "+") -> PolyC:
-    """Eichler integral from i*infinity to z of f(w)(w - X)^(k-2) dw as a
-    polynomial in X: the vector e(nz) times `_eichler_kernel`, shifted from
-    the basis X - z to X; the minus version conjugates the coefficients."""
+def eichler_F(f: QExpansion, z: complex, sign: str = "+") -> np.ndarray:
+    """Eichler integral from i*infinity to z of f(w)(w - X)^(k-2) dw as the
+    ascending coefficients of a polynomial in X: the vector e(nz) times
+    `_eichler_kernel`, shifted from the basis X - z to X; the minus version
+    conjugates the coefficients."""
     if not f.is_cusp:
         raise ValueError("Eichler integrals require a cusp form")
     minus = _minus(sign)
-    return PolyC(_eichler(f, admissible_z(z, q_series=True), minus))
+    return _eichler(f, admissible_z(z, q_series=True), minus)
 
 
 def _eichler(f: QExpansion, z: complex, minus: bool) -> np.ndarray:
@@ -103,7 +103,7 @@ def _eichler(f: QExpansion, z: complex, minus: bool) -> np.ndarray:
     return np.conjugate(P, out=P) if minus else P
 
 
-def period_poly_base(f: QExpansion, g: GroupElement, z0: complex = 1j) -> PolyC:
+def period_poly_base(f: QExpansion, g: GroupElement, z0: complex = 1j) -> np.ndarray:
     """Plus-sign period polynomial via the base-point formula
     r(g; X) = F(g z0, g X) j(g, X)^(k-2) - F(z0, X), independent of z0;
     `eichler_F` rejects a base point or image below the evaluation floor."""
@@ -114,15 +114,15 @@ def period_poly_base(f: QExpansion, g: GroupElement, z0: complex = 1j) -> PolyC:
 @lru_cache(maxsize=8)
 def _anchor(f: QExpansion) -> np.ndarray:
     """Read-only coefficients of r(S), the one anchored period of a cusp form."""
-    return read_only(period_poly_base(f, S, 1j).coeffs)
+    return read_only(period_poly_base(f, S, 1j))
 
 
-def period_poly(f: QExpansion, g: GroupElement, sign: str = "+") -> PolyC:
+def period_poly(f: QExpansion, g: GroupElement, sign: str = "+") -> np.ndarray:
     """Period polynomial for arbitrary g: `period_polys` of g alone."""
     return period_polys(f, [g], sign)[0]
 
 
-def period_polys(f: QExpansion, gs, sign: str = "+") -> list[PolyC]:
+def period_polys(f: QExpansion, gs, sign: str = "+") -> list[np.ndarray]:
     """Period polynomials of every g in `gs`: peel g = T^q S g' down its
     Euclid chain, r(g) = r(S)|g' + r(g') with r(T) = 0, slash r(S) by every
     g' of every chain in one `slash_rows` call (a row has the same bits in
@@ -133,7 +133,7 @@ def period_polys(f: QExpansion, gs, sign: str = "+") -> list[PolyC]:
     flat = np.array([h for chain in chains for h in chain], dtype=np.float64).reshape(-1, 4)
     rows, ends = slash_rows(r_S, *flat.T), list(accumulate(map(len, chains), initial=0))
     sums = (reduce(np.add, rows[i:j][::-1], np.zeros_like(r_S)) for i, j in zip(ends, ends[1:]))
-    return [PolyC(np.conj(acc) if minus else acc) for acc in sums]
+    return [np.conj(acc) if minus else acc for acc in sums]
 
 
 @dataclass(frozen=True)
@@ -175,13 +175,13 @@ def reduced_periods(f: QExpansion, C: int) -> ReducedPeriods:
     return ReducedPeriods(C, read_only(periods))
 
 
-def period_error_estimate(f: QExpansion, g: GroupElement, poly: PolyC) -> float:
+def period_error_estimate(f: QExpansion, g: GroupElement, poly: np.ndarray) -> float:
     """Rough forward-error estimate of `poly`, the period polynomial of g by
     the cocycle route: roundoff at the anchor propagated through the word,
     plus the anchor's own q-tail."""
     steps = len(word_decompose(g)) + 1
     anchor_tail = eval_tail_bound(f, 1.0) / (2 * math.pi)
-    return 32 * _EPS * steps * max(1.0, poly.norm_inf()) + anchor_tail
+    return 32 * _EPS * steps * max(1.0, float(np.abs(poly).max())) + anchor_tail
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +283,10 @@ def _lambdas_by_extraction(f: QExpansion, p: int, q: int) -> np.ndarray:
     polynomial of the matrix with bottom row (c, d) = (q, -p), which sends
     the cusp p/q to i*infinity."""
     g = complete_row(q, -p)  # S when q = 1, which comes with p = 0
-    return _lambdas_from_period(period_poly(f, g, "+").coeffs, p / q, f.k)
+    return _lambdas_from_period(period_poly(f, g, "+"), p / q, f.k)
 
 
-def period_from_Lvalues(f: QExpansion, g: GroupElement, table: ReducedPeriods) -> PolyC:
+def period_from_Lvalues(f: QExpansion, g: GroupElement, table: ReducedPeriods) -> np.ndarray:
     """Reassemble r(g; X) from twisted L-values:
     sum_j (-1)^j binom(k-2,j) i^(j+1) Lambda_f(j+1, a) (X - a)^(k-2-j),
     a = g^(-1) inf = -d/c, its class's column of `table.values` (the twist
@@ -294,10 +294,10 @@ def period_from_Lvalues(f: QExpansion, g: GroupElement, table: ReducedPeriods) -
     """
     k = f.k
     if g.c == 0:
-        return PolyC(np.zeros(k - 1))  # cusp fixed, empty integral
+        return np.zeros(k - 1, dtype=np.complex128)  # cusp fixed, empty integral
     c, d = (g.c, g.d) if g.c > 0 else (-g.c, -g.d)
     _, _, lut = reduced_classes(table.C)
     i = lut[c, d % c] if c <= table.C else -1
     if i < 0:
         raise KeyError(f"Lambda table does not cover (c, d) = ({c}, {d})")
-    return PolyC(taylor_shift(_lambda_scale(k)[::-1] * table.values[::-1, i], d / c))
+    return taylor_shift(_lambda_scale(k)[::-1] * table.values[::-1, i], d / c)

@@ -56,10 +56,10 @@ q-series floor) and then reads one bounded cache of point values
 private series, its exact arguments (form, weights, sign, n and k,
 truncation) and the bit pattern of the validated point (`_point_key`, so
 0.0 and -0.0 stay apart).  A miss runs the series, so a hit is bitwise
-the value and tail of a fresh call; a call that raises caches nothing, the
-cached arrays are read-only, and every series call returns its own copy.
-A second Fourier mode at the same nodes, or a check that revisits a point,
-sums no coset.
+the value and tail of a fresh call; a call that raises caches nothing, and
+a polynomial is handed out, with no copy, as a read-only view of its cached
+array.  A second Fourier mode at the same nodes, or a check that revisits a
+point, sums no coset.
 
 A point left of the axis is read from its mirror.  Conjugation by eps
 normalises B and maps the rectangle onto itself, so at x < 0 (not -0.0)
@@ -76,7 +76,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 import struct
 import threading
 from dataclasses import dataclass
@@ -87,9 +86,9 @@ import numpy as np
 from .errors import ConvergenceError, PrecisionError
 from .group import (
     BiWeight,
-    PolyC,
     binomial_matrix,
     binomials,
+    check_integers,
     cosets,
     read_only,
     reduced_classes,
@@ -120,8 +119,7 @@ class TruncationParams:
     D: int = 400
 
     def __post_init__(self):
-        if not (isinstance(self.C, numbers.Integral) and isinstance(self.D, numbers.Integral)):
-            raise ValueError(f"C and D must be integers, got C = {self.C!r}, D = {self.D!r}")
+        check_integers(C=self.C, D=self.D)
         if self.C < 1 or self.D < 1:
             raise ValueError("C and D must be >= 1")
 
@@ -141,11 +139,21 @@ class TruncationParams:
         return TruncationParams(self.C * factor, self.D * factor)
 
 
+class _Coeffs(np.ndarray):
+    """A polynomial series value: a read-only view of its cached array or of
+    that array's `_image`, kept by numpy arithmetic.  Its one member,
+    `norm_inf`, is read by the benchmark's sweep checks (perfbench/worker.py)."""
+
+    def norm_inf(self) -> float:
+        return float(np.abs(self).max())
+
+
 @dataclass
 class SeriesValue:
-    """Evaluated series (polynomial or scalar) plus its tail estimate."""
+    """Evaluated series plus its tail estimate: a complex, or the ascending
+    coefficients of a polynomial in X as a read-only array of length k - 1."""
 
-    value: object  # PolyC or complex
+    value: object  # complex or _Coeffs
     tail_estimate: float
 
 
@@ -161,7 +169,7 @@ def _point_value(series, t: TruncationParams, key: bytes, *args):
     `key` (`_point_key`), kept for later calls with the same series,
     arguments and key: a miss runs the series itself, and a call that
     raises caches nothing.  A value is shared by every hit, so its arrays
-    are read-only, and `PolyC` copies one that a caller is handed."""
+    are read-only, and a caller that writes makes its own copy."""
     return series(t, complex(*struct.unpack("<2d", key)), *args)
 
 
@@ -390,13 +398,14 @@ def _series_value(series, t: TruncationParams, z: complex, *args) -> SeriesValue
     """The public value of `series` at a validated z, read from the point
     cache; at x < 0 (not -0.0), the `_image` of the entry at -conj z, whose
     terms are those at z with each coset and its mirror swapped, so its tail
-    holds the same bits.  A coefficient array is copied into its own `PolyC`."""
+    holds the same bits.  A coefficient array is handed out, with no copy, as
+    a read-only `_Coeffs` view of the cached array or of its image."""
     if z.real < 0:
         value, tail = _point_value(series, t, _point_key(complex(-z.real, z.imag)), *args)
         value = _image(value)
     else:
         value, tail = _point_value(series, t, _point_key(z), *args)
-    return SeriesValue(value if np.ndim(value) == 0 else PolyC(value), tail)
+    return SeriesValue(value if np.ndim(value) == 0 else read_only(value.view(_Coeffs)), tail)
 
 
 def _eisenstein_sum(t: TruncationParams, z: complex, w: BiWeight) -> tuple[complex, float]:
@@ -480,14 +489,15 @@ def coeff_basis(z: complex, m: int) -> np.ndarray:
     return binomial_matrix(1, -z, 1, -z.conjugate(), m)
 
 
-def coeff_decompose(P: PolyC, z: complex, k: int) -> np.ndarray:
-    """Coefficients phi(i) with P(X) = sum_i phi(i) (X-z)^i (X-conj z)^(k-2-i):
-    with u = (X - z)/(X - conj z), the slash of P by (-conj z  z; -1  1),
-    which sends u to X, is (z - conj z)^(k-2) sum_i phi(i) X^i."""
+def coeff_decompose(P: np.ndarray, z: complex, k: int) -> np.ndarray:
+    """Coefficients phi(i) with P(X) = sum_i phi(i) (X-z)^i (X-conj z)^(k-2-i),
+    P the k - 1 ascending coefficients of a polynomial: with
+    u = (X - z)/(X - conj z), the slash of P by (-conj z  z; -1  1), which
+    sends u to X, is (z - conj z)^(k-2) sum_i phi(i) X^i."""
     z, m = admissible_z(z), k - 2
-    if P.bound > m:
-        raise ValueError("polynomial degree exceeds k - 2")
-    slashed = binomial_matrix(-z.conjugate(), z, -1, 1, m) @ PolyC(P.coeffs, m).coeffs
+    if np.shape(P) != (k - 1,):
+        raise ValueError(f"need {k - 1} polynomial coefficients, got shape {np.shape(P)}")
+    slashed = binomial_matrix(-z.conjugate(), z, -1, 1, m) @ np.asarray(P)
     return slashed * (z - z.conjugate()) ** -m
 
 
@@ -605,6 +615,7 @@ def closed_form_phi_j(
     """The closed formula for one basis coefficient phi(j; z): entry j of
     `closed_form_phi`."""
     k = hform.k
+    check_integers(j=j)
     if not 0 <= j <= k - 2:
         raise ValueError(f"j must lie in 0..{k - 2}")
     return complex(closed_form_phi(hform, w, sign, z, t)[j])
@@ -622,6 +633,7 @@ def fourier_coefficient(fn, l: int, y: float, M: int = DEFAULT_M) -> complex:
     x >= 0 and the probe at 1/2 only, and reads each other node from its
     mirror; for even M the M/2 nodes are among the M.
     """
+    check_integers(l=l, M=M)
     if M < 64:
         raise ValueError("M must be >= 64")
     xs = (2.0 * np.arange(M) - M) / (2 * M)  # the exact quotients: -x_m is x_{M-m}
@@ -640,6 +652,7 @@ def poincare(
 ) -> SeriesValue:
     """Holomorphic Poincare series sum over B\\Gamma of e^(2 pi i n gz) j^(-k);
     n = 0 is the weight-k Eisenstein series."""
+    check_integers(n=n, k=k)
     if k < 4 or k % 2 != 0:
         raise ConvergenceError("Poincare series needs even k >= 4")
     if n < 0:
@@ -662,6 +675,7 @@ def second_order_G(
 ) -> SeriesValue:
     """Second-order Poincare-type series sum over B\\Gamma of
     r(gamma; X) e^(2 pi i n gz) j^(-k); requires k > weight of the form."""
+    check_integers(n=n, k=k)
     k1 = hform.k
     if not (k % 2 == 0 and k > k1 > 2):
         raise ConvergenceError(f"need even k > k1 = {k1} > 2, got k = {k}")

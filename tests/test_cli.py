@@ -47,7 +47,7 @@ def test_period_matches_library(capsys):
     payload = json.loads(out)
     coeffs = [complex(re, im) for re, im in payload["coeffs"]]
     direct = per.period_poly(qf.delta_q(120), S)
-    assert np.allclose(coeffs, direct.coeffs, rtol=0, atol=1e-15)
+    assert np.allclose(coeffs, direct, rtol=0, atol=1e-15)
     assert len(coeffs) == 11
 
 

@@ -40,7 +40,7 @@ def test_depth_two_matches_eichler():
     for z in (1.3j, 1.7 + 0.8j):
         v = it.iterated_F(DATA2, z)
         w = per.eichler_F(DELTA, z)
-        assert np.array_equal(v, w.coeffs)
+        assert np.array_equal(v, w)
 
 
 def test_depth_cap_and_cusp_requirement():
@@ -55,7 +55,7 @@ def test_depth3_fd_derivative():
     dF = (it.iterated_F(DATA3, z + h) - it.iterated_F(DATA3, z - h)) * (1 / (2 * h))
     fz = qf.eval_form(DELTA, z)
     xz = np.array([math.comb(10, v) * (-1) ** v * z ** (10 - v) for v in range(11)])
-    target = np.outer(xz * fz, per.eichler_F(DELTA, z).coeffs)
+    target = np.outer(xz * fz, per.eichler_F(DELTA, z))
     assert float(np.max(np.abs(dF - target))) <= 1e-5
 
 
@@ -75,7 +75,7 @@ def test_depth3_matches_a_quadrature_along_the_vertical_ray(pair):
         # every node at once: the weighted f1 (w - X1)^m1 rows against F_2's
         ws = z + 1j * ts.ravel()
         x1 = signed_binom * ws[:, None] ** np.arange(m1, -1, -1)
-        F2 = np.array([per.eichler_F(f2, w).coeffs for w in ws])
+        F2 = np.array([per.eichler_F(f2, w) for w in ws])
         ref = -1j * (((wts * qf.eval_form(f1, ws))[:, None] * x1).T @ F2)
         got = it.iterated_F(it.IteratedIntegrand((f1, f2)), z)
         assert float(np.max(np.abs(got - ref))) <= 1e-13 * float(np.max(np.abs(ref)))
@@ -195,7 +195,7 @@ def test_depth3_image_structure():
     z1, z2 = 1.5j, 2.5j
     lhs = img(z1) - img(z2)
     r2 = per.period_poly(DELTA, g)
-    rhs = np.outer(per.eichler_F(DELTA, z1).coeffs - per.eichler_F(DELTA, z2).coeffs, r2.coeffs)
+    rhs = np.outer(per.eichler_F(DELTA, z1) - per.eichler_F(DELTA, z2), r2)
     assert float(np.max(np.abs(lhs - rhs))) <= 1e-12
 
 
@@ -220,12 +220,12 @@ def test_real_iterated_F2_cocycle():
     ev = ra.eisenstein_rs(W, z, T40)
     image = act_tensor(real_F2, S, W, 12)(z) - real_F2(z)
     predicted = per.period_poly(DELTA, S) * ev.value
-    assert (image - predicted).norm_inf() <= max(4 * ev.tail_estimate, 1e-5)
+    assert np.abs(image - predicted).max() <= max(4 * ev.tail_estimate, 1e-5)
 
 
 def test_real_iterated_F2_translation_invariance():
     image = act_tensor(real_F2, T, W, 12)(2j)
-    assert (image - real_F2(2j)).norm_inf() <= 1e-9
+    assert np.abs(image - real_F2(2j)).max() <= 1e-9
 
 
 def test_real_iterated_F2_cocycle_base_point_independence():
@@ -235,7 +235,7 @@ def test_real_iterated_F2_cocycle_base_point_independence():
     r1 = im1 * (1.0 / ev1.value)
     ev2 = ra.eisenstein_rs(W, 0.5 + 2j, T40)
     r2 = im2 * (1.0 / ev2.value)
-    assert (r1 - r2).norm_inf() <= 1e-5
+    assert np.abs(r1 - r2).max() <= 1e-5
 
 
 @pytest.mark.parametrize(
@@ -272,12 +272,12 @@ def test_psi_bar_image_two_routes():
     ev = ra.eisenstein_rs(W, 2j, T40).value
     closed = (per.period_poly(DELTA, S, "+") + per.period_poly(DELTA, S, "-")) * (-ev)
     tol = max(4 * ra.psi_series(DELTA, W, "+", 2j, T40).tail_estimate, 1e-5)
-    assert (image - closed).norm_inf() <= tol
+    assert np.abs(image - closed).max() <= tol
 
 
 def test_psi_bar_image_parabolic():
-    assert (act_tensor(psi_bar, T, W, 12)(2j) - psi_bar(2j)).norm_inf() <= 1e-12
-    assert (per.period_poly(DELTA, T, "+") + per.period_poly(DELTA, T, "-")).norm_inf() == 0.0
+    assert np.abs(act_tensor(psi_bar, T, W, 12)(2j) - psi_bar(2j)).max() <= 1e-12
+    assert np.abs(per.period_poly(DELTA, T, "+") + per.period_poly(DELTA, T, "-")).max() == 0.0
 
 
 def test_map_to_MI_linearity():
@@ -291,7 +291,7 @@ def test_map_to_MI_roundtrip():
     vec = map_to_MI(DELTA, W, "+", z)
     phiv = ra.phi(DELTA, W, "+", z, T40).value
     recon = sum(vec[i] * _basis_product(z, i, 10) for i in range(11))
-    assert np.abs(recon - phiv.coeffs).max() <= 1e-10
+    assert np.abs(recon - phiv).max() <= 1e-10
 
 
 def test_map_to_MI_component_invariance():

@@ -24,7 +24,7 @@ def test_weight16_lvalue_dual_route():
 
 def test_weight16_period_relations():
     rS = per.period_poly(F16, S)
-    assert (act_poly(rS, S, 16) + rS).norm_inf() / rS.norm_inf() <= 1e-9
+    assert np.abs(act_poly(rS, S, 16) + rS).max() / np.abs(rS).max() <= 1e-9
 
 
 def test_weight16_phi_invariance_asymmetric_weights():
@@ -32,7 +32,7 @@ def test_weight16_phi_invariance_asymmetric_weights():
     z = 2j
     sv = ra.phi(F16, w, "+", z, T40)
     fn = lambda u: ra.phi(F16, w, "+", u, T40).value
-    res = (act_tensor(fn, S, w, 16)(z) - sv.value).norm_inf()
+    res = np.abs(act_tensor(fn, S, w, 16)(z) - sv.value).max()
     assert res <= max(4 * sv.tail_estimate, 1e-5)
 
 
@@ -56,7 +56,7 @@ def test_weight16_psi_law():
     image = act_tensor(fn, S, w, 16)(z) - sv.value
     ev = ra.eisenstein_rs(w, z, T40)
     predicted = per.period_poly(F16, S) * (-ev.value)
-    assert (image - predicted).norm_inf() <= max(2 * sv.tail_estimate, 1e-6)
+    assert np.abs(image - predicted).max() <= max(2 * sv.tail_estimate, 1e-6)
 
 
 def test_weight18_closed_form_spot():
@@ -74,4 +74,4 @@ def test_weight18_conjugation_swap():
     w = BiWeight(12, 8)
     a = ra.phi(F18, w, "+", 2j, T40)
     b = ra.phi(F18, w.swapped(), "-", 2j, T40)
-    assert float(np.max(np.abs(np.conj(a.value.coeffs) - b.value.coeffs))) <= 1e-13
+    assert float(np.max(np.abs(np.conj(a.value) - b.value))) <= 1e-13

@@ -75,7 +75,7 @@ def test_eichler_F_matches_40_digit_values(form):
     f = DELTA if form == "delta" else qf.cusp_basis(16)[0]
     for z in (0.3 + 1.2j, 2j, -0.45 + 0.9j, 3.4 + 1.1j):
         ref = _eichler_F_mp(f, z)
-        got = per.eichler_F(f, z).coeffs
+        got = per.eichler_F(f, z)
         assert np.abs(got - ref).max() <= 2e-15 * np.abs(ref).max()
 
 
@@ -92,7 +92,7 @@ def test_eichler_F_matches_the_per_frequency_rows(form):
         assert not table.flags.writeable
     for z in (1j, 0.5 + 2j, 0.3 + 1.2j):
         rows = np.array([_primitive_row(n, m, z) * complex(f.coeffs[n]) for n in range(1, f.N + 1)])
-        got = per.eichler_F(f, z).coeffs[::-1]
+        got = per.eichler_F(f, z)[::-1]
         for t in range(m + 1):
             terms = math.comb(m, t) * (-1) ** (m - t) * rows[:, t]
             ref = complex(math.fsum(terms.real), math.fsum(terms.imag))
@@ -106,17 +106,17 @@ def test_eichler_fd_derivative():
     target = np.array(
         [math.comb(10, t) * (-1) ** t * z ** (10 - t) * fz for t in range(11)]
     )
-    assert float(np.max(np.abs(dF.coeffs - target))) <= 1e-6
+    assert float(np.max(np.abs(dF - target))) <= 1e-6
 
 
 def test_eichler_vanishes_at_cusp():
-    assert per.eichler_F(DELTA, 20j).norm_inf() <= 1e-40
+    assert np.abs(per.eichler_F(DELTA, 20j)).max() <= 1e-40
 
 
 def test_eichler_minus_is_conjugate():
     Fp = per.eichler_F(DELTA, 2j, "+")
     Fm = per.eichler_F(DELTA, 2j, "-")
-    assert np.array_equal(Fm.coeffs, np.conj(Fp.coeffs))
+    assert np.array_equal(Fm, np.conj(Fp))
 
 
 def test_eichler_requires_cusp_form():
@@ -125,14 +125,14 @@ def test_eichler_requires_cusp_form():
 
 
 def test_period_base_trivial_elements():
-    assert per.period_poly_base(DELTA, T, 1j).norm_inf() <= 1e-12
-    assert per.period_poly_base(DELTA, IDENTITY, 1j).norm_inf() <= 1e-12
+    assert np.abs(per.period_poly_base(DELTA, T, 1j)).max() <= 1e-12
+    assert np.abs(per.period_poly_base(DELTA, IDENTITY, 1j)).max() <= 1e-12
 
 
 def test_period_base_point_independence():
     r1 = per.period_poly_base(DELTA, S, 1j)
     r2 = per.period_poly_base(DELTA, S, 0.5 + 2j)
-    assert (r1 - r2).norm_inf() / r1.norm_inf() <= 1e-9
+    assert np.abs(r1 - r2).max() / np.abs(r1).max() <= 1e-9
 
 
 def test_period_cocycle_vs_base_route():
@@ -141,23 +141,23 @@ def test_period_cocycle_vs_base_route():
         g = complete_row(c, d)
         rb = per.period_poly_base(DELTA_FINE, g, 1j)
         rc = per.period_poly(DELTA_FINE, g, "+")
-        worst = max(worst, (rb - rc).norm_inf() / max(1.0, rb.norm_inf()))
+        worst = max(worst, np.abs(rb - rc).max() / max(1.0, np.abs(rb).max()))
     assert worst <= 1e-9
 
 
 def test_period_relations():
     rS = per.period_poly(DELTA, S)
-    scale = rS.norm_inf()
-    assert (act_poly(rS, S, 12) + rS).norm_inf() / scale <= 1e-9
+    scale = np.abs(rS).max()
+    assert np.abs(act_poly(rS, S, 12) + rS).max() / scale <= 1e-9
     st = S * T
-    assert per.period_poly(DELTA, st * st * st).norm_inf() / scale <= 1e-8
-    assert per.period_poly(DELTA, S * S).norm_inf() / scale <= 1e-9
+    assert np.abs(per.period_poly(DELTA, st * st * st)).max() / scale <= 1e-8
+    assert np.abs(per.period_poly(DELTA, S * S)).max() / scale <= 1e-9
 
 
 def test_delta_period_rational_structure():
     # Kohnen-Zagier: the even and odd parts of r_Delta(S) are constant multiples
     # of (36/691)(X^10 - 1) - X^2 (X^2 - 1)^3 and 4X^9 - 25X^7 + 42X^5 - 25X^3 + 4X
-    r = per.period_poly(qf.delta_q(), S).coeffs
+    r = per.period_poly(qf.delta_q(), S)
     even = np.array([-36 / 691, 1, -3, 3, -1, 36 / 691])  # X^0, X^2, ..., X^10
     odd = np.array([4, -25, 42, -25, 4])  # X^1, X^3, ..., X^9
     assert np.all(r[0::2].real == 0) and np.all(r[1::2].imag == 0)
@@ -197,7 +197,7 @@ def test_period_table_matches_exact_rational_cocycle():
     # anchor constants of period_poly
     even = [-36, 0, 691, 0, -2073, 0, 2073, 0, -691, 0, 36]
     odd = [0, 4, 0, -25, 0, 42, 0, -25, 0, 4, 0]
-    rS = per.period_poly(DELTA, S).coeffs
+    rS = per.period_poly(DELTA, S)
     w_even = float(np.mean(rS[2::2].imag / (np.array(even[2::2]) / 691)))
     w_odd = float(np.mean(rS[1::2].real / np.array(odd[1::2], dtype=float)))
     table = per.reduced_periods(DELTA, 20)
@@ -248,7 +248,7 @@ def test_period_table_matches_the_exact_cocycle_of_its_anchor(f):
     table = per.reduced_periods(f, 80)
     rows = _class_rows(80)
     pick = [i for i, (c, _) in enumerate(rows) if i % 10 == 0 or c == 80]
-    rS = per.period_poly(f, S).coeffs
+    rS = per.period_poly(f, S)
     parts = (rS.real.tolist(), rS.imag.tolist())
     scale = max(Fraction(x).denominator for x in parts[0] + parts[1])
     re, im = (
@@ -272,8 +272,8 @@ def test_period_cocycle_random_words():
         lhs = per.period_poly(DELTA, g * d)
         part = act_poly(per.period_poly(DELTA, g), d, 12)
         rhs = part + per.period_poly(DELTA, d)
-        scale = max(1.0, lhs.norm_inf(), part.norm_inf())
-        worst = max(worst, (lhs - rhs).norm_inf() / scale)
+        scale = max(1.0, np.abs(lhs).max(), np.abs(part).max())
+        worst = max(worst, np.abs(lhs - rhs).max() / scale)
     assert worst <= 1e-8
 
 
@@ -290,8 +290,8 @@ def test_period_cocycle_law_property(g, d):
     lhs = per.period_poly(DELTA, g * d)
     part = act_poly(per.period_poly(DELTA, g), d, 12)
     rhs = part + per.period_poly(DELTA, d)
-    scale = max(1.0, lhs.norm_inf(), part.norm_inf())
-    assert (lhs - rhs).norm_inf() <= 1e-8 * scale
+    scale = max(1.0, np.abs(lhs).max(), np.abs(part).max())
+    assert np.abs(lhs - rhs).max() <= 1e-8 * scale
 
 
 def _word(rng, max_len=8):
@@ -306,7 +306,7 @@ def test_conjugation_intertwining_exact():
         g = complete_row(c, d)
         rp = per.period_poly(DELTA, g, "+")
         rm = per.period_poly(DELTA, g, "-")
-        assert np.array_equal(rm.coeffs, np.conj(rp.coeffs))
+        assert np.array_equal(rm, np.conj(rp))
 
 
 def test_twisted_L_dual_route():
@@ -441,15 +441,15 @@ def test_lambda_table_and_reconstruction():
         g = complete_row(c, d)
         direct = per.period_poly(DELTA, g)
         rebuilt = per.period_from_Lvalues(DELTA, g, table)
-        worst = max(worst, (direct - rebuilt).norm_inf() / max(1.0, direct.norm_inf()))
+        worst = max(worst, np.abs(direct - rebuilt).max() / max(1.0, np.abs(direct).max()))
     assert worst <= 1e-6
-    assert per.period_from_Lvalues(DELTA, complete_row(2, 1), table).norm_inf() > 0
+    assert np.abs(per.period_from_Lvalues(DELTA, complete_row(2, 1), table)).max() > 0
 
 
 def test_period_from_Lvalues_parabolic():
     table = per.reduced_periods(DELTA, 1)
-    assert per.period_from_Lvalues(DELTA, T, table).norm_inf() == 0.0
-    assert per.period_from_Lvalues(DELTA, IDENTITY, table).norm_inf() == 0.0
+    assert np.abs(per.period_from_Lvalues(DELTA, T, table)).max() == 0.0
+    assert np.abs(per.period_from_Lvalues(DELTA, IDENTITY, table)).max() == 0.0
 
 
 def test_lambda_table_incomplete_raises():
@@ -468,9 +468,9 @@ def test_period_from_Lvalues_every_class_to_c_12():
         gs = [complete_row(c, d0) for c, d0 in _class_rows(12)]
         for g, direct in zip(gs, per.period_polys(f, gs)):
             rebuilt = per.period_from_Lvalues(f, g, table)
-            assert np.abs(rebuilt.coeffs - direct.coeffs).max() <= 1e-14 * direct.norm_inf()
+            assert np.abs(rebuilt - direct).max() <= 1e-14 * np.abs(direct).max()
             minus_g = GroupElement(*(-x for x in g.entries))
-            assert per.period_from_Lvalues(f, minus_g, table).coeffs.tobytes() == rebuilt.coeffs.tobytes()
+            assert per.period_from_Lvalues(f, minus_g, table).tobytes() == rebuilt.tobytes()
 
 
 def test_lambda_table_vs_integral_route():
@@ -545,10 +545,10 @@ def test_both_signs_share_one_cocycle(monkeypatch):
     g = complete_row(5, 3)
     plus = per.period_poly(f, g, "+")
     minus = per.period_poly(f, g, "-")
-    assert np.array_equal(minus.coeffs, np.conj(plus.coeffs))
+    assert np.array_equal(minus, np.conj(plus))
     table = per.reduced_periods(f, 5)
     _, _, lut = reduced_classes(5)
-    assert np.array_equal(table.periods[lut[5, 3]], plus.coeffs)
+    assert np.array_equal(table.periods[lut[5, 3]], plus)
     assert len(built) == 1
 
 
@@ -560,7 +560,7 @@ def test_table_rows_equal_their_euclid_chains(f):
     table = per.reduced_periods(f, 80)
     for (c, d), r in zip(_class_rows(80), table.periods):
         g = S if (c, d) == (1, 0) else complete_row(c, d)
-        assert np.array_equal(r, per.period_poly(f, g).coeffs)
+        assert np.array_equal(r, per.period_poly(f, g))
 
 
 def _chain_sum(f, g, sign):
@@ -586,15 +586,15 @@ def test_a_batch_of_period_polynomials_is_each_element_alone_bitwise(sign):
     assert len(batch) == len(gs)
     for g, P in zip(gs, batch):
         ref = _chain_sum(DELTA, g, sign).view(np.uint64)
-        assert P.coeffs.view(np.uint64).tolist() == ref.tolist()
-        assert per.period_poly(DELTA, g, sign).coeffs.view(np.uint64).tolist() == ref.tolist()
+        assert P.view(np.uint64).tolist() == ref.tolist()
+        assert per.period_poly(DELTA, g, sign).view(np.uint64).tolist() == ref.tolist()
     # a batch of empty chains only ('-' conjugates the zeros too), and an
     # empty batch
     empty = [IDENTITY, T_pow(-3)]
     for g, P in zip(empty, per.period_polys(DELTA, empty, sign)):
         ref = _chain_sum(DELTA, g, sign).view(np.uint64)
-        assert P.coeffs.view(np.uint64).tolist() == ref.tolist()
-        assert not P.coeffs.any()
+        assert P.view(np.uint64).tolist() == ref.tolist()
+        assert not P.any()
     assert per.period_polys(DELTA, [], sign) == []
 
 

@@ -58,8 +58,7 @@ _WEIGHTED = ("eisenstein_rs", "psi_series+", "psi_series-", "phi+", "phi-")
 
 
 def _bits(value, tail):
-    value = value.coeffs if hasattr(value, "coeffs") else np.complex128(value)
-    return value.tobytes(), tail
+    return np.asarray(value, dtype=np.complex128).tobytes(), tail
 
 
 @pytest.mark.parametrize("name", sorted(_SERIES))
@@ -118,14 +117,17 @@ def test_a_call_that_raises_caches_nothing(call, error):
 
 
 def test_writing_into_a_returned_value_leaves_the_cache_unchanged():
+    # a returned array is a read-only view, of the cached array or, left of
+    # the axis, of its image: a write raises, and the next hit keeps its bits
     for name in ("psi_series-", "phi+", "second_order_G+"):
         series, _ = _SERIES[name]
-        first = series(0.3 + 1.4j)
-        want = _bits(first.value, first.tail_estimate)
-        first.value.coeffs[:] = 0.0
-        again = series(0.3 + 1.4j)
-        assert _bits(again.value, again.tail_estimate) == want
-        assert again.value is not first.value
+        for z in (0.3 + 1.4j, -0.3 + 1.4j):
+            first = series(z)
+            want = _bits(first.value, first.tail_estimate)
+            with pytest.raises(ValueError):
+                first.value[:] = 0.0
+            again = series(z)
+            assert _bits(again.value, again.tail_estimate) == want
     for sign in "+-":
         vec = ra.closed_form_phi(DELTA, W, sign, 0.3 + 1.4j, T40)
         with pytest.raises(ValueError):
@@ -220,8 +222,7 @@ _MIRROR_SIGNS = (-1.0) ** np.arange(1, DELTA.k)
 def _public(name, w, z):
     """The public value of `name` at z as an array or a complex128, and its tail."""
     sv = _SERIES[name][0](z, w)
-    value = sv.value.coeffs if hasattr(sv.value, "coeffs") else np.complex128(sv.value)
-    return value, sv.tail_estimate
+    return (sv.value if np.ndim(sv.value) else np.complex128(sv.value)), sv.tail_estimate
 
 
 def _image_of_mirror(name, w, z):
