@@ -40,6 +40,7 @@ from .raseries import (
     closed_form_phi_j,
     eisenstein_rs,
     fourier_coefficient,
+    fourier_modes,
     phi,
     poincare,
     psi_series,

@@ -424,7 +424,6 @@ def suite_fourier() -> list[CheckResult]:
     B = 12.0
     M = 96
 
-    # the l = 1 and l = 2 modes share their coset sums, through the point cache
     def phi_fn(z: complex) -> complex:
         val = raseries.phi(f, W, "+", z, T40).value
         return complex(raseries.coeff_decompose(val, z, f.k)[f.k - 2])
@@ -433,20 +432,19 @@ def suite_fourier() -> list[CheckResult]:
         val = raseries.psi_series(f, W, "+", z, T40).value
         return complex(raseries.coeff_decompose(val, z, f.k)[0])
 
-    def drop(fn, l: int) -> float:  # a mode's magnitude at y = 1.5 over that at y = 1
-        mode = lambda y: abs(raseries.fourier_coefficient(fn, l, y, M))
-        return mode(1.5) / mode(1.0)
+    def drops(fn) -> list[float]:  # modes l = 1, 2 at y = 1.5 over those at y = 1
+        low, high = (np.abs(raseries.fourier_modes(fn, y, M)[1:3]) for y in (1.0, 1.5))
+        return (high / low).tolist()
 
-    for l in (1, 2):
+    for l, phi_drop, psi_drop in zip((1, 2), drops(phi_fn), drops(psi_fn)):
         decay = math.exp(-2 * math.pi * l * 0.5)
-        ratio, window = drop(phi_fn, l), (decay * 1.5**-B, decay * 1.5**B)
-        inside = window[0] <= ratio <= window[1]
+        window = (decay * 1.5**-B, decay * 1.5**B)
+        inside = window[0] <= phi_drop <= window[1]
         name = f"phi-coefficient mode l = {l} in decay window"
-        out.append(_result(name, 0.0 if inside else 1.0, 0.0, ratio=ratio, window=window))
-        ratio = drop(psi_fn, l)
+        out.append(_result(name, 0.0 if inside else 1.0, 0.0, ratio=phi_drop, window=window))
         name = f"psi-coefficient mode l = {l} decays at least as e^(-2 pi l dy)"
-        out.append(_result(name, ratio, window[1], ratio=ratio))
-    neg = raseries.fourier_coefficient(lambda z: qforms.eval_form(f, z), -1, 1.0, 128)
+        out.append(_result(name, psi_drop, window[1], ratio=psi_drop))
+    neg = raseries.fourier_modes(lambda z: qforms.eval_form(f, z), 1.0, 128)[-1]
     out.append(_result("Delta negative Fourier mode vanishes", abs(neg), 1e-12))
     return out
 

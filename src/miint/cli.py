@@ -340,10 +340,10 @@ def _cmd_fourier(ns, cfg: RunConfig) -> int:
 
     else:
         fn = lambda z: qforms.eval_form(f, z)
-    val = raseries.fourier_coefficient(fn, ns.l, ns.y, cfg.M)
-    err = None  # a coarse pass needs M // 2 >= 64 nodes, every other fine node
-    if cfg.M >= 2 * 64 and cfg.M % 2 == 0:
-        err = abs(val - raseries.fourier_coefficient(fn, ns.l, ns.y, cfg.M // 2))
+    modes = raseries.fourier_modes(fn, ns.y, cfg.M)
+    # the M/2 nodes are the even ones, and mode l on them is off by |mode l + M/2|
+    err = abs(modes[(ns.l + cfg.M // 2) % cfg.M]) if cfg.M % 2 == 0 else None
+    val = complex(modes[ns.l % cfg.M])
     _emit(
         {"l": ns.l, "y": ns.y, "value": _cnum(val), "M": cfg.M, "error_estimate": err},
         cfg,

@@ -25,6 +25,13 @@ import numpy as np
 
 from .errors import PrecisionError
 
+
+def check_integers(**values) -> None:
+    """A ValueError unless every value is a `numbers.Integral` (numpy's too)."""
+    if not all(isinstance(v, numbers.Integral) for v in values.values()):
+        raise ValueError(f"{', '.join(values)} must be integers, got {values}")
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """Integer unimodular 2x2 matrix (a b; c d), det = 1."""
@@ -35,6 +42,7 @@ class GroupElement:
     d: int
 
     def __post_init__(self):
+        check_integers(a=self.a, b=self.b, c=self.c, d=self.d)
         if self.a * self.d - self.b * self.c != 1:
             raise ValueError(f"determinant must be 1: {self}")
 
@@ -61,12 +69,6 @@ T = GroupElement(1, 1, 0, 1)
 
 def T_pow(n: int) -> GroupElement:
     return GroupElement(1, n, 0, 1)
-
-
-def check_integers(**values) -> None:
-    """A ValueError unless every value is a `numbers.Integral` (numpy's too)."""
-    if not all(isinstance(v, numbers.Integral) for v in values.values()):
-        raise ValueError(f"{', '.join(values)} must be integers, got {values}")
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .group import (
     S,
     act_poly,
     binomials,
+    check_integers,
     class_tops,
     complete_row,
     euclid_chain,
@@ -156,8 +157,15 @@ class ReducedPeriods:
         return read_only(_lambdas_from_period(self.periods.T, -d0 / c, self.periods.shape[1] + 1))
 
 
-@lru_cache(maxsize=8)
 def reduced_periods(f: QExpansion, C: int) -> ReducedPeriods:
+    """The period table of f over the classes of `reduced_classes(C)`, built
+    by `_reduced_periods` once per (form, C)."""
+    check_integers(C=C)  # before the cache: 4.0 hashes as 4
+    return _reduced_periods(f, C)
+
+
+@lru_cache(maxsize=8)
+def _reduced_periods(f: QExpansion, C: int) -> ReducedPeriods:
     """The period table over the reduced classes, each class built from its
     Euclid parent: a class (c, d0) peels to g' = (c d0; -a0 -b0), with
     (a0, b0) its top row from `class_tops`, so its row is r(S)|g' plus the
@@ -173,6 +181,11 @@ def reduced_periods(f: QExpansion, C: int) -> ReducedPeriods:
     for lo, hi in zip(edges, edges[1:]):
         periods[lo:hi] += periods[pos[a0[lo:hi], b0[lo:hi]]]
     return ReducedPeriods(C, read_only(periods))
+
+
+# callers count and clear the table cache through the public name
+reduced_periods.cache_info = _reduced_periods.cache_info
+reduced_periods.cache_clear = _reduced_periods.cache_clear
 
 
 def period_error_estimate(f: QExpansion, g: GroupElement, poly: np.ndarray) -> float:
@@ -212,6 +225,7 @@ def twisted_L(f: QExpansion, s: int, p: int, q: int = 1) -> complex:
     integrates f(p/q + ix) x^(s-1) over x > 0 and converges for every s >= 1;
     a value past float64 (Delta's past s = 260) raises PrecisionError.
     """
+    check_integers(s=s, p=p, q=q)
     if not f.is_cusp:
         raise ValueError("twisted L-values require a cusp form")
     if s < 1:

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PrecisionError
-from .group import read_only
+from .group import check_integers, read_only
 
 DEFAULT_N = 120
 Y_MIN = 0.05
@@ -132,6 +132,7 @@ def _kronecker_product(a: tuple, b: tuple) -> tuple:
 
 def eisenstein_q(k: int, N: int = DEFAULT_N) -> QExpansion:
     """Normalised Eisenstein series E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n."""
+    check_integers(k=k, N=N)  # before the cache: 4.0 hashes as 4
     return _eisenstein_q(k, N)  # one cache entry per resolved (k, N)
 
 
@@ -149,6 +150,7 @@ def _eisenstein_q(k: int, N: int) -> QExpansion:
 
 def delta_q(N: int = DEFAULT_N) -> QExpansion:
     """Discriminant cusp form Delta = (E4^3 - E6^2)/1728, integer coefficients."""
+    check_integers(N=N)  # before the cache: 10.0 hashes as 10
     return _delta_q(N)  # one cache entry per resolved N
 
 
@@ -178,6 +180,7 @@ def cusp_basis(k: int, N: int = DEFAULT_N) -> list[QExpansion]:
     of the rows already reduced.  With N < d only f_1..f_N are returned,
     cleared at q..q^N.  Empty for k < 12 or dim S_k = 0.
     """
+    check_integers(k=k, N=N)
     if k < 12 or k % 2 != 0:
         return []
     delta, e4, e6 = delta_q(N), eisenstein_q(4, N), eisenstein_q(6, N)

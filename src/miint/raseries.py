@@ -58,8 +58,8 @@ truncation) and the bit pattern of the validated point (`_point_key`, so
 0.0 and -0.0 stay apart).  A miss runs the series, so a hit is bitwise
 the value and tail of a fresh call; a call that raises caches nothing, and
 a polynomial is handed out, with no copy, as a read-only view of its cached
-array.  A second Fourier mode at the same nodes, or a check that revisits a
-point, sums no coset.
+array.  A second Fourier sample at the same nodes, or a check that revisits
+a point, sums no coset.
 
 A point left of the axis is read from its mirror.  Conjugation by eps
 normalises B and maps the rectangle onto itself, so at x < 0 (not -0.0)
@@ -68,8 +68,8 @@ every public coset series is the `_image` of its entry at -conj z
 and phi read -conj(.)(-X), phi as F(-conj z; X) = -conj F(z; -X) for a
 form with real coefficients.  Each tail keeps its bits, and a value lies
 within its tail of a fresh sum at z.  The closed form's own coset pass is
-not reflected.  `fourier_coefficient` samples a grid symmetric about 0, so
-a mode sums the cosets at about half its nodes.
+not reflected.  `fourier_modes` samples a grid symmetric about 0, so a
+sample, every mode from one FFT, sums the cosets at about half its nodes.
 """
 
 from __future__ import annotations
@@ -97,17 +97,16 @@ from .group import (
 from .periods import _EPS, _eichler, _minus, eichler_F, i_power, reduced_periods
 from .qforms import QExpansion, admissible_z, eval_tail_bound
 
-#: default number of trapezoidal nodes in `fourier_coefficient`
+#: default number of trapezoidal nodes in `fourier_modes`
 DEFAULT_M = 128
 #: relative mismatch between fn(iy) and fn(1 + iy) that rejects an integrand
 _PERIODICITY_RTOL = 1e-6
 #: cosets per block of the closed form's coset pass: its working memory is
 #: three (k-1) x _BLOCK complex buffers, allocated once per pass and refilled
 _BLOCK = 4096
-#: values held by the point cache `_point_value`: both passes of one
-#: `fourier_coefficient` at the default M store M/2 + 1 = 65 entries per
-#: series, its nodes with x >= 0 and the probe at 1/2, so it holds several
-#: series or heights beside them (about 0.3 MiB at weight 16)
+#: values held by the point cache `_point_value`: one sample at the default
+#: M stores 65 entries per series, its nodes with x >= 0 and the probe at
+#: 1/2, so it holds several series or heights beside them (0.3 MiB at k = 16)
 _POINT_CACHE = 512
 
 
@@ -621,19 +620,20 @@ def closed_form_phi_j(
     return complex(closed_form_phi(hform, w, sign, z, t)[j])
 
 
-def fourier_coefficient(fn, l: int, y: float, M: int = DEFAULT_M) -> complex:
-    """Trapezoidal Fourier mode int_{-1/2}^{1/2} fn(x + iy) e^(-2 pi i l x) dx
-    on the nodes x_m = -1/2 + m/M, m = 0..M-1.
+def fourier_modes(fn, y: float, M: int = DEFAULT_M) -> np.ndarray:
+    """Every trapezoidal Fourier mode int_{-1/2}^{1/2} fn(x + iy) e^(-2 pi i l x)
+    dx on the nodes x_m = -1/2 + m/M, m = 0..M-1, from one sample: mode l is
+    (-1)^l fft(vals)[l mod M] / M, at entry l mod M for any l if M is even,
+    for -M/2 <= l < M/2 if it is odd.
 
     Spectrally accurate for smooth 1-periodic integrands, on any shifted
     grid of a period; raises if the integrand visibly fails periodicity
     between x = -1/2 and x = 1/2.  Makes M + 1 evaluations: the probe at
     x = -1/2 is also the first node.  The grid is symmetric about 0, -x_m
     is x_{M-m} bitwise, so a coset series sums the cosets at the nodes with
-    x >= 0 and the probe at 1/2 only, and reads each other node from its
-    mirror; for even M the M/2 nodes are among the M.
+    x >= 0 and the probe at 1/2 only, and reads the others from their mirrors.
     """
-    check_integers(l=l, M=M)
+    check_integers(M=M)
     if M < 64:
         raise ValueError("M must be >= 64")
     xs = (2.0 * np.arange(M) - M) / (2 * M)  # the exact quotients: -x_m is x_{M-m}
@@ -643,8 +643,14 @@ def fourier_coefficient(fn, l: int, y: float, M: int = DEFAULT_M) -> complex:
     if abs(left - right) > _PERIODICITY_RTOL * scale:
         raise ValueError("integrand is not 1-periodic in x")
     vals = np.array([left] + [fn(complex(x, y)) for x in xs[1:]], dtype=np.complex128)
-    phase = np.exp(-2j * np.pi * l * xs)
-    return complex((vals * phase).sum()) / M
+    j = np.arange(M)  # entry j holds mode j, from j = M/2 on mode j - M
+    return (-1.0) ** (j - M * (2 * j >= M)) * np.fft.fft(vals) / M
+
+
+def fourier_coefficient(fn, l: int, y: float, M: int = DEFAULT_M) -> complex:
+    """Mode l of `fourier_modes`."""
+    check_integers(l=l)
+    return complex(fourier_modes(fn, y, M)[l % M])
 
 
 def poincare(

@@ -16,6 +16,7 @@ from miint import periods as per
 from miint import qforms as qf
 from miint import raseries as ra
 from miint.group import IDENTITY, S, T, T_pow
+from test_raseries import _psi_coefficient
 
 
 def run_cli(capsys, *args):
@@ -232,10 +233,10 @@ def test_csv_tables_keep_their_bytes(capsys):
 
 
 def test_check_fourier_evaluates_each_sample_point_once(capsys, monkeypatch):
-    # the l = 1 and l = 2 modes read the same M + 1 = 97 points at each of
-    # y = 1 and y = 1.5, for phi and for psi; the point cache sums each
-    # series once at the 49 of them with x >= 0 (the other 48 read their
-    # mirrors), so a second mode and a revisit sum no coset
+    # the l = 1 and l = 2 modes come from one sample of M + 1 = 97 points
+    # at each of y = 1 and y = 1.5, for phi and for psi; the point cache
+    # sums each series once at the 49 of them with x >= 0 (the other 48
+    # read their mirrors), so psi's sample sums no coset phi has summed
     visits = {"phi": [], "psi": []}
     sums = {"phi": [], "psi": []}
     for name, private, key in (("phi", "_phi_sum", "phi"), ("psi_series", "_psi_sum", "psi")):
@@ -245,7 +246,7 @@ def test_check_fourier_evaluates_each_sample_point_once(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "check", "fourier")
     assert code == 0
     for key in visits:
-        assert len(visits[key]) == 388 and len(set(visits[key])) == 194
+        assert len(visits[key]) == 194 == len(set(visits[key]))
         assert len(sums[key]) == 98 == len(set(sums[key]))
         assert all(z.real >= 0 for z in sums[key])
 
@@ -381,8 +382,8 @@ def test_fourier_subcommand(capsys):
 
 
 def test_fourier_samples_each_point_once(capsys, monkeypatch):
-    # the M/2 error-estimate pass reads the even nodes of the M pass again:
-    # M + 1 = 129 distinct points, and M/2 + 1 = 65 more visits
+    # the mode and its error estimate come from one sample: M + 1 = 129
+    # distinct points, each visited once
     calls = []
     eval_form = qf.eval_form
 
@@ -393,15 +394,14 @@ def test_fourier_samples_each_point_once(capsys, monkeypatch):
     monkeypatch.setattr(qf, "eval_form", counted)
     code, _, _ = run_cli(capsys, "fourier", "--form", "delta", "--l", "1", "--M", "128")
     assert code == 0
-    assert len(set(calls)) == 129 and len(calls) == 129 + 65
+    assert len(calls) == 129 == len(set(calls))
 
 
 @pytest.mark.parametrize("M", [64, 65, 100, 127, 128, 129, 255])
-def test_fourier_error_estimate_needs_a_coarse_pass_of_64_nodes(capsys, monkeypatch, M):
-    # the M // 2 pass reads the even nodes of the M pass again, M/2 + 1
-    # visits; below M = 128 it would have fewer than 64 nodes, and for odd M
-    # its nodes are not among the fine ones, so there is none and the
-    # estimate is null
+def test_fourier_error_estimate_is_null_only_for_odd_M(capsys, monkeypatch, M):
+    # every M takes M + 1 evaluations; for even M the estimate is the mode
+    # l + M/2 of the same sample, and for odd M the M/2 nodes are not among
+    # the M, so there is none and the estimate is null
     calls = []
     eval_form = qf.eval_form
 
@@ -411,13 +411,25 @@ def test_fourier_error_estimate_needs_a_coarse_pass_of_64_nodes(capsys, monkeypa
 
     monkeypatch.setattr(qf, "eval_form", counted)
     payload = _payload(capsys, "fourier", "--form", "delta", "--l", "1", "--M", str(M))
-    assert len(set(calls)) == M + 1
-    if M < 128 or M % 2:
+    assert len(calls) == M + 1 == len(set(calls))
+    if M % 2:
         assert payload["error_estimate"] is None
-        assert len(calls) == M + 1
     else:
         assert 0.0 <= payload["error_estimate"] <= 1e-10
-        assert len(calls) == M + 1 + M // 2 + 1
+
+
+@pytest.mark.parametrize("M", [128, 256])
+@pytest.mark.parametrize("l", [1, 2])
+def test_fourier_error_estimate_is_the_difference_against_the_even_nodes(capsys, l, M):
+    # the estimate of a psi coefficient's mode against the old second pass:
+    # the direct trapezoid sums on the M nodes and on the M/2 even ones
+    payload = _payload(capsys, "fourier", "--psi", "--l", str(l), "--M", str(M))
+    xs = (2.0 * np.arange(M) - M) / (2 * M)
+    vals = np.array([_psi_coefficient(complex(x, 1.0)) for x in xs])  # the CLI's defaults
+    terms = vals * np.exp(-2j * np.pi * l * xs)
+    two_pass = abs(terms.sum() / M - terms[::2].sum() / (M // 2))
+    tol = 64 * np.finfo(float).eps * np.abs(vals).max()
+    assert abs(payload["error_estimate"] - two_pass) <= tol
 
 
 @pytest.mark.parametrize(

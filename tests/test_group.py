@@ -509,7 +509,7 @@ def _cached_arrays():
         "_ray_primitives": [periods._ray_primitives(8, 4)],
         "_eichler_kernel": [periods._eichler_kernel(f)],
         "_anchor": [periods._anchor(f)],
-        "reduced_periods": [reduced.periods],
+        "_reduced_periods": [reduced.periods],
         "values": [reduced.values],
         "_gauss_legendre": list(periods._gauss_legendre(24)),
         "_lambda_scale": [periods._lambda_scale(12)],
@@ -549,3 +549,23 @@ def test_every_cached_array_is_read_only():
                 arr.flat[0] = arr.flat[0]
     with pytest.raises(ValueError):
         cosets(40, 400).n[5] += 3
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: GroupElement(1.5, 0, 0, 2 / 3),  # the determinant rounds to 1.0
+        lambda: GroupElement(1.0, 0, 0, 1),
+        lambda: T_pow(1.5),
+        lambda: T_pow(2.0),
+    ],
+    ids=["fractions", "float-one", "T_pow-fraction", "T_pow-float"],
+)
+def test_a_group_element_has_integer_entries(make):
+    with pytest.raises(ValueError, match="integers"):
+        make()
+
+
+def test_a_group_element_accepts_numpy_integers():
+    g = GroupElement(*np.array([2, 1, 1, 1]))
+    assert g * g.inv() == IDENTITY

@@ -611,3 +611,29 @@ def test_the_cocycle_suite_slashes_once(monkeypatch):
     results = checks.suite_cocycle()
     assert all(res.passed for res in results)
     assert len(calls) == 1
+
+
+# each case: the integer call, and the same call with one argument a float;
+# a float hashes as its integer, so the rule must come before any cache: the
+# float call fails the same way cold (arguments no other test uses) and once
+# the integer call has cached its key
+_INTEGER_RULE = {
+    "eisenstein_q-k": (lambda: qf.eisenstein_q(4, 17), lambda: qf.eisenstein_q(4.0, 17)),
+    "eisenstein_q-N": (lambda: qf.eisenstein_q(6, 19), lambda: qf.eisenstein_q(6, 19.0)),
+    "delta_q": (lambda: qf.delta_q(23), lambda: qf.delta_q(23.0)),
+    "cusp_basis-k": (lambda: qf.cusp_basis(16, 29), lambda: qf.cusp_basis(16.0, 29)),
+    "cusp_basis-N": (lambda: qf.cusp_basis(20, 31), lambda: qf.cusp_basis(20, 31.0)),
+    "twisted_L-s": (lambda: per.twisted_L(DELTA, 3, 1, 3), lambda: per.twisted_L(DELTA, 3.0, 1, 3)),
+    "twisted_L-p": (lambda: per.twisted_L(DELTA, 3, 1, 3), lambda: per.twisted_L(DELTA, 3, 1.0, 3)),
+    "twisted_L-q": (lambda: per.twisted_L(DELTA, 3, 1, 3), lambda: per.twisted_L(DELTA, 3, 1, 3.0)),
+    "reduced_periods": (lambda: per.reduced_periods(DELTA, 3), lambda: per.reduced_periods(DELTA, 3.0)),
+}
+
+
+@pytest.mark.parametrize("case", list(_INTEGER_RULE))
+def test_the_integer_rule_comes_before_any_cache(case):
+    integer, floating = _INTEGER_RULE[case]
+    for _ in ("cold", "after the integer call"):
+        with pytest.raises(ValueError, match="integers"):
+            floating()
+        integer()

@@ -503,6 +503,29 @@ def test_fourier_evaluates_each_node_once():
     assert len(calls) == 64 + 1  # the x = -1/2 probe is the first node
 
 
+def _psi_coefficient(z):
+    return complex(ra.coeff_decompose(ra.psi_series(DELTA, W, "+", z, T40).value, z, DELTA.k)[0])
+
+
+@pytest.mark.parametrize("fn", [_FORM_AT, _psi_coefficient], ids=["delta", "psi"])
+def test_fourier_modes_match_the_direct_trapezoid_sums(fn):
+    M = 128
+    xs = (2.0 * np.arange(M) - M) / (2 * M)
+    vals = np.array([fn(complex(x, 1.0)) for x in xs])
+    modes = ra.fourier_modes(fn, 1.0, M)
+    tol = 4 * np.finfo(float).eps * np.abs(vals).sum() / M
+    for l in range(-2, 4):
+        assert abs(modes[l % M] - (vals * np.exp(-2j * np.pi * l * xs)).sum() / M) <= tol
+
+
+def test_fourier_coefficient_reads_one_entry_of_the_modes():
+    M = 128
+    modes = ra.fourier_modes(_FORM_AT, 1.0, M)
+    for l in (-1, 0, 1, M + 1):
+        got = ra.fourier_coefficient(_FORM_AT, l, 1.0, M)
+        assert np.complex128(got).tobytes() == modes[l % M].tobytes()
+
+
 def _lambda(table, s, c, d):
     """Lambda_f(s, -d/c) from a reduced-class table: the class of (c, d mod c)."""
     return complex(table.values[s - 1, reduced_classes(table.C)[2][c, d % c]])
