@@ -328,6 +328,7 @@ def _cmd_fourier(ns, cfg: RunConfig) -> int:
         _only_with(ns, ("i", "C", "D", "r", "s"), "with --psi, for a psi coefficient")
     t = _trunc(cfg)
     f = resolve_form(cfg.form, cfg.N)
+    i = None  # the psi basis index, null for a form's own mode
     if ns.psi:
         i = 0 if ns.i is None else ns.i
         if not 0 <= i <= f.k - 2:
@@ -345,7 +346,8 @@ def _cmd_fourier(ns, cfg: RunConfig) -> int:
     err = abs(modes[(ns.l + cfg.M // 2) % cfg.M]) if cfg.M % 2 == 0 else None
     val = complex(modes[ns.l % cfg.M])
     _emit(
-        {"l": ns.l, "y": ns.y, "value": _cnum(val), "M": cfg.M, "error_estimate": err},
+        {"psi": ns.psi, "i": i, "l": ns.l, "y": ns.y, "value": _cnum(val), "M": cfg.M,
+         "error_estimate": err},
         cfg,
     )
     return EXIT_OK
@@ -368,6 +370,7 @@ def _cmd_iterated(ns, cfg: RunConfig) -> int:
     _emit(
         {
             "depth": ns.depth,
+            "forms": names,
             "weights": list(data.weights),
             "coeffs": np.stack([v.real, v.imag], -1).tolist(),
             "parabolic_residual": t_res,
@@ -397,7 +400,7 @@ def _cmd_dim(ns, cfg: RunConfig) -> int:
     elif table:
         _emit({"table": rows}, cfg)
     else:
-        _emit({"dim_Mk_rho": rows[0]["dim_Mk_rho"], "dim_M2c": rows[0]["dim_M2c"]}, cfg)
+        _emit(rows[0], cfg)
     return EXIT_OK
 
 

@@ -1,8 +1,8 @@
 """SL2(Z) elements, slash actions and coset machinery.
 
 Carries the right actions used everywhere downstream: the bi-weight
-automorphy factor of functions of z, the polynomial action on X, and their
-tensor product.  Cosets of the translation subgroup B = {±T^n} are
+automorphy factor, the polynomial action on X, the one slash `act_tensor`
+and its image `act_minus_one`.  Cosets of the translation subgroup B = {±T^n} are
 parametrised by bottom rows (c, d) with c > 0 and gcd(c, d) = 1; the sign
 quotient is legal for every series in this package because the total weight
 is even.  The coset table `cosets` is the one place that fixes their order:
@@ -251,23 +251,36 @@ def act_poly_matrix(g: GroupElement, k: int) -> np.ndarray:
 
 
 def act_poly(P: np.ndarray, g: GroupElement, k: int) -> np.ndarray:
-    """Polynomial action on the k - 1 ascending coefficients P of a polynomial:
-    X -> P(gX) * j(g, X)^(k-2), re-expanded, as a new plain array."""
-    if np.shape(P) != (k - 1,):
+    """Polynomial action X -> P(gX) * j(g, X)^(k-2) on the k - 1 ascending
+    coefficients P of a polynomial, or on each column of P, as a new plain array."""
+    if np.shape(P)[:1] != (k - 1,) or np.ndim(P) > 2:
         raise ValueError(f"need {k - 1} polynomial coefficients, got shape {np.shape(P)}")
     return act_poly_matrix(g, k) @ np.asarray(P)
 
 
-def act_tensor(F, g: GroupElement, w: BiWeight, k: int):
-    """Tensor action on a function F of z whose values are arrays as `act_poly`
-    takes, (F | g)(z, X) = F(gz, gX) j(g,z)^(-r) j(g, conj z)^(-s) j(g,X)^(k-2):
-    `act_poly` of F at gz times the `automorphy` factor."""
+def act_tensor(F, g: GroupElement, w: BiWeight, *ks: int):
+    """The one slash of a function F of z, `act_poly(., g, k_i)` along axis i
+    of its value for each of none, one or two polynomial weights k_i:
+    (F | g)(z, X) = F(gz, gX) j(g,z)^(-r) j(g, conj z)^(-s) prod_i j(g, X_i)^(k_i-2);
+    a scalar value keeps Python's complex product."""
+    if len(ks) > 2:
+        raise ValueError(f"at most two polynomial weights, got {ks}")
 
     def acted(z):
-        factor = automorphy(g, z, w)
-        return act_poly(F(mobius(g, z)), g, k) * factor
+        factor, val = automorphy(g, z, w), F(mobius(g, z))
+        if ks:
+            val = act_poly(val, g, ks[0])
+        if len(ks) == 2:
+            val = val @ act_poly_matrix(g, ks[1]).T
+        return val * factor
 
     return acted
+
+
+def act_minus_one(F, g: GroupElement, w: BiWeight, *ks: int):
+    """z -> (F | g)(z) - F(z), the image of F under g - 1 (`act_tensor`)."""
+    acted = act_tensor(F, g, w, *ks)
+    return lambda z: acted(z) - F(z)
 
 
 def complete_row(c: int, d: int) -> GroupElement:
@@ -284,6 +297,7 @@ def reduced_classes(C: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The reduced classes (c, d0), 1 <= c <= C, 0 <= d0 < c, gcd(c, d0) = 1,
     in ascending (c, d0) order: read-only arrays c0 and d0, and `lut` with
     lut[c, d0] the position of the class (-1 where there is none)."""
+    check_integers(C=C)
     c, d0 = np.ogrid[: C + 1, :C]
     c0, d0 = np.nonzero((np.gcd(c, d0) == 1) & (d0 < c))
     lut = np.full((C + 1, C), -1, dtype=np.int64)
@@ -298,6 +312,7 @@ def class_tops(C: int) -> tuple[np.ndarray, np.ndarray]:
     coset table's top rows and the Euclid parents of the period table: one
     extended Euclid pass over every class, on remainders r and s d0 = r mod c,
     down to r = gcd = 1, where a0 = s mod c = d0^-1 mod c."""
+    check_integers(C=C)
     c0, d0, _ = reduced_classes(C)
     r, s = np.stack([d0, c0]), np.stack([np.ones_like(c0), np.zeros_like(c0)])
     while (live := np.flatnonzero(r[1])).size:
@@ -344,12 +359,13 @@ class CosetTable:
         return a, read_only(b0[self.cls] + self.n * a)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8, typed=True)
 def cosets(C: int, D: int) -> CosetTable:
     """The cosets (c, d), 0 < c <= C, 0 <= d <= D, gcd(c, d) = 1, each with
     its class and shift, in the tail blocks of `CosetTable`; with their
     mirrors (c, -d), every coset with |d| <= D.  The identity coset is not
-    included."""
+    included.  The cache is typed, so that a float never meets an integer's key."""
+    check_integers(C=C, D=D)
     if C < 1 or D < 1:
         raise ValueError("C and D must be >= 1")
     d = np.arange(D + 1)

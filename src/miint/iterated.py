@@ -3,8 +3,8 @@ checks.
 
 An iterated value is a complex coefficient array with one axis per integrand
 form: shape () at depth 1, (k1-1,) at depth 2 and (k1-1, k2-1) at depth 3,
-where [v, u] is the coefficient of X1^v X2^u.  Gamma acts on it by the tensor
-product of the one-variable slashes `act_poly_matrix(g, k_i)`.
+where [v, u] is the coefficient of X1^v X2^u.  Gamma acts on it by
+`group.act_tensor` at the outer weight 2, whose factor j(g,z)^(2-2) is 1.
 
 Depth 3 is evaluated by expanding the inner integral into the ray
 primitives of `periods`, multiplying by the outer q-series and integrating
@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .group import GroupElement, T, act_poly_matrix, binomials, mobius, read_only, shift_matrix
+from .group import BiWeight, T, act_minus_one, binomials, read_only, shift_matrix
 from .periods import _exps, _ray_primitives, eichler_F
 from .qforms import QExpansion, admissible_z, coeff_array
 
@@ -110,35 +110,13 @@ def iterated_F(data: IteratedIntegrand, z: complex) -> np.ndarray:
     return _depth3_value(data.forms[0], data.forms[1], z)
 
 
-def _act(val: np.ndarray, g: GroupElement, ks: tuple[int, ...]) -> np.ndarray:
-    """`act_poly_matrix(g, ks[i])` along axis i of a coefficient array, for
-    each given weight: M1 @ val, then @ M2.T."""
-    if ks:
-        val = act_poly_matrix(g, ks[0]) @ val
-    if len(ks) == 2:
-        val = val @ act_poly_matrix(g, ks[1]).T
-    return val
-
-
-def dot_action(F, g: GroupElement, weights: tuple[int, ...]):
-    """Multi-variable right action on a function-valued family: substitute
-    gz and gX_i and multiply the polynomial factors.  The outer weight is 2,
-    so its automorphy factor j(g,z)^(2-2) is 1."""
-    return lambda z: _act(F(mobius(g, complex(z))), g, weights[1:])
-
-
 def _image(F, witness: tuple, weights: tuple[int, ...]):
-    """z -> F.(g_1 - 1)...(g_m - 1) at z, one level per element: level i
-    acts through `dot_action` on the first n-1-i polynomial slots of a
-    depth-n F, n = len(weights), so at depth 3 the second level acts on X1
-    alone (F.(g_1 - 1) is an order-2 object tensored with the inert X2)."""
-    def level(F, g, weights):
-        acted = dot_action(F, g, weights)
-        return lambda z: acted(z) - F(z)
-
-    for g in witness:
-        F = level(F, g, weights)
-        weights = weights[:-1]
+    """z -> F.(g_1 - 1)...(g_m - 1) at z, one `act_minus_one` per element:
+    level i acts on the first n-1-i polynomial slots of a depth-n F,
+    n = len(weights), so at depth 3 the second level acts on X1 alone
+    (F.(g_1 - 1) is an order-2 object tensored with the inert X2)."""
+    for i, g in enumerate(witness):
+        F = act_minus_one(F, g, BiWeight(0, 0), *weights[1 : len(weights) - i])
     return F
 
 
@@ -171,5 +149,4 @@ def order_check(data: IteratedIntegrand, witnesses: list) -> dict:
 
 def parabolic_residual(data: IteratedIntegrand, z: complex) -> float:
     """Sup-norm of F.(T-1) at z; vanishes for every iterated integral."""
-    F = lambda u: iterated_F(data, u)
-    return float(np.abs(_image(F, (T,), data.weights)(complex(z))).max())
+    return float(np.abs(_image(lambda u: iterated_F(data, u), (T,), data.weights)(z)).max())

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .group import BiWeight, GroupElement, automorphy, mobius
+from .group import BiWeight, GroupElement, act_tensor
 from .qforms import QExpansion, eval_form
 from .raseries import TruncationParams, coeff_basis, eisenstein_rs, phi
 
@@ -55,10 +55,9 @@ def maass_dbar(fn, s: int, z: complex, h: float = STEP) -> complex:
 
 def check_equivariance(fn, g: GroupElement, w: BiWeight, z: complex) -> float:
     """Residual of raising commuting with the slash action up to the weight
-    shift (r,s) -> (r+1,s-1), both sides through `group.automorphy`."""
-    z = complex(z)
-    lhs = maass_d(lambda u: automorphy(g, u, w) * fn(mobius(g, u)), w.r, z)
-    rhs = automorphy(g, z, w.raised()) * maass_d(fn, w.r, mobius(g, z))
+    shift (r,s) -> (r+1,s-1), both sides through `group.act_tensor`."""
+    lhs = maass_d(act_tensor(fn, g, w), w.r, z)
+    rhs = act_tensor(lambda u: maass_d(fn, w.r, u), g, w.raised())(z)
     return abs(lhs - rhs)
 
 

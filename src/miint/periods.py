@@ -26,15 +26,15 @@ import numpy as np
 
 from .errors import PrecisionError
 from .group import (
+    BiWeight,
     GroupElement,
     S,
-    act_poly,
+    act_minus_one,
     binomials,
     check_integers,
     class_tops,
     complete_row,
     euclid_chain,
-    mobius,
     read_only,
     reduced_classes,
     shift_matrix,
@@ -106,10 +106,10 @@ def _eichler(f: QExpansion, z: complex, minus: bool) -> np.ndarray:
 
 def period_poly_base(f: QExpansion, g: GroupElement, z0: complex = 1j) -> np.ndarray:
     """Plus-sign period polynomial via the base-point formula
-    r(g; X) = F(g z0, g X) j(g, X)^(k-2) - F(z0, X), independent of z0;
-    `eichler_F` rejects a base point or image below the evaluation floor."""
-    F_at_gz0 = eichler_F(f, mobius(g, z0), "+")
-    return act_poly(F_at_gz0, g, f.k) - eichler_F(f, z0, "+")
+    r(g; X) = F(g z0, g X) j(g, X)^(k-2) - F(z0, X), independent of z0, the
+    image of F under g - 1 at weight 0; `eichler_F` rejects a base point or
+    image below the evaluation floor."""
+    return act_minus_one(lambda z: eichler_F(f, z, "+"), g, BiWeight(0, 0), f.k)(z0)
 
 
 @lru_cache(maxsize=8)

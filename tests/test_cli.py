@@ -548,6 +548,37 @@ def test_every_global_flag_changes_output(capsys):
     )
 
 
+def _apart_from(payload, *values):
+    return {key: v for key, v in payload.items() if key not in values}
+
+
+def test_fourier_output_names_the_psi_coefficient(capsys):
+    # a run is reproducible from its output: --psi and --i are echoed
+    base = ("fourier", "--l", "1", "--M", "64")
+    plain, psi = _payload(capsys, *base), _payload(capsys, *base, "--psi")
+    other = _payload(capsys, *base, "--psi", "--i", "3")
+    assert (plain["psi"], plain["i"], psi["psi"], psi["i"], other["i"]) == (False, None, True, 0, 3)
+    values = ("value", "error_estimate")
+    assert _apart_from(plain, *values) != _apart_from(psi, *values) != _apart_from(other, *values)
+
+
+def test_dim_output_names_its_weights(capsys):
+    default, other = _payload(capsys, "dim"), _payload(capsys, "dim", "--k", "18", "--k1", "14")
+    assert (default["k"], default["k1"], other["k"], other["k1"]) == (16, 12, 18, 14)
+    assert _payload(capsys, "dim", "--k1", "14")["k1"] == 14
+    values = ("dim_Mk_rho", "dim_M2c")
+    assert _apart_from(default, *values) != _apart_from(other, *values)
+
+
+def test_iterated_output_names_its_forms(capsys):
+    first, second = (_payload(capsys, "iterated", "--forms", name) for name in ("s24.0", "s24.1"))
+    assert (first["forms"], second["forms"]) == (["s24.0"], ["s24.1"])
+    assert first["weights"] == second["weights"] == [2, 24]
+    values = ("coeffs", "parabolic_residual")
+    assert _apart_from(first, *values) != _apart_from(second, *values)
+    assert _payload(capsys, "iterated", "--depth", "1")["forms"] == []
+
+
 # the config flags each command reads; the other (command, flag) pairs are inert
 CONFIG_FLAGS = ("C", "D", "N", "M", "format")
 READS = {

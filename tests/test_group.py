@@ -293,6 +293,61 @@ def test_act_tensor_identity_and_composition():
         assert np.abs(lhs - rhs).max() / scale <= 1e-10
 
 
+_SLASH_CASES = [(S, 2j), (T * S, 0.3 + 1.1j), (GroupElement(2, 1, 5, 3), 0.5 + 2j)]
+
+
+def test_act_tensor_with_no_weights_is_the_automorphy_factor_times_F():
+    F = lambda z: complex(z) ** 3 - 2j / complex(z)
+    for w in (BiWeight(7, 7), BiWeight(11, 9), BiWeight(0, 0)):
+        for g, z in _SLASH_CASES:
+            got = act_tensor(F, g, w)(z)
+            assert np.asarray(got).tobytes() == np.asarray(automorphy(g, z, w) * F(mobius(g, z))).tobytes()
+
+
+def test_act_minus_one_is_the_slash_less_F():
+    base = np.arange(1, 12) * (1 - 0.5j)
+    F = lambda z: base / complex(z)
+    for g, z in _SLASH_CASES:
+        image = group.act_minus_one(F, g, BiWeight(10, 10), 12)(z)
+        assert image.tobytes() == (act_tensor(F, g, BiWeight(10, 10), 12)(z) - F(z)).tobytes()
+
+
+def test_act_tensor_takes_at_most_two_weights_of_the_right_lengths():
+    F = lambda z: np.ones((11, 11, 11), dtype=np.complex128)
+    with pytest.raises(ValueError, match="at most two"):
+        act_tensor(F, S, BiWeight(10, 10), 12, 12, 12)
+    with pytest.raises(ValueError, match="at most two"):
+        group.act_minus_one(F, S, BiWeight(10, 10), 12, 12, 12)
+    for length in (10, 12):
+        with pytest.raises(ValueError, match="need 11 polynomial coefficients"):
+            act_tensor(lambda z: np.ones(length), S, BiWeight(10, 10), 12)(2j)
+    with pytest.raises(ValueError, match="need 11 polynomial coefficients"):
+        act_tensor(F, S, BiWeight(10, 10), 12)(2j)  # an array of three axes
+    with pytest.raises(ValueError):  # the second axis holds 10 coefficients, not 15
+        act_tensor(lambda z: np.ones((11, 10)), S, BiWeight(10, 10), 12, 16)(2j)
+
+
+# each group builder, its integer call, and the same call with a float: a
+# float hashes as its integer, so the rule comes before the cache, cold
+# (arguments no other test uses) and once the integer call has cached its key
+_INTEGER_RULE = {
+    "cosets-C": (lambda: cosets(5, 53), lambda: cosets(5.0, 53)),
+    "cosets-D": (lambda: cosets(6, 61), lambda: cosets(6, 61.0)),
+    "reduced_classes": (lambda: reduced_classes(17), lambda: reduced_classes(17.0)),
+    "class_tops": (lambda: group.class_tops(19), lambda: group.class_tops(19.0)),
+    "enumerate_cosets": (lambda: enumerate_cosets(4, 40), lambda: enumerate_cosets(4.0, 40)),
+}
+
+
+@pytest.mark.parametrize("case", list(_INTEGER_RULE))
+def test_the_group_builders_take_integers_before_their_caches(case):
+    integer, floating = _INTEGER_RULE[case]
+    for _ in ("cold", "after the integer call"):
+        with pytest.raises(ValueError, match="integers"):
+            floating()
+        integer()
+
+
 def brute_coprime_count(C, D):
     return sum(
         1

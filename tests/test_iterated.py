@@ -9,7 +9,17 @@ from miint import maass as ma
 from miint import periods as per
 from miint import qforms as qf
 from miint import raseries as ra
-from miint.group import BiWeight, IDENTITY, S, T, T_pow, act_tensor
+from miint.group import (
+    BiWeight,
+    IDENTITY,
+    S,
+    T,
+    T_pow,
+    act_poly_matrix,
+    act_tensor,
+    automorphy,
+    mobius,
+)
 from test_raseries import _basis_product
 
 DELTA = qf.delta_q(120)
@@ -115,22 +125,33 @@ def test_the_depth3_kernel_equals_the_defining_sums(pair):
         assert float(np.max(np.abs(got - ref))) <= 1e-14 * float(np.max(np.abs(ref)))
 
 
-def test_dot_action_identity_and_composition():
+def test_act_tensor_of_iterated_values_identity_and_composition():
+    # the outer weight 2 slashes by BiWeight(0, 0), whose factor is 1
+    w0 = BiWeight(0, 0)
     for data in (it.IteratedIntegrand(()), DATA2, DATA3):
         F = lambda z: it.iterated_F(data, z)
-        assert np.array_equal(it.dot_action(F, IDENTITY, data.weights)(2j), F(2j))
+        assert np.array_equal(act_tensor(F, IDENTITY, w0, *data.weights[1:])(2j), F(2j))
     F = lambda z: it.iterated_F(DATA3, z)
+    ks = DATA3.weights[1:]
     # fixed small-entry pairs keep every evaluation above the q-series floor;
     # residual is relative to the acted operand, whose size sets the float
     # conditioning of the re-expansion
-    from miint.group import mobius
-
     for g, d in [(S, T), (T * S, S), (S * T, T.inv()), (T.inv() * S, T * S)]:
-        lhs = it.dot_action(it.dot_action(F, g, DATA3.weights), d, DATA3.weights)(2j)
-        rhs = it.dot_action(F, g * d, DATA3.weights)(2j)
+        lhs = act_tensor(act_tensor(F, g, w0, *ks), d, w0, *ks)(2j)
+        rhs = act_tensor(F, g * d, w0, *ks)(2j)
         operand = F(mobius(g * d, 2j))
         scale = max(1.0, np.abs(rhs).max(), np.abs(operand).max())
         assert np.abs(lhs - rhs).max() / scale <= 1e-9
+
+
+def test_act_tensor_on_two_variables_is_the_two_sided_matrix_product():
+    # mixed weights (12, 16), so that a transposed axis cannot pass
+    s16 = qf.cusp_basis(16)[0]
+    F = lambda z: it.iterated_F(it.IteratedIntegrand((DELTA, s16)), z)
+    for g, z in [(S, 2j), (T * S, 0.3 + 1.1j), (S * T, 1.7 + 0.8j)]:
+        inline = act_poly_matrix(g, 12) @ F(mobius(g, z)) @ act_poly_matrix(g, 16).T
+        got = act_tensor(F, g, W, 12, 16)(z)
+        assert got.tobytes() == (inline * automorphy(g, z, W)).tobytes()
 
 
 def test_parabolic_invariance():

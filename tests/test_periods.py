@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from miint import checks
+from miint.errors import PrecisionError
 from miint import periods as per
 from miint import qforms as qf
 from miint.group import (
@@ -21,6 +22,7 @@ from miint.group import (
     act_poly,
     complete_row,
     euclid_chain,
+    mobius,
     reduced_classes,
     slash_rows,
 )
@@ -133,6 +135,27 @@ def test_period_base_point_independence():
     r1 = per.period_poly_base(DELTA, S, 1j)
     r2 = per.period_poly_base(DELTA, S, 0.5 + 2j)
     assert np.abs(r1 - r2).max() / np.abs(r1).max() <= 1e-9
+
+
+def test_period_base_is_the_inline_formula_bit_for_bit():
+    # through act_minus_one at weight (0, 0), r(g) keeps the bits of
+    # F(g z0)|g - F(z0); the grid's points whose image lies below the
+    # q-series floor are rejected by both
+    forms = [DELTA, qf.cusp_basis(16)[0], *qf.cusp_basis(24)]
+    gs = [S, T * S, S * T * S, GroupElement(2, 1, 5, 3), GroupElement(5, 2, 7, 3)]
+    cases = 0
+    for f in forms:
+        for g in gs:
+            for z0 in (1j, 0.5 + 2j, 0.3 + 1.1j):
+                try:
+                    inline = act_poly(per.eichler_F(f, mobius(g, z0)), g, f.k) - per.eichler_F(f, z0)
+                except PrecisionError:
+                    with pytest.raises(PrecisionError):
+                        per.period_poly_base(f, g, z0)
+                    continue
+                assert per.period_poly_base(f, g, z0).tobytes() == inline.tobytes()
+                cases += 1
+    assert cases == 36
 
 
 def test_period_cocycle_vs_base_route():
