@@ -52,7 +52,8 @@ it.
 A point is summed once.  Every public coset series, and the closed form,
 validates its arguments (convergence, sign, the point and, for phi, its
 q-series floor) and then reads one bounded cache of point values
-(`_point_value`, the `_POINT_CACHE` most recently used), keyed by the
+(`_point_value`, the `_POINT_CACHE` most recently used, which also holds
+the slash matrices of `coeff_decompose`), keyed by the
 private series, its exact arguments (form, weights, sign, n and k,
 truncation) and the bit pattern of the validated point (`_point_key`, so
 0.0 and -0.0 stay apart).  A miss runs the series, so a hit is bitwise
@@ -104,9 +105,11 @@ _PERIODICITY_RTOL = 1e-6
 #: cosets per block of the closed form's coset pass: its working memory is
 #: three (k-1) x _BLOCK complex buffers, allocated once per pass and refilled
 _BLOCK = 4096
-#: values held by the point cache `_point_value`: one sample at the default
-#: M stores 65 entries per series, its nodes with x >= 0 and the probe at
-#: 1/2, so it holds several series or heights beside them (0.3 MiB at k = 16)
+#: entries held by the point cache `_point_value`, series values, '+' arrays
+#: and slash matrices together: one sample at the default M stores 65 per
+#: series, its nodes with x >= 0 and the probe at 1/2, and 65 matrices if
+#: decomposed, so it holds several series or heights (1.9 MiB at k = 16
+#: were every entry a matrix, 0.3 MiB were none)
 _POINT_CACHE = 512
 
 
@@ -163,12 +166,14 @@ def _point_key(z: complex) -> bytes:
 
 
 @lru_cache(maxsize=_POINT_CACHE)
-def _point_value(series, t: TruncationParams, key: bytes, *args):
+def _point_value(series, t: TruncationParams | None, key: bytes, *args):
     """series(t, z, *args) at the validated point z whose bit pattern is
     `key` (`_point_key`), kept for later calls with the same series,
-    arguments and key: a miss runs the series itself, and a call that
-    raises caches nothing.  A value is shared by every hit, so its arrays
-    are read-only, and a caller that writes makes its own copy."""
+    arguments and key: a coset series, the closed form's '+' array, or
+    with t = None the slash matrix of `coeff_decompose` (`_slash_entry`).
+    A miss runs the series itself, and a call that raises caches nothing.
+    A value is shared by every hit, so its arrays are read-only, and a
+    caller that writes makes its own copy."""
     return series(t, complex(*struct.unpack("<2d", key)), *args)
 
 
@@ -485,19 +490,41 @@ def phi(
 def coeff_basis(z: complex, m: int) -> np.ndarray:
     """The basis of the coefficients phi(i): column i holds the ascending
     monomial coefficients of (X-z)^i (X-conj z)^(m-i)."""
+    check_integers(m=m)
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
+    z = admissible_z(z)
     return binomial_matrix(1, -z, 1, -z.conjugate(), m)
+
+
+def _slash_entry(_, z: complex, m: int) -> np.ndarray:
+    """The slash matrix of `coeff_decompose` at z, an entry of the point cache."""
+    return read_only(binomial_matrix(-z.conjugate(), z, -1, 1, m))
+
+
+def _slash_matrix(z: complex, m: int) -> np.ndarray:
+    """`_slash_entry` at a validated z, from the point cache; at x < 0 (not
+    -0.0), its entry at -conj z with column j times (-1)^j conj, where
+    + 0.0 makes each zero +0.0, as in a direct build: the same bits."""
+    if z.real >= 0:
+        return _point_value(_slash_entry, None, _point_key(z), m)
+    B = _point_value(_slash_entry, None, _point_key(complex(-z.real, z.imag)), m)
+    return B.conj() * _mirror_signs(m + 2)[1:] + 0.0  # (-1)^j, j = 0..m
 
 
 def coeff_decompose(P: np.ndarray, z: complex, k: int) -> np.ndarray:
     """Coefficients phi(i) with P(X) = sum_i phi(i) (X-z)^i (X-conj z)^(k-2-i),
     P the k - 1 ascending coefficients of a polynomial: with
     u = (X - z)/(X - conj z), the slash of P by (-conj z  z; -1  1), which
-    sends u to X, is (z - conj z)^(k-2) sum_i phi(i) X^i."""
+    sends u to X, is (z - conj z)^(k-2) sum_i phi(i) X^i.  The slash matrix
+    depends on (z, k) only, and is built once per point (`_slash_matrix`)."""
+    check_integers(k=k)
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
     z, m = admissible_z(z), k - 2
     if np.shape(P) != (k - 1,):
         raise ValueError(f"need {k - 1} polynomial coefficients, got shape {np.shape(P)}")
-    slashed = binomial_matrix(-z.conjugate(), z, -1, 1, m) @ np.asarray(P)
-    return slashed * (z - z.conjugate()) ** -m
+    return _slash_matrix(z, m) @ np.asarray(P) * (z - z.conjugate()) ** -m
 
 
 @lru_cache(maxsize=None)

@@ -5,6 +5,7 @@ caches nothing, and no caller can write into it."""
 import math
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from miint import qforms as qf
 from miint import raseries as ra
 from miint.errors import ConvergenceError, PrecisionError
-from miint.group import BiWeight
+from miint.group import BiWeight, binomial_matrix
 
 DELTA = qf.delta_q(120)
 T40 = ra.TruncationParams()
@@ -75,16 +76,39 @@ def test_a_hit_is_bitwise_the_fresh_value_and_tail(name):
         assert _bits(second.value, second.tail_estimate) == want
 
 
-def test_signed_zeros_of_x_are_separate_entries():
+def _record_requests(monkeypatch) -> list:
+    """Every request (series, t, key, *args) made of the point cache from
+    now on, in order; the cache still answers each."""
+    requests = []
+    monkeypatch.setattr(ra, "_point_value", lambda *args: requests.append(args) or CACHE(*args))
+    return requests
+
+
+def _entries_by_function(requests) -> dict:
+    """The number of distinct entries that `requests` asks for, per cached
+    function: the series sums, the closed form's '+' array, and the slash
+    matrices of `coeff_decompose`."""
+    return dict(Counter(series.__name__ for series, *_ in set(requests)))
+
+
+def test_signed_zeros_of_x_are_separate_entries(monkeypatch):
+    requests = _record_requests(monkeypatch)
     for z in (complex(0.0, 1.3), complex(-0.0, 1.3)):
         size = CACHE.cache_info().currsize
         ra.phi(DELTA, W, "+", z, T40)
         assert CACHE.cache_info().currsize == size + 1
-    # the closed form's keys are bits too: its '+' array and the E it reads
+    # the closed form's keys are bits too: its '+' array and the E it reads,
+    # 2 series entries, and the slash matrix that decomposes its boundary term
     for z in (complex(0.0, 1.3), complex(-0.0, 1.3)):
         size = CACHE.cache_info().currsize
+        requests.clear()
         ra.closed_form_phi(DELTA, W, "+", z, T40)
-        assert CACHE.cache_info().currsize == size + 2
+        assert CACHE.cache_info().currsize == size + 3
+        assert _entries_by_function(requests) == {
+            "_closed_form_plus": 1,
+            "_eisenstein_sum": 1,
+            "_slash_entry": 1,
+        }
 
 
 @pytest.mark.parametrize(
@@ -101,6 +125,15 @@ def test_signed_zeros_of_x_are_separate_entries():
         (lambda: ra.phi(DELTA, W, "+", 1e-3j, T40), PrecisionError),
         # a miss whose coset sum overflows float64
         (lambda: ra.eisenstein_rs(BiWeight(10, 10), 1e-160j, T40), PrecisionError),
+        # a decomposition: the closed form below caches its slash matrix at
+        # 2j for k = 12, which a float k of the same value would hash onto
+        (lambda: ra.coeff_decompose(np.ones(11), -1j, 12), ValueError),
+        (lambda: ra.coeff_decompose(np.ones(10), 2j, 12), ValueError),
+        (lambda: ra.coeff_decompose(np.ones(11), 2j, 12.0), ValueError),
+        (lambda: ra.coeff_decompose(np.ones(11), -0.3 + 2j, 12.0), ValueError),
+        (lambda: ra.coeff_decompose(np.ones(1), 2j, True), ValueError),
+        # a miss whose powers overflow float64
+        (lambda: ra.coeff_decompose(np.ones(11), 1e300j, 12), PrecisionError),
     ],
 )
 def test_a_call_that_raises_caches_nothing(call, error):
@@ -300,16 +333,91 @@ def test_cache_clear_drops_the_reflected_and_canonical_entries():
 
 def test_the_series_suites_sum_each_requested_entry_once(monkeypatch):
     # from a cleared cache, the eight suites that read coset series ask the
-    # cache for 259 distinct (series, t, key, args) entries, many of them
-    # more than once, and each is a miss once: nothing is evicted and
-    # summed again, so no memo in front of the cache would save a sum
+    # cache for 259 distinct (series, t, key, args) series entries and 105
+    # slash matrices of `coeff_decompose`, many of them more than once, and
+    # each is a miss once: nothing is evicted and summed or built again, so
+    # no memo in front of the cache would save a sum
     from miint import checks
 
-    requests = []
-    monkeypatch.setattr(ra, "_point_value", lambda *args: requests.append(args) or CACHE(*args))
+    requests = _record_requests(monkeypatch)
     suites = ("dualroute", "invariance", "keypr", "coeffs")
     suites += ("equivariance", "psibar", "secondorder", "fourier")
     for name in suites:
         assert all(r.passed for r in checks.SUITES[name]())
-    assert CACHE.cache_info().misses == len(set(requests)) == 259
-    assert len(requests) > 259
+    counts = _entries_by_function(requests)
+    matrices = counts.pop("_slash_entry")
+    assert (sum(counts.values()), matrices) == (259, 105)
+    assert CACHE.cache_info().misses == len(set(requests)) == 259 + 105
+    assert len(requests) > 259 + 105
+
+
+# the slash matrix of `coeff_decompose` depends on (z, k) only: the point
+# cache holds it per point, and at x < 0 (not -0.0) it is read from the
+# entry at -conj z, B(-conj z) = (-1)^j conj B(z) on column j, + 0.0
+_SWEEP_XS = [float(x) for x in (2.0 * np.arange(64) - 64) / 128] + [0.5]
+
+
+def _slash_points(seed):
+    rng = np.random.default_rng(seed)
+    xs = _SWEEP_XS + rng.uniform(-3.0, 3.0, 24).tolist() + [0.0, -0.0]
+    return [complex(x, y) for x, y in zip(xs, rng.uniform(0.4, 3.0, len(xs)))]
+
+
+def _direct_slash(z, m):
+    return binomial_matrix(-z.conjugate(), z, -1, 1, m)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 10, 14, 18, 22])
+def test_a_mirrored_slash_matrix_is_bitwise_a_direct_build(m):
+    # as uint64 bit patterns, so that the signs of zeros count: without the
+    # + 0.0, a mirrored matrix holds -0.0 where a direct build holds +0.0
+    for z in _slash_points(m):
+        for u in (z, complex(-z.real, z.imag)):  # either one built first
+            got = ra._slash_matrix(u, m).view(np.uint64)
+            assert got.tolist() == _direct_slash(u, m).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("k", [2, 12, 16])
+def test_coeff_decompose_is_bitwise_the_direct_product(k):
+    rng = np.random.default_rng(k)
+    m = k - 2
+    for z in _slash_points(100 + k):
+        P = rng.standard_normal(k - 1) + 1j * rng.standard_normal(k - 1)
+        want = _direct_slash(z, m) @ P * (z - z.conjugate()) ** -m
+        for _ in range(2):  # the miss, then the hit
+            assert ra.coeff_decompose(P, z, k).view(np.uint64).tolist() == (
+                want.view(np.uint64).tolist()
+            )
+
+
+def test_a_phi_coefficient_fourier_pair_builds_each_matrix_once(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return binomial_matrix(*args)
+
+    monkeypatch.setattr(ra, "binomial_matrix", counted)
+
+    def fn(z):
+        return complex(ra.coeff_decompose(ra.phi(DELTA, W, "+", z, T40).value, z, DELTA.k)[4])
+
+    modes = [ra.fourier_coefficient(fn, l, 1.25, M=64) for l in (1, 2)]
+    # 130 decompositions at 65 points: the 33 with x >= 0 (the probe at
+    # x = 1/2 among them) build their matrices, the 32 others mirror them,
+    # and the second mode reads them all
+    assert len(built) == 33
+    assert all(args[1].real >= 0 for args in built)  # built at z = args[1]
+    assert [ra.fourier_coefficient(fn, l, 1.25, M=64) for l in (1, 2)] == modes
+    assert len(built) == 33
+
+
+def test_the_cached_slash_matrix_is_read_only():
+    z = 0.3 + 1.4j
+    ra.coeff_decompose(np.ones(15), z, 16)
+    cached = CACHE(ra._slash_entry, None, ra._point_key(z), 14)
+    assert ra._slash_matrix(z, 14) is cached
+    with pytest.raises(ValueError):
+        cached[0, 0] = 0.0
+    # the matrix mirrored left of the axis is the caller's own
+    assert ra._slash_matrix(complex(-z.real, z.imag), 14) is not cached

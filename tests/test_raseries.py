@@ -221,6 +221,21 @@ def test_coeff_decompose_degenerate_and_unit():
     assert float(np.max(np.abs(vec - target))) <= 1e-11
 
 
+@pytest.mark.parametrize("k", [16.0, np.float64(16), 1, 0, True], ids=repr)
+def test_coeff_decompose_takes_an_integer_weight_of_at_least_2(k):
+    # a float equal to an integer would otherwise read the integer's
+    # cached slash matrix
+    ra.coeff_decompose(np.ones(15), 0.3 + 1.2j, 16)
+    with pytest.raises(ValueError, match="integers|>= 2"):
+        ra.coeff_decompose(np.ones(15), 0.3 + 1.2j, k)
+
+
+@pytest.mark.parametrize("m", [10.0, -1, -3], ids=repr)
+def test_coeff_basis_takes_a_degree_of_at_least_0(m):
+    with pytest.raises(ValueError, match="integers|>= 0"):
+        ra.coeff_basis(0.3 + 1.2j, m)
+
+
 def test_coeff_decompose_roundtrip():
     rng = np.random.default_rng(3)
     z = 2j
@@ -639,6 +654,7 @@ _ENTRY_POINTS = {
     "poincare": lambda z: ra.poincare(1, 12, z, T40),
     "second_order_G": lambda z: ra.second_order_G(1, DELTA, 16, z, T40),
     "coeff_decompose": lambda z: ra.coeff_decompose(np.eye(11)[0], z, 12),
+    "coeff_basis": lambda z: ra.coeff_basis(z, 10),
     "eval_form": lambda z: qf.eval_form(DELTA, z),
     "eval_form_anywhere": lambda z: qf.eval_form_anywhere(DELTA, z),
     "eichler_F": lambda z: per.eichler_F(DELTA, z),
