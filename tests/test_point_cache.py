@@ -125,8 +125,9 @@ def test_signed_zeros_of_x_are_separate_entries(monkeypatch):
         (lambda: ra.phi(DELTA, W, "+", 1e-3j, T40), PrecisionError),
         # a miss whose coset sum overflows float64
         (lambda: ra.eisenstein_rs(BiWeight(10, 10), 1e-160j, T40), PrecisionError),
-        # a decomposition: the closed form below caches its slash matrix at
-        # 2j for k = 12, which a float k of the same value would hash onto
+        # a decomposition: the set-up caches the slash matrices at 2j and
+        # 0.3 + 2j for k = 12, which a float k of the same value would hash
+        # onto, at 2j itself and at -0.3 + 2j through the mirror
         (lambda: ra.coeff_decompose(np.ones(11), -1j, 12), ValueError),
         (lambda: ra.coeff_decompose(np.ones(10), 2j, 12), ValueError),
         (lambda: ra.coeff_decompose(np.ones(11), 2j, 12.0), ValueError),
@@ -142,6 +143,7 @@ def test_a_call_that_raises_caches_nothing(call, error):
     for series, _ in _SERIES.values():
         series(2j)
     ra.closed_form_phi(DELTA, W, "+", 2j, T40)
+    ra.coeff_decompose(np.ones(11), 0.3 + 2j, 12)
     size = CACHE.cache_info().currsize
     for _ in range(2):
         with pytest.raises(error):
