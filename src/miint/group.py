@@ -28,7 +28,7 @@ from .errors import PrecisionError
 
 def check_integers(**values) -> None:
     """A ValueError unless every value is a `numbers.Integral` (numpy's too)."""
-    if not all(isinstance(v, numbers.Integral) for v in values.values()):
+    if not all(type(v) is int or isinstance(v, numbers.Integral) for v in values.values()):
         raise ValueError(f"{', '.join(values)} must be integers, got {values}")
 
 

@@ -231,7 +231,7 @@ def admissible_z(z: complex | np.ndarray, q_series: bool = False) -> complex | n
     is a finite point of the upper half-plane (ValueError otherwise); with
     `q_series`, also at or above the evaluation floor Y_MIN of a truncated
     q-series (PrecisionError otherwise)."""
-    if np.ndim(z):
+    if type(z) is not complex and np.ndim(z):  # a plain complex skips np.ndim's 0-d array
         z = np.asarray(z, dtype=np.complex128)
         finite, low = np.isfinite(z).all(), z.imag.min(initial=np.inf)
     else:

@@ -53,7 +53,7 @@ A point is summed once.  Every public coset series, and the closed form,
 validates its arguments (convergence, sign, the point and, for phi, its
 q-series floor) and then reads one bounded cache of point values
 (`_point_value`, the `_POINT_CACHE` most recently used, which also holds
-the slash matrices of `coeff_decompose`), keyed by the
+the slash matrix of `coeff_decompose` at each point), keyed by the
 private series, its exact arguments (form, weights, sign, n and k,
 truncation) and the bit pattern of the validated point (`_point_key`, so
 0.0 and -0.0 stay apart).  A miss runs the series, so a hit is bitwise
@@ -69,8 +69,10 @@ every public coset series is the `_image` of its entry at -conj z
 and phi read -conj(.)(-X), phi as F(-conj z; X) = -conj F(z; -X) for a
 form with real coefficients.  Each tail keeps its bits, and a value lies
 within its tail of a fresh sum at z.  The closed form's own coset pass is
-not reflected.  `fourier_modes` samples a grid symmetric about 0, so a
-sample, every mode from one FFT, sums the cosets at about half its nodes.
+not reflected, and a slash matrix at x < 0 is an entry of its own, built
+once from the entry at -conj z.  `fourier_modes` samples a grid symmetric
+about 0, so a sample, every mode from one FFT, sums the cosets at about
+half its nodes and builds the slash matrices at about half.
 """
 
 from __future__ import annotations
@@ -107,9 +109,9 @@ _PERIODICITY_RTOL = 1e-6
 _BLOCK = 4096
 #: entries held by the point cache `_point_value`, series values, '+' arrays
 #: and slash matrices together: one sample at the default M stores 65 per
-#: series, its nodes with x >= 0 and the probe at 1/2, and 65 matrices if
-#: decomposed, so it holds several series or heights (1.9 MiB at k = 16
-#: were every entry a matrix, 0.3 MiB were none)
+#: series, its nodes with x >= 0 and the probe at 1/2, and 129 matrices, one
+#: per point, if decomposed, so it holds several series or heights (1.9 MiB
+#: at k = 16 were every entry a matrix, 0.3 MiB were none)
 _POINT_CACHE = 512
 
 
@@ -170,8 +172,9 @@ def _point_value(series, t: TruncationParams | None, key: bytes, *args):
     """series(t, z, *args) at the validated point z whose bit pattern is
     `key` (`_point_key`), kept for later calls with the same series,
     arguments and key: a coset series, the closed form's '+' array, or
-    with t = None the slash matrix of `coeff_decompose` (`_slash_entry`).
-    A miss runs the series itself, and a call that raises caches nothing.
+    with t = None the slash matrix of `coeff_decompose` (`_slash_entry`,
+    whose miss at x < 0 reads the entry at -conj z).  A miss runs the
+    series itself, and a call that raises caches nothing.
     A value is shared by every hit, so its arrays are read-only, and a
     caller that writes makes its own copy."""
     return series(t, complex(*struct.unpack("<2d", key)), *args)
@@ -498,18 +501,14 @@ def coeff_basis(z: complex, m: int) -> np.ndarray:
 
 
 def _slash_entry(_, z: complex, m: int) -> np.ndarray:
-    """The slash matrix of `coeff_decompose` at z, an entry of the point cache."""
-    return read_only(binomial_matrix(-z.conjugate(), z, -1, 1, m))
-
-
-def _slash_matrix(z: complex, m: int) -> np.ndarray:
-    """`_slash_entry` at a validated z, from the point cache; at x < 0 (not
-    -0.0), its entry at -conj z with column j times (-1)^j conj, where
-    + 0.0 makes each zero +0.0, as in a direct build: the same bits."""
+    """The slash matrix of `coeff_decompose` at z, an entry of the point
+    cache; at x < 0 (not -0.0), built once from the entry at -conj z, column
+    j times (-1)^j conj, where + 0.0 makes each zero +0.0, as in a direct
+    build: the same bits."""
     if z.real >= 0:
-        return _point_value(_slash_entry, None, _point_key(z), m)
+        return read_only(binomial_matrix(-z.conjugate(), z, -1, 1, m))
     B = _point_value(_slash_entry, None, _point_key(complex(-z.real, z.imag)), m)
-    return B.conj() * _mirror_signs(m + 2)[1:] + 0.0  # (-1)^j, j = 0..m
+    return read_only(B.conj() * _mirror_signs(m + 2)[1:] + 0.0)  # (-1)^j, j = 0..m
 
 
 def coeff_decompose(P: np.ndarray, z: complex, k: int) -> np.ndarray:
@@ -517,14 +516,14 @@ def coeff_decompose(P: np.ndarray, z: complex, k: int) -> np.ndarray:
     P the k - 1 ascending coefficients of a polynomial: with
     u = (X - z)/(X - conj z), the slash of P by (-conj z  z; -1  1), which
     sends u to X, is (z - conj z)^(k-2) sum_i phi(i) X^i.  The slash matrix
-    depends on (z, k) only, and is built once per point (`_slash_matrix`)."""
+    depends on (z, k) only, and is built once per point (`_slash_entry`)."""
     check_integers(k=k)
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     z, m = admissible_z(z), k - 2
     if np.shape(P) != (k - 1,):
         raise ValueError(f"need {k - 1} polynomial coefficients, got shape {np.shape(P)}")
-    return _slash_matrix(z, m) @ np.asarray(P) * (z - z.conjugate()) ** -m
+    return _point_value(_slash_entry, None, _point_key(z), m) @ np.asarray(P) * (z - z.conjugate()) ** -m
 
 
 @lru_cache(maxsize=None)

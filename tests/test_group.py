@@ -621,6 +621,20 @@ def test_a_group_element_has_integer_entries(make):
         make()
 
 
+@pytest.mark.parametrize(
+    "value, ok",
+    [(3, True), (True, True), (np.int64(3), True), (3.0, False), (np.float64(3.0), False)],
+    ids=["int", "bool", "int64", "float", "float64"],
+)
+def test_check_integers_takes_every_integral_kind(value, ok):
+    # a plain int takes a fast path before the numbers.Integral check
+    if ok:
+        assert group.check_integers(a=1, v=value) is None
+    else:
+        with pytest.raises(ValueError, match="v must be integers"):
+            group.check_integers(a=1, v=value)
+
+
 def test_a_group_element_accepts_numpy_integers():
     g = GroupElement(*np.array([2, 1, 1, 1]))
     assert g * g.inv() == IDENTITY

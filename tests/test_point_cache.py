@@ -3,6 +3,7 @@ bitwise a fresh call, a point is keyed by its bits, a call that raises
 caches nothing, and no caller can write into it."""
 
 import math
+import struct
 import sys
 import threading
 from collections import Counter
@@ -335,27 +336,34 @@ def test_cache_clear_drops_the_reflected_and_canonical_entries():
 
 def test_the_series_suites_sum_each_requested_entry_once(monkeypatch):
     # from a cleared cache, the eight suites that read coset series ask the
-    # cache for 259 distinct (series, t, key, args) series entries and 105
-    # slash matrices of `coeff_decompose`, many of them more than once, and
-    # each is a miss once: nothing is evicted and summed or built again, so
-    # no memo in front of the cache would save a sum
+    # cache for 259 distinct (series, t, key, args) series entries and 203
+    # slash matrices of `coeff_decompose`, 105 built by `binomial_matrix`
+    # and 98 left of the axis mirrored from them, many of them more than
+    # once, and each is a miss once: nothing is evicted and summed or built
+    # again, so no memo in front of the cache would save a sum
     from miint import checks
 
     requests = _record_requests(monkeypatch)
+    built = []
+    monkeypatch.setattr(ra, "binomial_matrix", lambda *a: built.append(a) or binomial_matrix(*a))
     suites = ("dualroute", "invariance", "keypr", "coeffs")
     suites += ("equivariance", "psibar", "secondorder", "fourier")
     for name in suites:
         assert all(r.passed for r in checks.SUITES[name]())
     counts = _entries_by_function(requests)
     matrices = counts.pop("_slash_entry")
-    assert (sum(counts.values()), matrices) == (259, 105)
-    assert CACHE.cache_info().misses == len(set(requests)) == 259 + 105
-    assert len(requests) > 259 + 105
+    assert (sum(counts.values()), matrices) == (259, 203)
+    keys = [key for series, _, key, *_ in set(requests) if series is ra._slash_entry]
+    left = [key for key in keys if struct.unpack("<2d", key)[0] < 0]
+    slashes = [args for args in built if args[2:4] == (-1, 1)]  # not `coeff_basis`'s
+    assert (len(slashes), len(left)) == (105, 98)
+    assert CACHE.cache_info().misses == len(set(requests)) == 259 + 203
+    assert len(requests) > 259 + 203
 
 
 # the slash matrix of `coeff_decompose` depends on (z, k) only: the point
-# cache holds it per point, and at x < 0 (not -0.0) it is read from the
-# entry at -conj z, B(-conj z) = (-1)^j conj B(z) on column j, + 0.0
+# cache holds it per point, and at x < 0 (not -0.0) its entry is built once
+# from the entry at -conj z, B(-conj z) = (-1)^j conj B(z) on column j, + 0.0
 _SWEEP_XS = [float(x) for x in (2.0 * np.arange(64) - 64) / 128] + [0.5]
 
 
@@ -375,7 +383,7 @@ def test_a_mirrored_slash_matrix_is_bitwise_a_direct_build(m):
     # + 0.0, a mirrored matrix holds -0.0 where a direct build holds +0.0
     for z in _slash_points(m):
         for u in (z, complex(-z.real, z.imag)):  # either one built first
-            got = ra._slash_matrix(u, m).view(np.uint64)
+            got = CACHE(ra._slash_entry, None, ra._point_key(u), m).view(np.uint64)
             assert got.tolist() == _direct_slash(u, m).view(np.uint64).tolist()
 
 
@@ -406,20 +414,29 @@ def test_a_phi_coefficient_fourier_pair_builds_each_matrix_once(monkeypatch):
 
     modes = [ra.fourier_coefficient(fn, l, 1.25, M=64) for l in (1, 2)]
     # 130 decompositions at 65 points: the 33 with x >= 0 (the probe at
-    # x = 1/2 among them) build their matrices, the 32 others mirror them,
-    # and the second mode reads them all
+    # x = 1/2 among them) build their matrices, the 32 others mirror them
+    # into entries of their own, and the second mode reads them all
     assert len(built) == 33
     assert all(args[1].real >= 0 for args in built)  # built at z = args[1]
+    misses = CACHE.cache_info().misses
     assert [ra.fourier_coefficient(fn, l, 1.25, M=64) for l in (1, 2)] == modes
-    assert len(built) == 33
+    assert (len(built), CACHE.cache_info().misses) == (33, misses)
+    # a decomposition left of the axis is the product of its own entry
+    z = complex(-0.25, 1.25)
+    P = ra.phi(DELTA, W, "+", z, T40).value
+    B = CACHE(ra._slash_entry, None, ra._point_key(z), DELTA.k - 2)
+    want = B @ P * (z - z.conjugate()) ** (2 - DELTA.k)
+    assert ra.coeff_decompose(P, z, DELTA.k).tobytes() == want.tobytes()
+    assert CACHE.cache_info().misses == misses
 
 
 def test_the_cached_slash_matrix_is_read_only():
-    z = 0.3 + 1.4j
-    ra.coeff_decompose(np.ones(15), z, 16)
-    cached = CACHE(ra._slash_entry, None, ra._point_key(z), 14)
-    assert ra._slash_matrix(z, 14) is cached
-    with pytest.raises(ValueError):
-        cached[0, 0] = 0.0
-    # the matrix mirrored left of the axis is the caller's own
-    assert ra._slash_matrix(complex(-z.real, z.imag), 14) is not cached
+    # a decomposition at either sign of x caches its own matrix, and neither
+    # can be written
+    for z in (0.3 + 1.4j, -0.3 + 1.4j):
+        ra.coeff_decompose(np.ones(15), z, 16)
+        misses = CACHE.cache_info().misses
+        cached = CACHE(ra._slash_entry, None, ra._point_key(z), 14)
+        assert CACHE.cache_info().misses == misses
+        with pytest.raises(ValueError):
+            cached[0, 0] = 0.0

@@ -274,6 +274,49 @@ def test_an_array_of_points_is_admitted_only_as_a_whole():
     assert qf.eval_form(qf.eisenstein_q(4, 0), np.array([1j, 2j])).tolist() == [1, 1]
 
 
+class _Complex(complex):
+    pass
+
+
+# each kind of point `admissible_z` meets: a plain complex takes a fast path
+# past np.ndim, and every other kind the path it took before; the result is
+# (its type, its complex128 bits) or the exception raised
+_POINT_KINDS = {
+    "complex": (0.3 + 1.2j, False, (complex, 0.3 + 1.2j)),
+    "complex128": (np.complex128(-0.3 + 1.2j), False, (complex, -0.3 + 1.2j)),
+    "subclass": (_Complex(-0.0, 1.2), False, (complex, complex(-0.0, 1.2))),
+    "int": (2, False, ValueError),
+    "float": (1.5, False, ValueError),
+    "bool": (True, False, ValueError),
+    "0-d array": (np.array(0.3 + 1.2j), False, (complex, 0.3 + 1.2j)),
+    "1-d array": (np.array([0.3 + 1.2j, 2j]), False, (np.ndarray, [0.3 + 1.2j, 2j])),
+    "list": ([0.3 + 1.2j, 2j], False, (np.ndarray, [0.3 + 1.2j, 2j])),
+    "nan x": (complex(math.nan, 1.2), False, ValueError),
+    "nan y": (complex(0.3, math.nan), False, ValueError),
+    "inf x": (complex(math.inf, 1.2), False, ValueError),
+    "inf y": (complex(0.3, math.inf), False, ValueError),
+    "y = 0": (0.3 + 0j, False, ValueError),
+    "y < 0": (0.3 - 1.2j, False, ValueError),
+    "array y < 0": (np.array([2j, 0.3 - 1.2j]), False, ValueError),
+    "below floor": (0.3 + 0.01j, True, PrecisionError),
+    "below floor, no q-series": (0.3 + 0.01j, False, (complex, 0.3 + 0.01j)),
+    "array below floor": (np.array([2j, 0.01j]), True, PrecisionError),
+    "at floor": (complex(0.3, qf.Y_MIN), True, (complex, complex(0.3, qf.Y_MIN))),
+}
+
+
+@pytest.mark.parametrize("kind", _POINT_KINDS)
+def test_admissible_z_keeps_each_kind_of_point(kind):
+    z, q_series, want = _POINT_KINDS[kind]
+    if isinstance(want, type):
+        with pytest.raises(want):
+            qf.admissible_z(z, q_series)
+        return
+    out = qf.admissible_z(z, q_series)
+    assert type(out) is want[0]
+    assert np.asarray(out).tobytes() == np.asarray(want[1], dtype=np.complex128).tobytes()
+
+
 def test_eval_anywhere_near_real_axis():
     # cusp form vanishes rapidly approaching a rational point
     d = qf.delta_q(120)
