@@ -353,6 +353,19 @@ def suite_order3() -> list[CheckResult]:
     out.append(
         _result("F3.(T-1) = 0", it.parabolic_residual(data, 1.5j), 1e-9)
     )
+    # the shuffle product I_{f,g}(X1, X2) + I_{g,f}(X2, X1) = F_f(X1) F_g(X2),
+    # which shares only the ray primitives with the depth-3 kernel; budget
+    # 8 eps times the sum of the terms' sizes, the worst of two points
+    g = qforms.cusp_basis(16)[0]
+    fg, gf = it.IteratedIntegrand((f, g)), it.IteratedIntegrand((g, f))
+    lines = []
+    for z in (1.1j, 0.3 + 1.2j):
+        terms = (it.iterated_F(fg, z), it.iterated_F(gf, z).T)
+        terms += (np.outer(periods.eichler_F(f, z), periods.eichler_F(g, z)),)
+        res = np.abs(terms[0] + terms[1] - terms[2]).max()
+        lines.append((res, 8 * periods._EPS * sum(np.abs(t).max() for t in terms), z))
+    res, budget, z = max(lines, key=lambda line: line[0] / line[1])
+    out.append(_result("shuffle I_{f,g} + I_{g,f} = F_f F_g", res, budget, worst_point=z))
     return out
 
 

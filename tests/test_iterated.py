@@ -325,3 +325,13 @@ def test_map_to_MI_component_invariance():
     for i in range(11):
         pred = automorphy(S, z, BiWeight(W.r + i, W.s + 10 - i)) * vec_s[i]
         assert abs(pred - vec[i]) <= 1e-8
+
+
+def test_the_shuffle_line_holds_within_a_tenth_of_its_budget():
+    # I_{f,g} + I_{g,f}^T = F_f (x) F_g for (Delta, weight 16), on the axis
+    # and off it, each against 8 eps of the sum of its terms' sizes
+    from miint import checks
+
+    line = checks.suite_order3()[-1]
+    assert line.name == "shuffle I_{f,g} + I_{g,f} = F_f F_g"
+    assert line.residual <= 0.1 * line.tolerance

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from miint import checks
+from miint import iterated as it
 from miint import periods as per
 from miint import qforms as qf
 from miint import raseries as ra
@@ -152,3 +153,22 @@ def test_a_leading_coefficient_off_by_1e_8_fails_both_anchor_lines(monkeypatch):
         "base-point independence of r(S)",
     ]
     assert all(res.residual >= 1e3 * res.tolerance for res in failures)
+
+
+@pytest.mark.parametrize("rows", [60, slice(None)], ids=["one coefficient row", "whole kernel"])
+def test_a_depth3_kernel_off_by_1e_6_fails_the_shuffle_line(monkeypatch, rows):
+    # the depth-3 kernel scaled by 1 + 1e-6, in one coefficient row (60:
+    # Y1^5 Y2^5 for Delta twice) or whole: a scaled value is still
+    # z-independent and T-invariant, so only the shuffle product against
+    # two Eichler integrals sees it
+    kernel = it._depth3_kernel
+
+    def scaled(f1, f2):
+        K = kernel(f1, f2).copy()
+        K[rows] *= 1 + 1e-6
+        return K
+
+    monkeypatch.setattr(it, "_depth3_kernel", scaled)
+    failures = _failures("order3")
+    assert [res.name for res in failures] == ["shuffle I_{f,g} + I_{g,f} = F_f F_g"]
+    assert failures[0].residual >= 10 * failures[0].tolerance
