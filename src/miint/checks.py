@@ -354,8 +354,8 @@ def suite_order3() -> list[CheckResult]:
         _result("F3.(T-1) = 0", it.parabolic_residual(data, 1.5j), 1e-9)
     )
     # the shuffle product I_{f,g}(X1, X2) + I_{g,f}(X2, X1) = F_f(X1) F_g(X2),
-    # which shares only the ray primitives with the depth-3 kernel; budget
-    # 8 eps times the sum of the terms' sizes, the worst of two points
+    # whose right side never takes the recursion's inner step; budget 8 eps
+    # times the sum of the terms' sizes, the worst of two points
     g = qforms.cusp_basis(16)[0]
     fg, gf = it.IteratedIntegrand((f, g)), it.IteratedIntegrand((g, f))
     lines = []

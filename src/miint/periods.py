@@ -1,8 +1,10 @@
-"""Eichler integrals, period polynomials and additively twisted L-values.
+"""Iterated Eichler integrals, period polynomials and additively twisted
+L-values.
 
 With w = z + u, each integral from i*infinity of e(nw) times a polynomial
-reads one cached table of ray primitives, and the Eichler integral of a
-form is the vector e(nz) times one cached matrix in the basis X - z.
+reads one cached table of ray primitives, and every iterated integral, the
+Eichler integral of one form among them, is e(Nz) contracted with one cached
+kernel in the basis X - z, built by one recursion over its forms.
 
 The period cocycle is anchored at a single high-accuracy value r(S) computed
 from the Eichler integral at the fixed point i of S; every other period
@@ -23,6 +25,7 @@ from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import PrecisionError
 from .group import (
@@ -71,13 +74,58 @@ def _exps(ns: np.ndarray, z: complex) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _eichler_kernel(f: QExpansion) -> np.ndarray:
-    """Read-only K with F(z; X) = sum_s (e(nz) @ K)[s] (X - z)^s: with
-    w = z + u, (w - X)^m = sum_t binom(m, t) u^t (z - X)^(m-t), so
-    K[n - 1, m - t] = a(n) binom(m, t) (-1)^(m-t) P(n, t)."""
-    m, a = f.k - 2, coeff_array(f)[1:]
-    sgn_binom = binomials(m)[m] * (-1.0) ** (m - np.arange(m + 1))
-    return read_only(a[:, None] * (sgn_binom * _ray_primitives(a.size, m))[:, ::-1])
+def _iterated_kernel(forms: tuple[QExpansion, ...]) -> np.ndarray:
+    """Read-only K of the iterated integral of `forms` (outer first) in the
+    basis Y_i = X_i - z: its value at z is e(Nz) contracted with K over
+    N = n..N_1+...+N_n, n = len(forms).
+
+    c[N, t, Y...] holds a partial integral sum_N e(Nw) sum_t c u^t, u = w - z,
+    from c = 1 at N = 0.  Each form, innermost first: f(w) convolves c with
+    a(n) along N, one real matrix-vector product per N; (u - Y)^m puts
+    binom(m, s) (-1)^(m-s) u^s at Y^(m-s) on a new leading axis; and the
+    integral from i*infinity, c'[N, r] = sum_(t>=r) binom(t, r) P(N, t-r) c[N, t]
+    (`_ray_primitives`), keeps r = 0 alone at the outermost form, where w = z.
+    The last two are one batch of small products over N with weights
+    (w binom) P, the integers multiplied first, so one form is the closed
+    form w[s] P(n, s) a(n), and `eichler_F` keeps the bits it had from it.
+
+    The layout is the one choice made per depth: one axis is N-major, read
+    as e @ K, the bits every Eichler integral has had; two are
+    coefficient-major, read as K @ e, one dot product over N per
+    coefficient, as an N-major product there changes with the BLAS thread
+    count."""
+    P = _ray_primitives(sum(f.N for f in forms), sum(f.k - 2 for f in forms))
+    c = np.ones((1, 1, 1), np.complex128)  # [N - depth, t, Y...], Y flattened
+    for depth, f in enumerate(reversed(forms), 1):
+        m, a = f.k - 2, coeff_array(f)[1:].real
+        L, T, F = c.shape
+        # band[N, n] = a(N - n): windows over a padded by L - 1 zeros each side
+        band = np.ascontiguousarray(sliding_window_view(np.pad(a, L - 1), L)[:, ::-1])
+        cT = np.ascontiguousarray(c.reshape(L, -1).view(np.float64).T)
+        c = np.ascontiguousarray((cT @ band[:, :, None])[..., 0]).view(np.complex128)
+        # weights[N, r, m - s, t] on c[N, t]: tau = s + t, binom(tau, r) = 0 for r > tau
+        s, r = np.arange(m, -1, -1), np.arange(1 if depth == len(forms) else T + m)
+        tau, w = s[:, None] + np.arange(T), binomials(m)[m, s] * (-1.0) ** (m - s)
+        rows = P[depth - 1 : depth - 1 + len(c), np.maximum(tau - r[:, None, None], 0)]
+        weights = w[:, None] * binomials(T + m - 1)[tau, r[:, None, None]] * rows
+        c = (weights.reshape(len(c), -1, T) @ c.reshape(len(c), T, F)).reshape(len(c), len(r), -1)
+    return read_only(np.ascontiguousarray(c[:, 0].T if len(forms) > 1 else c[:, 0]))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a value past float64 raises
+def _iterated(forms: tuple[QExpansion, ...], z: complex) -> np.ndarray:
+    """The iterated integral of `forms` at a validated z as a fresh
+    coefficient array, one axis per form: e(Nz) contracted with
+    `_iterated_kernel`, then the leading axis shifted from Y = X - z to X
+    by one `shift_matrix` and rotated last, once per axis."""
+    K, n = _iterated_kernel(forms), len(forms)
+    e = _exps(np.arange(n, sum(f.N for f in forms) + 1), z)
+    value = (K @ e if n > 1 else e @ K).reshape([f.k - 1 for f in forms])
+    for f in forms:
+        value = (shift_matrix(z, f.k - 2) @ value).transpose(*range(1, n), 0)
+    if not np.isfinite(value).all():
+        raise PrecisionError(f"an iterated integral at z = {z} is not finite in float64")
+    return value
 
 
 def _minus(sign: str) -> bool:
@@ -89,9 +137,8 @@ def _minus(sign: str) -> bool:
 
 def eichler_F(f: QExpansion, z: complex, sign: str = "+") -> np.ndarray:
     """Eichler integral from i*infinity to z of f(w)(w - X)^(k-2) dw as the
-    ascending coefficients of a polynomial in X: the vector e(nz) times
-    `_eichler_kernel`, shifted from the basis X - z to X; the minus version
-    conjugates the coefficients."""
+    ascending coefficients of a polynomial in X: the iterated integral of
+    (f,), `_iterated`; the minus version conjugates the coefficients."""
     if not f.is_cusp:
         raise ValueError("Eichler integrals require a cusp form")
     minus = _minus(sign)
@@ -100,7 +147,7 @@ def eichler_F(f: QExpansion, z: complex, sign: str = "+") -> np.ndarray:
 
 def _eichler(f: QExpansion, z: complex, minus: bool) -> np.ndarray:
     """The coefficients of `eichler_F` at a validated z, as a fresh array."""
-    P = shift_matrix(z, f.k - 2) @ (_exps(np.arange(1, f.N + 1), z) @ _eichler_kernel(f))
+    P = _iterated((f,), z)
     return np.conjugate(P, out=P) if minus else P
 
 

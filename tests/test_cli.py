@@ -516,6 +516,10 @@ def test_dim_table_starts_at_weight_six(capsys):
         ["phi", "--form", "s16", "--r", "12", "--s", "12", "--z", "0", "1e25"],
         ["iterated", "--depth", "2", "--z", "0", "1e31"],
         ["iterated", "--depth", "3", "--z", "0", "1e31"],
+        # a depth-3 value whose two shifts together overflow, each fitting float64
+        ["iterated", "--depth", "3", "--z", "1e17", "1"],
+        ["iterated", "--depth", "3", "--forms", "s16,s16", "--z", "1e16", "1"],
+        ["iterated", "--depth", "3", "--z", "1e20", "1"],
         ["fourier", "--psi", "--l", "1", "--y", "1e300"],
     ],
     ids=" ".join,

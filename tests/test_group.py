@@ -547,7 +547,7 @@ def test_blocked_taylor_shift_is_bitwise_the_plain_division(dtype):
 def _cached_arrays():
     """Every array that a cached builder of the package returns, by the
     builder's name, at small sizes."""
-    from miint import iterated, periods, qforms, raseries, vvdim
+    from miint import periods, qforms, raseries, vvdim
 
     f, t, w = qforms.delta_q(40), raseries.TruncationParams(4, 40), BiWeight(10, 10)
     table, reduced = cosets(4, 40), periods.reduced_periods(f, 4)
@@ -562,7 +562,7 @@ def _cached_arrays():
         "tops": list(table.tops),
         "coeff_array": [qforms.coeff_array(f)],
         "_ray_primitives": [periods._ray_primitives(8, 4)],
-        "_eichler_kernel": [periods._eichler_kernel(f)],
+        "_iterated_kernel": [periods._iterated_kernel(fs) for fs in ((), (f,), (f, f))],
         "_anchor": [periods._anchor(f)],
         "_reduced_periods": [reduced.periods],
         "values": [reduced.values],
@@ -578,7 +578,6 @@ def _cached_arrays():
             raseries._point_value(raseries._closed_form_plus, t, key, f, w),
             raseries.closed_form_phi(f, w, "-", 0.3 + 1.2j, t),
         ],
-        "_depth3_kernel": [iterated._depth3_kernel(f, f)],
         "st": [vvdim.rho_matrices(12).st],
     }
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from miint.errors import ConvergenceError
+from miint.errors import ConvergenceError, PrecisionError
 from miint import iterated as it
 from miint import maass as ma
 from miint import periods as per
@@ -44,6 +44,15 @@ def test_values_are_coefficient_arrays_with_one_axis_per_form():
     for forms, shape in [((), ()), ((DELTA,), (11,)), ((DELTA, s16), (11, 15))]:
         v = it.iterated_F(it.IteratedIntegrand(forms), 0.3 + 1.1j)
         assert type(v) is np.ndarray and v.dtype == np.complex128 and v.shape == shape
+
+
+def test_forms_given_as_a_list_read_the_same_kernel():
+    s16 = qf.cusp_basis(16)[0]
+    for forms in ([DELTA], [DELTA, s16]):
+        data = it.IteratedIntegrand(forms)
+        assert data.forms == tuple(forms)
+        got = it.iterated_F(data, 0.3 + 1.1j)
+        assert np.array_equal(got, it.iterated_F(it.IteratedIntegrand(tuple(forms)), 0.3 + 1.1j))
 
 
 def test_depth_two_matches_eichler():
@@ -117,8 +126,8 @@ def _depth3_reference(f1, f2, z):
 @pytest.mark.parametrize("pair", ["delta,delta", "delta,s16", "s16,delta"])
 def test_the_depth3_kernel_equals_the_defining_sums(pair):
     f1, f2 = (DELTA if name == "delta" else qf.cusp_basis(16)[0] for name in pair.split(","))
-    K = it._depth3_kernel(f1, f2)
-    assert K is it._depth3_kernel(f1, f2) and not K.flags.writeable
+    K = per._iterated_kernel((f1, f2))
+    assert K is per._iterated_kernel((f1, f2)) and not K.flags.writeable
     for z in (1j, 0.3 + 1.1j, -0.45 + 0.8j, -31.6 + 1.1j):
         ref = _depth3_reference(f1, f2, z)
         got = it.iterated_F(it.IteratedIntegrand((f1, f2)), z)
@@ -152,6 +161,21 @@ def test_act_tensor_on_two_variables_is_the_two_sided_matrix_product():
         inline = act_poly_matrix(g, 12) @ F(mobius(g, z)) @ act_poly_matrix(g, 16).T
         got = act_tensor(F, g, W, 12, 16)(z)
         assert got.tobytes() == (inline * automorphy(g, z, W)).tobytes()
+
+
+def test_a_value_or_image_past_float64_is_a_precision_failure(monkeypatch):
+    # each shift fits float64 at x = 1e17, but the depth-3 value multiplies
+    # two; then a finite value whose T-image overflows; neither warns
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PrecisionError):
+            it.iterated_F(DATA3, 1e17 + 1j)
+        huge = np.full((11, 11), 1e308 + 0j)
+        monkeypatch.setattr(it, "iterated_F", lambda data, z: huge)
+        with pytest.raises(PrecisionError):
+            it.parabolic_residual(DATA3, 1.5j)
 
 
 def test_parabolic_invariance():

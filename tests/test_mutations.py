@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from miint import checks
-from miint import iterated as it
 from miint import periods as per
 from miint import qforms as qf
 from miint import raseries as ra
@@ -15,10 +14,10 @@ from miint.group import reduced_classes, taylor_shift
 
 @pytest.fixture(autouse=True)
 def _fresh_form_tables():
-    # the form-keyed caches and the point cache of the series values: a
-    # table or value built before the defect was planted would hide it, and
-    # one built under it would leak into later tests
-    caches = (per.reduced_periods, ra._period_tables, ra._point_value)
+    # the form-keyed caches, the iterated kernels and the point cache of the
+    # series values: a table or value built before the defect was planted
+    # would hide it, and one built under it would leak into later tests
+    caches = (per.reduced_periods, per._iterated_kernel, ra._period_tables, ra._point_value)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -161,14 +160,15 @@ def test_a_depth3_kernel_off_by_1e_6_fails_the_shuffle_line(monkeypatch, rows):
     # Y1^5 Y2^5 for Delta twice) or whole: a scaled value is still
     # z-independent and T-invariant, so only the shuffle product against
     # two Eichler integrals sees it
-    kernel = it._depth3_kernel
+    kernel = per._iterated_kernel
 
-    def scaled(f1, f2):
-        K = kernel(f1, f2).copy()
-        K[rows] *= 1 + 1e-6
+    def scaled(forms):
+        K = kernel(forms).copy()
+        if len(forms) == 2:
+            K[rows] *= 1 + 1e-6
         return K
 
-    monkeypatch.setattr(it, "_depth3_kernel", scaled)
+    monkeypatch.setattr(per, "_iterated_kernel", scaled)
     failures = _failures("order3")
     assert [res.name for res in failures] == ["shuffle I_{f,g} + I_{g,f} = F_f F_g"]
     assert failures[0].residual >= 10 * failures[0].tolerance

@@ -89,8 +89,9 @@ def test_eichler_F_matches_the_per_frequency_rows(form):
     f = DELTA if form == "delta" else qf.cusp_basis(16)[0]
     m = f.k - 2
     eps = np.finfo(float).eps
-    assert per._eichler_kernel(f) is per._eichler_kernel(f)
-    for table in (per._eichler_kernel(f), per._ray_primitives(f.N, m), qf.coeff_array(f)):
+    K = per._iterated_kernel((f,))
+    assert K is per._iterated_kernel((f,))
+    for table in (K, per._ray_primitives(f.N, m), qf.coeff_array(f)):
         assert not table.flags.writeable
     for z in (1j, 0.5 + 2j, 0.3 + 1.2j):
         rows = np.array([_primitive_row(n, m, z) * complex(f.coeffs[n]) for n in range(1, f.N + 1)])
@@ -99,6 +100,36 @@ def test_eichler_F_matches_the_per_frequency_rows(form):
             terms = math.comb(m, t) * (-1) ** (m - t) * rows[:, t]
             ref = complex(math.fsum(terms.real), math.fsum(terms.imag))
             assert abs(got[t] - ref) <= 4 * eps * np.abs(terms).sum()
+
+
+def _eichler_kernel(f):
+    """The depth-2 kernel by its closed form: with w = z + u,
+    (w - X)^m = sum_t binom(m, t) u^t (z - X)^(m-t), so
+    K[n - 1, m - t] = a(n) binom(m, t) (-1)^(m-t) P(n, t)."""
+    from miint.group import binomials
+
+    m, a = f.k - 2, qf.coeff_array(f)[1:]
+    sgn_binom = binomials(m)[m] * (-1.0) ** (m - np.arange(m + 1))
+    return a[:, None] * (sgn_binom * per._ray_primitives(a.size, m))[:, ::-1]
+
+
+@pytest.mark.parametrize("form", [(12, 0), (16, 0), (24, 0), (24, 1)], ids=str)
+def test_the_recursion_at_depth_2_is_bitwise_the_closed_form(form):
+    # the recursion's one-form kernel equals the closed form (a matrix
+    # product's zero reads +0.0 where the closed form's product may read
+    # -0.0), and `eichler_F`, e(nz) @ K shifted to X, keeps its bits at
+    # every point (the second form of weight 24 has a(1) = 0)
+    from miint.group import shift_matrix
+
+    f = qf.cusp_basis(form[0])[form[1]]
+    K = _eichler_kernel(f)
+    assert np.array_equal(per._iterated_kernel((f,)), K)
+    rng = np.random.default_rng(46)
+    for z in rng.uniform(-3.5, 3.5, 50) + 1j * rng.uniform(qf.Y_MIN, 3.0, 50):
+        z = complex(z)
+        ref = shift_matrix(z, f.k - 2) @ (per._exps(np.arange(1, f.N + 1), z) @ K)
+        assert per.eichler_F(f, z).tobytes() == ref.tobytes()
+        assert per.eichler_F(f, z, "-").tobytes() == ref.conj().tobytes()
 
 
 def test_eichler_fd_derivative():
