@@ -42,6 +42,7 @@ from .raseries import (
     fourier_coefficient,
     fourier_modes,
     phi,
+    phi_coefficients,
     poincare,
     psi_series,
     second_order_G,

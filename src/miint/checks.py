@@ -219,7 +219,7 @@ def suite_coeff_closed_form() -> list[CheckResult]:
     this scale a closed form of zeros reads 1."""
     f = qforms.delta_q()
     phiv = raseries.phi(f, W, "+", Z, T40)
-    vec = raseries.coeff_decompose(phiv.value, Z, f.k)
+    vec = raseries.phi_coefficients(f, W, "+", Z, T40).value
     closed = raseries.closed_form_phi(f, W, "+", Z, T40)
     scale = max(np.abs(vec).max(), np.abs(closed).max())
     per_j = np.abs(vec - closed) / scale
@@ -291,10 +291,8 @@ def suite_coeffs_identity() -> list[CheckResult]:
     k = f.k
     ev = raseries.eisenstein_rs(W, Z, T40).value
     fz = qforms.eval_form(f, Z)
-    vec_up = raseries.coeff_decompose(raseries.phi(f, W.raised(), "+", Z, T40).value, Z, k)
-
-    def coeffs(u: complex):
-        return raseries.coeff_decompose(raseries.phi(f, W, "+", u, T40).value, u, k)
+    vec_up = raseries.phi_coefficients(f, W.raised(), "+", Z, T40).value
+    coeffs = lambda u: raseries.phi_coefficients(f, W, "+", u, T40).value
 
     # d_{r+j} phi(j) - (j+1) phi(j+1) for every j from one stencil pass
     vec = coeffs(Z)
@@ -354,18 +352,60 @@ def suite_order3() -> list[CheckResult]:
         _result("F3.(T-1) = 0", it.parabolic_residual(data, 1.5j), 1e-9)
     )
     # the shuffle product I_{f,g}(X1, X2) + I_{g,f}(X2, X1) = F_f(X1) F_g(X2),
-    # whose right side never takes the recursion's inner step; budget 8 eps
-    # times the sum of the terms' sizes, the worst of two points
+    # whose right side never takes the recursion's inner step; each
+    # coefficient's budget is 8 eps times the sum of the terms' sizes at it,
+    # and the line reports the worst coefficient of two points
     g = qforms.cusp_basis(16)[0]
     fg, gf = it.IteratedIntegrand((f, g)), it.IteratedIntegrand((g, f))
     lines = []
     for z in (1.1j, 0.3 + 1.2j):
         terms = (it.iterated_F(fg, z), it.iterated_F(gf, z).T)
         terms += (np.outer(periods.eichler_F(f, z), periods.eichler_F(g, z)),)
-        res = np.abs(terms[0] + terms[1] - terms[2]).max()
-        lines.append((res, 8 * periods._EPS * sum(np.abs(t).max() for t in terms), z))
-    res, budget, z = max(lines, key=lambda line: line[0] / line[1])
-    out.append(_result("shuffle I_{f,g} + I_{g,f} = F_f F_g", res, budget, worst_point=z))
+        res = np.abs(terms[0] + terms[1] - terms[2])
+        budget = 8 * periods._EPS * sum(np.abs(t) for t in terms)
+        # a coefficient whose terms are all 0 has a residual of 0
+        ratio = np.divide(res, budget, out=np.zeros_like(res), where=budget > 0)
+        i = np.unravel_index(ratio.argmax(), res.shape)
+        lines.append((res[i], budget[i], z, i))
+    res, budget, z, i = max(lines, key=lambda line: line[0] / line[1])
+    name = "shuffle I_{f,g} + I_{g,f} = F_f F_g"
+    out.append(_result(name, res, budget, worst_point=z, worst_coefficient=tuple(map(int, i))))
+    return out
+
+
+# ---------------------------------------------------------------- modularity
+
+#: short words whose images of both base points of `suite_modularity` lie in
+#: Im >= 0.35, |Re| <= 1.5; TS, ST^-1 and TST map 0.1+1.3i to x > 0
+_WORDS = {
+    "S": S, "TS": T * S, "ST": S * T, "T^-1S": T.inv() * S,
+    "STS": S * T * S, "ST^-1": S * T.inv(), "TST": T * S * T, "T^-1ST": T.inv() * S * T,
+}
+
+
+def suite_modularity() -> list[CheckResult]:
+    """The paper's law for the coefficient functions: phi(j) is a
+    real-analytic modular form of weight (r+j, s+m-j), m = k-2, so
+    phi_j(gz) = j(g,z)^(r+j) j(g,conj z)^(s+m-j) phi_j(z), read raw at z and
+    gz for Delta at W.  A line per base point reports its worst word; the
+    budget is 8 (err(gz) + max|factor| err(z)), with no floor."""
+    f = qforms.delta_q()
+    m = f.k - 2
+    j = np.arange(m + 1)
+    out = []
+    for z in (0.1 + 1.3j, -0.3 + 1.1j):
+        at_z = raseries.phi_coefficients(f, W, "+", z, T40)
+        lines = []
+        for word, g in _WORDS.items():
+            at_gz = raseries.phi_coefficients(f, W, "+", mobius(g, z), T40)
+            _, _, c, d = g.entries
+            factor = (c * z + d) ** (W.r + j) * (c * z.conjugate() + d) ** (W.s + m - j)
+            res = np.abs(at_gz.value - factor * at_z.value).max()
+            budget = 8 * (at_gz.tail_estimate + np.abs(factor).max() * at_z.tail_estimate)
+            lines.append((res, budget, word))
+        res, budget, word = max(lines, key=lambda line: line[0] / line[1])
+        name = f"phi(j)(gz) = j^(r+j) jbar^(s+m-j) phi(j)(z), {len(_WORDS)} words at {z}"
+        out.append(_result(name, res, budget, worst_word=word))
     return out
 
 
@@ -436,13 +476,8 @@ def suite_fourier() -> list[CheckResult]:
     B = 12.0
     M = 96
 
-    def phi_fn(z: complex) -> complex:
-        val = raseries.phi(f, W, "+", z, T40).value
-        return complex(raseries.coeff_decompose(val, z, f.k)[f.k - 2])
-
-    def psi_fn(z: complex) -> complex:
-        val = raseries.psi_series(f, W, "+", z, T40).value
-        return complex(raseries.coeff_decompose(val, z, f.k)[0])
+    phi_fn = lambda z: complex(raseries.phi_coefficients(f, W, "+", z, T40).value[f.k - 2])
+    psi_fn = lambda z: complex(raseries.phi_coefficients(f, W, "+", z, T40, psi=True).value[0])
 
     def drops(fn) -> list[float]:  # modes l = 1, 2 at y = 1.5 over those at y = 1
         low, high = (np.abs(raseries.fourier_modes(fn, y, M)[1:3]) for y in (1.0, 1.5))
@@ -475,6 +510,7 @@ SUITES = {
     "psibar": suite_psibar,
     "secondorder": suite_second_order,
     "fourier": suite_fourier,
+    "modularity": suite_modularity,
 }
 
 

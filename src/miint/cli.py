@@ -33,7 +33,7 @@ EXIT_CHECK = 3
 #: building the parser loads no suite: only `check` imports `checks`
 SUITE_NAMES = (
     "classes", "cocycle", "coeffs", "dualroute", "equivariance", "fourier", "invariance",
-    "keypr", "order2", "order3", "psibar", "secondorder", "vvdim",
+    "keypr", "modularity", "order2", "order3", "psibar", "secondorder", "vvdim",
 )
 
 
@@ -314,9 +314,9 @@ def _cmd_phi(ns, cfg: RunConfig) -> int:
         "trunc": {"C": cfg.C, "D": cfg.D, "N": cfg.N},
     }
     if ns.j is not None:
-        vec = raseries.coeff_decompose(sv.value, z, f.k)
-        payload["j"] = ns.j
-        payload["coefficient"] = _cnum(complex(vec[ns.j]))
+        cv = raseries.phi_coefficients(f, w, ns.sign, z, _trunc(cfg))
+        coefficient = _cnum(complex(cv.value[ns.j]))
+        payload.update(j=ns.j, coefficient=coefficient, error_estimate=cv.tail_estimate)
     else:
         payload["coeffs"] = _poly(sv.value)
     _emit(payload, cfg)
@@ -334,11 +334,7 @@ def _cmd_fourier(ns, cfg: RunConfig) -> int:
         if not 0 <= i <= f.k - 2:
             raise _UsageError(f"--i must lie in 0..{f.k - 2}")
         w = BiWeight(cfg.r, cfg.s)
-
-        def fn(z: complex) -> complex:
-            val = raseries.psi_series(f, w, "+", z, t).value
-            return complex(raseries.coeff_decompose(val, z, f.k)[i])
-
+        fn = lambda z: complex(raseries.phi_coefficients(f, w, "+", z, t, psi=True).value[i])
     else:
         fn = lambda z: qforms.eval_form(f, z)
     modes = raseries.fourier_modes(fn, ns.y, cfg.M)

@@ -53,26 +53,27 @@ A point is summed once.  Every public coset series, and the closed form,
 validates its arguments (convergence, sign, the point and, for phi, its
 q-series floor) and then reads one bounded cache of point values
 (`_point_value`, the `_POINT_CACHE` most recently used, which also holds
-the slash matrix of `coeff_decompose` at each point), keyed by the
-private series, its exact arguments (form, weights, sign, n and k,
-truncation) and the bit pattern of the validated point (`_point_key`, so
-0.0 and -0.0 stay apart).  A miss runs the series, so a hit is bitwise
-the value and tail of a fresh call; a call that raises caches nothing, and
-a polynomial is handed out, with no copy, as a read-only view of its cached
-array.  A second Fourier sample at the same nodes, or a check that revisits
-a point, sums no coset.
+the slash matrix of `coeff_decompose` and the phi(j) or psi(j) of
+`phi_coefficients` at each point), keyed by the private series, its exact
+arguments (form, weights, sign, n and k, truncation) and the bit pattern
+of the validated point (`_point_key`, so 0.0 and -0.0 stay apart).  A miss
+runs the series, so a hit is bitwise the value and tail of a fresh call; a
+call that raises caches nothing, and an array is handed out, with no copy,
+as a read-only view of its cached array.  A second Fourier sample at the
+same nodes, or a check that revisits a point, sums no coset.
 
 A point left of the axis is read from its mirror.  Conjugation by eps
 normalises B and maps the rectangle onto itself, so at x < 0 (not -0.0)
 every public coset series is the `_image` of its entry at -conj z
-(`_series_value`): E_{r,s} and the Poincare series read conj, and psi, G
-and phi read -conj(.)(-X), phi as F(-conj z; X) = -conj F(z; -X) for a
-form with real coefficients.  Each tail keeps its bits, and a value lies
-within its tail of a fresh sum at z.  The closed form's own coset pass is
-not reflected, and a slash matrix at x < 0 is an entry of its own, built
-once from the entry at -conj z.  `fourier_modes` samples a grid symmetric
-about 0, so a sample, every mode from one FFT, sums the cosets at about
-half its nodes and builds the slash matrices at about half.
+(`_series_value`): E_{r,s} and the Poincare series read conj, psi, G and
+phi read -conj(.)(-X), phi as F(-conj z; X) = -conj F(z; -X) for a form
+with real coefficients, and phi(j) and psi(j) read -conj.  Each tail keeps
+its bits, and a value lies within its tail of a fresh sum at z.  The closed
+form's own coset pass is not reflected, and a slash matrix at x < 0 is an
+entry of its own, built once from the entry at -conj z.  `fourier_modes`
+samples a grid symmetric about 0, so a sample, every mode from one FFT,
+sums the cosets at about half its nodes and builds the slash matrices at
+about half.
 """
 
 from __future__ import annotations
@@ -107,11 +108,11 @@ _PERIODICITY_RTOL = 1e-6
 #: cosets per block of the closed form's coset pass: its working memory is
 #: three (k-1) x _BLOCK complex buffers, allocated once per pass and refilled
 _BLOCK = 4096
-#: entries held by the point cache `_point_value`, series values, '+' arrays
-#: and slash matrices together: one sample at the default M stores 65 per
-#: series, its nodes with x >= 0 and the probe at 1/2, and 129 matrices, one
-#: per point, if decomposed, so it holds several series or heights (1.9 MiB
-#: at k = 16 were every entry a matrix, 0.3 MiB were none)
+#: entries held by the point cache `_point_value`, series values, '+' arrays,
+#: slash matrices and phi(j) together: one sample at the default M stores 65
+#: per series, its nodes with x >= 0 and the probe at 1/2, and 129 matrices
+#: if decomposed by hand, or 65 matrices and 65 phi(j) if read as such (1.9
+#: MiB at k = 16 were every entry a matrix, 0.3 MiB were none)
 _POINT_CACHE = 512
 
 
@@ -144,8 +145,8 @@ class TruncationParams:
 
 
 class _Coeffs(np.ndarray):
-    """A polynomial series value: a read-only view of its cached array or of
-    that array's `_image`, kept by numpy arithmetic.  Its one member,
+    """A polynomial series value or its phi(j): a read-only view of its cached
+    array or of that array's `_image`, kept by numpy arithmetic.  Its one member,
     `norm_inf`, is read by the benchmark's sweep checks (perfbench/worker.py)."""
 
     def norm_inf(self) -> float:
@@ -171,10 +172,10 @@ def _point_key(z: complex) -> bytes:
 def _point_value(series, t: TruncationParams | None, key: bytes, *args):
     """series(t, z, *args) at the validated point z whose bit pattern is
     `key` (`_point_key`), kept for later calls with the same series,
-    arguments and key: a coset series, the closed form's '+' array, or
-    with t = None the slash matrix of `coeff_decompose` (`_slash_entry`,
-    whose miss at x < 0 reads the entry at -conj z).  A miss runs the
-    series itself, and a call that raises caches nothing.
+    arguments and key: a coset series or its phi(j), the closed form's '+'
+    array, or with t = None the slash matrix of `coeff_decompose`
+    (`_slash_entry`, whose miss at x < 0 reads the entry at -conj z).  A
+    miss runs the series itself, and a call that raises caches nothing.
     A value is shared by every hit, so its arrays are read-only, and a
     caller that writes makes its own copy."""
     return series(t, complex(*struct.unpack("<2d", key)), *args)
@@ -389,16 +390,17 @@ def _coset_sum(
     return value, tail
 
 
-def _image(value):
+def _image(value, basis: bool = False):
     """The value at -conj z of a coset series whose value at z is `value`.
     eps = diag(-1, 1) normalises B and maps the rectangle onto itself, so a
     scalar series, E_{r,s} or P_n, reads conj (E_{r,s}(-conj z) =
     conj E_{r,s}(z)), and a coefficient array, psi, G or phi, as
     r(eps g eps; X) = -conj r(g; -X), reads M conj
-    (psi(-conj z; X) = -conj psi(z; -X)), either sign."""
+    (psi(-conj z; X) = -conj psi(z; -X)), either sign, and with `basis` a
+    vector of phi(j) or psi(j) reads -conj, the same j, as m = k - 2 is even."""
     if np.ndim(value) == 0:
         return value.conjugate()
-    return _mirror_signs(value.size) * value.conj()
+    return -value.conj() if basis else _mirror_signs(value.size) * value.conj()
 
 
 def _series_value(series, t: TruncationParams, z: complex, *args) -> SeriesValue:
@@ -409,7 +411,7 @@ def _series_value(series, t: TruncationParams, z: complex, *args) -> SeriesValue
     a read-only `_Coeffs` view of the cached array or of its image."""
     if z.real < 0:
         value, tail = _point_value(series, t, _point_key(complex(-z.real, z.imag)), *args)
-        value = _image(value)
+        value = _image(value, series is _coeff_sum)
     else:
         value, tail = _point_value(series, t, _point_key(z), *args)
     return SeriesValue(value if np.ndim(value) == 0 else read_only(value.view(_Coeffs)), tail)
@@ -524,6 +526,27 @@ def coeff_decompose(P: np.ndarray, z: complex, k: int) -> np.ndarray:
     if np.shape(P) != (k - 1,):
         raise ValueError(f"need {k - 1} polynomial coefficients, got shape {np.shape(P)}")
     return _point_value(_slash_entry, None, _point_key(z), m) @ np.asarray(P) * (z - z.conjugate()) ** -m
+
+
+def _coeff_sum(t: TruncationParams, z: complex, series, *args) -> tuple[np.ndarray, float]:
+    """The basis coefficients of `series` (`_phi_sum` or `_psi_sum`; `args`
+    its form, weights and sign) at a validated z, x >= 0 or -0.0, bitwise
+    `coeff_decompose`, and its tail times the bound |B(z)|_inf |z - conj z|^-m."""
+    (value, tail), m = _point_value(series, t, _point_key(z), *args), args[0].k - 2
+    B, scale = _point_value(_slash_entry, None, _point_key(z), m), (z - z.conjugate()) ** -m
+    return read_only(B @ value * scale), tail * float(np.abs(B).sum(axis=1).max()) * abs(scale)
+
+
+def phi_coefficients(
+    hform: QExpansion, w: BiWeight, sign: str, z: complex,
+    t: TruncationParams = TruncationParams(), psi: bool = False,
+) -> SeriesValue:
+    """The coefficients phi(j; z), j = 0..k-2, of phi(z; X) in the basis
+    (X-z)^j (X-conj z)^(k-2-j), or with `psi` those of psi_series, and their
+    error: a cache entry (`_coeff_sum`), at x < 0 the `_image` at -conj z."""
+    _check_psi(hform, w)
+    z = t.validate_at(z, q_series=not psi)
+    return _series_value(_coeff_sum, t, z, _psi_sum if psi else _phi_sum, hform, w, _minus(sign))
 
 
 @lru_cache(maxsize=None)

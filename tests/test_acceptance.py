@@ -137,3 +137,19 @@ def test_criterion_12_every_class_against_the_integral():
     assert len(results) == 2
     assert all(res.residual >= 1e-3 * res.tolerance for res in results)
     assert elapsed <= 1.0
+
+
+def test_criterion_13_coefficient_functions_are_modular(monkeypatch):
+    # phi(j) of Delta at z and at gz under eight words, read raw through
+    # `phi_coefficients`, in at most 32 evaluations at C = 40
+    from miint import raseries as ra
+
+    points, coefficients = [], ra.phi_coefficients
+    monkeypatch.setattr(ra, "phi_coefficients", lambda *a, **kw: points.append(a[3]) or coefficients(*a, **kw))
+    t0 = time.time()
+    results = checks.suite_modularity()
+    elapsed = time.time() - t0
+    _report("criterion 13: phi(j) is modular of weight (r+j, s+m-j)", results)
+    assert len(results) == 2
+    assert len(points) == len(set(points)) == 18
+    assert elapsed < 30.0

@@ -15,7 +15,7 @@ from miint import checks, cli
 from miint import periods as per
 from miint import qforms as qf
 from miint import raseries as ra
-from miint.group import IDENTITY, S, T, T_pow
+from miint.group import IDENTITY, BiWeight, S, T, T_pow
 from test_raseries import _psi_coefficient
 
 
@@ -234,14 +234,20 @@ def test_csv_tables_keep_their_bytes(capsys):
 
 def test_check_fourier_evaluates_each_sample_point_once(capsys, monkeypatch):
     # the l = 1 and l = 2 modes come from one sample of M + 1 = 97 points
-    # at each of y = 1 and y = 1.5, for phi and for psi; the point cache
-    # sums each series once at the 49 of them with x >= 0 (the other 48
-    # read their mirrors), so psi's sample sums no coset phi has summed
+    # at each of y = 1 and y = 1.5, for phi(j) and for psi(j); the point
+    # cache sums each series once at the 49 of them with x >= 0 (the other
+    # 48 read their mirrors), so psi's sample sums no coset phi has summed
     visits = {"phi": [], "psi": []}
     sums = {"phi": [], "psi": []}
-    for name, private, key in (("phi", "_phi_sum", "phi"), ("psi_series", "_psi_sum", "psi")):
-        fn, kernel = getattr(ra, name), getattr(ra, private)
-        monkeypatch.setattr(ra, name, lambda *a, fn=fn, k=key: visits[k].append(a[3]) or fn(*a))
+    coefficients = ra.phi_coefficients
+
+    def visit(*args, psi=False):
+        visits["psi" if psi else "phi"].append(args[3])
+        return coefficients(*args, psi=psi)
+
+    monkeypatch.setattr(ra, "phi_coefficients", visit)
+    for private, key in (("_phi_sum", "phi"), ("_psi_sum", "psi")):
+        kernel = getattr(ra, private)
         monkeypatch.setattr(ra, private, lambda *a, fn=kernel, k=key: sums[k].append(a[1]) or fn(*a))
     code, _, _ = run_cli(capsys, "check", "fourier")
     assert code == 0
@@ -369,7 +375,50 @@ def test_phi_subcommand_single_coefficient(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["j"] == 0
-    assert "tail" in payload and "coefficient" in payload
+    assert "tail" in payload and "coefficient" in payload and "error_estimate" in payload
+    assert "error_estimate" not in _payload(capsys, "phi", "--z", "0", "2")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--j", "3", "--z", "-0.45", "0.8"),
+        ("--j", "0", "--z", "0", "2"),
+        ("--j", "10", "--z", "0.3", "1.2", "--sign", "-"),
+        ("--j", "7", "--form", "s16", "--r", "13", "--s", "11", "--z", "-0.3", "1.1"),
+    ],
+    ids=lambda args: " ".join(args),
+)
+def test_phi_j_prints_the_decomposed_coefficient_and_its_error(capsys, args):
+    # the coefficient keeps the bytes of phi's value decomposed by hand, at
+    # either sign of x, and error_estimate is that of `phi_coefficients`
+    payload = _payload(capsys, "phi", *args)
+    cfg = payload["config"]
+    f = cli.resolve_form(cfg["form"], cfg["N"])
+    w, z, t = BiWeight(cfg["r"], cfg["s"]), complex(cfg["z_re"], cfg["z_im"]), ra.TruncationParams()
+    sign, j = payload["sign"], payload["j"]
+    want = complex(ra.coeff_decompose(ra.phi(f, w, sign, z, t).value, z, f.k)[j])
+    assert payload["coefficient"] == [want.real, want.imag]
+    assert payload["error_estimate"] == ra.phi_coefficients(f, w, sign, z, t).tail_estimate
+    assert 0.0 < payload["error_estimate"] < math.inf
+
+
+def test_no_command_decomposes_a_series_value_by_hand(capsys, monkeypatch):
+    # phi(j) and psi(j) come from `phi_coefficients`: `coeff_decompose`
+    # still serves other polynomials (the closed form's boundary term), but
+    # no command or suite hands it a series value
+    decompose, by_hand = ra.coeff_decompose, []
+    monkeypatch.setattr(
+        ra, "coeff_decompose", lambda P, z, k: by_hand.append(isinstance(P, ra._Coeffs)) or decompose(P, z, k)
+    )
+    calls, coefficients = [], ra.phi_coefficients
+    monkeypatch.setattr(ra, "phi_coefficients", lambda *a, **kw: calls.append(kw) or coefficients(*a, **kw))
+    _payload(capsys, "fourier", "--psi", "--i", "2", "--l", "1", "--M", "64")
+    assert calls == [{"psi": True}] * 65
+    _payload(capsys, "phi", "--j", "4", "--z", "-0.3", "1.2")
+    for suite in ("dualroute", "coeffs", "fourier", "modularity"):
+        assert _payload(capsys, "check", suite)["passed"]
+    assert by_hand and not any(by_hand)
 
 
 def test_fourier_subcommand(capsys):

@@ -168,11 +168,11 @@ def test_phi_identities_share_one_stencil_pass(monkeypatch):
 def test_coeffs_suite_shares_one_stencil_pass(monkeypatch):
     # phi is summed at the 7 of its 9 stencil nodes with x >= 0, z among
     # them (the nodes at x = -h, -2h read their mirrors), and once at the
-    # raised weight: 8 sums for its 11 visits
+    # raised weight: 8 sums for the 11 visits of its phi(j)
     from miint import checks
 
     sums = _count_calls(monkeypatch, "_phi_sum")
-    visits = _count_calls(monkeypatch, "phi")
+    visits = _count_calls(monkeypatch, "phi_coefficients")
     results = checks.suite_coeffs_identity()
     assert all(r.passed for r in results)
     assert len(sums) == 8 and len(visits) == 11

@@ -9,7 +9,7 @@ from miint import periods as per
 from miint import qforms as qf
 from miint import raseries as ra
 from miint import vvdim
-from miint.group import reduced_classes, taylor_shift
+from miint.group import cosets, reduced_classes, taylor_shift
 
 
 @pytest.fixture(autouse=True)
@@ -43,7 +43,7 @@ def test_a_psi_image_without_its_signs_fails_the_invariance_suite(monkeypatch):
     # psi at x < 0 read as conj psi(-conj z; X), not -conj psi(-conj z; -X):
     # of the suite's points only S(0.5+2i) has x < 0 (S(2i) has x = -0.0)
     image = ra._image
-    monkeypatch.setattr(ra, "_image", lambda v: v.conj() if np.ndim(v) else image(v))
+    monkeypatch.setattr(ra, "_image", lambda v, *basis: v.conj() if np.ndim(v) else image(v, *basis))
     failures = _failures("invariance")
     assert [res.name for res in failures] == [
         f"phi{sign} invariance under S at z = (0.5+2j)" for sign in "+-"
@@ -55,7 +55,7 @@ def test_an_eisenstein_image_without_its_conjugation_fails_the_equivariance_suit
     # E_{r,s} at x < 0 read as E(-conj z), not its conjugate: E_{7,7} is real,
     # so only the E_{11,9} line, whose S-image has x < 0, sees it
     image = ra._image
-    monkeypatch.setattr(ra, "_image", lambda v: image(v) if np.ndim(v) else v)
+    monkeypatch.setattr(ra, "_image", lambda v, *basis: image(v, *basis) if np.ndim(v) else v)
     failures = _failures("equivariance")
     assert [res.name for res in failures] == ["E_{11,9} under S at 0.3+1.2i"]
     assert failures[0].residual >= 1e3 * failures[0].tolerance
@@ -154,12 +154,15 @@ def test_a_leading_coefficient_off_by_1e_8_fails_both_anchor_lines(monkeypatch):
     assert all(res.residual >= 1e3 * res.tolerance for res in failures)
 
 
-@pytest.mark.parametrize("rows", [60, slice(None)], ids=["one coefficient row", "whole kernel"])
+@pytest.mark.parametrize(
+    "rows", [60, 0, slice(None)], ids=["one coefficient row", "row 0", "whole kernel"]
+)
 def test_a_depth3_kernel_off_by_1e_6_fails_the_shuffle_line(monkeypatch, rows):
     # the depth-3 kernel scaled by 1 + 1e-6, in one coefficient row (60:
-    # Y1^5 Y2^5 for Delta twice) or whole: a scaled value is still
-    # z-independent and T-invariant, so only the shuffle product against
-    # two Eichler integrals sees it
+    # Y1^5 Y2^5 for Delta twice; 0: Y1^0 Y2^0, the smallest coefficients,
+    # which only a budget per coefficient sees) or whole: a scaled value is
+    # still z-independent and T-invariant, so only the shuffle product
+    # against two Eichler integrals sees it
     kernel = per._iterated_kernel
 
     def scaled(forms):
@@ -172,3 +175,23 @@ def test_a_depth3_kernel_off_by_1e_6_fails_the_shuffle_line(monkeypatch, rows):
     failures = _failures("order3")
     assert [res.name for res in failures] == ["shuffle I_{f,g} + I_{g,f} = F_f F_g"]
     assert failures[0].residual >= 10 * failures[0].tolerance
+
+
+@pytest.mark.parametrize("coset", [(5, 2), (7, 3)], ids=str)
+def test_a_dropped_coset_fails_the_modularity_suite(monkeypatch, coset):
+    # a coset (c, d) and its mirror (c, -d) dropped from every weight of
+    # E_{r,s}, psi and phi, which every other line misses: phi(j) at gz
+    # against phi(j) at z under eight words sees it
+    data = cosets(40, 400)
+    i = int(np.flatnonzero((data.cs == coset[0]) & (data.ds == coset[1]))[0])
+    weights = ra._rs_weights
+
+    def dropped(t, z, w):
+        wts, mag = weights(t, z, w)
+        wts[:, i], mag[i] = 0.0, 0.0
+        return wts, mag
+
+    monkeypatch.setattr(ra, "_rs_weights", dropped)
+    failures = _failures("modularity")
+    assert len(failures) == 2
+    assert all(res.residual >= 10 * res.tolerance for res in failures)

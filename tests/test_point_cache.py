@@ -87,9 +87,16 @@ def _record_requests(monkeypatch) -> list:
 
 def _entries_by_function(requests) -> dict:
     """The number of distinct entries that `requests` asks for, per cached
-    function: the series sums, the closed form's '+' array, and the slash
-    matrices of `coeff_decompose`."""
+    function: the series sums, the closed form's '+' array, the slash
+    matrices of `coeff_decompose` and the phi(j) of `phi_coefficients`."""
     return dict(Counter(series.__name__ for series, *_ in set(requests)))
+
+
+def _coefficient_entries(requests) -> dict:
+    """The number of distinct phi(j) or psi(j) entries of `phi_coefficients`
+    that `requests` asks for, per series that they decompose."""
+    entries = (args for series, _, _, *args in set(requests) if series is ra._coeff_sum)
+    return dict(Counter(args[0].__name__ for args in entries))
 
 
 def test_signed_zeros_of_x_are_separate_entries(monkeypatch):
@@ -124,6 +131,9 @@ def test_signed_zeros_of_x_are_separate_entries(monkeypatch):
         (lambda: ra.psi_series(DELTA, W, "x", 2j, T40), ValueError),
         (lambda: ra.closed_form_phi(DELTA, W, "x", 2j, T40), ValueError),
         (lambda: ra.phi(DELTA, W, "+", 1e-3j, T40), PrecisionError),
+        (lambda: ra.phi_coefficients(DELTA, W, "+", 1e-3j, T40), PrecisionError),
+        (lambda: ra.phi_coefficients(DELTA, W, "x", 2j, T40, psi=True), ValueError),
+        (lambda: ra.phi_coefficients(DELTA, BiWeight(6, 6), "+", 2j, T40, psi=True), ConvergenceError),
         # a miss whose coset sum overflows float64
         (lambda: ra.eisenstein_rs(BiWeight(10, 10), 1e-160j, T40), PrecisionError),
         # a decomposition: the set-up caches the slash matrices at 2j and
@@ -336,11 +346,14 @@ def test_cache_clear_drops_the_reflected_and_canonical_entries():
 
 def test_the_series_suites_sum_each_requested_entry_once(monkeypatch):
     # from a cleared cache, the eight suites that read coset series ask the
-    # cache for 259 distinct (series, t, key, args) series entries and 203
-    # slash matrices of `coeff_decompose`, 105 built by `binomial_matrix`
-    # and 98 left of the axis mirrored from them, many of them more than
-    # once, and each is a miss once: nothing is evicted and summed or built
-    # again, so no memo in front of the cache would save a sum
+    # cache for 259 distinct (series, t, key, args) series entries, 204
+    # phi(j) and psi(j) entries of `phi_coefficients` (106 and 98), and 105
+    # slash matrices, all at x >= 0 and built by `binomial_matrix`: every
+    # phi(j) left of the axis is the image of its mirror's entry, which needs
+    # no matrix at z.  Many are asked for more than once, and each is a miss
+    # once: the 568 entries pass the bound of 512, but no entry is evicted
+    # before its last request, so no memo in front of the cache would save
+    # a sum
     from miint import checks
 
     requests = _record_requests(monkeypatch)
@@ -351,14 +364,15 @@ def test_the_series_suites_sum_each_requested_entry_once(monkeypatch):
     for name in suites:
         assert all(r.passed for r in checks.SUITES[name]())
     counts = _entries_by_function(requests)
-    matrices = counts.pop("_slash_entry")
-    assert (sum(counts.values()), matrices) == (259, 203)
+    matrices, coefficients = counts.pop("_slash_entry"), counts.pop("_coeff_sum")
+    assert (sum(counts.values()), coefficients, matrices) == (259, 204, 105)
+    assert _coefficient_entries(requests) == {"_phi_sum": 106, "_psi_sum": 98}
     keys = [key for series, _, key, *_ in set(requests) if series is ra._slash_entry]
     left = [key for key in keys if struct.unpack("<2d", key)[0] < 0]
     slashes = [args for args in built if args[2:4] == (-1, 1)]  # not `coeff_basis`'s
-    assert (len(slashes), len(left)) == (105, 98)
-    assert CACHE.cache_info().misses == len(set(requests)) == 259 + 203
-    assert len(requests) > 259 + 203
+    assert (len(slashes), len(left)) == (105, 0)
+    assert CACHE.cache_info().misses == len(set(requests)) == 259 + 204 + 105
+    assert len(requests) > 259 + 204 + 105
 
 
 # the slash matrix of `coeff_decompose` depends on (z, k) only: the point
@@ -440,3 +454,85 @@ def test_the_cached_slash_matrix_is_read_only():
         assert CACHE.cache_info().misses == misses
         with pytest.raises(ValueError):
             cached[0, 0] = 0.0
+
+
+# `phi_coefficients`: phi(j) or psi(j) at a point as an entry of its own,
+# bitwise the decomposition of the series value at x >= 0 and x = -0.0, and
+# at x < 0 (not -0.0) the image -conj of the entry at -conj z, the same j
+S16 = qf.cusp_basis(16)[0]
+_COEFF_FORMS = {
+    "delta": (DELTA, (W, BiWeight(10, 10))),
+    "s16": (S16, (BiWeight(13, 11), BiWeight(9, 11))),
+}
+_COEFF_CASES = {
+    f"{name}-({w.r},{w.s}){sign}-{'psi' if psi else 'phi'}": (form, w, sign, psi)
+    for name, (form, weights) in _COEFF_FORMS.items()
+    for w in weights
+    for sign in "+-"
+    for psi in (False, True)
+}
+
+
+def _uint64(values) -> list:
+    return np.asarray(values).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("form, w, sign, psi", _COEFF_CASES.values(), ids=_COEFF_CASES)
+def test_phi_coefficients_are_the_decomposition_and_left_of_the_axis_its_image(form, w, sign, psi):
+    series = ra.psi_series if psi else ra.phi
+    rng = np.random.default_rng(form.k + w.r + 2 * psi + (sign == "-"))
+    for x, y in zip(rng.uniform(0.05, 1.4, 5), rng.uniform(0.6, 2.0, 5)):
+        for z in (complex(x, y), complex(0.0, y), complex(-0.0, y)):
+            got = ra.phi_coefficients(form, w, sign, z, T40, psi=psi)
+            want = ra.coeff_decompose(series(form, w, sign, z, T40).value, z, form.k)
+            assert _uint64(got.value) == _uint64(want)
+        right = ra.phi_coefficients(form, w, sign, complex(x, y), T40, psi=psi)
+        left = ra.phi_coefficients(form, w, sign, complex(-x, y), T40, psi=psi)
+        assert _uint64(left.value) == _uint64(-right.value.conj())
+        assert left.tail_estimate == right.tail_estimate
+        # and the same values as the decomposition of the series' own image
+        z = complex(-x, y)
+        assert np.array_equal(left.value, ra.coeff_decompose(series(form, w, sign, z, T40).value, z, form.k))
+
+
+def test_a_fourier_pair_of_phi_coefficients_sums_33_entries_and_reads_the_rest_as_images(monkeypatch):
+    # 65 points (the probe at x = 1/2 and the 64 nodes) per series: the 33
+    # with x >= 0 are entries of their own, each reading the series and the
+    # slash matrix at its point, and the 32 others read their mirrors'
+    # entries; phi(j) and psi(j) share the matrices, and the second mode
+    # of each pair reads every entry again and misses none
+    requests = _record_requests(monkeypatch)
+    fns = [
+        lambda z, psi=psi: complex(ra.phi_coefficients(DELTA, W, "+", z, T40, psi=psi).value[4])
+        for psi in (False, True)
+    ]
+    modes = [ra.fourier_coefficient(fn, l, 1.25, M=64) for fn in fns for l in (1, 2)]
+    assert _coefficient_entries(requests) == {"_phi_sum": 33, "_psi_sum": 33}
+    assert _entries_by_function(requests) == {
+        "_coeff_sum": 66,
+        "_phi_sum": 33,
+        "_psi_sum": 33,
+        "_slash_entry": 33,
+    }
+    assert all(struct.unpack("<2d", key)[0] >= 0 for _, _, key, *_ in requests)
+    misses = CACHE.cache_info().misses
+    assert [ra.fourier_coefficient(fn, l, 1.25, M=64) for fn in fns for l in (1, 2)] == modes
+    assert CACHE.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("psi", [False, True], ids=["phi", "psi"])
+def test_a_phi_coefficient_hit_is_read_only_and_left_of_the_axis_the_image_of_its_entry(psi):
+    z, mirror = complex(-0.25, 1.25), complex(0.25, 1.25)
+    right = ra.phi_coefficients(DELTA, W, "-", mirror, T40, psi=psi)
+    series = ra._psi_sum if psi else ra._phi_sum
+    entry, tail = CACHE(ra._coeff_sum, T40, ra._point_key(mirror), series, DELTA, W, True)
+    assert (_uint64(right.value), right.tail_estimate) == (_uint64(entry), tail)
+    misses = CACHE.cache_info().misses
+    for _ in range(2):  # a hit, then a hit after the writes below failed
+        left = ra.phi_coefficients(DELTA, W, "-", z, T40, psi=psi)
+        assert CACHE.cache_info().misses == misses
+        assert (_uint64(left.value), left.tail_estimate) == (_uint64(-entry.conj()), tail)
+        for sv in (left, ra.phi_coefficients(DELTA, W, "-", mirror, T40, psi=psi)):
+            with pytest.raises(ValueError):
+                sv.value[0] = 0.0
+    assert _uint64(entry) == _uint64(right.value)

@@ -279,6 +279,19 @@ def test_coeff_decompose_of_an_eichler_integral_matches_a_50_digit_solve():
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("psi", [False, True], ids=["phi", "psi"])
+def test_the_phi_coefficient_error_bounds_the_move_to_twice_the_rectangle(psi):
+    # the tail times |B(z)|_inf |z - conj z|^-(k-2) against C = 80, near the
+    # critical weight (8, 6) where the cosets past C = 40 still move phi, and
+    # at (13, 11) for weight 16, off the axis on both sides and past x = 1
+    s16 = qf.cusp_basis(16)[0]
+    for form, w in ((DELTA, BiWeight(8, 6)), (DELTA, W), (s16, BiWeight(13, 11))):
+        for z in (0.3 + 1.2j, -0.45 + 0.8j, 1.3 + 0.9j):
+            coarse = ra.phi_coefficients(form, w, "+", z, T40, psi=psi)
+            fine = ra.phi_coefficients(form, w, "+", z, T40.scaled(2), psi=psi)
+            assert np.abs(coarse.value - fine.value).max() <= coarse.tail_estimate
+
+
 def test_phi_coefficient_vs_closed_form():
     z = 2j
     phiv = ra.phi(DELTA, W, "+", z, T40)
