@@ -126,11 +126,13 @@ def suite_vvdim_recurrence() -> list[CheckResult]:
 
 
 def suite_cocycle() -> list[CheckResult]:
-    """The cocycle relation over random word pairs, and the two lines on the
-    anchor r(S), from which every period is slashed: the relation
-    r(S)|(1 + U + U^2) = 0, U = TS, that (TS)^3 = -I imposes on it, and its
-    base-point independence.  Each anchor line is held to 8 eps times the
-    sum of the magnitudes that its difference cancels, over its scale."""
+    """The cocycle relation over random word pairs, and the three lines on
+    the anchor r(S), from which every period is slashed: the relation
+    r(S)|(1 + U + U^2) = 0, U = TS, that (TS)^3 = -I imposes on it, its
+    base-point independence, each held to 8 eps times the sum of the
+    magnitudes that its difference cancels, over its scale; and r(S) of
+    Delta against Kohnen-Zagier's rational periods, each part up to one
+    real scale, held to 8 eps with no floor."""
     f = qforms.delta_q()
     k = f.k
     rng = random.Random(SEED)
@@ -162,6 +164,17 @@ def suite_cocycle() -> list[CheckResult]:
     scale = max(1.0, np.abs(base[0]).max())
     res = np.abs(base[0] - base[1]).max() / scale
     out.append(_result("base-point independence of r(S)", res, 8 * periods._EPS * cancelled / scale))
+
+    # the odd part of r(S) is real, the even part imaginary, and each is a
+    # real multiple of a rational period polynomial (Kohnen-Zagier): one
+    # least-squares scale per part, the larger relative residual reported
+    odd = np.array([0, 4, 0, -25, 0, 42, 0, -25, 0, 4, 0], dtype=np.float64)
+    even = np.array([-36 / 691, 0, 1, 0, -3, 0, 3, 0, -1, 0, 36 / 691])
+    r_S, res = periods._anchor(f), 0.0
+    for part, rational in ((r_S.real, odd), (r_S.imag, even)):
+        fit = part @ rational / (rational @ rational) * rational
+        res = max(res, np.abs(part - fit).max() / np.abs(part).max())
+    out.append(_result("r(S) of Delta against Kohnen-Zagier's rational periods", res, 8 * periods._EPS))
     return out
 
 

@@ -370,6 +370,8 @@ def _cmd_iterated(ns, cfg: RunConfig) -> int:
             "weights": list(data.weights),
             "coeffs": np.stack([v.real, v.imag], -1).tolist(),
             "parabolic_residual": t_res,
+            # the scale the residual is read against: max |coefficient| of the value
+            "parabolic_scale": float(np.abs(v).max()),
         },
         cfg,
     )

@@ -54,26 +54,32 @@ validates its arguments (convergence, sign, the point and, for phi, its
 q-series floor) and then reads one bounded cache of point values
 (`_point_value`, the `_POINT_CACHE` most recently used, which also holds
 the slash matrix of `coeff_decompose` and the phi(j) or psi(j) of
-`phi_coefficients` at each point), keyed by the private series, its exact
-arguments (form, weights, sign, n and k, truncation) and the bit pattern
-of the validated point (`_point_key`, so 0.0 and -0.0 stay apart).  A miss
-runs the series, so a hit is bitwise the value and tail of a fresh call; a
-call that raises caches nothing, and an array is handed out, with no copy,
-as a read-only view of its cached array.  A second Fourier sample at the
-same nodes, or a check that revisits a point, sums no coset.
+`phi_coefficients` at each point), keyed by the private kind of entry,
+its exact arguments (the series, form, weights, sign, n and k,
+truncation) and the bit pattern of the validated point (`_point_key`, so
+0.0 and -0.0 stay apart).  A miss runs the series, so a hit is bitwise the
+value and tail of a fresh call; a call that raises caches nothing.  An
+entry holds the public values themselves, frozen `SeriesValue`s whose
+arrays are read-only `_Coeffs` views, so a warm read builds nothing and
+hands every caller the object of the first read.  A second Fourier sample
+at the same nodes, or a check that revisits a point, sums no coset.
 
 A point left of the axis is read from its mirror.  Conjugation by eps
-normalises B and maps the rectangle onto itself, so at x < 0 (not -0.0)
-every public coset series is the `_image` of its entry at -conj z
-(`_series_value`): E_{r,s} and the Poincare series read conj, psi, G and
-phi read -conj(.)(-X), phi as F(-conj z; X) = -conj F(z; -X) for a form
-with real coefficients, and phi(j) and psi(j) read -conj.  Each tail keeps
-its bits, and a value lies within its tail of a fresh sum at z.  The closed
-form's own coset pass is not reflected, and a slash matrix at x < 0 is an
-entry of its own, built once from the entry at -conj z.  `fourier_modes`
-samples a grid symmetric about 0, so a sample, every mode from one FFT,
-sums the cosets at about half its nodes and builds the slash matrices at
-about half.
+normalises B and maps the rectangle onto itself, so the value at -conj z
+of every coset series is the `_image` of its value at z: E_{r,s} and the
+Poincare series read conj, psi, G and phi read -conj(.)(-X), phi as
+F(-conj z; X) = -conj F(z; -X) for a form with real coefficients, and
+phi(j) and psi(j) read -conj.  Each tail keeps its bits, and a value lies
+within its tail of a fresh sum at z.  So every entry of a reflected kind
+(`_series_entry`, `_coeff_sum`, `_slash_entry`) is keyed at x >= 0 or
+-0.0 and holds the public value at z beside the one at -conj z, both
+built once when the sum or matrix is made; a read at either sign of x is
+one lookup and one index (`_reflected`), and at x < 0 (not -0.0) it is
+the mirror half of the entry at -conj z.  The closed form's own coset
+pass is not reflected; its '+' entry holds the '-' array read from it.
+`fourier_modes` samples a grid symmetric about 0, so a sample, every mode
+from one FFT, sums the cosets and builds the slash matrices at about half
+its nodes.
 """
 
 from __future__ import annotations
@@ -108,11 +114,13 @@ _PERIODICITY_RTOL = 1e-6
 #: cosets per block of the closed form's coset pass: its working memory is
 #: three (k-1) x _BLOCK complex buffers, allocated once per pass and refilled
 _BLOCK = 4096
-#: entries held by the point cache `_point_value`, series values, '+' arrays,
-#: slash matrices and phi(j) together: one sample at the default M stores 65
-#: per series, its nodes with x >= 0 and the probe at 1/2, and 129 matrices
-#: if decomposed by hand, or 65 matrices and 65 phi(j) if read as such (1.9
-#: MiB at k = 16 were every entry a matrix, 0.3 MiB were none)
+#: entries held by the point cache `_point_value`, series values, closed
+#: forms, slash matrices and phi(j) together, each of a reflected kind with
+#: its mirror: one sample at the default M stores 65 per series, its nodes
+#: with x >= 0 and the probe at 1/2, and 65 matrices if decomposed by hand,
+#: or 65 matrices and 65 phi(j) if read as such (at k = 16 a matrix entry
+#: takes about 7.5 KiB and a series or phi(j) entry about 1.5 KiB: 3.8 MiB
+#: were every entry a matrix, 0.8 MiB were none)
 _POINT_CACHE = 512
 
 
@@ -153,32 +161,47 @@ class _Coeffs(np.ndarray):
         return float(np.abs(self).max())
 
 
-@dataclass
+@dataclass(frozen=True)
 class SeriesValue:
     """Evaluated series plus its tail estimate: a complex, or the ascending
-    coefficients of a polynomial in X as a read-only array of length k - 1."""
+    coefficients of a polynomial in X as a read-only array of length k - 1.
+    Frozen, as one instance, held by its point-cache entry, is handed to
+    every caller that reads its point."""
 
     value: object  # complex or _Coeffs
     tail_estimate: float
 
 
+_PACK = struct.Struct("<2d").pack
+
+
 def _point_key(z: complex) -> bytes:
     """The bit pattern of a complex point, the key of the point cache:
     unlike the complex itself, it keeps 0.0 and -0.0 apart."""
-    return struct.pack("<2d", z.real, z.imag)
+    return _PACK(z.real, z.imag)
 
 
 @lru_cache(maxsize=_POINT_CACHE)
-def _point_value(series, t: TruncationParams | None, key: bytes, *args):
-    """series(t, z, *args) at the validated point z whose bit pattern is
-    `key` (`_point_key`), kept for later calls with the same series,
-    arguments and key: a coset series or its phi(j), the closed form's '+'
-    array, or with t = None the slash matrix of `coeff_decompose`
-    (`_slash_entry`, whose miss at x < 0 reads the entry at -conj z).  A
-    miss runs the series itself, and a call that raises caches nothing.
-    A value is shared by every hit, so its arrays are read-only, and a
-    caller that writes makes its own copy."""
-    return series(t, complex(*struct.unpack("<2d", key)), *args)
+def _point_value(kind, t: TruncationParams | None, key: bytes, *args):
+    """The entry kind(t, z, *args) at the validated point z whose bit
+    pattern is `key` (`_point_key`), kept for later calls with the same
+    kind, arguments and key.  A reflected kind is keyed at x >= 0 or -0.0
+    and read through `_reflected`; its entry is the pair of public values
+    at z and at -conj z: of a coset series (`_series_entry`), of its phi(j)
+    or psi(j) (`_coeff_sum`), or with t = None the slash matrix of
+    `coeff_decompose` (`_slash_entry`).  The closed form's entry is its '+'
+    array and the '-' array read from it (`_closed_form_plus`).  A miss
+    runs the kind itself, and a call that raises caches nothing.  An entry
+    is shared by every hit, so its arrays are read-only and its values
+    frozen, and a caller that writes makes its own copy."""
+    return kind(t, complex(*struct.unpack("<2d", key)), *args)
+
+
+def _reflected(kind, t: TruncationParams | None, z: complex, *args):
+    """The public value of a reflected kind at a validated z: one lookup of
+    its entry at x >= 0 (-conj z when x < 0, not -0.0) and one index."""
+    x = z.real
+    return _point_value(kind, t, _PACK(-x if x < 0 else x, z.imag), *args)[x < 0]
 
 
 @lru_cache(maxsize=6)
@@ -403,18 +426,22 @@ def _image(value, basis: bool = False):
     return -value.conj() if basis else _mirror_signs(value.size) * value.conj()
 
 
-def _series_value(series, t: TruncationParams, z: complex, *args) -> SeriesValue:
-    """The public value of `series` at a validated z, read from the point
-    cache; at x < 0 (not -0.0), the `_image` of the entry at -conj z, whose
-    terms are those at z with each coset and its mirror swapped, so its tail
-    holds the same bits.  A coefficient array is handed out, with no copy, as
-    a read-only `_Coeffs` view of the cached array or of its image."""
-    if z.real < 0:
-        value, tail = _point_value(series, t, _point_key(complex(-z.real, z.imag)), *args)
-        value = _image(value, series is _coeff_sum)
-    else:
-        value, tail = _point_value(series, t, _point_key(z), *args)
-    return SeriesValue(value if np.ndim(value) == 0 else read_only(value.view(_Coeffs)), tail)
+def _mirrored_pair(value, tail: float, basis: bool = False) -> tuple[SeriesValue, SeriesValue]:
+    """The public values at z and at -conj z of a coset series, or with
+    `basis` of its phi(j) or psi(j), whose value at z is `value`: `value`
+    and its `_image`, with one tail, as the terms at -conj z are those at z
+    with each coset and its mirror swapped.  An array is held as a read-only
+    `_Coeffs` view, which every read hands out with no copy."""
+    return tuple(
+        SeriesValue(v if np.ndim(v) == 0 else read_only(v.view(_Coeffs)), tail)
+        for v in (value, _image(value, basis))
+    )
+
+
+def _series_entry(t: TruncationParams, z: complex, series, *args) -> tuple[SeriesValue, SeriesValue]:
+    """The point-cache entry of a coset series (`series` with `args`) at a
+    validated z, x >= 0 or -0.0: its public values at z and at -conj z."""
+    return _mirrored_pair(*series(t, z, *args))
 
 
 def _eisenstein_sum(t: TruncationParams, z: complex, w: BiWeight) -> tuple[complex, float]:
@@ -428,7 +455,7 @@ def eisenstein_rs(
     j(g,z)^(-r) j(g, conj z)^(-s), identity coset contributing 1."""
     if w.r + w.s <= 2:
         raise ConvergenceError(f"weights ({w.r},{w.s}) diverge: r + s must exceed 2")
-    return _series_value(_eisenstein_sum, t, t.validate_at(z), w)
+    return _reflected(_series_entry, t, t.validate_at(z), _eisenstein_sum, w)
 
 
 def _check_psi(hform: QExpansion, w: BiWeight) -> None:
@@ -457,7 +484,7 @@ def psi_series(
     """Second-order series sum over B\\Gamma of r(gamma; X) j^(-r) jbar^(-s);
     the identity coset contributes nothing."""
     _check_psi(hform, w)
-    return _series_value(_psi_sum, t, t.validate_at(z), hform, w, _minus(sign))
+    return _reflected(_series_entry, t, t.validate_at(z), _psi_sum, hform, w, _minus(sign))
 
 
 def _phi_sum(
@@ -489,7 +516,7 @@ def phi(
     magnitudes."""
     _check_psi(hform, w)
     z = t.validate_at(z, q_series=True)  # F's floor, before any coset sum
-    return _series_value(_phi_sum, t, z, hform, w, _minus(sign))
+    return _reflected(_series_entry, t, z, _phi_sum, hform, w, _minus(sign))
 
 
 def coeff_basis(z: complex, m: int) -> np.ndarray:
@@ -502,15 +529,13 @@ def coeff_basis(z: complex, m: int) -> np.ndarray:
     return binomial_matrix(1, -z, 1, -z.conjugate(), m)
 
 
-def _slash_entry(_, z: complex, m: int) -> np.ndarray:
-    """The slash matrix of `coeff_decompose` at z, an entry of the point
-    cache; at x < 0 (not -0.0), built once from the entry at -conj z, column
-    j times (-1)^j conj, where + 0.0 makes each zero +0.0, as in a direct
-    build: the same bits."""
-    if z.real >= 0:
-        return read_only(binomial_matrix(-z.conjugate(), z, -1, 1, m))
-    B = _point_value(_slash_entry, None, _point_key(complex(-z.real, z.imag)), m)
-    return read_only(B.conj() * _mirror_signs(m + 2)[1:] + 0.0)  # (-1)^j, j = 0..m
+def _slash_entry(_, z: complex, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The point-cache entry of the slash matrix of `coeff_decompose` at a
+    validated z, x >= 0 or -0.0: B(z) and its mirror B(-conj z), column j
+    of B(z) times (-1)^j conj, where + 0.0 makes each zero +0.0, as in a
+    direct build: the same bits."""
+    B = read_only(binomial_matrix(-z.conjugate(), z, -1, 1, m))
+    return B, read_only(B.conj() * _mirror_signs(m + 2)[1:] + 0.0)  # (-1)^j, j = 0..m
 
 
 def coeff_decompose(P: np.ndarray, z: complex, k: int) -> np.ndarray:
@@ -518,23 +543,31 @@ def coeff_decompose(P: np.ndarray, z: complex, k: int) -> np.ndarray:
     P the k - 1 ascending coefficients of a polynomial: with
     u = (X - z)/(X - conj z), the slash of P by (-conj z  z; -1  1), which
     sends u to X, is (z - conj z)^(k-2) sum_i phi(i) X^i.  The slash matrix
-    depends on (z, k) only, and is built once per point (`_slash_entry`)."""
+    depends on (z, k) only, and is built once per point and its mirror
+    (`_slash_entry`)."""
     check_integers(k=k)
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    z, m = admissible_z(z), k - 2
-    if np.shape(P) != (k - 1,):
-        raise ValueError(f"need {k - 1} polynomial coefficients, got shape {np.shape(P)}")
-    return _point_value(_slash_entry, None, _point_key(z), m) @ np.asarray(P) * (z - z.conjugate()) ** -m
+    z, m, P = admissible_z(z), k - 2, np.asarray(P)
+    if P.shape != (k - 1,):
+        raise ValueError(f"need {k - 1} polynomial coefficients, got shape {P.shape}")
+    x = z.real  # `_reflected`, inline: one lookup and one index
+    phis = _point_value(_slash_entry, None, _PACK(-x if x < 0 else x, z.imag), m)[x < 0].dot(P)
+    phis *= (z - z.conjugate()) ** -m  # in place: `dot` and `*=` have the bits of `B @ P * scale`
+    return phis
 
 
-def _coeff_sum(t: TruncationParams, z: complex, series, *args) -> tuple[np.ndarray, float]:
-    """The basis coefficients of `series` (`_phi_sum` or `_psi_sum`; `args`
-    its form, weights and sign) at a validated z, x >= 0 or -0.0, bitwise
-    `coeff_decompose`, and its tail times the bound |B(z)|_inf |z - conj z|^-m."""
-    (value, tail), m = _point_value(series, t, _point_key(z), *args), args[0].k - 2
-    B, scale = _point_value(_slash_entry, None, _point_key(z), m), (z - z.conjugate()) ** -m
-    return read_only(B @ value * scale), tail * float(np.abs(B).sum(axis=1).max()) * abs(scale)
+def _coeff_sum(t: TruncationParams, z: complex, series, *args) -> tuple[SeriesValue, SeriesValue]:
+    """The point-cache entry of the basis coefficients of `series`
+    (`_phi_sum` or `_psi_sum`; `args` its form, weights and sign) at a
+    validated z, x >= 0 or -0.0: at z bitwise `coeff_decompose` of the
+    series' entry, with its tail times the bound |B(z)|_inf |z - conj z|^-m,
+    and at -conj z their `_image`."""
+    key, m = _point_key(z), args[0].k - 2
+    at_z, B = _point_value(_series_entry, t, key, series, *args)[0], _point_value(_slash_entry, None, key, m)[0]
+    phis, scale = B.dot(at_z.value), (z - z.conjugate()) ** -m
+    phis *= scale
+    return _mirrored_pair(phis, at_z.tail_estimate * float(np.abs(B).sum(axis=1).max()) * abs(scale), basis=True)
 
 
 def phi_coefficients(
@@ -543,10 +576,10 @@ def phi_coefficients(
 ) -> SeriesValue:
     """The coefficients phi(j; z), j = 0..k-2, of phi(z; X) in the basis
     (X-z)^j (X-conj z)^(k-2-j), or with `psi` those of psi_series, and their
-    error: a cache entry (`_coeff_sum`), at x < 0 the `_image` at -conj z."""
+    error: half of a cache entry (`_coeff_sum`), at x < 0 its image of -conj z."""
     _check_psi(hform, w)
     z = t.validate_at(z, q_series=not psi)
-    return _series_value(_coeff_sum, t, z, _psi_sum if psi else _phi_sum, hform, w, _minus(sign))
+    return _reflected(_coeff_sum, t, z, _psi_sum if psi else _phi_sum, hform, w, _minus(sign))
 
 
 @lru_cache(maxsize=None)
@@ -630,26 +663,28 @@ def closed_form_phi(
     factors.  With q = j - m and p = j + n the double sum regroups into the
     coset sums v[q, p] of `_closed_form_sums`, shared by every j.  The minus
     case is evaluated through the exact conjugation symmetry
-    phi^-_{r,s}(j) = conj(phi^+_{s,r}(k-2-j)).  The plus arrays are held
-    by the point cache `_point_value`.
+    phi^-_{r,s}(j) = conj(phi^+_{s,r}(k-2-j)).  The plus array of (r, s)
+    and the minus array of (s, r) read from it are one entry of the point
+    cache `_point_value`.
     """
     _check_psi(hform, w)
     key = _point_key(t.validate_at(z, q_series=True))  # F's floor, before any coset sum
-    if not _minus(sign):
-        return _point_value(_closed_form_plus, t, key, hform, w)
-    return read_only(_point_value(_closed_form_plus, t, key, hform, w.swapped())[::-1].conj())
+    minus = _minus(sign)
+    return _point_value(_closed_form_plus, t, key, hform, w.swapped() if minus else w)[minus]
 
 
 def _closed_form_plus(
     t: TruncationParams, z: complex, hform: QExpansion, w: BiWeight
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
+    """The point-cache entry of the closed form at z: the '+' array of
+    (r, s) and the '-' array of (s, r), its reversed conjugate."""
     k = hform.k
     # boundary term: the Eichler integral in the basis of phi(j), times E
     out = coeff_decompose(eichler_F(hform, z), z, k) * eisenstein_rs(w, z, t).value
     # prefactor from w - X = ((w-z)(X-cz) + (cz-w)(X-z)) / (z - cz)
     pref = (z - z.conjugate()) ** (2 - k)
     out += pref * np.einsum("jqp,qp->j", _closed_form_alpha(k), _closed_form_sums(hform, w, t, z))
-    return read_only(out)
+    return read_only(out), read_only(out[::-1].conj())
 
 
 def closed_form_phi_j(
@@ -712,7 +747,7 @@ def poincare(
         raise ConvergenceError("Poincare series needs even k >= 4")
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _series_value(_poincare_sum, t, t.validate_at(z), n, k)
+    return _reflected(_series_entry, t, t.validate_at(z), _poincare_sum, n, k)
 
 
 def _poincare_sum(t: TruncationParams, z: complex, n: int, k: int) -> tuple[complex, float]:
@@ -736,7 +771,7 @@ def second_order_G(
         raise ConvergenceError(f"need even k > k1 = {k1} > 2, got k = {k}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _series_value(_second_order_sum, t, t.validate_at(z), n, hform, k, _minus(sign))
+    return _reflected(_series_entry, t, t.validate_at(z), _second_order_sum, n, hform, k, _minus(sign))
 
 
 def _second_order_sum(

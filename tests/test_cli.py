@@ -342,6 +342,8 @@ def test_iterated_subcommand(capsys):
     assert payload["weights"] == [2, 12]
     assert payload["parabolic_residual"] <= 1e-9
     assert len(payload["coeffs"]) == 11
+    # the residual's scale: the largest |coefficient| of the printed value
+    assert payload["parabolic_scale"] == max(abs(complex(*c)) for c in payload["coeffs"])
 
 
 @pytest.mark.parametrize(
@@ -623,11 +625,21 @@ def test_dim_output_names_its_weights(capsys):
     assert _apart_from(default, *values) != _apart_from(other, *values)
 
 
+def test_iterated_prints_the_scale_of_its_parabolic_residual(capsys):
+    # two weight-24 slashes by T lose about 2e-8 of the value's size: the
+    # absolute residual reads large, and its scale shows it is roundoff
+    payload = _payload(capsys, "iterated", "--depth", "3", "--forms", "s24.0,s24.1", "--z", "0.3", "1.1")
+    coeffs = np.array(payload["coeffs"])
+    assert payload["parabolic_scale"] == np.abs(coeffs[..., 0] + 1j * coeffs[..., 1]).max()
+    assert 900 < payload["parabolic_scale"] < 1000
+    assert 1e-6 < payload["parabolic_residual"] < 1e-7 * payload["parabolic_scale"]
+
+
 def test_iterated_output_names_its_forms(capsys):
     first, second = (_payload(capsys, "iterated", "--forms", name) for name in ("s24.0", "s24.1"))
     assert (first["forms"], second["forms"]) == (["s24.0"], ["s24.1"])
     assert first["weights"] == second["weights"] == [2, 24]
-    values = ("coeffs", "parabolic_residual")
+    values = ("coeffs", "parabolic_residual", "parabolic_scale")
     assert _apart_from(first, *values) != _apart_from(second, *values)
     assert _payload(capsys, "iterated", "--depth", "1")["forms"] == []
 

@@ -552,6 +552,11 @@ def _cached_arrays():
     f, t, w = qforms.delta_q(40), raseries.TruncationParams(4, 40), BiWeight(10, 10)
     table, reduced = cosets(4, 40), periods.reduced_periods(f, 4)
     key = raseries._point_key(0.3 + 1.2j)
+
+    def halves(kind, t, *args):
+        """The arrays of a point-cache entry at `key`: at z and at -conj z."""
+        return [getattr(v, "value", v) for v in raseries._point_value(kind, t, key, *args)]
+
     return {
         "binomials": [binomials(6)],
         "_binomial_terms": list(group._binomial_terms(6)),
@@ -572,10 +577,12 @@ def _cached_arrays():
         "_mirror_signs": [raseries._mirror_signs(11)],
         "_closed_form_alpha": [raseries._closed_form_alpha(12)],
         "_point_value": [
-            raseries._point_value(raseries._psi_sum, t, key, f, w, False)[0],
-            raseries._point_value(raseries._phi_sum, t, key, f, w, True)[0],
-            raseries._point_value(raseries._second_order_sum, t, key, 1, f, 16, False)[0],
-            raseries._point_value(raseries._closed_form_plus, t, key, f, w),
+            *halves(raseries._series_entry, t, raseries._psi_sum, f, w, False),
+            *halves(raseries._series_entry, t, raseries._phi_sum, f, w, True),
+            *halves(raseries._series_entry, t, raseries._second_order_sum, 1, f, 16, False),
+            *halves(raseries._coeff_sum, t, raseries._phi_sum, f, w, False),
+            *halves(raseries._slash_entry, None, f.k - 2),
+            *halves(raseries._closed_form_plus, t, f, w),
             raseries.closed_form_phi(f, w, "-", 0.3 + 1.2j, t),
         ],
         "st": [vvdim.rho_matrices(12).st],

@@ -139,9 +139,10 @@ def test_an_anchor_coefficient_off_by_1e_8_fails_cocycle_and_classes(monkeypatch
     assert all(res.residual >= 10 * res.tolerance for res in failures["classes"])
 
 
-def test_a_leading_coefficient_off_by_1e_8_fails_both_anchor_lines(monkeypatch):
+def test_a_leading_coefficient_off_by_1e_8_fails_every_anchor_line(monkeypatch):
     # a(1) of Delta scaled by 1 + 1e-8: not a modular form, so r(S) depends
-    # on its base point and breaks the relation that (TS)^3 = -I imposes
+    # on its base point, breaks the relation that (TS)^3 = -I imposes and
+    # leaves the rational periods
     delta = qf.delta_q()
     coeffs = list(delta.coeffs)
     coeffs[1] *= 1 + 1e-8
@@ -150,8 +151,28 @@ def test_a_leading_coefficient_off_by_1e_8_fails_both_anchor_lines(monkeypatch):
     assert [res.name for res in failures] == [
         "r(S)|(1 + U + U^2) = 0, U = TS",
         "base-point independence of r(S)",
+        "r(S) of Delta against Kohnen-Zagier's rational periods",
     ]
     assert all(res.residual >= 1e3 * res.tolerance for res in failures)
+
+
+def test_an_anchor_moved_along_x10_minus_1_fails_only_the_rational_period_line(monkeypatch):
+    # the even part of r(S) moved along X^10 - 1 by 1e-9 of max|r(S)|: a
+    # coboundary direction, which the cocycle relation and r(S)|(1 + U + U^2)
+    # cannot see, and base-point independence does not read the anchor
+    anchor = per._anchor
+
+    def moved(f):
+        r_S = anchor(f).copy()
+        step = 1e-9 * np.abs(r_S).max()
+        r_S[0] -= 1j * step
+        r_S[-1] += 1j * step
+        return r_S
+
+    monkeypatch.setattr(per, "_anchor", moved)
+    failures = _failures("cocycle")
+    assert [res.name for res in failures] == ["r(S) of Delta against Kohnen-Zagier's rational periods"]
+    assert failures[0].residual >= 1e3 * failures[0].tolerance
 
 
 @pytest.mark.parametrize(

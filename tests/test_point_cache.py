@@ -1,7 +1,10 @@
 """The point cache of the coset series (`raseries._point_value`): a hit is
 bitwise a fresh call, a point is keyed by its bits, a call that raises
-caches nothing, and no caller can write into it."""
+caches nothing, and no caller can write into it.  An entry of a reflected
+kind is keyed at x >= 0 or -0.0 and holds its public value at z and at
+-conj z, so a warm read at either sign of x is one lookup."""
 
+import dataclasses
 import math
 import struct
 import sys
@@ -87,9 +90,15 @@ def _record_requests(monkeypatch) -> list:
 
 def _entries_by_function(requests) -> dict:
     """The number of distinct entries that `requests` asks for, per cached
-    function: the series sums, the closed form's '+' array, the slash
-    matrices of `coeff_decompose` and the phi(j) of `phi_coefficients`."""
-    return dict(Counter(series.__name__ for series, *_ in set(requests)))
+    function: the series sums (a `_series_entry` named by the sum it
+    holds), the closed form's '+' array, the slash matrices of
+    `coeff_decompose` and the phi(j) of `phi_coefficients`."""
+    return dict(
+        Counter(
+            (args[0] if kind is ra._series_entry else kind).__name__
+            for kind, _, _, *args in set(requests)
+        )
+    )
 
 
 def _coefficient_entries(requests) -> dict:
@@ -181,13 +190,17 @@ def test_writing_into_a_returned_value_leaves_the_cache_unchanged():
 
 
 def test_the_minus_closed_form_reads_the_plus_entry_of_the_swapped_weights():
+    # the '+' entry of the swapped weights carries the '-' array, built once
     z = 0.3 + 1.4j
     plus = ra.closed_form_phi(DELTA, W.swapped(), "+", z, T40)
-    misses = CACHE.cache_info().misses
+    size, misses = CACHE.cache_info().currsize, CACHE.cache_info().misses
     minus = ra.closed_form_phi(DELTA, W, "-", z, T40)
-    assert CACHE.cache_info().misses == misses
+    assert (CACHE.cache_info().currsize, CACHE.cache_info().misses) == (size, misses)
     assert minus.tobytes() == plus[::-1].conj().tobytes()
     assert not minus.flags.writeable
+    entry = CACHE(ra._closed_form_plus, T40, ra._point_key(z), DELTA, W.swapped())
+    assert entry[0] is plus and entry[1] is minus
+    assert ra.closed_form_phi(DELTA, W, "-", z, T40) is minus
 
 
 def test_the_cache_holds_at_most_its_bound():
@@ -331,6 +344,81 @@ def test_a_reflected_point_reads_the_same_bits_in_any_order_and_thread(name):
     assert all(run == runs[0] for run in runs)
 
 
+# every reflected kind read in public: each coset series, phi(j) and psi(j),
+# and the slash matrix of `coeff_decompose` (its product is a fresh array)
+_REFLECTED = {
+    **{name: series for name, (series, _) in _SERIES.items()},
+    **{
+        f"phi_coefficients{sign}-{'psi' if psi else 'phi'}": (
+            lambda z, sign=sign, psi=psi: ra.phi_coefficients(DELTA, W, sign, z, T40, psi=psi)
+        )
+        for sign in "+-"
+        for psi in (False, True)
+    },
+    "slash matrix": lambda z: ra._reflected(ra._slash_entry, None, z, DELTA.k - 2),
+}
+
+
+@pytest.mark.parametrize("name", _REFLECTED)
+def test_a_warm_read_at_either_sign_of_x_is_the_object_of_the_first_read(name, monkeypatch):
+    # the first read at z or at -conj z builds the one entry at x >= 0, and
+    # every later read at either point is a hit that adds no entry and hands
+    # out the object of the first read
+    requests = _record_requests(monkeypatch)
+    read, right, left = _REFLECTED[name], complex(0.3, 1.4), complex(-0.3, 1.4)
+    for order in ((left, right), (right, left)):
+        CACHE.cache_clear()
+        first = read(order[0])
+        size = CACHE.cache_info().currsize
+        firsts = (first, read(order[1]))
+        assert CACHE.cache_info().currsize == size
+        misses = CACHE.cache_info().misses
+        for _ in range(2):
+            for z, value in zip(order, firsts):
+                assert read(z) is value
+        assert (CACHE.cache_info().currsize, CACHE.cache_info().misses) == (size, misses)
+    assert all(struct.unpack("<2d", key)[0] >= 0 for _, _, key, *_ in requests)
+
+
+# the mirror half of an entry from its half at z: E and P_n conj, psi, phi
+# and G M conj, phi(j) and psi(j) -conj (the same j)
+_SCALAR = ("eisenstein_rs", "poincare", "poincare0")
+_MIRROR_OF = {
+    **{name: np.conj for name in _SCALAR},
+    **{name: lambda v: _MIRROR_SIGNS * v.conj() for name in _SERIES if name not in _SCALAR},
+    **{name: lambda v: -v.conj() for name in _REFLECTED if name.startswith("phi_coefficients")},
+}
+
+
+@pytest.mark.parametrize("name", _MIRROR_OF)
+def test_each_mirror_half_is_read_only_and_bitwise_the_image_of_its_half_at_z(name, monkeypatch):
+    read, requests = _REFLECTED[name], _record_requests(monkeypatch)
+    for z in (complex(0.3, 1.4), complex(0.0, 1.4), complex(-0.0, 1.4)):
+        requests.clear()
+        value = read(z)
+        at_z, mirror = CACHE(*requests[0])  # the read's own entry, asked for first
+        assert value is at_z
+        want = _MIRROR_OF[name](at_z.value)
+        assert _bits(mirror.value, mirror.tail_estimate) == _bits(want, at_z.tail_estimate)
+        if z.real > 0:  # at x = 0.0 the mirror, -0.0, is an entry of its own
+            assert read(complex(-z.real, z.imag)) is mirror
+        for half in (at_z, mirror):
+            if np.ndim(half.value):
+                assert not half.value.flags.writeable
+                with pytest.raises(ValueError):
+                    half.value[0] = 0.0
+
+
+def test_a_series_value_rejects_attribute_assignment():
+    # one SeriesValue is handed to every reader of its point
+    for sv in (ra.phi(DELTA, W, "+", 0.3 + 1.4j, T40), ra.eisenstein_rs(W, -0.3 + 1.4j, T40)):
+        for name in ("value", "tail_estimate", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(sv, name, 0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del sv.value
+
+
 def test_cache_clear_drops_the_reflected_and_canonical_entries():
     z = complex(-0.13, 1.3)
     CACHE.cache_clear()
@@ -376,8 +464,8 @@ def test_the_series_suites_sum_each_requested_entry_once(monkeypatch):
 
 
 # the slash matrix of `coeff_decompose` depends on (z, k) only: the point
-# cache holds it per point, and at x < 0 (not -0.0) its entry is built once
-# from the entry at -conj z, B(-conj z) = (-1)^j conj B(z) on column j, + 0.0
+# cache holds it per point with x >= 0 (or -0.0), beside its mirror built
+# once from it, B(-conj z) = (-1)^j conj B(z) on column j, + 0.0
 _SWEEP_XS = [float(x) for x in (2.0 * np.arange(64) - 64) / 128] + [0.5]
 
 
@@ -396,9 +484,14 @@ def test_a_mirrored_slash_matrix_is_bitwise_a_direct_build(m):
     # as uint64 bit patterns, so that the signs of zeros count: without the
     # + 0.0, a mirrored matrix holds -0.0 where a direct build holds +0.0
     for z in _slash_points(m):
-        for u in (z, complex(-z.real, z.imag)):  # either one built first
-            got = CACHE(ra._slash_entry, None, ra._point_key(u), m).view(np.uint64)
+        for u in (z, complex(-z.real, z.imag)):  # either one read first
+            got = ra._reflected(ra._slash_entry, None, u, m).view(np.uint64)
             assert got.tolist() == _direct_slash(u, m).view(np.uint64).tolist()
+        # both halves of the entry at x >= 0 (or -0.0), the mirror at -conj z
+        key = z if not z.real < 0 else complex(-z.real, z.imag)
+        entry = CACHE(ra._slash_entry, None, ra._point_key(key), m)
+        for half, u in zip(entry, (key, complex(-key.real, key.imag))):
+            assert half.view(np.uint64).tolist() == _direct_slash(u, m).view(np.uint64).tolist()
 
 
 @pytest.mark.parametrize("k", [2, 12, 16])
@@ -426,34 +519,42 @@ def test_a_phi_coefficient_fourier_pair_builds_each_matrix_once(monkeypatch):
     def fn(z):
         return complex(ra.coeff_decompose(ra.phi(DELTA, W, "+", z, T40).value, z, DELTA.k)[4])
 
+    requests = _record_requests(monkeypatch)
     modes = [ra.fourier_coefficient(fn, l, 1.25, M=64) for l in (1, 2)]
     # 130 decompositions at 65 points: the 33 with x >= 0 (the probe at
-    # x = 1/2 among them) build their matrices, the 32 others mirror them
-    # into entries of their own, and the second mode reads them all
+    # x = 1/2 among them) build their matrices beside their mirrors, the 32
+    # others read those mirrors, and the second mode reads them all: 33
+    # series entries and 33 matrix entries, none keyed at x < 0
     assert len(built) == 33
     assert all(args[1].real >= 0 for args in built)  # built at z = args[1]
+    assert _entries_by_function(requests) == {"_phi_sum": 33, "_slash_entry": 33}
+    assert CACHE.cache_info().currsize == 66
+    assert all(struct.unpack("<2d", key)[0] >= 0 for _, _, key, *_ in requests)
     misses = CACHE.cache_info().misses
     assert [ra.fourier_coefficient(fn, l, 1.25, M=64) for l in (1, 2)] == modes
     assert (len(built), CACHE.cache_info().misses) == (33, misses)
-    # a decomposition left of the axis is the product of its own entry
+    # a decomposition left of the axis is the product of the mirror half of
+    # the entry at -conj z
     z = complex(-0.25, 1.25)
     P = ra.phi(DELTA, W, "+", z, T40).value
-    B = CACHE(ra._slash_entry, None, ra._point_key(z), DELTA.k - 2)
+    B = CACHE(ra._slash_entry, None, ra._point_key(-z.conjugate()), DELTA.k - 2)[1]
     want = B @ P * (z - z.conjugate()) ** (2 - DELTA.k)
     assert ra.coeff_decompose(P, z, DELTA.k).tobytes() == want.tobytes()
     assert CACHE.cache_info().misses == misses
 
 
 def test_the_cached_slash_matrix_is_read_only():
-    # a decomposition at either sign of x caches its own matrix, and neither
-    # can be written
+    # a decomposition at either sign of x reads one entry at x >= 0, and
+    # neither of its matrices can be written
     for z in (0.3 + 1.4j, -0.3 + 1.4j):
         ra.coeff_decompose(np.ones(15), z, 16)
         misses = CACHE.cache_info().misses
-        cached = CACHE(ra._slash_entry, None, ra._point_key(z), 14)
+        cached = CACHE(ra._slash_entry, None, ra._point_key(0.3 + 1.4j), 14)
         assert CACHE.cache_info().misses == misses
-        with pytest.raises(ValueError):
-            cached[0, 0] = 0.0
+        for B in cached:
+            with pytest.raises(ValueError):
+                B[0, 0] = 0.0
+    assert CACHE.cache_info().currsize == 1
 
 
 # `phi_coefficients`: phi(j) or psi(j) at a point as an entry of its own,
@@ -525,14 +626,15 @@ def test_a_phi_coefficient_hit_is_read_only_and_left_of_the_axis_the_image_of_it
     z, mirror = complex(-0.25, 1.25), complex(0.25, 1.25)
     right = ra.phi_coefficients(DELTA, W, "-", mirror, T40, psi=psi)
     series = ra._psi_sum if psi else ra._phi_sum
-    entry, tail = CACHE(ra._coeff_sum, T40, ra._point_key(mirror), series, DELTA, W, True)
-    assert (_uint64(right.value), right.tail_estimate) == (_uint64(entry), tail)
+    entry, image = CACHE(ra._coeff_sum, T40, ra._point_key(mirror), series, DELTA, W, True)
+    assert right is entry
     misses = CACHE.cache_info().misses
     for _ in range(2):  # a hit, then a hit after the writes below failed
         left = ra.phi_coefficients(DELTA, W, "-", z, T40, psi=psi)
         assert CACHE.cache_info().misses == misses
-        assert (_uint64(left.value), left.tail_estimate) == (_uint64(-entry.conj()), tail)
+        assert left is image
+        assert (_uint64(left.value), left.tail_estimate) == (_uint64(-entry.value.conj()), entry.tail_estimate)
         for sv in (left, ra.phi_coefficients(DELTA, W, "-", mirror, T40, psi=psi)):
             with pytest.raises(ValueError):
                 sv.value[0] = 0.0
-    assert _uint64(entry) == _uint64(right.value)
+    assert _uint64(entry.value) == _uint64(right.value)
